@@ -423,14 +423,18 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
     let mut votes: Vec<bool> = inputs.to_vec();
     let threshold = config.supermajority();
     let mut trace = Vec::with_capacity(rounds);
+    let good_total = good.iter().filter(|&&g| g).count().max(1);
+    let count_good_ones = |votes: &[bool]| (0..k).filter(|&i| good[i] && votes[i]).count();
+    let mut good_ones = count_good_ones(&votes);
 
     for r in 0..rounds {
         // Rushing: good votes for this round are the current `votes`;
         // corrupt members choose their outgoing votes knowing them.
-        let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-        let good_total = good.iter().filter(|&&g| g).count().max(1);
         let good_majority = 2 * good_ones >= good_total;
         let mut next = votes.clone();
+        // Whether this round read anything but `votes`: a coin (varies
+        // with `r`) or an `rng` draw.
+        let mut fresh_input = false;
         for (i, nv) in next.iter_mut().enumerate() {
             if !good[i] {
                 continue;
@@ -451,6 +455,7 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
                             if u.is_multiple_of(2) {
                                 !good_majority
                             } else {
+                                fresh_input = true;
                                 rng.gen_bool(0.5)
                             }
                         }
@@ -470,6 +475,7 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
             *nv = if fraction >= threshold {
                 maj
             } else {
+                fresh_input = true;
                 coin_view(i, r)
             };
         }
@@ -484,16 +490,21 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
                 };
             }
         }
+        let settled = !fresh_input && next == votes;
         votes = next;
         // Trace: plurality agreement among good members after this round.
-        let ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-        let total = good.iter().filter(|&&g| g).count().max(1);
-        let plur = ones.max(total - ones);
-        trace.push(plur as f64 / total as f64);
+        good_ones = count_good_ones(&votes);
+        let plurality = good_ones.max(good_total - good_ones) as f64 / good_total as f64;
+        trace.push(plurality);
+        if settled {
+            // Fixed point (the stability of Lemmas 12/13): the round was
+            // a function of `votes` alone and reproduced them, so every
+            // later round does the same and draws nothing.
+            trace.resize(rounds, plurality);
+            break;
+        }
     }
 
-    let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-    let good_total = good.iter().filter(|&&g| g).count().max(1);
     let decided = 2 * good_ones >= good_total;
     let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
     (
@@ -796,5 +807,154 @@ mod tests {
         };
         let want = 0.9 * (2.0 / 3.0 + 0.03);
         assert!((cfg.supermajority() - want).abs() < 1e-12);
+    }
+
+    /// The loop `run_committee_traced` replaced: every round replayed,
+    /// fixed point or not. Reference for the proptest below.
+    #[allow(clippy::too_many_arguments)]
+    fn run_committee_full_rounds<R: Rng + ?Sized>(
+        good: &[bool],
+        inputs: &[bool],
+        graph: &RegularGraph,
+        coin_view: impl Fn(usize, usize) -> bool,
+        rounds: usize,
+        config: &AebaConfig,
+        attack: CommitteeAttack,
+        rng: &mut R,
+    ) -> (CommitteeOutcome, Vec<f64>) {
+        let k = good.len();
+        let mut votes: Vec<bool> = inputs.to_vec();
+        let threshold = config.supermajority();
+        let mut trace = Vec::with_capacity(rounds);
+        for r in 0..rounds {
+            let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+            let good_total = good.iter().filter(|&&g| g).count().max(1);
+            let good_majority = 2 * good_ones >= good_total;
+            let mut next = votes.clone();
+            for (i, nv) in next.iter_mut().enumerate() {
+                if !good[i] {
+                    continue;
+                }
+                let mut ones = 0usize;
+                let mut total = 0usize;
+                for &u in graph.neighbors(i) {
+                    let u = u as usize;
+                    let v = if good[u] {
+                        votes[u]
+                    } else {
+                        match attack {
+                            CommitteeAttack::Passive => votes[u],
+                            CommitteeAttack::Fixed(b) => b,
+                            CommitteeAttack::Oppose => !votes[i],
+                            CommitteeAttack::Split => {
+                                if u.is_multiple_of(2) {
+                                    !good_majority
+                                } else {
+                                    rng.gen_bool(0.5)
+                                }
+                            }
+                        }
+                    };
+                    total += 1;
+                    if v {
+                        ones += 1;
+                    }
+                }
+                if total == 0 {
+                    continue;
+                }
+                let maj = 2 * ones >= total;
+                let maj_count = if maj { ones } else { total - ones };
+                let fraction = maj_count as f64 / total as f64;
+                *nv = if fraction >= threshold {
+                    maj
+                } else {
+                    coin_view(i, r)
+                };
+            }
+            for (i, nv) in next.iter_mut().enumerate() {
+                if !good[i] {
+                    *nv = match attack {
+                        CommitteeAttack::Passive => votes[i],
+                        CommitteeAttack::Fixed(b) => b,
+                        CommitteeAttack::Oppose => !good_majority,
+                        CommitteeAttack::Split => i % 2 == 0,
+                    };
+                }
+            }
+            votes = next;
+            let ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+            let total = good.iter().filter(|&&g| g).count().max(1);
+            let plur = ones.max(total - ones);
+            trace.push(plur as f64 / total as f64);
+        }
+        let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+        let good_total = good.iter().filter(|&&g| g).count().max(1);
+        let decided = 2 * good_ones >= good_total;
+        let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
+        (
+            CommitteeOutcome {
+                votes,
+                agreement: agreeing as f64 / good_total as f64,
+                decided,
+            },
+            trace,
+        )
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// The fixed-point exit leaves exactly what the full loop
+            /// leaves: votes, agreement, decision, the whole trace and
+            /// the caller's RNG position.
+            #[test]
+            fn fixed_point_exit_matches_full_rounds(
+                k in 2usize..48,
+                degree in 1usize..14,
+                rounds in 0usize..24,
+                attack_ix in 0usize..5,
+                corrupt_pct in 0u64..50,
+                ones_pct in 0u64..101,
+                coin_period in 1usize..5,
+                seed in any::<u64>(),
+            ) {
+                let mut setup = ChaCha12Rng::seed_from_u64(seed);
+                let g = RegularGraph::random_out_degree(k, degree, &mut setup);
+                let good: Vec<bool> = (0..k).map(|_| setup.gen_range(0..100) >= corrupt_pct).collect();
+                let inputs: Vec<bool> = (0..k).map(|_| setup.gen_range(0..100) < ones_pct).collect();
+                let attack = [
+                    CommitteeAttack::Passive,
+                    CommitteeAttack::Fixed(false),
+                    CommitteeAttack::Fixed(true),
+                    CommitteeAttack::Oppose,
+                    CommitteeAttack::Split,
+                ][attack_ix];
+                // A coin that depends on the round, so a round that
+                // consulted it must not count as settled.
+                let coin = |i: usize, r: usize| (r / coin_period + i).is_multiple_of(2);
+                let cfg = AebaConfig::default();
+                let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA5A5);
+                let mut rng_b = rng_a.clone();
+                let (out, trace) =
+                    run_committee_traced(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_a);
+                let (want, want_trace) =
+                    run_committee_full_rounds(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_b);
+                prop_assert_eq!(&out.votes, &want.votes);
+                prop_assert_eq!(out.agreement.to_bits(), want.agreement.to_bits());
+                prop_assert_eq!(out.decided, want.decided);
+                prop_assert_eq!(trace.len(), rounds);
+                prop_assert_eq!(
+                    trace.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    want_trace.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+            }
+        }
     }
 }

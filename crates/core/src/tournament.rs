@@ -786,18 +786,7 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
         let online: Vec<bool> = (0..n)
             .map(|i| net.is_online(net_round, ProcId::new(i)))
             .collect();
-        let mut received: HashMap<usize, usize> = HashMap::new();
-        for mc in &inbox {
-            if let TourMsg::WinnerShare {
-                level: l, array, ..
-            } = mc.payload
-            {
-                if l as usize == level {
-                    *received.entry(array as usize).or_insert(0) +=
-                        mc.to.iter().filter(|t| online[t.index()]).count();
-                }
-            }
-        }
+        let received = winner_receipts(&inbox, level, &online);
         for &(node, aid, pairs) in &expected {
             if 2 * received.get(&aid).copied().unwrap_or(0) > pairs {
                 stats.winners += 1;
@@ -1074,6 +1063,36 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
     got
 }
 
+/// Winner-share deliveries of `level` that reached an online recipient,
+/// summed per array. Every sender of one array fans to the same shared
+/// recipient list, so a batch whose list is the previous batch's very
+/// allocation reuses its count — one scan per committee on the batched
+/// paths, one per batch when a transport regroups recipients.
+fn winner_receipts(
+    inbox: &[Multicast<TourMsg>],
+    level: usize,
+    online: &[bool],
+) -> HashMap<usize, usize> {
+    let mut received: HashMap<usize, usize> = HashMap::new();
+    let mut last: Option<(&Arc<[ProcId]>, usize)> = None;
+    for mc in inbox {
+        if let TourMsg::WinnerShare {
+            level: l, array, ..
+        } = mc.payload
+        {
+            if l as usize == level {
+                let count = match last {
+                    Some((to, count)) if Arc::ptr_eq(to, &mc.to) => count,
+                    _ => mc.to.iter().filter(|t| online[t.index()]).count(),
+                };
+                last = Some((&mc.to, count));
+                *received.entry(array as usize).or_insert(0) += count;
+            }
+        }
+    }
+    received
+}
+
 /// Committee member lists as Arc-shared [`ProcId`] slices, converted
 /// once per (level, node) and cloned per fan.
 #[derive(Default)]
@@ -1258,6 +1277,11 @@ fn run_node_election(
     let mut agreement_count = 0usize;
     for ci in 0..r_cands {
         let mut word = 0u16;
+        // Which members the candidate's declaration reached.
+        let saw: Vec<bool> = members
+            .iter()
+            .map(|&m| exposed.contains(node, ci, m as usize))
+            .collect();
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
             // Member input views: a member whose exposure delivery was
@@ -1274,7 +1298,7 @@ fn run_node_election(
                             ^ ((bit as u64) << 8)
                             ^ m as u64,
                     );
-                    if exposed.contains(node, ci, members[m] as usize)
+                    if saw[m]
                         && path_frac > 0.5
                         && !vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49))
                     {
@@ -1582,5 +1606,56 @@ mod tests {
     fn wrong_input_len_panics() {
         let config = TournamentConfig::for_n(64);
         let _ = run(&config, &[true; 3], &mut NoTreeAdversary);
+    }
+
+    #[test]
+    fn winner_receipts_match_the_per_pair_count() {
+        let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
+        let share = |level: u32, array: u32, from: usize, to: &Arc<[ProcId]>| Multicast {
+            from: ProcId::new(from),
+            to: to.clone(),
+            payload: TourMsg::WinnerShare {
+                level,
+                node: 0,
+                array,
+                words: 3,
+            },
+        };
+        let online: Vec<bool> = (0..10).map(|i| i != 2 && i != 7).collect();
+        let committee_a = ids(&[1, 2, 3, 4]);
+        let committee_b = ids(&[5, 6, 7]);
+        // Equal contents, different allocation: must be counted afresh.
+        let regrouped_a = ids(&[1, 2, 3, 4]);
+        let inbox = vec![
+            share(3, 11, 0, &committee_a),
+            share(3, 11, 1, &committee_a),
+            share(3, 12, 2, &committee_a), // same list, next array
+            share(3, 12, 3, &committee_b),
+            share(3, 11, 4, &committee_a), // back to the first list
+            share(3, 11, 5, &ids(&[2])),   // singletons, one offline
+            share(3, 11, 5, &ids(&[9])),
+            share(2, 11, 6, &committee_a), // stale level: ignored ...
+            share(3, 12, 7, &committee_a), // ... and not remembered
+            share(3, 13, 8, &regrouped_a),
+            Multicast {
+                from: ProcId::new(9),
+                to: committee_b.clone(),
+                payload: TourMsg::RootCoin { j: 0 },
+            },
+            share(3, 13, 9, &committee_b),
+            share(3, 13, 9, &ids(&[])),
+        ];
+        let mut per_pair: HashMap<usize, usize> = HashMap::new();
+        for mc in &inbox {
+            if let TourMsg::WinnerShare {
+                level: 3, array, ..
+            } = mc.payload
+            {
+                *per_pair.entry(array as usize).or_insert(0) +=
+                    mc.to.iter().filter(|t| online[t.index()]).count();
+            }
+        }
+        assert_eq!(winner_receipts(&inbox, 3, &online), per_pair);
+        assert_eq!(per_pair[&11], 3 + 3 + 3 + 1);
     }
 }

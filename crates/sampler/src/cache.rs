@@ -26,9 +26,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Bound on retained entries; reaching it clears the whole map (values
-/// are pure functions of their keys, so eviction is always safe).
+/// Bounds on what the registry retains: entries, and bytes of edge/cell
+/// payload as the keys' dimensions give them. Reaching either clears the
+/// whole map (values are pure functions of their keys, so eviction is
+/// always safe). The entry bound caps sweeps of many small graphs; the
+/// byte bound caps one big trial, whose thousand-odd committee graphs
+/// no later trial asks for again.
 const CAPACITY: usize = 512;
+const CAPACITY_BYTES: u64 = 64 << 20;
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Key {
@@ -41,13 +46,32 @@ struct Key {
     stream: (u64, u64),
 }
 
+impl Key {
+    /// Bytes of `u32` payload the value holds: both directions of
+    /// `n·degree` edges, or `r·d` sampler cells.
+    fn payload_bytes(&self) -> u64 {
+        let [a, b, c] = self.dims;
+        match self.kind {
+            0 => 8 * a * b,
+            _ => 4 * a * c,
+        }
+    }
+}
+
 #[derive(Clone)]
 enum Value {
     Graph(Arc<RegularGraph>),
     Sampler(Arc<Sampler>),
 }
 
-static REGISTRY: OnceLock<Mutex<HashMap<Key, Value>>> = OnceLock::new();
+/// The retained values and the sum of their keys' payload bytes.
+#[derive(Default)]
+struct Registry {
+    map: HashMap<Key, Value>,
+    bytes: u64,
+}
+
+static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -84,27 +108,28 @@ pub fn stats() -> CacheStats {
 }
 
 fn lookup(key: Key, build: impl FnOnce() -> Value) -> Value {
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let unpoisoned =
-        |r: &'static Mutex<HashMap<Key, Value>>| r.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(v) = unpoisoned(registry).get(&key) {
+    let registry = REGISTRY.get_or_init(Mutex::default);
+    let unpoisoned = |r: &'static Mutex<Registry>| r.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(v) = unpoisoned(registry).map.get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         return v.clone();
     }
     // Build outside the lock so concurrent misses on *different* keys
     // construct in parallel; a same-key race resolves below.
     let built = build();
-    let mut map = unpoisoned(registry);
-    if let Some(v) = map.get(&key) {
+    let mut reg = unpoisoned(registry);
+    if let Some(v) = reg.map.get(&key) {
         // Another thread built it first: count ourselves as a hit so
         // misses stay equal to the number of distinct keys.
         HITS.fetch_add(1, Ordering::Relaxed);
         return v.clone();
     }
-    if map.len() >= CAPACITY {
-        map.clear();
+    if reg.map.len() >= CAPACITY || reg.bytes + key.payload_bytes() > CAPACITY_BYTES {
+        reg.map.clear();
+        reg.bytes = 0;
     }
-    map.insert(key, built.clone());
+    reg.bytes += key.payload_bytes();
+    reg.map.insert(key, built.clone());
     MISSES.fetch_add(1, Ordering::Relaxed);
     built
 }
@@ -155,6 +180,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The registry and its counters are process-wide; the tests below
+    /// take turns so each reads its own traffic.
+    static TURN: Mutex<()> = Mutex::new(());
+
+    fn turn() -> std::sync::MutexGuard<'static, ()> {
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn graph_for(seed: u64) -> Arc<RegularGraph> {
         regular_graph(64, 6, (seed, 0xBEEF), || {
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
@@ -164,18 +197,17 @@ mod tests {
 
     #[test]
     fn repeat_requests_hit_and_share_the_allocation() {
+        let _turn = turn();
         let before = stats();
         let a = graph_for(0x1111_2222);
         let b = graph_for(0x1111_2222);
         assert!(Arc::ptr_eq(&a, &b), "second request must reuse the Arc");
-        let delta = stats().since(before);
-        assert!(delta.hits >= 1, "repeat must count a hit: {delta:?}");
-        // Parallel tests may add their own traffic, so only lower-bound.
-        assert!(delta.misses >= 1, "first build must count a miss");
+        assert_eq!(stats().since(before), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
     fn distinct_streams_get_distinct_values() {
+        let _turn = turn();
         let a = graph_for(0x3333_4444);
         let b = graph_for(0x5555_6666);
         assert!(!Arc::ptr_eq(&a, &b));
@@ -184,6 +216,7 @@ mod tests {
 
     #[test]
     fn samplers_cache_too() {
+        let _turn = turn();
         let build = || {
             sampler(16, 64, 8, (0x7777, 0xF00D), || {
                 let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x7777);
@@ -194,5 +227,37 @@ mod tests {
         let b = build();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.sample(3), b.sample(3));
+    }
+
+    #[test]
+    fn crossing_the_byte_bound_clears_and_misses_count_distinct_builds() {
+        let _turn = turn();
+        let before = stats();
+        let builds = AtomicU64::new(0);
+        let small = |seed: u64| {
+            regular_graph(64, 6, (seed, 0xB17E), || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+                RegularGraph::random_out_degree(64, 6, &mut rng)
+            })
+        };
+        let first = small(1);
+        assert!(Arc::ptr_eq(&first, &small(1)), "retained below the bound");
+        // 2 × 32 MiB of edges on top of `first`: whatever else the
+        // registry held, the byte bound trips by the second insert —
+        // long before 512 entries.
+        let (n, degree) = (4096, 1024);
+        assert!(2 * 8 * (n * degree) as u64 >= CAPACITY_BYTES);
+        for seed in 2..4u64 {
+            regular_graph(n, degree, (seed, 0xB17E), || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+                RegularGraph::random_out_degree(n, degree, &mut rng)
+            });
+        }
+        assert!(!Arc::ptr_eq(&first, &small(1)), "cleared with the rest");
+        let delta = stats().since(before);
+        assert_eq!(delta.misses, builds.load(Ordering::Relaxed));
+        assert_eq!(delta, CacheStats { hits: 1, misses: 4 });
     }
 }

@@ -18,8 +18,9 @@
 //! "each processor has a copy of the required samplers".
 
 use crate::params::Params;
-use ba_sim::{derive_rng, ProcId};
+use ba_sim::{derive_rng, ProcId, SimRng};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Label space (within the master seed) for topology generation streams.
 const TOPOLOGY_LABEL: u64 = 1 << 41;
@@ -41,21 +42,74 @@ impl NodeAddr {
     }
 }
 
-/// The fully generated communication tree.
+/// The communication tree. Membership is generated up front; each
+/// level's uplink and ℓ-link families are drawn on the first query that
+/// reads them, from the level's stream exactly where membership left it
+/// — a tree nobody asks for links (the tournament executor prices them
+/// through its cost model) never pays for them.
 #[derive(Clone, Debug)]
 pub struct Tree {
     params: Params,
     /// `members[l-1][node]` = processor ids in that committee.
     members: Vec<Vec<Vec<u32>>>,
-    /// `uplinks[l-1][node][member]` = member indices in the parent
-    /// committee (absent for the root level).
-    uplinks: Vec<Vec<Vec<Vec<u32>>>>,
-    /// `llinks[l-1][node][member]` = level-1 node ids inside this node's
-    /// subtree (only populated for levels ≥ 2).
-    llinks: Vec<Vec<Vec<Vec<u32>>>>,
+    /// `links[l-1]` = the level's stream after its membership draws, and
+    /// the link families drawn from it on first use.
+    links: Vec<(SimRng, OnceLock<LevelLinks>)>,
     /// `member_of[p]` = list of (level, node, member index) where
     /// processor `p` serves.
     member_of: Vec<Vec<(u32, u32, u32)>>,
+}
+
+/// One level's link families, flat and row-major by (node, member).
+#[derive(Clone, Debug)]
+struct LevelLinks {
+    /// Uplink rows of `up_degree` parent-committee member indices each
+    /// (empty for the root level).
+    up: Vec<u32>,
+    up_degree: usize,
+    /// ℓ-link rows of level-1 node ids; node `i`'s rows fill
+    /// `ll[ll_start[i]..ll_start[i + 1]]`, equally long within a node
+    /// (empty for level 1).
+    ll: Vec<u32>,
+    ll_start: Vec<usize>,
+}
+
+impl LevelLinks {
+    /// Draws uplinks for every (node, member), then ℓ-links likewise.
+    fn draw(params: &Params, level: usize, mut rng: SimRng) -> Self {
+        let count = params.node_count(level);
+        let size = params.node_size(level);
+        let mut seen = Vec::new();
+        let (mut up, mut up_degree) = (Vec::new(), 0);
+        if level < params.levels {
+            let parent_size = params.node_size(level + 1);
+            up_degree = params.uplink_degree.min(parent_size);
+            up.reserve(count * size * up_degree);
+            for _ in 0..count * size {
+                sample_distinct(parent_size, up_degree, &mut rng, &mut seen, &mut up);
+            }
+        }
+        let (mut ll, mut ll_start) = (Vec::new(), vec![0]);
+        if level >= 2 {
+            for node in 0..count {
+                let leaves = leaf_range_for(params, level, node);
+                let d = params.llink_degree.min(leaves.len());
+                for _ in 0..size {
+                    sample_distinct(leaves.len(), d, &mut rng, &mut seen, &mut ll);
+                }
+                for e in &mut ll[ll_start[node]..] {
+                    *e += leaves.start as u32;
+                }
+                ll_start.push(ll.len());
+            }
+        }
+        LevelLinks {
+            up,
+            up_degree,
+            ll,
+            ll_start,
+        }
+    }
 }
 
 impl Tree {
@@ -69,8 +123,8 @@ impl Tree {
         let levels = params.levels;
         let n = params.n;
         let mut members = Vec::with_capacity(levels);
-        let mut uplinks = Vec::with_capacity(levels);
-        let mut llinks = Vec::with_capacity(levels);
+        let mut links = Vec::with_capacity(levels);
+        let mut seen = Vec::new();
 
         for level in 1..=levels {
             let count = params.node_count(level);
@@ -84,51 +138,15 @@ impl Tree {
                     if size >= n {
                         (0..n as u32).collect()
                     } else {
-                        sample_distinct(n, size, &mut rng)
+                        let mut ms = Vec::with_capacity(size);
+                        sample_distinct(n, size, &mut rng, &mut seen, &mut ms);
+                        ms
                     }
                 })
                 .collect();
 
-            // Uplinks to the parent committee (none for the root).
-            let lvl_uplinks: Vec<Vec<Vec<u32>>> = if level == levels {
-                Vec::new()
-            } else {
-                let parent_size = params.node_size(level + 1);
-                let d = params.uplink_degree.min(parent_size);
-                (0..count)
-                    .map(|_| {
-                        (0..size)
-                            .map(|_| sample_distinct(parent_size, d, &mut rng))
-                            .collect()
-                    })
-                    .collect()
-            };
-
-            // ℓ-links from committee members to level-1 descendant nodes.
-            let lvl_llinks: Vec<Vec<Vec<u32>>> = if level == 1 {
-                Vec::new()
-            } else {
-                (0..count)
-                    .map(|node| {
-                        let leaves = leaf_range_for(params, level, node);
-                        let span = leaves.end - leaves.start;
-                        let d = params.llink_degree.min(span);
-                        (0..size)
-                            .map(|_| {
-                                let mut v = sample_distinct(span, d, &mut rng);
-                                for e in &mut v {
-                                    *e += leaves.start as u32;
-                                }
-                                v
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-
             members.push(lvl_members);
-            uplinks.push(lvl_uplinks);
-            llinks.push(lvl_llinks);
+            links.push((rng, OnceLock::new()));
         }
 
         // Reverse index: which committees each processor serves in.
@@ -144,10 +162,18 @@ impl Tree {
         Tree {
             params: params.clone(),
             members,
-            uplinks,
-            llinks,
+            links,
             member_of,
         }
+    }
+
+    /// The link families of seat `(at, member)`'s level, drawn now if
+    /// never read.
+    fn links(&self, at: NodeAddr, member: usize) -> &LevelLinks {
+        let size = self.members(at).len();
+        assert!(member < size, "member {member} out of range at {at:?}");
+        let (rng, drawn) = &self.links[at.level - 1];
+        drawn.get_or_init(|| LevelLinks::draw(&self.params, at.level, rng.clone()))
     }
 
     /// The parameters this tree was generated from.
@@ -170,7 +196,10 @@ impl Tree {
     ///
     /// Panics for root-level addresses or out-of-range members.
     pub fn uplinks(&self, at: NodeAddr, member: usize) -> &[u32] {
-        &self.uplinks[at.level - 1][at.index][member]
+        assert!(at.level < self.params.levels, "root has no uplinks");
+        let links = self.links(at, member);
+        let row = at.index * self.members(at).len() + member;
+        &links.up[row * links.up_degree..][..links.up_degree]
     }
 
     /// The level-1 descendant node ids a member's ℓ-links point to.
@@ -179,7 +208,11 @@ impl Tree {
     ///
     /// Panics for level-1 addresses or out-of-range members.
     pub fn llinks(&self, at: NodeAddr, member: usize) -> &[u32] {
-        &self.llinks[at.level - 1][at.index][member]
+        assert!(at.level >= 2, "leaves have no ℓ-links");
+        let links = self.links(at, member);
+        let node = &links.ll[links.ll_start[at.index]..links.ll_start[at.index + 1]];
+        let d = node.len() / self.members(at).len();
+        &node[member * d..][..d]
     }
 
     /// Parent node address.
@@ -291,21 +324,36 @@ fn leaf_range_for(params: &Params, level: usize, index: usize) -> std::ops::Rang
     start..((index + 1) * span).min(params.n)
 }
 
-/// Uniform `k`-subset of `0..m` (Floyd's algorithm), as committee and link
-/// draws; distinct elements keep per-member link sets simple. Sorted for
-/// determinism of iteration order.
-fn sample_distinct<R: Rng + ?Sized>(m: usize, k: usize, rng: &mut R) -> Vec<u32> {
+/// Appends a uniform `k`-subset of `0..m` (Floyd's algorithm) to `out`,
+/// as committee and link draws; distinct elements keep per-member link
+/// sets simple. Sorted for determinism of iteration order. `seen` is an
+/// all-zero scratch bitset, grown on demand and handed back all-zero.
+fn sample_distinct<R: Rng + ?Sized>(
+    m: usize,
+    k: usize,
+    rng: &mut R,
+    seen: &mut Vec<u64>,
+    out: &mut Vec<u32>,
+) {
     debug_assert!(k <= m);
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    let mut out = Vec::with_capacity(k);
+    if seen.len() * 64 < m {
+        seen.resize(m.div_ceil(64), 0);
+    }
+    let from = out.len();
     for j in m - k..m {
         let t = rng.gen_range(0..=j);
-        let pick = if chosen.contains(&t) { j } else { t };
-        chosen.insert(pick);
+        let pick = if seen[t / 64] >> (t % 64) & 1 == 1 {
+            j
+        } else {
+            t
+        };
+        seen[pick / 64] |= 1 << (pick % 64);
         out.push(pick as u32);
     }
-    out.sort_unstable();
-    out
+    for &p in &out[from..] {
+        seen[p as usize / 64] = 0;
+    }
+    out[from..].sort_unstable();
 }
 
 #[cfg(test)]
@@ -530,5 +578,68 @@ mod tests {
         let at = NodeAddr::new(2, 0);
         let outside = t.leaf_range(at).end; // first leaf of the next node
         let _ = t.llink_members_for_leaf(at, outside);
+    }
+
+    /// FNV-1a over every uplink and ℓ-link row (length, then entries),
+    /// levels visited in `order`, ℓ-links read before uplinks.
+    fn link_digests(t: &Tree, order: &[usize]) -> (u64, u64) {
+        fn fnv(h: &mut u64, row: &[u32]) {
+            for x in std::iter::once(row.len() as u32).chain(row.iter().copied()) {
+                for b in x.to_le_bytes() {
+                    *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        let p = t.params();
+        let mut per_level = vec![(0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64); p.levels];
+        for &l in order {
+            let (up, ll) = &mut per_level[l - 1];
+            for i in 0..p.node_count(l) {
+                for m in 0..p.node_size(l) {
+                    if l >= 2 {
+                        fnv(ll, t.llinks(NodeAddr::new(l, i), m));
+                    }
+                    if l < p.levels {
+                        fnv(up, t.uplinks(NodeAddr::new(l, i), m));
+                    }
+                }
+            }
+        }
+        // Chain the per-level digests in level order so the visit order
+        // cannot show in the result.
+        per_level.iter().fold((0, 0), |(u, l), &(lu, ll)| {
+            (
+                (u ^ lu).wrapping_mul(0x0000_0100_0000_01b3),
+                (l ^ ll).wrapping_mul(0x0000_0100_0000_01b3),
+            )
+        })
+    }
+
+    #[test]
+    fn lazy_links_match_the_eager_draw_of_the_parent_commit() {
+        // Digests recorded from the eager `Tree::generate` this lazy one
+        // replaced (commit 2e922df), levels visited 1..=levels there.
+        for (n, seed, want) in [
+            (64, 42, (0xa4e2_6b54_0efa_d890, 0x5dd9_9757_0510_bea3)),
+            // Ragged: 100 → 25 → 7 → 2 → 1 nodes.
+            (100, 7, (0xd81e_61ff_52fb_f258, 0x9dac_8adc_ca29_beaf)),
+        ] {
+            let p = Params::practical(n);
+            let fresh = Tree::generate(&p, seed);
+            let cloned_cold = fresh.clone();
+            let reverse: Vec<usize> = (1..=p.levels).rev().collect();
+            let forward: Vec<usize> = (1..=p.levels).collect();
+            assert_eq!(link_digests(&fresh, &reverse), want, "n={n} reverse order");
+            assert_eq!(
+                link_digests(&cloned_cold, &forward),
+                want,
+                "n={n} cold clone"
+            );
+            assert_eq!(
+                link_digests(&fresh.clone(), &forward),
+                want,
+                "n={n} warm clone"
+            );
+        }
     }
 }

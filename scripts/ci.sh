@@ -73,9 +73,9 @@ echo "== scale smoke (everywhere stack end-to-end at n = 4096) =="
 # One seed of the full Algorithm 4 stack under exp_scale's scale
 # profile: exercises the batched-envelope tournament, the cached
 # sampler registry, and the arena share trees at a four-digit n. The
-# budget is generous (the run is ~10 s release on one core); blowing
-# it means a scale regression, not noise.
-timeout 120 cargo run --release --offline -p ba-bench --bin exp_scale -- \
+# budget is generous (the run is ~2 s release on two cores, ~3 s on
+# one); blowing it means a scale regression, not noise.
+timeout 60 cargo run --release --offline -p ba-bench --bin exp_scale -- \
     --max-n 4096
 
 echo "== pinned regression scenarios =="
