@@ -683,30 +683,28 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
                 });
             }
         }
-        let inbox = route(
+        let mut exposed = Exposure::default();
+        route(
             net,
             &mut net_round,
             &format!("L{level}:expose"),
             config.batch_envelopes,
             outbox,
-        );
-        let mut exposed = Exposure::default();
-        for mc in inbox {
-            if let TourMsg::Expose {
-                level: l,
-                node,
-                cand,
-                ..
-            } = mc.payload
-            {
-                if l as usize == level {
-                    exposed.insert(node, cand, mc.to);
+            &mut |mc| {
+                if let TourMsg::Expose {
+                    level: l,
+                    node,
+                    cand,
+                    ..
+                } = mc.payload
+                {
+                    if l as usize == level {
+                        exposed.insert(node, cand, &mc.to);
+                    }
                 }
-            }
-        }
-        let online: Vec<bool> = (0..n)
-            .map(|i| net.is_online(net_round, ProcId::new(i)))
-            .collect();
+            },
+        );
+        let online = online_at(net, net_round, n);
 
         // -- Parallel phase: per-committee agreement + election.
         let outcomes: Vec<ElectionOutcome> = ba_par::par_map(&plans, |plan| {
@@ -776,19 +774,18 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             }
             expected.push((node, aid, senders.len() * recips.len()));
         }
-        let inbox = route(
+        let online = online_at(net, net_round + 1, n);
+        let mut receipts = WinnerReceipts::new(level, &online);
+        route(
             net,
             &mut net_round,
             &format!("L{level}:winners"),
             config.batch_envelopes,
             outbox,
+            &mut |mc| receipts.count(&mc),
         );
-        let online: Vec<bool> = (0..n)
-            .map(|i| net.is_online(net_round, ProcId::new(i)))
-            .collect();
-        let received = winner_receipts(&inbox, level, &online);
         for &(node, aid, pairs) in &expected {
-            if 2 * received.get(&aid).copied().unwrap_or(0) > pairs {
+            if 2 * receipts.of(aid) > pairs {
                 stats.winners += 1;
                 if !arrays[aid].bad && !arrays[aid].compromised {
                     stats.good_winners += 1;
@@ -885,30 +882,29 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
                 payload: TourMsg::RootCoin { j: j as u32 },
             });
         }
-        let inbox = route(
+        let online = online_at(net, net_round + 1, n);
+        route(
             net,
             &mut net_round,
             "root:coin",
             config.batch_envelopes,
             outbox,
-        );
-        let online: Vec<bool> = (0..n)
-            .map(|m| net.is_online(net_round, ProcId::new(m)))
-            .collect();
-        for mc in &inbox {
-            if let TourMsg::RootCoin { j: jj } = mc.payload {
-                // Count only on-time openings received by a live
-                // processor: a word arriving after its agreement round —
-                // or at a crashed recipient — is useless to the voter.
-                if jj as usize == j {
-                    for t in mc.to.iter() {
-                        if online[t.index()] {
-                            coin_recv[j * n + t.index()] = true;
+            &mut |mc| {
+                if let TourMsg::RootCoin { j: jj } = mc.payload {
+                    // Count only on-time openings received by a live
+                    // processor: a word arriving after its agreement
+                    // round — or at a crashed recipient — is useless to
+                    // the voter.
+                    if jj as usize == j {
+                        for t in mc.to.iter() {
+                            if online[t.index()] {
+                                coin_recv[j * n + t.index()] = true;
+                            }
                         }
                     }
                 }
-            }
-        }
+            },
+        );
         for (m, miss) in offline_rounds.iter_mut().enumerate() {
             if !online[m] {
                 *miss += 1;
@@ -1024,11 +1020,12 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
 /// Runs one committee exchange over the transport: all of `outbox`
 /// leaves in the current transport round (senders that are offline say
 /// nothing), the clock advances, and whatever the wire delivers by the
-/// new round is returned as batches. Late traffic from earlier exchanges
-/// surfaces here too — callers filter by the message keys they are
-/// waiting for, and skip recipients offline at the delivery round, so
-/// stale or dead-letter deliveries fall on the floor exactly as they
-/// would in a round-based protocol.
+/// new round streams through `deliver` as batches — a round's deliveries
+/// are folded as they arrive, never materialised. Late traffic from
+/// earlier exchanges surfaces here too — callers filter by the message
+/// keys they are waiting for, and skip recipients offline at the delivery
+/// round, so stale or dead-letter deliveries fall on the floor exactly as
+/// they would in a round-based protocol.
 ///
 /// With `batched` unset every fan expands to per-recipient envelopes in
 /// slice order — the reference semantics the equivalence matrix pins the
@@ -1039,7 +1036,8 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
     label: &str,
     batched: bool,
     outbox: Vec<Multicast<TourMsg>>,
-) -> Vec<Multicast<TourMsg>> {
+    deliver: &mut dyn FnMut(Multicast<TourMsg>),
+) {
     let r = *net_round;
     // Announce the exchange so a stats-keeping transport can attribute
     // this round's traffic to it (successive same-label exchanges
@@ -1057,40 +1055,67 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
         }
     }
     *net_round += 1;
-    let nr = *net_round;
-    let mut got = Vec::new();
-    net.collect_many(nr, &mut |mc| got.push(mc));
-    got
+    net.collect_many(*net_round, deliver);
 }
 
-/// Winner-share deliveries of `level` that reached an online recipient,
-/// summed per array. Every sender of one array fans to the same shared
-/// recipient list, so a batch whose list is the previous batch's very
-/// allocation reuses its count — one scan per committee on the batched
-/// paths, one per batch when a transport regroups recipients.
-fn winner_receipts(
-    inbox: &[Multicast<TourMsg>],
+/// Which processors are up at transport round `round` — a pure function
+/// of the round, so an exchange's fold can have it before the collect.
+fn online_at<Tr: Transport<TourMsg> + ?Sized>(net: &Tr, round: usize, n: usize) -> Vec<bool> {
+    (0..n)
+        .map(|i| net.is_online(round, ProcId::new(i)))
+        .collect()
+}
+
+/// Winner-share deliveries of one level that reached an online
+/// recipient, summed per array as the batches stream past. Every sender
+/// of one array fans to the same shared recipient list, so a batch whose
+/// list is the previous batch's very allocation reuses its count — one
+/// scan per committee on the batched paths, one per batch when a
+/// transport regroups recipients.
+struct WinnerReceipts<'a> {
     level: usize,
-    online: &[bool],
-) -> HashMap<usize, usize> {
-    let mut received: HashMap<usize, usize> = HashMap::new();
-    let mut last: Option<(&Arc<[ProcId]>, usize)> = None;
-    for mc in inbox {
-        if let TourMsg::WinnerShare {
-            level: l, array, ..
-        } = mc.payload
-        {
-            if l as usize == level {
-                let count = match last {
-                    Some((to, count)) if Arc::ptr_eq(to, &mc.to) => count,
-                    _ => mc.to.iter().filter(|t| online[t.index()]).count(),
-                };
-                last = Some((&mc.to, count));
-                *received.entry(array as usize).or_insert(0) += count;
-            }
+    online: &'a [bool],
+    received: HashMap<usize, usize>,
+    /// The last counted list (held, so its address cannot be reused) and
+    /// its online count.
+    last: Option<(Arc<[ProcId]>, usize)>,
+}
+
+impl<'a> WinnerReceipts<'a> {
+    fn new(level: usize, online: &'a [bool]) -> Self {
+        WinnerReceipts {
+            level,
+            online,
+            received: HashMap::new(),
+            last: None,
         }
     }
-    received
+
+    fn count(&mut self, mc: &Multicast<TourMsg>) {
+        let TourMsg::WinnerShare {
+            level: l, array, ..
+        } = mc.payload
+        else {
+            return;
+        };
+        if l as usize != self.level {
+            return;
+        }
+        let count = match &self.last {
+            Some((to, count)) if Arc::ptr_eq(to, &mc.to) => *count,
+            _ => {
+                let count = mc.to.iter().filter(|t| self.online[t.index()]).count();
+                self.last = Some((mc.to.clone(), count));
+                count
+            }
+        };
+        *self.received.entry(array as usize).or_insert(0) += count;
+    }
+
+    /// Deliveries counted for array `aid`.
+    fn of(&self, aid: usize) -> usize {
+        self.received.get(&aid).copied().unwrap_or(0)
+    }
 }
 
 /// Committee member lists as Arc-shared [`ProcId`] slices, converted
@@ -1114,36 +1139,41 @@ impl MemberLists {
     }
 }
 
-/// Exposure receipts that survived the routed exchange, in batch form:
-/// for each (node, candidate), the recipient groups the declaration
-/// reached. Groups keep the committee's sorted member order, so
-/// membership tests are binary searches instead of a hash entry per
-/// (candidate, member) pair.
+/// Exposure receipts that survived the routed exchange: for each (node,
+/// candidate), the recipients the declaration reached, as one sorted
+/// list however the wire grouped them — so a membership test is one
+/// binary search on any transport.
 #[derive(Default)]
 struct Exposure {
-    by_cand: HashMap<(u32, u32), Vec<Arc<[ProcId]>>>,
+    by_cand: HashMap<(u32, u32), Vec<ProcId>>,
 }
 
 impl Exposure {
-    fn insert(&mut self, node: u32, cand: u32, to: Arc<[ProcId]>) {
+    /// Merges one delivered group (sorted, like the committee list it is
+    /// a part of; a recipient arrives once per candidate).
+    fn insert(&mut self, node: u32, cand: u32, to: &[ProcId]) {
         debug_assert!(
-            to.windows(2).all(|w| w[0].index() < w[1].index()),
+            to.windows(2).all(|w| w[0] < w[1]),
             "recipient groups must stay sorted for the membership search"
         );
-        self.by_cand.entry((node, cand)).or_default().push(to);
+        let list = self.by_cand.entry((node, cand)).or_default();
+        // `None < Some(_)`: an empty list takes the whole group.
+        if list.last() < to.first() {
+            list.extend_from_slice(to);
+        } else {
+            for &p in to {
+                list.insert(list.partition_point(|&q| q < p), p);
+            }
+        }
     }
 
     /// Whether processor `m` received candidate `cand`'s declaration at
     /// `node`. Queried only for members online at the delivery round, so
-    /// dead-letter recipients inside a group never count.
+    /// dead-letter recipients never count.
     fn contains(&self, node: usize, cand: usize, m: usize) -> bool {
         self.by_cand
             .get(&(node as u32, cand as u32))
-            .is_some_and(|groups| {
-                groups
-                    .iter()
-                    .any(|g| g.binary_search_by_key(&m, |p| p.index()).is_ok())
-            })
+            .is_some_and(|list| list.binary_search_by_key(&m, |p| p.index()).is_ok())
     }
 }
 
@@ -1608,6 +1638,10 @@ mod tests {
         let _ = run(&config, &[true; 3], &mut NoTreeAdversary);
     }
 
+    /// The streaming count against the per-pair one. The batches are
+    /// built one at a time and dropped as soon as they are counted, the
+    /// way a transport's sink sees them: a memo that remembered a list by
+    /// address alone would match a freed singleton's reused allocation.
     #[test]
     fn winner_receipts_match_the_per_pair_count() {
         let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
@@ -1626,27 +1660,27 @@ mod tests {
         let committee_b = ids(&[5, 6, 7]);
         // Equal contents, different allocation: must be counted afresh.
         let regrouped_a = ids(&[1, 2, 3, 4]);
-        let inbox = vec![
-            share(3, 11, 0, &committee_a),
-            share(3, 11, 1, &committee_a),
-            share(3, 12, 2, &committee_a), // same list, next array
-            share(3, 12, 3, &committee_b),
-            share(3, 11, 4, &committee_a), // back to the first list
-            share(3, 11, 5, &ids(&[2])),   // singletons, one offline
-            share(3, 11, 5, &ids(&[9])),
-            share(2, 11, 6, &committee_a), // stale level: ignored ...
-            share(3, 12, 7, &committee_a), // ... and not remembered
-            share(3, 13, 8, &regrouped_a),
-            Multicast {
+        let stream = |sink: &mut dyn FnMut(Multicast<TourMsg>)| {
+            sink(share(3, 11, 0, &committee_a));
+            sink(share(3, 11, 1, &committee_a));
+            sink(share(3, 12, 2, &committee_a)); // same list, next array
+            sink(share(3, 12, 3, &committee_b));
+            sink(share(3, 11, 4, &committee_a)); // back to the first list
+            sink(share(3, 11, 5, &ids(&[2]))); // singletons, one offline
+            sink(share(3, 11, 5, &ids(&[9])));
+            sink(share(2, 11, 6, &committee_a)); // stale level: ignored ...
+            sink(share(3, 12, 7, &committee_a)); // ... and not remembered
+            sink(share(3, 13, 8, &regrouped_a));
+            sink(Multicast {
                 from: ProcId::new(9),
                 to: committee_b.clone(),
                 payload: TourMsg::RootCoin { j: 0 },
-            },
-            share(3, 13, 9, &committee_b),
-            share(3, 13, 9, &ids(&[])),
-        ];
+            });
+            sink(share(3, 13, 9, &committee_b));
+            sink(share(3, 13, 9, &ids(&[])));
+        };
         let mut per_pair: HashMap<usize, usize> = HashMap::new();
-        for mc in &inbox {
+        stream(&mut |mc| {
             if let TourMsg::WinnerShare {
                 level: 3, array, ..
             } = mc.payload
@@ -1654,8 +1688,33 @@ mod tests {
                 *per_pair.entry(array as usize).or_insert(0) +=
                     mc.to.iter().filter(|t| online[t.index()]).count();
             }
+        });
+        let mut receipts = WinnerReceipts::new(3, &online);
+        stream(&mut |mc| receipts.count(&mc));
+        assert_eq!(receipts.received, per_pair);
+        assert_eq!(receipts.of(11), 3 + 3 + 3 + 1);
+        assert_eq!(receipts.of(99), 0, "an array nobody heard of");
+    }
+
+    #[test]
+    fn exposure_is_one_sorted_list_however_the_wire_grouped_it() {
+        let ids = |v: &[usize]| -> Vec<ProcId> { v.iter().map(|&i| ProcId::new(i)).collect() };
+        let mut exposed = Exposure::default();
+        exposed.insert(0, 0, &ids(&[2, 3, 5, 8])); // a whole committee
+        for group in [&[8][..], &[2], &[5, 6], &[3], &[], &[9, 11]] {
+            exposed.insert(0, 1, &ids(group)); // jittered: any arrival order
         }
-        assert_eq!(winner_receipts(&inbox, 3, &online), per_pair);
-        assert_eq!(per_pair[&11], 3 + 3 + 3 + 1);
+        exposed.insert(1, 0, &ids(&[4]));
+        assert_eq!(exposed.by_cand[&(0, 0)], ids(&[2, 3, 5, 8]));
+        assert_eq!(exposed.by_cand[&(0, 1)], ids(&[2, 3, 5, 6, 8, 9, 11]));
+        for m in 0..12 {
+            assert_eq!(exposed.contains(0, 0, m), [2, 3, 5, 8].contains(&m));
+            assert_eq!(
+                exposed.contains(0, 1, m),
+                [2, 3, 5, 6, 8, 9, 11].contains(&m)
+            );
+            assert_eq!(exposed.contains(1, 0, m), m == 4);
+            assert!(!exposed.contains(1, 1, m), "nothing arrived for it");
+        }
     }
 }

@@ -93,7 +93,7 @@ fn no_ordering_rng() -> SimRng {
 
 /// One queued event (internal representation).
 #[derive(Debug)]
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     tie: u64,
     seq: u64,
     value: T,

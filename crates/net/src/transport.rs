@@ -13,7 +13,7 @@
 //! per [`Schedule`] phase of the sending round.
 
 use crate::event::{DeliveryPolicy, EventQueue};
-use crate::fault::{DropCause, FaultPlan};
+use crate::fault::{Churn, DropCause, FaultPlan};
 use crate::latency::LatencyModel;
 use ba_obs::Trace;
 use ba_sim::{derive_rng, Envelope, Multicast, Payload, ProcId, Schedule, SimRng, Transport};
@@ -195,18 +195,23 @@ impl NetStats {
     }
 }
 
-/// An envelope or multicast in flight, remembering when it left.
+/// One `send` / `send_many` call in flight, stored once however many
+/// arrival ticks its recipients spread over. The event queue holds only
+/// [`Handle`]s into the slab of these.
 #[derive(Debug)]
-struct InFlight<M> {
+struct Flight<M> {
     sent_round: usize,
     from: ProcId,
+    /// Recipients not yet delivered; the slot is recycled at zero.
+    left: u32,
     to: Dest,
     payload: M,
 }
 
-/// Recipients of one in-flight entry. A batched fan whose members share
-/// a fate (same drop/latency decision, or none to make) stays one queue
-/// entry; otherwise [`NetTransport::send_many`] splits it by arrival.
+/// Recipients of one flight, in delivery order: emission order for a
+/// call that stays together (a single envelope, a fast-path fan); for a
+/// slow-path fan the survivors sorted by `(arrival, emission index)`,
+/// which is the caller's own list whenever that order is its order.
 #[derive(Debug)]
 enum Dest {
     One(ProcId),
@@ -214,13 +219,29 @@ enum Dest {
 }
 
 impl Dest {
-    fn len(&self) -> usize {
+    fn list(&self) -> &[ProcId] {
         match self {
-            Dest::One(_) => 1,
-            Dest::Many(list) => list.len(),
+            Dest::One(p) => std::slice::from_ref(p),
+            Dest::Many(list) => list,
         }
     }
 }
+
+/// One queue entry: the same-arrival group `start..start + len` of a
+/// flight's recipients. A fan whose members share a fate (same
+/// drop/latency decision, or none to make) is one handle; otherwise
+/// [`NetTransport::send_many`] splits it by arrival.
+#[derive(Clone, Copy, Debug)]
+struct Handle {
+    flight: u32,
+    start: u32,
+    len: u32,
+}
+
+// The per-envelope cost of a jittered fan is one handle in one queue
+// entry; a field added to either shows up here, not in a memory profile.
+const _: () = assert!(std::mem::size_of::<Handle>() == 12);
+const _: () = assert!(std::mem::size_of::<crate::event::Entry<Handle>>() <= 32);
 
 /// The timed, faulty network behind the synchronous engine.
 ///
@@ -236,7 +257,10 @@ pub struct NetTransport<M> {
     /// Per-processor crash round (precomputed from the plan), `usize::MAX`
     /// when the processor never crashes.
     crash_round: Vec<usize>,
-    queue: EventQueue<InFlight<M>>,
+    /// Flights with undelivered recipients; `free` lists the empty slots.
+    flights: Vec<Option<Flight<M>>>,
+    free: Vec<u32>,
+    queue: EventQueue<Handle>,
     rng: SimRng,
     stats: NetStats,
     /// Emission counter, used as the event-queue tie key so delivery
@@ -249,8 +273,10 @@ pub struct NetTransport<M> {
     /// [`Transport::mark_phase`] announcements, parallel to
     /// `stats.per_phase` (unused when the config carries a schedule).
     marks: Vec<usize>,
-    /// Scratch for batched drains (reused at high-water capacity).
-    due: Vec<InFlight<M>>,
+    /// Scratch for the slow path's surviving `(arrival, index)` pairs.
+    landed: Vec<(u64, u32)>,
+    /// One-element recipient lists, one per processor, made on first use.
+    singles: Vec<Option<Arc<[ProcId]>>>,
     /// Observability handle (attached via [`NetTransport::with_trace`],
     /// never part of [`NetConfig`] so configs stay comparable). Events
     /// aggregate per round; tracing consumes no randomness.
@@ -299,13 +325,16 @@ impl<M> NetTransport<M> {
         NetTransport {
             cfg,
             crash_round,
+            flights: Vec::new(),
+            free: Vec::new(),
             queue: EventQueue::new(),
             rng,
             stats,
             emitted: 0,
             order_rng,
             marks: Vec::new(),
-            due: Vec::new(),
+            landed: Vec::new(),
+            singles: Vec::new(),
             trace: Trace::off(),
             pend: (0, 0, 0, 0),
             in_flight: 0,
@@ -357,16 +386,12 @@ impl<M> NetTransport<M> {
         }
         self.pend = (0, 0, 0, 0);
         let phase = self
-            .phase_marks()
-            .iter()
-            .rev()
-            .find(|(_, start)| *start <= round)
-            .map(|(name, _)| name.clone())
-            .unwrap_or_default();
+            .phase_index(round)
+            .map_or("", |i| self.stats.per_phase[i].name.as_str());
         self.trace.event(
             "net:send",
             round as u64,
-            &phase,
+            phase,
             &[
                 ("sent", sent.into()),
                 ("bits", bits.into()),
@@ -383,44 +408,120 @@ impl<M> NetTransport<M> {
         self.stats
     }
 
-    /// The phase-stats bucket for a sending round (`None` without a
-    /// schedule — configured or derived from phase marks).
-    fn phase_bucket(&mut self, sent_round: usize) -> Option<&mut PhaseNetStats> {
-        if self.stats.per_phase.is_empty() {
-            return None;
-        }
-        let idx = if self.cfg.schedule.is_some() {
-            let last = self.stats.per_phase.len() - 1;
-            self.cfg
-                .schedule
-                .as_ref()
-                .and_then(|s| s.locate(sent_round))
-                .map_or(last, |(phase, _)| phase)
-        } else {
-            // Derived timetable: the last announced phase whose start is
-            // at or before the sending round (phases are open-ended).
-            let k = self.marks.partition_point(|&start| start <= sent_round);
-            k.checked_sub(1)?
-        };
-        self.stats.per_phase.get_mut(idx)
+    /// Index into `stats.per_phase` of the bucket for a sending round
+    /// (`None` without a schedule — configured or derived from phase
+    /// marks).
+    fn phase_index(&self, sent_round: usize) -> Option<usize> {
+        let phases = self.stats.per_phase.len();
+        Self::phase_of(self.cfg.schedule.as_ref(), &self.marks, phases, sent_round)
     }
 
-    /// [`Transport::is_online`] without the trait bound, so internal
-    /// accounting paths can query liveness for any payload type.
-    fn online_at(&self, round: usize, p: ProcId) -> bool {
+    /// [`Self::phase_index`] over the fields it reads, for the drain
+    /// closure, which holds the queue and the statistics mutably.
+    fn phase_of(
+        schedule: Option<&Schedule>,
+        marks: &[usize],
+        phases: usize,
+        sent_round: usize,
+    ) -> Option<usize> {
+        let last = phases.checked_sub(1)?;
+        match schedule {
+            Some(s) => Some(s.locate(sent_round).map_or(last, |(phase, _)| phase)),
+            // Derived timetable: the last announced phase whose start is
+            // at or before the sending round (phases are open-ended).
+            None => marks
+                .partition_point(|&start| start <= sent_round)
+                .checked_sub(1),
+        }
+    }
+
+    /// The send-side accounting shared by [`Transport::send`] and
+    /// [`Transport::send_many`]: `count` envelopes of `bits` each enter
+    /// the wire in `round`.
+    fn count_sent(&mut self, round: usize, bucket: Option<usize>, count: u64, bits: u64) {
+        self.stats.sent += count;
+        if let Some(b) = bucket {
+            let b = &mut self.stats.per_phase[b];
+            b.sent += count;
+            b.sent_bits += bits * count;
+        }
+        if self.trace.is_on() {
+            if self.pend.0 != round {
+                self.flush_send_event();
+            }
+            self.pend.0 = round;
+            self.pend.1 += count;
+            self.pend.2 += bits * count;
+        }
+    }
+
+    /// Counts one envelope lost on the wire.
+    fn count_dropped(&mut self, bucket: Option<usize>, cause: DropCause) {
+        let bucket = bucket.map(|b| &mut self.stats.per_phase[b]);
+        match cause {
+            DropCause::Random => {
+                self.stats.dropped_random += 1;
+                if let Some(b) = bucket {
+                    b.dropped_random += 1;
+                }
+            }
+            DropCause::Partition => {
+                self.stats.dropped_partition += 1;
+                if let Some(b) = bucket {
+                    b.dropped_partition += 1;
+                }
+            }
+        }
+        if self.trace.is_on() {
+            self.pend.3 += 1;
+        }
+    }
+
+    /// Stores a flight with `left` recipients to deliver; returns its
+    /// slot for the handles to name.
+    fn launch(&mut self, flight: Flight<M>) -> u32 {
+        self.in_flight += u64::from(flight.left);
+        match self.free.pop() {
+            Some(slot) => {
+                let old = self.flights[slot as usize].replace(flight);
+                debug_assert!(old.is_none(), "a free slot is empty");
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.flights.len()).expect("fewer than 2^32 flights");
+                self.flights.push(Some(flight));
+                slot
+            }
+        }
+    }
+
+    /// The shared one-element recipient list of processor `p`.
+    fn single(singles: &mut Vec<Option<Arc<[ProcId]>>>, p: ProcId) -> Arc<[ProcId]> {
         let i = p.index();
-        if self.crash_round.get(i).is_some_and(|&c| round >= c) {
+        if singles.len() <= i {
+            singles.resize(i + 1, None);
+        }
+        singles[i]
+            .get_or_insert_with(|| Arc::from([p].as_slice()))
+            .clone()
+    }
+
+    /// [`Transport::is_online`] over the fields it reads (see
+    /// [`Self::phase_of`]), and without the trait's payload bound.
+    fn up(crash_round: &[usize], churn: Option<Churn>, round: usize, p: ProcId) -> bool {
+        let i = p.index();
+        if crash_round.get(i).is_some_and(|&c| round >= c) {
             return false;
         }
-        !self.cfg.faults.churn.is_some_and(|c| c.is_down(round, i))
+        !churn.is_some_and(|c| c.is_down(round, i))
     }
 
     /// The shared body of [`Transport::collect`] and
     /// [`Transport::collect_many`]: drains everything due at `round`,
     /// does all per-recipient accounting (a multicast counts once per
     /// recipient, exactly like its unbatched expansion would), and hands
-    /// each in-flight entry to `sink` in delivery order.
-    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(ProcId, Dest, M)) {
+    /// each due group to `sink` in delivery order.
+    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(ProcId, &Dest, &[ProcId], &M)) {
         // Everything that arrived by this round's opening tick is due.
         // (Nothing sent in round r can arrive before r·delta, and collect
         // for round r runs before round r's sends, so the r+1 floor is
@@ -437,47 +538,54 @@ impl<M> NetTransport<M> {
             self.stats.late,
             self.stats.dead_letters,
         );
-        let mut due = std::mem::take(&mut self.due);
-        debug_assert!(due.is_empty());
+        let phases = self.stats.per_phase.len();
+        let churn = self.cfg.faults.churn;
+        // The closure names fields, never `self`, so it can account
+        // while the queue it drains is borrowed.
         self.queue.drain_due_policy(
             now,
             self.cfg.ordering,
             &mut self.order_rng,
-            &mut |_, inflight| due.push(inflight),
-        );
-        for inflight in due.drain(..) {
-            let count = inflight.to.len() as u64;
-            self.in_flight -= count;
-            self.stats.delivered += count;
-            // The wire did its job, but a recipient that is dead or
-            // churned out this round will never read the message.
-            let dead = if self.has_offline {
-                match &inflight.to {
-                    Dest::One(p) => u64::from(!self.online_at(round, *p)),
-                    Dest::Many(list) => {
-                        list.iter().filter(|&&p| !self.online_at(round, p)).count() as u64
+            &mut |_, handle| {
+                let slot = &mut self.flights[handle.flight as usize];
+                let flight = slot.as_mut().expect("a queued handle names a live flight");
+                flight.left -= handle.len;
+                let group = &flight.to.list()[handle.start as usize..][..handle.len as usize];
+                let count = u64::from(handle.len);
+                self.in_flight -= count;
+                self.stats.delivered += count;
+                // The wire did its job, but a recipient that is dead or
+                // churned out this round will never read the message.
+                let dead = if self.has_offline {
+                    let up = |&p: &ProcId| Self::up(&self.crash_round, churn, round, p);
+                    group.iter().filter(|p| !up(p)).count() as u64
+                } else {
+                    0
+                };
+                self.stats.dead_letters += dead;
+                let sent_round = flight.sent_round;
+                let lateness = round.saturating_sub(sent_round + 1) as u64;
+                if lateness > 0 {
+                    self.stats.late += count;
+                    self.stats.late_rounds += lateness * count;
+                }
+                let schedule = self.cfg.schedule.as_ref();
+                if let Some(b) = Self::phase_of(schedule, &self.marks, phases, sent_round) {
+                    let b = &mut self.stats.per_phase[b];
+                    b.delivered += count;
+                    b.dead_letters += dead;
+                    if lateness > 0 {
+                        b.late += count;
+                        b.late_rounds += lateness * count;
                     }
                 }
-            } else {
-                0
-            };
-            self.stats.dead_letters += dead;
-            let lateness = round.saturating_sub(inflight.sent_round + 1) as u64;
-            if lateness > 0 {
-                self.stats.late += count;
-                self.stats.late_rounds += lateness * count;
-            }
-            if let Some(b) = self.phase_bucket(inflight.sent_round) {
-                b.delivered += count;
-                b.dead_letters += dead;
-                if lateness > 0 {
-                    b.late += count;
-                    b.late_rounds += lateness * count;
+                sink(flight.from, &flight.to, group, &flight.payload);
+                if flight.left == 0 {
+                    *slot = None;
+                    self.free.push(handle.flight);
                 }
-            }
-            sink(inflight.from, inflight.to, inflight.payload);
-        }
-        self.due = due;
+            },
+        );
         if self.trace.is_on() {
             let delivered = self.stats.delivered - before.0;
             if delivered > 0 {
@@ -498,42 +606,14 @@ impl<M> NetTransport<M> {
 
 impl<M: Payload> Transport<M> for NetTransport<M> {
     fn send(&mut self, round: usize, env: Envelope<M>) {
-        self.stats.sent += 1;
-        let bits = env.bit_len();
-        if let Some(b) = self.phase_bucket(round) {
-            b.sent += 1;
-            b.sent_bits += bits;
-        }
-        if self.trace.is_on() {
-            if self.pend.0 != round {
-                self.flush_send_event();
-            }
-            self.pend.0 = round;
-            self.pend.1 += 1;
-            self.pend.2 += bits;
-        }
+        let bucket = self.phase_index(round);
+        self.count_sent(round, bucket, 1, env.bit_len());
         if let Some(cause) =
             self.cfg
                 .faults
                 .dropped(round, env.from.index(), env.to.index(), &mut self.rng)
         {
-            match cause {
-                DropCause::Random => {
-                    self.stats.dropped_random += 1;
-                    if let Some(b) = self.phase_bucket(round) {
-                        b.dropped_random += 1;
-                    }
-                }
-                DropCause::Partition => {
-                    self.stats.dropped_partition += 1;
-                    if let Some(b) = self.phase_bucket(round) {
-                        b.dropped_partition += 1;
-                    }
-                }
-            }
-            if self.trace.is_on() {
-                self.pend.3 += 1;
-            }
+            self.count_dropped(bucket, cause);
             return;
         }
         let latency = self.cfg.latency.sample(&mut self.rng);
@@ -542,42 +622,40 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             .saturating_add(latency);
         let tie = self.emitted;
         self.emitted += 1;
-        self.in_flight += 1;
+        let flight = self.launch(Flight {
+            sent_round: round,
+            from: env.from,
+            left: 1,
+            to: Dest::One(env.to),
+            payload: env.payload,
+        });
         self.queue.push(
             arrival,
             tie,
-            InFlight {
-                sent_round: round,
-                from: env.from,
-                to: Dest::One(env.to),
-                payload: env.payload,
+            Handle {
+                flight,
+                start: 0,
+                len: 1,
             },
         );
     }
 
     /// Accepts a whole fan as one call, byte-identical to its unbatched
     /// expansion: the same per-recipient counters, the same RNG draws in
-    /// the same order, and the same delivery schedule — but queue volume
-    /// proportional to logical exchanges instead of recipients.
+    /// the same order, and the same delivery schedule — but the fan is
+    /// stored once, and queue volume is one 12-byte handle per
+    /// same-arrival group instead of one payload copy per recipient.
     fn send_many(&mut self, round: usize, mc: Multicast<M>) {
         if mc.to.is_empty() {
             return;
         }
-        let count = mc.to.len() as u64;
-        self.stats.sent += count;
-        let bits = mc.payload.bit_len();
-        if let Some(b) = self.phase_bucket(round) {
-            b.sent += count;
-            b.sent_bits += bits * count;
-        }
-        if self.trace.is_on() {
-            if self.pend.0 != round {
-                self.flush_send_event();
-            }
-            self.pend.0 = round;
-            self.pend.1 += count;
-            self.pend.2 += bits * count;
-        }
+        let len = u32::try_from(mc.to.len()).expect("fewer than 2^32 recipients");
+        let count = u64::from(len);
+        let bucket = self.phase_index(round);
+        self.count_sent(round, bucket, count, mc.payload.bit_len());
+        let base = self.emitted;
+        self.emitted += count;
+        let sent = (round as u64).saturating_mul(self.cfg.delta);
         // Fast path: a trivial fault plan and constant latency make
         // every per-recipient decision identical without touching the
         // RNG (partition checks are pure, drops only draw when
@@ -586,22 +664,19 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // batch owns the contiguous tie range [emitted, emitted+count).
         if self.cfg.faults.is_trivial() {
             if let LatencyModel::Constant(d) = self.cfg.latency {
-                let arrival = (round as u64)
-                    .saturating_mul(self.cfg.delta)
-                    .saturating_add(d);
-                let tie = self.emitted;
-                self.emitted += count;
-                self.in_flight += count;
-                self.queue.push(
-                    arrival,
-                    tie,
-                    InFlight {
-                        sent_round: round,
-                        from: mc.from,
-                        to: Dest::Many(mc.to),
-                        payload: mc.payload,
-                    },
-                );
+                let flight = self.launch(Flight {
+                    sent_round: round,
+                    from: mc.from,
+                    left: len,
+                    to: Dest::Many(mc.to),
+                    payload: mc.payload,
+                });
+                let whole = Handle {
+                    flight,
+                    start: 0,
+                    len,
+                };
+                self.queue.push(sent.saturating_add(d), base, whole);
                 return;
             }
         }
@@ -611,99 +686,79 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // by arrival tick. Each group's tie is its first member's
         // emission index; no other send's tie can fall inside this
         // batch's tie range, so same-instant FIFO order is unchanged.
-        let base = self.emitted;
-        self.emitted += count;
-        let mut landed: Vec<(u64, u32)> = Vec::with_capacity(mc.to.len());
+        let mut landed = std::mem::take(&mut self.landed);
+        debug_assert!(landed.is_empty());
         for (i, to) in mc.to.iter().enumerate() {
             if let Some(cause) =
                 self.cfg
                     .faults
                     .dropped(round, mc.from.index(), to.index(), &mut self.rng)
             {
-                match cause {
-                    DropCause::Random => {
-                        self.stats.dropped_random += 1;
-                        if let Some(b) = self.phase_bucket(round) {
-                            b.dropped_random += 1;
-                        }
-                    }
-                    DropCause::Partition => {
-                        self.stats.dropped_partition += 1;
-                        if let Some(b) = self.phase_bucket(round) {
-                            b.dropped_partition += 1;
-                        }
-                    }
-                }
-                if self.trace.is_on() {
-                    self.pend.3 += 1;
-                }
+                self.count_dropped(bucket, cause);
                 continue;
             }
             let latency = self.cfg.latency.sample(&mut self.rng);
-            let arrival = (round as u64)
-                .saturating_mul(self.cfg.delta)
-                .saturating_add(latency);
-            landed.push((arrival, i as u32));
+            landed.push((sent.saturating_add(latency), i as u32));
         }
-        // Stable sort: recipients sharing an arrival keep slice order.
-        landed.sort_by_key(|&(arrival, _)| arrival);
-        let mut k = 0;
-        while k < landed.len() {
-            let arrival = landed[k].0;
-            let tie = base + landed[k].1 as u64;
-            let start = k;
-            while k < landed.len() && landed[k].0 == arrival {
-                k += 1;
-            }
-            let to = if k - start == mc.to.len() {
-                Dest::Many(mc.to.clone())
-            } else if k - start == 1 {
-                Dest::One(mc.to[landed[start].1 as usize])
+        if !landed.is_empty() {
+            // Recipients sharing an arrival keep slice order: the index
+            // breaks ties.
+            landed.sort_unstable();
+            let picks = landed.iter().map(|&(_, i)| i as usize);
+            let to = if picks.clone().eq(0..mc.to.len()) {
+                mc.to
             } else {
-                Dest::Many(
-                    landed[start..k]
-                        .iter()
-                        .map(|&(_, i)| mc.to[i as usize])
-                        .collect(),
-                )
+                picks.map(|i| mc.to[i]).collect()
             };
-            self.in_flight += (k - start) as u64;
-            self.queue.push(
-                arrival,
-                tie,
-                InFlight {
-                    sent_round: round,
-                    from: mc.from,
-                    to,
-                    payload: mc.payload.clone(),
-                },
-            );
+            let flight = self.launch(Flight {
+                sent_round: round,
+                from: mc.from,
+                left: landed.len() as u32,
+                to: Dest::Many(to),
+                payload: mc.payload,
+            });
+            let mut start = 0;
+            for group in landed.chunk_by(|a, b| a.0 == b.0) {
+                let (arrival, first) = group[0];
+                let handle = Handle {
+                    flight,
+                    start,
+                    len: group.len() as u32,
+                };
+                self.queue.push(arrival, base + u64::from(first), handle);
+                start += handle.len;
+            }
+            landed.clear();
         }
+        self.landed = landed;
     }
 
     fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
-        self.drain_round(round, |from, to, payload| match to {
-            Dest::One(p) => deliver(Envelope::new(from, p, payload)),
-            Dest::Many(list) => {
-                for &p in list.iter() {
-                    deliver(Envelope::new(from, p, payload.clone()));
-                }
+        self.drain_round(round, |from, _, group, payload| {
+            for &p in group {
+                deliver(Envelope::new(from, p, payload.clone()));
             }
         });
     }
 
     fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
-        self.drain_round(round, |from, to, payload| {
-            let to = match to {
-                Dest::One(p) => Arc::from([p].as_slice()),
-                Dest::Many(list) => list,
+        let mut singles = std::mem::take(&mut self.singles);
+        self.drain_round(round, |from, to, group, payload| {
+            // A whole fan keeps its own list; a lone recipient shares its
+            // processor's; only a partial group of several allocates.
+            let to = match (to, group) {
+                (Dest::Many(list), group) if group.len() == list.len() => list.clone(),
+                (_, &[p]) => Self::single(&mut singles, p),
+                (_, group) => group.into(),
             };
+            let payload = payload.clone();
             deliver(Multicast { from, to, payload });
         });
+        self.singles = singles;
     }
 
     fn is_online(&self, round: usize, p: ProcId) -> bool {
-        self.online_at(round, p)
+        Self::up(&self.crash_round, self.cfg.faults.churn, round, p)
     }
 
     fn is_faulty(&self, round: usize, p: ProcId) -> bool {
@@ -1178,6 +1233,217 @@ mod tests {
         let stats = t.into_stats();
         assert_eq!(stats.delivered, 4);
         assert_eq!(stats.in_flight_at_end, 0);
+    }
+
+    /// One line per delivered batch, `round:from>recipients=payload`, of
+    /// a jittered, lossy mix: per round two fans with a single send
+    /// between and after them, latencies a few ticks wide so recipients
+    /// of one fan share arrival ticks, collide with other fans and
+    /// straddle rounds.
+    fn golden_mix(ordering: DeliveryPolicy) -> Vec<String> {
+        let cfg = NetConfig {
+            delta: 2,
+            ..NetConfig::synchronous()
+        }
+        .with_seed(29)
+        .with_ordering(ordering)
+        .with_latency(LatencyModel::Uniform { lo: 0, hi: 5 })
+        .with_faults(FaultPlan {
+            drop_prob: 0.2,
+            ..FaultPlan::default()
+        });
+        let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
+        let (all, odd) = (ids(&[0, 1, 2, 3, 4, 5]), ids(&[1, 3, 5]));
+        let fan = |from: usize, to: &Arc<[ProcId]>, payload: usize| Multicast {
+            from: ProcId::new(from % 6),
+            to: to.clone(),
+            payload: payload as u16,
+        };
+        let run = |batches: bool| {
+            let mut t: NetTransport<u16> = NetTransport::new(6, cfg.clone());
+            let mut lines = Vec::new();
+            for r in 0..8usize {
+                let mut line = |from: ProcId, to: &[ProcId], payload: u16| {
+                    let to: Vec<String> = to.iter().map(|p| p.index().to_string()).collect();
+                    lines.push(format!("{r}:{}>{}={payload}", from.index(), to.join(",")));
+                };
+                if batches {
+                    t.collect_many(r, &mut |b| line(b.from, &b.to, b.payload));
+                } else {
+                    t.collect(r, &mut |e| line(e.from, &[e.to], e.payload));
+                }
+                if r < 4 {
+                    t.send_many(r, fan(r, &all, 100 + r));
+                    t.send(r, env((r + 1) % 6, (r + 2) % 6, 200 + r as u16));
+                    t.send_many(r, fan(r + 3, &odd, 300 + r));
+                    t.send(r, env((r + 4) % 6, r % 6, 400 + r as u16));
+                }
+            }
+            assert_eq!(t.into_stats().in_flight_at_end, 0);
+            lines
+        };
+        // The per-envelope view is the batch view, recipient by recipient.
+        let batches = run(true);
+        let unbatched: Vec<String> = batches
+            .iter()
+            .flat_map(|line| {
+                let (head, payload) = line.split_once('=').expect("a payload");
+                let (head, to) = head.split_once('>').expect("recipients");
+                to.split(',').map(move |p| format!("{head}>{p}={payload}"))
+            })
+            .collect();
+        assert_eq!(run(false), unbatched);
+        batches
+    }
+
+    /// Delivery order under every policy, recorded from the commit before
+    /// flights and handles (9d84651): which recipients of a fan travel
+    /// together, where the groups fall among other traffic of the same
+    /// tick, and that `AdversarialLifo` and `Shuffle` move a group as a
+    /// unit — with the `ORDER_LABEL` draws `Shuffle` makes for them.
+    #[test]
+    fn delivery_order_is_pinned_under_every_policy() {
+        let golden = [
+            (
+                DeliveryPolicy::Fifo,
+                "1:3>1=300 1:0>1,3=100 1:3>5=300 1:0>4,5=100 1:3>3=300 2:1>2=200 \
+                 2:5>1=401 2:0>0,2=100 2:4>0=400 2:1>0=101 2:2>3=201 2:4>1=301 \
+                 3:2>3,4=102 3:5>5=302 3:0>2=402 3:4>5=301 3:1>3=101 3:3>4=202 \
+                 4:3>4=103 4:0>1=303 4:1>3=403 4:1>1,2=101 4:4>3=301 4:3>1,3=103 \
+                 4:5>1=302 4:3>2=103 4:0>5=303 5:2>2=102 5:5>3=302 5:4>5=203 \
+                 5:0>3=303 6:3>0=103",
+            ),
+            (
+                DeliveryPolicy::AdversarialLifo,
+                "1:3>1=300 1:3>5=300 1:0>1,3=100 1:3>3=300 1:0>4,5=100 2:5>1=401 \
+                 2:1>2=200 2:4>1=301 2:2>3=201 2:1>0=101 2:4>0=400 2:0>0,2=100 \
+                 3:0>2=402 3:5>5=302 3:2>3,4=102 3:4>5=301 3:3>4=202 3:1>3=101 \
+                 4:1>3=403 4:0>1=303 4:3>4=103 4:3>1,3=103 4:4>3=301 4:1>1,2=101 \
+                 4:0>5=303 4:3>2=103 4:5>1=302 5:4>5=203 5:5>3=302 5:2>2=102 \
+                 5:0>3=303 6:3>0=103",
+            ),
+            (
+                DeliveryPolicy::Shuffle,
+                "1:3>1=300 1:3>5=300 1:0>1,3=100 1:3>3=300 1:0>4,5=100 2:5>1=401 \
+                 2:1>2=200 2:0>0,2=100 2:1>0=101 2:4>1=301 2:2>3=201 2:4>0=400 \
+                 3:5>5=302 3:2>3,4=102 3:0>2=402 3:4>5=301 3:3>4=202 3:1>3=101 \
+                 4:0>1=303 4:1>3=403 4:3>4=103 4:1>1,2=101 4:4>3=301 4:3>1,3=103 \
+                 4:0>5=303 4:3>2=103 4:5>1=302 5:2>2=102 5:4>5=203 5:5>3=302 \
+                 5:0>3=303 6:3>0=103",
+            ),
+        ];
+        for (policy, expected) in golden {
+            let expected: Vec<&str> = expected.split_whitespace().collect();
+            assert_eq!(golden_mix(policy), expected, "{policy:?}");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What one run delivered, envelope by envelope, and its stats.
+        type Delivered = (Vec<(usize, usize, usize, u16)>, String);
+
+        /// Three rounds of traffic — per round two fans over every
+        /// `stride`-th processor and a single send between them — then
+        /// rounds until the wire is empty. `batched` sends the fans
+        /// through `send_many`, otherwise as their expansion; `many`
+        /// drains through `collect_many`, otherwise `collect`.
+        fn run(cfg: &NetConfig, n: usize, stride: usize, batched: bool, many: bool) -> Delivered {
+            let to: Arc<[ProcId]> = (0..n).step_by(stride).map(ProcId::new).collect();
+            let mut t: NetTransport<u16> = NetTransport::new(n, cfg.clone());
+            t.mark_phase(0, "x");
+            let mut got = Vec::new();
+            let mut r = 0;
+            while r < 3 || t.in_flight > 0 {
+                assert!(r < 200, "the wire never emptied");
+                let mut note = |from: ProcId, to: ProcId, payload| {
+                    got.push((r, from.index(), to.index(), payload))
+                };
+                if many {
+                    t.collect_many(r, &mut |b| {
+                        b.to.iter().for_each(|&p| note(b.from, p, b.payload))
+                    });
+                } else {
+                    t.collect(r, &mut |e| note(e.from, e.to, e.payload));
+                }
+                if r < 3 {
+                    for k in 0..2 {
+                        let mc = Multicast {
+                            from: ProcId::new((r + 5 * k) % n),
+                            to: to.clone(),
+                            payload: (10 * r + k) as u16,
+                        };
+                        if batched {
+                            t.send_many(r, mc);
+                        } else {
+                            for &p in mc.to.iter() {
+                                t.send(r, Envelope::new(mc.from, p, mc.payload));
+                            }
+                        }
+                        t.send(r, env((r + k) % n, (r + 2 * k + 1) % n, 7));
+                    }
+                }
+                r += 1;
+            }
+            // Every flight went back to the free list, exactly once.
+            assert!(t.flights.iter().all(Option::is_none), "a flight leaked");
+            let mut free = t.free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(free.len(), t.flights.len(), "a slot was freed twice");
+            let stats = t.into_stats();
+            assert_eq!(stats.in_flight_at_end, 0);
+            (got, format!("{stats:?}"))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// `send_many` is its expansion, and `collect_many` is
+            /// `collect`, envelope for envelope and counter for counter —
+            /// whatever the wire does to a fan: drops some of it, spreads
+            /// it over many rounds (latency up to eight deltas), cuts it
+            /// with a partition, lands it on a crashed recipient.
+            #[test]
+            fn send_many_and_collect_many_match_the_per_envelope_path(
+                n in 2usize..14,
+                stride in 1usize..4,
+                drop_pct in 0u32..70,
+                latency_ix in 0usize..4,
+                spread in 0u64..81,
+                cut in 0usize..3,
+                crash in 0usize..3,
+                seed in any::<u64>(),
+            ) {
+                let latency = match latency_ix {
+                    0 => LatencyModel::Constant(spread),
+                    1 => LatencyModel::Uniform { lo: 0, hi: spread },
+                    2 => LatencyModel::Uniform { lo: spread / 2, hi: spread },
+                    _ => LatencyModel::HeavyTail { floor: 1, scale: 6.0, alpha: 1.1, cap: spread + 1 },
+                };
+                let cfg = NetConfig { delta: 10, ..NetConfig::synchronous() }
+                    .with_seed(seed)
+                    .with_latency(latency)
+                    .with_faults(FaultPlan {
+                        drop_prob: f64::from(drop_pct) / 100.0,
+                        partitions: (cut > 0)
+                            .then(|| Partition { boundary: n / 2, from_round: cut - 1, heal_round: cut + 1 })
+                            .into_iter()
+                            .collect(),
+                        crashes: (crash > 0)
+                            .then(|| Crash { proc: n - 1, round: crash })
+                            .into_iter()
+                            .collect(),
+                        ..FaultPlan::default()
+                    });
+                let reference = run(&cfg, n, stride, false, false);
+                prop_assert_eq!(&run(&cfg, n, stride, true, false), &reference);
+                prop_assert_eq!(&run(&cfg, n, stride, true, true), &reference);
+                prop_assert_eq!(&run(&cfg, n, stride, false, true), &reference);
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# build, tests, and a one-scenario smoke of the composed
-# tree-adversary + partition spec.
+# build, tests, the benchmark package's build and smoke tier, and a
+# one-scenario smoke of the composed tree-adversary + partition spec.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,6 +25,17 @@ cargo build --release --offline
 
 echo "== cargo test -q =="
 cargo test -q --offline
+
+echo "== benchmark build + smoke (what the benchmark pipeline builds) =="
+# benchmark/ is a package of its own (not a workspace member) that links
+# ba_net::EventQueue, NetTransport, Lockstep and the harness by their
+# public names: an API drift would otherwise first surface in the
+# benchmark pipeline. The smoke tier (a few seconds of runs) checks every
+# workload's outcomes and exits non-zero when any trial failed — the
+# every-workload mode's form of a result line's `"correct": false`.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target
+benchmark/run.sh --smoke
 
 echo "== scenario smoke (composed tree adversary + partition) =="
 cargo run --release --offline -p ba-bench --bin scenario -- \
