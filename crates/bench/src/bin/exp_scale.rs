@@ -9,6 +9,9 @@
 //!     [--max-n N] [--trace OUT.jsonl] [--json OUT.json]
 //! ```
 //!
+//! Each row carries its wall time and the process's peak resident set
+//! (`VmHWM`) after it, in the table and in `--json`.
+//!
 //! Each size runs one seed of [`ba_core::everywhere::run`] under a
 //! *scale profile*: `Params::practical(n)` with the AEBA gossip degree
 //! capped at `5·log₂n` (the default `6·√n` term alone would cost a
@@ -35,6 +38,7 @@ use ba_topology::Params;
 struct Row {
     n: usize,
     wall_seconds: f64,
+    peak_rss_mb: f64,
     bits_good_max: u64,
     bits_good_mean: f64,
     rounds: usize,
@@ -64,6 +68,22 @@ fn scale_config(n: usize, seed: u64) -> EverywhereConfig {
     config.ae.per_label = config.ae.per_label.clamp(2, 4);
     config.ae.loops = config.ae.loops.clamp(1, 2);
     config
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MB; 0 where
+/// `/proc` does not say. Rows run in ascending n, so read after a row it
+/// is that row's peak. Like wall time it goes to the table and the JSON,
+/// never into the trace stream.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok())
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 fn main() {
@@ -100,8 +120,8 @@ fn main() {
     let seed = 7u64;
     println!("E-scale: everywhere stack under the scale profile (seed {seed})");
     println!(
-        "{:>8} {:>7} {:>10} {:>12} {:>12} {:>7} {:>6}",
-        "n", "aeba_d", "wall_s", "bits_good_mx", "bits_good_mu", "rounds", "agree"
+        "{:>8} {:>7} {:>10} {:>9} {:>12} {:>12} {:>7} {:>6}",
+        "n", "aeba_d", "wall_s", "rss_mb", "bits_good_mx", "bits_good_mu", "rounds", "agree"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -126,6 +146,7 @@ fn main() {
         let start = Instant::now();
         let out = run(&config, &inputs, &mut NoTreeAdversary, NullAdversary);
         let wall = start.elapsed().as_secs_f64();
+        let rss = peak_rss_mb();
 
         let stats = out.good_bit_stats();
         let round = out.rounds as u64;
@@ -156,8 +177,8 @@ fn main() {
             );
         }
         println!(
-            "{:>8} {:>7} {:>10.2} {:>12} {:>12.1} {:>7} {:>6}",
-            n, degree, wall, stats.max, stats.mean, out.rounds, out.everywhere_agreement
+            "{:>8} {:>7} {:>10.2} {:>9.1} {:>12} {:>12.1} {:>7} {:>6}",
+            n, degree, wall, rss, stats.max, stats.mean, out.rounds, out.everywhere_agreement
         );
         assert!(
             out.everywhere_agreement,
@@ -166,6 +187,7 @@ fn main() {
         rows.push(Row {
             n,
             wall_seconds: wall,
+            peak_rss_mb: rss,
             bits_good_max: stats.max,
             bits_good_mean: stats.mean,
             rounds: out.rounds,
@@ -182,11 +204,13 @@ fn main() {
         for (i, r) in rows.iter().enumerate() {
             body.push_str(&format!(
                 "  {{\"n\": {}, \"aeba_degree\": {}, \"wall_seconds\": {:.2}, \
+                 \"peak_rss_mb\": {:.1}, \
                  \"bits_good_max\": {}, \"bits_good_mean\": {:.1}, \
                  \"rounds\": {}, \"agreement\": {}}}{}\n",
                 r.n,
                 r.aeba_degree,
                 r.wall_seconds,
+                r.peak_rss_mb,
                 r.bits_good_max,
                 r.bits_good_mean,
                 r.rounds,

@@ -38,6 +38,10 @@ pub enum AeMsg {
     },
 }
 
+// Algorithm 3 is `n·√n·a·log n` request envelopes a loop: their size is
+// the engine's memory (plus a 4-byte index entry each).
+const _: () = assert!(std::mem::size_of::<Envelope<AeMsg>>() <= 24);
+
 impl Payload for AeMsg {
     fn bit_len(&self) -> u64 {
         match self {
@@ -154,11 +158,14 @@ pub struct AeToEProcess {
     /// `Some(M)` = knowledgeable; `None` = confused.
     knowledge: Option<u64>,
     decided: Option<u64>,
-    /// Whom this processor sent each label to in the current loop.
-    sent: HashMap<u16, Vec<ProcId>>,
-    /// Responses received this loop: `label → (value → count)`, counting
-    /// only processors that were actually sent that label.
-    tally: HashMap<u16, HashMap<u64, usize>>,
+    /// Whom this processor sent each label to in the current loop,
+    /// label-major: label `l`'s targets are
+    /// `sent[l·per_label..(l + 1)·per_label]`.
+    sent: Vec<ProcId>,
+    /// Responses received this loop as `(label, value, count)`, sorted by
+    /// `(label, value)`, counting only processors that were actually
+    /// sent that label.
+    tally: Vec<(u16, u64, usize)>,
     /// Set once the full X-loop schedule has run; processors do not
     /// reveal their decision early (everyone participates in every loop —
     /// a processor cannot tell whether *others* have decided).
@@ -173,8 +180,8 @@ impl AeToEProcess {
             cfg,
             knowledge,
             decided: knowledge,
-            sent: HashMap::new(),
-            tally: HashMap::new(),
+            sent: Vec::new(),
+            tally: Vec::new(),
             finished: false,
         }
     }
@@ -189,15 +196,11 @@ impl AeToEProcess {
         self.tally.clear();
         let n = ctx.n();
         for label in 0..self.cfg.labels as u16 {
-            let mut targets = Vec::with_capacity(self.cfg.per_label);
             for _ in 0..self.cfg.per_label {
-                let j = ctx.rng().gen_range(0..n);
-                targets.push(ProcId::new(j));
+                let to = ProcId::new(ctx.rng().gen_range(0..n));
+                self.sent.push(to);
+                ctx.send(to, AeMsg::Request { label });
             }
-            for &t in &targets {
-                ctx.send(t, AeMsg::Request { label });
-            }
-            self.sent.insert(label, targets);
         }
     }
 
@@ -212,61 +215,71 @@ impl AeToEProcess {
         let Some(m) = self.knowledge else { return };
         let k = self.cfg.global_label(lp);
         // Flood defence: a sender issuing more than n−1 requests total is
-        // evidently corrupt (paper §4) and is ignored wholesale.
+        // evidently corrupt (paper §4) and is ignored wholesale. Nobody
+        // can have sent n requests into an inbox shorter than n.
+        let n = ctx.n();
         let mut per_sender: HashMap<ProcId, usize> = HashMap::new();
-        for e in inbox {
-            if matches!(e.payload, AeMsg::Request { .. }) {
-                *per_sender.entry(e.from).or_insert(0) += 1;
+        if inbox.len() >= n {
+            for e in inbox {
+                if matches!(e.payload, AeMsg::Request { .. }) {
+                    *per_sender.entry(e.from).or_insert(0) += 1;
+                }
             }
         }
-        let n = ctx.n();
-        let hot: Vec<&Envelope<AeMsg>> = inbox
-            .iter()
-            .filter(|e| {
-                matches!(e.payload, AeMsg::Request { label } if label == k)
-                    && per_sender.get(&e.from).copied().unwrap_or(0) < n
-            })
-            .collect();
-        if hot.len() > self.cfg.overload_cap {
+        let hot = |e: &&Envelope<AeMsg>| {
+            matches!(e.payload, AeMsg::Request { label } if label == k)
+                && per_sender.get(&e.from).copied().unwrap_or(0) < n
+        };
+        if inbox.iter().filter(hot).count() > self.cfg.overload_cap {
             return; // overloaded: answer nobody (Alg. 3 step 3)
         }
-        for e in hot {
+        for e in inbox.iter().filter(hot) {
             ctx.send(e.from, AeMsg::Response { label: k, value: m });
         }
     }
 
     fn collect_responses(&mut self, inbox: &[Envelope<AeMsg>]) {
+        let per_label = self.cfg.per_label;
         for e in inbox {
             let AeMsg::Response { label, value } = e.payload else {
                 continue;
             };
             // Count only answers from processors actually sent this label.
-            let Some(targets) = self.sent.get(&label) else {
+            let at = usize::from(label) * per_label;
+            let Some(targets) = self.sent.get(at..at + per_label) else {
                 continue;
             };
             if !targets.contains(&e.from) {
                 continue;
             }
-            *self
+            match self
                 .tally
-                .entry(label)
-                .or_default()
-                .entry(value)
-                .or_insert(0) += 1;
+                .binary_search_by_key(&(label, value), |&(l, v, _)| (l, v))
+            {
+                Ok(i) => self.tally[i].2 += 1,
+                Err(i) => self.tally.insert(i, (label, value, 1)),
+            }
         }
-        // Decide per Alg. 3 step 4.
+        // Decide per Alg. 3 step 4: the most-answered label, then its
+        // most-given value. The tally is sorted and only a strictly
+        // larger count displaces the best so far, so ties go to the
+        // smallest label and the smallest value.
         if self.decided.is_some() {
             return;
         }
-        let Some((_, counts)) = self
-            .tally
-            .iter()
-            .max_by_key(|(_, counts)| counts.values().sum::<usize>())
-        else {
-            return;
-        };
-        let need = (self.cfg.threshold_frac * self.cfg.per_label as f64).ceil() as usize;
-        if let Some((&value, &count)) = counts.iter().max_by_key(|(_, &c)| c) {
+        let mut best: Option<(usize, u64, usize)> = None; // (label's total, value, count)
+        for answers in self.tally.chunk_by(|a, b| a.0 == b.0) {
+            let total: usize = answers.iter().map(|a| a.2).sum();
+            if best.is_none_or(|(most, ..)| total > most) {
+                // `max_by_key` keeps the last of equal maxima: reversed,
+                // that is the first.
+                let top = answers.iter().rev().max_by_key(|a| a.2);
+                let &(_, value, count) = top.expect("a chunk is never empty");
+                best = Some((total, value, count));
+            }
+        }
+        let need = (self.cfg.threshold_frac * per_label as f64).ceil() as usize;
+        if let Some((_, value, count)) = best {
             if count >= need {
                 self.decided = Some(value);
             }
@@ -356,7 +369,7 @@ impl AeToEOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::{NullAdversary, SimBuilder};
+    use ba_sim::{AdvAction, AdvView, Adversary, NullAdversary, SimBuilder, SimRng};
 
     const M: u64 = 0xFACE_FEED;
 
@@ -462,6 +475,79 @@ mod tests {
     fn message_sizes() {
         assert_eq!(AeMsg::Request { label: 3 }.bit_len(), 16);
         assert_eq!(AeMsg::Response { label: 3, value: 9 }.bit_len(), 80);
+    }
+
+    /// Answers every request a corrupt processor intercepts with a forged
+    /// value *one round later*, so on a synchronous network the forgeries
+    /// land in the tally round beside the honest answers.
+    /// (`attacks::ResponseForger` injects in the request round itself; its
+    /// forgeries arrive in the answer round, where nobody reads responses.)
+    struct DelayedForger {
+        count: usize,
+        fake: u64,
+        held: Vec<Envelope<AeMsg>>,
+    }
+
+    impl Adversary<AeToEProcess> for DelayedForger {
+        fn act(&mut self, view: &AdvView<'_, AeToEProcess>, _: &mut SimRng) -> AdvAction<AeMsg> {
+            let mut action = AdvAction::none();
+            if view.round() == 0 {
+                action.corrupt = (0..self.count).map(ProcId::new).collect();
+            }
+            action.inject = std::mem::take(&mut self.held);
+            for e in view.intercepted() {
+                if let AeMsg::Request { label } = e.payload {
+                    if view.is_corrupt(e.to) {
+                        let value = self.fake;
+                        let forged = AeMsg::Response { label, value };
+                        self.held.push(Envelope::new(e.to, e.from, forged));
+                    }
+                }
+            }
+            action
+        }
+    }
+
+    #[test]
+    fn tied_tallies_decide_the_same_value_in_every_run() {
+        // Small constants make ties common: with two requests per label
+        // and half the processors corrupt, the true label's two honest
+        // answers often meet a label whose two targets both forge. The
+        // rule is smallest label, then smallest value — not whichever a
+        // hash map happens to iterate last.
+        let n = 12;
+        let cfg = AeToEConfig {
+            labels: 4,
+            per_label: 2,
+            loops: 3,
+            ..AeToEConfig::for_n(n, 0.1)
+        };
+        let run = |seed: u64| {
+            SimBuilder::new(n)
+                .seed(seed)
+                .max_corruptions(6)
+                .build(
+                    |p, _| AeToEProcess::new(cfg.clone(), (p.index() % 2 == 0).then_some(M)),
+                    DelayedForger {
+                        count: 6,
+                        fake: 666,
+                        held: Vec::new(),
+                    },
+                )
+                .run(cfg.total_rounds() + 1)
+                .outputs
+        };
+        let mut forged = 0;
+        for seed in 0..50 {
+            let first = run(seed);
+            forged += first.iter().filter(|o| **o == Some(666)).count();
+            for rep in 1..32 {
+                assert_eq!(run(seed), first, "seed {seed}, repetition {rep}");
+            }
+        }
+        // The helper is correctly timed: at these constants it does flip
+        // confused processors (so the ties above are real).
+        assert!(forged > 0);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::coin::CoinSequence;
 use crate::scale::{impl_scale_builders, StackParams};
 use crate::tournament::{self, TourMsg, TournamentConfig, TournamentOutcome, TreeAdversary};
 use ba_sim::{
-    Adversary, BitStats, Envelope, Lockstep, Multicast, Payload, ProcId, SimBuilder, Transport,
+    Adversary, BitStats, Carrier, Envelope, Lockstep, Multicast, Payload, ProcId, SimBuilder,
+    Transport,
 };
 
 /// Configuration for the full Algorithm 4 stack.
@@ -77,6 +78,26 @@ impl Payload for StackMsg {
         }
     }
 }
+
+/// Algorithm 3 runs in the engine directly on `StackMsg` envelopes: the
+/// engine wraps what the processors emit and opens deliveries by
+/// reference, so phase 2 converts no envelope on the way in or out.
+impl Carrier<AeMsg> for StackMsg {
+    fn wrap(msg: AeMsg) -> Self {
+        StackMsg::Ae(msg)
+    }
+
+    fn open(&self) -> Option<&AeMsg> {
+        match self {
+            StackMsg::Ae(m) => Some(m),
+            StackMsg::Tour(_) => None,
+        }
+    }
+}
+
+// Algorithm 3 holds `n·√n·a·log n` of these at once; the engine's memory
+// per envelope is this size plus a 4-byte index entry.
+const _: () = assert!(std::mem::size_of::<Envelope<StackMsg>>() <= 32);
 
 impl ba_sim::WireMsg for StackMsg {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -159,27 +180,29 @@ impl<Tr: Transport<StackMsg> + ?Sized> Transport<TourMsg> for TourLens<'_, Tr> {
     }
 }
 
-/// Projects a `Transport<StackMsg>` down to Algorithm 3's message type
-/// for phase 2, continuing the round timeline where phase 1 stopped.
+/// Continues a `Transport<StackMsg>`'s round timeline where phase 1
+/// stopped: the engine counts Algorithm 3's rounds from 0 and speaks
+/// `StackMsg` itself (see [`Carrier`]), so the shift is all there is.
 struct AeLens<Tr> {
     inner: Tr,
     base: usize,
 }
 
-impl<Tr: Transport<StackMsg>> Transport<AeMsg> for AeLens<Tr> {
-    fn send(&mut self, round: usize, env: Envelope<AeMsg>) {
-        self.inner.send(
-            self.base + round,
-            Envelope::new(env.from, env.to, StackMsg::Ae(env.payload)),
-        );
+impl<Tr: Transport<StackMsg>> Transport<StackMsg> for AeLens<Tr> {
+    fn send(&mut self, round: usize, env: Envelope<StackMsg>) {
+        self.inner.send(self.base + round, env);
     }
 
-    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<AeMsg>)) {
-        self.inner.collect(self.base + round, &mut |e| {
-            if let StackMsg::Ae(m) = e.payload {
-                deliver(Envelope::new(e.from, e.to, m));
-            }
-        });
+    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<StackMsg>)) {
+        self.inner.collect(self.base + round, deliver);
+    }
+
+    fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<StackMsg>>) {
+        self.inner.send_round(self.base + round, envs);
+    }
+
+    fn collect_round(&mut self, round: usize, into: &mut Vec<Envelope<StackMsg>>) {
+        self.inner.collect_round(self.base + round, into);
     }
 
     fn is_online(&self, round: usize, p: ProcId) -> bool {
@@ -324,7 +347,7 @@ where
         let sim = SimBuilder::new(n)
             .seed(config.sim_seed)
             .max_corruptions(pre_corrupt.iter().filter(|&&c| c).count() + budget_left)
-            .build_with_transport(
+            .build_carried(
                 |p, _| {
                     let k = knowledgeable[p.index()].then_some(m);
                     AeToEProcess::new(ae_cfg.clone(), k)
@@ -468,6 +491,84 @@ mod tests {
         let (last, ae_bits) = out.phase_bits.last().expect("non-empty attribution");
         assert_eq!(last, "ae");
         assert!(*ae_bits > 0);
+    }
+
+    /// Hears: how many envelopes each round delivered. Round 0: one
+    /// request to everybody.
+    struct Probe(Vec<usize>);
+
+    impl ba_sim::Process for Probe {
+        type Msg = AeMsg;
+        type Output = ();
+
+        fn on_round(&mut self, ctx: &mut ba_sim::RoundCtx<'_, AeMsg>, inbox: &[Envelope<AeMsg>]) {
+            self.0.push(inbox.len());
+            if ctx.round() == 0 {
+                for p in ctx.all_procs() {
+                    ctx.send(p, AeMsg::Request { label: 1 });
+                }
+            }
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// `Lockstep` with processor 3 offline from transport round 6 on.
+    struct ThreeDown(Lockstep<StackMsg>);
+
+    impl Transport<StackMsg> for ThreeDown {
+        fn send(&mut self, round: usize, env: Envelope<StackMsg>) {
+            self.0.send(round, env);
+        }
+        fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<StackMsg>)) {
+            self.0.collect(round, deliver);
+        }
+        fn is_online(&self, round: usize, p: ProcId) -> bool {
+            round < 6 || p.index() != 3
+        }
+    }
+
+    #[test]
+    fn carried_phase_two_drops_tour_leftovers_and_charges_lost_deliveries() {
+        // What phase 1 can leave in the shared transport at the boundary
+        // (transport round 5 here): a tournament envelope nobody will
+        // read, next to an Algorithm 3 one.
+        let p = ProcId::new;
+        let mut wire = ThreeDown(Lockstep::default());
+        let tour = StackMsg::Tour(TourMsg::RootCoin { j: 0 });
+        let answer = AeMsg::Response { label: 1, value: 9 };
+        wire.send(4, Envelope::new(p(2), p(1), tour));
+        wire.send(4, Envelope::new(p(2), p(1), StackMsg::Ae(answer)));
+        let mut sim = SimBuilder::new(4).max_corruptions(1).build_carried(
+            |_, _| Probe(Vec::new()),
+            ba_sim::StaticAdversary::first_k(1),
+            AeLens {
+                inner: wire,
+                base: 5,
+            },
+        );
+        sim.step();
+        sim.step();
+        // The leftover reached nobody: processor 1 heard the answer only,
+        // then the three requests of round 0 (processor 0 was corrupted
+        // before its own left).
+        assert_eq!(sim.process(p(1)).0, [1, 3]);
+        assert_eq!(sim.process(p(2)).0, [0, 3]);
+        // Corrupt (0) and offline (3) processors were not stepped in
+        // round 1 ...
+        assert_eq!(sim.process(p(0)).0, [0]);
+        assert_eq!(sim.process(p(3)).0, [0]);
+        let metrics = sim.finish().metrics;
+        // ... but what was delivered to them is charged, and lost; the
+        // tournament leftover is charged to nobody.
+        let requests = 3 * AeMsg::Request { label: 1 }.bit_len();
+        assert_eq!(metrics.bits_received_by(p(0)), requests);
+        assert_eq!(metrics.bits_received_by(p(3)), requests);
+        assert_eq!(metrics.bits_received_by(p(2)), requests);
+        assert_eq!(metrics.bits_received_by(p(1)), answer.bit_len() + requests);
+        assert_eq!(metrics.total_bits(), 4 * requests);
     }
 
     #[test]

@@ -1446,6 +1446,178 @@ mod tests {
         }
     }
 
+    mod whole_round {
+        use super::*;
+        use ba_sim::Lockstep;
+        use proptest::prelude::*;
+
+        /// One emission of a round, as the engine or an executor makes it.
+        #[derive(Clone, Debug)]
+        enum Emit {
+            One(Envelope<u16>),
+            Many(Multicast<u16>),
+            Round(Vec<Envelope<u16>>),
+        }
+
+        /// Emission `i` of a round among `n` processors: `kind` picks the
+        /// call, `i` the sender, the payload and the recipients.
+        fn emit(kind: u8, i: usize, n: usize) -> Emit {
+            let to = |j: usize| (i + 3 * j + 1) % n;
+            match kind {
+                0 => Emit::One(env(i % n, to(0), i as u16)),
+                1 => Emit::Many(Multicast {
+                    from: ProcId::new(i % n),
+                    to: (0..1 + i % 4).map(|j| ProcId::new(to(j))).collect(),
+                    payload: i as u16,
+                }),
+                _ => Emit::Round((0..i % 5).map(|j| env(i % n, to(j), i as u16)).collect()),
+            }
+        }
+
+        /// What `emits` means: one `(from, to, payload)` per logical
+        /// envelope, in emission order.
+        fn expansion(emits: &[Emit]) -> Vec<(usize, usize, u16)> {
+            let mut all = Vec::new();
+            for e in emits {
+                match e {
+                    Emit::One(e) => all.push((e.from.index(), e.to.index(), e.payload)),
+                    Emit::Many(mc) => all.extend(
+                        mc.to
+                            .iter()
+                            .map(|to| (mc.from.index(), to.index(), mc.payload)),
+                    ),
+                    Emit::Round(envs) => all.extend(
+                        envs.iter()
+                            .map(|e| (e.from.index(), e.to.index(), e.payload)),
+                    ),
+                }
+            }
+            all
+        }
+
+        /// Hands `emits` to `t`. `whole` passes a `Round` through
+        /// `send_round`; otherwise it goes envelope by envelope.
+        fn send_all<T: Transport<u16>>(t: &mut T, round: usize, emits: &[Emit], whole: bool) {
+            for e in emits.iter().cloned() {
+                match e {
+                    Emit::One(e) => t.send(round, e),
+                    Emit::Many(mc) => t.send_many(round, mc),
+                    Emit::Round(mut envs) if whole => {
+                        t.send_round(round, &mut envs);
+                        assert!(envs.is_empty(), "send_round leaves its buffer empty");
+                    }
+                    Emit::Round(envs) => envs.into_iter().for_each(|e| t.send(round, e)),
+                }
+            }
+        }
+
+        /// Three rounds of `kinds` over a faulty wire, then rounds until
+        /// it is empty: every delivery and the final statistics.
+        fn net_run(cfg: &NetConfig, n: usize, kinds: &[u8], whole: bool) -> (Vec<String>, String) {
+            let mut t: NetTransport<u16> = NetTransport::new(n, cfg.clone());
+            let mut got = Vec::new();
+            let mut r = 0;
+            while r < 3 || t.in_flight > 0 {
+                assert!(r < 200, "the wire never emptied");
+                let mut round = Vec::new();
+                if whole {
+                    t.collect_round(r, &mut round);
+                } else {
+                    t.collect(r, &mut |e| round.push(e));
+                }
+                got.extend(round.iter().map(|e| format!("{r}:{e:?}")));
+                if r < 3 {
+                    let emits: Vec<Emit> = kinds
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &k)| emit(k, i + r, n))
+                        .collect();
+                    send_all(&mut t, r, &emits, whole);
+                }
+                r += 1;
+            }
+            (got, format!("{:?}", t.into_stats()))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// However `send`, `send_many` and `send_round` interleave,
+            /// `Lockstep` hands the round back in emission order through
+            /// `collect`, `collect_many` and `collect_round` alike —
+            /// whether `collect_round` swaps buffers (no fans, an empty
+            /// `into`) or copies.
+            #[test]
+            fn lockstep_keeps_emission_order_through_every_collect(
+                n in 2usize..9,
+                kinds in proptest::collection::vec(0u8..3, 0..14),
+            ) {
+                let emits: Vec<Emit> =
+                    kinds.iter().enumerate().map(|(i, &k)| emit(k, i, n)).collect();
+                let expected = expansion(&emits);
+                let sent = || {
+                    let mut t: Lockstep<u16> = Lockstep::default();
+                    send_all(&mut t, 0, &emits, true);
+                    t
+                };
+                let tuple = |e: &Envelope<u16>| (e.from.index(), e.to.index(), e.payload);
+
+                let mut got = Vec::new();
+                sent().collect(1, &mut |e| got.push(tuple(&e)));
+                prop_assert_eq!(&got, &expected);
+
+                let mut got = Vec::new();
+                sent().collect_many(1, &mut |mc| {
+                    got.extend(mc.to.iter().map(|to| (mc.from.index(), to.index(), mc.payload)))
+                });
+                prop_assert_eq!(&got, &expected);
+
+                let mut t = sent();
+                let mut into = Vec::new();
+                t.collect_round(1, &mut into);
+                prop_assert_eq!(&into.iter().map(tuple).collect::<Vec<_>>(), &expected);
+                into.clear();
+                t.collect_round(2, &mut into);
+                prop_assert!(into.is_empty(), "a round is delivered once");
+
+                // Into a buffer that already holds something: appended.
+                let mut into = vec![env(0, 1, 999)];
+                sent().collect_round(1, &mut into);
+                prop_assert_eq!(tuple(&into[0]), (0, 1, 999));
+                prop_assert_eq!(&into[1..].iter().map(tuple).collect::<Vec<_>>(), &expected);
+            }
+
+            /// On `NetTransport` the whole-round calls are the
+            /// per-envelope calls in sequence: the same deliveries in the
+            /// same rounds and order, and the same statistics — so the
+            /// same `NET_LABEL` draws — under loss and jitter.
+            #[test]
+            fn net_whole_round_calls_match_the_per_envelope_calls(
+                n in 2usize..9,
+                kinds in proptest::collection::vec(0u8..3, 0..10),
+                drop_pct in 0u32..40,
+                spread in 0u64..41,
+                policy in 0usize..3,
+                seed in any::<u64>(),
+            ) {
+                let ordering = [
+                    DeliveryPolicy::Fifo,
+                    DeliveryPolicy::AdversarialLifo,
+                    DeliveryPolicy::Shuffle,
+                ][policy];
+                let cfg = NetConfig { delta: 10, ..NetConfig::synchronous() }
+                    .with_seed(seed)
+                    .with_ordering(ordering)
+                    .with_latency(LatencyModel::Uniform { lo: 0, hi: spread })
+                    .with_faults(FaultPlan {
+                        drop_prob: f64::from(drop_pct) / 100.0,
+                        ..FaultPlan::default()
+                    });
+                prop_assert_eq!(net_run(&cfg, n, &kinds, true), net_run(&cfg, n, &kinds, false));
+            }
+        }
+    }
+
     #[test]
     fn into_stats_counts_undelivered() {
         let mut t = NetTransport::new(2, NetConfig::synchronous());

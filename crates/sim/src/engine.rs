@@ -2,8 +2,9 @@
 
 use crate::adversary::{AdvView, Adversary};
 use crate::ids::ProcId;
-use crate::message::Envelope;
+use crate::message::{Carrier, Envelope};
 use crate::metrics::Metrics;
+use crate::payload::Payload;
 use crate::process::{Process, RoundCtx};
 use crate::rng::{derive_rng, SimRng, ADVERSARY_LABEL};
 use crate::transport::{Lockstep, Transport};
@@ -105,7 +106,7 @@ impl SimBuilder {
     /// `Process` implementations.
     pub fn build_with_transport<P, A, T, F>(
         self,
-        mut make: F,
+        make: F,
         adversary: A,
         transport: T,
     ) -> Sim<P, A, T>
@@ -113,6 +114,29 @@ impl SimBuilder {
         P: Process,
         A: Adversary<P>,
         T: Transport<P::Msg>,
+        F: FnMut(ProcId, usize) -> P,
+    {
+        self.build_carried(make, adversary, transport)
+    }
+
+    /// Like [`SimBuilder::build_with_transport`], for a transport that
+    /// speaks a wider message type `W` than the protocol's: the engine
+    /// keeps each round's traffic as `Envelope<W>`, wrapping what the
+    /// processors and the adversary emit and opening deliveries by
+    /// reference. A delivered `W` that does not open (another protocol's
+    /// leftover on a shared transport) reaches nobody and is charged to
+    /// nobody.
+    pub fn build_carried<P, A, T, W, F>(
+        self,
+        mut make: F,
+        adversary: A,
+        transport: T,
+    ) -> Sim<P, A, T, W>
+    where
+        P: Process,
+        A: Adversary<P>,
+        W: Carrier<P::Msg>,
+        T: Transport<W>,
         F: FnMut(ProcId, usize) -> P,
     {
         let procs: Vec<P> = (0..self.n).map(|i| make(ProcId::new(i), self.n)).collect();
@@ -130,7 +154,11 @@ impl SimBuilder {
             corrupt: vec![false; self.n],
             budget_left: self.max_corruptions,
             flood_cap: self.flood_cap,
-            inboxes: vec![Vec::new(); self.n],
+            arrivals: Vec::new(),
+            offsets: vec![0; self.n + 1],
+            order: Vec::new(),
+            inbox: Vec::new(),
+            outbox: Vec::new(),
             pending: Vec::new(),
             intercepted: Vec::new(),
             metrics: Metrics::new(self.n),
@@ -145,8 +173,15 @@ impl SimBuilder {
 /// Drive it with [`Sim::run`] (to completion or a round limit) or
 /// [`Sim::step`] (one round at a time, for tests that inspect
 /// intermediate state).
+///
+/// A round's traffic exists once, as `Envelope<W>` in the transport's
+/// own message type `W` (the protocol's, unless built through
+/// [`SimBuilder::build_carried`]): processors emit into a private outbox
+/// that is wrapped into `pending`, `pending` goes to the transport whole,
+/// and deliveries come back whole into `arrivals`, which processors read
+/// through an index instead of owning an inbox each.
 #[derive(Debug)]
-pub struct Sim<P: Process, A, T = Lockstep<<P as Process>::Msg>> {
+pub struct Sim<P: Process, A, T = Lockstep<<P as Process>::Msg>, W = <P as Process>::Msg> {
     n: usize,
     procs: Vec<P>,
     rngs: Vec<SimRng>,
@@ -156,11 +191,23 @@ pub struct Sim<P: Process, A, T = Lockstep<<P as Process>::Msg>> {
     corrupt: Vec<bool>,
     budget_left: usize,
     flood_cap: usize,
-    /// This round's deliveries, filled from the transport at the start of
-    /// each step; cleared (allocations kept) before refilling.
-    inboxes: Vec<Vec<Envelope<P::Msg>>>,
-    /// Scratch: this round's outgoing traffic (reused across rounds).
-    pending: Vec<Envelope<P::Msg>>,
+    /// This round's deliveries, in the transport's delivery order.
+    arrivals: Vec<Envelope<W>>,
+    /// Stable counting sort of `arrivals` by recipient: processor `i`'s
+    /// inbox is `order[offsets[i]..offsets[i + 1]]`, positions in
+    /// `arrivals` in delivery order. Arrivals that do not open as the
+    /// protocol's message are left out.
+    offsets: Vec<u32>,
+    order: Vec<u32>,
+    /// Scratch: the inbox of the processor being stepped, gathered
+    /// through the index.
+    inbox: Vec<Envelope<P::Msg>>,
+    /// Scratch: what the processor being stepped emits.
+    outbox: Vec<Envelope<P::Msg>>,
+    /// This round's outgoing traffic. Trades allocations with `arrivals`
+    /// every round, so the buffer that carried a round's emissions is the
+    /// one their deliveries land in.
+    pending: Vec<Envelope<W>>,
     /// Scratch: traffic visible to the rushing adversary (reused).
     intercepted: Vec<Envelope<P::Msg>>,
     metrics: Metrics,
@@ -168,7 +215,31 @@ pub struct Sim<P: Process, A, T = Lockstep<<P as Process>::Msg>> {
     trace: Trace,
 }
 
-impl<P: Process, A: Adversary<P>, T: Transport<P::Msg>> Sim<P, A, T> {
+/// Re-types an envelope's payload, keeping its addressing.
+fn wrapped<M, W: Carrier<M>>(e: Envelope<M>) -> Envelope<W> {
+    Envelope {
+        from: e.from,
+        to: e.to,
+        payload: W::wrap(e.payload),
+    }
+}
+
+/// A copy of `e` in the protocol's message type, if it carries one.
+fn opened<M: Clone, W: Carrier<M>>(e: &Envelope<W>) -> Option<Envelope<M>> {
+    e.payload.open().map(|m| Envelope {
+        from: e.from,
+        to: e.to,
+        payload: m.clone(),
+    })
+}
+
+impl<P, A, T, W> Sim<P, A, T, W>
+where
+    P: Process,
+    A: Adversary<P>,
+    W: Carrier<P::Msg>,
+    T: Transport<W>,
+{
     /// Runs until every good processor has an output, or `max_rounds`
     /// rounds have executed. Returns the outcome.
     pub fn run(self, max_rounds: usize) -> RunOutcome<P::Output> {
@@ -186,53 +257,57 @@ impl<P: Process, A: Adversary<P>, T: Transport<P::Msg>> Sim<P, A, T> {
 
     /// Executes a single synchronous round:
     /// 1. the transport delivers every envelope due at the start of the
-    ///    round into the inboxes;
+    ///    round, whole, and the engine indexes the arrivals by recipient;
     /// 2. good, online processors consume their inboxes and emit messages;
     /// 3. the (rushing) adversary sees traffic touching corrupt processors,
     ///    corrupts adaptively within budget, and injects its own messages;
-    /// 4. surviving traffic is handed to the transport for future delivery.
+    /// 4. surviving traffic is handed to the transport, whole, for future
+    ///    delivery.
     pub fn step(&mut self) {
         let round = self.round;
         // Open this round's bit-attribution bucket before any send is
         // charged (pure accounting: no randomness, no trace needed).
         self.metrics.begin_round();
-        // Reuse the round-scratch allocations (inboxes, pending,
-        // intercepted) at their high-water capacity instead of
-        // re-collecting fresh `Vec`s every round.
-        self.pending.clear();
+        // Every round buffer is reused at its high-water capacity. The
+        // transport left `pending` empty; it takes over from `arrivals`.
+        debug_assert!(self.pending.is_empty(), "send_round drains its buffer");
         self.intercepted.clear();
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
+        self.arrivals.clear();
+        std::mem::swap(&mut self.arrivals, &mut self.pending);
 
         // (1) Deliver everything due at the start of this round.
         {
             let _t = self.trace.timer("sim:deliver");
-            let inboxes = &mut self.inboxes;
-            let metrics = &mut self.metrics;
-            self.transport.collect(round, &mut |e: Envelope<P::Msg>| {
-                metrics.charge_receive(e.to, e.bit_len());
-                inboxes[e.to.index()].push(e);
-            });
+            self.transport.collect_round(round, &mut self.arrivals);
+            self.index_arrivals();
         }
 
-        // (2) Good, online processors act on this round's inbox, emitting
-        // straight into the shared pending buffer (RoundCtx::send only
-        // pushes). Offline (crashed / churned-out) processors skip the
-        // round; whatever was just delivered to them is lost.
+        // (2) Good, online processors act on this round's inbox, each
+        // emitting into the outbox scratch (RoundCtx::send only pushes),
+        // which joins the shared pending buffer in processor order.
+        // Offline (crashed / churned-out) processors skip the round;
+        // whatever was just delivered to them is lost.
         let step_timer = self.trace.timer("sim:procs");
-        for (i, inbox) in self.inboxes.iter().enumerate() {
+        for i in 0..self.n {
             if self.corrupt[i] || !self.transport.is_online(round, ProcId::new(i)) {
                 continue;
             }
+            let mine = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+            self.inbox.clear();
+            self.inbox.extend(
+                self.order[mine]
+                    .iter()
+                    .filter_map(|&at| opened(&self.arrivals[at as usize])),
+            );
             let mut ctx = RoundCtx {
                 me: ProcId::new(i),
                 n: self.n,
                 round,
                 rng: &mut self.rngs[i],
-                outbox: &mut self.pending,
+                outbox: &mut self.outbox,
             };
-            self.procs[i].on_round(&mut ctx, inbox);
+            self.procs[i].on_round(&mut ctx, &self.inbox);
+            self.pending.extend(self.outbox.drain(..).map(wrapped));
         }
         drop(step_timer);
 
@@ -242,7 +317,7 @@ impl<P: Process, A: Adversary<P>, T: Transport<P::Msg>> Sim<P, A, T> {
             self.pending
                 .iter()
                 .filter(|e| self.corrupt[e.from.index()] || self.corrupt[e.to.index()])
-                .cloned(),
+                .filter_map(opened),
         );
         let good_outputs_done = (0..self.n)
             .filter(|&i| !self.corrupt[i] && self.procs[i].output().is_some())
@@ -297,7 +372,7 @@ impl<P: Process, A: Adversary<P>, T: Transport<P::Msg>> Sim<P, A, T> {
                 break;
             }
             if self.corrupt[e.from.index()] {
-                self.pending.push(e);
+                self.pending.push(wrapped(e));
                 injected += 1;
             }
         }
@@ -307,12 +382,49 @@ impl<P: Process, A: Adversary<P>, T: Transport<P::Msg>> Sim<P, A, T> {
         // transport; receive charges happen on delivery, so dropped or
         // still-in-flight envelopes are never charged to their recipient.
         let _t = self.trace.timer("sim:send");
-        for e in self.pending.drain(..) {
-            self.metrics.charge_send(e.from, e.bit_len());
-            self.transport.send(round, e);
+        for e in &self.pending {
+            if let Some(m) = e.payload.open() {
+                self.metrics.charge_send(e.from, m.bit_len());
+            }
         }
+        self.transport.send_round(round, &mut self.pending);
         self.round += 1;
         self.metrics.set_rounds(self.round);
+    }
+
+    /// Charges this round's arrivals to their recipients and rebuilds the
+    /// by-recipient index over them (a stable counting sort, so every
+    /// inbox keeps the transport's delivery order).
+    fn index_arrivals(&mut self) {
+        assert!(
+            u32::try_from(self.arrivals.len()).is_ok(),
+            "a round's arrivals must number fewer than 2^32"
+        );
+        // Count into the slot after each recipient's, then sum: offsets[i]
+        // becomes where processor i's run starts.
+        self.offsets.fill(0);
+        for e in &self.arrivals {
+            if let Some(m) = e.payload.open() {
+                self.metrics.charge_receive(e.to, m.bit_len());
+                self.offsets[e.to.index() + 1] += 1;
+            }
+        }
+        for i in 0..self.n {
+            self.offsets[i + 1] += self.offsets[i];
+        }
+        self.order.clear();
+        self.order.resize(self.offsets[self.n] as usize, 0);
+        // Placing advances each run's start to its end, i.e. to the next
+        // run's start: shifting the table up one slot restores it.
+        for (at, e) in self.arrivals.iter().enumerate() {
+            if e.payload.open().is_some() {
+                let slot = &mut self.offsets[e.to.index()];
+                self.order[*slot as usize] = at as u32;
+                *slot += 1;
+            }
+        }
+        self.offsets.rotate_right(1);
+        self.offsets[0] = 0;
     }
 
     /// Whether every good processor has decided (permanently failed —

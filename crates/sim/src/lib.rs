@@ -87,7 +87,7 @@ pub mod wire;
 pub use adversary::{AdvAction, AdvView, Adversary, NullAdversary, StaticAdversary};
 pub use engine::{RunOutcome, Sim, SimBuilder};
 pub use ids::ProcId;
-pub use message::Envelope;
+pub use message::{Carrier, Envelope};
 pub use metrics::{BitStats, Metrics};
 pub use payload::Payload;
 pub use process::{Process, RoundCtx};

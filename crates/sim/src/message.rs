@@ -38,6 +38,32 @@ impl<M: Payload> Envelope<M> {
     }
 }
 
+/// A transport-level message type that can carry a protocol's messages
+/// `M` among others: what lets the engine keep a round's traffic in the
+/// type its transport speaks (see
+/// [`SimBuilder::build_carried`](crate::SimBuilder::build_carried)), so a
+/// protocol sharing a transport with other traffic needs no per-envelope
+/// conversion on the way in or out. Every message type carries itself.
+pub trait Carrier<M>: Sized {
+    /// Wraps a protocol message for the transport.
+    fn wrap(msg: M) -> Self;
+
+    /// The protocol message inside, or `None` when this value carries
+    /// something foreign (another protocol's traffic on a shared
+    /// transport).
+    fn open(&self) -> Option<&M>;
+}
+
+impl<M> Carrier<M> for M {
+    fn wrap(msg: M) -> Self {
+        msg
+    }
+
+    fn open(&self) -> Option<&M> {
+        Some(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,13 +36,17 @@ pub struct Multicast<M> {
 ///
 /// Contract (all of it is what keeps runs deterministic and replayable):
 ///
-/// * [`Transport::send`] is called once per surviving envelope of a round,
-///   in global emission order (good processors in id order, then adversary
-///   injections), after the adversary has acted.
-/// * [`Transport::collect`] is called exactly once at the start of each
-///   round `r`, before any processor runs, and must yield every envelope
-///   due at `r` in a deterministic order. An envelope sent in round `r`
-///   must not be delivered before round `r + 1`.
+/// * The engine hands over a round's surviving traffic whole, through
+///   [`Transport::send_round`], after the adversary has acted: the
+///   envelopes are in global emission order (good processors in id
+///   order, then adversary injections), and the call means one
+///   [`Transport::send`] per envelope in that order.
+/// * The engine asks for a round's deliveries whole, through
+///   [`Transport::collect_round`], exactly once at the start of each round
+///   `r` and before any processor runs: it means one
+///   [`Transport::collect`], which must yield every envelope due at `r`
+///   in a deterministic order. An envelope sent in round `r` must not be
+///   delivered before round `r + 1`.
 /// * [`Transport::is_online`] gates *benign* availability (crash-stop,
 ///   churn): an offline processor neither executes its round logic nor
 ///   reads its inbox. Byzantine corruption stays the engine's business.
@@ -57,6 +61,26 @@ pub trait Transport<M> {
     /// Delivers every envelope due at the start of `round` through
     /// `deliver`, in the transport's deterministic delivery order.
     fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>));
+
+    /// Accepts a whole round of envelopes at once and leaves `envs`
+    /// empty (its allocation may be traded for another). Semantically
+    /// this IS one [`Transport::send`] per envelope, in order, and the
+    /// default does exactly that; a transport that keeps envelopes in a
+    /// `Vec` of its own overrides it to take the buffer instead of
+    /// copying it.
+    fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) {
+        for env in envs.drain(..) {
+            self.send(round, env);
+        }
+    }
+
+    /// Appends every envelope due at the start of `round` to `into`, in
+    /// the order [`Transport::collect`] would deliver them (the default
+    /// pushes each one). An override may trade allocations with an empty
+    /// `into` instead of copying.
+    fn collect_round(&mut self, round: usize, into: &mut Vec<Envelope<M>>) {
+        self.collect(round, &mut |env| into.push(env));
+    }
 
     /// Whether processor `p` executes its round logic in `round`. Offline
     /// processors skip the round and lose whatever was delivered to them.
@@ -130,6 +154,12 @@ pub trait Transport<M> {
 /// The paper's synchronous network: everything sent in round `r` arrives
 /// at the start of round `r + 1`, in emission order, lossless.
 ///
+/// A round's single envelopes sit in one plain `Vec`, so the engine's
+/// whole-round hand-off ([`Transport::send_round`] /
+/// [`Transport::collect_round`]) swaps buffers with it instead of
+/// copying envelopes; multicasts sit beside them, kept whole so batches
+/// survive the round trip intact.
+///
 /// ```rust
 /// use ba_sim::{Envelope, Lockstep, ProcId, Transport};
 /// let mut t: Lockstep<bool> = Lockstep::default();
@@ -140,66 +170,101 @@ pub trait Transport<M> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lockstep<M> {
-    buf: Vec<Item<M>>,
-}
-
-/// A buffered emission: either a single envelope or a whole multicast,
-/// kept as emitted so batches survive the round trip intact.
-#[derive(Clone, Debug)]
-enum Item<M> {
-    One(Envelope<M>),
-    Many(Multicast<M>),
+    /// Single envelopes, in emission order.
+    singles: Vec<Envelope<M>>,
+    /// Multicasts in emission order, each tagged with the number of
+    /// singles emitted before it: its place in the mixed order.
+    fans: Vec<(usize, Multicast<M>)>,
 }
 
 impl<M> Default for Lockstep<M> {
     fn default() -> Self {
-        Lockstep { buf: Vec::new() }
+        Lockstep {
+            singles: Vec::new(),
+            fans: Vec::new(),
+        }
+    }
+}
+
+impl<M> Lockstep<M> {
+    /// Drains the buffer in emission order — everything in it was sent
+    /// last round, so all of it is due — handing singles to `single` and
+    /// multicasts to `fan`. Both allocations stay at their high-water
+    /// capacity.
+    fn drain_ordered<S: ?Sized>(
+        &mut self,
+        sink: &mut S,
+        single: impl Fn(&mut S, Envelope<M>),
+        fan: impl Fn(&mut S, Multicast<M>),
+    ) {
+        let mut singles = self.singles.drain(..);
+        let mut taken = 0;
+        for (before, mc) in self.fans.drain(..) {
+            for env in singles.by_ref().take(before - taken) {
+                single(sink, env);
+            }
+            taken = before;
+            fan(sink, mc);
+        }
+        for env in singles {
+            single(sink, env);
+        }
     }
 }
 
 impl<M: Clone> Transport<M> for Lockstep<M> {
     fn send(&mut self, _round: usize, env: Envelope<M>) {
-        self.buf.push(Item::One(env));
+        self.singles.push(env);
     }
 
     fn send_many(&mut self, _round: usize, mc: Multicast<M>) {
-        self.buf.push(Item::Many(mc));
+        self.fans.push((self.singles.len(), mc));
     }
 
-    fn collect(&mut self, _round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
-        // Everything in the buffer was sent last round, so all of it is
-        // due now; draining preserves emission order (batches expand to
-        // their per-recipient envelopes in place) and recycles the
-        // allocation at its high-water capacity.
-        for item in self.buf.drain(..) {
-            match item {
-                Item::One(env) => deliver(env),
-                Item::Many(mc) => {
-                    for &to in mc.to.iter() {
-                        deliver(Envelope {
-                            from: mc.from,
-                            to,
-                            payload: mc.payload.clone(),
-                        });
-                    }
-                }
-            }
+    fn send_round(&mut self, _round: usize, envs: &mut Vec<Envelope<M>>) {
+        if self.singles.is_empty() {
+            std::mem::swap(&mut self.singles, envs);
+        } else {
+            self.singles.append(envs);
         }
     }
 
-    fn collect_many(&mut self, _round: usize, deliver: &mut dyn FnMut(Multicast<M>))
-    where
-        M: Clone,
-    {
-        for item in self.buf.drain(..) {
-            match item {
-                Item::One(env) => deliver(Multicast {
+    fn collect(&mut self, _round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+        // Batches expand to their per-recipient envelopes in place.
+        self.drain_ordered(
+            deliver,
+            |deliver, env| deliver(env),
+            |deliver, mc| {
+                for &to in mc.to.iter() {
+                    deliver(Envelope {
+                        from: mc.from,
+                        to,
+                        payload: mc.payload.clone(),
+                    });
+                }
+            },
+        );
+    }
+
+    fn collect_many(&mut self, _round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
+        self.drain_ordered(
+            deliver,
+            |deliver, env| {
+                deliver(Multicast {
                     from: env.from,
                     to: Arc::from([env.to].as_slice()),
                     payload: env.payload,
-                }),
-                Item::Many(mc) => deliver(mc),
-            }
+                })
+            },
+            |deliver, mc| deliver(mc),
+        );
+    }
+
+    fn collect_round(&mut self, round: usize, into: &mut Vec<Envelope<M>>) {
+        if self.fans.is_empty() && into.is_empty() {
+            std::mem::swap(&mut self.singles, into);
+        } else {
+            self.collect(round, &mut |env| into.push(env));
         }
     }
 }
@@ -253,6 +318,39 @@ mod tests {
     }
 
     #[test]
+    fn whole_rounds_trade_buffers_and_keep_mixed_order() {
+        let single = |v: u16| Envelope::new(ProcId::new(9), ProcId::new(0), v);
+        // Nothing but one whole round: the buffer itself travels, in
+        // both directions (the allocation that comes back is the one
+        // that went in).
+        let mut t: Lockstep<u16> = Lockstep::default();
+        let mut round = Vec::with_capacity(64);
+        round.extend([single(1), single(2)]);
+        let sent_at = round.as_ptr();
+        t.send_round(0, &mut round);
+        assert!(round.is_empty());
+        t.collect_round(1, &mut round);
+        assert_eq!(round, vec![single(1), single(2)]);
+        assert_eq!(round.as_ptr(), sent_at);
+
+        // Mixed with singles and a fan, a whole round keeps its place.
+        let mc = Multicast {
+            from: ProcId::new(0),
+            to: (1..3).map(ProcId::new).collect(),
+            payload: 7u16,
+        };
+        let mut t: Lockstep<u16> = Lockstep::default();
+        t.send(0, single(1));
+        t.send_many(0, mc);
+        t.send_round(0, &mut vec![single(2), single(3)]);
+        t.send(0, single(4));
+        let mut got = Vec::new();
+        t.collect_round(1, &mut got);
+        let got: Vec<_> = got.iter().map(|e| (e.to.index(), e.payload)).collect();
+        assert_eq!(got, vec![(0, 1), (1, 7), (2, 7), (0, 2), (0, 3), (0, 4)]);
+    }
+
+    #[test]
     fn default_send_many_expands_and_default_collect_many_wraps() {
         // A transport that only implements the per-envelope pair still
         // accepts batches through the trait defaults.
@@ -281,6 +379,19 @@ mod tests {
         let mut got = Vec::new();
         t.collect_many(1, &mut |b| got.push((b.to.len(), b.to[0].index())));
         assert_eq!(got, vec![(1, 0), (1, 1), (1, 2)]);
+
+        // Whole rounds too: one `send` per envelope, in order, and one
+        // push per collected envelope.
+        let mut round: Vec<_> = (0..3u16)
+            .map(|v| Envelope::new(ProcId::new(5), ProcId::new(0), v))
+            .collect();
+        t.send_round(1, &mut round);
+        assert!(round.is_empty());
+        t.collect_round(2, &mut round);
+        assert_eq!(
+            round.iter().map(|e| e.payload).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
     }
 
     #[test]

@@ -80,14 +80,21 @@ grep -q "all_agreed = true" "$SERVE_LOG" \
     || { echo "serve: sessions completed without full agreement"; exit 1; }
 wait "$SERVE_PID"
 
-echo "== scale smoke (everywhere stack end-to-end at n = 4096) =="
+echo "== scale smoke (everywhere stack end-to-end at n = 4096 and 16384) =="
 # One seed of the full Algorithm 4 stack under exp_scale's scale
-# profile: exercises the batched-envelope tournament, the cached
-# sampler registry, and the arena share trees at a four-digit n. The
-# budget is generous (the run is ~2 s release on two cores, ~3 s on
-# one); blowing it means a scale regression, not noise.
-timeout 60 cargo run --release --offline -p ba-bench --bin exp_scale -- \
-    --max-n 4096
+# profile at two sizes: exercises the batched-envelope tournament, the
+# cached sampler registry, the arena share trees and the engine's
+# one-buffer rounds at a five-digit n. The time budget is generous (the
+# two rows are ~1 s and ~8 s release on two cores); the memory budget is
+# not: the 16384 row peaks at 600–675 MB, and a second copy of an
+# Algorithm 3 round in the engine (it was ~1250 MB with four) crosses
+# 800. Blowing either means a scale regression, not noise.
+SCALE_JSON="$(mktemp)"
+trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG" "$SCALE_JSON"' EXIT
+timeout 90 cargo run --release --offline -p ba-bench --bin exp_scale -- \
+    --max-n 16384 --json "$SCALE_JSON"
+awk -F'"peak_rss_mb": ' '/"n": 16384,/ { found = 1; if ($2 + 0 > 800) { print "scale: n = 16384 peaked at " $2 + 0 " MB (budget 800)"; exit 1 } }
+    END { if (!found) { print "scale: no n = 16384 row"; exit 1 } }' "$SCALE_JSON"
 
 echo "== pinned regression scenarios =="
 cargo run --release --offline -p ba-bench --bin scenario -- scenarios/regressions
