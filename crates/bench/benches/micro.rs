@@ -214,9 +214,10 @@ fn bench_ae_to_e(c: &mut Criterion) {
 }
 
 /// The ba-net event queue: batched same-instant drains vs. one pop per
-/// event, on the two arrival shapes the transport produces — a
-/// synchronous round burst (every message due at one tick) and a
-/// jittery-link spread (arrivals scattered over the round window).
+/// event, on the arrival shapes the transport produces — a synchronous
+/// round burst (every message due at one tick), a sparse jittery-link
+/// spread (a couple of arrivals a tick over the round window) and a dense
+/// one (thousands a tick).
 fn bench_event_queue(c: &mut Criterion) {
     use ba_net::EventQueue;
 
@@ -273,6 +274,33 @@ fn bench_event_queue(c: &mut Criterion) {
             while let Some((_, v)) = q.pop_due(3_000) {
                 acc += v;
             }
+            acc
+        })
+    });
+
+    // The regime `stack-jitter-256` is in: one `L*:winners` round, 8 836
+    // fans of 256 recipients (2.26 M twelve-byte handles) over the 901
+    // ticks of `Uniform{0,900}`, pushed as the transport pushes them — fan
+    // after fan, each fan's recipients in arrival order, no tie key —
+    // then drained at the next round boundary: ≈ 2 500 events a tick,
+    // not 2.
+    let dense: Vec<u64> = (0..8_836u64)
+        .flat_map(|fan| {
+            let mut arrivals: Vec<u64> = (0..256)
+                .map(|i| ((fan * 256 + i) * 2_654_435_761) % 901)
+                .collect();
+            arrivals.sort_unstable();
+            arrivals
+        })
+        .collect();
+    g.bench_function("dense_jitter_drain_due", |bch| {
+        bch.iter(|| {
+            let mut q: EventQueue<[u32; 3], ()> = EventQueue::new();
+            for (i, &d) in dense.iter().enumerate() {
+                q.push(1_000 + d, (), [i as u32; 3]);
+            }
+            let mut acc = 0u64;
+            q.drain_due(2_000, &mut |_, v| acc += u64::from(v[0]));
             acc
         })
     });

@@ -14,7 +14,7 @@
 //!
 //! Each size runs one seed of [`ba_core::everywhere::run`] under a
 //! *scale profile*: `Params::practical(n)` with the AEBA gossip degree
-//! capped at `5·log₂n` (the default `6·√n` term alone would cost a
+//! capped at `4·log₂n` (the default `6·√n` term alone would cost a
 //! ~2 GB root graph at n = 2^17) and Algorithm 3 trimmed to a few
 //! samples per label. The profile changes constants only — every path
 //! (tournament, election, AEBA, iterated secret sharing, Algorithm 3

@@ -478,6 +478,10 @@ fn dispatch<TF: TransportFactory>(
     if n == 0 {
         return Err("n must be positive".to_owned());
     }
+    // The `.scn` parser says the same; `NetTransport::new` would panic.
+    if spec.net.delta == 0 {
+        return Err("delta must be positive".to_owned());
+    }
     let seed = spec.seeds.seed(trial);
     let cfg = spec.trial_net(trial);
     let cap = spec.output.rounds_cap;
@@ -1045,5 +1049,19 @@ mod tests {
         // must not be silently dropped.
         assert!(run(&RunSpec::tournament(64).rounds_cap(20)).is_err());
         assert!(run(&RunSpec::everywhere(64).rounds_cap(20)).is_err());
+    }
+
+    #[test]
+    fn zero_delta_is_an_error_not_a_panic() {
+        let cfg = NetConfig {
+            delta: 0,
+            ..NetConfig::synchronous()
+        }
+        .with_faults(ba_net::FaultPlan {
+            drop_prob: 0.1,
+            ..ba_net::FaultPlan::default()
+        });
+        let err = run_trial(&RunSpec::everywhere(32).net(cfg), 0).expect_err("delta = 0");
+        assert_eq!(err, "delta must be positive");
     }
 }

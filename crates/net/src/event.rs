@@ -1,40 +1,49 @@
 //! The deterministic discrete-event queue at the heart of `ba-net`.
 //!
-//! Events pop in ascending `(time, tie, seq)` order:
+//! Events pop in ascending `(time, tie)` order, equal keys in the order
+//! they were pushed:
 //!
 //! * `time` — the simulated instant the event fires (abstract ticks);
-//! * `tie` — a caller-supplied tie-break key for events at the same
-//!   instant. Callers that derive `tie` deterministically from the event
-//!   itself (the network transport uses the global emission index) get a
-//!   delivery order that is independent of queue internals;
-//! * `seq` — a monotone insertion counter, the final disambiguator, so
-//!   even fully identical keys pop in insertion order.
+//! * `tie` — a caller-supplied tie-break key (any `K: Ord + Copy`,
+//!   `u64` by default) for events at the same instant. Callers that
+//!   derive `tie` deterministically from the event itself get a delivery
+//!   order that is independent of queue internals;
+//! * push order — the final disambiguator. It is never stored: an
+//!   instant's events sit in push order, and the sort that puts them in
+//!   `tie` order is *stable*.
 //!
-//! Because the comparison key is total, the pop order is a pure function
-//! of the multiset of `(time, tie)` keys plus insertion order of exact
-//! duplicates — *not* of the interleaving in which distinct keys were
-//! pushed. The `net_determinism` proptests pin this down.
+//! So the pop order is a pure function of the multiset of `(time, tie)`
+//! keys plus the push order of exact duplicates — *not* of the
+//! interleaving in which distinct keys were pushed
+//! (`tests/invariants.rs::event_queue_pop_order_is_insertion_invariant`
+//! pins this down; `fifo_policy_is_byte_identical_to_plain_drain` beside
+//! it pins the policy-free drain). A caller whose push order already
+//! *is* its delivery order within every instant — the network transport:
+//! it pushes in emission order — takes `K = ()` and stores no key at all.
 //!
-//! ## Batched pops
+//! ## Layout: a calendar of chunked buckets
 //!
-//! The storage is a calendar of per-instant buckets (a [`BTreeMap`] from
-//! firing time to the events at that time) rather than one binary heap
-//! of events. Synchronous and constant-latency runs put *every* message
-//! of a round on the same arrival tick, and even jittery links cluster
-//! arrivals at round boundaries — so draining one round used to cost one
-//! `O(log n)` heap pop *per event*. Here a whole same-time batch detaches
-//! in a single tree operation ([`EventQueue::drain_due`]); the bucket is
-//! sorted by `(tie, seq)` once, lazily, at drain time (a no-op for the
-//! common already-ordered emission pattern, verified before sorting).
-//! The `event_queue` criterion group in `ba-bench` measures the win.
+//! A queued event costs its `(tie, value)` pair and nothing else. The
+//! calendar is a [`BTreeMap`] from firing time to that instant's
+//! **bucket**: a list of fixed-capacity chunks (≈ 2 KiB each) filled in
+//! push order. Only a bucket's first chunk is ever smaller — it starts at
+//! a few entries and doubles up to the chunk size, so a one-event instant
+//! stays cheap — and the slack is at most one partial chunk an instant,
+//! where one growing buffer rounds a whole instant up to a power of two.
+//! A drain hands the chunks over one by one, each freed as it empties.
+//! Whether the pushes came in `tie` order is tracked as they arrive; the
+//! stable sort at drain time runs only when they did not.
+//!
+//! The `event_queue` criterion group in `ba-bench` measures both the
+//! dense regime (thousands of events a tick) and the sparse one.
 
 use ba_sim::SimRng;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
 /// How events scheduled for the **same instant** are ordered at drain
-/// time. The `(time, tie, seq)` key decides *when* an event fires; the
-/// policy decides the order of a same-time batch handed to the consumer.
+/// time. The `time` of an event decides *when* it fires; the policy
+/// decides the order of a same-time batch handed to the consumer.
 ///
 /// Every policy is deterministic per seed: [`DeliveryPolicy::Fifo`]
 /// consumes no randomness at all (byte-identical to the historical
@@ -45,7 +54,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// messages are dropped or how long they fly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DeliveryPolicy {
-    /// `(tie, seq)` order — the emission order the engine produced.
+    /// `tie` order, equal ties in push order — the emission order the
+    /// engine produced.
     #[default]
     Fifo,
     /// Reversed emission order: the freshest message of each instant is
@@ -91,56 +101,93 @@ fn no_ordering_rng() -> SimRng {
     ba_sim::derive_rng(0, 0)
 }
 
-/// One queued event (internal representation).
-#[derive(Debug)]
-pub(crate) struct Entry<T> {
-    tie: u64,
-    seq: u64,
-    value: T,
-}
+/// Bytes in one full chunk of a bucket. Small enough that a freed chunk
+/// goes back to the allocator's bins (a chunk of 128 KiB or more would be
+/// its own `mmap`), large enough that a chunk's header is noise.
+const CHUNK_BYTES: usize = 2048;
 
-impl<T> Entry<T> {
-    fn key(&self) -> (u64, u64) {
-        (self.tie, self.seq)
-    }
-}
-
-/// The events at one firing instant. Kept in insertion order with an
-/// incrementally-maintained sortedness flag: the transport's
-/// emission-indexed pushes arrive already in `(tie, seq)` order, so the
-/// sort at drain time is usually a no-op check on the flag.
+/// The events at one firing instant, in push order, with an
+/// incrementally-maintained sortedness flag: pushes that arrive in `tie`
+/// order make the sort at drain time a no-op check on the flag.
 #[derive(Debug)]
-struct Bucket<T> {
-    entries: VecDeque<Entry<T>>,
+struct Bucket<T, K> {
+    /// Never holds an empty chunk.
+    chunks: VecDeque<VecDeque<(K, T)>>,
     sorted: bool,
 }
 
-impl<T> Default for Bucket<T> {
+impl<T, K> Default for Bucket<T, K> {
     fn default() -> Self {
         Bucket {
-            entries: VecDeque::new(),
+            chunks: VecDeque::new(),
             sorted: true,
         }
     }
 }
 
-impl<T> Bucket<T> {
-    fn push(&mut self, e: Entry<T>) {
-        self.sorted = self.sorted && self.entries.back().is_none_or(|b| b.key() <= e.key());
-        self.entries.push_back(e);
+impl<T, K: Ord + Copy> Bucket<T, K> {
+    /// Entries in a full chunk.
+    const CHUNK: usize = match CHUNK_BYTES.checked_div(std::mem::size_of::<(K, T)>()) {
+        Some(0) => 1,
+        Some(fit) => fit,
+        None => CHUNK_BYTES,
+    };
+    /// Entries the first chunk of a bucket starts with.
+    const FIRST: usize = if Self::CHUNK < 4 { Self::CHUNK } else { 4 };
+
+    fn push(&mut self, tie: K, value: T) {
+        let Some(chunk) = self.chunks.back_mut() else {
+            let mut chunk = VecDeque::with_capacity(Self::FIRST);
+            chunk.push_back((tie, value));
+            self.chunks.reserve_exact(1);
+            self.chunks.push_back(chunk);
+            return;
+        };
+        self.sorted = self.sorted && chunk.back().is_none_or(|last| last.0 <= tie);
+        if chunk.len() < Self::CHUNK {
+            // Only a first chunk can be full below `CHUNK`: it doubles.
+            if chunk.len() == chunk.capacity() {
+                chunk.reserve_exact(chunk.len().min(Self::CHUNK - chunk.len()));
+            }
+            chunk.push_back((tie, value));
+        } else {
+            let mut chunk = VecDeque::with_capacity(Self::CHUNK);
+            chunk.push_back((tie, value));
+            self.chunks.push_back(chunk);
+        }
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries
-                .make_contiguous()
-                .sort_unstable_by_key(Entry::key);
-            self.sorted = true;
+    fn len(&self) -> usize {
+        self.chunks.iter().map(VecDeque::len).sum()
+    }
+
+    /// Puts the entries in `tie` order, equal ties in push order, for
+    /// [`Bucket::pop_front`]. (A drain sorts the instant it has flattened
+    /// anyway and never re-chunks it.)
+    fn ensure_sorted(&mut self, scratch: &mut Vec<(K, T)>) {
+        if self.sorted {
+            return;
         }
+        scratch.extend(std::mem::take(&mut self.chunks).into_iter().flatten());
+        scratch.sort_by_key(|e| e.0);
+        self.sorted = true;
+        for (tie, value) in scratch.drain(..) {
+            self.push(tie, value);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let chunk = self.chunks.front_mut()?;
+        let (_, value) = chunk.pop_front()?;
+        if chunk.is_empty() {
+            self.chunks.pop_front();
+        }
+        Some(value)
     }
 }
 
-/// A deterministic future-event queue keyed by `(time, tie, seq)`.
+/// A deterministic future-event queue keyed by `(time, tie)`, equal keys
+/// in push order.
 ///
 /// ```rust
 /// use ba_net::EventQueue;
@@ -154,40 +201,34 @@ impl<T> Bucket<T> {
 /// assert_eq!(q.pop_due(25), Some((20, "late")));
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<T> {
-    /// Firing time → the events at that instant.
-    buckets: BTreeMap<u64, Bucket<T>>,
+pub struct EventQueue<T, K = u64> {
+    /// Firing time → the events at that instant; never an empty bucket.
+    buckets: BTreeMap<u64, Bucket<T, K>>,
     len: usize,
-    next_seq: u64,
+    /// One instant flattened, for a sort or a shuffle.
+    scratch: Vec<(K, T)>,
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T, K: Ord + Copy> Default for EventQueue<T, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> EventQueue<T> {
+impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
             buckets: BTreeMap::new(),
             len: 0,
-            next_seq: 0,
+            scratch: Vec::new(),
         }
     }
 
-    /// Schedules `value` at `time` with tie-break key `tie`; returns the
-    /// insertion sequence number.
-    pub fn push(&mut self, time: u64, tie: u64, value: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Schedules `value` at `time` with tie-break key `tie`.
+    pub fn push(&mut self, time: u64, tie: K, value: T) {
         self.len += 1;
-        self.buckets
-            .entry(time)
-            .or_default()
-            .push(Entry { tie, seq, value });
-        seq
+        self.buckets.entry(time).or_default().push(tie, value);
     }
 
     /// The firing time of the earliest queued event, if any.
@@ -199,32 +240,33 @@ impl<T> EventQueue<T> {
     /// bucket sort amortizes over all of its pops; prefer
     /// [`EventQueue::drain_due`] when everything due is wanted anyway.)
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
-        let (&time, _) = self.buckets.first_key_value()?;
+        let mut first = self.buckets.first_entry()?;
+        let time = *first.key();
         if time > now {
             return None;
         }
-        let bucket = self.buckets.get_mut(&time).expect("bucket exists");
-        bucket.ensure_sorted();
-        let entry = bucket.entries.pop_front().expect("bucket is non-empty");
-        if bucket.entries.is_empty() {
-            self.buckets.remove(&time);
+        let bucket = first.get_mut();
+        bucket.ensure_sorted(&mut self.scratch);
+        let value = bucket.pop_front().expect("bucket is non-empty");
+        if bucket.chunks.is_empty() {
+            first.remove();
         }
         self.len -= 1;
-        Some((time, entry.value))
+        Some((time, value))
     }
 
     /// Drains **every** event firing at or before `now` into `f`, in
-    /// `(time, tie, seq)` order — one tree operation per distinct firing
-    /// time instead of one heap pop per event.
+    /// `(time, tie)` order, equal keys in push order — one tree operation
+    /// per distinct firing time instead of one pop per event.
     pub fn drain_due(&mut self, now: u64, f: &mut dyn FnMut(u64, T)) {
         self.drain_due_policy(now, DeliveryPolicy::Fifo, &mut no_ordering_rng(), f);
     }
 
     /// [`EventQueue::drain_due`] with a same-instant [`DeliveryPolicy`].
     ///
-    /// The policy reorders each same-time batch *after* the `(tie, seq)`
-    /// sort, so *which* events are due and *when* they fire never depend
-    /// on it. `rng` is the caller's dedicated ordering stream:
+    /// The policy reorders each same-time batch *after* the `tie` sort,
+    /// so *which* events are due and *when* they fire never depend on
+    /// it. `rng` is the caller's dedicated ordering stream:
     /// [`DeliveryPolicy::Shuffle`] draws one Fisher–Yates permutation per
     /// batch from it; the other policies leave it untouched, which is
     /// what keeps [`DeliveryPolicy::Fifo`] byte-identical to the
@@ -236,35 +278,34 @@ impl<T> EventQueue<T> {
         rng: &mut SimRng,
         f: &mut dyn FnMut(u64, T),
     ) {
-        while let Some((&time, _)) = self.buckets.first_key_value() {
+        let lifo = policy == DeliveryPolicy::AdversarialLifo;
+        while let Some(first) = self.buckets.first_entry() {
+            let time = *first.key();
             if time > now {
                 return;
             }
-            let mut bucket = self.buckets.remove(&time).expect("bucket exists");
-            self.len -= bucket.entries.len();
-            bucket.ensure_sorted();
-            match policy {
-                DeliveryPolicy::Fifo => {
-                    for e in bucket.entries {
-                        f(time, e.value);
-                    }
-                }
-                DeliveryPolicy::AdversarialLifo => {
-                    for e in bucket.entries.into_iter().rev() {
-                        f(time, e.value);
-                    }
-                }
-                DeliveryPolicy::Shuffle => {
-                    let mut batch: Vec<Entry<T>> = bucket.entries.into();
-                    for i in (1..batch.len()).rev() {
-                        let j = rng.gen_range(0..=i);
-                        batch.swap(i, j);
-                    }
-                    for e in batch {
-                        f(time, e.value);
-                    }
+            let bucket = first.remove();
+            self.len -= bucket.len();
+            // Chunk by chunk, each freed as it empties.
+            let entries = bucket.chunks.into_iter().flatten();
+            if bucket.sorted && policy != DeliveryPolicy::Shuffle {
+                emit(time, lifo, entries, f);
+                continue;
+            }
+            // An instant to reorder is flattened once, and leaves from
+            // where it was reordered.
+            let batch = &mut self.scratch;
+            batch.extend(entries);
+            if !bucket.sorted {
+                batch.sort_by_key(|e| e.0);
+            }
+            if policy == DeliveryPolicy::Shuffle {
+                for i in (1..batch.len()).rev() {
+                    let j = rng.gen_range(0..=i);
+                    batch.swap(i, j);
                 }
             }
+            emit(time, lifo, batch.drain(..), f);
         }
     }
 
@@ -276,6 +317,20 @@ impl<T> EventQueue<T> {
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// Hands one instant's events to `f`, front to back or back to front.
+fn emit<K, T>(
+    time: u64,
+    lifo: bool,
+    entries: impl DoubleEndedIterator<Item = (K, T)>,
+    f: &mut dyn FnMut(u64, T),
+) {
+    if lifo {
+        entries.rev().for_each(|(_, value)| f(time, value));
+    } else {
+        entries.for_each(|(_, value)| f(time, value));
     }
 }
 
@@ -436,5 +491,209 @@ mod tests {
         let mut got = Vec::new();
         q.drain_due(42, &mut |_, v| got.push(v));
         assert_eq!(got, vec!['a', 'b', 'c', 'd', 'e', 'f']);
+    }
+
+    #[test]
+    fn equal_ties_keep_push_order_in_an_instant_of_many_chunks() {
+        // The push number is not stored: an unstable sort of an instant
+        // this large would lose it.
+        let ties = |i: u32| u64::from(i * 7 % 5);
+        let mut popped = EventQueue::new();
+        let mut drained = EventQueue::new();
+        for i in 0..1000 {
+            popped.push(3, ties(i), i);
+            drained.push(3, ties(i), i);
+        }
+        let mut want: Vec<u32> = (0..1000).collect();
+        want.sort_by_key(|&i| (ties(i), i));
+        let got: Vec<u32> = std::iter::from_fn(|| popped.pop_due(3).map(|(_, v)| v)).collect();
+        assert_eq!(got, want);
+        let mut got = Vec::new();
+        drained.drain_due(3, &mut |_, v| got.push(v));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn an_inversion_across_a_chunk_boundary_is_sorted_out() {
+        // The only out-of-order pair is the last entry of a full chunk
+        // and the first of the next.
+        let full = Bucket::<u32, u64>::CHUNK as u32;
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..full {
+            q.push(9, 1, i);
+        }
+        q.push(9, 0, full);
+        let mut got = Vec::new();
+        q.drain_due(9, &mut |_, v| got.push(v));
+        assert_eq!(got[0], full);
+        assert!(got[1..].iter().copied().eq(0..full));
+    }
+
+    /// The queue against a sorted vector.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+        use std::fmt::Debug;
+
+        /// The reference: every queued event as `(time, tie, push number)`
+        /// — the key the queue promises to pop by — and its value, which
+        /// is the push number again.
+        struct Model<K>(Vec<(u64, K, u32)>);
+
+        /// What the queue under test holds: the push number in 240 bytes,
+        /// so that a chunk is eight entries and a busy instant is several
+        /// chunks.
+        type Fat = [u32; 60];
+
+        impl<K: Ord + Copy> Model<K> {
+            /// Everything due at `now` in key order, removed.
+            fn take_due(&mut self, now: u64) -> Vec<(u64, K, u32)> {
+                let mut due: Vec<_> = self.0.iter().copied().filter(|e| e.0 <= now).collect();
+                self.0.retain(|e| e.0 > now);
+                due.sort_unstable();
+                due
+            }
+
+            fn pop_due(&mut self, now: u64) -> Option<(u64, u32)> {
+                let first = *self.0.iter().filter(|e| e.0 <= now).min()?;
+                self.0.retain(|e| *e != first);
+                Some((first.0, first.2))
+            }
+
+            fn drain(
+                &mut self,
+                now: u64,
+                policy: DeliveryPolicy,
+                rng: &mut SimRng,
+            ) -> Vec<(u64, u32)> {
+                let mut out = Vec::new();
+                for instant in self.take_due(now).chunk_by_mut(|a, b| a.0 == b.0) {
+                    match policy {
+                        DeliveryPolicy::Fifo => {}
+                        DeliveryPolicy::AdversarialLifo => instant.reverse(),
+                        DeliveryPolicy::Shuffle => {
+                            for i in (1..instant.len()).rev() {
+                                instant.swap(i, rng.gen_range(0..=i));
+                            }
+                        }
+                    }
+                    out.extend(instant.iter().map(|e| (e.0, e.2)));
+                }
+                out
+            }
+        }
+
+        /// No empty bucket, no empty or overfull chunk, and the length says
+        /// what the buckets hold.
+        fn check_layout<K: Ord + Copy>(q: &EventQueue<Fat, K>) -> TestCaseResult {
+            let chunks = q.buckets.values().flat_map(|b| &b.chunks);
+            let full = Bucket::<Fat, K>::CHUNK;
+            prop_assert!(chunks.clone().all(|c| (1..=full).contains(&c.len())));
+            prop_assert!(q.buckets.values().all(|b| !b.chunks.is_empty()));
+            prop_assert_eq!(chunks.map(VecDeque::len).sum::<usize>(), q.len());
+            Ok(())
+        }
+
+        /// Drives `ops` — `(what, where, salt)` each — through a queue and
+        /// the model, comparing everything either hands back.
+        fn run<K: Ord + Copy + Debug>(
+            ops: &[(u8, u64, u64)],
+            policy: DeliveryPolicy,
+            tie_of: impl Fn(u64) -> K,
+        ) -> TestCaseResult {
+            assert_eq!((Bucket::<Fat, K>::FIRST, Bucket::<Fat, K>::CHUNK), (4, 8));
+            let mut q: EventQueue<Fat, K> = EventQueue::new();
+            let mut model = Model(Vec::new());
+            let (mut rng, mut rng_twin) = (ba_sim::derive_rng(3, 5), ba_sim::derive_rng(3, 5));
+            let mut pushed: Vec<u64> = Vec::new();
+            // Where the last drain or pop stood.
+            let mut clock = 0u64;
+            for &(what, place, salt) in ops {
+                // A few busy instants around the clock (an instant is
+                // several chunks, and is pushed into again after part of
+                // it was popped), instants already passed, the end of
+                // time, and a wide scatter of lone events.
+                let time = match place % 8 {
+                    0 | 1 => clock.saturating_add(salt % 4),
+                    2 => clock.saturating_sub(1 + salt % 4),
+                    3 => u64::MAX,
+                    4 if !pushed.is_empty() => pushed[(salt % pushed.len() as u64) as usize],
+                    5 => clock.saturating_add(salt % 5000),
+                    6 => salt,
+                    _ => salt % 50,
+                };
+                match what % 32 {
+                    // A clock that mostly advances, sometimes stands still
+                    // or runs backwards, and once in a while jumps to the
+                    // end of time.
+                    28..=31 => {
+                        let now = match (place / 8) % 64 {
+                            0 => u64::MAX,
+                            1..=12 => clock.saturating_sub(salt % 5),
+                            13..=24 => time,
+                            _ => clock.saturating_add(salt % 3000),
+                        };
+                        if now != u64::MAX {
+                            clock = now;
+                        }
+                        if what % 32 < 30 {
+                            for _ in 0..1 + salt % 6 {
+                                let got = q.pop_due(now).map(|(t, v)| (t, v[0]));
+                                prop_assert_eq!(got, model.pop_due(now));
+                            }
+                        } else {
+                            let mut got = Vec::new();
+                            q.drain_due_policy(now, policy, &mut rng, &mut |t, v| {
+                                got.push((t, v[0]))
+                            });
+                            prop_assert_eq!(got, model.drain(now, policy, &mut rng_twin));
+                        }
+                    }
+                    _ => {
+                        // Few distinct ties, so equal keys are common and
+                        // arrive out of tie order.
+                        let tie = tie_of((salt >> 8) % 4);
+                        let value = pushed.len() as u32;
+                        q.push(time, tie, [value; 60]);
+                        model.0.push((time, tie, value));
+                        pushed.push(time);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.0.len());
+                prop_assert_eq!(q.is_empty(), model.0.is_empty());
+                prop_assert_eq!(q.peek_time(), model.0.iter().map(|e| e.0).min());
+                check_layout(&q)?;
+            }
+            // Whatever is left comes out in order too, and the ordering
+            // streams drew the same number of times.
+            let mut got = Vec::new();
+            q.drain_due_policy(u64::MAX, policy, &mut rng, &mut |t, v| got.push((t, v[0])));
+            prop_assert_eq!(got, model.drain(u64::MAX, policy, &mut rng_twin));
+            prop_assert!(q.is_empty());
+            prop_assert_eq!(rng.next_u64(), rng_twin.next_u64());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn queue_matches_the_sorted_reference_under_every_policy(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..300),
+                policy in 0usize..3,
+            ) {
+                run(&ops, DeliveryPolicy::ALL[policy], |tie| tie)?;
+            }
+
+            /// Without a key, an instant pops in the order it was pushed.
+            #[test]
+            fn keyless_queue_pops_each_instant_in_push_order(
+                ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..300),
+                policy in 0usize..3,
+            ) {
+                run(&ops, DeliveryPolicy::ALL[policy], |_| ())?;
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! ticks `[r·delta, (r+1)·delta)`. A message emitted in round `r` leaves
 //! at tick `r·delta`, spends a latency sampled from its
 //! [`LatencyModel`] on the wire, and sits in an [`EventQueue`] — a
-//! binary heap keyed by `(arrival time, emission index)` — until the
+//! calendar of per-tick buckets, each in push order — until the
 //! first round boundary at or past its arrival, where the synchrony
 //! adapter ([`NetTransport`]) delivers it. Delivery is never earlier
 //! than round `r + 1`, so the synchronous round abstraction survives;
@@ -35,11 +35,15 @@
 //!   (processors in id order, adversary injections after);
 //! * partitions, crashes, and churn windows are pure functions of
 //!   `(round, processor id)` — they consume no randomness at all;
-//! * delivery order is the event queue's `(time, tie, seq)` order with
-//!   `tie` = emission index, so it is a pure function of the sampled
-//!   arrival times and the emission order, independent of heap
-//!   internals or insertion interleaving (the root `net_determinism`
-//!   proptests pin this).
+//! * delivery order is `(arrival, emission order)`, emission order being
+//!   push order: the transport pushes as the engine emits, and the event
+//!   queue pops `(time, tie)` keys in order with equal keys in push
+//!   order — so it is a pure function of the sampled arrival times and
+//!   the emission order, independent of the queue's layout (for keyed
+//!   pushes, of their interleaving too: the root `tests/invariants.rs`
+//!   proptests `event_queue_pop_order_is_insertion_invariant` and
+//!   `fifo_policy_is_byte_identical_to_plain_drain` pin this, and
+//!   `event::tests::model` checks the queue against a sorted vector).
 //!
 //! Parallelism in this workspace is across *trials* (see `ba-par`);
 //! each trial owns its own transport and stream, so fan-out width never

@@ -210,7 +210,7 @@ struct Flight<M> {
 
 /// Recipients of one flight, in delivery order: emission order for a
 /// call that stays together (a single envelope, a fast-path fan); for a
-/// slow-path fan the survivors sorted by `(arrival, emission index)`,
+/// slow-path fan the survivors sorted by `(arrival, emission order)`,
 /// which is the caller's own list whenever that order is its order.
 #[derive(Debug)]
 enum Dest {
@@ -238,10 +238,11 @@ struct Handle {
     len: u32,
 }
 
-// The per-envelope cost of a jittered fan is one handle in one queue
-// entry; a field added to either shows up here, not in a memory profile.
+// The per-envelope cost of a jittered fan is one handle, and a queue
+// entry is the handle and nothing else; a field added to either shows up
+// here, not in a memory profile.
 const _: () = assert!(std::mem::size_of::<Handle>() == 12);
-const _: () = assert!(std::mem::size_of::<crate::event::Entry<Handle>>() <= 32);
+const _: () = assert!(std::mem::size_of::<((), Handle)>() == 12);
 
 /// The timed, faulty network behind the synchronous engine.
 ///
@@ -249,8 +250,10 @@ const _: () = assert!(std::mem::size_of::<crate::event::Entry<Handle>>() <= 32);
 /// drops) is drawn from one stream derived as
 /// `derive_rng(seed, NET_LABEL)`, consumed in the engine's global
 /// emission order; partitions, crashes, and churn are pure functions of
-/// `(round, processor ids)`. Runs are therefore byte-identical per seed
-/// regardless of how many worker threads run *other* trials around them.
+/// `(round, processor ids)`; delivery order is `(arrival, emission
+/// order)`, emission order being push order. Runs are therefore
+/// byte-identical per seed regardless of how many worker threads run
+/// *other* trials around them.
 #[derive(Debug)]
 pub struct NetTransport<M> {
     cfg: NetConfig,
@@ -260,12 +263,15 @@ pub struct NetTransport<M> {
     /// Flights with undelivered recipients; `free` lists the empty slots.
     flights: Vec<Option<Flight<M>>>,
     free: Vec<u32>,
-    queue: EventQueue<Handle>,
+    /// Handles by arrival tick. The queue keeps one instant's events in
+    /// push order, and pushes happen in emission order — `send` and
+    /// `send_many` run one after another on `&mut self`, and one
+    /// `send_many` puts at most one group in any instant (its groups are
+    /// the distinct arrivals of `landed`) — so no tie key is needed for
+    /// delivery order to be `(arrival, emission order)`.
+    queue: EventQueue<Handle, ()>,
     rng: SimRng,
     stats: NetStats,
-    /// Emission counter, used as the event-queue tie key so delivery
-    /// order is a pure function of (arrival, emission order).
-    emitted: u64,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
     /// `Shuffle` policy ever draws from it.
     order_rng: SimRng,
@@ -330,7 +336,6 @@ impl<M> NetTransport<M> {
             queue: EventQueue::new(),
             rng,
             stats,
-            emitted: 0,
             order_rng,
             marks: Vec::new(),
             landed: Vec::new(),
@@ -525,8 +530,8 @@ impl<M> NetTransport<M> {
         // Everything that arrived by this round's opening tick is due.
         // (Nothing sent in round r can arrive before r·delta, and collect
         // for round r runs before round r's sends, so the r+1 floor is
-        // structural.) Batched: whole same-arrival buckets detach in one
-        // tree operation instead of one heap pop per envelope.
+        // structural.) Batched: a whole same-arrival bucket detaches at
+        // once instead of one pop per envelope.
         let now = (round as u64).saturating_mul(self.cfg.delta);
         // Close out the previous round's send-side counters first, so
         // the trace reads send → deliver in timeline order.
@@ -620,8 +625,6 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         let arrival = (round as u64)
             .saturating_mul(self.cfg.delta)
             .saturating_add(latency);
-        let tie = self.emitted;
-        self.emitted += 1;
         let flight = self.launch(Flight {
             sent_round: round,
             from: env.from,
@@ -631,7 +634,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         });
         self.queue.push(
             arrival,
-            tie,
+            (),
             Handle {
                 flight,
                 start: 0,
@@ -653,15 +656,12 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         let count = u64::from(len);
         let bucket = self.phase_index(round);
         self.count_sent(round, bucket, count, mc.payload.bit_len());
-        let base = self.emitted;
-        self.emitted += count;
         let sent = (round as u64).saturating_mul(self.cfg.delta);
         // Fast path: a trivial fault plan and constant latency make
         // every per-recipient decision identical without touching the
         // RNG (partition checks are pure, drops only draw when
         // drop_prob > 0, Constant sampling is draw-free), so the whole
-        // fan stays one queue entry. FIFO order survives because the
-        // batch owns the contiguous tie range [emitted, emitted+count).
+        // fan stays one queue entry, at its place in emission order.
         if self.cfg.faults.is_trivial() {
             if let LatencyModel::Constant(d) = self.cfg.latency {
                 let flight = self.launch(Flight {
@@ -676,16 +676,16 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
                     start: 0,
                     len,
                 };
-                self.queue.push(sent.saturating_add(d), base, whole);
+                self.queue.push(sent.saturating_add(d), (), whole);
                 return;
             }
         }
         // Slow path: replay the exact per-recipient decisions of the
         // unbatched expansion — the same drop and latency draws, from
         // the same stream, in recipient order — then regroup survivors
-        // by arrival tick. Each group's tie is its first member's
-        // emission index; no other send's tie can fall inside this
-        // batch's tie range, so same-instant FIFO order is unchanged.
+        // by arrival tick. A group is this fan's only entry in its
+        // instant, pushed after every earlier send's and before any
+        // later one's, so same-instant FIFO order is the expansion's.
         let mut landed = std::mem::take(&mut self.landed);
         debug_assert!(landed.is_empty());
         for (i, to) in mc.to.iter().enumerate() {
@@ -719,13 +719,12 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             });
             let mut start = 0;
             for group in landed.chunk_by(|a, b| a.0 == b.0) {
-                let (arrival, first) = group[0];
                 let handle = Handle {
                     flight,
                     start,
                     len: group.len() as u32,
                 };
-                self.queue.push(arrival, base + u64::from(first), handle);
+                self.queue.push(group[0].0, (), handle);
                 start += handle.len;
             }
             landed.clear();

@@ -8,8 +8,9 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# build, tests, the benchmark package's build and smoke tier, and a
-# one-scenario smoke of the composed tree-adversary + partition spec.
+# build, tests, the benchmark package's build and smoke tier, a memory
+# budget on its jittered-stack workload, and a one-scenario smoke of the
+# composed tree-adversary + partition spec.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,6 +37,19 @@ echo "== benchmark build + smoke (what the benchmark pipeline builds) =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir target
 benchmark/run.sh --smoke
+
+echo "== jitter memory budget (stack-jitter-256 peak RSS) =="
+# One gated run of the faulty-net workload (a few trials, ~15 s): over
+# 1 % loss and Uniform{0,900} jitter almost every recipient of a fan is
+# its own queue entry, so the peak is the event queue's. At 12 bytes a
+# queued recipient it reads 60-70 MB; 32-byte entries in per-tick
+# power-of-two buffers (it was ~140 MB with them), or a second copy of
+# the handles, cross 100.
+JITTER_LINE="$(target/release/benchmark --workload stack-jitter-256 \
+    --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$JITTER_LINE"
+awk -F'"peak_rss_mb": [{]"value": ' '{ found = NF > 1; if ($2 + 0 > 100) { print "jitter: stack-jitter-256 peaked at " $2 + 0 " MB (budget 100)"; exit 1 } }
+    END { if (!found) { print "jitter: no peak_rss_mb in the result line"; exit 1 } }' <<<"$JITTER_LINE"
 
 echo "== scenario smoke (composed tree adversary + partition) =="
 cargo run --release --offline -p ba-bench --bin scenario -- \

@@ -14,54 +14,9 @@
 
 use king_saia::core::ae_to_e::{AeToEConfig, AeToEOutcome, AeToEProcess};
 use king_saia::sim::{NullAdversary, SimBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// The system allocator, counting live bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Relaxed) + by;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are only statistics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: `p` came from `System` through this allocator, with
-        // this layout.
-        unsafe { System.dealloc(p, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        let q = unsafe { System.realloc(p, layout, new_size) };
-        if !q.is_null() {
-            // A grown block counts once: large ones are remapped, not
-            // copied.
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-            }
-        }
-        q
-    }
-}
+mod common;
+use common::{Counting, Measuring};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -79,8 +34,7 @@ fn algorithm_3_keeps_a_round_of_requests_once() {
     let rounds = cfg.total_rounds();
     let m = 0xFACE;
 
-    let baseline = LIVE.load(Relaxed);
-    PEAK.store(baseline, Relaxed);
+    let heap = Measuring::begin();
     let outcome = SimBuilder::new(n)
         .seed(17)
         .build(
@@ -88,7 +42,7 @@ fn algorithm_3_keeps_a_round_of_requests_once() {
             NullAdversary,
         )
         .run(rounds + 1);
-    let peak = PEAK.load(Relaxed) - baseline;
+    let peak = heap.peak();
 
     let tally = AeToEOutcome::from_outputs(&outcome.outputs, &outcome.corrupt, m);
     // Two loops of four samples leave a few confused processors undecided.

@@ -1,0 +1,97 @@
+//! An allocation budget for the faulty-net path: a recipient in the air
+//! costs its handle.
+//!
+//! Over jittered links almost every recipient of a fan gets an arrival
+//! tick of its own, so what `NetTransport` keeps per queued recipient is
+//! what decides how large a faulty-net run fits in memory. An integration
+//! test is its own binary, so this one installs a counting global
+//! allocator and bounds the live heap of a round in flight per recipient:
+//! a 12-byte handle in the event queue and the recipient's 4-byte entry in
+//! its flight's survivor list, plus the flight slab and at most one
+//! partial chunk per arrival tick — 16.5 bytes. A tie key or a sequence
+//! number stored beside the handle (a 24-byte entry) reads ≈ 29, and
+//! per-tick buffers rounded up to a power of two more; at 3cfceb9 the same
+//! round measured 41.5.
+
+use king_saia::net::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetTransport};
+use king_saia::sim::{Multicast, ProcId, Transport};
+use std::sync::Arc;
+
+mod common;
+use common::{Counting, Measuring};
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[test]
+fn a_recipient_in_the_air_costs_its_handle() {
+    // The shape of `stack-jitter-256`'s busiest round: fans to everyone
+    // over 1 % loss and `Uniform{0,900}` jitter, so a fan's recipients
+    // land ≈ one to a tick and a tick holds hundreds of handles.
+    let heap = Measuring::begin();
+    let (n, fans) = (256, 2048);
+    let cfg = NetConfig::synchronous()
+        .with_seed(23)
+        .with_latency(LatencyModel::Uniform { lo: 0, hi: 900 })
+        .with_faults(FaultPlan {
+            drop_prob: 0.01,
+            ..FaultPlan::default()
+        });
+    let everyone: Arc<[ProcId]> = (0..n).map(ProcId::new).collect();
+    let mut t: NetTransport<u16> = NetTransport::new(n, cfg);
+    t.collect_many(0, &mut |_| {});
+
+    let baseline = heap.live();
+    for fan in 0..fans {
+        t.send_many(
+            0,
+            Multicast {
+                from: ProcId::new(fan % n),
+                to: everyone.clone(),
+                payload: fan as u16,
+            },
+        );
+    }
+    let in_flight = heap.live() - baseline;
+    let mut delivered = 0;
+    t.collect_many(1, &mut |mc| delivered += mc.to.len());
+    let left = heap.live() - baseline;
+
+    assert_eq!(delivered as u64, t.stats().delivered);
+    assert_eq!(t.stats().sent, (n * fans) as u64);
+    assert!(
+        t.stats().dropped() > 0 && delivered * 100 > n * fans * 98,
+        "1 % of the round was lost: {:?}",
+        t.stats()
+    );
+    let per_recipient = in_flight as f64 / delivered as f64;
+    println!("{in_flight} B live in flight = {per_recipient:.1} B per queued recipient");
+    assert!(
+        per_recipient <= 20.0,
+        "over the budget of 20 B per recipient"
+    );
+    // The slab, its free list and the scratches stay for the next round;
+    // no chunk and no survivor list does.
+    println!("{left} B live after the round was collected");
+    assert!(left <= delivered, "over 1 B per delivered recipient");
+}
+
+#[test]
+fn a_lone_event_does_not_pay_for_a_chunk() {
+    // A sparse calendar — a small n, singles over jitter — is one event a
+    // tick: the first chunk of an instant starts at a few entries (48 B
+    // for four handles), in a chunk list of one (32 B), under the
+    // instant's share of a half-full calendar node (≈ 92 B): 172 B. A
+    // full 2 KiB first chunk reads over 2 000; at 3cfceb9 the four 32-byte
+    // entries of a fresh buffer made it 220.
+    let heap = Measuring::begin();
+    let mut q: EventQueue<[u32; 3], ()> = EventQueue::new();
+    let ticks = 900;
+    for tick in 1..=ticks {
+        q.push(tick, (), [tick as u32; 3]);
+    }
+    let per_tick = heap.live() as f64 / ticks as f64;
+    println!("{per_tick:.1} B per one-event tick");
+    assert!(per_tick <= 192.0, "over the budget of 192 B per tick");
+    assert_eq!(q.len(), ticks as usize);
+}
