@@ -189,6 +189,43 @@ fn bench_committee(c: &mut Criterion) {
             })
         });
     }
+    // Both sides of what the kernel's cost depends on, at the size of a
+    // top-level election committee: all but 2 % of an honest committee
+    // agreeing (what the tournament runs almost always; settles in two
+    // rounds), and its worst case, a 50/50 committee that an `Oppose`
+    // quarter and a round-dependent coin keep from settling.
+    let k = 4096;
+    let graph = RegularGraph::random_out_degree(k, 48, &mut rng);
+    let shapes: [(&str, Vec<bool>, Vec<bool>, CommitteeAttack); 2] = [
+        (
+            "k4096_d48_2pct_dissent",
+            vec![true; k],
+            (0..k).map(|i| i % 50 != 7).collect(),
+            CommitteeAttack::Passive,
+        ),
+        (
+            "k4096_d48_split",
+            (0..k).map(|i| i % 4 != 1).collect(),
+            (0..k).map(|i| i % 2 == 0).collect(),
+            CommitteeAttack::Oppose,
+        ),
+    ];
+    for (name, good, inputs, attack) in &shapes {
+        g.bench_function(*name, |bch| {
+            bch.iter(|| {
+                run_committee(
+                    good,
+                    inputs,
+                    &graph,
+                    |i, r| (i + r) % 2 == 0,
+                    12,
+                    &AebaConfig::default(),
+                    *attack,
+                    &mut rng,
+                )
+            })
+        });
+    }
     g.finish();
 }
 

@@ -383,7 +383,7 @@ pub struct CommitteeOutcome {
 /// tournament runs thousands of these). `good[i]` flags honest members;
 /// `inputs[i]` are initial votes; `coins[r]` is what member `i` sees via
 /// `coin_view(i, r)`; corrupt members follow `attack` with full rushing
-/// knowledge.
+/// knowledge. One [`Committee`], used once.
 ///
 /// # Panics
 ///
@@ -417,104 +417,235 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
     attack: CommitteeAttack,
     rng: &mut R,
 ) -> (CommitteeOutcome, Vec<f64>) {
-    let k = good.len();
-    assert_eq!(inputs.len(), k, "inputs/good length mismatch");
-    assert_eq!(graph.len(), k, "graph size mismatch");
-    let mut votes: Vec<bool> = inputs.to_vec();
-    let threshold = config.supermajority();
-    let mut trace = Vec::with_capacity(rounds);
-    let good_total = good.iter().filter(|&&g| g).count().max(1);
-    let count_good_ones = |votes: &[bool]| (0..k).filter(|&i| good[i] && votes[i]).count();
-    let mut good_ones = count_good_ones(&votes);
+    Committee::new(good, graph, attack).run_traced(inputs, coin_view, rounds, config, rng)
+}
 
-    for r in 0..rounds {
-        // Rushing: good votes for this round are the current `votes`;
-        // corrupt members choose their outgoing votes knowing them.
-        let good_majority = 2 * good_ones >= good_total;
-        let mut next = votes.clone();
-        // Whether this round read anything but `votes`: a coin (varies
-        // with `r`) or an `rng` draw.
-        let mut fresh_input = false;
-        for (i, nv) in next.iter_mut().enumerate() {
-            if !good[i] {
-                continue;
+/// The bit corrupt member `u` shows every receiver alike under `attack`
+/// (`vote` is its bookkeeping vote), or `None` when what it shows depends
+/// on the receiver.
+fn shown(attack: CommitteeAttack, u: usize, vote: bool, good_majority: bool) -> Option<bool> {
+    match attack {
+        CommitteeAttack::Passive => Some(vote),
+        CommitteeAttack::Fixed(b) => Some(b),
+        CommitteeAttack::Oppose => None,
+        // Deterministic half/half split by member id.
+        CommitteeAttack::Split => u.is_multiple_of(2).then_some(!good_majority),
+    }
+}
+
+/// One committee prepared for Algorithm 5: what an in-memory agreement
+/// needs that depends only on (graph, good, attack), plus a round's
+/// scratch. The tournament runs `r·bin_bits` agreements per node on one
+/// of these; [`run_committee`] builds one per call.
+///
+/// A round does not read every member's neighbourhood. A member either
+/// shows every receiver the same bit (*uniform*: good members, and
+/// corrupt ones under `Passive`, `Fixed` and the even half of `Split`) or
+/// a bit that depends on the receiver (*swayed*: `Oppose` and the odd
+/// half of `Split`). [`RegularGraph`] rows are symmetric with
+/// multiplicity, so "how many entries of row `i` show `b`" is counted by
+/// walking the rows of the members that show `b` — and a round walks
+/// whichever uniform side has fewer members and takes the other side as
+/// the complement. A committee that nearly agrees (the regime Lemmas
+/// 12–13 keep it in) pays per dissenter.
+#[derive(Debug)]
+pub struct Committee<'a> {
+    good: &'a [bool],
+    graph: &'a RegularGraph,
+    attack: CommitteeAttack,
+    good_total: usize,
+    /// `swayed[i]`: how many entries of row `i` are swayed members.
+    swayed: Vec<u32>,
+    /// Scratch, all-zero between rounds: row `i`'s entries on the pushed
+    /// side.
+    cnt: Vec<u32>,
+    /// Scratch: the votes a round leaves.
+    next: Vec<bool>,
+    /// Rows walked by each round of the latest run.
+    #[cfg(test)]
+    rows_pushed: Vec<usize>,
+}
+
+impl<'a> Committee<'a> {
+    /// Prepares the committee: `good[i]` flags honest members; corrupt
+    /// ones follow `attack` with full rushing knowledge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `good` and the graph disagree in size.
+    pub fn new(good: &'a [bool], graph: &'a RegularGraph, attack: CommitteeAttack) -> Self {
+        let k = good.len();
+        assert_eq!(graph.len(), k, "graph size mismatch");
+        let mut swayed = vec![0u32; k];
+        // Whether a corrupt member is swayed depends on neither of the two
+        // bits `shown` takes.
+        for u in (0..k).filter(|&u| !good[u] && shown(attack, u, false, false).is_none()) {
+            for &i in graph.neighbors(u) {
+                swayed[i as usize] += 1;
             }
-            let mut ones = 0usize;
-            let mut total = 0usize;
-            for &u in graph.neighbors(i) {
-                let u = u as usize;
-                let v = if good[u] {
-                    votes[u]
-                } else {
-                    match attack {
-                        CommitteeAttack::Passive => votes[u],
-                        CommitteeAttack::Fixed(b) => b,
-                        CommitteeAttack::Oppose => !votes[i],
-                        CommitteeAttack::Split => {
-                            // Deterministic half/half split by member id.
-                            if u.is_multiple_of(2) {
-                                !good_majority
-                            } else {
-                                fresh_input = true;
-                                rng.gen_bool(0.5)
-                            }
-                        }
-                    }
-                };
-                total += 1;
-                if v {
-                    ones += 1;
-                }
-            }
-            if total == 0 {
-                continue;
-            }
-            let maj = 2 * ones >= total;
-            let maj_count = if maj { ones } else { total - ones };
-            let fraction = maj_count as f64 / total as f64;
-            *nv = if fraction >= threshold {
-                maj
-            } else {
-                fresh_input = true;
-                coin_view(i, r)
-            };
         }
-        // Corrupt members' declared votes for bookkeeping.
-        for (i, nv) in next.iter_mut().enumerate() {
-            if !good[i] {
-                *nv = match attack {
-                    CommitteeAttack::Passive => votes[i],
-                    CommitteeAttack::Fixed(b) => b,
-                    CommitteeAttack::Oppose => !good_majority,
-                    CommitteeAttack::Split => i % 2 == 0,
-                };
-            }
-        }
-        let settled = !fresh_input && next == votes;
-        votes = next;
-        // Trace: plurality agreement among good members after this round.
-        good_ones = count_good_ones(&votes);
-        let plurality = good_ones.max(good_total - good_ones) as f64 / good_total as f64;
-        trace.push(plurality);
-        if settled {
-            // Fixed point (the stability of Lemmas 12/13): the round was
-            // a function of `votes` alone and reproduced them, so every
-            // later round does the same and draws nothing.
-            trace.resize(rounds, plurality);
-            break;
+        Committee {
+            good,
+            graph,
+            attack,
+            good_total: good.iter().filter(|&&g| g).count().max(1),
+            swayed,
+            cnt: vec![0; k],
+            next: vec![false; k],
+            #[cfg(test)]
+            rows_pushed: Vec::new(),
         }
     }
 
-    let decided = 2 * good_ones >= good_total;
-    let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
-    (
-        CommitteeOutcome {
-            votes,
-            agreement: agreeing as f64 / good_total as f64,
-            decided,
-        },
-        trace,
-    )
+    /// Runs one agreement: `inputs[i]` are the initial votes and
+    /// `coin_view(i, r)` is what member `i` sees of round `r`'s coin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` and the committee disagree in length.
+    pub fn run<R: Rng + ?Sized>(
+        &mut self,
+        inputs: &[bool],
+        coin_view: impl Fn(usize, usize) -> bool,
+        rounds: usize,
+        config: &AebaConfig,
+        rng: &mut R,
+    ) -> CommitteeOutcome {
+        self.run_traced(inputs, coin_view, rounds, config, rng).0
+    }
+
+    /// [`Committee::run`] plus the per-round convergence trace (see
+    /// [`run_committee_traced`]).
+    pub fn run_traced<R: Rng + ?Sized>(
+        &mut self,
+        inputs: &[bool],
+        coin_view: impl Fn(usize, usize) -> bool,
+        rounds: usize,
+        config: &AebaConfig,
+        rng: &mut R,
+    ) -> (CommitteeOutcome, Vec<f64>) {
+        let (good, graph, attack, good_total) =
+            (self.good, self.graph, self.attack, self.good_total);
+        let k = good.len();
+        assert_eq!(inputs.len(), k, "inputs/good length mismatch");
+        let mut votes: Vec<bool> = inputs.to_vec();
+        let threshold = config.supermajority();
+        let mut trace = Vec::with_capacity(rounds);
+        let count_good_ones = |votes: &[bool]| (0..k).filter(|&i| good[i] && votes[i]).count();
+        let mut good_ones = count_good_ones(&votes);
+        #[cfg(test)]
+        self.rows_pushed.clear();
+
+        for r in 0..rounds {
+            // Rushing: good votes for this round are the current `votes`;
+            // corrupt members choose their outgoing votes knowing them.
+            let good_majority = 2 * good_ones >= good_total;
+            let shows = |u: usize| {
+                if good[u] {
+                    Some(votes[u])
+                } else {
+                    shown(attack, u, votes[u], good_majority)
+                }
+            };
+            // Push from the smaller uniform side; a tie costs and counts
+            // the same either way.
+            let (mut zeros, mut ones) = (0usize, 0usize);
+            for u in 0..k {
+                match shows(u) {
+                    Some(true) => ones += 1,
+                    Some(false) => zeros += 1,
+                    None => {}
+                }
+            }
+            let pushed = ones <= zeros;
+            #[cfg(test)]
+            self.rows_pushed.push(0);
+            for u in (0..k).filter(|&u| shows(u) == Some(pushed)) {
+                #[cfg(test)]
+                {
+                    *self.rows_pushed.last_mut().expect("pushed above") += 1;
+                }
+                for &i in graph.neighbors(u) {
+                    self.cnt[i as usize] += 1;
+                }
+            }
+
+            // Whether this round read anything but `votes`: a coin (varies
+            // with `r`) or an `rng` draw.
+            let mut fresh_input = false;
+            for (i, nv) in self.next.iter_mut().enumerate() {
+                let total = graph.degree(i);
+                if !good[i] {
+                    // Corrupt members' declared votes for bookkeeping.
+                    *nv = match attack {
+                        CommitteeAttack::Passive => votes[i],
+                        CommitteeAttack::Fixed(b) => b,
+                        CommitteeAttack::Oppose => !good_majority,
+                        CommitteeAttack::Split => i % 2 == 0,
+                    };
+                    continue;
+                }
+                if total == 0 {
+                    *nv = votes[i];
+                    continue;
+                }
+                let swayed = self.swayed[i] as usize;
+                let cnt = self.cnt[i] as usize;
+                let mut ones = if pushed { cnt } else { total - swayed - cnt };
+                if swayed > 0 {
+                    match attack {
+                        CommitteeAttack::Oppose => ones += if votes[i] { 0 } else { swayed },
+                        // The pull loop took one fair draw at each swayed
+                        // entry of row `i`, receivers in this order, and
+                        // only ever summed a row's draws: as many draws
+                        // here are the same stretch of the stream and the
+                        // same sum.
+                        CommitteeAttack::Split => {
+                            fresh_input = true;
+                            ones += (0..swayed).filter(|_| rng.gen_bool(0.5)).count();
+                        }
+                        CommitteeAttack::Passive | CommitteeAttack::Fixed(_) => {
+                            unreachable!("every member is uniform under {attack:?}")
+                        }
+                    }
+                }
+                let maj = 2 * ones >= total;
+                let maj_count = if maj { ones } else { total - ones };
+                let fraction = maj_count as f64 / total as f64;
+                *nv = if fraction >= threshold {
+                    maj
+                } else {
+                    fresh_input = true;
+                    coin_view(i, r)
+                };
+            }
+            self.cnt.fill(0);
+            let settled = !fresh_input && self.next == votes;
+            std::mem::swap(&mut votes, &mut self.next);
+            // Trace: plurality agreement among good members after this round.
+            good_ones = count_good_ones(&votes);
+            let plurality = good_ones.max(good_total - good_ones) as f64 / good_total as f64;
+            trace.push(plurality);
+            if settled {
+                // Fixed point (the stability of Lemmas 12/13): the round was
+                // a function of `votes` alone and reproduced them, so every
+                // later round does the same and draws nothing.
+                trace.resize(rounds, plurality);
+                break;
+            }
+        }
+
+        let decided = 2 * good_ones >= good_total;
+        let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
+        (
+            CommitteeOutcome {
+                votes,
+                agreement: agreeing as f64 / good_total as f64,
+                decided,
+            },
+            trace,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -809,8 +940,9 @@ mod tests {
         assert!((cfg.supermajority() - want).abs() < 1e-12);
     }
 
-    /// The loop `run_committee_traced` replaced: every round replayed,
-    /// fixed point or not. Reference for the proptest below.
+    /// The loop [`Committee::run_traced`] replaced: every member pulls its
+    /// whole neighbourhood, every round replayed, fixed point or not.
+    /// Reference for the proptests below.
     #[allow(clippy::too_many_arguments)]
     fn run_committee_full_rounds<R: Rng + ?Sized>(
         good: &[bool],
@@ -902,6 +1034,14 @@ mod tests {
         )
     }
 
+    const ATTACKS: [CommitteeAttack; 5] = [
+        CommitteeAttack::Passive,
+        CommitteeAttack::Fixed(false),
+        CommitteeAttack::Fixed(true),
+        CommitteeAttack::Oppose,
+        CommitteeAttack::Split,
+    ];
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -955,6 +1095,186 @@ mod tests {
                 );
                 prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
             }
+        }
+
+        /// How many members show every receiver 0 and how many 1.
+        fn uniform_sides(good: &[bool], votes: &[bool], attack: CommitteeAttack) -> [usize; 2] {
+            let k = good.len();
+            let good_total = good.iter().filter(|&&g| g).count().max(1);
+            let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+            let mut sides = [0; 2];
+            for u in 0..k {
+                let bit = if good[u] {
+                    Some(votes[u])
+                } else {
+                    shown(attack, u, votes[u], 2 * good_ones >= good_total)
+                };
+                if let Some(b) = bit {
+                    sides[b as usize] += 1;
+                }
+            }
+            sides
+        }
+
+        /// The input shapes the tournament's committees meet: unanimous,
+        /// 1–3 % dissent, 50/50, and a round-1 tie of the two uniform
+        /// sides (exact where parity allows, else off by one).
+        fn shaped_inputs(
+            shape: usize,
+            good: &[bool],
+            attack: CommitteeAttack,
+            rng: &mut ChaCha12Rng,
+        ) -> Vec<bool> {
+            let k = good.len();
+            let bit = rng.gen_bool(0.5);
+            match shape {
+                0 => vec![bit; k],
+                1 => {
+                    let pct = rng.gen_range(1..=3);
+                    (0..k)
+                        .map(|_| bit ^ (rng.gen_range(0..100) < pct))
+                        .collect()
+                }
+                2 => (0..k).map(|_| rng.gen_bool(0.5)).collect(),
+                _ => {
+                    let mut inputs = vec![bit; k];
+                    for i in 0..k {
+                        let sides = uniform_sides(good, &inputs, attack);
+                        if sides[bit as usize] <= sides[!bit as usize] {
+                            break;
+                        }
+                        inputs[i] = !bit;
+                    }
+                    inputs
+                }
+            }
+        }
+
+        fn same(
+            got: &(CommitteeOutcome, Vec<f64>),
+            want: &(CommitteeOutcome, Vec<f64>),
+        ) -> TestCaseResult {
+            let bits = |t: &[f64]| t.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(&got.0.votes, &want.0.votes);
+            prop_assert_eq!(got.0.agreement.to_bits(), want.0.agreement.to_bits());
+            prop_assert_eq!(got.0.decided, want.0.decided);
+            prop_assert_eq!(bits(&got.1), bits(&want.1));
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The push kernel against the pull loop at the sizes and in
+            /// the input regimes the tournament runs it.
+            #[test]
+            fn push_matches_pull_at_election_shapes(
+                k in 2usize..401,
+                degree in 1usize..49,
+                rounds in 0usize..16,
+                attack_ix in 0usize..5,
+                corrupt_pct in 0u64..50,
+                shape in 0usize..4,
+                coin_period in 1usize..5,
+                seed in any::<u64>(),
+            ) {
+                let mut setup = ChaCha12Rng::seed_from_u64(seed);
+                let g = RegularGraph::random_out_degree(k, degree.min(k - 1), &mut setup);
+                let good: Vec<bool> = (0..k).map(|_| setup.gen_range(0..100) >= corrupt_pct).collect();
+                let attack = ATTACKS[attack_ix];
+                let inputs = shaped_inputs(shape, &good, attack, &mut setup);
+                let coin = |i: usize, r: usize| (r / coin_period + i).is_multiple_of(2);
+                let cfg = AebaConfig::default();
+                let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA5A5);
+                let mut rng_b = rng_a.clone();
+                let got =
+                    run_committee_traced(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_a);
+                let want =
+                    run_committee_full_rounds(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_b);
+                same(&got, &want)?;
+                prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+            }
+
+            /// What `run_node_election` does: one `Committee`, one rng, 16
+            /// agreements back to back. Scratch that leaks from one into
+            /// the next, or a `swayed` built for another attack, shows.
+            #[test]
+            fn back_to_back_agreements_on_one_committee_match_fresh_pulls(
+                k in 2usize..161,
+                degree in 1usize..25,
+                rounds in 1usize..10,
+                attack_ix in 0usize..5,
+                corrupt_pct in 0u64..50,
+                seed in any::<u64>(),
+            ) {
+                let mut setup = ChaCha12Rng::seed_from_u64(seed);
+                let g = RegularGraph::random_out_degree(k, degree.min(k - 1), &mut setup);
+                let good: Vec<bool> = (0..k).map(|_| setup.gen_range(0..100) >= corrupt_pct).collect();
+                let attack = ATTACKS[attack_ix];
+                let cfg = AebaConfig::default();
+                let mut committee = Committee::new(&good, &g, attack);
+                let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA5A5);
+                let mut rng_b = rng_a.clone();
+                for call in 0..16 {
+                    let inputs = shaped_inputs(call % 4, &good, attack, &mut setup);
+                    let coin = |i: usize, r: usize| (r + i + call).is_multiple_of(2);
+                    let got = committee.run_traced(&inputs, coin, rounds, &cfg, &mut rng_a);
+                    let want = run_committee_full_rounds(
+                        &good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_b,
+                    );
+                    same(&got, &want)?;
+                }
+                prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+            }
+        }
+    }
+
+    /// The cost claim as counts: a round walks the rows of the smaller
+    /// uniform side and no others (the pull loop read all `k`).
+    mod rows_pushed {
+        use super::*;
+
+        const K: usize = 512;
+        const ROUNDS: usize = 12;
+
+        /// Rows walked per executed round, for an all-good committee.
+        fn rows(inputs: &[bool], attack: CommitteeAttack) -> Vec<usize> {
+            let mut rng = ChaCha12Rng::seed_from_u64(31);
+            let g = RegularGraph::random_out_degree(K, 24, &mut rng);
+            let good = vec![true; K];
+            let mut committee = Committee::new(&good, &g, attack);
+            // An adversarial coin: whoever falls below the threshold leaves
+            // the majority.
+            let coin = |i: usize, _: usize| !inputs[i];
+            committee.run(inputs, coin, ROUNDS, &AebaConfig::default(), &mut rng);
+            committee.rows_pushed.clone()
+        }
+
+        #[test]
+        fn unanimous_input_walks_no_row_and_exits_after_one_round() {
+            // Under every attack: with nobody corrupt none may keep the
+            // round from settling (`Split` draws nothing here).
+            for attack in ATTACKS {
+                assert_eq!(rows(&[true; K], attack), [0], "{attack:?}");
+                assert_eq!(rows(&[false; K], attack), [0], "{attack:?}");
+            }
+        }
+
+        #[test]
+        fn one_dissenter_costs_its_own_row_once() {
+            let mut inputs = vec![true; K];
+            inputs[77] = false;
+            // Round 1 walks the dissenter's row and converts it; round 2
+            // walks nothing and settles.
+            assert_eq!(rows(&inputs, CommitteeAttack::Passive), [1, 0]);
+        }
+
+        #[test]
+        fn an_even_split_walks_at_most_half_the_rows_a_round() {
+            let inputs: Vec<bool> = (0..K).map(|i| i % 2 == 0).collect();
+            let rows = rows(&inputs, CommitteeAttack::Passive);
+            assert_eq!(rows[0], K / 2);
+            assert!(rows.iter().all(|&r| r <= K.div_ceil(2)), "{rows:?}");
         }
     }
 }

@@ -40,9 +40,10 @@
 //! equivocation) is computed faithfully step by step, while transport
 //! bits and rounds are charged to processors via the exact per-operation
 //! cost formulas of §3.6/Lemma 5 rather than by materializing every
-//! share-replica message. DESIGN.md §5 records this substitution; the E8
-//! experiment cross-validates the share-secrecy bookkeeping against the
-//! exact [`ba_crypto::iterated::ShareTree`] model.
+//! share-replica message. [`tournament`]'s *Execution model* section
+//! records this substitution; the E8 experiment cross-validates the
+//! share-secrecy bookkeeping against the exact
+//! [`ba_crypto::iterated::ShareTree`] model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

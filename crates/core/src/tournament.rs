@@ -21,7 +21,8 @@
 //! agreement dynamics, elections, adversarial corruption between phases)
 //! are computed faithfully step by step, while transport bits/rounds are
 //! charged through [`CostModel`], whose per-operation formulas transcribe
-//! §3.6/Lemma 5. See DESIGN.md §5 and the crate-level fidelity note.
+//! §3.6/Lemma 5. See the crate-level fidelity note; what each phase costs
+//! in time and memory is in `docs/performance.md`.
 //!
 //! Secrecy bookkeeping follows Lemma 3: an array's words stay hidden from
 //! the adversary while every committee on its route keeps a good majority
@@ -30,7 +31,7 @@
 //! (`compromised`). Experiment E8 cross-validates this rule against the
 //! exact [`ba_crypto::iterated::ShareTree`] recovery model.
 
-use crate::aeba::{run_committee, AebaConfig, CommitteeAttack};
+use crate::aeba::{AebaConfig, Committee, CommitteeAttack};
 use crate::block::CandidateArray;
 use crate::election::{lightest_bin, ElectionResult};
 use crate::scale::{impl_scale_builders, StackParams};
@@ -945,14 +946,11 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             !good_majority_input
         }
     };
-    let out = run_committee(
-        &member_good,
+    let out = Committee::new(&member_good, &graph, adversary.committee_attack()).run(
         &good_inputs,
-        &graph,
         coin_view,
         root_rounds,
         &config.aeba,
-        adversary.committee_attack(),
         &mut rng,
     );
     for (v, b) in bits.iter_mut().enumerate() {
@@ -1141,8 +1139,9 @@ impl MemberLists {
 
 /// Exposure receipts that survived the routed exchange: for each (node,
 /// candidate), the recipients the declaration reached, as one sorted
-/// list however the wire grouped them — so a membership test is one
-/// binary search on any transport.
+/// list however the wire grouped them — so an election reads a
+/// candidate's receipts in one merge walk against its (sorted) member
+/// list on any transport.
 #[derive(Default)]
 struct Exposure {
     by_cand: HashMap<(u32, u32), Vec<ProcId>>,
@@ -1167,13 +1166,21 @@ impl Exposure {
         }
     }
 
-    /// Whether processor `m` received candidate `cand`'s declaration at
-    /// `node`. Queried only for members online at the delivery round, so
-    /// dead-letter recipients never count.
-    fn contains(&self, node: usize, cand: usize, m: usize) -> bool {
-        self.by_cand
-            .get(&(node as u32, cand as u32))
-            .is_some_and(|list| list.binary_search_by_key(&m, |p| p.index()).is_ok())
+    /// Which of `members` (sorted processor ids) received candidate
+    /// `cand`'s declaration at `node`. Asked only about members online at
+    /// the delivery round, so dead-letter recipients never count.
+    fn saw(&self, node: usize, cand: usize, members: &[u32]) -> Vec<bool> {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        let reached = self.by_cand.get(&(node as u32, cand as u32));
+        let mut reached = reached.map_or(&[][..], Vec::as_slice).iter().peekable();
+        members
+            .iter()
+            .map(|&m| {
+                let m = m as usize;
+                while reached.next_if(|p| p.index() < m).is_some() {}
+                reached.next_if(|p| p.index() == m).is_some()
+            })
+            .collect()
     }
 }
 
@@ -1290,6 +1297,7 @@ fn run_node_election(
         let mut grng = derive_rng(graph_seed, 0x6A_6A);
         RegularGraph::random_out_degree(k, degree, &mut grng)
     });
+    let mut committee = Committee::new(&member_good, &graph, attack);
     let bin_bits = (num_bins as f64).log2().ceil().max(1.0) as usize;
     let mut agreed: Vec<u16> = Vec::with_capacity(r_cands);
     // Committee-internal vote randomness: an independent stream per
@@ -1308,10 +1316,7 @@ fn run_node_election(
     for ci in 0..r_cands {
         let mut word = 0u16;
         // Which members the candidate's declaration reached.
-        let saw: Vec<bool> = members
-            .iter()
-            .map(|&m| exposed.contains(node, ci, m as usize))
-            .collect();
+        let saw = exposed.saw(node, ci, &members);
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
             // Member input views: a member whose exposure delivery was
@@ -1361,16 +1366,7 @@ fn run_node_election(
                     !truth
                 }
             };
-            let out = run_committee(
-                &member_good,
-                &inputs,
-                &graph,
-                coin_view,
-                coin_rounds,
-                &config.aeba,
-                attack,
-                &mut crng,
-            );
+            let out = committee.run(&inputs, coin_view, coin_rounds, &config.aeba, &mut crng);
             // Gossip bits: one bit per neighbor per round.
             for (mi, acc) in member_acc.iter_mut().enumerate() {
                 let b = (graph.degree(mi) * coin_rounds) as u64;
@@ -1707,14 +1703,18 @@ mod tests {
         exposed.insert(1, 0, &ids(&[4]));
         assert_eq!(exposed.by_cand[&(0, 0)], ids(&[2, 3, 5, 8]));
         assert_eq!(exposed.by_cand[&(0, 1)], ids(&[2, 3, 5, 6, 8, 9, 11]));
-        for m in 0..12 {
-            assert_eq!(exposed.contains(0, 0, m), [2, 3, 5, 8].contains(&m));
-            assert_eq!(
-                exposed.contains(0, 1, m),
-                [2, 3, 5, 6, 8, 9, 11].contains(&m)
-            );
-            assert_eq!(exposed.contains(1, 0, m), m == 4);
-            assert!(!exposed.contains(1, 1, m), "nothing arrived for it");
-        }
+        // The merge walk against a member list: every id, then one with
+        // gaps on both sides (members nothing reached, receipts of
+        // processors that are not — online — members).
+        let all: Vec<u32> = (0..12).collect();
+        let among = |set: &[u32]| -> Vec<bool> { all.iter().map(|m| set.contains(m)).collect() };
+        assert_eq!(exposed.saw(0, 0, &all), among(&[2, 3, 5, 8]));
+        assert_eq!(exposed.saw(0, 1, &all), among(&[2, 3, 5, 6, 8, 9, 11]));
+        assert_eq!(exposed.saw(1, 0, &all), among(&[4]));
+        assert_eq!(exposed.saw(1, 1, &all), among(&[]), "nothing arrived");
+        assert_eq!(
+            exposed.saw(0, 1, &[0, 3, 4, 9, 10, 11, 12]),
+            [false, true, false, true, false, true, false]
+        );
     }
 }

@@ -270,21 +270,36 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// The tests share the process-wide pool. All but one hold this for
+    /// reading while they fan out (they run concurrently, as callers do);
+    /// `pool_threads_are_reused_across_calls` needs the pool to itself.
+    static POOL_GATE: RwLock<()> = RwLock::new(());
+
+    fn shared_pool() -> RwLockReadGuard<'static, ()> {
+        // Poisoned only by the one writer failing; that is its failure,
+        // not its siblings'.
+        POOL_GATE.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_in_order() {
+        let _pool = shared_pool();
         let out = par_map_index(100, |i| i * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single() {
+        let _pool = shared_pool();
         assert_eq!(par_map_index(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_index(1, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn slice_variant_matches_sequential() {
+        let _pool = shared_pool();
         let items: Vec<u64> = (0..64).map(|i| i * i).collect();
         let out = par_map(&items, |&x| x + 1);
         assert_eq!(out, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
@@ -292,6 +307,7 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
+        let _pool = shared_pool();
         let hits = AtomicUsize::new(0);
         let out = par_map_index(257, |i| {
             hits.fetch_add(1, Ordering::Relaxed);
@@ -304,36 +320,38 @@ mod tests {
 
     #[test]
     fn pool_threads_are_reused_across_calls() {
-        // Two consecutive fan-outs of slow-ish jobs: job-to-thread
-        // assignment races between workers and the helping caller, so
-        // only reuse (a pool thread seen in both calls) is asserted, not
-        // an exact lane set.
-        let collect_ids = || {
-            let mut ids: Vec<String> = par_map_index(200, |_| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                std::thread::current().name().unwrap_or("caller").to_owned()
-            });
-            ids.sort();
-            ids.dedup();
-            ids
-        };
-        if num_threads() <= 1 {
+        let lanes = num_threads();
+        if lanes <= 1 {
             // Sequential mode (single core or BA_PAR_THREADS=1): there is
             // no pool to reuse.
             return;
         }
+        // Alone on the pool: a sibling test's stripes can occupy a worker
+        // for a whole call, and a sibling caller that is helping can run
+        // ours on its own thread.
+        let _pool = POOL_GATE.write().expect("this test is the only writer");
+        // One item per lane, none leaving before all have arrived: every
+        // stripe is on a thread of its own, so besides the caller each
+        // call is served by exactly the pool's `lanes - 1` workers.
+        let collect_ids = || {
+            let all_running = std::sync::Barrier::new(lanes);
+            let mut ids: Vec<String> = par_map_index(lanes, |_| {
+                all_running.wait();
+                std::thread::current().name().unwrap_or("caller").to_owned()
+            });
+            ids.retain(|n| n.starts_with("ba-par-"));
+            ids.sort();
+            ids
+        };
         let a = collect_ids();
         let b = collect_ids();
-        let pool_a: Vec<&String> = a.iter().filter(|n| n.starts_with("ba-par-")).collect();
-        let pool_b: Vec<&String> = b.iter().filter(|n| n.starts_with("ba-par-")).collect();
-        assert!(
-            !pool_a.is_empty() && pool_a.iter().any(|n| pool_b.contains(n)),
-            "no pool thread reused: {pool_a:?} vs {pool_b:?}"
-        );
+        assert_eq!(a.len(), lanes - 1, "a stripe ran off the pool: {a:?}");
+        assert_eq!(a, b, "the second call was not served by the same threads");
     }
 
     #[test]
     fn nested_fan_outs_complete() {
+        let _pool = shared_pool();
         // par over par: inner calls must not deadlock the shared pool.
         let out = par_map_index(8, |i| {
             let inner = par_map_index(16, move |j| i * 100 + j);
@@ -346,6 +364,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
+        let _pool = shared_pool();
         let _ = par_map_index(32, |i| {
             if i == 13 {
                 panic!("boom");
@@ -356,6 +375,7 @@ mod tests {
 
     #[test]
     fn panic_in_one_call_leaves_pool_usable() {
+        let _pool = shared_pool();
         let result = catch_unwind(AssertUnwindSafe(|| {
             par_map_index(32, |i| {
                 if i % 2 == 0 {

@@ -99,16 +99,26 @@ echo "== scale smoke (everywhere stack end-to-end at n = 4096 and 16384) =="
 # profile at two sizes: exercises the batched-envelope tournament, the
 # cached sampler registry, the arena share trees and the engine's
 # one-buffer rounds at a five-digit n. The time budget is generous (the
-# two rows are ~1 s and ~8 s release on two cores); the memory budget is
-# not: the 16384 row peaks at 600–675 MB, and a second copy of an
+# two rows are ~0.8 s and ~6 s release on two cores); the memory budget
+# is not: the 16384 row peaks at 640–720 MB, and a second copy of an
 # Algorithm 3 round in the engine (it was ~1250 MB with four) crosses
-# 800. Blowing either means a scale regression, not noise.
+# 800. Blowing either means a scale regression, not noise. The rows'
+# bits and rounds are pinned too: they are the one byte-identity check
+# on the committee stack at the reduced-constant profile and at a
+# five-digit n, equal at every commit since PR 12 — a change that means
+# to move a draw or a charge re-records them here.
 SCALE_JSON="$(mktemp)"
 trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG" "$SCALE_JSON"' EXIT
 timeout 90 cargo run --release --offline -p ba-bench --bin exp_scale -- \
     --max-n 16384 --json "$SCALE_JSON"
 awk -F'"peak_rss_mb": ' '/"n": 16384,/ { found = 1; if ($2 + 0 > 800) { print "scale: n = 16384 peaked at " $2 + 0 " MB (budget 800)"; exit 1 } }
     END { if (!found) { print "scale: no n = 16384 row"; exit 1 } }' "$SCALE_JSON"
+for pin in \
+    '"n": 4096, .*"bits_good_max": 30781046, .*"rounds": 509, "agreement": true' \
+    '"n": 16384, .*"bits_good_max": 56761504, .*"rounds": 621, "agreement": true'; do
+    grep -Eq "$pin" "$SCALE_JSON" \
+        || { echo "scale: no row reads $pin"; cat "$SCALE_JSON"; exit 1; }
+done
 
 echo "== pinned regression scenarios =="
 cargo run --release --offline -p ba-bench --bin scenario -- scenarios/regressions
