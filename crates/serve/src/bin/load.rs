@@ -1,6 +1,6 @@
 //! Load generator for the ba-serve daemon: opens N sessions across a
 //! bounded number of client threads and reports latency percentiles,
-//! session throughput, and bytes on the wire.
+//! session throughput, and frames and bytes on the wire.
 //!
 //! ```text
 //! load --addr HOST:PORT [--sessions N] [--concurrency N] [--spec FILE]
@@ -32,8 +32,11 @@ struct Done {
     latency: Duration,
     agreement: f64,
     wire_bytes: u64,
+    wire_frames: u64,
     bytes_out: u64,
     bytes_in: u64,
+    frames_out: u64,
+    frames_in: u64,
     total_bits: u64,
     payload_bits: u64,
 }
@@ -163,8 +166,11 @@ fn run_one(
                     latency: s.wall,
                     agreement: s.outcome.agreement,
                     wire_bytes: s.outcome.wire_bytes,
+                    wire_frames: s.outcome.wire_frames,
                     bytes_out: s.bytes_out,
                     bytes_in: s.bytes_in,
+                    frames_out: s.frames_out,
+                    frames_in: s.frames_in,
                     total_bits: s.outcome.total_bits,
                     payload_bits: s.payload_bits,
                 });
@@ -220,6 +226,9 @@ fn report(
     let bytes_out: u64 = done.iter().map(|d| d.bytes_out).sum();
     let bytes_in: u64 = done.iter().map(|d| d.bytes_in).sum();
     let server_wire_bytes: u64 = done.iter().map(|d| d.wire_bytes).sum();
+    let frames_out: u64 = done.iter().map(|d| d.frames_out).sum();
+    let frames_in: u64 = done.iter().map(|d| d.frames_in).sum();
+    let server_wire_frames: u64 = done.iter().map(|d| d.wire_frames).sum();
     let total_bits: u64 = done.iter().map(|d| d.total_bits).sum();
     let payload_bits: u64 = done.iter().map(|d| d.payload_bits).sum();
 
@@ -237,6 +246,14 @@ fn report(
         "  wire: {bytes_out} B to server, {bytes_in} B from server \
          (server-counted data bytes: {server_wire_bytes}); model bits: {total_bits}"
     );
+    let per_session = |total: u64| total as f64 / done.len().max(1) as f64;
+    println!(
+        "  frames: {frames_out} to server, {frames_in} from server \
+         (server-counted data frames: {server_wire_frames}); \
+         per session: {:.1} frames, {:.1} B",
+        per_session(frames_out + frames_in),
+        per_session(bytes_out + bytes_in),
+    );
     for f in failures.iter().take(5) {
         println!("  failure: {f}");
     }
@@ -250,6 +267,8 @@ fn report(
              \"latency_ms\": {{ \"p50\": {p50:.3}, \"p90\": {p90:.3}, \"p99\": {p99:.3}, \"mean\": {mean:.3}, \"max\": {max:.3} }},\n  \
              \"bytes_to_server\": {bytes_out},\n  \"bytes_from_server\": {bytes_in},\n  \
              \"server_data_bytes\": {server_wire_bytes},\n  \
+             \"frames_to_server\": {frames_out},\n  \"frames_from_server\": {frames_in},\n  \
+             \"server_data_frames\": {server_wire_frames},\n  \
              \"model_total_bits\": {total_bits},\n  \"client_payload_bits\": {payload_bits}\n}}\n",
             completed = done.len(),
             failed = failures.len(),

@@ -4,8 +4,16 @@
 //! counts the tag byte plus the body. Bodies reuse the `ba-sim` wire
 //! codec primitives (little-endian scalars, explicit enum tags), so a
 //! protocol message travels as the exact bytes its [`WireMsg`] impl
-//! produces, carried opaquely inside a [`Frame::Send`] / [`Frame::Deliver`]
-//! payload.
+//! produces, carried opaquely inside a data frame: [`Frame::Send`] /
+//! [`Frame::Deliver`] for one recipient, [`Frame::SendMany`] /
+//! [`Frame::DeliverMany`] for one payload fanned to a list.
+//!
+//! There is one encoder and one decoder. Every frame is laid out by
+//! `encode_into` — [`Frame::to_bytes`], [`FrameWriter`] and the
+//! transport's allocation-free data path all go through it — and every
+//! data frame is read through `DataRef`, a borrowed view that
+//! [`Frame::decode`] copies out of and that the transport and the
+//! client's switch read in place.
 //!
 //! The codec is defensive in both directions: a frame longer than
 //! [`MAX_FRAME`] is rejected before any allocation, truncated input
@@ -32,15 +40,31 @@ pub const MAX_FRAME: u32 = 1 << 20;
 /// [`Payload::bit_len`]: ba_sim::Payload::bit_len
 pub const DATA_FRAME_OVERHEAD: u64 = 25;
 
+/// Fixed wire cost of one [`Frame::SendMany`] / [`Frame::DeliverMany`]
+/// beyond its payload bytes **and 4 bytes a recipient**: 4 (length
+/// prefix) + 1 (tag) + 4 (round) + 4 (from) + 8 (bits) + 4 (count) = 25
+/// bytes. A fan to `k` recipients costs `FAN_FRAME_OVERHEAD + 4·k +
+/// payload` once, where `k` single frames cost
+/// `k·(DATA_FRAME_OVERHEAD + payload)`.
+pub const FAN_FRAME_OVERHEAD: u64 = 25;
+
+/// Most recipients one fan frame names; a longer fan leaves as
+/// consecutive frames of this many. Half a [`MAX_FRAME`] of recipient
+/// ids leaves the other half to the payload, and being a constant keeps
+/// frame boundaries a function of the executor's calls alone.
+pub(crate) const FAN_CAP: usize = MAX_FRAME as usize / 8;
+
 const TAG_OPEN: u8 = 0;
-const TAG_SEND: u8 = 1;
+pub(crate) const TAG_SEND: u8 = 1;
 const TAG_COLLECT: u8 = 2;
-const TAG_DELIVER: u8 = 3;
+pub(crate) const TAG_DELIVER: u8 = 3;
 const TAG_ROUND_DONE: u8 = 4;
 const TAG_OUTCOME: u8 = 5;
 const TAG_BUSY: u8 = 6;
 const TAG_ERROR: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
+pub(crate) const TAG_SEND_MANY: u8 = 9;
+pub(crate) const TAG_DELIVER_MANY: u8 = 10;
 
 /// Errors from reading or decoding a frame.
 #[derive(Debug)]
@@ -173,13 +197,21 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 
 fn take_string(buf: &mut &[u8]) -> Result<String, FrameError> {
     let len = take_u32(buf)? as usize;
-    if buf.len() < len {
-        return Err(FrameError::Malformed(WireError::Truncated));
-    }
-    let (head, rest) = buf.split_at(len);
+    let head = take_bytes(buf, Some(len))?;
     let s = std::str::from_utf8(head).map_err(|_| FrameError::BadUtf8)?;
-    *buf = rest;
     Ok(s.to_owned())
+}
+
+/// Takes `len` bytes off the front of `buf` without copying them. A
+/// `len` beyond what is left (or `None`: one that overflowed on the way
+/// here) is [`WireError::Truncated`] — a length field is checked against
+/// the bytes that are there before anything is sized by it.
+fn take_bytes<'a>(buf: &mut &'a [u8], len: Option<usize>) -> Result<&'a [u8], WireError> {
+    let (head, rest) = len
+        .and_then(|len| buf.split_at_checked(len))
+        .ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(head)
 }
 
 /// One frame of the session protocol.
@@ -187,10 +219,12 @@ fn take_string(buf: &mut &[u8]) -> Result<String, FrameError> {
 /// The lifecycle: the client sends [`Frame::Open`]; the server either
 /// admits the session or answers [`Frame::Busy`] / [`Frame::Error`].
 /// While the session runs, the *server* drives: each [`Frame::Send`] is
-/// an envelope the executor handed its transport, each [`Frame::Collect`]
-/// asks the client to return every buffered envelope sent before the
-/// named round ([`Frame::Deliver`]*, then [`Frame::RoundDone`]). The
-/// session ends with [`Frame::Outcome`] (or [`Frame::Error`]).
+/// an envelope the executor handed its transport and each
+/// [`Frame::SendMany`] a whole multicast, each [`Frame::Collect`] asks
+/// the client to return every buffered frame sent before the named
+/// round, in arrival order ([`Frame::Deliver`] / [`Frame::DeliverMany`]*,
+/// then [`Frame::RoundDone`]). The session ends with [`Frame::Outcome`]
+/// (or [`Frame::Error`]).
 /// [`Frame::Shutdown`] on a fresh connection drains the whole daemon.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
@@ -257,106 +291,129 @@ pub enum Frame {
     },
     /// Client → server: stop accepting sessions, drain, and exit.
     Shutdown,
+    /// Server → client: one payload sent during `round` to every
+    /// processor in `to` — a committee multicast as one frame, buffered
+    /// and returned whole like a [`Frame::Send`].
+    SendMany {
+        /// The sending round.
+        round: u32,
+        /// Sender processor id.
+        from: u32,
+        /// The payload's model cost in bits, **per recipient** (as on
+        /// [`Frame::Send`]).
+        bits: u64,
+        /// Recipient processor ids, in delivery order.
+        to: Vec<u32>,
+        /// The payload's [`WireMsg`](ba_sim::WireMsg) encoding, once.
+        payload: Vec<u8>,
+    },
+    /// Client → server: one buffered multicast, echoed back verbatim
+    /// (same shape as [`Frame::SendMany`]).
+    DeliverMany {
+        /// The round the multicast was originally sent in.
+        round: u32,
+        /// Sender processor id.
+        from: u32,
+        /// The payload's model cost in bits, per recipient.
+        bits: u64,
+        /// Recipient processor ids, in delivery order.
+        to: Vec<u32>,
+        /// The payload's [`WireMsg`](ba_sim::WireMsg) encoding, once.
+        payload: Vec<u8>,
+    },
 }
 
 impl Frame {
     /// Serializes the frame as `[len][tag][body]`, ready to write.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
-        self.encode_body(&mut body);
-        debug_assert!(body.len() <= MAX_FRAME as usize);
-        let mut out = Vec::with_capacity(4 + body.len());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
+        // Room for any control frame and the usual data frame at once.
+        let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
         out
     }
 
-    fn encode_body(&self, out: &mut Vec<u8>) {
+    /// Appends the frame's `[len][tag][body]` to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        fn bytes(payload: &[u8]) -> impl FnOnce(&mut Vec<u8>) + '_ {
+            move |out| out.extend_from_slice(payload)
+        }
         match self {
-            Frame::Open { trial, spec } => {
-                put_u8(out, TAG_OPEN);
+            Frame::Open { trial, spec } => encode_into(out, TAG_OPEN, |out| {
                 put_u64(out, *trial);
                 put_string(out, spec);
-            }
+            }),
             Frame::Send {
                 round,
                 from,
                 to,
                 bits,
                 payload,
-            } => {
-                put_u8(out, TAG_SEND);
-                encode_data(out, *round, *from, *to, *bits, payload);
-            }
-            Frame::Collect { round } => {
-                put_u8(out, TAG_COLLECT);
-                put_u32(out, *round);
-            }
+            } => encode_single(out, TAG_SEND, *round, *from, *to, *bits, bytes(payload)),
+            Frame::Collect { round } => encode_into(out, TAG_COLLECT, |out| put_u32(out, *round)),
             Frame::Deliver {
                 round,
                 from,
                 to,
                 bits,
                 payload,
-            } => {
-                put_u8(out, TAG_DELIVER);
-                encode_data(out, *round, *from, *to, *bits, payload);
-            }
+            } => encode_single(out, TAG_DELIVER, *round, *from, *to, *bits, bytes(payload)),
             Frame::RoundDone { round } => {
-                put_u8(out, TAG_ROUND_DONE);
-                put_u32(out, *round);
+                encode_into(out, TAG_ROUND_DONE, |out| put_u32(out, *round))
             }
-            Frame::Outcome(ow) => {
-                put_u8(out, TAG_OUTCOME);
-                ow.encode(out);
-            }
+            Frame::Outcome(ow) => encode_into(out, TAG_OUTCOME, |out| ow.encode(out)),
             Frame::Busy { retry_after_ms } => {
-                put_u8(out, TAG_BUSY);
-                put_u32(out, *retry_after_ms);
+                encode_into(out, TAG_BUSY, |out| put_u32(out, *retry_after_ms))
             }
-            Frame::Error { message } => {
-                put_u8(out, TAG_ERROR);
-                put_string(out, message);
+            Frame::Error { message } => encode_into(out, TAG_ERROR, |out| put_string(out, message)),
+            Frame::Shutdown => encode_into(out, TAG_SHUTDOWN, |_| {}),
+            Frame::SendMany {
+                round,
+                from,
+                bits,
+                to,
+                payload,
+            } => {
+                let to = to.iter().copied();
+                encode_fan(out, TAG_SEND_MANY, *round, *from, *bits, to, bytes(payload))
             }
-            Frame::Shutdown => put_u8(out, TAG_SHUTDOWN),
+            Frame::DeliverMany {
+                round,
+                from,
+                bits,
+                to,
+                payload,
+            } => {
+                let to = to.iter().copied();
+                encode_fan(
+                    out,
+                    TAG_DELIVER_MANY,
+                    *round,
+                    *from,
+                    *bits,
+                    to,
+                    bytes(payload),
+                )
+            }
         }
     }
 
     /// Decodes a frame from its `tag + body` bytes (the length prefix
     /// already stripped). Fixed-width frames must consume the body
-    /// exactly; `Send`/`Deliver` treat the remainder as the payload.
+    /// exactly; data frames treat the remainder as the payload.
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
+        if let Some(data) = DataRef::parse(body)? {
+            return Ok(data.to_frame());
+        }
         let mut buf = body;
-        let tag = take_u8(&mut buf)?;
-        let frame = match tag {
+        let frame = match take_u8(&mut buf)? {
             TAG_OPEN => {
                 let trial = take_u64(&mut buf)?;
                 let spec = take_string(&mut buf)?;
                 Frame::Open { trial, spec }
             }
-            TAG_SEND => {
-                let (round, from, to, bits, payload) = decode_data(&mut buf)?;
-                Frame::Send {
-                    round,
-                    from,
-                    to,
-                    bits,
-                    payload,
-                }
-            }
             TAG_COLLECT => Frame::Collect {
                 round: take_u32(&mut buf)?,
             },
-            TAG_DELIVER => {
-                let (round, from, to, bits, payload) = decode_data(&mut buf)?;
-                Frame::Deliver {
-                    round,
-                    from,
-                    to,
-                    bits,
-                    payload,
-                }
-            }
             TAG_ROUND_DONE => Frame::RoundDone {
                 round: take_u32(&mut buf)?,
             },
@@ -377,23 +434,157 @@ impl Frame {
     }
 }
 
-fn encode_data(out: &mut Vec<u8>, round: u32, from: u32, to: u32, bits: u64, payload: &[u8]) {
-    put_u32(out, round);
-    put_u32(out, from);
-    put_u32(out, to);
-    put_u64(out, bits);
-    out.extend_from_slice(payload);
+/// The one frame encoder: appends `[len][tag]` and whatever `body`
+/// appends to `out`, patching the length prefix once the body is there
+/// — so a frame is laid out in place, in a buffer the caller reuses.
+pub(crate) fn encode_into(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    put_u8(out, tag);
+    body(out);
+    let len = out.len() - at - 4;
+    debug_assert!(len <= MAX_FRAME as usize);
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_data(buf: &mut &[u8]) -> Result<(u32, u32, u32, u64, Vec<u8>), FrameError> {
-    let round = take_u32(buf)?;
-    let from = take_u32(buf)?;
-    let to = take_u32(buf)?;
-    let bits = take_u64(buf)?;
-    let payload = buf.to_vec();
-    *buf = &[];
-    Ok((round, from, to, bits, payload))
+/// Appends a `Send` / `Deliver` frame; `payload` appends the payload's
+/// bytes.
+pub(crate) fn encode_single(
+    out: &mut Vec<u8>,
+    tag: u8,
+    round: u32,
+    from: u32,
+    to: u32,
+    bits: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    encode_into(out, tag, |out| {
+        put_u32(out, round);
+        put_u32(out, from);
+        put_u32(out, to);
+        put_u64(out, bits);
+        payload(out);
+    });
+}
+
+/// Appends a `SendMany` / `DeliverMany` frame naming the recipients
+/// `to`; `payload` appends the payload's bytes, once.
+pub(crate) fn encode_fan(
+    out: &mut Vec<u8>,
+    tag: u8,
+    round: u32,
+    from: u32,
+    bits: u64,
+    to: impl ExactSizeIterator<Item = u32>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    encode_into(out, tag, |out| {
+        put_u32(out, round);
+        put_u32(out, from);
+        put_u64(out, bits);
+        put_u32(out, to.len() as u32);
+        for id in to {
+            put_u32(out, id);
+        }
+        payload(out);
+    });
+}
+
+/// A data frame read in place: the fields of a `Send` / `Deliver` (one
+/// recipient) or a `SendMany` / `DeliverMany` (a list), borrowed from
+/// the frame's `tag + body` bytes. The one decoder of data frames —
+/// [`Frame::decode`] copies out of it, the transport and the client's
+/// switch read through it — so all three accept and reject the same
+/// bytes.
+pub(crate) struct DataRef<'a> {
+    /// The frame's tag: one of the four data tags.
+    pub tag: u8,
+    /// The sending round.
+    pub round: u32,
+    /// Sender processor id.
+    pub from: u32,
+    /// Model cost in bits, per recipient.
+    pub bits: u64,
+    /// Recipient ids, 4 little-endian bytes each.
+    pub to: &'a [u8],
+    /// The payload's bytes.
+    pub payload: &'a [u8],
+}
+
+impl<'a> DataRef<'a> {
+    /// Reads `body` (`tag + body`, no length prefix) as a data frame;
+    /// `Ok(None)` when its tag is not a data frame's.
+    pub(crate) fn parse(body: &'a [u8]) -> Result<Option<DataRef<'a>>, FrameError> {
+        let mut buf = body;
+        let tag = take_u8(&mut buf)?;
+        let fan = match tag {
+            TAG_SEND | TAG_DELIVER => false,
+            TAG_SEND_MANY | TAG_DELIVER_MANY => true,
+            _ => return Ok(None),
+        };
+        let round = take_u32(&mut buf)?;
+        let from = take_u32(&mut buf)?;
+        let (bits, to) = if fan {
+            let bits = take_u64(&mut buf)?;
+            let count = take_u32(&mut buf)? as usize;
+            (bits, take_bytes(&mut buf, count.checked_mul(4))?)
+        } else {
+            let to = take_bytes(&mut buf, Some(4))?;
+            (take_u64(&mut buf)?, to)
+        };
+        Ok(Some(DataRef {
+            tag,
+            round,
+            from,
+            bits,
+            to,
+            payload: buf,
+        }))
+    }
+
+    /// The recipient ids, in frame order.
+    pub(crate) fn recipients(&self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        self.to
+            .chunks_exact(4)
+            .map(|id| u32::from_le_bytes(id.try_into().expect("chunks of 4")))
+    }
+
+    fn to_frame(&self) -> Frame {
+        let (round, from, bits) = (self.round, self.from, self.bits);
+        let payload = self.payload.to_vec();
+        let mut ids = self.recipients();
+        let mut one = || ids.next().expect("a single names one recipient");
+        match self.tag {
+            TAG_SEND => Frame::Send {
+                round,
+                from,
+                to: one(),
+                bits,
+                payload,
+            },
+            TAG_DELIVER => Frame::Deliver {
+                round,
+                from,
+                to: one(),
+                bits,
+                payload,
+            },
+            TAG_SEND_MANY => Frame::SendMany {
+                round,
+                from,
+                bits,
+                to: ids.collect(),
+                payload,
+            },
+            _ => Frame::DeliverMany {
+                round,
+                from,
+                bits,
+                to: ids.collect(),
+                payload,
+            },
+        }
+    }
 }
 
 /// Reads `buf.len()` bytes exactly. `Ok(false)` means the stream ended
@@ -440,6 +631,17 @@ impl<R: Read> FrameReader<R> {
     /// Reads one frame. [`FrameError::Closed`] signals a clean EOF at a
     /// frame boundary; every other error is a protocol or I/O failure.
     pub fn read_frame(&mut self) -> Result<Frame, FrameError> {
+        let mut raw = Vec::new();
+        self.read_raw(&mut raw)?;
+        Frame::decode(&raw[4..])
+    }
+
+    /// Appends one frame's `[len][tag][body]` to `into` undecoded (a
+    /// buffer the caller reuses, or an arena of frames to echo); the
+    /// frame's `tag + body` is `into[start + 4..]`, `start` being
+    /// `into.len()` before the call. Errors as [`Self::read_frame`]
+    /// does, short of decoding the body.
+    pub(crate) fn read_raw(&mut self, into: &mut Vec<u8>) -> Result<(), FrameError> {
         let mut len_buf = [0u8; 4];
         if !fill(&mut self.inner, &mut len_buf)? {
             return Err(FrameError::Closed);
@@ -451,20 +653,23 @@ impl<R: Read> FrameReader<R> {
         if len > MAX_FRAME {
             return Err(FrameError::Oversized { len });
         }
-        let mut body = vec![0u8; len as usize];
-        if !fill(&mut self.inner, &mut body)? {
+        into.extend_from_slice(&len_buf);
+        let body = into.len();
+        into.resize(body + len as usize, 0);
+        if !fill(&mut self.inner, &mut into[body..])? {
             return Err(FrameError::Truncated);
         }
-        let frame = Frame::decode(&body)?;
         self.frames += 1;
         self.bytes += 4 + u64::from(len);
-        Ok(frame)
+        Ok(())
     }
 }
 
 /// A counting frame writer over any [`Write`].
 pub struct FrameWriter<W> {
     inner: W,
+    /// The frame being encoded; reused, so writing allocates nothing.
+    scratch: Vec<u8>,
     /// Frames written.
     pub frames: u64,
     /// Bytes written, length prefixes included.
@@ -476,6 +681,7 @@ impl<W: Write> FrameWriter<W> {
     pub fn new(inner: W) -> Self {
         FrameWriter {
             inner,
+            scratch: Vec::new(),
             frames: 0,
             bytes: 0,
         }
@@ -486,10 +692,27 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// [`flush`]: FrameWriter::flush
     pub fn write_frame(&mut self, frame: &Frame) -> std::io::Result<()> {
-        let bytes = frame.to_bytes();
-        self.inner.write_all(&bytes)?;
+        self.write_with(|out| frame.encode_into(out))
+    }
+
+    /// Writes the one frame `encode` appends to the buffer it is handed
+    /// (through `encode_into` and its helpers: a data frame goes from
+    /// the executor's values to the wire without an owned [`Frame`]).
+    pub(crate) fn write_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.inner.write_all(&self.scratch)?;
         self.frames += 1;
-        self.bytes += bytes.len() as u64;
+        self.bytes += self.scratch.len() as u64;
+        Ok(())
+    }
+
+    /// Writes `raw`, the concatenated bytes of `frames` encoded frames,
+    /// in one `write_all`.
+    pub(crate) fn write_raw(&mut self, raw: &[u8], frames: u64) -> std::io::Result<()> {
+        self.inner.write_all(raw)?;
+        self.frames += frames;
+        self.bytes += raw.len() as u64;
         Ok(())
     }
 
@@ -551,6 +774,20 @@ mod tests {
             message: "bad spec".to_owned(),
         });
         round_trip(&Frame::Shutdown);
+        round_trip(&Frame::SendMany {
+            round: 3,
+            from: 1,
+            bits: 40,
+            to: vec![2, 5, 8],
+            payload: vec![1, 2, 3, 4, 5],
+        });
+        round_trip(&Frame::DeliverMany {
+            round: 3,
+            from: 1,
+            bits: 40,
+            to: Vec::new(),
+            payload: Vec::new(),
+        });
     }
 
     #[test]
@@ -567,6 +804,24 @@ mod tests {
             f.to_bytes().len() as u64,
             DATA_FRAME_OVERHEAD + payload.len() as u64
         );
+    }
+
+    #[test]
+    fn fan_frame_overhead_matches_constant() {
+        let payload = vec![9u8; 17];
+        for recipients in [0u64, 1, 64] {
+            let f = Frame::SendMany {
+                round: 1,
+                from: 0,
+                bits: 8,
+                to: (0..recipients as u32).collect(),
+                payload: payload.clone(),
+            };
+            assert_eq!(
+                f.to_bytes().len() as u64,
+                FAN_FRAME_OVERHEAD + 4 * recipients + payload.len() as u64
+            );
+        }
     }
 
     #[test]

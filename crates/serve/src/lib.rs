@@ -10,13 +10,16 @@
 //!
 //! * [`frame`] — the length-prefixed wire codec. Protocol messages
 //!   travel as their [`WireMsg`](ba_sim::WireMsg) bytes inside framed
-//!   envelopes; the codec errors (never panics) on torn, oversized, or
-//!   malformed input.
+//!   envelopes — one frame per envelope, or one per committee multicast
+//!   with its recipient list; the codec errors (never panics) on torn,
+//!   oversized, or malformed input.
 //! * [`SocketTransport`] / [`SocketFactory`] — the harness
-//!   [`TransportFactory`](ba_exp::TransportFactory) seam over TCP. The
-//!   client is a dumb synchronous switch, so for synchronous configs a
-//!   served trial's outcome is **identical per seed** to the in-process
-//!   run (pinned by the loopback tests).
+//!   [`TransportFactory`](ba_exp::TransportFactory) seam over TCP, paid
+//!   per transport call as the in-process transports are. The client is
+//!   a dumb synchronous switch that echoes the bytes it was sent, so for
+//!   synchronous configs a served trial's outcome is **identical per
+//!   seed** to the in-process run (pinned by the loopback and
+//!   equivalence tests).
 //! * [`Server`] — the accept loop: sessions multiplex onto a bounded
 //!   [`ba_par::Pool`]; a full pool answers [`Frame::Busy`] (explicit
 //!   backpressure), a crashed session answers [`Frame::Error`] without
@@ -39,7 +42,8 @@ mod transport;
 
 pub use client::{ClientError, SessionOutcome};
 pub use frame::{
-    Frame, FrameError, FrameReader, FrameWriter, OutcomeWire, DATA_FRAME_OVERHEAD, MAX_FRAME,
+    Frame, FrameError, FrameReader, FrameWriter, OutcomeWire, DATA_FRAME_OVERHEAD,
+    FAN_FRAME_OVERHEAD, MAX_FRAME,
 };
 pub use server::{ServeSummary, Server, ServerOpts};
 pub use transport::{SocketFactory, SocketTransport, WireCounters};

@@ -2,8 +2,9 @@
 //! sessions onto a bounded [`ba_par::Pool`].
 //!
 //! One connection is one session (one trial of one spec). The accept
-//! thread reads the opening frame — with a read timeout, so an idle
-//! connection cannot wedge the daemon — and hands the stream to a pool
+//! thread reads the opening frame and hands the stream to a pool worker;
+//! the socket carries a read and write timeout from accept to close, so
+//! a connection that goes idle can wedge neither the daemon nor a
 //! worker. Backpressure is explicit: when every worker is busy and the
 //! backlog is full, the client gets [`Frame::Busy`] with a suggested
 //! retry delay instead of an unbounded queue. A panicking session is
@@ -34,7 +35,8 @@ pub struct ServerOpts {
     pub queue: usize,
     /// Backoff suggested to rejected clients, in milliseconds.
     pub retry_after_ms: u32,
-    /// Seconds an accepted connection may take to send its first frame.
+    /// Seconds of silence tolerated on a connection, the `Open` included:
+    /// the socket's read and write timeout for the whole session.
     pub open_timeout_secs: u64,
     /// Observability handle shared by every session.
     pub trace: Trace,
@@ -130,13 +132,18 @@ impl Server {
     ) -> ControlFlow {
         let trace = &self.opts.trace;
         // The first frame is read on the accept thread: bound the wait
-        // so a silent connection cannot stall intake forever.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(
-            self.opts.open_timeout_secs.max(1),
-        )));
-        let first = FrameReader::new(&stream).read_frame();
-        let _ = stream.set_read_timeout(None);
-        match first {
+        // so a silent connection cannot stall intake forever. The bound
+        // stays in force for the session, on reads and writes both — a
+        // live switch answers in microseconds, so a peer that goes quiet
+        // (or stops reading) mid-session fails its session and frees its
+        // worker instead of pinning it.
+        let idle = Some(Duration::from_secs(self.opts.open_timeout_secs.max(1)));
+        let _ = stream.set_read_timeout(idle);
+        let _ = stream.set_write_timeout(idle);
+        // Every round ends in a 9-byte `Collect` behind a burst of
+        // sub-MSS writes; Nagle would hold it for the peer's ACK.
+        let _ = stream.set_nodelay(true);
+        match FrameReader::new(&stream).read_frame() {
             Ok(Frame::Open { trial, spec }) => {
                 trace.event(
                     "serve:accept",

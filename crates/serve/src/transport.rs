@@ -2,14 +2,24 @@
 //! real TCP stream, and the [`TransportFactory`] that builds it.
 //!
 //! The daemon hosts the executor; the client side is a *dumb synchronous
-//! switch* (see `client`): it buffers every [`Frame::Send`] it receives
-//! and, on [`Frame::Collect`]`{round}`, returns each buffered envelope
-//! whose sending round precedes `round`, in the order sent. Because TCP
+//! switch* (see `client`): it buffers every data frame it receives and,
+//! on [`Frame::Collect`]`{round}`, returns each buffered frame whose
+//! sending round precedes `round`, in the order sent. Because TCP
 //! preserves order and the engine drives rounds in lockstep, this
 //! reproduces the in-process `NetTransport` delivery semantics for
 //! synchronous configurations *exactly* — same envelopes, same order,
 //! same rounds — so a served trial's outcome is identical, per seed, to
 //! the in-process run of the same spec.
+//!
+//! The wire is paid per *call*, as the in-process transports are: one
+//! [`Transport::send`] is one [`Frame::Send`], one
+//! [`Transport::send_many`] is one [`Frame::SendMany`] however long its
+//! recipient list (cut only at the fixed `FAN_CAP`), and nothing else
+//! decides where a frame ends — so a session's frames and bytes repeat
+//! exactly per seed. All accounting ([`NetStats`], the phase buckets)
+//! still counts per recipient. Data frames are encoded into, and read
+//! from, buffers the transport reuses: an envelope costs no heap
+//! allocation on either path.
 //!
 //! That guarantee is why [`SocketFactory::make`] rejects any
 //! [`NetConfig`] that is not [`NetConfig::is_synchronous`]: latency,
@@ -23,11 +33,11 @@
 //! per-session panics (crash isolation) and reports them to the client
 //! as [`Frame::Error`].
 
-use crate::frame::{Frame, FrameReader, FrameWriter};
+use crate::frame::{self, DataRef, Frame, FrameReader, FrameWriter};
 use ba_exp::{SessionTransport, TransportFactory};
 use ba_net::{NetConfig, NetStats, PhaseNetStats};
 use ba_obs::Trace;
-use ba_sim::{Envelope, ProcId, Transport, WireMsg};
+use ba_sim::{Envelope, Multicast, ProcId, Transport, WireMsg};
 use std::io::{BufReader, BufWriter};
 use std::marker::PhantomData;
 use std::net::TcpStream;
@@ -61,12 +71,26 @@ impl WireCounters {
     }
 }
 
+/// Capacity of the buffers between the frame codec and the socket, on
+/// both ends of a session: a round's burst of small frames leaves in a
+/// handful of writes.
+pub(crate) const SOCKET_BUF: usize = 64 * 1024;
+
 /// A [`Transport`] that carries envelopes over a TCP stream to a
 /// buffering peer, restricted to synchronous configurations (see the
 /// module docs for why the restriction makes outcomes carrier-exact).
 pub struct SocketTransport<M> {
     reader: FrameReader<BufReader<TcpStream>>,
     writer: FrameWriter<BufWriter<TcpStream>>,
+    /// The frame being read; reused.
+    inbound: Vec<u8>,
+    /// The last delivered fan's recipient list. Every sender of a
+    /// committee fans to the same list, so the next fan's recipient
+    /// bytes usually spell this one again and it is shared, not rebuilt
+    /// — which also keeps the `Arc::ptr_eq` memos downstream (the
+    /// tournament's winner receipts) as effective as they are in
+    /// process.
+    last_fan: Arc<[ProcId]>,
     cfg: NetConfig,
     stats: NetStats,
     /// Start rounds of mark-derived phases (parallel to
@@ -112,8 +136,10 @@ impl<M: WireMsg> SocketTransport<M> {
             });
         }
         Ok(SocketTransport {
-            reader: FrameReader::new(BufReader::new(reader)),
-            writer: FrameWriter::new(BufWriter::new(stream)),
+            reader: FrameReader::new(BufReader::with_capacity(SOCKET_BUF, reader)),
+            writer: FrameWriter::new(BufWriter::with_capacity(SOCKET_BUF, stream)),
+            inbound: Vec::new(),
+            last_fan: Arc::from([]),
             cfg,
             stats,
             marks: Vec::new(),
@@ -166,27 +192,30 @@ impl<M: WireMsg> SocketTransport<M> {
     }
 }
 
-impl<M: WireMsg> Transport<M> for SocketTransport<M> {
-    fn send(&mut self, round: usize, env: Envelope<M>) {
-        self.stats.sent += 1;
-        let bits = env.bit_len();
+/// Who a delivered data frame is for.
+enum Recipients<'a> {
+    /// A `Deliver`'s one recipient.
+    One(ProcId),
+    /// A `DeliverMany`'s list, in frame order.
+    Many(&'a Arc<[ProcId]>),
+}
+
+impl<M: WireMsg> SocketTransport<M> {
+    /// The send-side accounting of `count` envelopes of `bits` each
+    /// entering the wire in `round`; mirrors `NetTransport::count_sent`.
+    fn count_sent(&mut self, round: usize, count: u64, bits: u64) {
+        self.stats.sent += count;
         if let Some(b) = self.phase_bucket(round) {
-            b.sent += 1;
-            b.sent_bits += bits;
+            b.sent += count;
+            b.sent_bits += bits * count;
         }
-        let frame = Frame::Send {
-            round: round as u32,
-            from: env.from.index() as u32,
-            to: env.to.index() as u32,
-            bits,
-            payload: env.payload.to_wire(),
-        };
-        self.writer
-            .write_frame(&frame)
-            .unwrap_or_else(|e| panic!("serve session send failed: {e}"));
     }
 
-    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+    /// Asks the switch for everything due at `round` and hands each data
+    /// frame it answers with to `sink`, in frame order, having counted
+    /// it per recipient. The shared body of [`Transport::collect`] and
+    /// [`Transport::collect_many`].
+    fn drain_round(&mut self, round: usize, sink: &mut dyn FnMut(ProcId, Recipients<'_>, M)) {
         self.writer
             .write_frame(&Frame::Collect {
                 round: round as u32,
@@ -194,40 +223,110 @@ impl<M: WireMsg> Transport<M> for SocketTransport<M> {
             .and_then(|()| self.writer.flush())
             .unwrap_or_else(|e| panic!("serve session collect failed: {e}"));
         loop {
-            let frame = self
-                .reader
-                .read_frame()
+            self.inbound.clear();
+            self.reader
+                .read_raw(&mut self.inbound)
                 .unwrap_or_else(|e| panic!("serve session read failed: {e}"));
-            match frame {
-                Frame::Deliver {
-                    round: sent_round,
-                    from,
-                    to,
-                    bits: _,
-                    payload,
-                } => {
-                    let msg = M::from_wire(&payload)
-                        .unwrap_or_else(|e| panic!("serve session payload malformed: {e}"));
-                    self.stats.delivered += 1;
-                    if let Some(b) = self.phase_bucket(sent_round as usize) {
-                        b.delivered += 1;
+            let body = &self.inbound[4..];
+            let data = DataRef::parse(body)
+                .unwrap_or_else(|e| panic!("serve session read failed: {e}"))
+                .filter(|d| matches!(d.tag, frame::TAG_DELIVER | frame::TAG_DELIVER_MANY));
+            let Some(data) = data else {
+                match Frame::decode(body) {
+                    Ok(Frame::RoundDone { round: done }) => {
+                        assert_eq!(
+                            done, round as u32,
+                            "switch answered collect({round}) with round-done({done})"
+                        );
+                        return;
                     }
-                    deliver(Envelope::new(
-                        ProcId::new(from as usize),
-                        ProcId::new(to as usize),
-                        msg,
-                    ));
+                    other => panic!("unexpected frame during collect: {other:?}"),
                 }
-                Frame::RoundDone { round: done } => {
-                    assert_eq!(
-                        done, round as u32,
-                        "switch answered collect({round}) with round-done({done})"
-                    );
-                    break;
+            };
+            let msg = M::from_wire(data.payload)
+                .unwrap_or_else(|e| panic!("serve session payload malformed: {e}"));
+            let (from, sent_round) = (ProcId::new(data.from as usize), data.round as usize);
+            let (count, one) = {
+                let mut ids = data.recipients().map(|id| ProcId::new(id as usize));
+                let count = ids.len() as u64;
+                if data.tag == frame::TAG_DELIVER {
+                    (count, ids.next())
+                } else {
+                    if !ids.clone().eq(self.last_fan.iter().copied()) {
+                        self.last_fan = ids.collect();
+                    }
+                    (count, None)
                 }
-                other => panic!("unexpected frame during collect: {other:?}"),
+            };
+            self.stats.delivered += count;
+            if let Some(b) = self.phase_bucket(sent_round) {
+                b.delivered += count;
             }
+            let to = one.map_or(Recipients::Many(&self.last_fan), Recipients::One);
+            sink(from, to, msg);
         }
+    }
+}
+
+impl<M: WireMsg> Transport<M> for SocketTransport<M> {
+    fn send(&mut self, round: usize, env: Envelope<M>) {
+        let bits = env.bit_len();
+        self.count_sent(round, 1, bits);
+        let (from, to) = (env.from.index() as u32, env.to.index() as u32);
+        self.writer
+            .write_with(|out| {
+                frame::encode_single(out, frame::TAG_SEND, round as u32, from, to, bits, |out| {
+                    env.payload.encode(out)
+                })
+            })
+            .unwrap_or_else(|e| panic!("serve session send failed: {e}"));
+    }
+
+    /// One frame per fan (per [`frame::FAN_CAP`] recipients of a longer
+    /// one), counted per recipient exactly as its expansion would be.
+    fn send_many(&mut self, round: usize, mc: Multicast<M>) {
+        let bits = mc.payload.bit_len();
+        self.count_sent(round, mc.to.len() as u64, bits);
+        let from = mc.from.index() as u32;
+        for to in mc.to.chunks(frame::FAN_CAP) {
+            let to = to.iter().map(|p| p.index() as u32);
+            self.writer
+                .write_with(|out| {
+                    frame::encode_fan(
+                        out,
+                        frame::TAG_SEND_MANY,
+                        round as u32,
+                        from,
+                        bits,
+                        to,
+                        |out| mc.payload.encode(out),
+                    )
+                })
+                .unwrap_or_else(|e| panic!("serve session send failed: {e}"));
+        }
+    }
+
+    /// A fan expands per recipient in list order, as `Lockstep::collect`
+    /// expands one.
+    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+        self.drain_round(round, &mut |from, to, msg| match to {
+            Recipients::One(to) => deliver(Envelope::new(from, to, msg)),
+            Recipients::Many(list) => {
+                for &to in list.iter() {
+                    deliver(Envelope::new(from, to, msg.clone()));
+                }
+            }
+        });
+    }
+
+    fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
+        self.drain_round(round, &mut |from, to, payload| {
+            let to = match to {
+                Recipients::One(to) => Arc::from([to].as_slice()),
+                Recipients::Many(list) => Arc::clone(list),
+            };
+            deliver(Multicast { from, to, payload });
+        });
     }
 
     fn mark_phase(&mut self, round: usize, name: &str) {

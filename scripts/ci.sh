@@ -73,25 +73,44 @@ echo "== hunt smoke (seed-pinned, budget-bounded) =="
 cargo run --release --offline -p ba-bench --bin hunt -- \
     --seed 7 --budget 150 --expect equivocate
 
-echo "== serve smoke (TCP daemon, one session, graceful shutdown) =="
-# Boots the ba-serve daemon on an ephemeral loopback port, runs a few
-# sessions through the load client, and requires: every session reaches
-# agreement, the daemon drains cleanly on shutdown, and the whole dance
-# fits in a timeout (a hung accept loop or switch deadlock fails here).
+echo "== serve smoke (TCP daemon, both frame kinds, pinned wire, graceful shutdown) =="
+# Boots the ba-serve daemon on an ephemeral loopback port and runs two
+# load passes through it: four sessions of the default spec (tournament
+# n = 64, trials 0-3: nothing but fans, SendMany/DeliverMany) and four
+# of an engine-hosted scenario (phase_king n = 48 under a configured
+# schedule: nothing but singles, Send/Deliver). Requires: every session
+# reaches agreement, the daemon drains cleanly on shutdown, the whole
+# dance fits in a timeout (a hung accept loop or switch deadlock fails
+# here) — and the server-counted data frames and bytes of each pass
+# equal the recorded constants. They are exact per seed, as the scale
+# rows' bits and rounds are: frame boundaries are a function of the
+# executor's calls alone. A transport that fell back to a frame per
+# recipient (b37dcd8) reads 54 645 136 B on the first pass in 60 times
+# the frames and fails here without a timer; a change that means to move
+# the wire re-records the four numbers.
 SERVE_ADDR="$(mktemp)"
 SERVE_LOG="$(mktemp)"
-trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG"' EXIT
+SERVE_JSON="$(mktemp)"
+trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG" "$SERVE_JSON"' EXIT
 rm -f "$SERVE_ADDR"
 timeout 180 target/release/serve \
     --port-file "$SERVE_ADDR" --workers 2 --queue 4 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [[ -s "$SERVE_ADDR" ]] && break; sleep 0.1; done
 [[ -s "$SERVE_ADDR" ]] || { echo "serve: daemon never published its port"; exit 1; }
-timeout 120 target/release/load \
-    --port-file "$SERVE_ADDR" --sessions 4 --concurrency 2 --shutdown \
-    | tee "$SERVE_LOG"
-grep -q "all_agreed = true" "$SERVE_LOG" \
-    || { echo "serve: sessions completed without full agreement"; exit 1; }
+serve_pass() { # <data frames> <data bytes> <load arguments...>
+    local frames="$1" bytes="$2"
+    shift 2
+    timeout 120 target/release/load --port-file "$SERVE_ADDR" \
+        --sessions 4 --concurrency 2 --json "$SERVE_JSON" "$@" | tee "$SERVE_LOG"
+    grep -q "all_agreed = true" "$SERVE_LOG" \
+        || { echo "serve: sessions completed without full agreement"; exit 1; }
+    grep -q "\"server_data_frames\": $frames," "$SERVE_JSON" \
+        && grep -q "\"server_data_bytes\": $bytes," "$SERVE_JSON" \
+        || { echo "serve: the wire moved (pinned: $frames data frames, $bytes B)"; cat "$SERVE_JSON"; exit 1; }
+}
+serve_pass 20736 6088112
+serve_pass 225992 6098184 --spec scenarios/00-baseline-sync.scn --shutdown
 wait "$SERVE_PID"
 
 echo "== scale smoke (everywhere stack end-to-end at n = 4096 and 16384) =="
@@ -108,7 +127,7 @@ echo "== scale smoke (everywhere stack end-to-end at n = 4096 and 16384) =="
 # five-digit n, equal at every commit since PR 12 — a change that means
 # to move a draw or a charge re-records them here.
 SCALE_JSON="$(mktemp)"
-trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG" "$SCALE_JSON"' EXIT
+trap 'rm -f "$TRACE_TMP" "$SERVE_ADDR" "$SERVE_LOG" "$SERVE_JSON" "$SCALE_JSON"' EXIT
 timeout 90 cargo run --release --offline -p ba-bench --bin exp_scale -- \
     --max-n 16384 --json "$SCALE_JSON"
 awk -F'"peak_rss_mb": ' '/"n": 16384,/ { found = 1; if ($2 + 0 > 800) { print "scale: n = 16384 peaked at " $2 + 0 " MB (budget 800)"; exit 1 } }
