@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the protocol's hot primitives:
 //! field arithmetic, Shamir share/reconstruct, iterated dealing,
-//! sampler and regular-graph construction, the lightest-bin election,
-//! one committee-agreement execution, and one Algorithm-3 loop.
+//! sampler and regular-graph construction, the lightest-bin election
+//! and an election's input views, one committee-agreement execution, and
+//! one Algorithm-3 loop.
 
 use ba_core::ae_to_e::{AeToEConfig, AeToEProcess};
 use ba_core::aeba::{run_committee, AebaConfig, CommitteeAttack};
 use ba_core::election::lightest_bin;
+use ba_core::tournament::InputViews;
 use ba_crypto::iterated::{Layer, ShareTree};
 use ba_crypto::{shamir, Gf16};
 use ba_sampler::{RegularGraph, Sampler};
@@ -162,6 +164,19 @@ fn bench_election(c: &mut Criterion) {
             bch.iter(|| lightest_bin(black_box(&choices), bins, (r / bins).max(1)))
         });
     }
+    // The members' views of one candidate's 4-bit bin choice in a
+    // top-level election committee: one keyed stream set up, 16 384
+    // member draws off it (divide by that for the cost a member; it was
+    // a ChaCha block and a key set-up each).
+    let saw = vec![true; 4096];
+    g.bench_function("input_views_k4096_b4", |bch| {
+        bch.iter(|| {
+            let mut views = InputViews::new(black_box(4), 6, 1, 3, 0.02);
+            (0..4)
+                .map(|bit| views.next_bit(bit % 2 == 0, black_box(&saw), true))
+                .collect::<Vec<_>>()
+        })
+    });
     g.finish();
 }
 

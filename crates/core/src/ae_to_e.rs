@@ -151,6 +151,11 @@ impl AeToEConfig {
     }
 }
 
+/// What a target slot holds once its answer is tallied: the index no
+/// processor has for any `n < 2³²`, so no later response matches the
+/// slot again.
+const ANSWERED: usize = u32::MAX as usize;
+
 /// Per-processor state machine for Algorithm 3.
 #[derive(Debug)]
 pub struct AeToEProcess {
@@ -159,12 +164,13 @@ pub struct AeToEProcess {
     knowledge: Option<u64>,
     decided: Option<u64>,
     /// Whom this processor sent each label to in the current loop,
-    /// label-major: label `l`'s targets are
-    /// `sent[l·per_label..(l + 1)·per_label]`.
+    /// label-major: label `l`'s target slots are
+    /// `sent[l·per_label..(l + 1)·per_label]`. A slot whose answer has
+    /// been counted holds [`ANSWERED`].
     sent: Vec<ProcId>,
     /// Responses received this loop as `(label, value, count)`, sorted by
-    /// `(label, value)`, counting only processors that were actually
-    /// sent that label.
+    /// `(label, value)`, counting one response per target slot of the
+    /// label.
     tally: Vec<(u16, u64, usize)>,
     /// Set once the full X-loop schedule has run; processors do not
     /// reveal their decision early (everyone participates in every loop —
@@ -244,14 +250,18 @@ impl AeToEProcess {
             let AeMsg::Response { label, value } = e.payload else {
                 continue;
             };
-            // Count only answers from processors actually sent this label.
+            // Count one answer per sampled target slot of this label
+            // (Alg. 3 step 4 tallies the sample, not the mail): a
+            // processor sampled twice may answer twice, and nobody
+            // answers more often than it was asked.
             let at = usize::from(label) * per_label;
-            let Some(targets) = self.sent.get(at..at + per_label) else {
+            let Some(slots) = self.sent.get_mut(at..at + per_label) else {
                 continue;
             };
-            if !targets.contains(&e.from) {
+            let Some(slot) = slots.iter_mut().find(|t| **t == e.from) else {
                 continue;
-            }
+            };
+            *slot = ProcId::new(ANSWERED);
             match self
                 .tally
                 .binary_search_by_key(&(label, value), |&(l, v, _)| (l, v))
@@ -369,7 +379,8 @@ impl AeToEOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::{AdvAction, AdvView, Adversary, NullAdversary, SimBuilder, SimRng};
+    use crate::attacks::ResponseForger;
+    use ba_sim::{NullAdversary, SimBuilder};
 
     const M: u64 = 0xFACE_FEED;
 
@@ -477,35 +488,43 @@ mod tests {
         assert_eq!(AeMsg::Response { label: 3, value: 9 }.bit_len(), 80);
     }
 
-    /// Answers every request a corrupt processor intercepts with a forged
-    /// value *one round later*, so on a synchronous network the forgeries
-    /// land in the tally round beside the honest answers.
-    /// (`attacks::ResponseForger` injects in the request round itself; its
-    /// forgeries arrive in the answer round, where nobody reads responses.)
-    struct DelayedForger {
-        count: usize,
-        fake: u64,
-        held: Vec<Envelope<AeMsg>>,
-    }
-
-    impl Adversary<AeToEProcess> for DelayedForger {
-        fn act(&mut self, view: &AdvView<'_, AeToEProcess>, _: &mut SimRng) -> AdvAction<AeMsg> {
-            let mut action = AdvAction::none();
-            if view.round() == 0 {
-                action.corrupt = (0..self.count).map(ProcId::new).collect();
-            }
-            action.inject = std::mem::take(&mut self.held);
-            for e in view.intercepted() {
-                if let AeMsg::Request { label } = e.payload {
-                    if view.is_corrupt(e.to) {
-                        let value = self.fake;
-                        let forged = AeMsg::Response { label, value };
-                        self.held.push(Envelope::new(e.to, e.from, forged));
-                    }
-                }
-            }
-            action
-        }
+    #[test]
+    fn a_target_is_tallied_once_per_slot_it_holds() {
+        // Four slots a label, three consistent answers decide.
+        let cfg = AeToEConfig {
+            labels: 2,
+            per_label: 4,
+            threshold_frac: 0.6,
+            ..AeToEConfig::for_n(16, 0.1)
+        };
+        let me = ProcId::new(0);
+        let tallied = |answers: &[(usize, u64)]| {
+            let mut p = AeToEProcess::new(cfg.clone(), None);
+            // Label 1 went to p7, p3, p7 again and p9.
+            p.sent = [1, 2, 4, 5, 7, 3, 7, 9].map(ProcId::new).to_vec();
+            let inbox: Vec<Envelope<AeMsg>> = answers
+                .iter()
+                .map(|&(from, value)| {
+                    Envelope::new(ProcId::new(from), me, AeMsg::Response { label: 1, value })
+                })
+                .collect();
+            p.collect_responses(&inbox);
+            (p.tally.clone(), p.decided)
+        };
+        // One corrupt target answering `need` times holds one slot: it
+        // is counted once and decides nothing alone.
+        assert_eq!(
+            tallied(&[(3, 666), (3, 666), (3, 666)]),
+            (vec![(1, 666, 1)], None)
+        );
+        // A processor sampled twice may answer twice, not three times.
+        assert_eq!(tallied(&[(7, M), (7, M), (7, M)]), (vec![(1, M, 2)], None));
+        // Three slots' worth of consistent answers decide as before, and
+        // a processor that was never sent the label still counts nowhere.
+        assert_eq!(
+            tallied(&[(7, M), (3, M), (7, M), (8, 666), (1, 666)]),
+            (vec![(1, M, 3)], Some(M))
+        );
     }
 
     #[test]
@@ -528,11 +547,7 @@ mod tests {
                 .max_corruptions(6)
                 .build(
                     |p, _| AeToEProcess::new(cfg.clone(), (p.index() % 2 == 0).then_some(M)),
-                    DelayedForger {
-                        count: 6,
-                        fake: 666,
-                        held: Vec::new(),
-                    },
+                    ResponseForger::new(6, 666),
                 )
                 .run(cfg.total_rounds() + 1)
                 .outputs
@@ -545,7 +560,7 @@ mod tests {
                 assert_eq!(run(seed), first, "seed {seed}, repetition {rep}");
             }
         }
-        // The helper is correctly timed: at these constants it does flip
+        // The forger arrives on time: at these constants it does flip
         // confused processors (so the ties above are real).
         assert!(forged > 0);
     }

@@ -225,12 +225,28 @@ impl Adversary<AebaProcess> for SplitVoter {
 /// Algorithm 3 attack: corrupts `count` processors at round 0; each
 /// corrupted processor answers *every* request it sees with a forged
 /// message, trying to push confused processors to a wrong decision.
-#[derive(Clone, Copy, Debug)]
+///
+/// A forgery leaves one round after the request it answers — the round
+/// honest answers leave in — so on a synchronous network it reaches the
+/// requester's tally beside them. (Sent in the request round itself it
+/// would arrive in the answer round, where nobody reads responses.)
+#[derive(Clone, Debug)]
 pub struct ResponseForger {
-    /// Processors to corrupt at round 0.
-    pub count: usize,
-    /// The forged message value.
-    pub fake: u64,
+    count: usize,
+    fake: u64,
+    /// Forged answers to the requests intercepted last round.
+    held: Vec<Envelope<AeMsg>>,
+}
+
+impl ResponseForger {
+    /// Corrupts processors `0..count` at round 0 and forges `fake`.
+    pub fn new(count: usize, fake: u64) -> Self {
+        ResponseForger {
+            count,
+            fake,
+            held: Vec::new(),
+        }
+    }
 }
 
 impl Adversary<AeToEProcess> for ResponseForger {
@@ -239,19 +255,15 @@ impl Adversary<AeToEProcess> for ResponseForger {
         if view.round() == 0 {
             action.corrupt = (0..self.count.min(view.n())).map(ProcId::new).collect();
         }
-        // Answer every intercepted request, echoing its label with the
-        // forged value (rushing: these are this round's requests).
+        action.inject = std::mem::take(&mut self.held);
+        // Answer every intercepted request next round, echoing its label
+        // with the forged value.
         for e in view.intercepted() {
             if let AeMsg::Request { label } = e.payload {
                 if view.is_corrupt(e.to) {
-                    action.inject.push(Envelope::new(
-                        e.to,
-                        e.from,
-                        AeMsg::Response {
-                            label,
-                            value: self.fake,
-                        },
-                    ));
+                    let value = self.fake;
+                    let forged = AeMsg::Response { label, value };
+                    self.held.push(Envelope::new(e.to, e.from, forged));
                 }
             }
         }
@@ -449,10 +461,7 @@ mod tests {
                     let k = (p.index() < cutoff).then_some(M);
                     AeToEProcess::new(cfg.clone(), k)
                 },
-                ResponseForger {
-                    count: n / 5,
-                    fake: 666,
-                },
+                ResponseForger::new(n / 5, 666),
             )
             .run(rounds + 1);
         let tally = AeToEOutcome::from_outputs(&outcome.outputs, &outcome.corrupt, M);

@@ -57,6 +57,7 @@ pub mod comm;
 pub mod election;
 pub mod everywhere;
 pub mod scale;
+mod stream;
 pub mod tournament;
 pub mod universe;
 

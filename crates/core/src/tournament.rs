@@ -35,8 +35,11 @@ use crate::aeba::{AebaConfig, Committee, CommitteeAttack};
 use crate::block::CandidateArray;
 use crate::election::{lightest_bin, ElectionResult};
 use crate::scale::{impl_scale_builders, StackParams};
+use crate::stream::{Kind, Label};
 use ba_sampler::RegularGraph;
-use ba_sim::{derive_rng, BitStats, Envelope, Lockstep, Multicast, Payload, ProcId, Transport};
+use ba_sim::{
+    derive_rng, BitStats, Envelope, Lockstep, Multicast, Payload, ProcId, SimRng, Transport,
+};
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::Rng;
 use std::collections::HashMap;
@@ -936,7 +939,10 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             // Round j draws supplier j mod f and that supplier's next
             // unopened word, so successive rounds never reuse a word.
             let w = block.coins[(j / finalists.len()) % block.coins.len().max(1)];
-            let mut vrng = derive_rng(config.seed, 0xF007 ^ ((m as u64) << 16) ^ j as u64);
+            let mut vrng = Label::new(Kind::RootCoinView)
+                .round(j)
+                .member(m)
+                .rng(config.seed);
             if vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49)) {
                 vrng.gen_bool(0.5)
             } else {
@@ -1220,6 +1226,66 @@ struct ElectionOutcome {
     winners: Vec<usize>,
 }
 
+/// The committee members' views of one candidate's declared bin choice
+/// (Alg. 2 step 2(a)): the votes they bring to the choice's bit-by-bit
+/// agreement.
+///
+/// One stream per `(seed, level, node, candidate)`, walked bit-major then
+/// member-minor by successive [`InputViews::next_bit`] calls, so every
+/// word of a generator block is a draw somebody reads. Which draws a
+/// member takes is part of the stream's layout: a blindness draw only if
+/// the declaration reached it over a good path, a fair draw only if it
+/// then has nothing to go by.
+#[derive(Debug)]
+pub struct InputViews {
+    rng: SimRng,
+    blindness: f64,
+}
+
+impl InputViews {
+    /// The views of candidate `candidate` (its position in the node's
+    /// holdings) at `(level, node)`; `exposure_blindness` as in
+    /// [`TournamentConfig::exposure_blindness`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is wider than its field of the stream's
+    /// label (`level` 8 bits, `node` 32, `candidate` 16).
+    pub fn new(
+        seed: u64,
+        level: usize,
+        node: usize,
+        candidate: usize,
+        exposure_blindness: f64,
+    ) -> Self {
+        InputViews {
+            rng: Label::new(Kind::InputViews)
+                .at(level, node)
+                .candidate(candidate)
+                .rng(seed),
+            blindness: exposure_blindness.clamp(0.0, 0.49),
+        }
+    }
+
+    /// Every member's view of the choice's next bit, whose declared
+    /// value is `truth`. `saw[m]` is whether the declaration reached
+    /// member `m` at all; `good_path` whether the exposure path to this
+    /// committee is mostly good. A member that saw it over a good path
+    /// holds `truth` unless exposure noise blinds it; every other member
+    /// guesses.
+    pub fn next_bit(&mut self, truth: bool, saw: &[bool], good_path: bool) -> Vec<bool> {
+        saw.iter()
+            .map(|&reached| {
+                if reached && good_path && !self.rng.gen_bool(self.blindness) {
+                    truth
+                } else {
+                    self.rng.gen_bool(0.5)
+                }
+            })
+            .collect()
+    }
+}
+
 /// Runs one node's bin-choice agreement and lightest-bin election
 /// (Alg. 2 steps 2(a)–2(c) minus the adversary prepass). Pure with
 /// respect to executor state: reads shares/corruption/goodness, draws
@@ -1291,22 +1357,19 @@ fn run_node_election(
     // parallel, bit by bit; round j's coin for candidate i opens word
     // B_j(i).
     let mut agree_bits = 0u64;
-    let graph_seed = config.seed ^ ((level as u64) << 32) ^ node as u64;
     let degree = p.aeba_degree.min(k.saturating_sub(1)).max(1);
-    let graph = ba_sampler::cache::regular_graph(k, degree, (graph_seed, 0x6A_6A), || {
-        let mut grng = derive_rng(graph_seed, 0x6A_6A);
-        RegularGraph::random_out_degree(k, degree, &mut grng)
-    });
+    // Built, used and dropped here: the graph is this committee's alone
+    // (keyed by seed, level and node), so no other election or trial can
+    // ask for it, and a registry that kept it would only keep it alive.
+    let mut grng = Label::new(Kind::Graph).at(level, node).rng(config.seed);
+    let graph = RegularGraph::random_out_degree(k, degree, &mut grng);
     let mut committee = Committee::new(&member_good, &graph, attack);
     let bin_bits = (num_bins as f64).log2().ceil().max(1.0) as usize;
     let mut agreed: Vec<u16> = Vec::with_capacity(r_cands);
     // Committee-internal vote randomness: an independent stream per
     // (seed, level, node), so elections stay deterministic per seed no
     // matter how the level's nodes are scheduled across threads.
-    let mut crng = derive_rng(
-        config.seed,
-        0x70E1_0000 ^ ((level as u64) << 44) ^ ((node as u64) << 4),
-    );
+    let mut crng = Label::new(Kind::Votes).at(level, node).rng(config.seed);
     // Coin schedule per agreement round j: supplied by candidate
     // j (mod r); genuine iff that array is good and hidden.
     let coin_rounds = r_cands.max(4);
@@ -1317,32 +1380,14 @@ fn run_node_election(
         let mut word = 0u16;
         // Which members the candidate's declaration reached.
         let saw = exposed.saw(node, ci, &members);
+        let mut views = InputViews::new(config.seed, level, node, ci, config.exposure_blindness);
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
-            // Member input views: a member whose exposure delivery was
-            // lost on the wire never saw the declaration; among the rest,
-            // exposure noise blinds a few.
-            let inputs: Vec<bool> = (0..k)
-                .map(|m| {
-                    let mut vrng = derive_rng(
-                        config.seed,
-                        0xE44E
-                            ^ ((level as u64) << 40)
-                            ^ ((node as u64) << 24)
-                            ^ ((ci as u64) << 12)
-                            ^ ((bit as u64) << 8)
-                            ^ m as u64,
-                    );
-                    if saw[m]
-                        && path_frac > 0.5
-                        && !vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49))
-                    {
-                        truth
-                    } else {
-                        vrng.gen_bool(0.5)
-                    }
-                })
-                .collect();
+            let inputs = views.next_bit(truth, &saw, path_frac > 0.5);
+            let coin_stream = Label::new(Kind::CoinView)
+                .at(level, node)
+                .candidate(ci)
+                .bit(bit);
             let coin_view = |m: usize, j: usize| -> bool {
                 let supplier = held[j % r_cands];
                 let st = &arrays[supplier];
@@ -1352,10 +1397,7 @@ fn run_node_election(
                         let c = st.array.block_for_level(level).coins.len();
                         c.max(1)
                     }];
-                    let mut vrng = derive_rng(
-                        config.seed,
-                        0xC014 ^ ((m as u64) << 20) ^ ((j as u64) << 8) ^ ci as u64,
-                    );
+                    let mut vrng = coin_stream.round(j).member(m).rng(config.seed);
                     if vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49)) {
                         vrng.gen_bool(0.5)
                     } else {
@@ -1499,6 +1541,99 @@ mod tests {
     fn run_clean(n: usize, seed: u64, inputs: &[bool]) -> TournamentOutcome {
         let config = TournamentConfig::for_n(n).with_seed(seed);
         run(&config, inputs, &mut NoTreeAdversary)
+    }
+
+    /// Replays one candidate's stream against both truths and reads off,
+    /// per draw, whether the member was blinded and what it then guessed:
+    /// a sighted member echoes the truth both times, a blinded one shows
+    /// its guess both times.
+    fn blinded_guesses(views: impl Fn() -> InputViews, k: usize, bits: usize) -> Vec<Option<bool>> {
+        let saw = vec![true; k];
+        let (mut against_false, mut against_true) = (views(), views());
+        (0..bits)
+            .flat_map(|_| {
+                let lo = against_false.next_bit(false, &saw, true);
+                let hi = against_true.next_bit(true, &saw, true);
+                lo.into_iter()
+                    .zip(hi)
+                    .map(|(lo, hi)| (lo == hi).then_some(lo))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn input_views_blind_the_configured_share_and_blinded_views_are_fair() {
+        // 10⁵ draws of one stream: 25 bits of a 4000-member committee.
+        let blindness = 0.2;
+        let draws = blinded_guesses(|| InputViews::new(7, 3, 5, 2, blindness), 4000, 25);
+        let total = draws.len() as f64;
+        assert_eq!(total, 1e5);
+        let blinded = draws.iter().flatten().count() as f64;
+        let sigma = (total * blindness * (1.0 - blindness)).sqrt();
+        assert!(
+            (blinded - total * blindness).abs() < 3.0 * sigma,
+            "{blinded} of {total} draws blinded at blindness {blindness}"
+        );
+        let ones = draws.iter().flatten().filter(|&&g| g).count() as f64;
+        assert!(
+            (ones - blinded / 2.0).abs() < 3.0 * (blinded / 4.0).sqrt(),
+            "{ones} of {blinded} blinded views guessed 1"
+        );
+        // A member the declaration never reached, or reached over a bad
+        // path, only guesses — one fair draw, whatever the truth.
+        for (saw, good_path) in [(false, true), (true, false)] {
+            let mut views = InputViews::new(7, 3, 5, 2, blindness);
+            let guesses = views.next_bit(true, &vec![saw; 4000], good_path);
+            let ones = guesses.iter().filter(|&&g| g).count() as f64;
+            assert!(
+                (ones - 2000.0).abs() < 3.0 * 1000f64.sqrt(),
+                "{ones} of 4000"
+            );
+        }
+    }
+
+    #[test]
+    fn input_view_noise_no_longer_aliases_across_the_bit_field_above_256_members() {
+        // The shifted-XOR label gave member m's bit-1 noise to member
+        // m ^ 0x100 on bit 0 in every committee above 256 members.
+        let k = 512;
+        let draws = blinded_guesses(|| InputViews::new(9, 4, 1, 0, 0.49), k, 2);
+        let (bit0, bit1) = draws.split_at(k);
+        let differing = (0..k).filter(|&m| bit1[m] != bit0[m ^ 0x100]).count();
+        // Independent draws differ in 1 − (0.51² + 2·0.245²) ≈ 62 % of
+        // the members; aliased ones in none.
+        assert!(differing > k / 2, "{differing} of {k} members differ");
+    }
+
+    #[test]
+    fn input_views_walk_one_stream_bit_major_then_member_minor() {
+        use rand::RngCore;
+        // Two bits of k members are the 2k-member walk cut in two.
+        let views = || InputViews::new(3, 2, 8, 1, 0.3);
+        let saw = vec![true; 64];
+        let mut two_bits = views();
+        let mut walk = two_bits.next_bit(true, &saw, true);
+        walk.extend(two_bits.next_bit(true, &saw, true));
+        assert_eq!(walk, views().next_bit(true, &[true; 128], true));
+        // The conditional draws: a sighted member takes the blindness
+        // draw and, only if blinded, the fair one; an unsighted member
+        // takes the fair one alone. So a bit advances the stream by one
+        // 64-bit draw a member plus one a blinded member.
+        let blinded = blinded_guesses(views, 64, 1).iter().flatten().count();
+        assert!(
+            blinded > 0,
+            "nobody blinded: the second draw went unchecked"
+        );
+        for (saw, draws) in [(true, 64 + blinded), (false, 64)] {
+            let mut after = views();
+            after.next_bit(true, &[saw; 64], true);
+            let mut skipped = views().rng;
+            for _ in 0..draws {
+                skipped.next_u64();
+            }
+            assert_eq!(after.rng.next_u64(), skipped.next_u64(), "saw = {saw}");
+        }
     }
 
     #[test]

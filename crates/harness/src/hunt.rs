@@ -79,6 +79,12 @@ pub enum Violation {
         /// The floor it fell through.
         floor: f64,
     },
+    /// Good processors decided a value nobody knowledgeable held
+    /// (Algorithm 3's Lemma 7(2) allows none).
+    WrongDecision {
+        /// How many did.
+        wrong: usize,
+    },
 }
 
 impl Violation {
@@ -89,6 +95,7 @@ impl Violation {
             Violation::Validity => "validity",
             Violation::RoundBlowup { .. } => "round-blowup",
             Violation::Stall { .. } => "stall",
+            Violation::WrongDecision { .. } => "wrong-decision",
         }
     }
 }
@@ -105,6 +112,9 @@ impl fmt::Display for Violation {
             }
             Violation::Stall { decided, floor } => {
                 write!(f, "only {decided:.3} decided < floor {floor:.3}")
+            }
+            Violation::WrongDecision { wrong } => {
+                write!(f, "{wrong} good processor(s) decided a forged value")
             }
         }
     }
@@ -141,9 +151,14 @@ fn floors(spec: &ScenarioSpec) -> (f64, f64) {
 }
 
 /// Judges one trial against every oracle; the most damning verdict wins
-/// (agreement > validity > stall > round blowup).
+/// (wrong decision > agreement > validity > stall > round blowup).
 pub fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Violation> {
     let (agree_floor, decided_floor) = floors(spec);
+    if outcome.wrong > 0 {
+        return Some(Violation::WrongDecision {
+            wrong: outcome.wrong,
+        });
+    }
     if outcome.agreement < agree_floor {
         return Some(Violation::Agreement {
             agreement: outcome.agreement,
@@ -312,7 +327,8 @@ fn signature(spec: &ScenarioSpec, v: &Violation) -> String {
 
 /// The exhaustive grid over the small discrete axes: every baseline ×
 /// its adversary roster × delivery ordering × two population sizes, then
-/// the committee stack × tree adversaries × ordering. Clean networks
+/// Algorithm 3 against response forgery, then the committee stack × tree
+/// adversaries × ordering. Clean networks
 /// throughout — the sampler owns the fault axes — so grid findings
 /// isolate *adversary* breaks (the coordinator equivocation above the
 /// design tolerance) from wire damage.
@@ -345,6 +361,22 @@ fn grid(seed: u64) -> Vec<ScenarioSpec> {
                     s.ordering = ord;
                     out.push(s);
                 }
+            }
+        }
+    }
+    // Algorithm 3 inside its precondition (nine in ten knowledgeable,
+    // so well over half stay good and knowledgeable) against forged
+    // answers, from both sides of the corruption tolerance.
+    for &n in &[24usize, 40] {
+        for (adv, corrupt) in [("none", 0), ("forge", n / 5), ("forge", n / 3)] {
+            for ord in orderings {
+                let name = format!("grid-ae_to_e-{adv}{corrupt}-{}-n{n}", ord.name());
+                let mut s = base_spec(name, "ae_to_e", n, seed);
+                s.input = InputPattern::Lopsided;
+                s.adversary = adv.to_owned();
+                s.corrupt = corrupt;
+                s.ordering = ord;
+                out.push(s);
             }
         }
     }
@@ -745,6 +777,43 @@ mod tests {
         // The tolerance-boundary rows are present.
         assert!(a.iter().any(|s| s.adversary == "equivocate"));
         assert!(a.iter().any(|s| s.tree_adversary == "custody-buster"));
+        assert!(a.iter().any(|s| s.adversary == "forge"));
+    }
+
+    #[test]
+    fn wrong_decision_oracle_outranks_the_rest() {
+        let spec = clean_spec("ae_to_e", 24);
+        let forged = TrialOutcome {
+            wrong: 2,
+            ..outcome(0.5, 0.4, Some(false), 10)
+        };
+        let v = judge(&spec, &forged).expect("violation");
+        assert_eq!(v, Violation::WrongDecision { wrong: 2 });
+        assert_eq!(v.kind(), "wrong-decision");
+    }
+
+    #[test]
+    fn pinned_regressions_still_trip_the_oracle_they_are_named_for() {
+        // `hunt-<protocol>-<adversary>-<oracle>.scn`: a pin that stops
+        // violating (a fixed protocol, a moved stream) is re-hunted or
+        // retired, not left to rot as a smoke test.
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/regressions");
+        let mut pins = 0;
+        for entry in std::fs::read_dir(&dir).expect("scenarios/regressions exists") {
+            let path = entry.expect("readable entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+            if !stem.starts_with("hunt-") || path.extension().is_none_or(|x| x != "scn") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable pin");
+            let spec = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
+            let hit = first_violation(&spec).unwrap_or_else(|e| panic!("{stem}: {e}"));
+            let (violation, _) = hit.unwrap_or_else(|| panic!("{stem} no longer violates"));
+            assert!(stem.ends_with(violation.kind()), "{stem}: {violation}");
+            pins += 1;
+        }
+        assert!(pins >= 4, "only {pins} pins found under {}", dir.display());
     }
 
     #[test]

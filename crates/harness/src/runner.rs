@@ -725,7 +725,7 @@ fn ae_to_e_trial<TF: TransportFactory>(
             cap,
             ae.flood_cap,
             make,
-            ResponseForger { count, fake },
+            ResponseForger::new(count, fake),
             wrong,
             trace,
             factory,
@@ -865,7 +865,7 @@ fn everywhere_trial<TF: TransportFactory>(
             &config,
             &inputs,
             &mut adv,
-            ResponseForger { count, fake },
+            ResponseForger::new(count, fake),
             transport,
         ),
         MessageAdversary::Overload { count, copies } => everywhere::run_with_transport(

@@ -13,6 +13,11 @@ use ba_obs::Trace;
 use ba_sim::Schedule;
 use std::time::Instant;
 
+/// What `adversary = forge` answers requests with: neither the default
+/// Algorithm-3 message nor a bit the everywhere stack can agree on, so
+/// every good processor that decides it counts as `wrong`.
+const FORGED_VALUE: u64 = 666;
+
 /// Parses a committee-attack name from the `adversary.tree.attack` key.
 fn parse_attack(name: &str) -> Result<CommitteeAttack, String> {
     match name {
@@ -69,6 +74,10 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
         },
         "equivocate" => MessageAdversary::Equivocate {
             count: spec.corrupt,
+        },
+        "forge" => MessageAdversary::Forge {
+            count: spec.corrupt,
+            fake: FORGED_VALUE,
         },
         other => return Err(at(format!("unknown adversary `{other}`"))),
     };

@@ -4,9 +4,11 @@
 //! and of the RNG stream it consumes — callers derive that stream from a
 //! `(seed, label)` pair and consume it exclusively. Sweeps therefore
 //! rebuild byte-identical structures over and over: every trial of a
-//! bench case reconstructs the same committee gossip graphs, and every
-//! adversary case of an experiment re-runs the same seeds. The registry
-//! here returns the `Arc` built the first time instead.
+//! bench case reconstructs the same gossip graph over all processors,
+//! and every adversary case of an experiment re-runs the same seeds. The
+//! registry here returns the `Arc` built the first time instead. (A
+//! committee's election graph is not registered: one election uses it,
+//! and keeping it only keeps it alive.)
 //!
 //! Correctness contract for callers: the `(seed, label)` stream key plus
 //! the dimension arguments MUST uniquely determine the builder's output.
@@ -30,8 +32,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// payload as the keys' dimensions give them. Reaching either clears the
 /// whole map (values are pure functions of their keys, so eviction is
 /// always safe). The entry bound caps sweeps of many small graphs; the
-/// byte bound caps one big trial, whose thousand-odd committee graphs
-/// no later trial asks for again.
+/// byte bound caps the few big ones (a root graph at n = 2¹⁷ alone is
+/// tens of MiB).
 const CAPACITY: usize = 512;
 const CAPACITY_BYTES: u64 = 64 << 20;
 

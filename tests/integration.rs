@@ -83,10 +83,7 @@ fn full_stack_with_phase2_forgery() {
         &config,
         &vec![true; n],
         &mut NoTreeAdversary,
-        ResponseForger {
-            count: n / 6,
-            fake: 999,
-        },
+        ResponseForger::new(n / 6, 999),
     );
     assert!(out.valid);
     assert_eq!(

@@ -199,10 +199,7 @@ fn ae_to_e_is_equivalent_under_forgery() {
                     AeToEProcess::new(cfg.clone(), k)
                 })
             },
-            || ResponseForger {
-                count: n / 6,
-                fake: 999,
-            },
+            || ResponseForger::new(n / 6, 999),
         );
     }
 }
