@@ -331,11 +331,11 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 
     // The regime `stack-jitter-256` is in: one `L*:winners` round, 8 836
-    // fans of 256 recipients (2.26 M twelve-byte handles) over the 901
-    // ticks of `Uniform{0,900}`, pushed as the transport pushes them — fan
-    // after fan, each fan's recipients in arrival order, no tie key —
-    // then drained at the next round boundary: ≈ 2 500 events a tick,
-    // not 2.
+    // fans of 256 recipients (2.26 M four-byte flight slots, one per
+    // recipient) over the 901 ticks of `Uniform{0,900}`, pushed as the
+    // transport pushes them — fan after fan, each fan's recipients in
+    // arrival order, no tie key — then drained at the next round
+    // boundary: ≈ 2 500 events a tick, not 2.
     let dense: Vec<u64> = (0..8_836u64)
         .flat_map(|fan| {
             let mut arrivals: Vec<u64> = (0..256)
@@ -347,13 +347,66 @@ fn bench_event_queue(c: &mut Criterion) {
         .collect();
     g.bench_function("dense_jitter_drain_due", |bch| {
         bch.iter(|| {
-            let mut q: EventQueue<[u32; 3], ()> = EventQueue::new();
+            let mut q: EventQueue<u32, ()> = EventQueue::new();
             for (i, &d) in dense.iter().enumerate() {
-                q.push(1_000 + d, (), [i as u32; 3]);
+                q.push(1_000 + d, (), (i / 256) as u32);
             }
             let mut acc = 0u64;
-            q.drain_due(2_000, &mut |_, v| acc += u64::from(v[0]));
+            q.drain_due(2_000, &mut |_, fan| acc += u64::from(fan));
             acc
+        })
+    });
+    g.finish();
+}
+
+/// `NetTransport`'s slow path in the shape of `stack-jitter-256`'s busiest
+/// round (and of `tests/net_memory.rs`): 2 048 fans to 256 recipients over
+/// 1 % loss and `Uniform{0,900}`, so a fan's recipients land ≈ one to a
+/// tick. An iteration is 524 288 recipients: divide by that for ns a
+/// recipient. `_send` is the send side alone — draws, the `landed` sort,
+/// the survivor list, a push per group — on a fresh transport that is
+/// dropped full; the other row sends a round into a warm transport and
+/// drains it at the next boundary (`collect_many`: the walk along each
+/// flight's survivor list).
+fn bench_net(c: &mut Criterion) {
+    use ba_net::NetTransport;
+    use ba_sim::{Multicast, ProcId, Transport};
+    use std::sync::Arc;
+
+    let (n, fans) = (256usize, 2_048usize);
+    let cfg = ba_bench::jitter_net(23);
+    let everyone: Arc<[ProcId]> = (0..n).map(ProcId::new).collect();
+    let send_round = |t: &mut NetTransport<u16>, round: usize| {
+        for fan in 0..fans {
+            t.send_many(
+                round,
+                Multicast {
+                    from: ProcId::new(fan % n),
+                    to: everyone.clone(),
+                    payload: fan as u16,
+                },
+            );
+        }
+    };
+
+    let mut g = c.benchmark_group("net");
+    g.sample_size(10);
+    g.bench_function("jittered_fan_256_send", |bch| {
+        bch.iter(|| {
+            let mut t = NetTransport::new(n, cfg.clone());
+            send_round(&mut t, 0);
+            t.stats().sent
+        })
+    });
+    let mut t = NetTransport::new(n, cfg.clone());
+    let mut round = 0;
+    g.bench_function("jittered_fan_256", |bch| {
+        bch.iter(|| {
+            send_round(&mut t, round);
+            round += 1;
+            let mut delivered = 0usize;
+            t.collect_many(round, &mut |mc| delivered += mc.to.len());
+            delivered
         })
     });
     g.finish();
@@ -369,6 +422,7 @@ criterion_group!(
     bench_election,
     bench_committee,
     bench_ae_to_e,
-    bench_event_queue
+    bench_event_queue,
+    bench_net
 );
 criterion_main!(benches);

@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! cargo run --release -p ba-bench --bin exp_scale -- \
-//!     [--max-n N] [--trace OUT.jsonl] [--json OUT.json]
+//!     [--max-n N] [--seed S] [--net lockstep|jitter] \
+//!     [--trace OUT.jsonl] [--json OUT.json]
 //! ```
 //!
 //! Each row carries its wall time and the process's peak resident set
@@ -20,6 +21,14 @@
 //! (tournament, election, AEBA, iterated secret sharing, Algorithm 3
 //! hand-off) still executes, so a completed row is an end-to-end run.
 //!
+//! `--net jitter` runs the same profile through
+//! [`ba_core::everywhere::run_with_transport`] over a [`NetTransport`]
+//! with `stack-jitter-256`'s net ([`jitter_net`]: 1 % loss,
+//! `Uniform{0,900}` latency, the net's seed the run's) at n = 512 and 1024, the sizes above the
+//! benchmark's that a faulty net still fits (≈ 5 and ≈ 20 s; memory is
+//! the busiest round's queue, see `docs/performance.md` "What is left"),
+//! and prints each row's `NetStats` totals under it.
+//!
 //! With `--trace` the bin emits the harness's `trial:start` /
 //! `trial:phase` / `trial:end` event schema so `trace-report` can
 //! aggregate bits/good-proc per n and print the fitted
@@ -28,8 +37,10 @@
 
 use std::time::Instant;
 
-use ba_core::everywhere::{run, EverywhereConfig};
+use ba_bench::jitter_net;
+use ba_core::everywhere::{run, run_with_transport, EverywhereConfig};
 use ba_core::tournament::NoTreeAdversary;
+use ba_net::NetTransport;
 use ba_obs::Trace;
 use ba_sim::NullAdversary;
 use ba_topology::Params;
@@ -89,6 +100,8 @@ fn peak_rss_mb() -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut max_n = 131_072usize;
+    let mut seed = 7u64;
+    let mut jitter = false;
     let mut trace_out: Option<String> = None;
     let mut json_out: Option<String> = None;
     let mut it = args.iter();
@@ -99,6 +112,19 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| panic!("--max-n needs a number"));
+            }
+            "--seed" => {
+                seed = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| panic!("--seed needs a number"));
+            }
+            "--net" => {
+                jitter = match it.next().map(String::as_str) {
+                    Some("jitter") => true,
+                    Some("lockstep") => false,
+                    other => panic!("--net is lockstep or jitter, not {other:?}"),
+                };
             }
             "--trace" => trace_out = it.next().cloned(),
             "--json" => json_out = it.next().cloned(),
@@ -116,9 +142,19 @@ fn main() {
     // 2¹², 2¹⁴, 2¹⁷: three decades for the trace-report fit with one
     // two-digit-minute headline row (2¹⁶ adds ~10 min for little fit
     // information, so the default sweep skips it).
-    let sizes = [4096usize, 16384, 131_072];
-    let seed = 7u64;
-    println!("E-scale: everywhere stack under the scale profile (seed {seed})");
+    let sizes: &[usize] = if jitter {
+        &[512, 1024]
+    } else {
+        &[4096, 16384, 131_072]
+    };
+    println!(
+        "E-scale: everywhere stack under the scale profile (seed {seed}){}",
+        if jitter {
+            ", over 1 % loss and Uniform{0,900}"
+        } else {
+            ""
+        }
+    );
     println!(
         "{:>8} {:>7} {:>10} {:>9} {:>12} {:>12} {:>7} {:>6}",
         "n", "aeba_d", "wall_s", "rss_mb", "bits_good_mx", "bits_good_mu", "rounds", "agree"
@@ -144,7 +180,15 @@ fn main() {
         }
         let inputs = vec![true; n];
         let start = Instant::now();
-        let out = run(&config, &inputs, &mut NoTreeAdversary, NullAdversary);
+        let (out, net) = if jitter {
+            let wire = NetTransport::new(n, jitter_net(seed));
+            let (out, wire) =
+                run_with_transport(&config, &inputs, &mut NoTreeAdversary, NullAdversary, wire);
+            (out, Some(wire.into_stats()))
+        } else {
+            let out = run(&config, &inputs, &mut NoTreeAdversary, NullAdversary);
+            (out, None)
+        };
         let wall = start.elapsed().as_secs_f64();
         let rss = peak_rss_mb();
 
@@ -180,6 +224,17 @@ fn main() {
             "{:>8} {:>7} {:>10.2} {:>9.1} {:>12} {:>12.1} {:>7} {:>6}",
             n, degree, wall, rss, stats.max, stats.mean, out.rounds, out.everywhere_agreement
         );
+        if let Some(net) = net {
+            println!(
+                "{:>8} net: {} sent, {} delivered, {} dropped, {} late, {} in flight at the end",
+                "",
+                net.sent,
+                net.delivered,
+                net.dropped(),
+                net.late,
+                net.in_flight_at_end
+            );
+        }
         assert!(
             out.everywhere_agreement,
             "everywhere agreement failed at n={n}"

@@ -18,3 +18,19 @@
 #![warn(missing_docs)]
 
 pub use ba_exp::{f1, f3, loglog_slope, mean, par_trials, stddev, Table};
+
+use ba_net::{FaultPlan, LatencyModel, NetConfig};
+
+/// The net of the benchmark's `stack-jitter-256` workload — 1 % loss and
+/// `Uniform{0,900}` latency in a 1000-tick round — for the rows that
+/// measure the same path elsewhere (`exp_scale --net jitter`, the `net`
+/// criterion group).
+pub fn jitter_net(seed: u64) -> NetConfig {
+    NetConfig::synchronous()
+        .with_seed(seed)
+        .with_latency(LatencyModel::Uniform { lo: 0, hi: 900 })
+        .with_faults(FaultPlan {
+            drop_prob: 0.01,
+            ..FaultPlan::default()
+        })
+}

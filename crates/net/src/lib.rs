@@ -16,7 +16,10 @@
 //! [`LatencyModel`] on the wire, and sits in an [`EventQueue`] — a
 //! calendar of per-tick buckets, each in push order — until the
 //! first round boundary at or past its arrival, where the synchrony
-//! adapter ([`NetTransport`]) delivers it. Delivery is never earlier
+//! adapter ([`NetTransport`]) delivers it. (What sits there is four
+//! bytes: the slot of the `send` / `send_many` call the message belongs
+//! to, which is stored once and walks its own arrival-sorted recipient
+//! list as its entries come due.) Delivery is never earlier
 //! than round `r + 1`, so the synchronous round abstraction survives;
 //! latency beyond `delta` makes the message **late** relative to the
 //! protocol's timetable, which the transport counts (per

@@ -11,6 +11,21 @@
 //! makes the message *late* (it arrives in a later round than the
 //! protocol's timetable assumes); the transport counts lateness and loss
 //! per [`Schedule`] phase of the sending round.
+//!
+//! ## What a message in the air costs
+//!
+//! One `send` / `send_many` call is one *flight* — sender, sending round,
+//! payload, recipients — stored once in a slab however many arrival ticks
+//! its recipients spread over. The event queue holds nothing but the
+//! flight's 4-byte slot, once per same-arrival group of its recipients.
+//! Which group an entry stands for is not written down: a jittered fan
+//! keeps its survivors sorted by `(arrival, emission order)`, its groups
+//! therefore leave the calendar in list order, and the flight walks the
+//! list with a cursor — the last member of each group carries bit 31 of
+//! its id, cleared in place as the group is handed out. A recipient in
+//! the air is thus 4 bytes of queue and 4 of survivor list
+//! (`tests/net_memory.rs` budgets the sum); a fan that lands on one tick
+//! keeps the caller's list untouched and is handed back by `Arc::clone`.
 
 use crate::event::{DeliveryPolicy, EventQueue};
 use crate::fault::{Churn, DropCause, FaultPlan};
@@ -197,52 +212,53 @@ impl NetStats {
 
 /// One `send` / `send_many` call in flight, stored once however many
 /// arrival ticks its recipients spread over. The event queue holds only
-/// [`Handle`]s into the slab of these.
+/// the slab slot of one of these, once per same-arrival group: the flight
+/// itself knows which of its recipients leave next.
 #[derive(Debug)]
 struct Flight<M> {
-    sent_round: usize,
+    /// Narrow (checked at [`NetTransport::launch`]) so that `Dest`'s tag
+    /// and cursor fit where a count of undelivered recipients stood.
+    sent_round: u32,
     from: ProcId,
-    /// Recipients not yet delivered; the slot is recycled at zero.
-    left: u32,
     to: Dest,
     payload: M,
 }
 
-/// Recipients of one flight, in delivery order: emission order for a
-/// call that stays together (a single envelope, a fast-path fan); for a
-/// slow-path fan the survivors sorted by `(arrival, emission order)`,
-/// which is the caller's own list whenever that order is its order.
+/// Recipients of one flight, in delivery order.
 #[derive(Debug)]
 enum Dest {
+    /// A single envelope.
     One(ProcId),
-    Many(Arc<[ProcId]>),
+    /// A fan that lands on one tick — a fast-path fan, or a slow-path
+    /// one whose survivors drew one arrival: the caller's own list when
+    /// nothing was dropped, else one shared list of the survivors. It is
+    /// queued once, delivered whole and never written to.
+    Whole(Arc<[ProcId]>),
+    /// A slow-path fan spread over several ticks: the survivors sorted by
+    /// `(arrival, emission order)`, the last member of every same-arrival
+    /// group carrying [`GROUP_END`]. The flight is queued once per group,
+    /// its groups leave the calendar in list order, and `next` is where
+    /// the first undelivered one starts; the slot is recycled when `next`
+    /// reaches the end of the list.
+    Groups { list: Box<[ProcId]>, next: u32 },
 }
 
-impl Dest {
-    fn list(&self) -> &[ProcId] {
-        match self {
-            Dest::One(p) => std::slice::from_ref(p),
-            Dest::Many(list) => list,
-        }
-    }
-}
+/// The bit of a [`ProcId`] in a [`Dest::Groups`] list that marks the last
+/// member of a same-arrival group. It is cleared in place before the
+/// group is handed out, so no recipient ever leaves the transport marked;
+/// [`NetTransport::new`] keeps every real index below it.
+const GROUP_END: usize = 1 << 31;
 
-/// One queue entry: the same-arrival group `start..start + len` of a
-/// flight's recipients. A fan whose members share a fate (same
-/// drop/latency decision, or none to make) is one handle; otherwise
-/// [`NetTransport::send_many`] splits it by arrival.
-#[derive(Clone, Copy, Debug)]
-struct Handle {
-    flight: u32,
-    start: u32,
-    len: u32,
-}
-
-// The per-envelope cost of a jittered fan is one handle, and a queue
-// entry is the handle and nothing else; a field added to either shows up
-// here, not in a memory profile.
-const _: () = assert!(std::mem::size_of::<Handle>() == 12);
-const _: () = assert!(std::mem::size_of::<((), Handle)>() == 12);
+// The per-envelope cost of a jittered fan is one queue entry and one
+// survivor-list entry, and a queue entry is the flight's slot and nothing
+// else; a field added to it shows up here, not in a memory profile. Nor
+// may the cursor cost a single send anything: it sits beside `Dest`'s
+// tag, and a flight is no larger than when it counted recipients down
+// (40 bytes around a `u16`, 56 around a 24-byte message such as
+// `StackMsg`, for which `[u64; 3]` stands in here).
+const _: () = assert!(std::mem::size_of::<((), u32)>() == 4);
+const _: () = assert!(std::mem::size_of::<Flight<u16>>() <= 40);
+const _: () = assert!(std::mem::size_of::<Flight<[u64; 3]>>() <= 56);
 
 /// The timed, faulty network behind the synchronous engine.
 ///
@@ -263,13 +279,15 @@ pub struct NetTransport<M> {
     /// Flights with undelivered recipients; `free` lists the empty slots.
     flights: Vec<Option<Flight<M>>>,
     free: Vec<u32>,
-    /// Handles by arrival tick. The queue keeps one instant's events in
-    /// push order, and pushes happen in emission order — `send` and
-    /// `send_many` run one after another on `&mut self`, and one
-    /// `send_many` puts at most one group in any instant (its groups are
-    /// the distinct arrivals of `landed`) — so no tie key is needed for
-    /// delivery order to be `(arrival, emission order)`.
-    queue: EventQueue<Handle, ()>,
+    /// Flight slots by arrival tick, one entry per same-arrival group.
+    /// The queue keeps one instant's events in push order, and pushes
+    /// happen in emission order — `send` and `send_many` run one after
+    /// another on `&mut self`, and one `send_many` puts at most one group
+    /// in any instant (its groups are the distinct arrivals of `landed`,
+    /// pushed in ascending arrival, which is why an entry need not say
+    /// *which* group it is) — so no tie key is needed for delivery order
+    /// to be `(arrival, emission order)`.
+    queue: EventQueue<u32, ()>,
     rng: SimRng,
     stats: NetStats,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
@@ -304,9 +322,15 @@ impl<M> NetTransport<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.delta == 0`.
+    /// Panics if `cfg.delta == 0`, or if `n` exceeds 2³¹: bit 31 of a
+    /// queued recipient marks the end of a same-arrival group.
     pub fn new(n: usize, cfg: NetConfig) -> Self {
         assert!(cfg.delta > 0, "delta must be at least one tick per round");
+        assert!(
+            n <= GROUP_END,
+            "{n} processors: bit 31 of a queued recipient marks the end of its group, \
+             and a value too wide panics instead of folding"
+        );
         let crash_round: Vec<usize> = (0..n)
             .map(|p| cfg.faults.crash_round(p).unwrap_or(usize::MAX))
             .collect();
@@ -482,10 +506,16 @@ impl<M> NetTransport<M> {
         }
     }
 
-    /// Stores a flight with `left` recipients to deliver; returns its
-    /// slot for the handles to name.
-    fn launch(&mut self, flight: Flight<M>) -> u32 {
-        self.in_flight += u64::from(flight.left);
+    /// Stores a flight with `count` recipients to deliver; returns its
+    /// slot, which is what the queue holds.
+    fn launch(&mut self, round: usize, from: ProcId, count: u32, to: Dest, payload: M) -> u32 {
+        self.in_flight += u64::from(count);
+        let flight = Flight {
+            sent_round: u32::try_from(round).expect("fewer than 2^32 rounds"),
+            from,
+            to,
+            payload,
+        };
         match self.free.pop() {
             Some(slot) => {
                 let old = self.flights[slot as usize].replace(flight);
@@ -525,8 +555,13 @@ impl<M> NetTransport<M> {
     /// [`Transport::collect_many`]: drains everything due at `round`,
     /// does all per-recipient accounting (a multicast counts once per
     /// recipient, exactly like its unbatched expansion would), and hands
-    /// each due group to `sink` in delivery order.
-    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(ProcId, &Dest, &[ProcId], &M)) {
+    /// each due group to `sink` in delivery order — sender, the fan's own
+    /// list when the group is all of it, the group, the payload.
+    fn drain_round(
+        &mut self,
+        round: usize,
+        mut sink: impl FnMut(ProcId, Option<&Arc<[ProcId]>>, &[ProcId], &M),
+    ) {
         // Everything that arrived by this round's opening tick is due.
         // (Nothing sent in round r can arrive before r·delta, and collect
         // for round r runs before round r's sends, so the r+1 floor is
@@ -547,16 +582,28 @@ impl<M> NetTransport<M> {
         let churn = self.cfg.faults.churn;
         // The closure names fields, never `self`, so it can account
         // while the queue it drains is borrowed.
-        self.queue.drain_due_policy(
-            now,
-            self.cfg.ordering,
-            &mut self.order_rng,
-            &mut |_, handle| {
-                let slot = &mut self.flights[handle.flight as usize];
-                let flight = slot.as_mut().expect("a queued handle names a live flight");
-                flight.left -= handle.len;
-                let group = &flight.to.list()[handle.start as usize..][..handle.len as usize];
-                let count = u64::from(handle.len);
+        self.queue
+            .drain_due_policy(now, self.cfg.ordering, &mut self.order_rng, &mut |_, id| {
+                let slot = &mut self.flights[id as usize];
+                let flight = slot.as_mut().expect("a queued slot holds a live flight");
+                // The flight's next group, the list it is all of (if it
+                // is), and whether the flight has more to deliver.
+                let (group, whole, more) = match &mut flight.to {
+                    Dest::One(p) => (std::slice::from_ref(&*p), None, false),
+                    Dest::Whole(list) => (&list[..], Some(&*list), false),
+                    Dest::Groups { list, next } => {
+                        let start = *next as usize;
+                        let last = list[start..]
+                            .iter()
+                            .position(|p| p.index() & GROUP_END != 0)
+                            .expect("a queued group ends at a marked recipient");
+                        let end = start + last + 1;
+                        list[end - 1] = ProcId::new(list[end - 1].index() & !GROUP_END);
+                        *next = end as u32;
+                        (&list[start..end], None, end < list.len())
+                    }
+                };
+                let count = group.len() as u64;
                 self.in_flight -= count;
                 self.stats.delivered += count;
                 // The wire did its job, but a recipient that is dead or
@@ -568,7 +615,7 @@ impl<M> NetTransport<M> {
                     0
                 };
                 self.stats.dead_letters += dead;
-                let sent_round = flight.sent_round;
+                let sent_round = flight.sent_round as usize;
                 let lateness = round.saturating_sub(sent_round + 1) as u64;
                 if lateness > 0 {
                     self.stats.late += count;
@@ -584,13 +631,12 @@ impl<M> NetTransport<M> {
                         b.late_rounds += lateness * count;
                     }
                 }
-                sink(flight.from, &flight.to, group, &flight.payload);
-                if flight.left == 0 {
+                sink(flight.from, whole, group, &flight.payload);
+                if !more {
                     *slot = None;
-                    self.free.push(handle.flight);
+                    self.free.push(id);
                 }
-            },
-        );
+            });
         if self.trace.is_on() {
             let delivered = self.stats.delivered - before.0;
             if delivered > 0 {
@@ -625,29 +671,15 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         let arrival = (round as u64)
             .saturating_mul(self.cfg.delta)
             .saturating_add(latency);
-        let flight = self.launch(Flight {
-            sent_round: round,
-            from: env.from,
-            left: 1,
-            to: Dest::One(env.to),
-            payload: env.payload,
-        });
-        self.queue.push(
-            arrival,
-            (),
-            Handle {
-                flight,
-                start: 0,
-                len: 1,
-            },
-        );
+        let flight = self.launch(round, env.from, 1, Dest::One(env.to), env.payload);
+        self.queue.push(arrival, (), flight);
     }
 
     /// Accepts a whole fan as one call, byte-identical to its unbatched
     /// expansion: the same per-recipient counters, the same RNG draws in
     /// the same order, and the same delivery schedule — but the fan is
-    /// stored once, and queue volume is one 12-byte handle per
-    /// same-arrival group instead of one payload copy per recipient.
+    /// stored once, and queue volume is one 4-byte slot per same-arrival
+    /// group instead of one payload copy per recipient.
     fn send_many(&mut self, round: usize, mc: Multicast<M>) {
         if mc.to.is_empty() {
             return;
@@ -664,19 +696,8 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // fan stays one queue entry, at its place in emission order.
         if self.cfg.faults.is_trivial() {
             if let LatencyModel::Constant(d) = self.cfg.latency {
-                let flight = self.launch(Flight {
-                    sent_round: round,
-                    from: mc.from,
-                    left: len,
-                    to: Dest::Many(mc.to),
-                    payload: mc.payload,
-                });
-                let whole = Handle {
-                    flight,
-                    start: 0,
-                    len,
-                };
-                self.queue.push(sent.saturating_add(d), (), whole);
+                let flight = self.launch(round, mc.from, len, Dest::Whole(mc.to), mc.payload);
+                self.queue.push(sent.saturating_add(d), (), flight);
                 return;
             }
         }
@@ -704,28 +725,35 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             // Recipients sharing an arrival keep slice order: the index
             // breaks ties.
             landed.sort_unstable();
-            let picks = landed.iter().map(|&(_, i)| i as usize);
-            let to = if picks.clone().eq(0..mc.to.len()) {
-                mc.to
+            let last = landed.len() - 1;
+            let to = if landed[0].0 == landed[last].0 {
+                // One tick: a whole list, the caller's own if it all
+                // survived (the sort then left it in index order).
+                if last + 1 == mc.to.len() {
+                    Dest::Whole(mc.to)
+                } else {
+                    Dest::Whole(landed.iter().map(|&(_, i)| mc.to[i as usize]).collect())
+                }
             } else {
-                picks.map(|i| mc.to[i]).collect()
+                // Several: the flight's own list, each group's last
+                // member marked — never the caller's, which is shared.
+                let list = landed.iter().enumerate().map(|(k, &(arrival, i))| {
+                    let p = mc.to[i as usize];
+                    assert!(p.index() < GROUP_END, "{p} would read as marked");
+                    if k < last && landed[k + 1].0 == arrival {
+                        p
+                    } else {
+                        ProcId::new(p.index() | GROUP_END)
+                    }
+                });
+                Dest::Groups {
+                    list: list.collect(),
+                    next: 0,
+                }
             };
-            let flight = self.launch(Flight {
-                sent_round: round,
-                from: mc.from,
-                left: landed.len() as u32,
-                to: Dest::Many(to),
-                payload: mc.payload,
-            });
-            let mut start = 0;
+            let flight = self.launch(round, mc.from, landed.len() as u32, to, mc.payload);
             for group in landed.chunk_by(|a, b| a.0 == b.0) {
-                let handle = Handle {
-                    flight,
-                    start,
-                    len: group.len() as u32,
-                };
-                self.queue.push(group[0].0, (), handle);
-                start += handle.len;
+                self.queue.push(group[0].0, (), flight);
             }
             landed.clear();
         }
@@ -742,13 +770,13 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
 
     fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
         let mut singles = std::mem::take(&mut self.singles);
-        self.drain_round(round, |from, to, group, payload| {
+        self.drain_round(round, |from, whole, group, payload| {
             // A whole fan keeps its own list; a lone recipient shares its
             // processor's; only a partial group of several allocates.
-            let to = match (to, group) {
-                (Dest::Many(list), group) if group.len() == list.len() => list.clone(),
-                (_, &[p]) => Self::single(&mut singles, p),
-                (_, group) => group.into(),
+            let to = match (whole, group) {
+                (Some(list), _) => list.clone(),
+                (None, &[p]) => Self::single(&mut singles, p),
+                (None, group) => group.into(),
             };
             let payload = payload.clone();
             deliver(Multicast { from, to, payload });
@@ -1337,6 +1365,180 @@ mod tests {
         }
     }
 
+    /// The recipients of a [`Dest::Groups`] list, marks cleared.
+    fn unmarked(list: &[ProcId]) -> Vec<usize> {
+        list.iter().map(|p| p.index() & !GROUP_END).collect()
+    }
+
+    /// One fan whose groups leave over several rounds, a collect between
+    /// every two of them: the cursor hands every survivor out exactly
+    /// once and in list order whatever the policy (a group is one unit),
+    /// the last group recycles the slot and no earlier one does, and a
+    /// run that stops mid-flight reports what is still in the air.
+    #[test]
+    fn a_flight_walks_its_survivor_list_across_rounds_under_every_policy() {
+        // One tick a round and one to eight rounds on the wire: a fan's
+        // groups are its distinct arrival rounds.
+        let cfg = |ordering| {
+            NetConfig {
+                delta: 1,
+                ..NetConfig::synchronous()
+            }
+            .with_seed(3)
+            .with_ordering(ordering)
+            .with_latency(LatencyModel::Uniform { lo: 1, hi: 8 })
+            .with_faults(FaultPlan {
+                drop_prob: 0.2,
+                ..FaultPlan::default()
+            })
+        };
+        let to: Arc<[ProcId]> = (0..24).map(ProcId::new).collect();
+        let walk = |ordering: DeliveryPolicy, many: bool, rounds: usize| {
+            let mut t: NetTransport<u16> = NetTransport::new(24, cfg(ordering));
+            t.send_many(
+                0,
+                Multicast {
+                    from: ProcId::new(5),
+                    to: to.clone(),
+                    payload: 9,
+                },
+            );
+            let Some(Flight {
+                to: Dest::Groups { list, next: 0 },
+                ..
+            }) = &t.flights[0]
+            else {
+                panic!("the fan spreads over several ticks");
+            };
+            let expected = unmarked(list);
+            let groups = list.iter().filter(|p| p.index() >= GROUP_END).count();
+            assert!(groups >= 4 && groups < expected.len() && expected.len() < to.len());
+            let mut got = Vec::new();
+            let mut units = 0;
+            for r in 1..=rounds {
+                if many {
+                    t.collect_many(r, &mut |b| {
+                        units += 1;
+                        got.extend(b.to.iter().map(|p| p.index()));
+                    });
+                } else {
+                    t.collect(r, &mut |e| got.push(e.to.index()));
+                }
+                assert_eq!(got, expected[..got.len()], "round {r} under {ordering:?}");
+                assert_eq!(t.in_flight, (expected.len() - got.len()) as u64);
+                let live = got.len() < expected.len();
+                assert_eq!(t.flights[0].is_some(), live, "recycled by the last group");
+                assert_eq!(t.free, if live { vec![] } else { vec![0] });
+            }
+            (expected.len() - got.len(), units, groups, t.into_stats())
+        };
+        for ordering in DeliveryPolicy::ALL {
+            for many in [false, true] {
+                let (left, units, groups, stats) = walk(ordering, many, 8);
+                assert_eq!((left, stats.in_flight_at_end), (0, 0));
+                assert_eq!(units, if many { groups } else { 0 }, "one batch a group");
+                assert!(stats.late > 0 && stats.dropped_random > 0, "{stats:?}");
+                let (left, _, _, stats) = walk(ordering, many, 3);
+                assert!(left > 0 && stats.delivered > 0, "stopped mid-flight");
+                assert_eq!(stats.in_flight_at_end, left as u64);
+            }
+        }
+    }
+
+    /// Arrivals that happen to be non-decreasing in the caller's own
+    /// order, over more than one tick, nothing dropped: the survivor list
+    /// *is* the caller's, and still the flight marks a copy — the
+    /// caller's `Arc` is shared with every other fan to that committee.
+    #[test]
+    fn a_spread_fan_in_the_callers_order_leaves_the_callers_list_alone() {
+        let to: Arc<[ProcId]> = (0..3).map(ProcId::new).collect();
+        let mut met = 0;
+        for seed in 0..64 {
+            let cfg = NetConfig {
+                delta: 1,
+                ..NetConfig::synchronous()
+            }
+            .with_seed(seed)
+            .with_latency(LatencyModel::Uniform { lo: 1, hi: 3 });
+            let mut t: NetTransport<u16> = NetTransport::new(3, cfg);
+            t.send_many(
+                0,
+                Multicast {
+                    from: ProcId::new(0),
+                    to: to.clone(),
+                    payload: 1,
+                },
+            );
+            match &t.flights[0] {
+                Some(Flight {
+                    to: Dest::Groups { list, .. },
+                    ..
+                }) if unmarked(list) == [0, 1, 2] => met += 1,
+                _ => continue,
+            }
+            assert_eq!(Arc::strong_count(&to), 1, "the flight holds its own list");
+            let mut got = Vec::new();
+            for r in 1..=3 {
+                t.collect_many(r, &mut |b| got.push(unmarked(&b.to)));
+                assert!(
+                    to.iter().map(|p| p.index()).eq(0..3),
+                    "written to in round {r}"
+                );
+            }
+            assert!(got.len() > 1, "several groups");
+            assert_eq!(got.concat(), [0, 1, 2]);
+        }
+        assert!(met > 0, "no seed drew the shared-list case");
+    }
+
+    /// The widest index `new` admits, 2^31 - 1, differs from a marked
+    /// recipient in bit 31 alone: at the end of every group of a spread
+    /// fan it is marked, and delivered without the mark. (Two ticks for
+    /// twelve copies, so no group is a lone recipient: `collect_many`
+    /// would size its table of one-element lists by that index.)
+    #[test]
+    fn the_widest_recipient_index_is_delivered_unmarked() {
+        let widest = ProcId::new(GROUP_END - 1);
+        let to: Arc<[ProcId]> = [widest; 12].into();
+        for many in [false, true] {
+            let cfg = NetConfig {
+                delta: 1,
+                ..NetConfig::synchronous()
+            }
+            .with_seed(1)
+            .with_latency(LatencyModel::Uniform { lo: 1, hi: 2 });
+            let mut t: NetTransport<u16> = NetTransport::new(2, cfg);
+            t.send_many(
+                0,
+                Multicast {
+                    from: ProcId::new(0),
+                    to: to.clone(),
+                    payload: 1,
+                },
+            );
+            let mut got = Vec::new();
+            let mut rounds_with_traffic = 0;
+            for r in 1..=2 {
+                let before = got.len();
+                if many {
+                    t.collect_many(r, &mut |b| got.extend(b.to.iter().copied()));
+                } else {
+                    t.collect(r, &mut |e| got.push(e.to));
+                }
+                rounds_with_traffic += usize::from(got.len() > before);
+            }
+            assert_eq!(rounds_with_traffic, 2, "two groups");
+            assert_eq!(got, [widest; 12]);
+            assert_eq!(t.into_stats().in_flight_at_end, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a value too wide panics instead of folding")]
+    fn more_processors_than_the_group_mark_leaves_room_for_are_refused() {
+        let _ = NetTransport::<u16>::new(GROUP_END + 1, NetConfig::synchronous());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1357,7 +1559,10 @@ mod tests {
             let mut r = 0;
             while r < 3 || t.in_flight > 0 {
                 assert!(r < 200, "the wire never emptied");
+                // Whole, single and partial-group batches and every
+                // envelope pass through here: none may carry the mark.
                 let mut note = |from: ProcId, to: ProcId, payload| {
+                    assert!(to.index() < n, "{to} left the transport marked");
                     got.push((r, from.index(), to.index(), payload))
                 };
                 if many {

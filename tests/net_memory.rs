@@ -1,17 +1,20 @@
 //! An allocation budget for the faulty-net path: a recipient in the air
-//! costs its handle.
+//! costs its flight's slot in the queue and its own entry in the flight's
+//! survivor list.
 //!
 //! Over jittered links almost every recipient of a fan gets an arrival
 //! tick of its own, so what `NetTransport` keeps per queued recipient is
 //! what decides how large a faulty-net run fits in memory. An integration
 //! test is its own binary, so this one installs a counting global
 //! allocator and bounds the live heap of a round in flight per recipient:
-//! a 12-byte handle in the event queue and the recipient's 4-byte entry in
-//! its flight's survivor list, plus the flight slab and at most one
-//! partial chunk per arrival tick — 16.5 bytes. A tie key or a sequence
-//! number stored beside the handle (a 24-byte entry) reads ≈ 29, and
-//! per-tick buffers rounded up to a power of two more; at 3cfceb9 the same
-//! round measured 41.5.
+//! the flight's 4-byte slot in the event queue and the recipient's 4-byte
+//! entry in the survivor list (which also says where its group ends),
+//! plus ≈ 1 byte of flight slab, chunk lists, calendar and at most one
+//! partial chunk per arrival tick — 9.0 bytes against a budget of 11. The
+//! 12-byte `Handle { flight, start, len }` this replaced reads 16.5 and
+//! fails it, as does anything stored beside the slot (an 8-byte entry
+//! reads ≈ 13); at 3cfceb9, with keyed 32-byte entries in per-tick
+//! buffers, the same round measured 41.5.
 
 use king_saia::net::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetTransport};
 use king_saia::sim::{Multicast, ProcId, Transport};
@@ -27,7 +30,7 @@ static ALLOCATOR: Counting = Counting;
 fn a_recipient_in_the_air_costs_its_handle() {
     // The shape of `stack-jitter-256`'s busiest round: fans to everyone
     // over 1 % loss and `Uniform{0,900}` jitter, so a fan's recipients
-    // land ≈ one to a tick and a tick holds hundreds of handles.
+    // land ≈ one to a tick and a tick holds hundreds of entries.
     let heap = Measuring::begin();
     let (n, fans) = (256, 2048);
     let cfg = NetConfig::synchronous()
@@ -67,8 +70,8 @@ fn a_recipient_in_the_air_costs_its_handle() {
     let per_recipient = in_flight as f64 / delivered as f64;
     println!("{in_flight} B live in flight = {per_recipient:.1} B per queued recipient");
     assert!(
-        per_recipient <= 20.0,
-        "over the budget of 20 B per recipient"
+        per_recipient <= 11.0,
+        "over the budget of 11 B per recipient"
     );
     // The slab, its free list and the scratches stay for the next round;
     // no chunk and no survivor list does.
@@ -79,19 +82,20 @@ fn a_recipient_in_the_air_costs_its_handle() {
 #[test]
 fn a_lone_event_does_not_pay_for_a_chunk() {
     // A sparse calendar — a small n, singles over jitter — is one event a
-    // tick: the first chunk of an instant starts at a few entries (48 B
-    // for four handles), in a chunk list of one (32 B), under the
-    // instant's share of a half-full calendar node (≈ 92 B): 172 B. A
-    // full 2 KiB first chunk reads over 2 000; at 3cfceb9 the four 32-byte
-    // entries of a fresh buffer made it 220.
+    // tick: the first chunk of an instant starts at a few entries (16 B
+    // for four of the transport's 4-byte slots), in a chunk list of one
+    // (32 B), under the instant's share of a half-full calendar node
+    // (≈ 92 B): 140 B, budget 154 (what it reads + 10 %). A full 2 KiB
+    // first chunk reads over 2 000; four 12-byte handles made it 172, and
+    // at 3cfceb9 the four 32-byte entries of a fresh buffer 220.
     let heap = Measuring::begin();
-    let mut q: EventQueue<[u32; 3], ()> = EventQueue::new();
+    let mut q: EventQueue<u32, ()> = EventQueue::new();
     let ticks = 900;
     for tick in 1..=ticks {
-        q.push(tick, (), [tick as u32; 3]);
+        q.push(tick, (), tick as u32);
     }
     let per_tick = heap.live() as f64 / ticks as f64;
     println!("{per_tick:.1} B per one-event tick");
-    assert!(per_tick <= 192.0, "over the budget of 192 B per tick");
+    assert!(per_tick <= 154.0, "over the budget of 154 B per tick");
     assert_eq!(q.len(), ticks as usize);
 }
