@@ -98,10 +98,14 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Whether anything in the plan can actually fire.
     pub fn is_trivial(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-            && self.churn.is_none()
+        self.is_lossless() && self.crashes.is_empty() && self.churn.is_none()
+    }
+
+    /// Whether the wire loses nothing: [`FaultPlan::dropped`] is `None`
+    /// for every message (crashes and churn silence processors, not
+    /// links).
+    pub fn is_lossless(&self) -> bool {
+        self.drop_prob <= 0.0 && self.partitions.is_empty()
     }
 
     /// Decides the fate of a `from → to` message sent in `round`.

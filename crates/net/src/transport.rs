@@ -26,6 +26,13 @@
 //! the air is thus 4 bytes of queue and 4 of survivor list
 //! (`tests/net_memory.rs` budgets the sum); a fan that lands on one tick
 //! keeps the caller's list untouched and is handed back by `Arc::clone`.
+//!
+//! One `send_round` call is one flight too: the round's own
+//! `Vec<Envelope>`, swapped out of the caller's hands, its survivors in
+//! `(arrival, emission order)` and walked by the same cursor and the same
+//! mark (on an envelope's `to`). An envelope in the air is then itself
+//! and nothing else, its group one 4-byte slot; a round that lands on one
+//! tick is neither sorted nor copied, and `collect_round` swaps it back.
 
 use crate::event::{DeliveryPolicy, EventQueue};
 use crate::fault::{Churn, DropCause, FaultPlan};
@@ -243,11 +250,80 @@ enum Dest {
     Groups { list: Box<[ProcId]>, next: u32 },
 }
 
-/// The bit of a [`ProcId`] in a [`Dest::Groups`] list that marks the last
-/// member of a same-arrival group. It is cleared in place before the
-/// group is handed out, so no recipient ever leaves the transport marked;
+/// One `send_round` call in flight: the buffer the round came in, in the
+/// slab beside the flights' (a [`Flight`] is one sender and one payload,
+/// and pays for neither a `Vec` nor a second kind). Queued once per
+/// same-arrival group like a [`Dest::Groups`] fan, and walked the same
+/// way.
+#[derive(Debug)]
+struct RoundFlight<M> {
+    sent_round: u32,
+    /// Where the first undelivered group starts.
+    next: u32,
+    /// The survivors, sorted by `(arrival, emission order)`, the `to` of
+    /// every same-arrival group's last envelope carrying [`GROUP_END`].
+    /// Empty while the slot is free — with an allocation worth handing to
+    /// the next `send_round` in exchange for its buffer.
+    envs: Vec<Envelope<M>>,
+}
+
+/// The bit of a queued slot that says it indexes `rounds`, not `flights`.
+const ROUND: u32 = 1 << 31;
+
+/// The bit of a [`ProcId`] — in a [`Dest::Groups`] list, or the `to` of
+/// an envelope of a [`RoundFlight`] — that marks the last member of a
+/// same-arrival group. It is cleared in place before the group is handed
+/// out, so no recipient ever leaves the transport marked;
 /// [`NetTransport::new`] keeps every real index below it.
 const GROUP_END: usize = 1 << 31;
+
+/// `p` as the last member of its group.
+fn marked(p: ProcId) -> ProcId {
+    ProcId::new(p.index() | GROUP_END)
+}
+
+/// Closes the group `list` starts with — finds its marked member and
+/// clears the mark — and returns its length. `to` is where an entry keeps
+/// its recipient.
+fn close_group<T>(list: &mut [T], to: impl Fn(&mut T) -> &mut ProcId) -> usize {
+    let last = list
+        .iter_mut()
+        .position(|entry| to(entry).index() & GROUP_END != 0)
+        .expect("a queued group ends at a marked recipient");
+    let p = to(&mut list[last]);
+    *p = ProcId::new(p.index() & !GROUP_END);
+    last + 1
+}
+
+/// Puts `envs` in the order of `landed`, whose indices are a permutation
+/// of `0..envs.len()`: `envs[k]` becomes what stood at `landed[k].1`. In
+/// place, each cycle followed once; `landed[k].1` is left at `k`.
+fn permute<T>(envs: &mut [T], landed: &mut [(u64, u32)]) {
+    for first in 0..landed.len() {
+        let mut k = first;
+        loop {
+            let from = landed[k].1 as usize;
+            landed[k].1 = k as u32;
+            if from == first {
+                break;
+            }
+            envs.swap(k, from);
+            k = from;
+        }
+    }
+}
+
+/// What [`NetTransport::drain_round`] hands its sink: one same-arrival
+/// group, due now.
+enum Due<'a, M> {
+    /// Of a fan: the sender, the fan's own list when the group is all of
+    /// it, the group, the payload.
+    Fan(ProcId, Option<&'a Arc<[ProcId]>>, &'a [ProcId], &'a M),
+    /// Of a round of singles: the flight's buffer and the group's place
+    /// in it. A sink may swap the buffer for another when the group is
+    /// all of it, and must otherwise leave it as it is.
+    Singles(&'a mut Vec<Envelope<M>>, std::ops::Range<usize>),
+}
 
 // The per-envelope cost of a jittered fan is one queue entry and one
 // survivor-list entry, and a queue entry is the flight's slot and nothing
@@ -279,14 +355,24 @@ pub struct NetTransport<M> {
     /// Flights with undelivered recipients; `free` lists the empty slots.
     flights: Vec<Option<Flight<M>>>,
     free: Vec<u32>,
-    /// Flight slots by arrival tick, one entry per same-arrival group.
-    /// The queue keeps one instant's events in push order, and pushes
-    /// happen in emission order — `send` and `send_many` run one after
-    /// another on `&mut self`, and one `send_many` puts at most one group
-    /// in any instant (its groups are the distinct arrivals of `landed`,
-    /// pushed in ascending arrival, which is why an entry need not say
-    /// *which* group it is) — so no tie key is needed for delivery order
-    /// to be `(arrival, emission order)`.
+    /// Whole rounds with undelivered envelopes, and the slots whose round
+    /// is delivered (their buffers empty).
+    rounds: Vec<RoundFlight<M>>,
+    free_rounds: Vec<u32>,
+    /// Flight slots by arrival tick ([`ROUND`] set on a slot of `rounds`),
+    /// one entry per same-arrival group. The queue keeps one instant's
+    /// events in push order, and pushes happen in emission order —
+    /// `send`, `send_many` and `send_round` run one after another on
+    /// `&mut self`, and one `send_many` or `send_round` puts at most one
+    /// group in any instant (its groups are the distinct arrivals of
+    /// `landed`, pushed in ascending arrival, which is why an entry need
+    /// not say *which* group it is) — so no tie key is needed for
+    /// delivery order to be `(arrival, emission order)`. A group of a
+    /// round of singles is its envelopes in emission order, which is
+    /// where the per-envelope path puts them only under
+    /// [`DeliveryPolicy::Fifo`]: the other policies reorder an instant
+    /// unit by unit, so under them `send_round` makes every envelope a
+    /// unit of its own.
     queue: EventQueue<u32, ()>,
     rng: SimRng,
     stats: NetStats,
@@ -297,7 +383,7 @@ pub struct NetTransport<M> {
     /// [`Transport::mark_phase`] announcements, parallel to
     /// `stats.per_phase` (unused when the config carries a schedule).
     marks: Vec<usize>,
-    /// Scratch for the slow path's surviving `(arrival, index)` pairs.
+    /// Scratch for `send_many`'s surviving `(arrival, index)` pairs.
     landed: Vec<(u64, u32)>,
     /// One-element recipient lists, one per processor, made on first use.
     singles: Vec<Option<Arc<[ProcId]>>>,
@@ -357,6 +443,8 @@ impl<M> NetTransport<M> {
             crash_round,
             flights: Vec::new(),
             free: Vec::new(),
+            rounds: Vec::new(),
+            free_rounds: Vec::new(),
             queue: EventQueue::new(),
             rng,
             stats,
@@ -464,15 +552,14 @@ impl<M> NetTransport<M> {
         }
     }
 
-    /// The send-side accounting shared by [`Transport::send`] and
-    /// [`Transport::send_many`]: `count` envelopes of `bits` each enter
-    /// the wire in `round`.
+    /// The send-side accounting shared by every `send*` call: `count`
+    /// envelopes of `bits` in all enter the wire in `round`.
     fn count_sent(&mut self, round: usize, bucket: Option<usize>, count: u64, bits: u64) {
         self.stats.sent += count;
         if let Some(b) = bucket {
             let b = &mut self.stats.per_phase[b];
             b.sent += count;
-            b.sent_bits += bits * count;
+            b.sent_bits += bits;
         }
         if self.trace.is_on() {
             if self.pend.0 != round {
@@ -480,7 +567,7 @@ impl<M> NetTransport<M> {
             }
             self.pend.0 = round;
             self.pend.1 += count;
-            self.pend.2 += bits * count;
+            self.pend.2 += bits;
         }
     }
 
@@ -523,11 +610,39 @@ impl<M> NetTransport<M> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.flights.len()).expect("fewer than 2^32 flights");
+                let slot = Self::fresh_slot(self.flights.len());
                 self.flights.push(Some(flight));
                 slot
             }
         }
+    }
+
+    /// The queue's name for slot `len` of a slab that is about to grow.
+    fn fresh_slot(len: usize) -> u32 {
+        u32::try_from(len)
+            .ok()
+            .filter(|slot| slot & ROUND == 0)
+            .expect("fewer than 2^31 flights")
+    }
+
+    /// Stores a round of singles to deliver, trading `envs` for the
+    /// slot's spare buffer; returns what the queue holds for it.
+    fn launch_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) -> u32 {
+        self.in_flight += envs.len() as u64;
+        let slot = self.free_rounds.pop().unwrap_or_else(|| {
+            let slot = Self::fresh_slot(self.rounds.len());
+            self.rounds.push(RoundFlight {
+                sent_round: 0,
+                next: 0,
+                envs: Vec::new(),
+            });
+            slot
+        });
+        let flight = &mut self.rounds[slot as usize];
+        debug_assert!(flight.envs.is_empty() && flight.next == 0, "a free slot");
+        flight.sent_round = u32::try_from(round).expect("fewer than 2^32 rounds");
+        std::mem::swap(&mut flight.envs, envs);
+        slot | ROUND
     }
 
     /// The shared one-element recipient list of processor `p`.
@@ -551,17 +666,11 @@ impl<M> NetTransport<M> {
         !churn.is_some_and(|c| c.is_down(round, i))
     }
 
-    /// The shared body of [`Transport::collect`] and
-    /// [`Transport::collect_many`]: drains everything due at `round`,
-    /// does all per-recipient accounting (a multicast counts once per
-    /// recipient, exactly like its unbatched expansion would), and hands
-    /// each due group to `sink` in delivery order — sender, the fan's own
-    /// list when the group is all of it, the group, the payload.
-    fn drain_round(
-        &mut self,
-        round: usize,
-        mut sink: impl FnMut(ProcId, Option<&Arc<[ProcId]>>, &[ProcId], &M),
-    ) {
+    /// The shared body of the `collect*` calls: drains everything due at
+    /// `round`, does all per-recipient accounting (a multicast counts
+    /// once per recipient, exactly like its unbatched expansion would),
+    /// and hands each due group to `sink` in delivery order.
+    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(Due<'_, M>)) {
         // Everything that arrived by this round's opening tick is due.
         // (Nothing sent in round r can arrive before r·delta, and collect
         // for round r runs before round r's sends, so the r+1 floor is
@@ -580,10 +689,58 @@ impl<M> NetTransport<M> {
         );
         let phases = self.stats.per_phase.len();
         let churn = self.cfg.faults.churn;
-        // The closure names fields, never `self`, so it can account
-        // while the queue it drains is borrowed.
+        // The closures name fields, never `self`, so they can account
+        // while the queue being drained is borrowed.
+        //
+        // The wire did its job, but a recipient that is dead or churned
+        // out this round will never read the message.
+        let down = |p: ProcId| !Self::up(&self.crash_round, churn, round, p);
+        // The delivery-side accounting of one group, fan or singles:
+        // `count` envelopes sent in `sent_round`, `dead` of them letters.
+        let mut tally = |sent_round: usize, count: u64, dead: u64| {
+            self.in_flight -= count;
+            self.stats.delivered += count;
+            self.stats.dead_letters += dead;
+            let lateness = round.saturating_sub(sent_round + 1) as u64;
+            if lateness > 0 {
+                self.stats.late += count;
+                self.stats.late_rounds += lateness * count;
+            }
+            let schedule = self.cfg.schedule.as_ref();
+            if let Some(b) = Self::phase_of(schedule, &self.marks, phases, sent_round) {
+                let b = &mut self.stats.per_phase[b];
+                b.delivered += count;
+                b.dead_letters += dead;
+                if lateness > 0 {
+                    b.late += count;
+                    b.late_rounds += lateness * count;
+                }
+            }
+        };
         self.queue
             .drain_due_policy(now, self.cfg.ordering, &mut self.order_rng, &mut |_, id| {
+                if id & ROUND != 0 {
+                    let id = id & !ROUND;
+                    let flight = &mut self.rounds[id as usize];
+                    let start = flight.next as usize;
+                    let end = start + close_group(&mut flight.envs[start..], |e| &mut e.to);
+                    let group = &flight.envs[start..end];
+                    let dead = if self.has_offline {
+                        group.iter().filter(|e| down(e.to)).count() as u64
+                    } else {
+                        0
+                    };
+                    tally(flight.sent_round as usize, group.len() as u64, dead);
+                    let more = end < flight.envs.len();
+                    flight.next = end as u32;
+                    sink(Due::Singles(&mut flight.envs, start..end));
+                    if !more {
+                        flight.envs.clear();
+                        flight.next = 0;
+                        self.free_rounds.push(id);
+                    }
+                    return;
+                }
                 let slot = &mut self.flights[id as usize];
                 let flight = slot.as_mut().expect("a queued slot holds a live flight");
                 // The flight's next group, the list it is all of (if it
@@ -593,45 +750,18 @@ impl<M> NetTransport<M> {
                     Dest::Whole(list) => (&list[..], Some(&*list), false),
                     Dest::Groups { list, next } => {
                         let start = *next as usize;
-                        let last = list[start..]
-                            .iter()
-                            .position(|p| p.index() & GROUP_END != 0)
-                            .expect("a queued group ends at a marked recipient");
-                        let end = start + last + 1;
-                        list[end - 1] = ProcId::new(list[end - 1].index() & !GROUP_END);
+                        let end = start + close_group(&mut list[start..], |p| p);
                         *next = end as u32;
                         (&list[start..end], None, end < list.len())
                     }
                 };
-                let count = group.len() as u64;
-                self.in_flight -= count;
-                self.stats.delivered += count;
-                // The wire did its job, but a recipient that is dead or
-                // churned out this round will never read the message.
                 let dead = if self.has_offline {
-                    let up = |&p: &ProcId| Self::up(&self.crash_round, churn, round, p);
-                    group.iter().filter(|p| !up(p)).count() as u64
+                    group.iter().filter(|&&p| down(p)).count() as u64
                 } else {
                     0
                 };
-                self.stats.dead_letters += dead;
-                let sent_round = flight.sent_round as usize;
-                let lateness = round.saturating_sub(sent_round + 1) as u64;
-                if lateness > 0 {
-                    self.stats.late += count;
-                    self.stats.late_rounds += lateness * count;
-                }
-                let schedule = self.cfg.schedule.as_ref();
-                if let Some(b) = Self::phase_of(schedule, &self.marks, phases, sent_round) {
-                    let b = &mut self.stats.per_phase[b];
-                    b.delivered += count;
-                    b.dead_letters += dead;
-                    if lateness > 0 {
-                        b.late += count;
-                        b.late_rounds += lateness * count;
-                    }
-                }
-                sink(flight.from, whole, group, &flight.payload);
+                tally(flight.sent_round as usize, group.len() as u64, dead);
+                sink(Due::Fan(flight.from, whole, group, &flight.payload));
                 if !more {
                     *slot = None;
                     self.free.push(id);
@@ -687,7 +817,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         let len = u32::try_from(mc.to.len()).expect("fewer than 2^32 recipients");
         let count = u64::from(len);
         let bucket = self.phase_index(round);
-        self.count_sent(round, bucket, count, mc.payload.bit_len());
+        self.count_sent(round, bucket, count, count * mc.payload.bit_len());
         let sent = (round as u64).saturating_mul(self.cfg.delta);
         // Fast path: a trivial fault plan and constant latency make
         // every per-recipient decision identical without touching the
@@ -743,7 +873,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
                     if k < last && landed[k + 1].0 == arrival {
                         p
                     } else {
-                        ProcId::new(p.index() | GROUP_END)
+                        marked(p)
                     }
                 });
                 Dest::Groups {
@@ -760,28 +890,138 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         self.landed = landed;
     }
 
-    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
-        self.drain_round(round, |from, _, group, payload| {
-            for &p in group {
-                deliver(Envelope::new(from, p, payload.clone()));
+    /// Accepts a whole round as one flight, byte-identical to one `send`
+    /// per envelope: the same counters, the same RNG draws in the same
+    /// order, the same delivery schedule — but the round stays in the
+    /// buffer it came in, queued once per distinct arrival tick, and
+    /// `envs` comes back empty with the allocation of a round already
+    /// delivered.
+    fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) {
+        // A flight's group is one unit of its instant, handed out in
+        // emission order. `Fifo` keeps units in push order, so that is
+        // the per-envelope order; `AdversarialLifo` and `Shuffle` reorder
+        // an instant unit by unit (`Shuffle` with one `ORDER_LABEL` draw
+        // a unit), and there every envelope has to be a unit of its own.
+        if self.cfg.ordering != DeliveryPolicy::Fifo {
+            for env in envs.drain(..) {
+                self.send(round, env);
             }
+            return;
+        }
+        if envs.is_empty() {
+            return;
+        }
+        let bucket = self.phase_index(round);
+        let widest = envs.iter().fold(0, |all, e| all | e.to.index());
+        assert!(widest < GROUP_END, "a recipient would read as marked");
+        let bits = envs.iter().map(Envelope::bit_len).sum();
+        self.count_sent(round, bucket, envs.len() as u64, bits);
+        let sent = (round as u64).saturating_mul(self.cfg.delta);
+        // Constant latency lands the whole round on one tick, in the
+        // order it came in: nothing to sort, nothing to note per envelope.
+        let one_tick = match self.cfg.latency {
+            LatencyModel::Constant(d) => Some(sent.saturating_add(d)),
+            _ => None,
+        };
+        // The drop and latency draws of one `send` per envelope, in
+        // emission order (`retain` visits in order, each envelope once).
+        // The `(arrival, index)` pairs to sort by are as many as the
+        // round and are not kept past it: a round in the air costs its
+        // envelopes, not half as much again in scratch.
+        let pairs = if one_tick.is_some() { 0 } else { envs.len() };
+        let mut landed: Vec<(u64, u32)> = Vec::with_capacity(pairs);
+        if one_tick.is_none() || !self.cfg.faults.is_lossless() {
+            envs.retain(|e| {
+                let (from, to) = (e.from.index(), e.to.index());
+                if let Some(cause) = self.cfg.faults.dropped(round, from, to, &mut self.rng) {
+                    self.count_dropped(bucket, cause);
+                    return false;
+                }
+                if one_tick.is_none() {
+                    let latency = self.cfg.latency.sample(&mut self.rng);
+                    landed.push((sent.saturating_add(latency), landed.len() as u32));
+                }
+                true
+            });
+        }
+        if let Some(last) = envs.len().checked_sub(1) {
+            // Survivors sharing an arrival keep emission order: the index
+            // breaks ties. The round moves once, within its own buffer.
+            landed.sort_unstable();
+            permute(envs, &mut landed);
+            let flight = self.launch_round(round, envs);
+            let list = &mut self.rounds[(flight & !ROUND) as usize].envs;
+            // One queue entry per distinct arrival, in ascending arrival,
+            // the last envelope of each marked.
+            let mut close = |k: usize, arrival| {
+                list[k].to = marked(list[k].to);
+                self.queue.push(arrival, (), flight);
+            };
+            match one_tick {
+                Some(arrival) => close(last, arrival),
+                None => (0..=last)
+                    .filter(|&k| k == last || landed[k + 1].0 != landed[k].0)
+                    .for_each(|k| close(k, landed[k].0)),
+            }
+        }
+    }
+
+    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+        self.drain_round(round, |due| match due {
+            Due::Fan(from, _, group, payload) => {
+                for &p in group {
+                    deliver(Envelope::new(from, p, payload.clone()));
+                }
+            }
+            Due::Singles(envs, group) => envs[group].iter().cloned().for_each(&mut *deliver),
         });
     }
 
     fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
         let mut singles = std::mem::take(&mut self.singles);
-        self.drain_round(round, |from, whole, group, payload| {
-            // A whole fan keeps its own list; a lone recipient shares its
-            // processor's; only a partial group of several allocates.
-            let to = match (whole, group) {
-                (Some(list), _) => list.clone(),
-                (None, &[p]) => Self::single(&mut singles, p),
-                (None, group) => group.into(),
-            };
-            let payload = payload.clone();
-            deliver(Multicast { from, to, payload });
+        self.drain_round(round, |due| match due {
+            Due::Fan(from, whole, group, payload) => {
+                // A whole fan keeps its own list; a lone recipient shares
+                // its processor's; only a partial group of several
+                // allocates.
+                let to = match (whole, group) {
+                    (Some(list), _) => list.clone(),
+                    (None, &[p]) => Self::single(&mut singles, p),
+                    (None, group) => group.into(),
+                };
+                let payload = payload.clone();
+                deliver(Multicast { from, to, payload });
+            }
+            Due::Singles(envs, group) => {
+                for e in &envs[group] {
+                    deliver(Multicast {
+                        from: e.from,
+                        to: Self::single(&mut singles, e.to),
+                        payload: e.payload.clone(),
+                    });
+                }
+            }
         });
         self.singles = singles;
+    }
+
+    /// Appends what is due, and trades buffers instead when there is
+    /// nothing to append to and a round of singles comes back whole: the
+    /// allocation the engine sent a round in is the one it reads it from.
+    fn collect_round(&mut self, round: usize, into: &mut Vec<Envelope<M>>) {
+        self.drain_round(round, |due| match due {
+            Due::Fan(from, _, group, payload) => {
+                into.extend(
+                    group
+                        .iter()
+                        .map(|&p| Envelope::new(from, p, payload.clone())),
+                );
+            }
+            Due::Singles(envs, group) if into.is_empty() && group.len() == envs.len() => {
+                std::mem::swap(envs, into);
+            }
+            Due::Singles(envs, group) => into.extend_from_slice(&envs[group]),
+        });
     }
 
     fn is_online(&self, round: usize, p: ProcId) -> bool {
@@ -1365,6 +1605,21 @@ mod tests {
         }
     }
 
+    /// The wire is empty: every slot of both slabs went back to its free
+    /// list, exactly once.
+    fn assert_all_recycled<M>(t: &NetTransport<M>) {
+        assert!(t.queue.is_empty());
+        assert!(t.flights.iter().all(Option::is_none), "a flight leaked");
+        let spent = |f: &RoundFlight<M>| f.envs.is_empty() && f.next == 0;
+        assert!(t.rounds.iter().all(spent), "a round flight leaked");
+        for (free, slots) in [(&t.free, t.flights.len()), (&t.free_rounds, t.rounds.len())] {
+            let mut free = free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(free.len(), slots, "a slot was freed twice, or never");
+        }
+    }
+
     /// The recipients of a [`Dest::Groups`] list, marks cleared.
     fn unmarked(list: &[ProcId]) -> Vec<usize> {
         list.iter().map(|p| p.index() & !GROUP_END).collect()
@@ -1591,12 +1846,7 @@ mod tests {
                 }
                 r += 1;
             }
-            // Every flight went back to the free list, exactly once.
-            assert!(t.flights.iter().all(Option::is_none), "a flight leaked");
-            let mut free = t.free.clone();
-            free.sort_unstable();
-            free.dedup();
-            assert_eq!(free.len(), t.flights.len(), "a slot was freed twice");
+            assert_all_recycled(&t);
             let stats = t.into_stats();
             assert_eq!(stats.in_flight_at_end, 0);
             (got, format!("{stats:?}"))
@@ -1674,7 +1924,11 @@ mod tests {
                     to: (0..1 + i % 4).map(|j| ProcId::new(to(j))).collect(),
                     payload: i as u16,
                 }),
-                _ => Emit::Round((0..i % 5).map(|j| env(i % n, to(j), i as u16)).collect()),
+                _ => Emit::Round(
+                    (0..(3 * i) % 13)
+                        .map(|j| env((i + j) % n, to(j), (i + j) as u16))
+                        .collect(),
+                ),
             }
         }
 
@@ -1715,22 +1969,47 @@ mod tests {
             }
         }
 
-        /// Three rounds of `kinds` over a faulty wire, then rounds until
-        /// it is empty: every delivery and the final statistics.
-        fn net_run(cfg: &NetConfig, n: usize, kinds: &[u8], whole: bool) -> (Vec<String>, String) {
+        /// How a run drains a round.
+        #[derive(Clone, Copy, Debug)]
+        enum Drain {
+            Collect,
+            Many,
+            Round,
+        }
+
+        /// Three rounds of `kinds` over a faulty wire, a phase announced
+        /// at rounds 0 and 2, then rounds until the wire is empty: every
+        /// delivery and the final statistics.
+        fn net_run(
+            cfg: &NetConfig,
+            n: usize,
+            kinds: &[u8],
+            whole: bool,
+            drain: Drain,
+        ) -> (Vec<String>, String) {
             let mut t: NetTransport<u16> = NetTransport::new(n, cfg.clone());
             let mut got = Vec::new();
             let mut r = 0;
             while r < 3 || t.in_flight > 0 {
-                assert!(r < 200, "the wire never emptied");
+                assert!(r < 400, "the wire never emptied");
                 let mut round = Vec::new();
-                if whole {
-                    t.collect_round(r, &mut round);
-                } else {
-                    t.collect(r, &mut |e| round.push(e));
+                match drain {
+                    Drain::Collect => t.collect(r, &mut |e| round.push(e)),
+                    Drain::Many => t.collect_many(r, &mut |mc| {
+                        round.extend(mc.to.iter().map(|&p| Envelope::new(mc.from, p, mc.payload)))
+                    }),
+                    Drain::Round => t.collect_round(r, &mut round),
+                }
+                for e in &round {
+                    assert!(e.to.index() < n, "{} left the transport marked", e.to);
                 }
                 got.extend(round.iter().map(|e| format!("{r}:{e:?}")));
                 if r < 3 {
+                    match r {
+                        0 => t.mark_phase(r, "a"),
+                        2 => t.mark_phase(r, "b"),
+                        _ => {}
+                    }
                     let emits: Vec<Emit> = kinds
                         .iter()
                         .enumerate()
@@ -1740,6 +2019,7 @@ mod tests {
                 }
                 r += 1;
             }
+            assert_all_recycled(&t);
             (got, format!("{:?}", t.into_stats()))
         }
 
@@ -1793,32 +2073,125 @@ mod tests {
 
             /// On `NetTransport` the whole-round calls are the
             /// per-envelope calls in sequence: the same deliveries in the
-            /// same rounds and order, and the same statistics — so the
-            /// same `NET_LABEL` draws — under loss and jitter.
+            /// same rounds and order, and the same statistics per phase —
+            /// so the same `NET_LABEL` draws — whatever the wire does to a
+            /// round (loses some of it, cuts it with a partition, lands
+            /// it on a crashed or churned-out recipient, spreads it over
+            /// many rounds so that collects fall between its groups),
+            /// under every policy, and through every `collect*`.
             #[test]
             fn net_whole_round_calls_match_the_per_envelope_calls(
                 n in 2usize..9,
                 kinds in proptest::collection::vec(0u8..3, 0..10),
                 drop_pct in 0u32..40,
+                latency_ix in 0usize..3,
                 spread in 0u64..41,
+                cut in 0usize..3,
+                crash in 0usize..3,
+                churn in 0usize..3,
                 policy in 0usize..3,
                 seed in any::<u64>(),
             ) {
-                let ordering = [
-                    DeliveryPolicy::Fifo,
-                    DeliveryPolicy::AdversarialLifo,
-                    DeliveryPolicy::Shuffle,
-                ][policy];
+                let latency = match latency_ix {
+                    0 => LatencyModel::Constant(spread),
+                    1 => LatencyModel::Uniform { lo: 0, hi: spread },
+                    _ => LatencyModel::HeavyTail { floor: 1, scale: 6.0, alpha: 1.1, cap: 2 * spread + 1 },
+                };
                 let cfg = NetConfig { delta: 10, ..NetConfig::synchronous() }
                     .with_seed(seed)
-                    .with_ordering(ordering)
-                    .with_latency(LatencyModel::Uniform { lo: 0, hi: spread })
+                    .with_ordering(DeliveryPolicy::ALL[policy])
+                    .with_latency(latency)
                     .with_faults(FaultPlan {
                         drop_prob: f64::from(drop_pct) / 100.0,
-                        ..FaultPlan::default()
+                        partitions: (cut > 0)
+                            .then(|| Partition { boundary: n / 2, from_round: cut - 1, heal_round: cut + 1 })
+                            .into_iter()
+                            .collect(),
+                        crashes: (crash > 0)
+                            .then(|| Crash { proc: n - 1, round: crash })
+                            .into_iter()
+                            .collect(),
+                        churn: (churn > 0).then_some(Churn { period: 3, down: churn, stagger: 1 }),
                     });
-                prop_assert_eq!(net_run(&cfg, n, &kinds, true), net_run(&cfg, n, &kinds, false));
+                let reference = net_run(&cfg, n, &kinds, false, Drain::Collect);
+                for drain in [Drain::Collect, Drain::Many, Drain::Round] {
+                    prop_assert_eq!(&net_run(&cfg, n, &kinds, true, drain), &reference, "{:?}", drain);
+                }
+                prop_assert_eq!(&net_run(&cfg, n, &kinds, false, Drain::Round), &reference);
             }
+        }
+
+        /// An all-to-all round among `n` processors, in emission order.
+        fn all_to_all(n: usize) -> Vec<Envelope<u16>> {
+            (0..n * n).map(|i| env(i / n, i % n, i as u16)).collect()
+        }
+
+        /// A synchronous round is one queue entry and one live flight,
+        /// whatever its size, and comes back in the allocation it went
+        /// out in; under a policy that reorders an instant envelope by
+        /// envelope it is a flight an envelope.
+        #[test]
+        fn a_synchronous_round_is_one_queue_entry_and_trades_its_buffer() {
+            let n = 64;
+            let mut t: NetTransport<u16> = NetTransport::new(n, NetConfig::synchronous());
+            let mut round = all_to_all(n);
+            let expected = round.clone();
+            let sent_at = round.as_ptr();
+            t.send_round(0, &mut round);
+            assert!(round.is_empty());
+            assert_eq!((t.queue.len(), t.rounds.len(), t.flights.len()), (1, 1, 0));
+            assert!(t.free_rounds.is_empty());
+            assert_eq!(t.in_flight, (n * n) as u64);
+            t.collect_round(1, &mut round);
+            assert_eq!(round.as_ptr(), sent_at, "the same allocation comes back");
+            assert_eq!(round, expected);
+            assert_eq!((t.queue.len(), &t.free_rounds[..]), (0, &[0][..]));
+            // Into a buffer that holds something, a round is appended.
+            let mut into = vec![env(0, 1, 999)];
+            t.send_round(1, &mut round);
+            t.collect_round(2, &mut into);
+            assert_eq!(into[1..], expected);
+            assert_eq!((t.rounds.len(), &t.free_rounds[..]), (1, &[0][..]));
+            assert_eq!(t.stats().delivered, 2 * (n * n) as u64);
+
+            let lifo = NetConfig::synchronous().with_ordering(DeliveryPolicy::AdversarialLifo);
+            let mut t: NetTransport<u16> = NetTransport::new(n, lifo);
+            t.send_round(0, &mut all_to_all(n));
+            assert_eq!(
+                (t.queue.len(), t.rounds.len(), t.flights.len()),
+                (n * n, 0, n * n)
+            );
+        }
+
+        /// A jittered round is one flight and at most one queue entry a
+        /// tick of the latency range, or an envelope when those are fewer.
+        #[test]
+        fn a_jittered_round_queues_one_entry_a_tick() {
+            let (n, lo, hi) = (64, 100, 131);
+            let cfg = NetConfig::synchronous()
+                .with_seed(5)
+                .with_latency(LatencyModel::Uniform { lo, hi });
+            let mut t: NetTransport<u16> = NetTransport::new(n, cfg);
+            t.send_round(0, &mut all_to_all(n));
+            assert_eq!((t.rounds.len(), t.flights.len()), (1, 0));
+            assert_eq!(
+                t.queue.len() as u64,
+                hi - lo + 1,
+                "every tick drew an envelope"
+            );
+            let mut few = all_to_all(3);
+            t.send_round(0, &mut few);
+            assert_eq!(t.rounds.len(), 2);
+            let entries = t.queue.len() as u64 - (hi - lo + 1);
+            assert!(
+                (1..=9).contains(&entries),
+                "{entries} entries for 9 envelopes"
+            );
+            let mut got = Vec::new();
+            t.collect_round(1, &mut got);
+            assert_eq!(got.len(), n * n + 9);
+            assert!(got.iter().all(|e| e.to.index() < n), "delivered marked");
+            assert_eq!((t.queue.len(), t.free_rounds.len()), (0, 2));
         }
     }
 

@@ -268,9 +268,9 @@ where
         // Open this round's bit-attribution bucket before any send is
         // charged (pure accounting: no randomness, no trace needed).
         self.metrics.begin_round();
-        // Every round buffer is reused at its high-water capacity. The
-        // transport left `pending` empty; it takes over from `arrivals`.
-        debug_assert!(self.pending.is_empty(), "send_round drains its buffer");
+        // Every round buffer is reused at its high-water capacity.
+        // `pending` is empty since last round's hand-off; it takes over
+        // from `arrivals`.
         self.intercepted.clear();
         self.arrivals.clear();
         std::mem::swap(&mut self.arrivals, &mut self.pending);
@@ -388,6 +388,10 @@ where
             }
         }
         self.transport.send_round(round, &mut self.pending);
+        // By contract the transport left nothing behind, and then this is
+        // free; a leftover would be swapped into `arrivals` and delivered
+        // a second time next round.
+        self.pending.clear();
         self.round += 1;
         self.metrics.set_rounds(self.round);
     }
@@ -875,6 +879,39 @@ mod tests {
             .sum();
         assert_eq!(by_round, outcome.metrics.total_bits());
         assert_eq!(outcome.metrics.bits_in_round(0), 16, "all sends in round 0");
+    }
+
+    /// A transport whose `send_round` breaks the contract and leaves the
+    /// round in the buffer: the engine must not deliver it a second time.
+    #[test]
+    fn a_round_left_in_the_buffer_is_not_delivered_twice() {
+        struct Copies(Lockstep<bool>);
+        impl Transport<bool> for Copies {
+            fn send(&mut self, round: usize, env: Envelope<bool>) {
+                self.0.send(round, env);
+            }
+            fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<bool>)) {
+                self.0.collect(round, deliver);
+            }
+            fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<bool>>) {
+                envs.iter().for_each(|e| self.0.send(round, e.clone()));
+            }
+        }
+        let outcome = SimBuilder::new(4)
+            .build_with_transport(
+                |_, _| Echo {
+                    input: true,
+                    out: None,
+                },
+                NullAdversary,
+                Copies(Lockstep::default()),
+            )
+            .run(5);
+        assert!(outcome.all_good_agree_on(&true));
+        for i in 0..4 {
+            let p = ProcId::new(i);
+            assert_eq!(outcome.metrics.bits_received_by(p), 4, "{p} heard twice");
+        }
     }
 
     #[test]

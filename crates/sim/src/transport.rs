@@ -40,7 +40,9 @@ pub struct Multicast<M> {
 ///   [`Transport::send_round`], after the adversary has acted: the
 ///   envelopes are in global emission order (good processors in id
 ///   order, then adversary injections), and the call means one
-///   [`Transport::send`] per envelope in that order.
+///   [`Transport::send`] per envelope in that order. It leaves the buffer
+///   empty; the engine clears it regardless, so that nothing is
+///   delivered twice.
 /// * The engine asks for a round's deliveries whole, through
 ///   [`Transport::collect_round`], exactly once at the start of each round
 ///   `r` and before any processor runs: it means one
@@ -62,12 +64,20 @@ pub trait Transport<M> {
     /// `deliver`, in the transport's deterministic delivery order.
     fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>));
 
-    /// Accepts a whole round of envelopes at once and leaves `envs`
-    /// empty (its allocation may be traded for another). Semantically
-    /// this IS one [`Transport::send`] per envelope, in order, and the
-    /// default does exactly that; a transport that keeps envelopes in a
-    /// `Vec` of its own overrides it to take the buffer instead of
-    /// copying it.
+    /// Accepts a whole round of envelopes at once. Semantically this IS
+    /// one [`Transport::send`] per envelope, in order — the same
+    /// accounting, the same fault and latency decisions from the same
+    /// stream in the same order, the same delivery schedule — and the
+    /// default does exactly that. A transport that can keep a round as
+    /// the `Vec` it came in overrides it to take the buffer instead of
+    /// copying it: [`Lockstep`] always, `ba-net`'s `NetTransport` as one
+    /// flight for the whole round whenever same-instant delivery is in
+    /// emission order (under a policy that reorders an instant envelope
+    /// by envelope it runs this default body).
+    ///
+    /// An override must leave `envs` empty, with whatever allocation it
+    /// likes: the caller reuses the buffer for its next round, and
+    /// anything left in it would be sent again.
     fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) {
         for env in envs.drain(..) {
             self.send(round, env);
@@ -77,7 +87,10 @@ pub trait Transport<M> {
     /// Appends every envelope due at the start of `round` to `into`, in
     /// the order [`Transport::collect`] would deliver them (the default
     /// pushes each one). An override may trade allocations with an empty
-    /// `into` instead of copying.
+    /// `into` instead of copying — what was sent through
+    /// [`Transport::send_round`] then comes back in the allocation it
+    /// went out in. The whole-round and the per-envelope calls may be
+    /// mixed freely, on either side.
     fn collect_round(&mut self, round: usize, into: &mut Vec<Envelope<M>>) {
         self.collect(round, &mut |env| into.push(env));
     }

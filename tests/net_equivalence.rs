@@ -445,6 +445,170 @@ fn batched_envelopes_are_byte_identical_to_unbatched() {
     }
 }
 
+/// `NetTransport` with the whole-round calls taken away: it forwards
+/// every other call and so runs `send_round` and `collect_round` as the
+/// trait's defaults, one `send` and one pushed envelope at a time — the
+/// oracle the overrides have to match, kept here instead of shipped.
+mod per_envelope_oracle {
+    use king_saia::exp::{
+        run_trial_with_factory, NetFactory, RunSpec, SessionTransport, TransportFactory,
+    };
+    use king_saia::net::{
+        Churn, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, NetStats, NetTransport,
+        Partition,
+    };
+    use king_saia::obs::Trace;
+    use king_saia::sim::{Envelope, Multicast, Payload, ProcId, Schedule, Transport, WireMsg};
+
+    struct PerEnvelope<M>(NetTransport<M>);
+
+    impl<M: Payload> Transport<M> for PerEnvelope<M> {
+        fn send(&mut self, round: usize, env: Envelope<M>) {
+            self.0.send(round, env);
+        }
+        fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+            self.0.collect(round, deliver);
+        }
+        fn send_many(&mut self, round: usize, mc: Multicast<M>) {
+            self.0.send_many(round, mc);
+        }
+        fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
+            self.0.collect_many(round, deliver);
+        }
+        fn is_online(&self, round: usize, p: ProcId) -> bool {
+            self.0.is_online(round, p)
+        }
+        fn is_faulty(&self, round: usize, p: ProcId) -> bool {
+            self.0.is_faulty(round, p)
+        }
+        fn mark_phase(&mut self, round: usize, name: &str) {
+            self.0.mark_phase(round, name);
+        }
+    }
+
+    impl<M: Payload> SessionTransport<M> for PerEnvelope<M> {
+        fn phase_marks(&self) -> Vec<(String, usize)> {
+            self.0.phase_marks()
+        }
+        fn finish(self) -> NetStats {
+            self.0.into_stats()
+        }
+    }
+
+    struct PerEnvelopeFactory;
+
+    impl TransportFactory for PerEnvelopeFactory {
+        type Transport<M: WireMsg + 'static> = PerEnvelope<M>;
+
+        fn make<M: WireMsg + 'static>(
+            &mut self,
+            n: usize,
+            cfg: NetConfig,
+            trace: &Trace,
+        ) -> Result<PerEnvelope<M>, String> {
+            NetFactory.make(n, cfg, trace).map(PerEnvelope)
+        }
+    }
+
+    /// The whole `TrialOutcome` through `Debug` (bits, `phase_bits`,
+    /// `NetStats` and its per-phase buckets) and the trial's trace, which
+    /// keeps wall-clock in a profile section of its own and out of these
+    /// lines.
+    fn observed(spec: &RunSpec, factory: &mut impl TransportFactory) -> (String, Vec<String>) {
+        let trace = Trace::memory();
+        let outcome = run_trial_with_factory(spec, 0, &trace, factory).expect("the trial runs");
+        (format!("{outcome:#?}"), trace.take_lines())
+    }
+
+    /// `spec` over {synchronous, 3 % loss + `Uniform{0,900}`, partition +
+    /// churn, a heavy tail capped at four rounds} × every delivery policy
+    /// × three seeds, through the overrides and through the oracle.
+    fn whole_rounds_match(spec: RunSpec) {
+        let delta = NetConfig::synchronous().delta;
+        let nets = [
+            NetConfig::synchronous(),
+            NetConfig::synchronous()
+                .with_latency(LatencyModel::Uniform { lo: 0, hi: 900 })
+                .with_faults(FaultPlan {
+                    drop_prob: 0.03,
+                    ..FaultPlan::default()
+                }),
+            NetConfig::synchronous().with_faults(FaultPlan {
+                partitions: vec![Partition {
+                    boundary: spec.n / 2,
+                    from_round: 2,
+                    heal_round: 6,
+                }],
+                churn: Some(Churn {
+                    period: 9,
+                    down: 2,
+                    stagger: 1,
+                }),
+                ..FaultPlan::default()
+            }),
+            NetConfig::synchronous().with_latency(LatencyModel::HeavyTail {
+                floor: 50,
+                scale: 400.0,
+                alpha: 1.2,
+                cap: 4 * delta,
+            }),
+        ];
+        for (k, net) in nets.into_iter().enumerate() {
+            for ordering in DeliveryPolicy::ALL {
+                for seed in [1u64, 2, 3] {
+                    let spec = spec
+                        .clone()
+                        .net(net.clone().with_ordering(ordering))
+                        .seeds(seed);
+                    let ctx = format!("net {k} {ordering:?} seed {seed}");
+                    let (outcome, trace) = observed(&spec, &mut NetFactory);
+                    let (oracle, oracle_trace) = observed(&spec, &mut PerEnvelopeFactory);
+                    assert!(outcome.contains("sent_bits"), "{ctx}: no per-phase stats");
+                    assert!(trace.iter().any(|l| l.contains("\"net:recv\"")), "{ctx}");
+                    assert_eq!(outcome, oracle, "{ctx}: outcomes differ");
+                    assert_eq!(trace, oracle_trace, "{ctx}: traces differ");
+                }
+            }
+        }
+    }
+
+    /// An engine-hosted protocol announces no phases: its per-phase
+    /// buckets come from a timetable.
+    fn timetable() -> Schedule {
+        let mut schedule = Schedule::new();
+        schedule.push("opening", 3);
+        schedule.push("rest", 5);
+        schedule
+    }
+
+    #[test]
+    fn aeba_whole_rounds_match_the_per_envelope_path() {
+        whole_rounds_match(RunSpec::aeba(48).schedule(timetable()));
+    }
+
+    #[test]
+    fn ae_to_e_whole_rounds_match_the_per_envelope_path() {
+        whole_rounds_match(RunSpec::ae_to_e(48).schedule(timetable()));
+    }
+
+    #[test]
+    fn ben_or_whole_rounds_match_the_per_envelope_path() {
+        whole_rounds_match(RunSpec::ben_or(32).schedule(timetable()));
+    }
+
+    #[test]
+    fn phase_king_whole_rounds_match_the_per_envelope_path() {
+        whole_rounds_match(RunSpec::phase_king(32).schedule(timetable()));
+    }
+
+    /// Fans (the tournament, which announces its phases) and singles
+    /// (Algorithm 3) over one transport.
+    #[test]
+    fn everywhere_whole_rounds_match_the_per_envelope_path() {
+        whole_rounds_match(RunSpec::everywhere(32));
+    }
+}
+
 /// The perf kernels introduced for the scale campaign, pinned to their
 /// retained scalar/boxed oracles (the PR-1 pattern: every optimized
 /// kernel ships with the reference it must match bit-for-bit).

@@ -15,9 +15,13 @@
 //! fails it, as does anything stored beside the slot (an 8-byte entry
 //! reads ≈ 13); at 3cfceb9, with keyed 32-byte entries in per-tick
 //! buffers, the same round measured 41.5.
+//!
+//! A round of singles handed over whole (`send_round`, the engine's path)
+//! is one flight that *is* the round's buffer: an envelope in the air
+//! costs itself, plus its share of one queue entry per arrival tick.
 
 use king_saia::net::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetTransport};
-use king_saia::sim::{Multicast, ProcId, Transport};
+use king_saia::sim::{Envelope, Multicast, ProcId, Transport};
 use std::sync::Arc;
 
 mod common;
@@ -77,6 +81,56 @@ fn a_recipient_in_the_air_costs_its_handle() {
     // no chunk and no survivor list does.
     println!("{left} B live after the round was collected");
     assert!(left <= delivered, "over 1 B per delivered recipient");
+}
+
+#[test]
+fn a_single_in_the_air_costs_its_envelope() {
+    // An all-to-all round of n = 128, 16 384 singles, as the engine hands
+    // it over. Synchronous, the flight is the buffer and one queue entry:
+    // 12.0 B an envelope of 12, budget 13. Over `Uniform{0,900}` jitter it
+    // is the buffer and one one-event tick (≈ 140 B, see below) for each
+    // of the 901 arrival ticks: 19.7 B, budget 20 — and nothing of the
+    // 16 B an envelope it was sorted through. A flight and a queue slot
+    // an envelope, the path this replaced, read 56.1 and 63.5.
+    let heap = Measuring::begin();
+    let n = 128;
+    let envelope = std::mem::size_of::<Envelope<u16>>();
+    // (the net, the budget over an envelope, buffers kept once delivered)
+    for (latency, over, spares) in [
+        (LatencyModel::Constant(0), 1, 0),
+        (LatencyModel::Uniform { lo: 0, hi: 900 }, 8, 1),
+    ] {
+        let cfg = NetConfig::synchronous()
+            .with_seed(23)
+            .with_latency(latency.clone());
+        let mut t: NetTransport<u16> = NetTransport::new(n, cfg);
+        let mut round = Vec::new();
+        t.collect_round(0, &mut round);
+
+        let baseline = heap.live();
+        round.extend((0..n * n).map(|i| Envelope::new(ProcId::new(i / n), ProcId::new(i % n), 7)));
+        round.shrink_to_fit();
+        t.send_round(0, &mut round);
+        let in_flight = heap.live() - baseline;
+        t.collect_round(1, &mut round);
+        assert_eq!((round.len(), t.stats().delivered), (n * n, (n * n) as u64));
+        drop(round);
+        let left = heap.live() - baseline;
+
+        let per_single = in_flight as f64 / (n * n) as f64;
+        println!("{latency:?}: {in_flight} B live in flight = {per_single:.1} B per single");
+        assert!(
+            per_single <= (envelope + over) as f64,
+            "over the budget of an envelope ({envelope} B) + {over} B per single"
+        );
+        // Swapped back whole, a round leaves its slot behind; handed out
+        // group by group, also its buffer, to trade for the next round's.
+        println!("{left} B live after the round was collected");
+        assert!(
+            left <= spares * n * n * envelope + 1024,
+            "more than a slot and {spares} spare buffers"
+        );
+    }
 }
 
 #[test]
