@@ -5,8 +5,8 @@
 //! engine phase. [`StackParams`] is the one place those live now: the
 //! `ba-exp` harness's `RunSpec` owns `(n, seed)` and lowers onto
 //! [`StackParams`]; the per-phase configs implement `from_params` +
-//! `apply_seed` and get the public builder pair from
-//! [`impl_scale_builders!`].
+//! `apply_seed` and get the public builder pair from the crate-private
+//! `impl_scale_builders!` macro.
 
 /// Salt separating the engine-phase (Algorithm 3) randomness stream from
 /// the tournament stream when both derive from one master seed.

@@ -15,7 +15,7 @@ use ba_core::attacks::{LabelGuesser, Overloader, ResponseForger, SplitVoter};
 use ba_core::coin::CoinSequence;
 use ba_core::everywhere::{self, EverywhereConfig, StackMsg};
 use ba_core::tournament::{self, LevelStats, TourMsg, TournamentConfig};
-use ba_net::{NetConfig, NetStats, NetTransport};
+use ba_net::{NetConfig, NetStats, NetTransport, PhaseLedger};
 use ba_obs::Trace;
 use ba_sim::{
     Adversary, BitStats, NullAdversary, Payload, ProcId, Process, RunOutcome, SimBuilder,
@@ -26,30 +26,22 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// A transport usable for one harness trial: the engine-facing
-/// [`Transport`] seam plus the post-run accounting the runner extracts
-/// from every carrier (phase boundaries and network statistics).
+/// [`Transport`] seam plus the [`PhaseLedger`] every carrier counts in,
+/// which the runner reads the phase timetable and network statistics
+/// from once the trial is over.
 ///
 /// [`NetTransport`] is the in-process implementation; `ba-serve`'s
 /// `SocketTransport` carries the same trials over real TCP sockets.
 pub trait SessionTransport<M: Payload>: Transport<M> {
-    /// Phase timetable as `(name, start_round)` pairs — the configured
-    /// schedule when present, otherwise marks derived from
-    /// [`Transport::mark_phase`] announcements.
-    fn phase_marks(&self) -> Vec<(String, usize)>;
-
-    /// Consumes the transport, returning its network statistics.
-    fn finish(self) -> NetStats
+    /// Consumes the transport, returning its ledger.
+    fn finish(self) -> PhaseLedger
     where
         Self: Sized;
 }
 
 impl<M: Payload> SessionTransport<M> for NetTransport<M> {
-    fn phase_marks(&self) -> Vec<(String, usize)> {
-        NetTransport::phase_marks(self)
-    }
-
-    fn finish(self) -> NetStats {
-        self.into_stats()
+    fn finish(self) -> PhaseLedger {
+        self.into_ledger()
     }
 }
 
@@ -195,33 +187,11 @@ impl RunReport {
 
     /// Network statistics summed over all trials.
     pub fn net_sum(&self) -> NetStats {
-        let mut acc = NetStats::default();
-        for t in &self.trials {
-            let Some(net) = &t.net else { continue };
-            acc.sent += net.sent;
-            acc.delivered += net.delivered;
-            acc.late += net.late;
-            acc.late_rounds += net.late_rounds;
-            acc.dropped_random += net.dropped_random;
-            acc.dropped_partition += net.dropped_partition;
-            acc.dead_letters += net.dead_letters;
-            acc.in_flight_at_end += net.in_flight_at_end;
-            if acc.per_phase.is_empty() {
-                acc.per_phase = net.per_phase.clone();
-            } else {
-                for (a, p) in acc.per_phase.iter_mut().zip(&net.per_phase) {
-                    a.sent += p.sent;
-                    a.sent_bits += p.sent_bits;
-                    a.delivered += p.delivered;
-                    a.late += p.late;
-                    a.late_rounds += p.late_rounds;
-                    a.dropped_random += p.dropped_random;
-                    a.dropped_partition += p.dropped_partition;
-                    a.dead_letters += p.dead_letters;
-                }
-            }
-        }
-        acc
+        let nets = self.trials.iter().filter_map(|t| t.net.as_ref());
+        nets.fold(NetStats::default(), |mut sum, net| {
+            sum.accumulate(net);
+            sum
+        })
     }
 }
 
@@ -370,8 +340,8 @@ where
         .filter(|&i| !outcome.corrupt[i] && !outcome.faulty[i])
         .filter(|&i| outcome.outputs[i].as_ref().is_some_and(&wrong_pred))
         .count();
-    let phase_bits = outcome.metrics.phase_bits(&transport.phase_marks());
-    let net = transport.finish(); // flushes the transport's last send event
+    let ledger = transport.finish(); // flushes the transport's last send event
+    let phase_bits = outcome.metrics.phase_bits(&ledger.phase_marks());
     trace_talkers(
         trace,
         outcome.rounds,
@@ -384,7 +354,7 @@ where
         rounds: outcome.rounds,
         bits: good_bits(&outcome),
         total_bits: outcome.metrics.total_bits(),
-        net: Some(net),
+        net: Some(ledger.into_stats()),
         corrupt: outcome.corrupt,
         phase_bits,
         ..TrialOutcome::base(seed)
@@ -825,7 +795,7 @@ fn tournament_trial<TF: TransportFactory>(
         coins: Some(CoinSequence::new(out.coin_words)),
         level_stats: out.level_stats,
         corrupt: out.corrupt,
-        net: Some(transport.finish()),
+        net: Some(transport.finish().into_stats()),
         phase_bits: out.phase_bits,
         ..TrialOutcome::base(seed)
     })
@@ -920,7 +890,7 @@ fn everywhere_trial<TF: TransportFactory>(
         coins: Some(CoinSequence::from_tournament(&out.tournament)),
         level_stats: out.tournament.level_stats.clone(),
         corrupt: out.corrupt,
-        net: Some(transport.finish()),
+        net: Some(transport.finish().into_stats()),
         phase_bits: out.phase_bits,
         ..TrialOutcome::base(seed)
     })
@@ -1002,6 +972,28 @@ mod tests {
         // attributed to some exchange.
         let attributed: u64 = net.per_phase.iter().map(|p| p.sent).sum();
         assert_eq!(attributed, net.sent);
+    }
+
+    #[test]
+    fn a_schedule_on_the_net_names_the_buckets() {
+        let mut schedule = ba_sim::Schedule::new();
+        schedule.push("opening", 3);
+        schedule.push("rest", 5);
+        let net = NetConfig::synchronous().with_schedule(schedule);
+        let report = run(&RunSpec::aeba(48).trials(1).net(net)).expect("run");
+        let net = report.trials[0].net.clone().expect("net stats");
+        let names: Vec<&str> = net.per_phase.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names[..2], ["opening", "rest"], "phases: {names:?}");
+        assert_eq!(names.len(), 3, "then the catch-all: {names:?}");
+        let phase_bits: Vec<&str> = report.trials[0]
+            .phase_bits
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(
+            phase_bits, names,
+            "bits are attributed by the same timetable"
+        );
     }
 
     #[test]

@@ -8,9 +8,8 @@ use crate::spec::{
     TreeAttack,
 };
 use ba_core::aeba::CommitteeAttack;
-use ba_net::{NetConfig, NetStats, ScenarioSpec};
+use ba_net::{NetStats, ScenarioSpec};
 use ba_obs::Trace;
-use ba_sim::Schedule;
 use std::time::Instant;
 
 /// What `adversary = forge` answers requests with: neither the default
@@ -136,14 +135,7 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
             message,
             tree,
         })
-        .net(NetConfig {
-            delta: spec.delta,
-            latency: spec.latency.clone(),
-            faults: spec.faults.clone(),
-            seed: 0, // per-trial seed derived by the runner
-            schedule: None,
-            ordering: spec.ordering,
-        });
+        .net(spec.net_config(0)); // the runner derives each trial's seed
     match run_spec.protocol {
         // For AEBA `rounds` is the protocol length, folded into the
         // AebaSpec above.
@@ -163,13 +155,6 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
                 run_spec = run_spec.rounds_cap(cap);
             }
         }
-    }
-    if !spec.phases.is_empty() {
-        let mut schedule = Schedule::new();
-        for (name, len) in &spec.phases {
-            schedule.push(name, *len);
-        }
-        run_spec = run_spec.schedule(schedule);
     }
     Ok(run_spec)
 }

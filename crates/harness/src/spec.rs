@@ -1,5 +1,5 @@
 //! The typed run specification: `RunSpec { protocol, adversary, net,
-//! schedule, trials, seeds, output }` with a fluent builder.
+//! trials, seeds, output }` with a fluent builder.
 //!
 //! A `RunSpec` is a plain (serde-free) value describing one experiment
 //! cell: which protocol, at what scale, with which inputs, against which
@@ -11,7 +11,6 @@ use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
 use ba_core::tournament::{NoTreeAdversary, TreeAdversary};
 use ba_net::{InputPattern, NetConfig};
-use ba_sim::Schedule;
 
 /// Which protocol a run executes.
 #[derive(Clone, Debug, PartialEq)]
@@ -357,11 +356,10 @@ pub struct RunSpec {
     pub protocol: Protocol,
     /// Adversary composition.
     pub adversary: AdversarySpec,
-    /// Network model. The per-trial transport seed is derived from
+    /// Network model, with the optional phase timetable for per-phase
+    /// network statistics. The per-trial transport seed is derived from
     /// [`RunSpec::seeds`]; the `seed` field here is ignored.
     pub net: NetConfig,
-    /// Optional phase timetable for per-phase network statistics.
-    pub schedule: Option<Schedule>,
     /// Independent trials.
     pub trials: u64,
     /// Seeding plan.
@@ -380,7 +378,6 @@ impl RunSpec {
             protocol,
             adversary: AdversarySpec::default(),
             net: NetConfig::synchronous(),
-            schedule: None,
             trials: 4,
             seeds: SeedPlan::default(),
             output: OutputSpec::default(),
@@ -472,12 +469,6 @@ impl RunSpec {
         self
     }
 
-    /// Attaches a phase timetable for per-phase network statistics.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
     /// Overrides the engine round cap.
     pub fn rounds_cap(mut self, cap: usize) -> Self {
         self.output.rounds_cap = Some(cap);
@@ -488,7 +479,6 @@ impl RunSpec {
     pub fn trial_net(&self, trial: u64) -> NetConfig {
         let mut cfg = self.net.clone();
         cfg.seed = self.seeds.seed(trial);
-        cfg.schedule = self.schedule.clone();
         cfg
     }
 }

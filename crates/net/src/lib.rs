@@ -24,7 +24,8 @@
 //! latency beyond `delta` makes the message **late** relative to the
 //! protocol's timetable, which the transport counts (per
 //! [`Schedule`](ba_sim::Schedule) phase of the sending round) rather
-//! than hides. Fault injectors compose on top: independent message
+//! than hides — through the [`PhaseLedger`], which every carrier shares.
+//! Fault injectors compose on top: independent message
 //! drops, bidirectional [`Partition`]s with heal times, [`Crash`]-stop
 //! processors, and periodic [`Churn`].
 //!
@@ -75,11 +76,13 @@
 mod event;
 mod fault;
 mod latency;
+mod ledger;
 mod scenario;
 mod transport;
 
 pub use event::{DeliveryPolicy, EventQueue};
 pub use fault::{Churn, Crash, DropCause, FaultPlan, Partition};
 pub use latency::LatencyModel;
+pub use ledger::{NetStats, PhaseLedger, PhaseNetStats};
 pub use scenario::{InputPattern, ScenarioSpec};
-pub use transport::{NetConfig, NetStats, NetTransport, PhaseNetStats, NET_LABEL, ORDER_LABEL};
+pub use transport::{NetConfig, NetTransport, NET_LABEL, ORDER_LABEL};

@@ -332,11 +332,6 @@ impl ScenarioSpec {
         cfg
     }
 
-    /// Whether processor `p` is scheduled to crash at some point.
-    pub fn crashes_eventually(&self, p: usize) -> bool {
-        self.faults.crash_round(p).is_some()
-    }
-
     /// Renders the spec back to canonical `key = value` text.
     /// [`ScenarioSpec::parse`] of the result reproduces the spec exactly
     /// (pinned by the grammar round-trip proptests).

@@ -10,7 +10,7 @@
 //! lockstep engine puts it, byte-identically. Latency beyond `delta`
 //! makes the message *late* (it arrives in a later round than the
 //! protocol's timetable assumes); the transport counts lateness and loss
-//! per [`Schedule`] phase of the sending round.
+//! per phase of the sending round, in its [`PhaseLedger`].
 //!
 //! ## What a message in the air costs
 //!
@@ -37,6 +37,7 @@
 use crate::event::{DeliveryPolicy, EventQueue};
 use crate::fault::{Churn, DropCause, FaultPlan};
 use crate::latency::LatencyModel;
+use crate::ledger::{NetStats, PhaseLedger};
 use ba_obs::Trace;
 use ba_sim::{derive_rng, Envelope, Multicast, Payload, ProcId, Schedule, SimRng, Transport};
 use std::sync::Arc;
@@ -65,7 +66,7 @@ pub struct NetConfig {
     /// Master seed; the transport draws from `derive_rng(seed, NET_LABEL)`.
     pub seed: u64,
     /// Optional protocol timetable for per-phase stats breakdowns.
-    /// When absent, the transport derives one from
+    /// When absent, the [`PhaseLedger`] derives one from
     /// [`Transport::mark_phase`] announcements instead.
     pub schedule: Option<Schedule>,
     /// Same-instant delivery ordering ([`DeliveryPolicy::Fifo`] is the
@@ -134,86 +135,6 @@ impl NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         Self::synchronous()
-    }
-}
-
-/// Network counters for one phase of the sending timetable.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseNetStats {
-    /// Phase name (from the [`Schedule`]; the trailing catch-all bucket
-    /// for rounds past the timetable is named `"(past-schedule)"`).
-    pub name: String,
-    /// Envelopes handed to the transport during this phase.
-    pub sent: u64,
-    /// Payload bits handed to the transport during this phase (counted
-    /// before drop decisions, like the engine's send charges, so phase
-    /// bit totals sum to the run's sent-bit total).
-    pub sent_bits: u64,
-    /// Envelopes delivered (whenever they arrived).
-    pub delivered: u64,
-    /// Envelopes delivered after their round deadline.
-    pub late: u64,
-    /// Total rounds of lateness over all late envelopes.
-    pub late_rounds: u64,
-    /// Envelopes lost to random link drops.
-    pub dropped_random: u64,
-    /// Envelopes lost to partition cuts.
-    pub dropped_partition: u64,
-    /// Envelopes delivered to an offline (crashed / churned-out)
-    /// recipient, keyed — like every other counter — by the phase of the
-    /// *sending* round.
-    pub dead_letters: u64,
-}
-
-/// Aggregate network statistics for one run.
-#[derive(Clone, Debug, Default)]
-pub struct NetStats {
-    /// Envelopes handed to the transport (post-adversary).
-    pub sent: u64,
-    /// Envelopes delivered to an inbox.
-    pub delivered: u64,
-    /// Envelopes delivered after their round deadline.
-    pub late: u64,
-    /// Total rounds of lateness over all late envelopes.
-    pub late_rounds: u64,
-    /// Envelopes lost to random link drops.
-    pub dropped_random: u64,
-    /// Envelopes lost to partition cuts.
-    pub dropped_partition: u64,
-    /// Envelopes delivered to a processor that was offline (crashed or
-    /// churned out) in the delivery round: the wire carried them, but
-    /// the recipient never processed them.
-    pub dead_letters: u64,
-    /// Envelopes still in flight when the run ended.
-    pub in_flight_at_end: u64,
-    /// Per-phase breakdown (present when the config carried a
-    /// [`Schedule`]; phases in timetable order, then the catch-all).
-    pub per_phase: Vec<PhaseNetStats>,
-}
-
-impl NetStats {
-    /// Total envelopes lost to faults.
-    pub fn dropped(&self) -> u64 {
-        self.dropped_random + self.dropped_partition
-    }
-
-    /// Fraction of sent envelopes lost to faults (0.0 when nothing sent).
-    /// Dead letters count as lost: they reached a dead recipient.
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            (self.dropped() + self.dead_letters) as f64 / self.sent as f64
-        }
-    }
-
-    /// Fraction of delivered envelopes that missed their deadline.
-    pub fn late_rate(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.late as f64 / self.delivered as f64
-        }
     }
 }
 
@@ -375,14 +296,12 @@ pub struct NetTransport<M> {
     /// unit of its own.
     queue: EventQueue<u32, ()>,
     rng: SimRng,
-    stats: NetStats,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
     /// `Shuffle` policy ever draws from it.
     order_rng: SimRng,
-    /// Start rounds of the phases derived from
-    /// [`Transport::mark_phase`] announcements, parallel to
-    /// `stats.per_phase` (unused when the config carries a schedule).
-    marks: Vec<usize>,
+    /// Every counter, per phase of the sending round. A multicast counts
+    /// one per recipient, so batching never changes what it holds.
+    ledger: PhaseLedger,
     /// Scratch for `send_many`'s surviving `(arrival, index)` pairs.
     landed: Vec<(u64, u32)>,
     /// One-element recipient lists, one per processor, made on first use.
@@ -391,12 +310,11 @@ pub struct NetTransport<M> {
     /// never part of [`NetConfig`] so configs stay comparable). Events
     /// aggregate per round; tracing consumes no randomness.
     trace: Trace,
-    /// Send-side counters of the round currently being sent, flushed as
-    /// one `net:send` event at the next collect (or at `into_stats`).
-    pend: (usize, u64, u64, u64),
-    /// Logical envelopes currently in flight (a multicast counts one per
-    /// recipient, so batching never changes [`NetStats::in_flight_at_end`]).
-    in_flight: u64,
+    /// Send-side counters of the round currently being sent — round, its
+    /// bucket as they were counted, envelopes, bits, drops — flushed as
+    /// one `net:send` event at the next collect or opening phase (or at
+    /// `into_ledger`).
+    pend: (usize, Option<usize>, u64, u64, u64),
     /// Whether any processor can ever be offline (a crash in the plan or
     /// a churn model); when false, delivered batches skip the
     /// per-recipient dead-letter scan.
@@ -422,20 +340,7 @@ impl<M> NetTransport<M> {
             .collect();
         let rng = derive_rng(cfg.seed, NET_LABEL);
         let order_rng = derive_rng(cfg.seed, ORDER_LABEL);
-        let mut stats = NetStats::default();
-        if let Some(schedule) = &cfg.schedule {
-            stats.per_phase = schedule
-                .iter()
-                .map(|p| PhaseNetStats {
-                    name: p.name.clone(),
-                    ..PhaseNetStats::default()
-                })
-                .collect();
-            stats.per_phase.push(PhaseNetStats {
-                name: "(past-schedule)".to_owned(),
-                ..PhaseNetStats::default()
-            });
-        }
+        let ledger = PhaseLedger::new(&cfg);
         let has_offline =
             crash_round.iter().any(|&c| c != usize::MAX) || cfg.faults.churn.is_some();
         NetTransport {
@@ -447,14 +352,12 @@ impl<M> NetTransport<M> {
             free_rounds: Vec::new(),
             queue: EventQueue::new(),
             rng,
-            stats,
             order_rng,
-            marks: Vec::new(),
+            ledger,
             landed: Vec::new(),
             singles: Vec::new(),
             trace: Trace::off(),
-            pend: (0, 0, 0, 0),
-            in_flight: 0,
+            pend: (0, None, 0, 0, 0),
             has_offline,
         }
     }
@@ -469,42 +372,18 @@ impl<M> NetTransport<M> {
 
     /// The statistics accumulated so far.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The phase timetable in effect, as `(name, start_round)` pairs:
-    /// the configured [`Schedule`] when present, otherwise the phases
-    /// derived from [`Transport::mark_phase`] announcements. Pairs with
-    /// `ba_sim::Metrics::phase_bits` for per-phase bit attribution.
-    pub fn phase_marks(&self) -> Vec<(String, usize)> {
-        if let Some(schedule) = &self.cfg.schedule {
-            let mut start = 0usize;
-            let mut out = Vec::new();
-            for p in schedule.iter() {
-                out.push((p.name.clone(), start));
-                start += p.len;
-            }
-            out.push(("(past-schedule)".to_owned(), start));
-            out
-        } else {
-            self.marks
-                .iter()
-                .zip(&self.stats.per_phase)
-                .map(|(&start, p)| (p.name.clone(), start))
-                .collect()
-        }
+        self.ledger.stats()
     }
 
     /// Flushes the pending send-side counters as one `net:send` event.
     fn flush_send_event(&mut self) {
-        let (round, sent, bits, dropped) = self.pend;
+        let (round, phase, sent, bits, dropped) = self.pend;
         if sent == 0 {
             return;
         }
-        self.pend = (0, 0, 0, 0);
-        let phase = self
-            .phase_index(round)
-            .map_or("", |i| self.stats.per_phase[i].name.as_str());
+        self.pend = (0, None, 0, 0, 0);
+        let per_phase = &self.ledger.stats().per_phase;
+        let phase = phase.map_or("", |b| per_phase[b].name.as_str());
         self.trace.event(
             "net:send",
             round as u64,
@@ -517,86 +396,43 @@ impl<M> NetTransport<M> {
         );
     }
 
-    /// Consumes the transport, folding still-in-flight envelopes into
-    /// [`NetStats::in_flight_at_end`].
-    pub fn into_stats(mut self) -> NetStats {
+    /// Consumes the transport, returning its ledger (the last round's
+    /// `net:send` event flushed first).
+    pub fn into_ledger(mut self) -> PhaseLedger {
         self.flush_send_event();
-        self.stats.in_flight_at_end = self.in_flight;
-        self.stats
+        self.ledger
     }
 
-    /// Index into `stats.per_phase` of the bucket for a sending round
-    /// (`None` without a schedule — configured or derived from phase
-    /// marks).
-    fn phase_index(&self, sent_round: usize) -> Option<usize> {
-        let phases = self.stats.per_phase.len();
-        Self::phase_of(self.cfg.schedule.as_ref(), &self.marks, phases, sent_round)
-    }
-
-    /// [`Self::phase_index`] over the fields it reads, for the drain
-    /// closure, which holds the queue and the statistics mutably.
-    fn phase_of(
-        schedule: Option<&Schedule>,
-        marks: &[usize],
-        phases: usize,
-        sent_round: usize,
-    ) -> Option<usize> {
-        let last = phases.checked_sub(1)?;
-        match schedule {
-            Some(s) => Some(s.locate(sent_round).map_or(last, |(phase, _)| phase)),
-            // Derived timetable: the last announced phase whose start is
-            // at or before the sending round (phases are open-ended).
-            None => marks
-                .partition_point(|&start| start <= sent_round)
-                .checked_sub(1),
-        }
+    /// Consumes the transport, returning its statistics.
+    pub fn into_stats(self) -> NetStats {
+        self.into_ledger().into_stats()
     }
 
     /// The send-side accounting shared by every `send*` call: `count`
     /// envelopes of `bits` in all enter the wire in `round`.
-    fn count_sent(&mut self, round: usize, bucket: Option<usize>, count: u64, bits: u64) {
-        self.stats.sent += count;
-        if let Some(b) = bucket {
-            let b = &mut self.stats.per_phase[b];
-            b.sent += count;
-            b.sent_bits += bits;
-        }
+    fn count_sent(&mut self, round: usize, count: u64, bits: u64) {
+        self.ledger.sent(round, count, bits);
         if self.trace.is_on() {
             if self.pend.0 != round {
                 self.flush_send_event();
             }
             self.pend.0 = round;
-            self.pend.1 += count;
-            self.pend.2 += bits;
+            self.pend.1 = self.ledger.bucket(round);
+            self.pend.2 += count;
+            self.pend.3 += bits;
         }
     }
 
-    /// Counts one envelope lost on the wire.
-    fn count_dropped(&mut self, bucket: Option<usize>, cause: DropCause) {
-        let bucket = bucket.map(|b| &mut self.stats.per_phase[b]);
-        match cause {
-            DropCause::Random => {
-                self.stats.dropped_random += 1;
-                if let Some(b) = bucket {
-                    b.dropped_random += 1;
-                }
-            }
-            DropCause::Partition => {
-                self.stats.dropped_partition += 1;
-                if let Some(b) = bucket {
-                    b.dropped_partition += 1;
-                }
-            }
-        }
+    /// Counts one envelope sent in `round` lost on the wire.
+    fn count_dropped(&mut self, round: usize, cause: DropCause) {
+        self.ledger.dropped(round, cause);
         if self.trace.is_on() {
-            self.pend.3 += 1;
+            self.pend.4 += 1;
         }
     }
 
-    /// Stores a flight with `count` recipients to deliver; returns its
-    /// slot, which is what the queue holds.
-    fn launch(&mut self, round: usize, from: ProcId, count: u32, to: Dest, payload: M) -> u32 {
-        self.in_flight += u64::from(count);
+    /// Stores a flight; returns its slot, which is what the queue holds.
+    fn launch(&mut self, round: usize, from: ProcId, to: Dest, payload: M) -> u32 {
         let flight = Flight {
             sent_round: u32::try_from(round).expect("fewer than 2^32 rounds"),
             from,
@@ -628,7 +464,6 @@ impl<M> NetTransport<M> {
     /// Stores a round of singles to deliver, trading `envs` for the
     /// slot's spare buffer; returns what the queue holds for it.
     fn launch_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) -> u32 {
-        self.in_flight += envs.len() as u64;
         let slot = self.free_rounds.pop().unwrap_or_else(|| {
             let slot = Self::fresh_slot(self.rounds.len());
             self.rounds.push(RoundFlight {
@@ -656,8 +491,8 @@ impl<M> NetTransport<M> {
             .clone()
     }
 
-    /// [`Transport::is_online`] over the fields it reads (see
-    /// [`Self::phase_of`]), and without the trait's payload bound.
+    /// [`Transport::is_online`] over the fields it reads, for the drain
+    /// closure, and without the trait's payload bound.
     fn up(crash_round: &[usize], churn: Option<Churn>, round: usize, p: ProcId) -> bool {
         let i = p.index();
         if crash_round.get(i).is_some_and(|&c| round >= c) {
@@ -682,12 +517,8 @@ impl<M> NetTransport<M> {
         if self.trace.is_on() {
             self.flush_send_event();
         }
-        let before = (
-            self.stats.delivered,
-            self.stats.late,
-            self.stats.dead_letters,
-        );
-        let phases = self.stats.per_phase.len();
+        let stats = self.ledger.stats();
+        let before = (stats.delivered, stats.late, stats.dead_letters);
         let churn = self.cfg.faults.churn;
         // The closures name fields, never `self`, so they can account
         // while the queue being drained is borrowed.
@@ -695,28 +526,6 @@ impl<M> NetTransport<M> {
         // The wire did its job, but a recipient that is dead or churned
         // out this round will never read the message.
         let down = |p: ProcId| !Self::up(&self.crash_round, churn, round, p);
-        // The delivery-side accounting of one group, fan or singles:
-        // `count` envelopes sent in `sent_round`, `dead` of them letters.
-        let mut tally = |sent_round: usize, count: u64, dead: u64| {
-            self.in_flight -= count;
-            self.stats.delivered += count;
-            self.stats.dead_letters += dead;
-            let lateness = round.saturating_sub(sent_round + 1) as u64;
-            if lateness > 0 {
-                self.stats.late += count;
-                self.stats.late_rounds += lateness * count;
-            }
-            let schedule = self.cfg.schedule.as_ref();
-            if let Some(b) = Self::phase_of(schedule, &self.marks, phases, sent_round) {
-                let b = &mut self.stats.per_phase[b];
-                b.delivered += count;
-                b.dead_letters += dead;
-                if lateness > 0 {
-                    b.late += count;
-                    b.late_rounds += lateness * count;
-                }
-            }
-        };
         self.queue
             .drain_due_policy(now, self.cfg.ordering, &mut self.order_rng, &mut |_, id| {
                 if id & ROUND != 0 {
@@ -730,7 +539,8 @@ impl<M> NetTransport<M> {
                     } else {
                         0
                     };
-                    tally(flight.sent_round as usize, group.len() as u64, dead);
+                    let (sent_round, count) = (flight.sent_round as usize, group.len() as u64);
+                    self.ledger.delivered(round, sent_round, count, dead);
                     let more = end < flight.envs.len();
                     flight.next = end as u32;
                     sink(Due::Singles(&mut flight.envs, start..end));
@@ -760,7 +570,8 @@ impl<M> NetTransport<M> {
                 } else {
                     0
                 };
-                tally(flight.sent_round as usize, group.len() as u64, dead);
+                let (sent_round, count) = (flight.sent_round as usize, group.len() as u64);
+                self.ledger.delivered(round, sent_round, count, dead);
                 sink(Due::Fan(flight.from, whole, group, &flight.payload));
                 if !more {
                     *slot = None;
@@ -768,7 +579,8 @@ impl<M> NetTransport<M> {
                 }
             });
         if self.trace.is_on() {
-            let delivered = self.stats.delivered - before.0;
+            let stats = self.ledger.stats();
+            let delivered = stats.delivered - before.0;
             if delivered > 0 {
                 self.trace.event(
                     "net:recv",
@@ -776,8 +588,8 @@ impl<M> NetTransport<M> {
                     "",
                     &[
                         ("delivered", delivered.into()),
-                        ("late", (self.stats.late - before.1).into()),
-                        ("dead_letters", (self.stats.dead_letters - before.2).into()),
+                        ("late", (stats.late - before.1).into()),
+                        ("dead_letters", (stats.dead_letters - before.2).into()),
                     ],
                 );
             }
@@ -787,21 +599,20 @@ impl<M> NetTransport<M> {
 
 impl<M: Payload> Transport<M> for NetTransport<M> {
     fn send(&mut self, round: usize, env: Envelope<M>) {
-        let bucket = self.phase_index(round);
-        self.count_sent(round, bucket, 1, env.bit_len());
+        self.count_sent(round, 1, env.bit_len());
         if let Some(cause) =
             self.cfg
                 .faults
                 .dropped(round, env.from.index(), env.to.index(), &mut self.rng)
         {
-            self.count_dropped(bucket, cause);
+            self.count_dropped(round, cause);
             return;
         }
         let latency = self.cfg.latency.sample(&mut self.rng);
         let arrival = (round as u64)
             .saturating_mul(self.cfg.delta)
             .saturating_add(latency);
-        let flight = self.launch(round, env.from, 1, Dest::One(env.to), env.payload);
+        let flight = self.launch(round, env.from, Dest::One(env.to), env.payload);
         self.queue.push(arrival, (), flight);
     }
 
@@ -816,8 +627,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         }
         let len = u32::try_from(mc.to.len()).expect("fewer than 2^32 recipients");
         let count = u64::from(len);
-        let bucket = self.phase_index(round);
-        self.count_sent(round, bucket, count, count * mc.payload.bit_len());
+        self.count_sent(round, count, count * mc.payload.bit_len());
         let sent = (round as u64).saturating_mul(self.cfg.delta);
         // Fast path: a trivial fault plan and constant latency make
         // every per-recipient decision identical without touching the
@@ -826,7 +636,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // fan stays one queue entry, at its place in emission order.
         if self.cfg.faults.is_trivial() {
             if let LatencyModel::Constant(d) = self.cfg.latency {
-                let flight = self.launch(round, mc.from, len, Dest::Whole(mc.to), mc.payload);
+                let flight = self.launch(round, mc.from, Dest::Whole(mc.to), mc.payload);
                 self.queue.push(sent.saturating_add(d), (), flight);
                 return;
             }
@@ -845,7 +655,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
                     .faults
                     .dropped(round, mc.from.index(), to.index(), &mut self.rng)
             {
-                self.count_dropped(bucket, cause);
+                self.count_dropped(round, cause);
                 continue;
             }
             let latency = self.cfg.latency.sample(&mut self.rng);
@@ -881,7 +691,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
                     next: 0,
                 }
             };
-            let flight = self.launch(round, mc.from, landed.len() as u32, to, mc.payload);
+            let flight = self.launch(round, mc.from, to, mc.payload);
             for group in landed.chunk_by(|a, b| a.0 == b.0) {
                 self.queue.push(group[0].0, (), flight);
             }
@@ -911,11 +721,10 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         if envs.is_empty() {
             return;
         }
-        let bucket = self.phase_index(round);
         let widest = envs.iter().fold(0, |all, e| all | e.to.index());
         assert!(widest < GROUP_END, "a recipient would read as marked");
         let bits = envs.iter().map(Envelope::bit_len).sum();
-        self.count_sent(round, bucket, envs.len() as u64, bits);
+        self.count_sent(round, envs.len() as u64, bits);
         let sent = (round as u64).saturating_mul(self.cfg.delta);
         // Constant latency lands the whole round on one tick, in the
         // order it came in: nothing to sort, nothing to note per envelope.
@@ -934,7 +743,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             envs.retain(|e| {
                 let (from, to) = (e.from.index(), e.to.index());
                 if let Some(cause) = self.cfg.faults.dropped(round, from, to, &mut self.rng) {
-                    self.count_dropped(bucket, cause);
+                    self.count_dropped(round, cause);
                     return false;
                 }
                 if one_tick.is_none() {
@@ -1032,35 +841,18 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         self.crash_round.get(p.index()).is_some_and(|&c| round >= c)
     }
 
-    /// Derives a per-phase stats timetable from the executor's own
-    /// announcements. A configured [`Schedule`] wins; otherwise each
-    /// *distinct* consecutive name opens a new bucket at `round`
-    /// (repeated announcements of the running phase coalesce, so e.g. a
-    /// per-round coin exchange stays one phase). Marks consume no
-    /// randomness: stats bucketing can never perturb delivery.
+    /// Hands the announcement to the [`PhaseLedger`] (a configured
+    /// schedule wins; a repeat of the running phase coalesces). Marks
+    /// consume no randomness: stats bucketing can never perturb delivery.
     fn mark_phase(&mut self, round: usize, name: &str) {
-        if self.cfg.schedule.is_some() {
-            return;
+        if self.ledger.mark(round, name) {
+            // Flush the previous phase's send counters before the span
+            // event so trace lines stay in timeline order.
+            if self.trace.is_on() {
+                self.flush_send_event();
+            }
+            self.trace.event("net:phase", round as u64, name, &[]);
         }
-        if self
-            .marks
-            .len()
-            .checked_sub(1)
-            .is_some_and(|i| self.stats.per_phase[i].name == name)
-        {
-            return;
-        }
-        // A new phase opens: flush the previous phase's send counters
-        // before the span event so trace lines stay in timeline order.
-        if self.trace.is_on() {
-            self.flush_send_event();
-        }
-        self.trace.event("net:phase", round as u64, name, &[]);
-        self.marks.push(round);
-        self.stats.per_phase.push(PhaseNetStats {
-            name: name.to_owned(),
-            ..PhaseNetStats::default()
-        });
     }
 }
 
@@ -1077,6 +869,12 @@ mod tests {
         let mut got = Vec::new();
         t.collect(round, &mut |e| got.push(e.payload));
         got
+    }
+
+    /// Envelopes in the air: sent, and neither dropped nor delivered.
+    fn in_flight<M>(t: &NetTransport<M>) -> u64 {
+        let s = t.stats();
+        s.sent - s.dropped() - s.delivered
     }
 
     #[test]
@@ -1347,13 +1145,13 @@ mod tests {
         t.send(1, env(0, 1, 3));
         let _ = drain(&mut t, 1);
         let _ = drain(&mut t, 2);
-        let marks = t.phase_marks();
+        let ledger = t.into_ledger();
         assert_eq!(
-            marks,
+            ledger.phase_marks(),
             vec![("a".to_string(), 0), ("b".to_string(), 1)],
             "derived timetable exposed for bit attribution"
         );
-        let stats = t.into_stats();
+        let stats = ledger.into_stats();
         assert_eq!(stats.per_phase[0].sent_bits, 32);
         assert_eq!(stats.per_phase[1].sent_bits, 16);
         let phase_total: u64 = stats.per_phase.iter().map(|p| p.sent_bits).sum();
@@ -1410,7 +1208,7 @@ mod tests {
         let t: NetTransport<u16> =
             NetTransport::new(2, NetConfig::synchronous().with_schedule(schedule));
         assert_eq!(
-            t.phase_marks(),
+            t.into_ledger().phase_marks(),
             vec![
                 ("one".to_string(), 0),
                 ("two".to_string(), 2),
@@ -1680,7 +1478,7 @@ mod tests {
                     t.collect(r, &mut |e| got.push(e.to.index()));
                 }
                 assert_eq!(got, expected[..got.len()], "round {r} under {ordering:?}");
-                assert_eq!(t.in_flight, (expected.len() - got.len()) as u64);
+                assert_eq!(in_flight(&t), (expected.len() - got.len()) as u64);
                 let live = got.len() < expected.len();
                 assert_eq!(t.flights[0].is_some(), live, "recycled by the last group");
                 assert_eq!(t.free, if live { vec![] } else { vec![0] });
@@ -1812,7 +1610,7 @@ mod tests {
             t.mark_phase(0, "x");
             let mut got = Vec::new();
             let mut r = 0;
-            while r < 3 || t.in_flight > 0 {
+            while r < 3 || in_flight(&t) > 0 {
                 assert!(r < 200, "the wire never emptied");
                 // Whole, single and partial-group batches and every
                 // envelope pass through here: none may carry the mark.
@@ -1990,7 +1788,7 @@ mod tests {
             let mut t: NetTransport<u16> = NetTransport::new(n, cfg.clone());
             let mut got = Vec::new();
             let mut r = 0;
-            while r < 3 || t.in_flight > 0 {
+            while r < 3 || in_flight(&t) > 0 {
                 assert!(r < 400, "the wire never emptied");
                 let mut round = Vec::new();
                 match drain {
@@ -2141,7 +1939,7 @@ mod tests {
             assert!(round.is_empty());
             assert_eq!((t.queue.len(), t.rounds.len(), t.flights.len()), (1, 1, 0));
             assert!(t.free_rounds.is_empty());
-            assert_eq!(t.in_flight, (n * n) as u64);
+            assert_eq!(in_flight(&t), (n * n) as u64);
             t.collect_round(1, &mut round);
             assert_eq!(round.as_ptr(), sent_at, "the same allocation comes back");
             assert_eq!(round, expected);

@@ -3,10 +3,11 @@
 //! Every frame on the wire is `[len: u32 LE][tag: u8][body]` where `len`
 //! counts the tag byte plus the body. Bodies reuse the `ba-sim` wire
 //! codec primitives (little-endian scalars, explicit enum tags), so a
-//! protocol message travels as the exact bytes its [`WireMsg`] impl
-//! produces, carried opaquely inside a data frame: [`Frame::Send`] /
-//! [`Frame::Deliver`] for one recipient, [`Frame::SendMany`] /
-//! [`Frame::DeliverMany`] for one payload fanned to a list.
+//! protocol message travels as the exact bytes its
+//! [`WireMsg`](ba_sim::WireMsg) impl produces, carried opaquely inside a
+//! data frame: [`Frame::Send`] / [`Frame::Deliver`] for one recipient,
+//! [`Frame::SendMany`] / [`Frame::DeliverMany`] for one payload fanned
+//! to a list.
 //!
 //! There is one encoder and one decoder. Every frame is laid out by
 //! `encode_into` — [`Frame::to_bytes`], [`FrameWriter`] and the
@@ -115,8 +116,8 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// The serialized outcome of one served session, mirroring the fields of
-/// the harness `TrialOutcome` that cross the wire (floats travel as IEEE
+/// The serialized outcome of one served session: the fields of the
+/// harness `TrialOutcome` that cross the wire (floats travel as IEEE
 /// bit patterns, so the round trip is exact).
 #[derive(Clone, Debug, PartialEq)]
 pub struct OutcomeWire {

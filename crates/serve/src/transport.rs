@@ -16,10 +16,10 @@
 //! [`Transport::send_many`] is one [`Frame::SendMany`] however long its
 //! recipient list (cut only at the fixed `FAN_CAP`), and nothing else
 //! decides where a frame ends — so a session's frames and bytes repeat
-//! exactly per seed. All accounting ([`NetStats`], the phase buckets)
-//! still counts per recipient. Data frames are encoded into, and read
-//! from, buffers the transport reuses: an envelope costs no heap
-//! allocation on either path.
+//! exactly per seed. All accounting still counts per recipient, in the
+//! [`PhaseLedger`] `NetTransport` counts in too. Data frames are encoded
+//! into, and read from, buffers the transport reuses: an envelope costs
+//! no heap allocation on either path.
 //!
 //! That guarantee is why [`SocketFactory::make`] rejects any
 //! [`NetConfig`] that is not [`NetConfig::is_synchronous`]: latency,
@@ -35,7 +35,7 @@
 
 use crate::frame::{self, DataRef, Frame, FrameReader, FrameWriter};
 use ba_exp::{SessionTransport, TransportFactory};
-use ba_net::{NetConfig, NetStats, PhaseNetStats};
+use ba_net::{NetConfig, PhaseLedger};
 use ba_obs::Trace;
 use ba_sim::{Envelope, Multicast, ProcId, Transport, WireMsg};
 use std::io::{BufReader, BufWriter};
@@ -91,11 +91,8 @@ pub struct SocketTransport<M> {
     /// tournament's winner receipts) as effective as they are in
     /// process.
     last_fan: Arc<[ProcId]>,
-    cfg: NetConfig,
-    stats: NetStats,
-    /// Start rounds of mark-derived phases (parallel to
-    /// `stats.per_phase` when no schedule is configured).
-    marks: Vec<usize>,
+    /// Every counter, per phase of the sending round.
+    ledger: PhaseLedger,
     trace: Trace,
     counters: Arc<WireCounters>,
     _msg: PhantomData<fn() -> M>,
@@ -119,76 +116,16 @@ impl<M: WireMsg> SocketTransport<M> {
         let reader = stream
             .try_clone()
             .map_err(|e| format!("cloning session stream: {e}"))?;
-        // Mirror NetTransport::new: a configured schedule pre-builds the
-        // per-phase buckets plus the trailing catch-all.
-        let mut stats = NetStats::default();
-        if let Some(schedule) = &cfg.schedule {
-            stats.per_phase = schedule
-                .iter()
-                .map(|p| PhaseNetStats {
-                    name: p.name.clone(),
-                    ..PhaseNetStats::default()
-                })
-                .collect();
-            stats.per_phase.push(PhaseNetStats {
-                name: "(past-schedule)".to_owned(),
-                ..PhaseNetStats::default()
-            });
-        }
         Ok(SocketTransport {
             reader: FrameReader::new(BufReader::with_capacity(SOCKET_BUF, reader)),
             writer: FrameWriter::new(BufWriter::with_capacity(SOCKET_BUF, stream)),
             inbound: Vec::new(),
             last_fan: Arc::from([]),
-            cfg,
-            stats,
-            marks: Vec::new(),
+            ledger: PhaseLedger::new(&cfg),
             trace,
             counters,
             _msg: PhantomData,
         })
-    }
-
-    /// Phase timetable as `(name, start_round)` pairs — the configured
-    /// schedule when present, otherwise the mark-derived timetable.
-    /// Mirrors `NetTransport::phase_marks`.
-    pub fn phase_marks(&self) -> Vec<(String, usize)> {
-        if let Some(schedule) = &self.cfg.schedule {
-            let mut start = 0usize;
-            let mut out = Vec::new();
-            for p in schedule.iter() {
-                out.push((p.name.clone(), start));
-                start += p.len;
-            }
-            out.push(("(past-schedule)".to_owned(), start));
-            out
-        } else {
-            self.marks
-                .iter()
-                .zip(&self.stats.per_phase)
-                .map(|(&start, p)| (p.name.clone(), start))
-                .collect()
-        }
-    }
-
-    /// The phase-stats bucket for a sending round; mirrors
-    /// `NetTransport::phase_bucket`.
-    fn phase_bucket(&mut self, sent_round: usize) -> Option<&mut PhaseNetStats> {
-        if self.stats.per_phase.is_empty() {
-            return None;
-        }
-        let idx = if self.cfg.schedule.is_some() {
-            let last = self.stats.per_phase.len() - 1;
-            self.cfg
-                .schedule
-                .as_ref()
-                .and_then(|s| s.locate(sent_round))
-                .map_or(last, |(phase, _)| phase)
-        } else {
-            let k = self.marks.partition_point(|&start| start <= sent_round);
-            k.checked_sub(1)?
-        };
-        self.stats.per_phase.get_mut(idx)
     }
 }
 
@@ -201,16 +138,6 @@ enum Recipients<'a> {
 }
 
 impl<M: WireMsg> SocketTransport<M> {
-    /// The send-side accounting of `count` envelopes of `bits` each
-    /// entering the wire in `round`; mirrors `NetTransport::count_sent`.
-    fn count_sent(&mut self, round: usize, count: u64, bits: u64) {
-        self.stats.sent += count;
-        if let Some(b) = self.phase_bucket(round) {
-            b.sent += count;
-            b.sent_bits += bits * count;
-        }
-    }
-
     /// Asks the switch for everything due at `round` and hands each data
     /// frame it answers with to `sink`, in frame order, having counted
     /// it per recipient. The shared body of [`Transport::collect`] and
@@ -258,10 +185,7 @@ impl<M: WireMsg> SocketTransport<M> {
                     (count, None)
                 }
             };
-            self.stats.delivered += count;
-            if let Some(b) = self.phase_bucket(sent_round) {
-                b.delivered += count;
-            }
+            self.ledger.delivered(round, sent_round, count, 0);
             let to = one.map_or(Recipients::Many(&self.last_fan), Recipients::One);
             sink(from, to, msg);
         }
@@ -271,7 +195,7 @@ impl<M: WireMsg> SocketTransport<M> {
 impl<M: WireMsg> Transport<M> for SocketTransport<M> {
     fn send(&mut self, round: usize, env: Envelope<M>) {
         let bits = env.bit_len();
-        self.count_sent(round, 1, bits);
+        self.ledger.sent(round, 1, bits);
         let (from, to) = (env.from.index() as u32, env.to.index() as u32);
         self.writer
             .write_with(|out| {
@@ -282,11 +206,11 @@ impl<M: WireMsg> Transport<M> for SocketTransport<M> {
             .unwrap_or_else(|e| panic!("serve session send failed: {e}"));
     }
 
-    /// One frame per fan (per [`frame::FAN_CAP`] recipients of a longer
-    /// one), counted per recipient exactly as its expansion would be.
+    /// One frame per fan (per `FAN_CAP` recipients of a longer one),
+    /// counted per recipient exactly as its expansion would be.
     fn send_many(&mut self, round: usize, mc: Multicast<M>) {
-        let bits = mc.payload.bit_len();
-        self.count_sent(round, mc.to.len() as u64, bits);
+        let (bits, count) = (mc.payload.bit_len(), mc.to.len() as u64);
+        self.ledger.sent(round, count, count * bits);
         let from = mc.from.index() as u32;
         for to in mc.to.chunks(frame::FAN_CAP) {
             let to = to.iter().map(|p| p.index() as u32);
@@ -330,42 +254,21 @@ impl<M: WireMsg> Transport<M> for SocketTransport<M> {
     }
 
     fn mark_phase(&mut self, round: usize, name: &str) {
-        // Mirrors NetTransport::mark_phase: a configured schedule wins,
-        // repeated announcements coalesce.
-        if self.cfg.schedule.is_some() {
-            return;
+        if self.ledger.mark(round, name) {
+            self.trace.event("net:phase", round as u64, name, &[]);
         }
-        if self
-            .marks
-            .len()
-            .checked_sub(1)
-            .is_some_and(|i| self.stats.per_phase[i].name == name)
-        {
-            return;
-        }
-        self.trace.event("net:phase", round as u64, name, &[]);
-        self.marks.push(round);
-        self.stats.per_phase.push(PhaseNetStats {
-            name: name.to_owned(),
-            ..PhaseNetStats::default()
-        });
     }
 }
 
 impl<M: WireMsg> SessionTransport<M> for SocketTransport<M> {
-    fn phase_marks(&self) -> Vec<(String, usize)> {
-        SocketTransport::phase_marks(self)
-    }
-
-    fn finish(mut self) -> NetStats {
+    fn finish(mut self) -> PhaseLedger {
         let _ = self.writer.flush();
-        self.stats.in_flight_at_end = self.stats.sent - self.stats.delivered;
         let c = &self.counters;
         c.bytes_in.store(self.reader.bytes, Ordering::Relaxed);
         c.bytes_out.store(self.writer.bytes, Ordering::Relaxed);
         c.frames_in.store(self.reader.frames, Ordering::Relaxed);
         c.frames_out.store(self.writer.frames, Ordering::Relaxed);
-        self.stats
+        self.ledger
     }
 }
 

@@ -190,7 +190,7 @@ fn a_fan_survives_either_collect_in_emission_order() {
         );
 
         use ba_exp::SessionTransport;
-        let stats = t.finish();
+        let stats = t.finish().into_stats();
         assert_eq!((stats.sent, stats.delivered), (15, 15));
         let phase = &stats.per_phase[0];
         assert_eq!((phase.sent, phase.delivered), (15, 15));
@@ -207,4 +207,23 @@ fn aeba_is_all_singles_and_matches_in_every_field() {
         let s = assert_whole_outcome_matches(&spec("aeba", 32), trial);
         assert_eq!(s.fan_frames, 0, "engine-hosted protocols send singles");
     }
+}
+
+/// A configured timetable — `00-baseline-sync.scn`'s — buckets alike on
+/// both carriers, its catch-all included: `aeba` runs 30 rounds, past
+/// the schedule's 26.
+#[test]
+fn a_configured_schedule_matches_in_every_field_past_its_end() {
+    let text = spec("aeba", 32) + "phases = early:8, mid:8, late:10\n";
+    assert_whole_outcome_matches(&text, 0);
+    let spec = scenario::lower(&ScenarioSpec::parse(&text).expect("spec parses")).expect("lowers");
+    let net = run_trial(&spec, 0).expect("trial").net.expect("net stats");
+    let names: Vec<&str> = net.per_phase.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names[..3], ["early", "mid", "late"]);
+    assert_eq!(names.len(), 4, "the schedule's phases, then the catch-all");
+    assert!(
+        net.per_phase.iter().all(|p| p.sent > 0),
+        "{:?}",
+        net.per_phase
+    );
 }

@@ -423,6 +423,6 @@ fn oversized_fan_splits_into_fan_frames_and_round_trips() {
     assert_eq!(back.concat(), to.to_vec());
 
     use ba_exp::SessionTransport;
-    let stats = transport.finish();
+    let stats = transport.finish().into_stats();
     assert_eq!((stats.sent, stats.delivered), (300_000, 300_000));
 }

@@ -123,8 +123,8 @@ fn flood_outcomes_match_in_process_and_bytes_match_cost_model() {
             served.payload_bits, sends,
             "client-observed model bits = in-process envelopes x 1 bit"
         );
-        // frames_in = sends + collects + outcome; collects mirror
-        // round-done frames one-for-one.
+        // frames_in = sends + collects + outcome; each collect is
+        // answered by exactly one round-done frame.
         let collects = s_collects(&served, sends);
         let control_frame_len = Frame::Collect { round: 0 }.to_bytes().len() as u64;
         let expected =

@@ -8,7 +8,7 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# build, tests, the benchmark package's build and smoke tier, a memory
+# rustdoc with warnings denied, build, tests, the benchmark package's build and smoke tier, a memory
 # budget on its jittered-stack workload, a one-scenario smoke of the
 # composed tree-adversary + partition spec, a traced one, every recorded
 # pin (scripts/repin.sh) and the pinned regression scenarios.
@@ -21,6 +21,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy -q --offline --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== cargo build --release =="
 cargo build --release --offline

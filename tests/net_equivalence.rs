@@ -454,8 +454,8 @@ mod per_envelope_oracle {
         run_trial_with_factory, NetFactory, RunSpec, SessionTransport, TransportFactory,
     };
     use king_saia::net::{
-        Churn, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, NetStats, NetTransport,
-        Partition,
+        Churn, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, NetTransport, Partition,
+        PhaseLedger,
     };
     use king_saia::obs::Trace;
     use king_saia::sim::{Envelope, Multicast, Payload, ProcId, Schedule, Transport, WireMsg};
@@ -487,11 +487,8 @@ mod per_envelope_oracle {
     }
 
     impl<M: Payload> SessionTransport<M> for PerEnvelope<M> {
-        fn phase_marks(&self) -> Vec<(String, usize)> {
-            self.0.phase_marks()
-        }
-        fn finish(self) -> NetStats {
-            self.0.into_stats()
+        fn finish(self) -> PhaseLedger {
+            self.0.into_ledger()
         }
     }
 
@@ -522,7 +519,8 @@ mod per_envelope_oracle {
 
     /// `spec` over {synchronous, 3 % loss + `Uniform{0,900}`, partition +
     /// churn, a heavy tail capped at four rounds} × every delivery policy
-    /// × three seeds, through the overrides and through the oracle.
+    /// × three seeds, through the overrides and through the oracle; each
+    /// net keeps `spec`'s phase timetable.
     fn whole_rounds_match(spec: RunSpec) {
         let delta = NetConfig::synchronous().delta;
         let nets = [
@@ -556,10 +554,11 @@ mod per_envelope_oracle {
         for (k, net) in nets.into_iter().enumerate() {
             for ordering in DeliveryPolicy::ALL {
                 for seed in [1u64, 2, 3] {
-                    let spec = spec
-                        .clone()
-                        .net(net.clone().with_ordering(ordering))
-                        .seeds(seed);
+                    let net = NetConfig {
+                        schedule: spec.net.schedule.clone(),
+                        ..net.clone().with_ordering(ordering)
+                    };
+                    let spec = spec.clone().net(net).seeds(seed);
                     let ctx = format!("net {k} {ordering:?} seed {seed}");
                     let (outcome, trace) = observed(&spec, &mut NetFactory);
                     let (oracle, oracle_trace) = observed(&spec, &mut PerEnvelopeFactory);
@@ -573,32 +572,32 @@ mod per_envelope_oracle {
     }
 
     /// An engine-hosted protocol announces no phases: its per-phase
-    /// buckets come from a timetable.
-    fn timetable() -> Schedule {
+    /// buckets come from a timetable on its net.
+    fn timetable() -> NetConfig {
         let mut schedule = Schedule::new();
         schedule.push("opening", 3);
         schedule.push("rest", 5);
-        schedule
+        NetConfig::synchronous().with_schedule(schedule)
     }
 
     #[test]
     fn aeba_whole_rounds_match_the_per_envelope_path() {
-        whole_rounds_match(RunSpec::aeba(48).schedule(timetable()));
+        whole_rounds_match(RunSpec::aeba(48).net(timetable()));
     }
 
     #[test]
     fn ae_to_e_whole_rounds_match_the_per_envelope_path() {
-        whole_rounds_match(RunSpec::ae_to_e(48).schedule(timetable()));
+        whole_rounds_match(RunSpec::ae_to_e(48).net(timetable()));
     }
 
     #[test]
     fn ben_or_whole_rounds_match_the_per_envelope_path() {
-        whole_rounds_match(RunSpec::ben_or(32).schedule(timetable()));
+        whole_rounds_match(RunSpec::ben_or(32).net(timetable()));
     }
 
     #[test]
     fn phase_king_whole_rounds_match_the_per_envelope_path() {
-        whole_rounds_match(RunSpec::phase_king(32).schedule(timetable()));
+        whole_rounds_match(RunSpec::phase_king(32).net(timetable()));
     }
 
     /// Fans (the tournament, which announces its phases) and singles
