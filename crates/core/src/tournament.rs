@@ -37,9 +37,7 @@ use crate::election::{lightest_bin, ElectionResult};
 use crate::scale::{impl_scale_builders, StackParams};
 use crate::stream::{Kind, Label};
 use ba_sampler::RegularGraph;
-use ba_sim::{
-    derive_rng, BitStats, Envelope, Lockstep, Multicast, Payload, ProcId, SimRng, Transport,
-};
+use ba_sim::{derive_rng, BitStats, Lockstep, Multicast, Payload, ProcId, SimRng, Transport};
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::Rng;
 use std::collections::HashMap;
@@ -177,12 +175,6 @@ pub struct TournamentConfig {
     /// Fraction of good committee members that mis-see an exposed value
     /// (the paper's `1/log n` exposure noise; set 0 for a noiseless run).
     pub exposure_blindness: f64,
-    /// Route committee fans as [`Multicast`] batches — one transport
-    /// entry per (sender, committee, exchange) — instead of one envelope
-    /// per recipient. Outcomes, bit charges, and stats are byte-identical
-    /// either way (pinned by the net-equivalence matrix); the unbatched
-    /// mode exists for those pins and as the reference semantics.
-    pub batch_envelopes: bool,
 }
 
 impl TournamentConfig {
@@ -201,16 +193,7 @@ impl TournamentConfig {
             // quarter of that at laptop log₂ n keeps the modeled noise
             // from swamping log-sized committees.
             exposure_blindness: 0.25 / log_n,
-            batch_envelopes: true,
         }
-    }
-
-    /// Disables [`TournamentConfig::batch_envelopes`]: every committee
-    /// fan goes out as per-recipient envelopes (the reference path the
-    /// equivalence matrix compares against).
-    pub fn with_unbatched_envelopes(mut self) -> Self {
-        self.batch_envelopes = false;
-        self
     }
 
     fn apply_seed(&mut self, seed: u64) {
@@ -692,7 +675,6 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             net,
             &mut net_round,
             &format!("L{level}:expose"),
-            config.batch_envelopes,
             outbox,
             &mut |mc| {
                 if let TourMsg::Expose {
@@ -784,7 +766,6 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             net,
             &mut net_round,
             &format!("L{level}:winners"),
-            config.batch_envelopes,
             outbox,
             &mut |mc| receipts.count(&mc),
         );
@@ -887,28 +868,21 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
             });
         }
         let online = online_at(net, net_round + 1, n);
-        route(
-            net,
-            &mut net_round,
-            "root:coin",
-            config.batch_envelopes,
-            outbox,
-            &mut |mc| {
-                if let TourMsg::RootCoin { j: jj } = mc.payload {
-                    // Count only on-time openings received by a live
-                    // processor: a word arriving after its agreement
-                    // round — or at a crashed recipient — is useless to
-                    // the voter.
-                    if jj as usize == j {
-                        for t in mc.to.iter() {
-                            if online[t.index()] {
-                                coin_recv[j * n + t.index()] = true;
-                            }
+        route(net, &mut net_round, "root:coin", outbox, &mut |mc| {
+            if let TourMsg::RootCoin { j: jj } = mc.payload {
+                // Count only on-time openings received by a live
+                // processor: a word arriving after its agreement
+                // round — or at a crashed recipient — is useless to
+                // the voter.
+                if jj as usize == j {
+                    for t in mc.to.iter() {
+                        if online[t.index()] {
+                            coin_recv[j * n + t.index()] = true;
                         }
                     }
                 }
-            },
-        );
+            }
+        });
         for (m, miss) in offline_rounds.iter_mut().enumerate() {
             if !online[m] {
                 *miss += 1;
@@ -1031,14 +1005,13 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
 /// round, so stale or dead-letter deliveries fall on the floor exactly as
 /// they would in a round-based protocol.
 ///
-/// With `batched` unset every fan expands to per-recipient envelopes in
-/// slice order — the reference semantics the equivalence matrix pins the
-/// batched mode against.
+/// Each fan leaves as one [`Multicast`]: a transport that keeps batches
+/// whole holds one entry per (sender, committee, exchange), and one that
+/// does not expands it through the trait's default `send_many`.
 fn route<Tr: Transport<TourMsg> + ?Sized>(
     net: &mut Tr,
     net_round: &mut usize,
     label: &str,
-    batched: bool,
     outbox: Vec<Multicast<TourMsg>>,
     deliver: &mut dyn FnMut(Multicast<TourMsg>),
 ) {
@@ -1049,13 +1022,7 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
     net.mark_phase(r, label);
     for mc in outbox {
         if net.is_online(r, mc.from) {
-            if batched {
-                net.send_many(r, mc);
-            } else {
-                for &to in mc.to.iter() {
-                    net.send(r, Envelope::new(mc.from, to, mc.payload));
-                }
-            }
+            net.send_many(r, mc);
         }
     }
     *net_round += 1;

@@ -127,7 +127,7 @@ pub struct Experiment {
     finished: bool,
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
@@ -140,10 +140,10 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// The network block every `case` row carries in `--json` output:
-/// aggregate counters (dead letters included) plus per-phase
-/// lateness/loss drill-down.
-fn net_json(net: &NetStats) -> String {
+/// The network block every `case` row and every scenario row carries in
+/// its JSON: aggregate counters (dead letters and what was still in the
+/// air included) plus per-phase lateness/loss drill-down.
+pub(crate) fn net_json(net: &NetStats) -> String {
     let mut phases = String::new();
     for (i, p) in net.per_phase.iter().enumerate() {
         if i > 0 {
@@ -167,7 +167,7 @@ fn net_json(net: &NetStats) -> String {
     format!(
         "\"net\": {{\"sent\": {}, \"delivered\": {}, \"late\": {}, \"late_rounds\": {}, \
          \"dropped_random\": {}, \"dropped_partition\": {}, \"dead_letters\": {}, \
-         \"loss_rate\": {}, \"late_rate\": {}}}, \"phases\": [{}]",
+         \"in_flight_at_end\": {}, \"loss_rate\": {}, \"late_rate\": {}}}, \"phases\": [{}]",
         net.sent,
         net.delivered,
         net.late,
@@ -175,6 +175,7 @@ fn net_json(net: &NetStats) -> String {
         net.dropped_random,
         net.dropped_partition,
         net.dead_letters,
+        net.in_flight_at_end,
         json_num(net.loss_rate()),
         json_num(net.late_rate()),
         phases,

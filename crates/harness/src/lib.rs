@@ -20,6 +20,12 @@
 //! * `trials`/`seeds` — the harness owns the (parallel) trial loop and
 //!   all seeding; per-trial seeds derive as `seeds.base + trial`.
 //!
+//! [`RunSpec::validate`] is the one place a combination is judged: every
+//! trial entry point and [`scenario::lower`] call it, so a knob a run
+//! would silently drop (a tree adversary on a message-level protocol, a
+//! rounds cap on a structured executor) is an error instead. Each
+//! protocol then resolves its message adversary through one roster.
+//!
 //! [`run`] executes a spec and returns per-trial [`TrialOutcome`]s with
 //! uniform metrics (agreement, validity, rounds, bit statistics, network
 //! statistics, tournament drill-down). [`Experiment`] wraps the

@@ -1,5 +1,10 @@
 //! Executes a [`RunSpec`]: the one trial loop, per-trial transports, and
 //! uniform metric extraction for every protocol the spec surface names.
+//!
+//! Every trial starts with [`RunSpec::validate`], the one place a
+//! combination is judged. What is left to the runner is each protocol's
+//! roster: the message adversaries it can host, resolved to one boxed
+//! [`Adversary`] for one executor call.
 
 use crate::spec::{
     AeToESpec, AebaSpec, Knowledgeable, MessageAdversary, Protocol, RunSpec, TournamentTuning,
@@ -18,8 +23,8 @@ use ba_core::tournament::{self, LevelStats, TourMsg, TournamentConfig};
 use ba_net::{NetConfig, NetStats, NetTransport, PhaseLedger};
 use ba_obs::Trace;
 use ba_sim::{
-    Adversary, BitStats, NullAdversary, Payload, ProcId, Process, RunOutcome, SimBuilder,
-    StaticAdversary, Transport, WireMsg,
+    Adversary, BitStats, Payload, ProcId, Process, RunOutcome, SimBuilder, StaticAdversary,
+    Transport, WireMsg,
 };
 use ba_topology::Params;
 use rand::SeedableRng;
@@ -300,19 +305,22 @@ pub fn trace_sampler_cache(trace: &Trace, since: ba_sampler::CacheStats) {
     );
 }
 
+/// The spec's message adversary, resolved by a protocol's roster.
+type Roster<P> = Box<dyn Adversary<P>>;
+
 /// Runs one engine-hosted protocol trial over a `ba-net` transport.
 /// `wrong_pred` flags a decided output as *wrong* (e.g. not the message
 /// Algorithm 3 was spreading); pass `|_| false` where the notion does
 /// not exist.
 #[allow(clippy::too_many_arguments)] // one spec-shaped bundle per knob; a struct would just rename them
-fn engine_case<P, F, A, TF>(
+fn engine_case<P, F, TF>(
     spec: &RunSpec,
     seed: u64,
     cfg: NetConfig,
     cap: usize,
     flood_cap: Option<usize>,
     make: F,
-    adversary: A,
+    adversary: Roster<P>,
     wrong_pred: impl Fn(&P::Output) -> bool,
     trace: &Trace,
     factory: &mut TF,
@@ -322,7 +330,6 @@ where
     P::Msg: WireMsg + 'static,
     P::Output: PartialEq,
     F: FnMut(ProcId, usize) -> P,
-    A: Adversary<P>,
     TF: TransportFactory,
 {
     let transport = factory.make::<P::Msg>(spec.n, cfg, trace)?;
@@ -361,11 +368,51 @@ where
     })
 }
 
-fn unsupported(spec: &RunSpec, what: &str) -> String {
-    format!(
-        "protocol `{}` does not support {what}",
-        spec.protocol.name()
-    )
+/// Crash faults (or none): the roster every engine-hosted protocol
+/// fields, and the fallback of every larger one. Any other adversary is
+/// one this protocol cannot host.
+fn crash_roster<P: Process>(spec: &RunSpec) -> Result<Roster<P>, String> {
+    match spec.adversary.message {
+        m @ (MessageAdversary::None | MessageAdversary::Crash { .. }) => {
+            Ok(Box::new(StaticAdversary::first_k(m.count())))
+        }
+        other => Err(format!(
+            "protocol `{}` does not support message adversary {other:?}",
+            spec.protocol.name()
+        )),
+    }
+}
+
+/// The leader-based baselines' roster: crash faults plus coordinator
+/// equivocation.
+fn leader_roster<P: Process>(spec: &RunSpec) -> Result<Roster<P>, String>
+where
+    CoordEquivocator: Adversary<P>,
+{
+    match spec.adversary.message {
+        MessageAdversary::Equivocate { count } => Ok(Box::new(CoordEquivocator::new(count))),
+        _ => crash_roster(spec),
+    }
+}
+
+/// Algorithm 3's roster, for `ae_to_e` and the everywhere stack's second
+/// phase alike: crash faults plus the three attacks on its
+/// request/response traffic. The flooders aim at `labels` labels.
+fn ae_roster(spec: &RunSpec, labels: usize) -> Result<Roster<AeToEProcess>, String> {
+    Ok(match spec.adversary.message {
+        MessageAdversary::Forge { count, fake } => Box::new(ResponseForger::new(count, fake)),
+        MessageAdversary::Overload { count, copies } => Box::new(Overloader {
+            count,
+            labels,
+            copies,
+        }),
+        MessageAdversary::GuessLabels { count, copies } => Box::new(LabelGuesser {
+            count,
+            labels,
+            copies,
+        }),
+        _ => return crash_roster(spec),
+    })
 }
 
 /// Runs trial `trial` of `spec` at seed `seeds.base + trial`.
@@ -437,21 +484,17 @@ pub fn run_trial_with_factory<TF: TransportFactory>(
     Ok(out)
 }
 
-/// Trial dispatch over the spec's protocol surface.
+/// Trial dispatch over the spec's protocol surface, once
+/// [`RunSpec::validate`] has accepted the spec: each protocol resolves
+/// its roster and makes one executor call.
 fn dispatch<TF: TransportFactory>(
     spec: &RunSpec,
     trial: u64,
     trace: &Trace,
     factory: &mut TF,
 ) -> Result<TrialOutcome, String> {
+    spec.validate()?;
     let n = spec.n;
-    if n == 0 {
-        return Err("n must be positive".to_owned());
-    }
-    // The `.scn` parser says the same; `NetTransport::new` would panic.
-    if spec.net.delta == 0 {
-        return Err("delta must be positive".to_owned());
-    }
     let seed = spec.seeds.seed(trial);
     let cfg = spec.trial_net(trial);
     let cap = spec.output.rounds_cap;
@@ -459,7 +502,6 @@ fn dispatch<TF: TransportFactory>(
     match &spec.protocol {
         Protocol::Flood => {
             let pc = FloodConfig::for_n(n);
-            let adv = generic_static(spec)?;
             engine_case(
                 spec,
                 seed,
@@ -467,7 +509,7 @@ fn dispatch<TF: TransportFactory>(
                 cap.unwrap_or(pc.rounds + 2),
                 None,
                 move |p, _| FloodProcess::new(pc, input.bit(p.index())),
-                adv,
+                crash_roster(spec)?,
                 |_| false,
                 trace,
                 factory,
@@ -475,31 +517,14 @@ fn dispatch<TF: TransportFactory>(
         }
         Protocol::PhaseKing => {
             let pc = PhaseKingConfig::for_n(n);
-            let cap = cap.unwrap_or(pc.total_rounds() + 2);
-            let make = move |p: ProcId, _: usize| PhaseKingProcess::new(pc, input.bit(p.index()));
-            if let MessageAdversary::Equivocate { count } = spec.adversary.message {
-                return engine_case(
-                    spec,
-                    seed,
-                    cfg,
-                    cap,
-                    None,
-                    make,
-                    CoordEquivocator::new(count),
-                    |_| false,
-                    trace,
-                    factory,
-                );
-            }
-            let adv = generic_static(spec)?;
             engine_case(
                 spec,
                 seed,
                 cfg,
-                cap,
+                cap.unwrap_or(pc.total_rounds() + 2),
                 None,
-                make,
-                adv,
+                move |p, _| PhaseKingProcess::new(pc, input.bit(p.index())),
+                leader_roster(spec)?,
                 |_| false,
                 trace,
                 factory,
@@ -507,7 +532,6 @@ fn dispatch<TF: TransportFactory>(
         }
         Protocol::BenOr => {
             let pc = BenOrConfig::for_n(n);
-            let adv = generic_static(spec)?;
             engine_case(
                 spec,
                 seed,
@@ -515,7 +539,7 @@ fn dispatch<TF: TransportFactory>(
                 cap.unwrap_or(pc.total_rounds() + 2),
                 None,
                 move |p, _| BenOrProcess::new(pc, input.bit(p.index())),
-                adv,
+                crash_roster(spec)?,
                 |_| false,
                 trace,
                 factory,
@@ -524,31 +548,14 @@ fn dispatch<TF: TransportFactory>(
         Protocol::Rabin => {
             let mut pc = RabinConfig::for_n(n);
             pc.beacon_seed ^= seed; // fresh beacon per trial
-            let cap = cap.unwrap_or(pc.total_rounds() + 2);
-            let make = move |p: ProcId, _: usize| RabinProcess::new(pc, input.bit(p.index()));
-            if let MessageAdversary::Equivocate { count } = spec.adversary.message {
-                return engine_case(
-                    spec,
-                    seed,
-                    cfg,
-                    cap,
-                    None,
-                    make,
-                    CoordEquivocator::new(count),
-                    |_| false,
-                    trace,
-                    factory,
-                );
-            }
-            let adv = generic_static(spec)?;
             engine_case(
                 spec,
                 seed,
                 cfg,
-                cap,
+                cap.unwrap_or(pc.total_rounds() + 2),
                 None,
-                make,
-                adv,
+                move |p, _| RabinProcess::new(pc, input.bit(p.index())),
+                leader_roster(spec)?,
                 |_| false,
                 trace,
                 factory,
@@ -561,15 +568,6 @@ fn dispatch<TF: TransportFactory>(
     }
 }
 
-/// The adversaries available to protocols without a specialized roster.
-fn generic_static(spec: &RunSpec) -> Result<StaticAdversary, String> {
-    match spec.adversary.message {
-        MessageAdversary::None => Ok(StaticAdversary::default()),
-        MessageAdversary::Crash { count } => Ok(StaticAdversary::first_k(count)),
-        other => Err(unsupported(spec, &format!("message adversary {other:?}"))),
-    }
-}
-
 fn aeba_trial<TF: TransportFactory>(
     spec: &RunSpec,
     aeba: &AebaSpec,
@@ -578,6 +576,10 @@ fn aeba_trial<TF: TransportFactory>(
     trace: &Trace,
     factory: &mut TF,
 ) -> Result<TrialOutcome, String> {
+    let adversary: Roster<AebaProcess> = match spec.adversary.message {
+        MessageAdversary::SplitVotes { count } => Box::new(SplitVoter { count }),
+        _ => crash_roster(spec)?,
+    };
     let n = spec.n;
     let rounds = aeba.rounds;
     let pc = AebaConfig {
@@ -611,36 +613,18 @@ fn aeba_trial<TF: TransportFactory>(
             split_coins && p.index() % 2 == 1,
         )
     };
-    match spec.adversary.message {
-        MessageAdversary::SplitVotes { count } => engine_case(
-            spec,
-            seed,
-            cfg,
-            cap,
-            None,
-            make,
-            SplitVoter { count },
-            |_| false,
-            trace,
-            factory,
-        ),
-        MessageAdversary::None | MessageAdversary::Crash { .. } => {
-            let adv = generic_static(spec)?;
-            engine_case(
-                spec,
-                seed,
-                cfg,
-                cap,
-                None,
-                make,
-                adv,
-                |_| false,
-                trace,
-                factory,
-            )
-        }
-        other => Err(unsupported(spec, &format!("message adversary {other:?}"))),
-    }
+    engine_case(
+        spec,
+        seed,
+        cfg,
+        cap,
+        None,
+        make,
+        adversary,
+        |_| false,
+        trace,
+        factory,
+    )
 }
 
 fn ae_to_e_trial<TF: TransportFactory>(
@@ -653,8 +637,8 @@ fn ae_to_e_trial<TF: TransportFactory>(
 ) -> Result<TrialOutcome, String> {
     let n = spec.n;
     let pc = AeToEConfig::for_n(n, ae.eps);
+    let adversary = ae_roster(spec, pc.labels)?;
     let cap = spec.output.rounds_cap.unwrap_or(pc.total_rounds() + 1);
-    let labels = pc.labels;
     let message = ae.message;
     let input = spec.input;
     let knowledgeable = ae.knowledgeable;
@@ -664,76 +648,22 @@ fn ae_to_e_trial<TF: TransportFactory>(
             Knowledgeable::Fraction(f) => p < ((n as f64) * f) as usize,
         }
     };
-    let make = {
-        let pc = pc.clone();
-        move |p: ProcId, _n: usize| {
-            let k = knows(p.index()).then_some(message);
-            AeToEProcess::new(pc.clone(), k)
-        }
+    let make = move |p: ProcId, _n: usize| {
+        let k = knows(p.index()).then_some(message);
+        AeToEProcess::new(pc.clone(), k)
     };
-    let wrong = move |v: &u64| *v != message;
-    match spec.adversary.message {
-        MessageAdversary::None | MessageAdversary::Crash { .. } => {
-            let adv = generic_static(spec)?;
-            engine_case(
-                spec,
-                seed,
-                cfg,
-                cap,
-                ae.flood_cap,
-                make,
-                adv,
-                wrong,
-                trace,
-                factory,
-            )
-        }
-        MessageAdversary::Forge { count, fake } => engine_case(
-            spec,
-            seed,
-            cfg,
-            cap,
-            ae.flood_cap,
-            make,
-            ResponseForger::new(count, fake),
-            wrong,
-            trace,
-            factory,
-        ),
-        MessageAdversary::Overload { count, copies } => engine_case(
-            spec,
-            seed,
-            cfg,
-            cap,
-            ae.flood_cap,
-            make,
-            Overloader {
-                count,
-                labels,
-                copies,
-            },
-            wrong,
-            trace,
-            factory,
-        ),
-        MessageAdversary::GuessLabels { count, copies } => engine_case(
-            spec,
-            seed,
-            cfg,
-            cap,
-            ae.flood_cap,
-            make,
-            LabelGuesser {
-                count,
-                labels,
-                copies,
-            },
-            wrong,
-            trace,
-            factory,
-        ),
-        other => Err(unsupported(spec, &format!("message adversary {other:?}"))),
-    }
+    engine_case(
+        spec,
+        seed,
+        cfg,
+        cap,
+        ae.flood_cap,
+        make,
+        adversary,
+        move |v: &u64| *v != message,
+        trace,
+        factory,
+    )
 }
 
 /// Applies tuning overrides onto practical parameters.
@@ -759,18 +689,6 @@ fn tournament_trial<TF: TransportFactory>(
     trace: &Trace,
     factory: &mut TF,
 ) -> Result<TrialOutcome, String> {
-    if spec.adversary.message != MessageAdversary::None {
-        return Err(unsupported(
-            spec,
-            "message adversaries (compose a tree adversary instead)",
-        ));
-    }
-    if spec.output.rounds_cap.is_some() {
-        return Err(unsupported(
-            spec,
-            "a rounds cap (the structured executor's length is parameter-determined)",
-        ));
-    }
     let n = spec.n;
     let mut config = TournamentConfig::for_n(n).with_seed(seed);
     config.params = tuned_params(n, tuning);
@@ -808,60 +726,14 @@ fn everywhere_trial<TF: TransportFactory>(
     trace: &Trace,
     factory: &mut TF,
 ) -> Result<TrialOutcome, String> {
-    if spec.output.rounds_cap.is_some() {
-        return Err(unsupported(
-            spec,
-            "a rounds cap (both phase lengths are parameter-determined)",
-        ));
-    }
     let n = spec.n;
     let config = EverywhereConfig::for_n(n).with_seed(seed);
-    let labels = config.ae.labels;
+    let ae_adversary = ae_roster(spec, config.ae.labels)?;
     let inputs: Vec<bool> = (0..n).map(|i| spec.input.bit(i)).collect();
     let mut adv = spec.adversary.tree.instantiate();
     let transport = factory.make::<StackMsg>(n, cfg, trace)?;
-    let (out, transport) = match spec.adversary.message {
-        MessageAdversary::None => {
-            everywhere::run_with_transport(&config, &inputs, &mut adv, NullAdversary, transport)
-        }
-        MessageAdversary::Crash { count } => everywhere::run_with_transport(
-            &config,
-            &inputs,
-            &mut adv,
-            StaticAdversary::first_k(count),
-            transport,
-        ),
-        MessageAdversary::Forge { count, fake } => everywhere::run_with_transport(
-            &config,
-            &inputs,
-            &mut adv,
-            ResponseForger::new(count, fake),
-            transport,
-        ),
-        MessageAdversary::Overload { count, copies } => everywhere::run_with_transport(
-            &config,
-            &inputs,
-            &mut adv,
-            Overloader {
-                count,
-                labels,
-                copies,
-            },
-            transport,
-        ),
-        MessageAdversary::GuessLabels { count, copies } => everywhere::run_with_transport(
-            &config,
-            &inputs,
-            &mut adv,
-            LabelGuesser {
-                count,
-                labels,
-                copies,
-            },
-            transport,
-        ),
-        other => return Err(unsupported(spec, &format!("message adversary {other:?}"))),
-    };
+    let (out, transport) =
+        everywhere::run_with_transport(&config, &inputs, &mut adv, ae_adversary, transport);
     let good: Vec<usize> = (0..n).filter(|&i| !out.corrupt[i]).collect();
     let decided_count = good.iter().filter(|&&i| out.decisions[i].is_some()).count();
     let agreeing = good
@@ -1041,6 +913,98 @@ mod tests {
         // must not be silently dropped.
         assert!(run(&RunSpec::tournament(64).rounds_cap(20)).is_err());
         assert!(run(&RunSpec::everywhere(64).rounds_cap(20)).is_err());
+    }
+
+    #[test]
+    fn a_tree_adversary_needs_a_tree_level_protocol() {
+        let spec = RunSpec::flood(16)
+            .trials(1)
+            .adversary(AdversarySpec::none().with_tree(TreeAttack::WinnerHunter));
+        let err = run(&spec).expect_err("the tree adversary would be dropped");
+        assert!(err.contains("tree-level protocol"), "{err}");
+    }
+
+    /// Whether `protocol`'s roster fields message adversary `m`.
+    fn fields(protocol: &Protocol, m: MessageAdversary) -> bool {
+        use MessageAdversary as M;
+        match protocol {
+            Protocol::Flood | Protocol::BenOr => matches!(m, M::None | M::Crash { .. }),
+            Protocol::PhaseKing | Protocol::Rabin => {
+                matches!(m, M::None | M::Crash { .. } | M::Equivocate { .. })
+            }
+            Protocol::Aeba(_) => matches!(m, M::None | M::Crash { .. } | M::SplitVotes { .. }),
+            Protocol::AeToE(_) | Protocol::Everywhere => matches!(
+                m,
+                M::None
+                    | M::Crash { .. }
+                    | M::Forge { .. }
+                    | M::Overload { .. }
+                    | M::GuessLabels { .. }
+            ),
+            Protocol::Tournament(_) => m == M::None,
+        }
+    }
+
+    /// Every protocol × message adversary × {no tree adversary,
+    /// `WinnerHunter`} × {no cap, a cap}, one trial each: a cell is
+    /// refused exactly when its protocol's roster lacks the message
+    /// adversary, a tree adversary meets a message-level protocol, or a
+    /// cap meets a structured executor — and every other cell runs.
+    #[test]
+    fn every_combination_runs_or_is_refused_as_listed() {
+        let protocols = [
+            RunSpec::flood(16),
+            RunSpec::phase_king(16),
+            RunSpec::ben_or(16),
+            RunSpec::rabin(16),
+            RunSpec::aeba(48),
+            RunSpec::ae_to_e(16),
+            RunSpec::tournament(64),
+            RunSpec::everywhere(32),
+        ];
+        for base in protocols {
+            let count = base.n / 8;
+            let messages = [
+                MessageAdversary::None,
+                MessageAdversary::Crash { count },
+                MessageAdversary::SplitVotes { count },
+                MessageAdversary::Equivocate { count },
+                MessageAdversary::Forge { count, fake: 666 },
+                MessageAdversary::Overload { count, copies: 2 },
+                MessageAdversary::GuessLabels { count, copies: 2 },
+            ];
+            let tree_level = matches!(
+                base.protocol,
+                Protocol::Tournament(_) | Protocol::Everywhere
+            );
+            for message in messages {
+                for tree in [TreeAttack::None, TreeAttack::WinnerHunter] {
+                    for cap in [None, Some(20)] {
+                        let mut spec = base
+                            .clone()
+                            .trials(1)
+                            .adversary(AdversarySpec::none().with_message(message).with_tree(tree));
+                        spec.output.rounds_cap = cap;
+                        let runs = fields(&spec.protocol, message)
+                            && (tree == TreeAttack::None || tree_level)
+                            && !(cap.is_some() && tree_level);
+                        let cell = format!(
+                            "{} × {message:?} × {tree:?} × cap {cap:?}",
+                            spec.protocol.name()
+                        );
+                        let result = std::panic::catch_unwind(|| run(&spec))
+                            .unwrap_or_else(|_| panic!("{cell}: panicked"));
+                        match result {
+                            Ok(report) => {
+                                assert!(runs, "{cell}: ran, but should be refused");
+                                assert_eq!(report.trials.len(), 1, "{cell}");
+                            }
+                            Err(e) => assert!(!runs, "{cell}: refused: {e}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

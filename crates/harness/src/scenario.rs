@@ -2,6 +2,7 @@
 //! aggregates scenario reports — the glue that makes the scenario
 //! runner a thin preset over the same API as every other entry point.
 
+use crate::experiment::{json_escape, net_json};
 use crate::runner::{run_traced, RunReport};
 use crate::spec::{
     AdversarySpec, AeToESpec, AebaSpec, MessageAdversary, Protocol, RunSpec, TournamentTuning,
@@ -32,8 +33,8 @@ fn parse_attack(name: &str) -> Result<CommitteeAttack, String> {
 }
 
 /// Lowers a parsed scenario spec onto the typed [`RunSpec`] surface.
-/// Rejects combinations the runner cannot execute (unknown protocol or
-/// adversary names, tree adversaries on message-level protocols).
+/// Rejects unknown names and keys the grammar would silently drop here;
+/// whether the lowered combination runs is [`RunSpec::validate`]'s call.
 pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
     let at = |msg: String| format!("scenario `{}`: {msg}", spec.name);
     // A swept spec describes several runs; callers expand before lowering
@@ -61,8 +62,6 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
         "rabin" => Protocol::Rabin,
         other => return Err(at(format!("unknown protocol `{other}`"))),
     };
-    let tree_level = matches!(protocol, Protocol::Tournament(_) | Protocol::Everywhere);
-
     let message = match spec.adversary.as_str() {
         "none" => MessageAdversary::None,
         "crash" => MessageAdversary::Crash {
@@ -100,24 +99,10 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
             spec.tree_attack, spec.tree_adversary
         )));
     }
-    if tree != TreeAttack::None && !tree_level {
-        return Err(at(format!(
-            "tree adversary `{}` needs a tree-level protocol (tournament|everywhere), got `{}`",
-            spec.tree_adversary, spec.protocol
-        )));
-    }
-    if tree_level
-        && message != MessageAdversary::None
-        && matches!(protocol, Protocol::Tournament(_))
-    {
-        return Err(at(format!(
-            "protocol `tournament` takes only tree adversaries, not `{}`",
-            spec.adversary
-        )));
-    }
     // `corrupt` feeds the *message-level* adversary's count; tree
     // adversaries draw from the params corruption budget instead, so a
     // corrupt count they would silently ignore is rejected.
+    let tree_level = matches!(protocol, Protocol::Tournament(_) | Protocol::Everywhere);
     if spec.corrupt > 0 && message == MessageAdversary::None && tree_level {
         return Err(at(format!(
             "`corrupt = {}` has no effect on protocol `{}` without a message-level adversary \
@@ -136,26 +121,13 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
             tree,
         })
         .net(spec.net_config(0)); // the runner derives each trial's seed
-    match run_spec.protocol {
-        // For AEBA `rounds` is the protocol length, folded into the
-        // AebaSpec above.
-        Protocol::Aeba(_) => {}
-        // The structured executors have parameter-determined lengths; a
-        // silently-dropped cap would mislabel results.
-        Protocol::Tournament(_) | Protocol::Everywhere => {
-            if spec.rounds.is_some() {
-                return Err(at(format!(
-                    "`rounds` has no effect on protocol `{}` (its length is parameter-determined)",
-                    spec.protocol
-                )));
-            }
-        }
-        _ => {
-            if let Some(cap) = spec.rounds {
-                run_spec = run_spec.rounds_cap(cap);
-            }
-        }
+
+    // For AEBA `rounds` is the protocol length, folded into the AebaSpec
+    // above; for every other protocol it is the run's cap.
+    if !matches!(run_spec.protocol, Protocol::Aeba(_)) {
+        run_spec.output.rounds_cap = spec.rounds;
     }
+    run_spec.validate().map_err(at)?;
     Ok(run_spec)
 }
 
@@ -207,40 +179,12 @@ impl ScenarioReport {
     /// The machine-readable row `scripts/bench.sh` folds into
     /// `BENCH_<n>.json`.
     pub fn json_row(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut phases = String::new();
-        for (i, p) in self.net.per_phase.iter().enumerate() {
-            if i > 0 {
-                phases.push_str(", ");
-            }
-            phases.push_str(&format!(
-                "{{\"name\": \"{}\", \"sent\": {}, \"sent_bits\": {}, \"delivered\": {}, \
-                 \"late\": {}, \
-                 \"late_rounds\": {}, \"dropped_random\": {}, \"dropped_partition\": {}, \
-                 \"dead_letters\": {}}}",
-                esc(&p.name),
-                p.sent,
-                p.sent_bits,
-                p.delivered,
-                p.late,
-                p.late_rounds,
-                p.dropped_random,
-                p.dropped_partition,
-                p.dead_letters,
-            ));
-        }
         format!(
             "{{\"scenario\": \"{}\", \"protocol\": \"{}\", \"n\": {}, \"trials\": {}, \
              \"agree_mean\": {:.4}, \"agree_min\": {:.4}, \"decided_mean\": {:.4}, \
-             \"rounds_mean\": {:.1}, \"total_bits_mean\": {:.0}, \"wall_seconds\": {:.3}, \
-             \"net\": {{\"sent\": {}, \"delivered\": {}, \"late\": {}, \"late_rounds\": {}, \
-             \"dropped_random\": {}, \"dropped_partition\": {}, \"dead_letters\": {}, \
-             \"in_flight_at_end\": {}}}, \
-             \"phases\": [{}]}}",
-            esc(&self.spec.name),
-            esc(&self.spec.protocol),
+             \"rounds_mean\": {:.1}, \"total_bits_mean\": {:.0}, \"wall_seconds\": {:.3}, {}}}",
+            json_escape(&self.spec.name),
+            json_escape(&self.spec.protocol),
             self.spec.n,
             self.spec.trials,
             self.agree_mean,
@@ -249,26 +193,13 @@ impl ScenarioReport {
             self.rounds_mean,
             self.bits_mean,
             self.wall_seconds,
-            self.net.sent,
-            self.net.delivered,
-            self.net.late,
-            self.net.late_rounds,
-            self.net.dropped_random,
-            self.net.dropped_partition,
-            self.net.dead_letters,
-            self.net.in_flight_at_end,
-            phases,
+            net_json(&self.net),
         )
     }
 }
 
-/// Lowers and executes one scenario.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
-    run_scenario_traced(spec, &Trace::off())
-}
-
-/// [`run_scenario`], with trace events fanned into `trace` (see
-/// [`run_traced`] for the deterministic-merge contract).
+/// Lowers and executes one scenario, with trace events fanned into
+/// `trace` (see [`run_traced`] for the deterministic-merge contract).
 pub fn run_scenario_traced(spec: &ScenarioSpec, trace: &Trace) -> Result<ScenarioReport, String> {
     let start = Instant::now();
     let run_spec = lower(spec)?;
@@ -373,7 +304,7 @@ mod tests {
     fn runs_a_small_scenario_end_to_end() {
         let scn = ScenarioSpec::parse("name=s\nprotocol=flood\nn=16\ntrials=2\ndrop=0.1\n")
             .expect("parse");
-        let report = run_scenario(&scn).expect("run");
+        let report = run_scenario_traced(&scn, &Trace::off()).expect("run");
         assert!(report.net.sent > 0);
         assert!(report.net.dropped_random > 0, "drops must fire");
         let row = report.json_row();

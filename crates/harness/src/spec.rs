@@ -481,6 +481,49 @@ impl RunSpec {
         cfg.seed = self.seeds.seed(trial);
         cfg
     }
+
+    /// Judges the spec's cross-field rules — the one place a combination
+    /// of protocol, adversaries and knobs is accepted or refused, so a
+    /// knob the run would silently drop is an error instead. Every trial
+    /// entry point calls it, and so does `scenario::lower`. Which message
+    /// adversary an engine-hosted protocol can field is its roster's
+    /// answer, given when the trial resolves it.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Err("n must be positive".to_owned());
+        }
+        // The `.scn` parser says the same; `NetTransport::new` would panic.
+        if self.net.delta == 0 {
+            return Err("delta must be positive".to_owned());
+        }
+        let name = self.protocol.name();
+        let tree_level = matches!(
+            self.protocol,
+            Protocol::Tournament(_) | Protocol::Everywhere
+        );
+        if self.adversary.tree != TreeAttack::None && !tree_level {
+            return Err(format!(
+                "tree adversary {:?} needs a tree-level protocol (tournament|everywhere), \
+                 got `{name}`",
+                self.adversary.tree
+            ));
+        }
+        if matches!(self.protocol, Protocol::Tournament(_))
+            && self.adversary.message != MessageAdversary::None
+        {
+            return Err(format!(
+                "protocol `tournament` takes only tree adversaries, not {:?}",
+                self.adversary.message
+            ));
+        }
+        if tree_level && self.output.rounds_cap.is_some() {
+            return Err(format!(
+                "a rounds cap has no effect on protocol `{name}` \
+                 (its length is parameter-determined)"
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -130,6 +130,12 @@ pub trait Adversary<P: Process> {
     fn act(&mut self, view: &AdvView<'_, P>, rng: &mut SimRng) -> AdvAction<P::Msg>;
 }
 
+impl<P: Process, A: Adversary<P> + ?Sized> Adversary<P> for Box<A> {
+    fn act(&mut self, view: &AdvView<'_, P>, rng: &mut SimRng) -> AdvAction<P::Msg> {
+        (**self).act(view, rng)
+    }
+}
+
 /// An adversary that corrupts no one and sends nothing.
 ///
 /// ```rust

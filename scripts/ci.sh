@@ -11,13 +11,24 @@
 # rustdoc with warnings denied, build, tests, the benchmark package's build and smoke tier, a memory
 # budget on its jittered-stack workload, a one-scenario smoke of the
 # composed tree-adversary + partition spec, a traced one, every recorded
-# pin (scripts/repin.sh) and the pinned regression scenarios.
+# pin (scripts/repin.sh), the pinned regression scenarios and a line
+# budget on docs/performance.md.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== docs diet ratchet (docs/performance.md may only shrink) =="
+# The per-mechanism contracts belong there; per-change narratives belong
+# in CHANGES.md and numbers in BENCH_<n>.json. Lower the budget when the
+# file shrinks; never raise it.
+PERF_DOC_LINES="$(wc -l < docs/performance.md)"
+if (( PERF_DOC_LINES > 2094 )); then
+    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 2094)"
+    exit 1
+fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy -q --offline --all-targets -- -D warnings

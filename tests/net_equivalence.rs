@@ -17,7 +17,8 @@ use king_saia::core::tournament::NoTreeAdversary;
 use king_saia::net::{DeliveryPolicy, NetConfig, NetTransport};
 use king_saia::sampler::RegularGraph;
 use king_saia::sim::{
-    Adversary, NullAdversary, ProcId, Process, RunOutcome, SimBuilder, StaticAdversary,
+    Adversary, Envelope, NullAdversary, Payload, ProcId, Process, RunOutcome, SimBuilder,
+    StaticAdversary, Transport,
 };
 use rand::SeedableRng;
 use std::fmt::Debug;
@@ -332,15 +333,42 @@ fn traced_net_runs_pin_the_untraced_output() {
     }
 }
 
+/// `NetTransport` with its batched and whole-round calls taken away: it
+/// forwards `send` and `collect` (and the availability and phase-mark
+/// queries), so `send_many`, `collect_many`, `send_round` and
+/// `collect_round` run as the `Transport` trait's defaults — one `send`
+/// and one delivered envelope at a time. The oracle every override has
+/// to match, kept here instead of shipped.
+struct PerEnvelope<M>(NetTransport<M>);
+
+impl<M: Payload> Transport<M> for PerEnvelope<M> {
+    fn send(&mut self, round: usize, env: Envelope<M>) {
+        self.0.send(round, env);
+    }
+    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+        self.0.collect(round, deliver);
+    }
+    fn is_online(&self, round: usize, p: ProcId) -> bool {
+        self.0.is_online(round, p)
+    }
+    fn is_faulty(&self, round: usize, p: ProcId) -> bool {
+        self.0.is_faulty(round, p)
+    }
+    fn mark_phase(&mut self, round: usize, name: &str) {
+        self.0.mark_phase(round, name);
+    }
+}
+
 /// The batching contract: `send_many` is sugar for its per-envelope
 /// expansion. Across a matrix of network damage — synchronous, lossy,
 /// jittered, partitioned+churning — the batched tournament and
-/// everywhere stack are byte-identical to the unbatched paths in every
-/// observable: decisions, total and per-processor bits, per-phase
-/// attribution, and the complete `NetStats` (compared by `Debug`
-/// rendering, so per-phase breakdowns and drop/dead/late counters are
-/// all covered). Envelope *counts inside the transport queue* are the
-/// only thing allowed to differ, and nothing here observes those.
+/// everywhere stack are byte-identical to the same runs over
+/// [`PerEnvelope`] in every observable: decisions, total and
+/// per-processor bits, per-phase attribution, and the complete
+/// `NetStats` (compared by `Debug` rendering, so per-phase breakdowns and
+/// drop/dead/late counters are all covered). Envelope *counts inside the
+/// transport queue* are the only thing allowed to differ, and nothing
+/// here observes those.
 #[test]
 fn batched_envelopes_are_byte_identical_to_unbatched() {
     use king_saia::core::tournament::{self, TourMsg, TournamentConfig};
@@ -378,24 +406,21 @@ fn batched_envelopes_are_byte_identical_to_unbatched() {
         ),
     ];
     let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+    fn net<M: Payload>(n: usize, cfg: &NetConfig, seed: u64) -> NetTransport<M> {
+        NetTransport::new(n, cfg.clone().with_seed(seed))
+    }
 
     for (label, cfg) in &damage {
         for seed in [1u64, 2] {
             // Tournament alone.
-            let run_tournament = |config: &TournamentConfig| {
-                let mut transport: NetTransport<TourMsg> =
-                    NetTransport::new(n, cfg.clone().with_seed(seed));
-                let out = tournament::run_with_transport(
-                    config,
-                    &inputs,
-                    &mut NoTreeAdversary,
-                    &mut transport,
-                );
-                (out, transport.into_stats())
-            };
             let config = TournamentConfig::for_n(n).with_seed(seed);
-            let (a, sa) = run_tournament(&config);
-            let (b, sb) = run_tournament(&config.clone().with_unbatched_envelopes());
+            let run_tournament = |t: &mut dyn Transport<TourMsg>| {
+                tournament::run_with_transport(&config, &inputs, &mut NoTreeAdversary, t)
+            };
+            let (mut batched, mut oracle) = (net(n, cfg, seed), PerEnvelope(net(n, cfg, seed)));
+            let a = run_tournament(&mut batched);
+            let b = run_tournament(&mut oracle);
+            let (sa, sb) = (batched.into_stats(), oracle.0.into_stats());
             let ctx = format!("{label} seed {seed}");
             assert_eq!(a.decisions, b.decisions, "{ctx}: decisions");
             assert_eq!(a.decided, b.decided, "{ctx}: decided");
@@ -411,22 +436,22 @@ fn batched_envelopes_are_byte_identical_to_unbatched() {
             );
 
             // Full Algorithm-4 stack over one shared transport.
-            let run_stack = |unbatched: bool| {
-                let mut config = EverywhereConfig::for_n(n).with_seed(seed);
-                if unbatched {
-                    config.tournament = config.tournament.clone().with_unbatched_envelopes();
-                }
-                let (out, transport) = everywhere::run_with_transport(
-                    &config,
-                    &inputs,
-                    &mut NoTreeAdversary,
-                    NullAdversary,
-                    NetTransport::new(n, cfg.clone().with_seed(seed)),
-                );
-                (out, transport.into_stats())
-            };
-            let (a, sa) = run_stack(false);
-            let (b, sb) = run_stack(true);
+            let config = EverywhereConfig::for_n(n).with_seed(seed);
+            let (a, batched) = everywhere::run_with_transport(
+                &config,
+                &inputs,
+                &mut NoTreeAdversary,
+                NullAdversary,
+                net(n, cfg, seed),
+            );
+            let (b, oracle) = everywhere::run_with_transport(
+                &config,
+                &inputs,
+                &mut NoTreeAdversary,
+                NullAdversary,
+                PerEnvelope(net(n, cfg, seed)),
+            );
+            let (sa, sb) = (batched.into_stats(), oracle.0.into_stats());
             assert_eq!(a.decisions, b.decisions, "{ctx}: stack decisions");
             assert_eq!(a.bits_per_proc, b.bits_per_proc, "{ctx}: stack bits");
             assert_eq!(a.phase_bits, b.phase_bits, "{ctx}: stack phase_bits");
@@ -445,46 +470,18 @@ fn batched_envelopes_are_byte_identical_to_unbatched() {
     }
 }
 
-/// `NetTransport` with the whole-round calls taken away: it forwards
-/// every other call and so runs `send_round` and `collect_round` as the
-/// trait's defaults, one `send` and one pushed envelope at a time — the
-/// oracle the overrides have to match, kept here instead of shipped.
+/// Every harness trial through [`PerEnvelope`] against the same trial
+/// through `NetTransport` itself: fans and whole rounds alike.
 mod per_envelope_oracle {
+    use super::PerEnvelope;
     use king_saia::exp::{
         run_trial_with_factory, NetFactory, RunSpec, SessionTransport, TransportFactory,
     };
     use king_saia::net::{
-        Churn, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, NetTransport, Partition,
-        PhaseLedger,
+        Churn, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, Partition, PhaseLedger,
     };
     use king_saia::obs::Trace;
-    use king_saia::sim::{Envelope, Multicast, Payload, ProcId, Schedule, Transport, WireMsg};
-
-    struct PerEnvelope<M>(NetTransport<M>);
-
-    impl<M: Payload> Transport<M> for PerEnvelope<M> {
-        fn send(&mut self, round: usize, env: Envelope<M>) {
-            self.0.send(round, env);
-        }
-        fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
-            self.0.collect(round, deliver);
-        }
-        fn send_many(&mut self, round: usize, mc: Multicast<M>) {
-            self.0.send_many(round, mc);
-        }
-        fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
-            self.0.collect_many(round, deliver);
-        }
-        fn is_online(&self, round: usize, p: ProcId) -> bool {
-            self.0.is_online(round, p)
-        }
-        fn is_faulty(&self, round: usize, p: ProcId) -> bool {
-            self.0.is_faulty(round, p)
-        }
-        fn mark_phase(&mut self, round: usize, name: &str) {
-            self.0.mark_phase(round, name);
-        }
-    }
+    use king_saia::sim::{Payload, Schedule, WireMsg};
 
     impl<M: Payload> SessionTransport<M> for PerEnvelope<M> {
         fn finish(self) -> PhaseLedger {
