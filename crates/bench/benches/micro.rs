@@ -133,24 +133,6 @@ fn bench_sampler(c: &mut Criterion) {
     g.bench_function("regular_graph_1024_d60", |bch| {
         bch.iter(|| RegularGraph::random_out_degree(1024, 60, &mut rng))
     });
-    // The memoized path every repeat trial of a sweep now takes: the
-    // structure is built once and served from the registry after, so the
-    // old pacing bug (a fresh ~2 ms rebuild per iteration at unchanged
-    // (n, d)) cannot recur. The hit assertion pins that.
-    let before = ba_sampler::cache::stats();
-    g.bench_function("regular_graph_1024_d60_cached", |bch| {
-        bch.iter(|| {
-            ba_sampler::cache::regular_graph(1024, 60, (0xCAC4_ED60, 0xBE9C), || {
-                let mut build_rng = derive_rng(0xCAC4_ED60, 0xBE9C);
-                RegularGraph::random_out_degree(1024, 60, &mut build_rng)
-            })
-        })
-    });
-    let delta = ba_sampler::cache::stats().since(before);
-    assert!(
-        delta.hits > 0 && delta.misses <= 1,
-        "cached bench must hit the registry after one build: {delta:?}"
-    );
     g.finish();
 }
 

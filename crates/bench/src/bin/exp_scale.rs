@@ -1,5 +1,5 @@
 //! E-scale: the full everywhere stack (Algorithm 4) at n up to 2^17,
-//! pinning that the batched-envelope / cached-sampler / arena-share-tree
+//! pinning that the batched-envelope / flat-graph / arena-share-tree
 //! paths keep a 10^5-processor run feasible on one core.
 //!
 //! Usage:
@@ -33,7 +33,7 @@
 //! `trial:phase` / `trial:end` event schema so `trace-report` can
 //! aggregate bits/good-proc per n and print the fitted
 //! `c · √n · log₂^k(n)` curve, plus one process-level `sampler:cache`
-//! summary (per-trial splits are scheduling-dependent; totals are not).
+//! event counting the gossip graphs the rows built.
 
 use std::time::Instant;
 

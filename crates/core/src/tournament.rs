@@ -841,8 +841,7 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
         }
     }
 
-    // Gossip graph over all processors, memoized across trials of the
-    // same seed (the (seed, label) stream fully determines it).
+    // Gossip graph over all processors.
     let degree = p.aeba_degree.min(n - 1).max(1);
     let graph = ba_sampler::cache::regular_graph(n, degree, (config.seed, 0x6007), || {
         let mut grng = derive_rng(config.seed, 0x6007);

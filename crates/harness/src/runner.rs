@@ -26,7 +26,6 @@ use ba_sim::{
     Adversary, BitStats, Payload, ProcId, Process, RunOutcome, SimBuilder, StaticAdversary,
     Transport, WireMsg,
 };
-use ba_topology::Params;
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -282,16 +281,14 @@ fn trace_talkers(trace: &Trace, round: usize, per_proc: impl Iterator<Item = u64
     }
 }
 
-/// Emits one `sampler:cache` trace event summarizing graph/sampler
-/// registry traffic since the `since` snapshot (take it with
-/// [`ba_sampler::cache::stats`] before the run).
+/// Emits one `sampler:cache` trace event counting the gossip graphs
+/// built since the `since` snapshot (take it with
+/// [`ba_sampler::cache::stats`] before the run): `misses` is the count,
+/// `hits` is 0.
 ///
 /// Call this once per *process* run, from a binary's top level — never
-/// per trial. The registry counters are process-cumulative: their totals
-/// are deterministic (misses always equal the number of distinct keys
-/// built), but the per-trial split depends on thread scheduling, so a
-/// per-trial event would break merged-trace byte-identity across
-/// `BA_PAR_THREADS`.
+/// per trial: the counter is process-cumulative, and trials on other
+/// pool threads move it while one trial runs.
 pub fn trace_sampler_cache(trace: &Trace, since: ba_sampler::CacheStats) {
     if !trace.is_on() {
         return;
@@ -588,8 +585,6 @@ fn aeba_trial<TF: TransportFactory>(
     };
     let cap = spec.output.rounds_cap.unwrap_or(rounds + 2);
     let degree = aeba.degree.for_n(n);
-    // The (raw-seed, tag) pair identifies the seed_from_u64 stream this
-    // builder consumes, so repeat trials reuse the cached graph.
     let graph =
         ba_sampler::cache::regular_graph(n, degree, (seed ^ 0x6261_6772, 0x6261_6772), || {
             let mut grng = rand_chacha::ChaCha12Rng::seed_from_u64(seed ^ 0x6261_6772);
@@ -666,21 +661,6 @@ fn ae_to_e_trial<TF: TransportFactory>(
     )
 }
 
-/// Applies tuning overrides onto practical parameters.
-fn tuned_params(n: usize, tuning: &TournamentTuning) -> Params {
-    let mut p = Params::practical(n);
-    if let Some(q) = tuning.q {
-        p = p.with_q(q);
-    }
-    if let Some(k1) = tuning.k1 {
-        p = p.with_k1(k1);
-    }
-    if let Some(d) = tuning.aeba_degree {
-        p = p.with_aeba_degree(d);
-    }
-    p
-}
-
 fn tournament_trial<TF: TransportFactory>(
     spec: &RunSpec,
     tuning: &TournamentTuning,
@@ -691,7 +671,7 @@ fn tournament_trial<TF: TransportFactory>(
 ) -> Result<TrialOutcome, String> {
     let n = spec.n;
     let mut config = TournamentConfig::for_n(n).with_seed(seed);
-    config.params = tuned_params(n, tuning);
+    config.params = tuning.params(n);
     let inputs: Vec<bool> = (0..n).map(|i| spec.input.bit(i)).collect();
     let mut adv = spec.adversary.tree.instantiate();
     let mut transport = factory.make::<TourMsg>(n, cfg, trace)?;
@@ -1005,6 +985,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// At n = 2¹⁷ the default `6·√n` degree (2173) makes the root gossip
+    /// graph ≈ 2.3 GB: refused from the spec, before a tree or a graph
+    /// is built.
+    #[test]
+    fn a_gossip_graph_past_a_gib_is_refused_before_it_is_built() {
+        let err = run_trial(&RunSpec::everywhere(1 << 17), 0).expect_err("2.3 GB of graph");
+        assert!(err.contains("degree 2173"), "{err}");
+        assert!(err.contains("2278555648 B"), "{err}");
+        let scale = RunSpec::new(
+            Protocol::Tournament(TournamentTuning {
+                aeba_degree: Some(68),
+                ..TournamentTuning::default()
+            }),
+            1 << 17,
+        );
+        assert_eq!(scale.validate(), Ok(()), "the scale profile's degree fits");
     }
 
     #[test]

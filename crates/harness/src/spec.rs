@@ -9,8 +9,14 @@
 
 use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
+use ba_core::everywhere::EverywhereConfig;
 use ba_core::tournament::{NoTreeAdversary, TreeAdversary};
 use ba_net::{InputPattern, NetConfig};
+use ba_topology::Params;
+
+/// The most a run's gossip graph over all processors may take: past it
+/// [`RunSpec::validate`] refuses the spec rather than try.
+const GOSSIP_GRAPH_MAX_BYTES: u64 = 1 << 30;
 
 /// Which protocol a run executes.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,6 +149,23 @@ pub struct TournamentTuning {
     pub k1: Option<usize>,
     /// AEBA gossip degree override.
     pub aeba_degree: Option<usize>,
+}
+
+impl TournamentTuning {
+    /// `Params::practical(n)` with the overrides applied.
+    pub(crate) fn params(&self, n: usize) -> Params {
+        let mut p = Params::practical(n);
+        if let Some(q) = self.q {
+            p = p.with_q(q);
+        }
+        if let Some(k1) = self.k1 {
+            p = p.with_k1(k1);
+        }
+        if let Some(d) = self.aeba_degree {
+            p = p.with_aeba_degree(d);
+        }
+        p
+    }
 }
 
 /// Message-level (engine) adversary selection.
@@ -484,8 +507,10 @@ impl RunSpec {
 
     /// Judges the spec's cross-field rules — the one place a combination
     /// of protocol, adversaries and knobs is accepted or refused, so a
-    /// knob the run would silently drop is an error instead. Every trial
-    /// entry point calls it, and so does `scenario::lower`. Which message
+    /// knob the run would silently drop is an error instead, and so is a
+    /// gossip graph over all processors past 1 GiB (sized from the spec
+    /// alone, before anything is built). Every trial entry point calls
+    /// it, and so does `scenario::lower`. Which message
     /// adversary an engine-hosted protocol can field is its roster's
     /// answer, given when the trial resolves it.
     pub fn validate(&self) -> Result<(), String> {
@@ -522,7 +547,33 @@ impl RunSpec {
                  (its length is parameter-determined)"
             ));
         }
+        if let Some(degree) = self.gossip_degree() {
+            // Both directions of `n·degree` edges, a `u32` each.
+            let bytes = 8 * self.n as u64 * degree as u64;
+            if bytes > GOSSIP_GRAPH_MAX_BYTES {
+                return Err(format!(
+                    "the gossip graph over all {} processors at degree {degree} alone is \
+                     {bytes} B, over the {GOSSIP_GRAPH_MAX_BYTES} B limit",
+                    self.n
+                ));
+            }
+        }
         Ok(())
+    }
+
+    /// The out-degree of the gossip graph over all processors the run
+    /// builds, or `None` for a protocol that builds none.
+    fn gossip_degree(&self) -> Option<usize> {
+        let n = self.n;
+        let root = |p: Params| p.aeba_degree.min(n - 1).max(1);
+        match &self.protocol {
+            Protocol::Aeba(aeba) => Some(aeba.degree.for_n(n)),
+            // `Params::practical` needs n ≥ 4, and so do the executors.
+            Protocol::Tournament(_) | Protocol::Everywhere if n < 4 => None,
+            Protocol::Tournament(tuning) => Some(root(tuning.params(n))),
+            Protocol::Everywhere => Some(root(EverywhereConfig::for_n(n).tournament.params)),
+            _ => None,
+        }
     }
 }
 

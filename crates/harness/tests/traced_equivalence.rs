@@ -96,15 +96,15 @@ fn traced_structured_runs_equal_untraced() {
     }
 }
 
-/// A repeat run of the same spec re-serves its committee graphs from
-/// the sampler registry, and the process-level `sampler:cache` event
-/// reports that traffic.
+/// A repeat run of the same spec builds its gossip graph again — no
+/// graph outlives its trial — and the process-level `sampler:cache`
+/// event counts both builds and no hit.
 #[test]
-fn sampler_cache_event_reports_hits_on_warm_rerun() {
+fn sampler_cache_event_counts_a_rerun_as_builds() {
     let spec = RunSpec::tournament(64).trials(1).seeds(41);
     let before = ba_sampler::cache::stats();
-    let first = run(&spec).expect("cold run");
-    let second = run(&spec).expect("warm run");
+    let first = run(&spec).expect("first run");
+    let second = run(&spec).expect("rerun");
     assert_eq!(first.trials[0].total_bits, second.trials[0].total_bits);
 
     let trace = Trace::memory();
@@ -114,14 +114,17 @@ fn sampler_cache_event_reports_hits_on_warm_rerun() {
         .iter()
         .find(|l| l.contains("\"sampler:cache\""))
         .expect("cache summary event");
-    assert!(line.contains("\"hits\": "), "line: {line}");
-    let hits: u64 = line
-        .split("\"hits\": ")
-        .nth(1)
-        .and_then(|s| s.split(&[',', '}'][..]).next())
-        .and_then(|s| s.trim().parse().ok())
-        .expect("parse hits");
-    assert!(hits > 0, "warm rerun must hit the registry: {line}");
+    let field = |name: &str| -> u64 {
+        line.split(&format!("\"{name}\": "))
+            .nth(1)
+            .and_then(|s| s.split(&[',', '}'][..]).next())
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or_else(|| panic!("parse {name}: {line}"))
+    };
+    // Tests of this binary run on parallel threads and build too, so the
+    // count is at least this test's: one root graph a run.
+    assert!(field("misses") >= 2, "both runs build: {line}");
+    assert_eq!(field("hits"), 0, "nothing is served twice: {line}");
 }
 
 /// Trial traces merge in trial order whatever the pool does: two runs

@@ -8,8 +8,8 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# rustdoc with warnings denied, build, tests, the benchmark package's build and smoke tier, a memory
-# budget on its jittered-stack workload, a one-scenario smoke of the
+# rustdoc with warnings denied, build, tests, the benchmark package's build and smoke tier, memory
+# budgets on its jittered-stack and scale workloads, a one-scenario smoke of the
 # composed tree-adversary + partition spec, a traced one, every recorded
 # pin (scripts/repin.sh), the pinned regression scenarios and a line
 # budget on docs/performance.md.
@@ -25,8 +25,8 @@ echo "== docs diet ratchet (docs/performance.md may only shrink) =="
 # in CHANGES.md and numbers in BENCH_<n>.json. Lower the budget when the
 # file shrinks; never raise it.
 PERF_DOC_LINES="$(wc -l < docs/performance.md)"
-if (( PERF_DOC_LINES > 2094 )); then
-    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 2094)"
+if (( PERF_DOC_LINES > 2077 )); then
+    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 2077)"
     exit 1
 fi
 
@@ -61,13 +61,26 @@ echo "== jitter memory budget (stack-jitter-256 peak RSS) =="
 # survivor list a queued recipient it reads 29-32 MB (≈ 9 MB of each at
 # the busiest round's 2.26 M recipients). The 12-byte handles this
 # replaced read 47-50 MB, 32-byte entries in per-tick power-of-two
-# buffers ~140, and a registry that keeps a trial's committee graphs
-# alive adds ~20: each of them crosses 42.
-JITTER_LINE="$(target/release/benchmark --workload stack-jitter-256 \
-    --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-echo "$JITTER_LINE"
-awk -F'"peak_rss_mb": [{]"value": ' '{ found = NF > 1; if ($2 + 0 > 42) { print "jitter: stack-jitter-256 peaked at " $2 + 0 " MB (budget 42)"; exit 1 } }
-    END { if (!found) { print "jitter: no peak_rss_mb in the result line"; exit 1 } }' <<<"$JITTER_LINE"
+# buffers ~140, and keeping a trial's committee graphs alive past their
+# elections adds ~20: each of them crosses 42.
+# <workload> <seconds> <budget MB>: one gated run, fails above the budget.
+rss_gate() {
+    local line
+    line="$(target/release/benchmark --workload "$1" --seed 1 --seconds "$2" --trace 0 | tail -n 1)"
+    echo "$line"
+    awk -F'"peak_rss_mb": [{]"value": ' -v w="$1" -v budget="$3" \
+        '{ found = NF > 1; if ($2 + 0 > budget) { print w " peaked at " $2 + 0 " MB (budget " budget ")"; exit 1 } }
+        END { if (!found) { print w ": no peak_rss_mb in the result line"; exit 1 } }' <<<"$line"
+}
+rss_gate stack-jitter-256 1 42
+
+echo "== scale memory budget (stack-scale-4096 peak RSS) =="
+# Ten seconds of full-stack trials at n = 4096 on Lockstep: the peak is
+# one trial's own (the tree, the election graphs, the Algorithm 3 round)
+# and must not grow with the trials before it. It reads 94-99 MB; a
+# process-wide registry that kept each trial's 1.5 MiB root gossip graph
+# until 64 MiB piled up read 122-128 and crosses 112.
+rss_gate stack-scale-4096 10 112
 
 echo "== scenario smoke (composed tree adversary + partition) =="
 cargo run --release --offline -p ba-bench --bin scenario -- \

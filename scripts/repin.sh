@@ -59,8 +59,8 @@ json_field() { # <file> <field> [row]
 
 echo "== scale rows (everywhere stack end-to-end at n = 4096 and 16384) =="
 # One seed of the full Algorithm 4 stack under exp_scale's scale profile
-# at two sizes: the batched-envelope tournament, the cached sampler
-# registry, the arena share trees and the engine's one-buffer rounds at a
+# at two sizes: the batched-envelope tournament, the flat gossip graphs,
+# the arena share trees and the engine's one-buffer rounds at a
 # five-digit n, and the one byte-identity check on the committee stack at
 # the reduced-constant profile. The time budget is generous (the rows are
 # ~0.4 s and ~3.5 s release on two cores); the memory budget is not: the

@@ -39,8 +39,8 @@ fn a_session_holds_a_round_not_a_session_of_tuples() {
     .expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();
     let daemon = std::thread::spawn(move || server.run());
-    // Warm-up: the worker thread, the process-wide sampler cache and the
-    // allocator's own arenas exist before anything is counted.
+    // Warm-up: the worker thread, the `ba-par` pool and the allocator's
+    // own arenas exist before anything is counted.
     client::run_session(&addr, SPEC, 0).expect("warm-up session");
 
     let heap = Measuring::begin();
