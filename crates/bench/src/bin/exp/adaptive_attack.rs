@@ -58,10 +58,11 @@ fn strawman(n: usize, seed: u64, budget: usize, inputs: &[bool]) -> (bool, bool)
     (decided_bit == good_majority, valid)
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 256;
     let trials = 10u64;
     let mut e = Experiment::new(
+        args,
         "E12",
         &format!("adaptive takeover — elect-processors strawman vs King–Saia arrays, n = {n}"),
     );

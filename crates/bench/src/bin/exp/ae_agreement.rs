@@ -14,8 +14,12 @@ fn tournament(n: usize, tree: TreeAttack) -> RunSpec {
         .adversary(AdversarySpec::none().with_tree(tree))
 }
 
-fn main() {
-    let mut e = Experiment::new("E3", "almost-everywhere agreement quality (Theorem 2)");
+pub fn run(args: &[String]) {
+    let mut e = Experiment::new(
+        args,
+        "E3",
+        "almost-everywhere agreement quality (Theorem 2)",
+    );
     let oppose = CommitteeAttack::Oppose;
 
     e.section(

@@ -44,8 +44,8 @@ fn wrong_sum(report: &RunReport) -> f64 {
     report.trials.iter().map(|t| t.wrong as f64).sum()
 }
 
-fn main() {
-    let mut e = Experiment::new("E7", "almost-everywhere → everywhere (Algorithm 3)");
+pub fn run(args: &[String]) {
+    let mut e = Experiment::new(args, "E7", "almost-everywhere → everywhere (Algorithm 3)");
 
     e.section(
         "E7a: spread quality and bits vs n (60% knowledgeable, X = Θ(log n) loops)",

@@ -27,9 +27,9 @@ fn spec(n: usize, rounds: usize, coin_success: f64, corrupt: usize) -> RunSpec {
     s
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 256;
-    let mut e = Experiment::new("E4", "AEBA convergence with unreliable global coins");
+    let mut e = Experiment::new(args, "E4", "AEBA convergence with unreliable global coins");
 
     e.section(
         &format!("E4a: convergence trace at n = {n} (split inputs, 20% corrupt, 80% good coins)"),

@@ -13,10 +13,11 @@
 use ba_baselines::PhaseKingConfig;
 use ba_exp::{f3, loglog_slope, Experiment, Metric, RunSpec};
 
-fn main() {
+pub fn run(args: &[String]) {
     let sizes = [64usize, 128, 256, 512, 1024];
     let trials = 3u64;
     let mut e = Experiment::new(
+        args,
         "E1",
         &format!("bits per processor vs n (mean over {trials} seeds, max over good processors)"),
     );

@@ -14,10 +14,11 @@ fn spec(n: usize, trials: u64, tree: TreeAttack) -> RunSpec {
         .adversary(AdversarySpec::none().with_tree(tree))
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 256;
     let trials = 6u64;
     let mut e = Experiment::new(
+        args,
         "E11",
         &format!("global coin subsequence quality, n = {n} ({trials} seeds)"),
     );

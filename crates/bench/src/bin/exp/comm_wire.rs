@@ -74,9 +74,13 @@ fn run_reveal(n: usize, open_level: usize, corrupt_frac: f64, seed: u64) -> Reve
     }
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let trials = 5u64;
-    let mut e = Experiment::new("E14", "the communication primitives on the wire (Lemma 3)");
+    let mut e = Experiment::new(
+        args,
+        "E14",
+        "the communication primitives on the wire (Lemma 3)",
+    );
 
     e.section(
         "E14a: reveal success vs crash-corruption fraction (n = 64, open at level 2)",

@@ -49,11 +49,11 @@ fn run_election(r: usize, bins: usize, good_frac: f64, strategy: BadStrategy, se
     res.winners.iter().filter(|&&w| w < good_count).count() as f64 / res.winners.len() as f64
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let trials = 400u64;
     let r = 64;
     let bins = 8;
-    let mut e = Experiment::new("E5", "lightest-bin election quality (Lemma 4)");
+    let mut e = Experiment::new(args, "E5", "lightest-bin election quality (Lemma 4)");
 
     e.section(
         &format!(

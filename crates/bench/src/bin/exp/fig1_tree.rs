@@ -9,8 +9,12 @@
 use ba_exp::{Experiment, RunSpec};
 use ba_topology::{NodeAddr, Params, Tree};
 
-fn main() {
-    let mut e = Experiment::new("E10", "the communication tree and its phase bit breakdown");
+pub fn run(args: &[String]) {
+    let mut e = Experiment::new(
+        args,
+        "E10",
+        "the communication tree and its phase bit breakdown",
+    );
 
     // ---- Figure 1 left: the tree itself -----------------------------------
     let n = 64;

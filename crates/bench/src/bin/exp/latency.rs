@@ -8,10 +8,14 @@
 use ba_baselines::PhaseKingConfig;
 use ba_exp::{f3, loglog_slope, Experiment, Metric, RunSpec};
 
-fn main() {
+pub fn run(args: &[String]) {
     let sizes = [64usize, 128, 256, 512, 1024, 2048];
     let trials = 3u64;
-    let mut e = Experiment::new("E2", &format!("rounds vs n (mean over {trials} seeds)"));
+    let mut e = Experiment::new(
+        args,
+        "E2",
+        &format!("rounds vs n (mean over {trials} seeds)"),
+    );
 
     e.section(
         "E2: rounds vs n",

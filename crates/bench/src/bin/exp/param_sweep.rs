@@ -24,10 +24,11 @@ const METRICS: &[Metric] = &[
     Metric::Valid,
 ];
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 256;
     let trials = 4u64;
     let mut e = Experiment::new(
+        args,
         "E13",
         &format!("parameter ablations at n = {n} (static budget adversary, {trials} seeds)"),
     );

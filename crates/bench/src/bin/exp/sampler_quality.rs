@@ -12,9 +12,9 @@ use ba_sim::derive_rng;
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::seq::SliceRandom;
 
-fn main() {
+pub fn run(args: &[String]) {
     let trials = 5u64;
-    let mut e = Experiment::new("E9", "sampler quality across the tree (§3.2.2)");
+    let mut e = Experiment::new(args, "E9", "sampler quality across the tree (§3.2.2)");
 
     let n = 1024;
     e.section(

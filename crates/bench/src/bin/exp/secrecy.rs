@@ -33,9 +33,13 @@ fn recovers(layers: &[Layer], p: f64, seed: u64) -> f64 {
     }
 }
 
-fn main() {
+pub fn run(args: &[String]) {
     let trials = 60u64;
-    let mut e = Experiment::new("E8", "iterated secret sharing secrecy (Lemmas 1 and 3)");
+    let mut e = Experiment::new(
+        args,
+        "E8",
+        "iterated secret sharing secrecy (Lemmas 1 and 3)",
+    );
 
     e.section(
         "E8a: recovery probability vs corrupt-holder fraction (threshold t = n/2)",

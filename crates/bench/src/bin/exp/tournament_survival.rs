@@ -9,7 +9,7 @@
 use ba_core::aeba::CommitteeAttack;
 use ba_exp::{f3, mean, AdversarySpec, Experiment, RunSpec, TreeAttack};
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 512;
     // Two seeds by default: five pushed this binary past two minutes of
     // wall clock in the bench sweep (BENCH_3) for survival fractions
@@ -17,6 +17,7 @@ fn main() {
     // `--trials N` restores a wider run.
     let trials = 2u64;
     let mut e = Experiment::new(
+        args,
         "E6",
         &format!("good-array survival per tournament level, n = {n} ({trials} seeds)"),
     );

@@ -13,11 +13,12 @@ use ba_core::universe::{reduce_universe, Representativeness};
 use ba_core::TournamentConfig;
 use ba_exp::{f3, mean, AdversarySpec, Experiment, RunSpec, TreeAttack};
 
-fn main() {
+pub fn run(args: &[String]) {
     let n = 256;
     let committee = 15;
     let trials = 8u64;
     let mut e = Experiment::new(
+        args,
         "E15",
         &format!("universe reduction to {committee}-member committees at n = {n} ({trials} seeds)"),
     );

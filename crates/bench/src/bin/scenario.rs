@@ -1,6 +1,6 @@
 //! Declarative scenario runner: executes `key = value` scenario specs
 //! (see `ba_net::ScenarioSpec`) by lowering each onto the unified
-//! [`ba_exp::RunSpec`] surface — the same API the `exp_*` binaries and
+//! [`ba_exp::RunSpec`] surface — the same API the `exp` presets and
 //! the library entry points use — and reports agreement quality plus
 //! network statistics per scenario.
 //!

@@ -1,29 +1,24 @@
-//! # ba-bench — the experiment binaries
+//! # ba-bench — the experiment, scenario, hunt and trace-report programs
 //!
-//! One binary per experiment in DESIGN.md §4 (`cargo run --release -p
-//! ba-bench --bin exp_*`), each a **thin preset over
-//! [`ba_exp::RunSpec`]**: the binary names its experiment cells; the
-//! `ba-exp` harness owns the arg parsing (`--json PATH`, `--trials N`),
-//! the parallel trial loop, the table printing, and the JSON emission.
-//!
-//! The declarative scenario runner (`--bin scenario`) executes
-//! `scenarios/*.scn` specs by lowering them onto the same `RunSpec`
-//! surface ([`ba_exp::scenario::lower`]).
+//! Four binaries: `exp <preset>` runs one of the paper's experiments,
+//! each a **thin preset over [`ba_exp::RunSpec`]** that names its cells
+//! while the [`ba_exp::Experiment`] harness owns the flags (`--json PATH`,
+//! `--trials N`, `--trace PATH`), the parallel trial loop, the tables and
+//! the JSON; `scenario` runs `scenarios/*.scn` specs lowered onto the
+//! same surface ([`ba_exp::scenario::lower`]); `hunt` searches the
+//! adversary space; `trace-report` digests a trace.
 //!
 //! Criterion micro-benchmarks for the hot primitives live in
-//! `benches/micro.rs`. The statistics/table helpers moved to `ba-exp`
-//! and are re-exported here unchanged.
+//! `benches/micro.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub use ba_exp::{f1, f3, loglog_slope, mean, par_trials, stddev, Table};
 
 use ba_net::{FaultPlan, LatencyModel, NetConfig};
 
 /// The net of the benchmark's `stack-jitter-256` workload — 1 % loss and
 /// `Uniform{0,900}` latency in a 1000-tick round — for the rows that
-/// measure the same path elsewhere (`exp_scale --net jitter`, the `net`
+/// measure the same path elsewhere (`exp scale-jitter`, the `net`
 /// criterion group).
 pub fn jitter_net(seed: u64) -> NetConfig {
     NetConfig::synchronous()

@@ -21,6 +21,7 @@ use ba_sim::{
     Adversary, BitStats, Carrier, Envelope, Lockstep, Multicast, Payload, ProcId, SimBuilder,
     Transport,
 };
+use ba_topology::Params;
 
 /// Configuration for the full Algorithm 4 stack.
 #[derive(Clone, Debug)]
@@ -52,6 +53,35 @@ impl EverywhereConfig {
         };
         self.tournament.seed = sp.tournament_seed();
         self.sim_seed = sp.engine_seed();
+    }
+
+    /// The *scale profile* at `n`: structure-preserving constants that
+    /// keep graph memory and gossip volume near-linear in n, so the whole
+    /// stack runs at n = 2¹⁷ on one box. `Params::practical(n)` with
+    /// k₁ = 2·log₂n, the AEBA gossip degree capped at `4·log₂n` (the
+    /// default `6·√n` term alone would cost a ~2 GB root graph at 2¹⁷) and
+    /// ~¾·log₂n AEBA rounds, at most 8 extra coin words, and Algorithm 3
+    /// trimmed to a few samples per label. Only constants change: every
+    /// path still executes, so a completed run is an end-to-end run.
+    pub fn scale_profile(n: usize) -> Self {
+        let log_n = (n as f64).log2().max(1.0);
+        let degree = ((4.0 * log_n).ceil() as usize).max(8).min(n - 1);
+        let mut config = EverywhereConfig::for_n(n);
+        // These keep the committee-agreement margins while shedding the
+        // dominant L*:agree volume that would otherwise make 2^17 a
+        // multi-hour run.
+        config.tournament.params = Params::practical(n)
+            .with_k1((2.0 * log_n).ceil() as usize)
+            .with_aeba_degree(degree)
+            .with_aeba_rounds(((0.75 * log_n).ceil() as usize).max(6));
+        // Coin-word redundancy beyond 8 extra words buys adversarial
+        // robustness this unattacked profile doesn't spend.
+        config.tournament.extra_words = config.tournament.extra_words.min(8);
+        // Still Θ(√n) labels, so the √n·polylog(n) shape survives with
+        // smaller constants.
+        config.ae.per_label = config.ae.per_label.clamp(2, 4);
+        config.ae.loops = config.ae.loops.clamp(1, 2);
+        config
     }
 }
 

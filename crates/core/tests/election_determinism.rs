@@ -1,5 +1,6 @@
 //! Per-seed determinism of the election streams: one tournament under
-//! `exp_scale`'s reduced-constant profile is field-for-field the same
+//! the scale profile ([`EverywhereConfig::scale_profile`], what
+//! `exp scale` runs) is field-for-field the same
 //! whatever `BA_PAR_THREADS` is and from run to run. Election streams are
 //! keyed by `(level, node, candidate, …)`, never by the order workers
 //! reach them.
@@ -8,31 +9,20 @@
 //! process: this test binary re-run on itself with [`CHILD`] set, in
 //! which the test prints the outcome instead of comparing.
 
-use ba_core::tournament::{run, NoTreeAdversary, TournamentConfig};
-use ba_topology::Params;
+use ba_core::everywhere::EverywhereConfig;
+use ba_core::tournament::{run, NoTreeAdversary};
 use std::process::Command;
 
 const CHILD: &str = "BA_ELECTION_DETERMINISM_CHILD";
 const MARK: &str = "outcome: ";
-
-/// `exp_scale`'s tournament constants at `n`.
-fn scale_profile(n: usize, seed: u64) -> TournamentConfig {
-    let log_n = (n as f64).log2();
-    let mut config = TournamentConfig::for_n(n).with_seed(seed);
-    config.params = Params::practical(n)
-        .with_k1((2.0 * log_n).ceil() as usize)
-        .with_aeba_degree((4.0 * log_n).ceil() as usize)
-        .with_aeba_rounds(((0.75 * log_n).ceil() as usize).max(6));
-    config.extra_words = config.extra_words.min(8);
-    config
-}
 
 #[test]
 fn scale_profile_tournament_is_equal_across_thread_counts_and_runs() {
     let n = 1024;
     if std::env::var_os(CHILD).is_some() {
         let inputs: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-        let out = run(&scale_profile(n, 7), &inputs, &mut NoTreeAdversary);
+        let config = EverywhereConfig::scale_profile(n).with_seed(7).tournament;
+        let out = run(&config, &inputs, &mut NoTreeAdversary);
         println!("{MARK}{out:?}");
         return;
     }

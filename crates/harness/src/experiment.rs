@@ -1,13 +1,13 @@
 //! The experiment harness: sections, rows, fixed-width tables, the
-//! shared `--json`/`--trials` CLI, and JSON row emission — everything
-//! the `exp_*` binaries used to hand-roll, once.
+//! shared `--json`/`--trials`/`--trace` CLI, and JSON row emission —
+//! once, for every preset of the `exp` binary.
 //!
 //! An [`Experiment`] executes eagerly: declaring a case runs it (trial
-//! fan-out included) and prints its table row immediately, so a binary
+//! fan-out included) and prints its table row immediately, so a preset
 //! reads top-to-bottom exactly like its output. `finish()` writes the
 //! collected JSON rows when `--json PATH` was passed.
 
-use crate::runner::{run_traced, RunReport, TrialOutcome};
+use crate::runner::{run_traced, RunReport};
 use crate::spec::RunSpec;
 use crate::stats::{mean, par_trials, Table};
 use ba_net::NetStats;
@@ -20,100 +20,48 @@ use std::path::Path;
 pub enum Metric {
     /// Mean plurality-agreement fraction.
     Agreement,
-    /// Minimum plurality-agreement fraction over trials.
-    AgreementMin,
-    /// Mean decided fraction.
-    Decided,
     /// Fraction of trials with a valid outcome.
     Valid,
-    /// Mean wrong-decision count.
-    Wrong,
     /// Mean rounds.
     Rounds,
     /// Mean max-bits-per-good-processor.
     BitsMax,
-    /// Mean mean-bits-per-good-processor.
-    BitsMean,
-    /// Mean total bits.
-    TotalBits,
     /// Mean good fraction of the coin subsequence.
     CoinGoodFrac,
-    /// Mean length of the coin subsequence.
-    CoinLen,
     /// Mean tournament-phase rounds.
     TournamentRounds,
     /// Mean max-bits of the Algorithm-3 phase alone.
     AeBitsMax,
-    /// Network loss rate over all trials.
-    LossRate,
-    /// Network late rate over all trials.
-    LateRate,
 }
 
 impl Metric {
-    /// The column/JSON name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::Agreement => "agreement",
-            Metric::AgreementMin => "agree_min",
-            Metric::Decided => "decided",
-            Metric::Valid => "valid",
-            Metric::Wrong => "wrong",
-            Metric::Rounds => "rounds",
-            Metric::BitsMax => "max_bits",
-            Metric::BitsMean => "mean_bits",
-            Metric::TotalBits => "total_bits",
-            Metric::CoinGoodFrac => "coin_good",
-            Metric::CoinLen => "coin_len",
-            Metric::TournamentRounds => "ae_rounds",
-            Metric::AeBitsMax => "ae2e_bits",
-            Metric::LossRate => "loss",
-            Metric::LateRate => "late",
-        }
-    }
-
     /// Evaluates the metric over a report.
     pub fn eval(&self, report: &RunReport) -> f64 {
-        let coin = |t: &TrialOutcome, f: &dyn Fn(&ba_core::coin::CoinSequence) -> f64| {
-            t.coins.as_ref().map_or(0.0, f)
-        };
         match self {
             Metric::Agreement => report.mean_of(|t| t.agreement),
-            Metric::AgreementMin => report.min_of(|t| t.agreement),
-            Metric::Decided => report.mean_of(|t| t.decided),
             Metric::Valid => report.frac_of(|t| t.valid.unwrap_or(false)),
-            Metric::Wrong => report.mean_of(|t| t.wrong as f64),
             Metric::Rounds => report.mean_of(|t| t.rounds as f64),
             Metric::BitsMax => report.mean_of(|t| t.bits.max as f64),
-            Metric::BitsMean => report.mean_of(|t| t.bits.mean),
-            Metric::TotalBits => report.mean_of(|t| t.total_bits as f64),
-            Metric::CoinGoodFrac => report.mean_of(|t| coin(t, &|c| c.good_fraction())),
-            Metric::CoinLen => report.mean_of(|t| coin(t, &|c| c.len() as f64)),
+            Metric::CoinGoodFrac => {
+                report.mean_of(|t| t.coins.as_ref().map_or(0.0, |c| c.good_fraction()))
+            }
             Metric::TournamentRounds => report.mean_of(|t| t.tournament_rounds.unwrap_or(0) as f64),
             Metric::AeBitsMax => {
                 report.mean_of(|t| t.ae_bits.as_ref().map_or(0.0, |b| b.max as f64))
             }
-            Metric::LossRate => report.net_sum().loss_rate(),
-            Metric::LateRate => report.net_sum().late_rate(),
         }
     }
 
     /// Formats a value of this metric for a table cell.
     pub fn format(&self, v: f64) -> String {
         match self {
-            Metric::Rounds
-            | Metric::BitsMax
-            | Metric::BitsMean
-            | Metric::TotalBits
-            | Metric::CoinLen
-            | Metric::TournamentRounds
-            | Metric::AeBitsMax => format!("{v:.0}"),
-            _ => format!("{v:.3}"),
+            Metric::Agreement | Metric::Valid | Metric::CoinGoodFrac => format!("{v:.3}"),
+            _ => format!("{v:.0}"),
         }
     }
 }
 
-/// One experiment binary's harness: CLI, sections, tables, JSON.
+/// One experiment's harness: CLI, sections, tables, JSON.
 #[derive(Debug)]
 pub struct Experiment {
     name: String,
@@ -182,49 +130,65 @@ pub(crate) fn net_json(net: &NetStats) -> String {
     )
 }
 
-impl Experiment {
-    /// Creates the harness, parses the shared CLI (`--json PATH` to emit
-    /// machine-readable rows, `--trials N` to override every spec's
-    /// trial count), and prints the title.
-    pub fn new(name: &str, title: &str) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut json_out = None;
-        let mut trials_override = None;
-        let mut trace_path: Option<String> = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--json" => match it.next() {
-                    Some(p) => json_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--json needs a path");
-                        std::process::exit(2);
-                    }
-                },
-                "--trials" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(t) if t > 0 => trials_override = Some(t),
-                    _ => {
-                        eprintln!("--trials needs a positive count");
-                        std::process::exit(2);
-                    }
-                },
-                "--trace" => match it.next() {
-                    Some(p) => trace_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--trace needs a path");
-                        std::process::exit(2);
-                    }
-                },
-                other => {
-                    eprintln!(
-                        "unknown argument `{other}` \
-                         (accepted: --json PATH, --trials N, --trace PATH)"
-                    );
-                    std::process::exit(2);
-                }
+/// The shared experiment CLI, parsed.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Cli {
+    json: Option<String>,
+    trials: Option<u64>,
+    trace: Option<String>,
+}
+
+/// Parses an experiment's arguments: `--json PATH`, `--trials N` and
+/// `--trace PATH`. `trials` is whether the experiment honours
+/// `--trials`: one whose rows are one fixed seed each refuses it rather
+/// than ignore it.
+fn parse_cli(args: &[String], trials: bool) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().cloned().ok_or(format!("{a} needs {what}"));
+        match a.as_str() {
+            "--json" => cli.json = Some(value("a path")?),
+            "--trace" => cli.trace = Some(value("a path")?),
+            "--trials" if !trials => {
+                return Err("--trials: this experiment runs one fixed seed a row".to_owned())
+            }
+            "--trials" => match value("a positive count")?.parse::<u64>() {
+                Ok(t) if t > 0 => cli.trials = Some(t),
+                _ => return Err("--trials needs a positive count".to_owned()),
+            },
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}` (accepted: --json PATH, {}--trace PATH)",
+                    if trials { "--trials N, " } else { "" }
+                ))
             }
         }
-        let trace = match &trace_path {
+    }
+    Ok(cli)
+}
+
+impl Experiment {
+    /// Creates the harness from the experiment's arguments (`--json PATH`
+    /// to emit machine-readable rows, `--trials N` to override every
+    /// spec's trial count, `--trace PATH` to record the runs), and prints
+    /// the title. A bad argument exits with status 2.
+    pub fn new(args: &[String], name: &str, title: &str) -> Self {
+        Self::open(args, true, name, title)
+    }
+
+    /// [`Experiment::new`] for an experiment whose rows are one fixed
+    /// seed each: it refuses `--trials`.
+    pub fn one_seed(args: &[String], name: &str, title: &str) -> Self {
+        Self::open(args, false, name, title)
+    }
+
+    fn open(args: &[String], trials: bool, name: &str, title: &str) -> Self {
+        let cli = parse_cli(args, trials).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        let trace = match &cli.trace {
             Some(p) => Trace::to_file(Path::new(p)).unwrap_or_else(|e| {
                 eprintln!("error: opening trace file {p}: {e}");
                 std::process::exit(1);
@@ -234,8 +198,8 @@ impl Experiment {
         println!("{name}: {title}\n");
         Experiment {
             name: name.to_owned(),
-            json_out,
-            trials_override,
+            json_out: cli.json,
+            trials_override: cli.trials,
             trace,
             section: String::new(),
             columns: Vec::new(),
@@ -254,6 +218,12 @@ impl Experiment {
         self.section = title.to_owned();
         self.columns = columns.iter().map(|c| (*c).to_owned()).collect();
         self.table = Some(Table::header(columns));
+    }
+
+    /// The `--trace` sink (off without the flag), for a preset that
+    /// frames its own trials with [`crate::traced_trial`].
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
     /// Runs a spec (honoring `--trials` and `--trace`): the one trial
@@ -377,7 +347,7 @@ impl Experiment {
         self.rows.push(format!("{{{}}}", fields.join(", ")));
     }
 
-    /// Writes the JSON rows if `--json` was passed. Every binary calls
+    /// Writes the JSON rows if `--json` was passed. Every preset calls
     /// this last.
     pub fn finish(mut self) {
         self.finished = true;
@@ -413,13 +383,69 @@ mod tests {
     fn metrics_evaluate_over_reports() {
         let report = crate::runner::run(&RunSpec::flood(16).trials(2)).expect("run");
         assert_eq!(Metric::Agreement.eval(&report), 1.0);
-        assert_eq!(Metric::Decided.eval(&report), 1.0);
         assert!(Metric::Rounds.eval(&report) > 0.0);
-        assert!(Metric::TotalBits.eval(&report) > 0.0);
-        assert_eq!(Metric::LossRate.eval(&report), 0.0);
+        assert!(Metric::BitsMax.eval(&report) > 0.0);
+        assert_eq!(
+            Metric::Valid.eval(&report),
+            0.0,
+            "flood defines no validity"
+        );
         assert_eq!(Metric::Agreement.format(0.5), "0.500");
         assert_eq!(Metric::Rounds.format(12.0), "12");
-        assert_eq!(Metric::Rounds.name(), "rounds");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn each_flag_parses() {
+        assert_eq!(parse_cli(&[], true), Ok(Cli::default()));
+        let cli = parse_cli(&args(&["--json", "o.json"]), true).unwrap();
+        assert_eq!(cli.json.as_deref(), Some("o.json"));
+        let cli = parse_cli(&args(&["--trials", "3"]), true).unwrap();
+        assert_eq!(cli.trials, Some(3));
+        let cli = parse_cli(&args(&["--trace", "t.jsonl"]), true).unwrap();
+        assert_eq!(cli.trace.as_deref(), Some("t.jsonl"));
+        let all = ["--trace", "t", "--trials", "1", "--json", "j"];
+        let cli = parse_cli(&args(&all), true).unwrap();
+        let want = Cli {
+            json: Some("j".into()),
+            trials: Some(1),
+            trace: Some("t".into()),
+        };
+        assert_eq!(cli, want);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for bad in [
+            &["--json"][..],
+            &["--trace"],
+            &["--trials"],
+            &["--trials", "0"],
+            &["--trials", "-1"],
+            &["--trials", "many"],
+            &["--seed", "7"],
+            &["scale"],
+        ] {
+            assert!(parse_cli(&args(bad), true).is_err(), "{bad:?} parsed");
+        }
+        let err = parse_cli(&args(&["--json"]), true).unwrap_err();
+        assert_eq!(err, "--json needs a path");
+        let err = parse_cli(&args(&["--max-n", "16384"]), true).unwrap_err();
+        assert!(err.contains("unknown argument `--max-n`"), "{err}");
+    }
+
+    #[test]
+    fn a_one_seed_experiment_refuses_trials() {
+        let err = parse_cli(&args(&["--trials", "1"]), false).unwrap_err();
+        assert!(err.contains("one fixed seed"), "{err}");
+        let err = parse_cli(&args(&["--bogus"]), false).unwrap_err();
+        assert!(!err.contains("--trials"), "not offered: {err}");
+        let cli = parse_cli(&args(&["--json", "j", "--trace", "t"]), false).unwrap();
+        assert_eq!(cli.trials, None);
+        assert_eq!(cli.json.as_deref(), Some("j"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! One typed run-spec surface for **protocol × adversary × transport**.
 //! Before this crate the workspace had three parallel ways to launch a
-//! run — hand-rolled `exp_*` binaries, the `scenarios/` key=value
+//! run — hand-rolled experiment binaries, the `scenarios/` key=value
 //! runner, and ad-hoc `SimBuilder`/`everywhere::run*` calls — each with
 //! its own trial loop, seeding convention, and output code. [`RunSpec`]
 //! is the one way now:
@@ -29,9 +29,9 @@
 //! [`run`] executes a spec and returns per-trial [`TrialOutcome`]s with
 //! uniform metrics (agreement, validity, rounds, bit statistics, network
 //! statistics, tournament drill-down). [`Experiment`] wraps the
-//! fixed-width table printing, the shared `--json`/`--trials` CLI, and
-//! JSON row emission that every `exp_*` binary previously duplicated —
-//! the binaries are thin presets now. Declarative `scenarios/*.scn`
+//! fixed-width table printing, the shared `--json`/`--trials`/`--trace`
+//! CLI, and JSON row emission: each experiment is a preset of the one
+//! `exp` binary that names its cells. Declarative `scenarios/*.scn`
 //! specs lower onto [`RunSpec`] through [`scenario::lower`].
 //!
 //! The core is serde-free plain structs: specs are built in code (or
@@ -61,14 +61,15 @@ mod stats;
 pub use experiment::{Experiment, Metric};
 pub use hunt::{hunt, hunt_traced, shrink_spec, Finding, HuntConfig, HuntReport, Violation};
 pub use runner::{
-    run, run_traced, run_trial, run_trial_traced, run_trial_with_factory, trace_sampler_cache,
-    NetFactory, RunReport, SessionTransport, TransportFactory, TrialOutcome,
+    everywhere_outcome, run, run_traced, run_trial, run_trial_traced, run_trial_with_factory,
+    trace_sampler_cache, traced_trial, NetFactory, RunReport, SessionTransport, TransportFactory,
+    TrialOutcome,
 };
 pub use spec::{
     AdversarySpec, AeToESpec, AebaSpec, GossipDegree, Knowledgeable, MessageAdversary, OutputSpec,
     Protocol, RunSpec, SeedPlan, TournamentTuning, TreeAttack,
 };
-pub use stats::{f1, f3, loglog_slope, mean, par_trials, stddev, Table};
+pub use stats::{f1, f3, loglog_slope, mean, par_trials, Table};
 
 // The spec surface re-uses these foreign types directly.
 pub use ba_net::{InputPattern, NetConfig};

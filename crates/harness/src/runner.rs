@@ -18,7 +18,7 @@ use ba_core::ae_to_e::{AeToEConfig, AeToEProcess};
 use ba_core::aeba::{AebaConfig, AebaProcess, UnreliableCoin};
 use ba_core::attacks::{LabelGuesser, Overloader, ResponseForger, SplitVoter};
 use ba_core::coin::CoinSequence;
-use ba_core::everywhere::{self, EverywhereConfig, StackMsg};
+use ba_core::everywhere::{self, EverywhereConfig, EverywhereOutcome, StackMsg};
 use ba_core::tournament::{self, LevelStats, TourMsg, TournamentConfig};
 use ba_net::{NetConfig, NetStats, NetTransport, PhaseLedger};
 use ba_obs::Trace;
@@ -434,6 +434,28 @@ pub fn run_trial_with_factory<TF: TransportFactory>(
     trace: &Trace,
     factory: &mut TF,
 ) -> Result<TrialOutcome, String> {
+    let seed = spec.seeds.seed(trial);
+    traced_trial(trace, trial, seed, spec.protocol.name(), spec.n, || {
+        dispatch(spec, trial, trace, factory)
+    })
+}
+
+/// Runs `body` as trial `trial` of an `n`-processor `protocol` run at
+/// `seed`, framed in `trace` by the `trial:*` schema `trace-report`
+/// reads: a `trial:start` header, then — if `body` returns an outcome —
+/// one `trial:phase` line a phase and a `trial:end` summary. `body`'s
+/// wall clock is charged to the quarantined `harness:trial` profile.
+///
+/// Every harness trial goes through here; so does a caller that drives an
+/// executor itself (the scale rows, with [`everywhere_outcome`]).
+pub fn traced_trial<E>(
+    trace: &Trace,
+    trial: u64,
+    seed: u64,
+    protocol: &str,
+    n: usize,
+    body: impl FnOnce() -> Result<TrialOutcome, E>,
+) -> Result<TrialOutcome, E> {
     if trace.is_on() {
         trace.event(
             "trial:start",
@@ -441,16 +463,15 @@ pub fn run_trial_with_factory<TF: TransportFactory>(
             "",
             &[
                 ("trial", trial.into()),
-                ("seed", spec.seeds.seed(trial).into()),
-                ("protocol", spec.protocol.name().into()),
-                ("n", spec.n.into()),
+                ("seed", seed.into()),
+                ("protocol", protocol.into()),
+                ("n", n.into()),
             ],
         );
     }
     let out = {
-        // Whole-trial wall clock, charged to the quarantined profile.
         let _t = trace.timer("harness:trial");
-        dispatch(spec, trial, trace, factory)?
+        body()?
     };
     if trace.is_on() {
         let round = out.rounds as u64;
@@ -469,8 +490,8 @@ pub fn run_trial_with_factory<TF: TransportFactory>(
             "",
             &[
                 ("trial", trial.into()),
-                ("seed", out.seed.into()),
-                ("n", spec.n.into()),
+                ("seed", seed.into()),
+                ("n", n.into()),
                 ("good", good.into()),
                 ("agreement", out.agreement.into()),
                 ("decided", out.decided.into()),
@@ -479,6 +500,50 @@ pub fn run_trial_with_factory<TF: TransportFactory>(
         );
     }
     Ok(out)
+}
+
+/// A finished everywhere-stack run at `seed` as the harness reports it:
+/// agreement and decided fractions over good processors, everyone's
+/// bits in `total_bits`, and the tournament and Algorithm 3 drill-down.
+/// `net` is the run's transport statistics, if it had a network.
+pub fn everywhere_outcome(
+    seed: u64,
+    out: EverywhereOutcome,
+    net: Option<NetStats>,
+) -> TrialOutcome {
+    let good: Vec<usize> = (0..out.corrupt.len())
+        .filter(|&i| !out.corrupt[i])
+        .collect();
+    let decided_count = good.iter().filter(|&&i| out.decisions[i].is_some()).count();
+    let agreeing = good
+        .iter()
+        .filter(|&&i| out.decisions[i] == Some(out.tournament.decided))
+        .count();
+    let good_n = good.len().max(1);
+    let bits = out.good_bit_stats();
+    let ae_samples: Vec<u64> = good
+        .iter()
+        .map(|&i| out.bits_per_proc[i] - out.tournament.bits_per_proc[i])
+        .collect();
+    TrialOutcome {
+        agreement: agreeing as f64 / good_n as f64,
+        decided: decided_count as f64 / good_n as f64,
+        valid: Some(out.valid),
+        decided_bit: Some(out.tournament.decided),
+        wrong: out.ae.wrong,
+        rounds: out.rounds,
+        total_bits: out.bits_per_proc.iter().sum(),
+        tournament_rounds: Some(out.tournament.rounds),
+        tournament_bits: Some(out.tournament.good_bit_stats()),
+        ae_bits: Some(BitStats::from_samples(&ae_samples)),
+        bits,
+        coins: Some(CoinSequence::from_tournament(&out.tournament)),
+        level_stats: out.tournament.level_stats.clone(),
+        corrupt: out.corrupt,
+        net,
+        phase_bits: out.phase_bits,
+        ..TrialOutcome::base(seed)
+    }
 }
 
 /// Trial dispatch over the spec's protocol surface, once
@@ -714,38 +779,9 @@ fn everywhere_trial<TF: TransportFactory>(
     let transport = factory.make::<StackMsg>(n, cfg, trace)?;
     let (out, transport) =
         everywhere::run_with_transport(&config, &inputs, &mut adv, ae_adversary, transport);
-    let good: Vec<usize> = (0..n).filter(|&i| !out.corrupt[i]).collect();
-    let decided_count = good.iter().filter(|&&i| out.decisions[i].is_some()).count();
-    let agreeing = good
-        .iter()
-        .filter(|&&i| out.decisions[i] == Some(out.tournament.decided))
-        .count();
-    let good_n = good.len().max(1);
-    let bits = out.good_bit_stats();
-    let ae_samples: Vec<u64> = good
-        .iter()
-        .map(|&i| out.bits_per_proc[i] - out.tournament.bits_per_proc[i])
-        .collect();
     trace_talkers(trace, out.rounds, out.bits_per_proc.iter().copied());
-    Ok(TrialOutcome {
-        agreement: agreeing as f64 / good_n as f64,
-        decided: decided_count as f64 / good_n as f64,
-        valid: Some(out.valid),
-        decided_bit: Some(out.tournament.decided),
-        wrong: out.ae.wrong,
-        rounds: out.rounds,
-        total_bits: out.bits_per_proc.iter().sum(),
-        tournament_rounds: Some(out.tournament.rounds),
-        tournament_bits: Some(out.tournament.good_bit_stats()),
-        ae_bits: Some(BitStats::from_samples(&ae_samples)),
-        bits,
-        coins: Some(CoinSequence::from_tournament(&out.tournament)),
-        level_stats: out.tournament.level_stats.clone(),
-        corrupt: out.corrupt,
-        net: Some(transport.finish().into_stats()),
-        phase_bits: out.phase_bits,
-        ..TrialOutcome::base(seed)
-    })
+    let net = transport.finish().into_stats();
+    Ok(everywhere_outcome(seed, out, Some(net)))
 }
 
 #[cfg(test)]

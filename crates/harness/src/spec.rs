@@ -449,7 +449,7 @@ impl RunSpec {
 
     /// Expands this spec into one row per population size — the same
     /// `n`-sweep axis the scenario grammar spells `n = 64,128,256` (see
-    /// `ScenarioSpec::expand_n`), so `exp_*` loops and hunt sweeps built
+    /// `ScenarioSpec::expand_n`), so `exp` preset loops and hunt sweeps built
     /// in code share one mechanism instead of hand-rolling `for n in`.
     pub fn sweep_n(&self, sizes: &[usize]) -> Vec<RunSpec> {
         sizes

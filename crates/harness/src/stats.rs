@@ -1,6 +1,5 @@
 //! Fixed-width tables, small statistics, and the parallel trial loop —
-//! the helpers every experiment shares (formerly copy-pasted around
-//! `ba-bench`; `ba-bench` re-exports them for compatibility).
+//! the helpers every experiment shares.
 
 use std::fmt::Display;
 
@@ -83,15 +82,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Runs `trials` seeds of `f` in parallel (scoped threads via
 /// [`ba_par::par_map_index`]) and returns the results in seed order.
 pub fn par_trials<T: Send, F: Fn(u64) -> T + Sync>(trials: u64, f: F) -> Vec<T> {
@@ -112,9 +102,7 @@ mod tests {
     #[test]
     fn stats_basics() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((stddev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-9);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # ba-par — embarrassingly-parallel fan-out on a persistent worker pool
 //!
 //! The workspace has two hot fan-out shapes: per-seed trial loops in the
-//! `exp_*` experiment binaries and the independent per-committee elections
+//! `exp` experiment presets and the independent per-committee elections
 //! inside the tournament executor. Both are "map a pure-ish function over
 //! an index range and collect results in order". `rayon` is the natural
 //! tool, but this build environment is offline, so this crate provides the

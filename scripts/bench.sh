@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the criterion micro benches, key exp_* experiment binaries, and
+# Runs the criterion micro benches, key `exp` experiment presets, and
 # the declarative scenario suite (scenarios/*.scn over the ba-net fault
 # models), then emits BENCH_<N>.json (default BENCH_1.json) — the
 # repository's perf + robustness trajectory file.
@@ -9,7 +9,7 @@
 #
 # The vendored criterion shim appends ndjson lines to $BENCH_JSON; this
 # script collects them, computes kernel speedups against the retained
-# reference kernel, times a couple of experiment binaries end-to-end,
+# reference kernel, times a couple of experiment presets end-to-end,
 # runs the scenario suite for its JSON rows, and assembles the final
 # JSON.
 
@@ -25,25 +25,26 @@ trap 'rm -f "$NDJSON" "$SCNJSON"' EXIT
 echo "== criterion micro benches (release) =="
 BENCH_JSON="$NDJSON" cargo bench -p ba-bench --bench micro --offline
 
-# Experiment binaries exercising the tournament / full stack at scale
+# Experiment presets exercising the tournament / full stack at scale
 # (each parallelizes its per-seed trial loop over ba-par workers).
-EXPERIMENTS="exp_tournament_survival exp_election_quality"
+cargo build --release --offline -p ba-bench --bin exp
+EXPERIMENTS="tournament_survival election_quality"
 EXP_ROWS=""
 for exp in $EXPERIMENTS; do
-    echo "== $exp =="
+    echo "== exp $exp =="
     start=$(date +%s.%N)
-    cargo run --release --offline -p ba-bench --bin "$exp" >/dev/null
+    target/release/exp "$exp" >/dev/null
     end=$(date +%s.%N)
     wall=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.2f", b - a }')
     echo "   ${wall}s wall"
     # Pin: survival must stay on the batched envelope paths. BENCH_6
     # measured 172 s pre-batching; anything near that again means the
     # committee-batched fast path regressed.
-    if [[ "$exp" == "exp_tournament_survival" ]]; then
+    if [[ "$exp" == "tournament_survival" ]]; then
         awk -v w="$wall" 'BEGIN { exit (w < 30.0) ? 0 : 1 }' \
-            || { echo "FAIL: exp_tournament_survival took ${wall}s (pin: < 30 s)"; exit 1; }
+            || { echo "FAIL: exp tournament_survival took ${wall}s (pin: < 30 s)"; exit 1; }
     fi
-    EXP_ROWS="${EXP_ROWS}    {\"bin\": \"${exp}\", \"wall_seconds\": ${wall}},\n"
+    EXP_ROWS="${EXP_ROWS}    {\"preset\": \"${exp}\", \"wall_seconds\": ${wall}},\n"
 done
 EXP_ROWS="${EXP_ROWS%,\\n}"
 
@@ -76,7 +77,8 @@ PROFILE_ROWS=$(grep '"section": "profile"' "$TRACEJSONL" \
     | sort -gr | head -5 | cut -f2- | sed 's/^/    /;s/$/,/' | sed '$ s/,$//')
 
 # Scale campaign: the full everywhere stack swept up to n = 2^17
-# (≥ 10^5 processors) under exp_scale's reduced-constant profile, with
+# (≥ 10^5 processors) under the reduced-constant scale profile
+# (`exp scale-131072`), with
 # trace-report fitting bits/good-proc to c·√n·log₂^k(n) from the
 # emitted trial events. The largest row completing end-to-end is the
 # headline number of the batching/caching/arena work.
@@ -84,8 +86,7 @@ echo "== scale sweep (everywhere stack up to n = 131072) =="
 SCALEJSON="$(mktemp)"
 SCALETRACE="$(mktemp)"
 trap 'rm -f "$NDJSON" "$SCNJSON" "$TRACEJSONL" "$SCALEJSON" "$SCALETRACE"' EXIT
-cargo run --release --offline -p ba-bench --bin exp_scale -- \
-    --json "$SCALEJSON" --trace "$SCALETRACE"
+target/release/exp scale-131072 --json "$SCALEJSON" --trace "$SCALETRACE"
 SCALE_FIT=$(cargo run --release --offline -p ba-bench --bin trace-report -- \
     "$SCALETRACE" | grep '^fit:' | sed 's/^fit: //')
 echo "   fit: ${SCALE_FIT}"

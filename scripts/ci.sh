@@ -8,7 +8,8 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# rustdoc with warnings denied, build, tests, the benchmark package's build and smoke tier, memory
+# rustdoc with warnings denied, build, tests, every experiment preset at
+# one trial, the benchmark package's build and smoke tier, memory
 # budgets on its jittered-stack and scale workloads, a one-scenario smoke of the
 # composed tree-adversary + partition spec, a traced one, every recorded
 # pin (scripts/repin.sh), the pinned regression scenarios and a line
@@ -41,6 +42,18 @@ cargo build --release --offline
 
 echo "== cargo test -q =="
 cargo test -q --offline
+
+echo "== every experiment preset at one trial =="
+# `exp` without a preset prints the preset table (and exits 2). Each
+# preset but the scale rows runs once at --trials 1 (~25 s in all, the
+# most of it bits_scaling and latency) and must exit 0; the scale rows
+# are one fixed seed each and run under scripts/repin.sh below.
+PRESETS="$({ target/release/exp 2>&1 || true; } | awk '/^  [a-z]/ && $1 !~ /^scale/ { print $1 }')"
+[[ -n "$PRESETS" ]] || { echo "exp listed no presets"; exit 1; }
+for preset in $PRESETS; do
+    echo "-- exp $preset --trials 1"
+    target/release/exp "$preset" --trials 1 >/dev/null
+done
 
 echo "== benchmark build + smoke (what the benchmark pipeline builds) =="
 # benchmark/ is a package of its own (not a workspace member) that links
@@ -102,7 +115,8 @@ echo "== recorded pins (scale rows, serve wire, golden tests, hunt smoke) =="
 # runs the adversary search (which must keep rediscovering the
 # coordinator-equivocation break, and whose grid carries the Algorithm 3
 # forger), boots the ba-serve daemon for a pass of fans and a pass of
-# singles, runs exp_scale at n = 4096 and 16384 under its 600 MB budget,
+# singles, runs `exp scale` (n = 4096 and 16384) under its 600 MB budget
+# with its trace through trace-report --check,
 # re-runs the golden tests, and fails unless every number equals
 # scripts/pins.env. A change that means to move a draw, a charge or a
 # frame runs `scripts/repin.sh --write` in the same commit. (The stream

@@ -12,7 +12,7 @@
 #              wherever .claude/skills/verify/SKILL.md quotes it. Put the
 #              table in the PR and in CHANGES.md.
 #
-# Numeric pins (scripts/pins.env): the exp_scale rows' bits and rounds at
+# Numeric pins (scripts/pins.env): the `exp scale` rows' bits and rounds at
 # n = 4096 and 16384, and the serve daemon's data frames and bytes for a
 # pass of fans and a pass of singles. Golden tests (constants recorded in
 # their own source, re-recorded by hand as each says): the engine's
@@ -52,14 +52,14 @@ PIN_NAMES=(SCALE_4096_BITS SCALE_4096_ROUNDS SCALE_16384_BITS SCALE_16384_ROUNDS
 FAILED=0
 fail() { echo "repin: $*"; FAILED=1; }
 # The value of `"field": value` on the first line of a JSON file that
-# holds `row` (exp_scale writes a row a line, load a field a line).
+# holds `row` (exp writes a row a line, load a field a line).
 json_field() { # <file> <field> [row]
     grep -- "${3:-}" "$1" | grep -o "\"$2\": [^,}]*" | head -n 1 | sed 's/.*: //' || true
 }
 
 echo "== scale rows (everywhere stack end-to-end at n = 4096 and 16384) =="
-# One seed of the full Algorithm 4 stack under exp_scale's scale profile
-# at two sizes: the batched-envelope tournament, the flat gossip graphs,
+# One seed of the full Algorithm 4 stack under the scale profile
+# (`exp scale`) at two sizes: the batched-envelope tournament, the flat gossip graphs,
 # the arena share trees and the engine's one-buffer rounds at a
 # five-digit n, and the one byte-identity check on the committee stack at
 # the reduced-constant profile. The time budget is generous (the rows are
@@ -67,10 +67,15 @@ echo "== scale rows (everywhere stack end-to-end at n = 4096 and 16384) =="
 # 16384 row peaks at ~480 MB (640-720 while a registry kept committee
 # graphs alive), and a second copy of an Algorithm 3 round in the engine
 # (~270 MB; it was ~1250 MB in all with four) crosses 600.
-timeout 90 target/release/exp_scale --max-n 16384 --json "$TMP/scale.json"
-scale_field() { json_field "$TMP/scale.json" "$2" "\"n\": $1,"; } # <n> <field>
+timeout 90 target/release/exp scale --json "$TMP/scale.json" --trace "$TMP/scale.jsonl"
+# The rows are trials in the harness's trial:* schema: each one's phase
+# bits must sum to its total_bits, as for every traced harness run.
+target/release/trace-report --check "$TMP/scale.jsonl" >"$TMP/scale-report.log" \
+    || { cat "$TMP/scale-report.log"; fail "scale: the trace fails trace-report --check"; }
+# An Experiment row: labels are strings, values numbers.
+scale_field() { json_field "$TMP/scale.json" "$2" "\"n\": \"$1\","; } # <n> <field>
 for n in 4096 16384; do
-    [[ "$(scale_field "$n" agreement)" == "true" ]] \
+    [[ "$(scale_field "$n" agreement)" == "1" ]] \
         || fail "scale: the n = $n row did not reach everywhere agreement"
 done
 awk -v rss="$(scale_field 16384 peak_rss_mb)" 'BEGIN { exit (rss + 0 > 0 && rss + 0 <= 600) ? 0 : 1 }' \

@@ -1,4 +1,4 @@
-//! Statistical shape tests: cheap versions of the `exp_*` experiments' claims,
+//! Statistical shape tests: cheap versions of the `exp` presets' claims,
 //! kept in CI so regressions in the protocol's *quantitative* behaviour
 //! fail loudly, not just its safety properties.
 
