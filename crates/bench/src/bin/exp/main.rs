@@ -5,7 +5,8 @@
 //! ```
 //!
 //! A preset names its cells and prints its tables through
-//! [`ba_exp::Experiment`], which parses the flags after the preset name.
+//! [`ba_exp::Experiment`], which parses the flags after the preset name;
+//! `run` also takes `.scn` paths among them.
 //! Without a preset, or with an unknown one, `exp` prints the preset
 //! table and exits with status 2.
 
@@ -20,6 +21,7 @@ mod election_quality;
 mod fig1_tree;
 mod latency;
 mod param_sweep;
+mod run;
 mod sampler_quality;
 mod scale;
 mod secrecy;
@@ -47,6 +49,7 @@ const PRESETS: &[Preset] = &[
     ("param_sweep", param_sweep::run, "E13  Lemma 5 parameter ablations"),
     ("comm_wire", comm_wire::run, "E14  Lemma 3: the communication primitives on the wire"),
     ("universe", universe::run, "E15  universe reduction from the coin subsequence"),
+    ("run", run::run, "the .scn scenario library: run [SPEC|DIR]... (default scenarios/)"),
     ("scale", scale::run, "the stack under the scale profile at n = 4096 and 16384"),
     ("scale-131072", scale::run_131072, "`scale` and n = 131072 (~190 s, ~8.5 GB)"),
     ("scale-jitter", scale::run_jitter, "the scale profile at n = 512 and 1024 over a lossy net"),

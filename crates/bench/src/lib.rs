@@ -1,12 +1,13 @@
-//! # ba-bench — the experiment, scenario, hunt and trace-report programs
+//! # ba-bench — the experiment, hunt and trace-report programs
 //!
-//! Four binaries: `exp <preset>` runs one of the paper's experiments,
+//! Three binaries: `exp <preset>` runs one of the paper's experiments,
 //! each a **thin preset over [`ba_exp::RunSpec`]** that names its cells
 //! while the [`ba_exp::Experiment`] harness owns the flags (`--json PATH`,
 //! `--trials N`, `--trace PATH`), the parallel trial loop, the tables and
-//! the JSON; `scenario` runs `scenarios/*.scn` specs lowered onto the
-//! same surface ([`ba_exp::scenario::lower`]); `hunt` searches the
-//! adversary space; `trace-report` digests a trace.
+//! the JSON; `exp run [SPEC|DIR]...` is the preset whose cells are
+//! `scenarios/*.scn` specs, lowered onto the same surface
+//! ([`ba_exp::scenario::lower`]); `hunt` searches the adversary space;
+//! `trace-report` digests a trace.
 //!
 //! Criterion micro-benchmarks for the hot primitives live in
 //! `benches/micro.rs`.

@@ -1,6 +1,7 @@
 //! The `exp` binary's preset dispatch: without a preset, or with an
 //! unknown one, it prints the preset table and exits 2; a flag a preset
-//! cannot honour is refused before anything runs.
+//! cannot honour is refused before anything runs; `exp run` reports a
+//! `.scn` file it cannot run and runs the rest.
 
 use std::process::{Command, Output};
 
@@ -47,4 +48,36 @@ fn a_flag_a_preset_cannot_honour_is_refused() {
     let out = exp(&["scale", "--trials", "1"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("one fixed seed"), "{err}");
+}
+
+#[test]
+fn run_reports_a_bad_file_by_path_runs_the_rest_and_exits_1() {
+    let repo = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let good = repo.join("scenarios/00-baseline-sync.scn");
+    let missing = repo.join("scenarios/no-such-spec.scn");
+    // Parses and lowers, but flood's roster fields no vote splitter: the
+    // run itself refuses it.
+    let refused = std::env::temp_dir().join(format!("exp-run-refused-{}.scn", std::process::id()));
+    std::fs::write(
+        &refused,
+        "name = refused\nprotocol = flood\nn = 16\nadversary = split\ncorrupt = 2\n",
+    )
+    .expect("temp spec");
+    let out = exp(&[
+        "run",
+        missing.to_str().unwrap(),
+        refused.to_str().unwrap(),
+        "--trials",
+        "1",
+        good.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(&refused);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no-such-spec.scn: "), "{err}");
+    assert!(err.contains("exp-run-refused-"), "{err}");
+    assert!(err.contains("does not support message adversary"), "{err}");
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("\nbaseline-sync "), "{table}");
+    assert!(!table.contains("\nrefused "), "{table}");
 }

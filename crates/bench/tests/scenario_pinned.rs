@@ -1,42 +1,27 @@
 //! Pinned-output determinism: the composed scenario (tree adversary +
-//! partition, the combination this API unlocked) produces **byte
-//! identical** results whether the `ba-par` pool runs 1 worker or 8 —
-//! the scenario runner is driven as a real subprocess both times, and
-//! everything except wall-clock timings must match exactly.
+//! partition, the combination this API unlocked) produces a **byte
+//! identical** `--json` file whether the `ba-par` pool runs 1 worker or
+//! 8 — `exp run` is driven as a real subprocess both times, and its
+//! rows carry no wall clock, so the whole file must match.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 fn run_with_threads(threads: &str, spec: &PathBuf, json: &PathBuf) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
         .env("BA_PAR_THREADS", threads)
+        .arg("run")
         .arg("--json")
         .arg(json)
         .arg(spec)
         .output()
-        .expect("scenario runner launches");
+        .expect("exp run launches");
     assert!(
         out.status.success(),
-        "scenario runner failed (BA_PAR_THREADS={threads}): {}",
+        "exp run failed (BA_PAR_THREADS={threads}): {}",
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::read_to_string(json).expect("json written")
-}
-
-/// Strips the wall-clock field — the single legitimately nondeterministic
-/// value in a scenario row.
-fn strip_wall(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some(at) = rest.find("\"wall_seconds\": ") {
-        let (head, tail) = rest.split_at(at);
-        out.push_str(head);
-        let end = tail.find(',').expect("wall_seconds is not the last field");
-        out.push_str("\"wall_seconds\": X");
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
 }
 
 #[test]
@@ -52,8 +37,8 @@ fn composed_scenario_is_byte_identical_across_thread_counts() {
     let dir = std::env::temp_dir();
     let j1 = dir.join(format!("scn-pinned-1-{}.json", std::process::id()));
     let j8 = dir.join(format!("scn-pinned-8-{}.json", std::process::id()));
-    let one = strip_wall(&run_with_threads("1", &spec, &j1));
-    let eight = strip_wall(&run_with_threads("8", &spec, &j8));
+    let one = run_with_threads("1", &spec, &j1);
+    let eight = run_with_threads("8", &spec, &j8);
     let _ = std::fs::remove_file(&j1);
     let _ = std::fs::remove_file(&j8);
 

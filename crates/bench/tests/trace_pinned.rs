@@ -1,5 +1,5 @@
-//! Pinned-trace determinism: the event stream a traced scenario run
-//! writes is **byte identical** whether the `ba-par` pool runs 1 worker
+//! Pinned-trace determinism: the event stream `exp run --trace` writes
+//! for a scenario is **byte identical** whether the `ba-par` pool runs 1 worker
 //! or 8. Trials trace into private buffers that the harness replays in
 //! trial order, so the file on disk is a pure function of the spec and
 //! seed — only the quarantined `"profile"` section (wall-clock timings)
@@ -9,16 +9,17 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn run_traced(threads: &str, spec: &PathBuf, trace: &PathBuf) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_scenario"))
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
         .env("BA_PAR_THREADS", threads)
+        .arg("run")
         .arg("--trace")
         .arg(trace)
         .arg(spec)
         .output()
-        .expect("scenario runner launches");
+        .expect("exp run launches");
     assert!(
         out.status.success(),
-        "scenario runner failed (BA_PAR_THREADS={threads}): {}",
+        "exp run failed (BA_PAR_THREADS={threads}): {}",
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::read_to_string(trace).expect("trace written")

@@ -20,6 +20,10 @@ use std::path::Path;
 pub enum Metric {
     /// Mean plurality-agreement fraction.
     Agreement,
+    /// Worst-trial plurality-agreement fraction.
+    AgreementMin,
+    /// Mean decided fraction.
+    Decided,
     /// Fraction of trials with a valid outcome.
     Valid,
     /// Mean rounds.
@@ -32,6 +36,13 @@ pub enum Metric {
     TournamentRounds,
     /// Mean max-bits of the Algorithm-3 phase alone.
     AeBitsMax,
+    /// Mean total bits sent.
+    TotalBits,
+    /// Percentage of sent envelopes lost, over all trials.
+    LossRate,
+    /// Percentage of delivered envelopes that arrived late, over all
+    /// trials.
+    LateRate,
 }
 
 impl Metric {
@@ -39,6 +50,8 @@ impl Metric {
     pub fn eval(&self, report: &RunReport) -> f64 {
         match self {
             Metric::Agreement => report.mean_of(|t| t.agreement),
+            Metric::AgreementMin => report.min_of(|t| t.agreement),
+            Metric::Decided => report.mean_of(|t| t.decided),
             Metric::Valid => report.frac_of(|t| t.valid.unwrap_or(false)),
             Metric::Rounds => report.mean_of(|t| t.rounds as f64),
             Metric::BitsMax => report.mean_of(|t| t.bits.max as f64),
@@ -49,13 +62,21 @@ impl Metric {
             Metric::AeBitsMax => {
                 report.mean_of(|t| t.ae_bits.as_ref().map_or(0.0, |b| b.max as f64))
             }
+            Metric::TotalBits => report.mean_of(|t| t.total_bits as f64),
+            Metric::LossRate => 100.0 * report.net_sum().loss_rate(),
+            Metric::LateRate => 100.0 * report.net_sum().late_rate(),
         }
     }
 
     /// Formats a value of this metric for a table cell.
     pub fn format(&self, v: f64) -> String {
         match self {
-            Metric::Agreement | Metric::Valid | Metric::CoinGoodFrac => format!("{v:.3}"),
+            Metric::Agreement
+            | Metric::AgreementMin
+            | Metric::Decided
+            | Metric::Valid
+            | Metric::CoinGoodFrac => format!("{v:.3}"),
+            Metric::LossRate | Metric::LateRate => format!("{v:.1}"),
             _ => format!("{v:.0}"),
         }
     }
@@ -75,7 +96,7 @@ pub struct Experiment {
     finished: bool,
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
@@ -88,10 +109,10 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// The network block every `case` row and every scenario row carries in
-/// its JSON: aggregate counters (dead letters and what was still in the
-/// air included) plus per-phase lateness/loss drill-down.
-pub(crate) fn net_json(net: &NetStats) -> String {
+/// The network block every `case` row carries in its JSON: aggregate
+/// counters (dead letters and what was still in the air included) plus
+/// per-phase lateness/loss drill-down.
+fn net_json(net: &NetStats) -> String {
     let mut phases = String::new();
     for (i, p) in net.per_phase.iter().enumerate() {
         if i > 0 {
@@ -226,34 +247,55 @@ impl Experiment {
         &self.trace
     }
 
+    /// The trial count `spec` runs with here: `--trials` when given,
+    /// else the spec's own.
+    pub fn trials(&self, spec: &RunSpec) -> u64 {
+        self.trials_override.unwrap_or(spec.trials)
+    }
+
     /// Runs a spec (honoring `--trials` and `--trace`): the one trial
-    /// loop behind every case.
+    /// loop behind every case. An error exits with status 1.
     pub fn run(&self, spec: &RunSpec) -> RunReport {
-        let mut spec = spec.clone();
-        if let Some(t) = self.trials_override {
-            spec.trials = t;
-        }
-        match run_traced(&spec, &self.trace) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        self.try_run(spec).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+    }
+
+    fn try_run(&self, spec: &RunSpec) -> Result<RunReport, String> {
+        let spec = RunSpec {
+            trials: self.trials(spec),
+            ..spec.clone()
+        };
+        run_traced(&spec, &self.trace)
     }
 
     /// Runs `spec` and prints one row: `labels`, then the metric values
     /// in order. Returns the report for follow-up computation (slopes,
-    /// drill-down rows).
+    /// drill-down rows). An error exits with status 1.
     pub fn case(&mut self, labels: &[String], spec: &RunSpec, metrics: &[Metric]) -> RunReport {
-        let report = self.run(spec);
+        self.try_case(labels, spec, metrics).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+    }
+
+    /// [`Experiment::case`], returning a spec the run refuses as an
+    /// error (and printing no row) instead of exiting.
+    pub fn try_case(
+        &mut self,
+        labels: &[String],
+        spec: &RunSpec,
+        metrics: &[Metric],
+    ) -> Result<RunReport, String> {
+        let report = self.try_run(spec)?;
         let values: Vec<f64> = metrics.iter().map(|m| m.eval(&report)).collect();
         let mut cells = labels.to_vec();
         for (m, v) in metrics.iter().zip(&values) {
             cells.push(m.format(*v));
         }
         self.emit_row_with(&cells, labels.len(), &values, Some(&report.net_sum()));
-        report
+        Ok(report)
     }
 
     /// Prints a row from values the caller computed (from reports or
@@ -390,8 +432,14 @@ mod tests {
             0.0,
             "flood defines no validity"
         );
+        assert_eq!(Metric::AgreementMin.eval(&report), 1.0);
+        assert_eq!(Metric::Decided.eval(&report), 1.0);
+        assert!(Metric::TotalBits.eval(&report) >= Metric::BitsMax.eval(&report));
+        assert_eq!(Metric::LossRate.eval(&report), 0.0, "a clean net");
+        assert_eq!(Metric::LateRate.eval(&report), 0.0, "a clean net");
         assert_eq!(Metric::Agreement.format(0.5), "0.500");
         assert_eq!(Metric::Rounds.format(12.0), "12");
+        assert_eq!(Metric::LossRate.format(16.66), "16.7");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

@@ -1054,4 +1054,36 @@ mod tests {
         let err = run_trial(&RunSpec::everywhere(32).net(cfg), 0).expect_err("delta = 0");
         assert_eq!(err, "delta must be positive");
     }
+
+    /// A crash or a partition outside the population would never fire
+    /// (the transport reads processors `0..n` only), so the spec is
+    /// refused rather than run as if the fault were there.
+    #[test]
+    fn a_fault_outside_the_population_is_refused() {
+        use ba_net::{Crash, FaultPlan, Partition};
+        let net = |faults| NetConfig::synchronous().with_faults(faults);
+        let crash = |proc| FaultPlan {
+            crashes: vec![Crash { proc, round: 2 }],
+            ..FaultPlan::default()
+        };
+        let cut = |boundary| FaultPlan {
+            partitions: vec![Partition {
+                boundary,
+                from_round: 0,
+                heal_round: 5,
+            }],
+            ..FaultPlan::default()
+        };
+        let err = run(&RunSpec::flood(16).net(net(crash(40)))).expect_err("crash at 40 of 16");
+        assert_eq!(err, "crash processor 40 out of range (n = 16)");
+        for boundary in [0, 16, 40] {
+            let err = run(&RunSpec::flood(16).net(net(cut(boundary)))).expect_err("empty side");
+            assert!(err.contains("leaves a side empty"), "{boundary}: {err}");
+        }
+        let inside = [net(crash(15)), net(cut(1)), net(cut(15))];
+        for cfg in inside {
+            let report = run(&RunSpec::flood(16).trials(1).net(cfg)).expect("a fault inside n");
+            assert_eq!(report.trials.len(), 1);
+        }
+    }
 }

@@ -1,17 +1,13 @@
-//! Lowers declarative `scenarios/*.scn` specs onto [`RunSpec`] and
-//! aggregates scenario reports — the glue that makes the scenario
-//! runner a thin preset over the same API as every other entry point.
+//! Lowers declarative `scenarios/*.scn` specs onto [`RunSpec`] — the
+//! glue that makes `exp run` a thin preset over the same API as every
+//! other entry point.
 
-use crate::experiment::{json_escape, net_json};
-use crate::runner::{run_traced, RunReport};
 use crate::spec::{
     AdversarySpec, AeToESpec, AebaSpec, MessageAdversary, Protocol, RunSpec, TournamentTuning,
     TreeAttack,
 };
 use ba_core::aeba::CommitteeAttack;
-use ba_net::{NetStats, ScenarioSpec};
-use ba_obs::Trace;
-use std::time::Instant;
+use ba_net::ScenarioSpec;
 
 /// What `adversary = forge` answers requests with: neither the default
 /// Algorithm-3 message nor a bit the everywhere stack can agree on, so
@@ -131,91 +127,6 @@ pub fn lower(spec: &ScenarioSpec) -> Result<RunSpec, String> {
     Ok(run_spec)
 }
 
-/// Per-scenario aggregate over all trials.
-#[derive(Clone, Debug)]
-pub struct ScenarioReport {
-    /// The scenario's spec.
-    pub spec: ScenarioSpec,
-    /// Mean plurality agreement.
-    pub agree_mean: f64,
-    /// Worst-trial plurality agreement.
-    pub agree_min: f64,
-    /// Mean decided fraction.
-    pub decided_mean: f64,
-    /// Mean rounds.
-    pub rounds_mean: f64,
-    /// Mean total bits.
-    pub bits_mean: f64,
-    /// Network statistics summed over trials.
-    pub net: NetStats,
-    /// Wall-clock seconds for the whole scenario.
-    pub wall_seconds: f64,
-}
-
-/// Table header shared by the scenario runner.
-pub const SCENARIO_COLUMNS: &[&str] = &[
-    "scenario", "protocol", "n", "trials", "agree", "min", "decided", "rounds", "loss%", "late%",
-    "wall_s",
-];
-
-impl ScenarioReport {
-    /// The table row matching [`SCENARIO_COLUMNS`].
-    pub fn table_cells(&self) -> Vec<String> {
-        vec![
-            self.spec.name.clone(),
-            self.spec.protocol.clone(),
-            self.spec.n.to_string(),
-            self.spec.trials.to_string(),
-            format!("{:.3}", self.agree_mean),
-            format!("{:.3}", self.agree_min),
-            format!("{:.3}", self.decided_mean),
-            format!("{:.1}", self.rounds_mean),
-            format!("{:.1}", 100.0 * self.net.loss_rate()),
-            format!("{:.1}", 100.0 * self.net.late_rate()),
-            format!("{:.2}", self.wall_seconds),
-        ]
-    }
-
-    /// The machine-readable row `scripts/bench.sh` folds into
-    /// `BENCH_<n>.json`.
-    pub fn json_row(&self) -> String {
-        format!(
-            "{{\"scenario\": \"{}\", \"protocol\": \"{}\", \"n\": {}, \"trials\": {}, \
-             \"agree_mean\": {:.4}, \"agree_min\": {:.4}, \"decided_mean\": {:.4}, \
-             \"rounds_mean\": {:.1}, \"total_bits_mean\": {:.0}, \"wall_seconds\": {:.3}, {}}}",
-            json_escape(&self.spec.name),
-            json_escape(&self.spec.protocol),
-            self.spec.n,
-            self.spec.trials,
-            self.agree_mean,
-            self.agree_min,
-            self.decided_mean,
-            self.rounds_mean,
-            self.bits_mean,
-            self.wall_seconds,
-            net_json(&self.net),
-        )
-    }
-}
-
-/// Lowers and executes one scenario, with trace events fanned into
-/// `trace` (see [`run_traced`] for the deterministic-merge contract).
-pub fn run_scenario_traced(spec: &ScenarioSpec, trace: &Trace) -> Result<ScenarioReport, String> {
-    let start = Instant::now();
-    let run_spec = lower(spec)?;
-    let report: RunReport = run_traced(&run_spec, trace)?;
-    Ok(ScenarioReport {
-        spec: spec.clone(),
-        agree_mean: report.mean_of(|t| t.agreement),
-        agree_min: report.min_of(|t| t.agreement),
-        decided_mean: report.mean_of(|t| t.decided),
-        rounds_mean: report.mean_of(|t| t.rounds as f64),
-        bits_mean: report.mean_of(|t| t.total_bits as f64),
-        net: report.net_sum(),
-        wall_seconds: start.elapsed().as_secs_f64(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,11 +215,14 @@ mod tests {
     fn runs_a_small_scenario_end_to_end() {
         let scn = ScenarioSpec::parse("name=s\nprotocol=flood\nn=16\ntrials=2\ndrop=0.1\n")
             .expect("parse");
-        let report = run_scenario_traced(&scn, &Trace::off()).expect("run");
-        assert!(report.net.sent > 0);
-        assert!(report.net.dropped_random > 0, "drops must fire");
-        let row = report.json_row();
-        assert!(row.contains("\"scenario\": \"s\""));
-        assert!(row.contains("\"net\": {"));
+        let report = crate::runner::run(&lower(&scn).expect("lower")).expect("run");
+        assert_eq!(report.trials.len(), 2);
+        let net = report.net_sum();
+        assert!(net.sent > 0);
+        assert!(net.dropped_random > 0, "drops must fire");
+        assert!(
+            report.trials.iter().all(|t| t.net.is_some()),
+            "every trial carries its net stats"
+        );
     }
 }

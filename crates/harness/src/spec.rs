@@ -521,6 +521,24 @@ impl RunSpec {
         if self.net.delta == 0 {
             return Err("delta must be positive".to_owned());
         }
+        // `NetTransport` reads processors `0..n` only: a crash past them,
+        // or a partition with an empty side, would silently never fire.
+        for c in &self.net.faults.crashes {
+            if c.proc >= self.n {
+                return Err(format!(
+                    "crash processor {} out of range (n = {})",
+                    c.proc, self.n
+                ));
+            }
+        }
+        for p in &self.net.faults.partitions {
+            if p.boundary == 0 || p.boundary >= self.n {
+                return Err(format!(
+                    "partition boundary {} leaves a side empty (n = {})",
+                    p.boundary, self.n
+                ));
+            }
+        }
         let name = self.protocol.name();
         let tree_level = matches!(
             self.protocol,

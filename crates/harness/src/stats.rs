@@ -82,8 +82,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Runs `trials` seeds of `f` in parallel (scoped threads via
-/// [`ba_par::par_map_index`]) and returns the results in seed order.
+/// Runs `trials` seeds of `f` in parallel (on `ba-par`'s persistent
+/// worker pool, via [`ba_par::par_map_index`]) and returns the results
+/// in seed order.
 pub fn par_trials<T: Send, F: Fn(u64) -> T + Sync>(trials: u64, f: F) -> Vec<T> {
     ba_par::par_map_index(trials as usize, |i| f(i as u64))
 }

@@ -67,8 +67,8 @@
 //!
 //! [`ScenarioSpec`] parses declarative `key = value` scenario files
 //! (topology size, latency model, fault schedule, adversary, protocol,
-//! trial count). The `scenario` binary in `ba-bench` executes them and
-//! emits JSON metric rows; the starter library lives in `scenarios/`.
+//! trial count). `ba-bench`'s `exp run` executes them and emits JSON
+//! metric rows; the starter library lives in `scenarios/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,9 +4,9 @@
 //! A spec describes one named experiment: which protocol to run, at what
 //! scale, over what network (latency model, fault schedule), against
 //! which adversary, and for how many trials. The spec format is
-//! protocol-agnostic — this crate validates and carries the fields; the
-//! `scenario` runner binary in `ba-bench` maps protocol and adversary
-//! names onto concrete implementations.
+//! protocol-agnostic — this crate validates and carries the fields;
+//! `ba_exp::scenario::lower` maps protocol and adversary names onto
+//! concrete implementations, and `exp run` in `ba-bench` runs them.
 //!
 //! ```text
 //! # comment lines and blank lines are ignored

@@ -49,7 +49,7 @@ done
 EXP_ROWS="${EXP_ROWS%,\\n}"
 
 echo "== scenario suite (ba-net fault models) =="
-cargo run --release --offline -p ba-bench --bin scenario -- scenarios --json "$SCNJSON"
+target/release/exp run scenarios --json "$SCNJSON"
 
 # Trace overhead: the same scenario pair untraced vs traced (ba-obs
 # JSONL event capture). The delta is what `--trace` costs; the traced
@@ -59,13 +59,11 @@ TRACEJSONL="$(mktemp)"
 trap 'rm -f "$NDJSON" "$SCNJSON" "$TRACEJSONL"' EXIT
 TRACE_SCENARIOS="scenarios/03-partition-during-election.scn scenarios/07-everywhere-lossy.scn"
 start=$(date +%s.%N)
-cargo run --release --offline -p ba-bench --bin scenario -- \
-    $TRACE_SCENARIOS >/dev/null
+target/release/exp run $TRACE_SCENARIOS >/dev/null
 end=$(date +%s.%N)
 UNTRACED_WALL=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
 start=$(date +%s.%N)
-cargo run --release --offline -p ba-bench --bin scenario -- \
-    --trace "$TRACEJSONL" $TRACE_SCENARIOS >/dev/null
+target/release/exp run --trace "$TRACEJSONL" $TRACE_SCENARIOS >/dev/null
 end=$(date +%s.%N)
 TRACED_WALL=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
 TRACE_RATIO=$(awk -v t="$TRACED_WALL" -v u="$UNTRACED_WALL" \

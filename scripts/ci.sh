@@ -2,18 +2,16 @@
 # Tier-1 verification plus the hygiene gates: the one entry point local
 # runs, bench runs, and the roadmap's "tier-1 verify" all share.
 #
-# Usage: scripts/ci.sh [--with-scenarios]
-#   --with-scenarios   additionally run the full declarative scenario
-#                      suite (scenarios/*.scn).
+# Usage: scripts/ci.sh
 #
-# Always runs: rustfmt check, clippy with warnings denied (the
-# documented `#[allow]` seams in-tree are the only accepted ones),
-# rustdoc with warnings denied, build, tests, every experiment preset at
-# one trial, the benchmark package's build and smoke tier, memory
-# budgets on its jittered-stack and scale workloads, a one-scenario smoke of the
-# composed tree-adversary + partition spec, a traced one, every recorded
-# pin (scripts/repin.sh), the pinned regression scenarios and a line
-# budget on docs/performance.md.
+# Runs: rustfmt check, clippy with warnings denied (the documented
+# `#[allow]` seams in-tree are the only accepted ones), rustdoc with
+# warnings denied, build, tests, every experiment preset at one trial
+# (`exp run` among them: the whole scenarios/ library), the benchmark
+# package's build and smoke tier, memory budgets on its jittered-stack
+# and scale workloads, a traced scenario run, every recorded pin
+# (scripts/repin.sh), the pinned regression scenarios and a line budget
+# on docs/performance.md.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,8 +24,8 @@ echo "== docs diet ratchet (docs/performance.md may only shrink) =="
 # in CHANGES.md and numbers in BENCH_<n>.json. Lower the budget when the
 # file shrinks; never raise it.
 PERF_DOC_LINES="$(wc -l < docs/performance.md)"
-if (( PERF_DOC_LINES > 2077 )); then
-    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 2077)"
+if (( PERF_DOC_LINES > 2072 )); then
+    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 2072)"
     exit 1
 fi
 
@@ -46,8 +44,9 @@ cargo test -q --offline
 echo "== every experiment preset at one trial =="
 # `exp` without a preset prints the preset table (and exits 2). Each
 # preset but the scale rows runs once at --trials 1 (~25 s in all, the
-# most of it bits_scaling and latency) and must exit 0; the scale rows
-# are one fixed seed each and run under scripts/repin.sh below.
+# most of it bits_scaling and latency; `run` is the scenarios/ library)
+# and must exit 0; the scale rows are one fixed seed each and run under
+# scripts/repin.sh below.
 PRESETS="$({ target/release/exp 2>&1 || true; } | awk '/^  [a-z]/ && $1 !~ /^scale/ { print $1 }')"
 [[ -n "$PRESETS" ]] || { echo "exp listed no presets"; exit 1; }
 for preset in $PRESETS; do
@@ -95,18 +94,13 @@ echo "== scale memory budget (stack-scale-4096 peak RSS) =="
 # until 64 MiB piled up read 122-128 and crosses 112.
 rss_gate stack-scale-4096 10 112
 
-echo "== scenario smoke (composed tree adversary + partition) =="
-cargo run --release --offline -p ba-bench --bin scenario -- \
-    scenarios/10-composed-tree-partition.scn
-
 echo "== trace smoke (phase attribution sums to total_bits) =="
 # A traced scenario run digested by trace-report --check: fails unless
 # every trial's per-phase bit attribution sums exactly to its
 # total_bits (the ba-obs accounting invariant).
 TRACE_TMP="$(mktemp)"
 trap 'rm -f "$TRACE_TMP"' EXIT
-cargo run --release --offline -p ba-bench --bin scenario -- \
-    --trace "$TRACE_TMP" scenarios/03-partition-during-election.scn
+target/release/exp run --trace "$TRACE_TMP" scenarios/03-partition-during-election.scn
 cargo run --release --offline -p ba-bench --bin trace-report -- \
     --check "$TRACE_TMP"
 
@@ -125,11 +119,6 @@ echo "== recorded pins (scale rows, serve wire, golden tests, hunt smoke) =="
 scripts/repin.sh
 
 echo "== pinned regression scenarios =="
-cargo run --release --offline -p ba-bench --bin scenario -- scenarios/regressions
-
-if [[ "${1:-}" == "--with-scenarios" ]]; then
-    echo "== full scenario suite =="
-    cargo run --release --offline -p ba-bench --bin scenario -- scenarios
-fi
+target/release/exp run scenarios/regressions
 
 echo "ci: OK"
