@@ -7,9 +7,10 @@
 //! cargo run --release -p ba-bench --bin trace-report -- [--check] [--top K] TRACE.jsonl
 //! ```
 //!
-//! With `--check` the report exits non-zero unless every trial's
-//! per-phase attribution sums exactly to its `total_bits` — the
-//! invariant `scripts/ci.sh` smokes on a traced scenario run.
+//! With `--check` the report exits non-zero unless every line parses
+//! and every trial's per-phase attribution sums exactly to its
+//! `total_bits` — the invariant `scripts/ci.sh` smokes on a traced
+//! scenario run.
 
 use ba_exp::Table;
 use std::collections::BTreeMap;
@@ -45,8 +46,10 @@ impl Val {
     }
 }
 
-/// Parses one flat JSONL object as rendered by `ba_obs::render_event`
-/// (string / number / null values only; `\\` and `\"` escapes).
+/// Parses one flat JSONL object as `ba_obs::Trace` writes it: string /
+/// number / null values only, strings decoded as UTF-8 with every JSON
+/// escape (`ba_obs::json_escape` emits `\"`, `\\`, `\b`, `\t`, `\n`,
+/// `\f`, `\r` and `\u00XX`).
 fn parse_line(line: &str) -> Option<Vec<(String, Val)>> {
     let bytes = line.as_bytes();
     let mut i = 0usize;
@@ -55,30 +58,46 @@ fn parse_line(line: &str) -> Option<Vec<(String, Val)>> {
             *i += 1;
         }
     };
+    // Stops only at ASCII bytes, so every slice it copies is whole
+    // UTF-8.
     let parse_string = |i: &mut usize| -> Option<String> {
         if bytes.get(*i) != Some(&b'"') {
             return None;
         }
         *i += 1;
         let mut out = String::new();
-        while *i < bytes.len() {
-            match bytes[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    let next = *bytes.get(*i + 1)?;
-                    out.push(next as char);
-                    *i += 2;
-                }
-                c => {
-                    out.push(c as char);
-                    *i += 1;
-                }
+        loop {
+            let start = *i;
+            while !matches!(bytes.get(*i)?, b'"' | b'\\') {
+                *i += 1;
             }
+            out.push_str(&line[start..*i]);
+            if bytes[*i] == b'"' {
+                *i += 1;
+                return Some(out);
+            }
+            let c = match bytes.get(*i + 1)? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b't' => '\t',
+                b'n' => '\n',
+                b'f' => '\u{c}',
+                b'r' => '\r',
+                b'u' => {
+                    let hex = line.get(*i + 2..*i + 6)?;
+                    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                        return None;
+                    }
+                    *i += 4;
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+                }
+                _ => return None,
+            };
+            out.push(c);
+            *i += 2;
         }
-        None
     };
     skip_ws(&mut i);
     if bytes.get(i) != Some(&b'{') {
@@ -100,8 +119,8 @@ fn parse_line(line: &str) -> Option<Vec<(String, Val)>> {
         skip_ws(&mut i);
         let value = match bytes.get(i)? {
             b'"' => Val::Str(parse_string(&mut i)?),
-            b'n' => {
-                i = i.checked_add(4)?;
+            b'n' if line.get(i..i + 4) == Some("null") => {
+                i += 4;
                 Val::Null
             }
             _ => {
@@ -179,12 +198,13 @@ fn main() {
     let mut bad_lines = 0u64;
     let mut check_failures = 0u64;
 
-    for line in text.lines() {
+    for (lineno, line) in text.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
         let Some(fields) = parse_line(line) else {
             bad_lines += 1;
+            eprintln!("line {}: does not parse", lineno + 1);
             continue;
         };
         if get(&fields, "section").and_then(Val::as_str) == Some("profile") {
@@ -328,10 +348,52 @@ fn main() {
     }
 
     if check {
+        if bad_lines > 0 {
+            eprintln!("check: FAILED ({bad_lines} line(s) do not parse)");
+        }
         if check_failures > 0 {
             eprintln!("check: FAILED ({check_failures} trial(s) with phase sums != total_bits)");
+        }
+        if bad_lines + check_failures > 0 {
             std::process::exit(1);
         }
-        println!("\ncheck: OK (every trial's phase attribution sums to its total_bits)");
+        println!(
+            "\ncheck: OK (every line parses and every trial's phase attribution sums to its \
+             total_bits)"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ba_obs::Trace;
+
+    #[test]
+    fn reads_back_what_the_tracer_writes() {
+        let trace = Trace::memory();
+        let (scenario, phase) = ("tab\there \"quoted\" \\ \u{1}", "ε:3");
+        trace.event("serve:session", 3, phase, &[("scenario", scenario.into())]);
+        let lines = trace.take_lines();
+        let fields = parse_line(&lines[0]).expect("parses");
+        assert_eq!(
+            get(&fields, "kind"),
+            Some(&Val::Str("serve:session".into()))
+        );
+        assert_eq!(get(&fields, "round"), Some(&Val::Num(3.0)));
+        assert_eq!(get(&fields, "phase"), Some(&Val::Str(phase.into())));
+        assert_eq!(get(&fields, "scenario"), Some(&Val::Str(scenario.into())));
+    }
+
+    #[test]
+    fn a_mangled_line_does_not_parse() {
+        for line in [
+            "{\"kind\": \"trial:end\", \"n\": 8, \"good\"",
+            "{\"kind\": \"x\\q\"}",
+            "{\"kind\": \"\\u00zz\"}",
+            "{\"kind\": nope}",
+        ] {
+            assert_eq!(parse_line(line), None, "{line}");
+        }
     }
 }

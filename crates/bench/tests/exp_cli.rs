@@ -1,7 +1,8 @@
 //! The `exp` binary's preset dispatch: without a preset, or with an
 //! unknown one, it prints the preset table and exits 2; a flag a preset
 //! cannot honour is refused before anything runs; `exp run` reports a
-//! `.scn` file it cannot run and runs the rest.
+//! `.scn` file it cannot run and runs the rest, and writes its labels as
+//! strict JSON.
 
 use std::process::{Command, Output};
 
@@ -80,4 +81,47 @@ fn run_reports_a_bad_file_by_path_runs_the_rest_and_exits_1() {
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.contains("\nbaseline-sync "), "{table}");
     assert!(!table.contains("\nrefused "), "{table}");
+}
+
+#[test]
+fn run_escapes_control_characters_in_labels() {
+    let dir = std::env::temp_dir();
+    let tag = format!("exp-run-tab-{}", std::process::id());
+    let (spec, json, trace) = (
+        dir.join(format!("{tag}.scn")),
+        dir.join(format!("{tag}.json")),
+        dir.join(format!("{tag}.jsonl")),
+    );
+    // The parser keeps whitespace inside a value: both labels hold a tab.
+    std::fs::write(
+        &spec,
+        "name = tab\there\nprotocol = phase_king\nn = 16\ntrials = 1\nphases = a\tb:8, late:10\n",
+    )
+    .expect("temp spec");
+    let out = exp(&[
+        "run",
+        "--json",
+        json.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        spec.to_str().unwrap(),
+    ]);
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap_or_default();
+    let (json_text, trace_text) = (read(&json), read(&trace));
+    for p in [&spec, &json, &trace] {
+        let _ = std::fs::remove_file(p);
+    }
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        json_text.contains("\"scenario\": \"tab\\there\""),
+        "{json_text}"
+    );
+    assert!(json_text.contains("\"name\": \"a\\tb\""), "{json_text}");
+    assert!(trace_text.contains("\"phase\": \"a\\tb\""), "{trace_text}");
+    for text in [&json_text, &trace_text] {
+        assert!(
+            text.bytes().all(|b| b >= b' ' || b == b'\n'),
+            "a raw control byte: {text:?}"
+        );
+    }
 }

@@ -12,14 +12,18 @@
 //! The `Õ(√n)`-bit Algorithm-3 phase dominates the per-processor cost
 //! (§5: "each execution of AlmostEverywhereToEverywhere takes Õ(√n) bits
 //! per processor, which dominates the cost").
+//!
+//! Both phases run over one [`Transport`] of [`StackMsg`], the
+//! [`Carrier`] of each phase's messages: the tournament and the engine
+//! each wrap their own and open only their own; `AeLens` continues phase
+//! 2's rounds where phase 1's stopped.
 
 use crate::ae_to_e::{AeMsg, AeToEConfig, AeToEOutcome, AeToEProcess};
 use crate::coin::CoinSequence;
 use crate::scale::{impl_scale_builders, StackParams};
 use crate::tournament::{self, TourMsg, TournamentConfig, TournamentOutcome, TreeAdversary};
 use ba_sim::{
-    Adversary, BitStats, Carrier, Envelope, Lockstep, Multicast, Payload, ProcId, SimBuilder,
-    Transport,
+    Adversary, BitStats, Carrier, Envelope, Lockstep, Payload, ProcId, SimBuilder, Transport,
 };
 use ba_topology::Params;
 
@@ -109,6 +113,20 @@ impl Payload for StackMsg {
     }
 }
 
+/// The tournament's routed fans travel as `StackMsg::Tour`.
+impl Carrier<TourMsg> for StackMsg {
+    fn wrap(msg: TourMsg) -> Self {
+        StackMsg::Tour(msg)
+    }
+
+    fn open(&self) -> Option<&TourMsg> {
+        match self {
+            StackMsg::Tour(m) => Some(m),
+            StackMsg::Ae(_) => None,
+        }
+    }
+}
+
 /// Algorithm 3 runs in the engine directly on `StackMsg` envelopes: the
 /// engine wraps what the processors emit and opens deliveries by
 /// reference, so phase 2 converts no envelope on the way in or out.
@@ -151,62 +169,6 @@ impl ba_sim::WireMsg for StackMsg {
             1 => Ok(StackMsg::Ae(ba_sim::WireMsg::decode(buf)?)),
             t => Err(ba_sim::WireError::BadTag(t)),
         }
-    }
-}
-
-/// Projects a `Transport<StackMsg>` down to the tournament's message
-/// type for phase 1.
-struct TourLens<'a, Tr: ?Sized>(&'a mut Tr);
-
-impl<Tr: Transport<StackMsg> + ?Sized> Transport<TourMsg> for TourLens<'_, Tr> {
-    fn send(&mut self, round: usize, env: Envelope<TourMsg>) {
-        self.0.send(
-            round,
-            Envelope::new(env.from, env.to, StackMsg::Tour(env.payload)),
-        );
-    }
-
-    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<TourMsg>)) {
-        self.0.collect(round, &mut |e| {
-            if let StackMsg::Tour(m) = e.payload {
-                deliver(Envelope::new(e.from, e.to, m));
-            }
-        });
-    }
-
-    fn send_many(&mut self, round: usize, mc: Multicast<TourMsg>) {
-        self.0.send_many(
-            round,
-            Multicast {
-                from: mc.from,
-                to: mc.to,
-                payload: StackMsg::Tour(mc.payload),
-            },
-        );
-    }
-
-    fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<TourMsg>)) {
-        self.0.collect_many(round, &mut |mc| {
-            if let StackMsg::Tour(m) = mc.payload {
-                deliver(Multicast {
-                    from: mc.from,
-                    to: mc.to,
-                    payload: m,
-                });
-            }
-        });
-    }
-
-    fn is_online(&self, round: usize, p: ProcId) -> bool {
-        self.0.is_online(round, p)
-    }
-
-    fn is_faulty(&self, round: usize, p: ProcId) -> bool {
-        self.0.is_faulty(round, p)
-    }
-
-    fn mark_phase(&mut self, round: usize, name: &str) {
-        self.0.mark_phase(round, name);
     }
 }
 
@@ -338,12 +300,8 @@ where
     assert_eq!(inputs.len(), n, "inputs must cover all processors");
 
     // ---- Phase 1: Algorithm 2 + §3.5, over the shared transport ----
-    let t_out = tournament::run_with_transport(
-        &config.tournament,
-        inputs,
-        tree_adversary,
-        &mut TourLens(&mut transport),
-    );
+    let t_out =
+        tournament::run_with_transport(&config.tournament, inputs, tree_adversary, &mut transport);
     let coins = CoinSequence::from_tournament(&t_out);
     let m: u64 = u64::from(t_out.decided);
 

@@ -37,7 +37,9 @@ use crate::election::{lightest_bin, ElectionResult};
 use crate::scale::{impl_scale_builders, StackParams};
 use crate::stream::{Kind, Label};
 use ba_sampler::RegularGraph;
-use ba_sim::{derive_rng, BitStats, Lockstep, Multicast, Payload, ProcId, SimRng, Transport};
+use ba_sim::{
+    derive_rng, BitStats, Carrier, Lockstep, Multicast, Payload, ProcId, SimRng, Transport,
+};
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::Rng;
 use std::collections::HashMap;
@@ -439,7 +441,8 @@ pub fn run<A: TreeAdversary>(
     inputs: &[bool],
     adversary: &mut A,
 ) -> TournamentOutcome {
-    run_with_transport(config, inputs, adversary, &mut Lockstep::default())
+    let mut lockstep = Lockstep::<TourMsg>::default();
+    run_with_transport(config, inputs, adversary, &mut lockstep)
 }
 
 /// [`run`] with the committee-level exchanges routed through an explicit
@@ -464,12 +467,17 @@ pub fn run<A: TreeAdversary>(
 /// # Panics
 ///
 /// Panics if `inputs.len() != params.n` or parameters are invalid.
-pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
+pub fn run_with_transport<A, W, Tr>(
     config: &TournamentConfig,
     inputs: &[bool],
     adversary: &mut A,
     net: &mut Tr,
-) -> TournamentOutcome {
+) -> TournamentOutcome
+where
+    A: TreeAdversary,
+    W: Carrier<TourMsg> + Clone,
+    Tr: Transport<W> + ?Sized,
+{
     let p = &config.params;
     assert_eq!(inputs.len(), p.n, "inputs must cover all processors");
     p.validate().expect("invalid parameters");
@@ -1006,8 +1014,10 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
 ///
 /// Each fan leaves as one [`Multicast`]: a transport that keeps batches
 /// whole holds one entry per (sender, committee, exchange), and one that
-/// does not expands it through the trait's default `send_many`.
-fn route<Tr: Transport<TourMsg> + ?Sized>(
+/// does not expands it through the trait's default `send_many`. Fans are
+/// wrapped into the transport's [`Carrier`] type `W` and opened on
+/// delivery; one that does not open is another phase's and reaches nobody.
+fn route<W: Carrier<TourMsg> + Clone, Tr: Transport<W> + ?Sized>(
     net: &mut Tr,
     net_round: &mut usize,
     label: &str,
@@ -1021,16 +1031,31 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
     net.mark_phase(r, label);
     for mc in outbox {
         if net.is_online(r, mc.from) {
-            net.send_many(r, mc);
+            net.send_many(
+                r,
+                Multicast {
+                    from: mc.from,
+                    to: mc.to,
+                    payload: W::wrap(mc.payload),
+                },
+            );
         }
     }
     *net_round += 1;
-    net.collect_many(*net_round, deliver);
+    net.collect_many(*net_round, &mut |mc| {
+        if let Some(&payload) = mc.payload.open() {
+            deliver(Multicast {
+                from: mc.from,
+                to: mc.to,
+                payload,
+            });
+        }
+    });
 }
 
 /// Which processors are up at transport round `round` — a pure function
 /// of the round, so an exchange's fold can have it before the collect.
-fn online_at<Tr: Transport<TourMsg> + ?Sized>(net: &Tr, round: usize, n: usize) -> Vec<bool> {
+fn online_at<W, Tr: Transport<W> + ?Sized>(net: &Tr, round: usize, n: usize) -> Vec<bool> {
     (0..n)
         .map(|i| net.is_online(round, ProcId::new(i)))
         .collect()

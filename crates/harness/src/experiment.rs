@@ -11,7 +11,7 @@ use crate::runner::{run_traced, RunReport};
 use crate::spec::RunSpec;
 use crate::stats::{mean, par_trials, Table};
 use ba_net::NetStats;
-use ba_obs::Trace;
+use ba_obs::{json_escape, Trace};
 use std::path::Path;
 
 /// A named aggregate metric over a [`RunReport`], for table columns and
@@ -94,10 +94,6 @@ pub struct Experiment {
     table: Option<Table>,
     rows: Vec<String>,
     finished: bool,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Formats an f64 as a JSON number (finite; NaN/inf become 0).

@@ -1,28 +1,27 @@
 //! `ba-obs` — deterministic observability for the King–Saia stack.
 //!
-//! Three small, std-only pieces:
+//! One handle, [`Trace`], threaded through the engine, the transports
+//! and the harness:
 //!
-//! - [`Tracer`] / [`Trace`]: a span/event API keyed by sim-time round and
-//!   phase label. Events are rendered to JSONL **at record time** from
-//!   deterministic quantities only (rounds, counts, bits, seeds), so a
-//!   trace is byte-identical per seed at any `BA_PAR_THREADS`. The
-//!   disabled handle ([`Trace::off`]) is a `None` check — protocol code
-//!   pays nothing when tracing is off and consumes **no randomness**
-//!   either way.
-//! - [`Histogram`]: log-bucketed (powers-of-two) counters for cheap
-//!   distribution summaries of bit/latency samples.
-//! - [`ProfileAcc`] + scoped [`ProfileTimer`]: wall-clock hotspot
-//!   accounting. Wall times are *quarantined*: they never enter event
-//!   payloads, only the separate `"profile"` section emitted by
-//!   [`Trace::finish`], which pinning tests strip before comparing.
+//! - [`Trace::event`] renders one JSONL line keyed by sim-time round and
+//!   phase label **at record time**, from deterministic quantities only
+//!   (rounds, counts, bits, seeds), so a trace is byte-identical per
+//!   seed at any `BA_PAR_THREADS`. [`Trace::off`] is a `None`: protocol
+//!   code pays one branch and no allocation when tracing is off, and
+//!   consumes **no randomness** either way.
+//! - [`Trace::timer`] returns a scoped [`ProfileTimer`] that charges
+//!   wall-clock time to a [`ProfileAcc`]. Wall times are *quarantined*:
+//!   they never enter event payloads, only the separate `"profile"`
+//!   section emitted by [`Trace::finish`], which pinning tests strip
+//!   before comparing.
+//!
+//! [`json_escape`] is the one JSON string escaper of the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod hist;
 mod profile;
 mod tracer;
 
-pub use hist::Histogram;
 pub use profile::{ProfileAcc, ProfileEntry, ProfileTimer};
-pub use tracer::{render_event, Field, FileSink, MemSink, NoopTracer, Trace, Tracer};
+pub use tracer::{json_escape, Field, Trace};

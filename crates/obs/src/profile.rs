@@ -27,7 +27,7 @@ pub struct ProfileAcc {
 
 impl ProfileAcc {
     /// Charges `seconds` of wall time to `name`.
-    pub fn add(&mut self, name: &str, seconds: f64) {
+    pub(crate) fn add(&mut self, name: &str, seconds: f64) {
         let e = self.entries.entry(name.to_string()).or_default();
         e.calls += 1;
         e.secs += seconds;
@@ -52,23 +52,15 @@ impl ProfileAcc {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The `k` costliest sites by total seconds.
-    pub fn hotspots(&self, k: usize) -> Vec<(String, ProfileEntry)> {
-        let mut v: Vec<_> = self.entries.iter().map(|(n, e)| (n.clone(), *e)).collect();
-        v.sort_by(|a, b| b.1.secs.total_cmp(&a.1.secs).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
-    }
-
     /// The `"profile"` section lines, one JSONL line per site in name
     /// order. These are the only trace lines carrying wall time.
-    pub fn render_lines(&self) -> Vec<String> {
+    pub(crate) fn render_lines(&self) -> Vec<String> {
         self.entries
             .iter()
             .map(|(name, e)| {
                 format!(
                     "{{\"section\": \"profile\", \"name\": \"{}\", \"calls\": {}, \"secs\": {:.6}}}",
-                    name.replace('\\', "\\\\").replace('"', "\\\""),
+                    crate::json_escape(name),
                     e.calls,
                     e.secs
                 )
@@ -121,7 +113,6 @@ mod tests {
         let x = a.entries().find(|(n, _)| *n == "x").unwrap().1;
         assert_eq!(x.calls, 3);
         assert!((x.secs - 4.0).abs() < 1e-12);
-        assert_eq!(a.hotspots(1)[0].0, "x");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The tracer trait, sinks, and the cloneable [`Trace`] handle.
+//! The cloneable [`Trace`] handle and the JSON rendering behind it.
 
 use crate::profile::{ProfileAcc, ProfileTimer};
 use std::fs::File;
@@ -52,140 +52,84 @@ impl From<String> for Field {
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` as the body of a JSON string (RFC 8259 §7): `"` and `\` are
+/// backslash-escaped and so is every control character U+0000–U+001F
+/// (`\b`, `\t`, `\n`, `\f`, `\r`, otherwise `\u00XX`). Everything else,
+/// non-ASCII included, is copied as is.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\u{8}' => out.push_str("\\b"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\u{c}' => out.push_str("\\f"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Renders one event as a JSONL line: `kind` first, then the sim-time
 /// `round`, the `phase` label (omitted when empty), then `fields` in
 /// argument order. Key order is fixed so traces are byte-comparable.
-pub fn render_event(kind: &str, round: u64, phase: &str, fields: &[(&str, Field)]) -> String {
-    let mut line = format!("{{\"kind\": \"{}\", \"round\": {}", esc(kind), round);
+fn render_event(kind: &str, round: u64, phase: &str, fields: &[(&str, Field)]) -> String {
+    let mut line = format!(
+        "{{\"kind\": \"{}\", \"round\": {}",
+        json_escape(kind),
+        round
+    );
     if !phase.is_empty() {
-        line.push_str(&format!(", \"phase\": \"{}\"", esc(phase)));
+        line.push_str(&format!(", \"phase\": \"{}\"", json_escape(phase)));
     }
     for (key, value) in fields {
         match value {
-            Field::U64(v) => line.push_str(&format!(", \"{}\": {}", esc(key), v)),
+            Field::U64(v) => line.push_str(&format!(", \"{}\": {}", json_escape(key), v)),
             Field::F64(v) => {
                 if v.is_finite() {
-                    line.push_str(&format!(", \"{}\": {}", esc(key), v));
+                    line.push_str(&format!(", \"{}\": {}", json_escape(key), v));
                 } else {
-                    line.push_str(&format!(", \"{}\": null", esc(key)));
+                    line.push_str(&format!(", \"{}\": null", json_escape(key)));
                 }
             }
-            Field::Str(v) => line.push_str(&format!(", \"{}\": \"{}\"", esc(key), esc(v))),
+            Field::Str(v) => line.push_str(&format!(
+                ", \"{}\": \"{}\"",
+                json_escape(key),
+                json_escape(v)
+            )),
         }
     }
     line.push('}');
     line
 }
 
-/// The span/event sink interface. Implementations decide where rendered
-/// JSONL lines go; the default [`NoopTracer`] keeps nothing.
-pub trait Tracer {
-    /// Whether this sink keeps events. Callers may (and the instrumented
-    /// hot paths do) skip building payloads entirely when `false`.
-    fn enabled(&self) -> bool;
+/// Where a live handle's lines go. The harness gives each trial its own
+/// memory sink and replays the buffers in trial order, which is what
+/// makes merged traces deterministic at any thread count.
+enum Sink {
+    Memory(Vec<String>),
+    File(BufWriter<File>),
+}
 
-    /// Appends one already-rendered JSONL line.
-    fn record(&mut self, line: String);
-
-    /// Renders and records an event keyed by sim-time round and phase
-    /// label. No-op when the sink is disabled.
-    fn event(&mut self, kind: &str, round: u64, phase: &str, fields: &[(&str, Field)]) {
-        if self.enabled() {
-            self.record(render_event(kind, round, phase, fields));
+impl Sink {
+    fn record(&mut self, line: String) {
+        match self {
+            Sink::Memory(lines) => lines.push(line),
+            // Trace output is best-effort: a full disk should not alter
+            // the run it is observing.
+            Sink::File(out) => {
+                let _ = writeln!(out, "{line}");
+            }
         }
     }
-
-    /// Records a span: an interval of sim-time rounds under a phase
-    /// label. Spans are plain events with fixed `start`/`end` fields so
-    /// readers need no matching logic.
-    fn span(&mut self, kind: &str, start: u64, end: u64, phase: &str, fields: &[(&str, Field)]) {
-        if self.enabled() {
-            let mut all = vec![("start", Field::U64(start)), ("end", Field::U64(end))];
-            all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-            self.record(render_event(kind, start, phase, &all));
-        }
-    }
-}
-
-/// The zero-cost default sink: discards everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _line: String) {}
-}
-
-/// An in-memory sink. The harness gives each trial its own `MemSink`
-/// and merges the buffers in trial order, which is what makes merged
-/// traces deterministic at any thread count.
-#[derive(Clone, Debug, Default)]
-pub struct MemSink {
-    lines: Vec<String>,
-}
-
-impl MemSink {
-    /// Takes the buffered lines, leaving the sink empty.
-    pub fn take_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.lines)
-    }
-}
-
-impl Tracer for MemSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, line: String) {
-        self.lines.push(line);
-    }
-}
-
-/// A buffered JSONL file sink.
-pub struct FileSink {
-    out: BufWriter<File>,
-}
-
-impl FileSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(FileSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-
-    /// Flushes buffered lines to disk.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-impl Tracer for FileSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, line: String) {
-        // Trace output is best-effort: a full disk should not alter the
-        // run it is observing.
-        let _ = writeln!(self.out, "{line}");
-    }
-}
-
-enum SinkKind {
-    Mem(MemSink),
-    File(FileSink),
 }
 
 struct Shared {
-    sink: SinkKind,
+    sink: Sink,
     profile: ProfileAcc,
 }
 
@@ -210,24 +154,23 @@ impl Trace {
         Trace { inner: None }
     }
 
-    /// A handle over a fresh in-memory sink.
-    pub fn memory() -> Self {
+    fn over(sink: Sink) -> Self {
         Trace {
             inner: Some(Arc::new(Mutex::new(Shared {
-                sink: SinkKind::Mem(MemSink::default()),
+                sink,
                 profile: ProfileAcc::default(),
             }))),
         }
     }
 
-    /// A handle over a JSONL file sink at `path`.
+    /// A handle over a fresh in-memory buffer.
+    pub fn memory() -> Self {
+        Trace::over(Sink::Memory(Vec::new()))
+    }
+
+    /// A handle writing JSONL to `path` (created or truncated).
     pub fn to_file(path: &Path) -> io::Result<Self> {
-        Ok(Trace {
-            inner: Some(Arc::new(Mutex::new(Shared {
-                sink: SinkKind::File(FileSink::create(path)?),
-                profile: ProfileAcc::default(),
-            }))),
-        })
+        Ok(Trace::over(Sink::File(BufWriter::new(File::create(path)?))))
     }
 
     /// Whether events are being kept.
@@ -244,17 +187,7 @@ impl Trace {
     /// Renders and records an event (no-op when off).
     pub fn event(&self, kind: &str, round: u64, phase: &str, fields: &[(&str, Field)]) {
         if self.is_on() {
-            let line = render_event(kind, round, phase, fields);
-            self.raw(line);
-        }
-    }
-
-    /// Records a span event with fixed `start`/`end` fields.
-    pub fn span(&self, kind: &str, start: u64, end: u64, phase: &str, fields: &[(&str, Field)]) {
-        if self.is_on() {
-            let mut all = vec![("start", Field::U64(start)), ("end", Field::U64(end))];
-            all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
-            self.raw(render_event(kind, start, phase, &all));
+            self.raw(render_event(kind, round, phase, fields));
         }
     }
 
@@ -262,24 +195,21 @@ impl Trace {
     /// harness replays per-trial memory buffers into the master sink in
     /// trial order).
     pub fn raw(&self, line: String) {
-        self.with(|s| match &mut s.sink {
-            SinkKind::Mem(m) => m.record(line),
-            SinkKind::File(f) => f.record(line),
-        });
+        self.with(|s| s.sink.record(line));
     }
 
     /// Takes buffered lines from a memory-backed handle (empty for file
     /// sinks or when off).
     pub fn take_lines(&self) -> Vec<String> {
         self.with(|s| match &mut s.sink {
-            SinkKind::Mem(m) => m.take_lines(),
-            SinkKind::File(_) => Vec::new(),
+            Sink::Memory(lines) => std::mem::take(lines),
+            Sink::File(_) => Vec::new(),
         })
         .unwrap_or_default()
     }
 
     /// Adds one sample to the quarantined wall-clock profile.
-    pub fn profile_add(&self, name: &str, seconds: f64) {
+    pub(crate) fn profile_add(&self, name: &str, seconds: f64) {
         self.with(|s| s.profile.add(name, seconds));
     }
 
@@ -310,13 +240,10 @@ impl Trace {
     pub fn finish(&self) {
         self.with(|s| {
             for line in s.profile.render_lines() {
-                match &mut s.sink {
-                    SinkKind::Mem(m) => m.record(line),
-                    SinkKind::File(f) => f.record(line),
-                }
+                s.sink.record(line);
             }
-            if let SinkKind::File(f) = &mut s.sink {
-                let _ = f.flush();
+            if let Sink::File(out) = &mut s.sink {
+                let _ = out.flush();
             }
         });
     }
@@ -346,17 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn omits_empty_phase_and_handles_non_finite() {
-        let line = render_event("x", 0, "", &[("v", Field::F64(f64::NAN))]);
-        assert_eq!(line, "{\"kind\": \"x\", \"round\": 0, \"v\": null}");
+    fn escapes_every_control_character() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("a\tb\nc\rd"), "a\\tb\\nc\\rd");
+        assert_eq!(json_escape("\u{0}\u{8}\u{c}\u{1f}"), "\\u0000\\b\\f\\u001f");
+        assert_eq!(json_escape("ε:3 \u{7f}"), "ε:3 \u{7f}");
+        let escaped: String = (0u8..0x20)
+            .map(|b| json_escape(&char::from(b).to_string()))
+            .collect();
+        assert!(escaped.bytes().all(|b| b >= b' '), "{escaped}");
     }
 
     #[test]
-    fn noop_tracer_is_disabled() {
-        let mut t = NoopTracer;
-        assert!(!t.enabled());
-        t.event("x", 0, "", &[]);
-        // Nothing observable: NoopTracer holds no state by construction.
+    fn omits_empty_phase_and_handles_non_finite() {
+        let line = render_event("x", 0, "", &[("v", Field::F64(f64::NAN))]);
+        assert_eq!(line, "{\"kind\": \"x\", \"round\": 0, \"v\": null}");
     }
 
     #[test]
@@ -377,18 +308,6 @@ mod tests {
         assert!(lines[0].starts_with("{\"kind\": \"a\""));
         assert!(lines[1].contains("\"bits\": 64"));
         assert!(t.take_lines().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn span_carries_start_and_end() {
-        let t = Trace::memory();
-        t.span("phase", 3, 9, "root:coin", &[("bits", 10u64.into())]);
-        let lines = t.take_lines();
-        assert_eq!(
-            lines[0],
-            "{\"kind\": \"phase\", \"round\": 3, \"phase\": \"root:coin\", \
-             \"start\": 3, \"end\": 9, \"bits\": 10}"
-        );
     }
 
     #[test]

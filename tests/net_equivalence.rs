@@ -276,7 +276,7 @@ fn tournament_is_equivalent_under_adversaries() {
     }
 }
 
-/// The NoopTracer pin: runs with `Trace::off()` explicitly attached to
+/// The trace-off pin: runs with `Trace::off()` explicitly attached to
 /// both the engine and the transport — and runs with a live
 /// `Trace::memory()` attached — are byte-identical to the plain
 /// pre-tracing construction. Observability is an observer: it consumes
