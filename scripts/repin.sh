@@ -12,9 +12,11 @@
 #              wherever .claude/skills/verify/SKILL.md quotes it. Put the
 #              table in the PR and in CHANGES.md.
 #
-# Numeric pins (scripts/pins.env): the `exp scale` rows' bits and rounds at
-# n = 4096 and 16384, and the serve daemon's data frames and bytes for a
-# pass of fans and a pass of singles. Golden tests (constants recorded in
+# Pins (scripts/pins.env): the `exp scale` rows' bits and rounds at
+# n = 4096 and 16384, the serve daemon's data frames and bytes for a pass
+# of fans and a pass of singles, and the sha256 of what `exp run` writes
+# for the whole scenario library (its JSON rows, and its trace without the
+# wall-clock profile section). Golden tests (constants recorded in
 # their own source, re-recorded by hand as each says): the engine's
 # delivery order and counters, the Theorem 1 / Theorem 2 shapes, the
 # partition elections, the hunt's pinned regressions and the finding CI
@@ -47,7 +49,8 @@ cleanup() {
 trap cleanup EXIT
 
 PIN_NAMES=(SCALE_4096_BITS SCALE_4096_ROUNDS SCALE_16384_BITS SCALE_16384_ROUNDS
-    SERVE_FANS_FRAMES SERVE_FANS_BYTES SERVE_SINGLES_FRAMES SERVE_SINGLES_BYTES)
+    SERVE_FANS_FRAMES SERVE_FANS_BYTES SERVE_SINGLES_FRAMES SERVE_SINGLES_BYTES
+    LIBRARY_ROWS LIBRARY_TRACE)
 
 FAILED=0
 fail() { echo "repin: $*"; FAILED=1; }
@@ -119,6 +122,18 @@ NEW_SERVE_FANS_BYTES="$(json_field "$TMP/fans.json" server_data_bytes)"
 NEW_SERVE_SINGLES_FRAMES="$(json_field "$TMP/singles.json" server_data_frames)"
 NEW_SERVE_SINGLES_BYTES="$(json_field "$TMP/singles.json" server_data_bytes)"
 
+echo "== scenario library (exp run: every .scn, rows and trace) =="
+# Every spec under scenarios/ and scenarios/regressions at its own trial
+# count (~2 s): each protocol over every kind of net the grammar can
+# say, every delivery policy among them. The rows and the trace lines are
+# exact per seed at any BA_PAR_THREADS; the profile section is wall-clock
+# and is left out.
+timeout 120 target/release/exp run --json "$TMP/library.json" --trace "$TMP/library.jsonl" \
+    scenarios scenarios/regressions >"$TMP/library.log" \
+    || { cat "$TMP/library.log"; fail "library: exp run failed"; }
+NEW_LIBRARY_ROWS="$(sha256sum <"$TMP/library.json" | cut -d' ' -f1)"
+NEW_LIBRARY_TRACE="$(grep -v '"section": "profile"' "$TMP/library.jsonl" | sha256sum | cut -d' ' -f1)"
+
 echo "== golden tests (constants recorded in their own source) =="
 golden() { # <what to do when it moved> <cargo test arguments...>
     local remedy="$1"
@@ -150,7 +165,7 @@ for pin in "${PIN_NAMES[@]}"; do
     old="${!pin}"
     new_var="NEW_$pin"
     new="${!new_var}"
-    [[ "$new" =~ ^[0-9]+$ ]] || { echo "repin: could not measure $pin (read '$new')"; exit 1; }
+    [[ "$new" =~ ^[0-9a-f]+$ ]] || { echo "repin: could not measure $pin (read '$new')"; exit 1; }
     if [[ "$old" == "$new" ]]; then
         printf '  %-22s %12s    (unchanged)\n' "$pin" "$old"
     else
