@@ -1041,6 +1041,15 @@ mod tests {
         assert_eq!(scale.validate(), Ok(()), "the scale profile's degree fits");
     }
 
+    /// Bit 31 of a recipient in flight marks the end of its group, so
+    /// `NetTransport::new` panics past 2³¹ processors: the spec is refused
+    /// first.
+    #[test]
+    fn more_processors_than_the_transport_carries_is_an_error_not_a_panic() {
+        let err = run_trial(&RunSpec::flood((1 << 31) + 1), 0).expect_err("n = 2^31 + 1");
+        assert!(err.contains("2147483649"), "{err}");
+    }
+
     #[test]
     fn zero_delta_is_an_error_not_a_panic() {
         let cfg = NetConfig {

@@ -11,7 +11,7 @@ use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
 use ba_core::everywhere::EverywhereConfig;
 use ba_core::tournament::{NoTreeAdversary, TreeAdversary};
-use ba_net::{InputPattern, NetConfig};
+use ba_net::{InputPattern, NetConfig, MAX_PROCS};
 use ba_topology::Params;
 
 /// The most a run's gossip graph over all processors may take: past it
@@ -516,6 +516,12 @@ impl RunSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.n == 0 {
             return Err("n must be positive".to_owned());
+        }
+        if self.n > MAX_PROCS {
+            return Err(format!(
+                "n = {} is past the {MAX_PROCS} processors a transport carries",
+                self.n
+            ));
         }
         // The `.scn` parser says the same; `NetTransport::new` would panic.
         if self.net.delta == 0 {

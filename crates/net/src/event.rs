@@ -93,12 +93,24 @@ impl DeliveryPolicy {
         DeliveryPolicy::AdversarialLifo,
         DeliveryPolicy::Shuffle,
     ];
-}
 
-/// A throwaway stream for policy-free drains. [`DeliveryPolicy::Fifo`]
-/// never draws from its stream, so any seed works here.
-fn no_ordering_rng() -> SimRng {
-    ba_sim::derive_rng(0, 0)
+    /// Puts one instant's *units* — whatever the caller hands out as one
+    /// — in this policy's order: as they came, reversed, or a
+    /// Fisher–Yates permutation drawing `rng.gen_range(0..=i)` for each
+    /// `i` from the last index down to 1. The only place a policy acts:
+    /// [`EventQueue::drain_due_policy`] orders events with it, and
+    /// `NetTransport`'s drain its delivery units.
+    pub(crate) fn order<T>(self, units: &mut [T], rng: &mut SimRng) {
+        match self {
+            DeliveryPolicy::Fifo => {}
+            DeliveryPolicy::AdversarialLifo => units.reverse(),
+            DeliveryPolicy::Shuffle => {
+                for i in (1..units.len()).rev() {
+                    units.swap(i, rng.gen_range(0..=i));
+                }
+            }
+        }
+    }
 }
 
 /// Bytes in one full chunk of a bucket. Small enough that a freed chunk
@@ -161,9 +173,8 @@ impl<T, K: Ord + Copy> Bucket<T, K> {
         self.chunks.iter().map(VecDeque::len).sum()
     }
 
-    /// Puts the entries in `tie` order, equal ties in push order, for
-    /// [`Bucket::pop_front`]. (A drain sorts the instant it has flattened
-    /// anyway and never re-chunks it.)
+    /// Puts the entries in `tie` order, equal ties in push order, before
+    /// the instant is popped from or drained.
     fn ensure_sorted(&mut self, scratch: &mut Vec<(K, T)>) {
         if self.sorted {
             return;
@@ -205,7 +216,7 @@ pub struct EventQueue<T, K = u64> {
     /// Firing time → the events at that instant; never an empty bucket.
     buckets: BTreeMap<u64, Bucket<T, K>>,
     len: usize,
-    /// One instant flattened, for a sort or a shuffle.
+    /// One instant flattened, for a sort.
     scratch: Vec<(K, T)>,
 }
 
@@ -255,11 +266,31 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
         Some((time, value))
     }
 
+    /// Removes the earliest instant if it fires at or before `now`, and
+    /// returns its time and its events in `tie` order, equal ties in push
+    /// order. The events are the caller's: the queue is free to use while
+    /// they are walked, chunk by chunk, each chunk freed as it empties.
+    pub(crate) fn pop_instant(&mut self, now: u64) -> Option<(u64, impl Iterator<Item = T>)> {
+        let first = self.buckets.first_entry()?;
+        if *first.key() > now {
+            return None;
+        }
+        let (time, mut bucket) = first.remove_entry();
+        self.len -= bucket.len();
+        bucket.ensure_sorted(&mut self.scratch);
+        Some((
+            time,
+            bucket.chunks.into_iter().flatten().map(|(_, value)| value),
+        ))
+    }
+
     /// Drains **every** event firing at or before `now` into `f`, in
     /// `(time, tie)` order, equal keys in push order — one tree operation
     /// per distinct firing time instead of one pop per event.
     pub fn drain_due(&mut self, now: u64, f: &mut dyn FnMut(u64, T)) {
-        self.drain_due_policy(now, DeliveryPolicy::Fifo, &mut no_ordering_rng(), f);
+        while let Some((time, events)) = self.pop_instant(now) {
+            events.for_each(|value| f(time, value));
+        }
     }
 
     /// [`EventQueue::drain_due`] with a same-instant [`DeliveryPolicy`].
@@ -268,9 +299,8 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// so *which* events are due and *when* they fire never depend on
     /// it. `rng` is the caller's dedicated ordering stream:
     /// [`DeliveryPolicy::Shuffle`] draws one Fisher–Yates permutation per
-    /// batch from it; the other policies leave it untouched, which is
-    /// what keeps [`DeliveryPolicy::Fifo`] byte-identical to the
-    /// plain [`EventQueue::drain_due`].
+    /// batch from it; the other policies leave it untouched, and
+    /// [`DeliveryPolicy::Fifo`] *is* the plain [`EventQueue::drain_due`].
     pub fn drain_due_policy(
         &mut self,
         now: u64,
@@ -278,34 +308,14 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
         rng: &mut SimRng,
         f: &mut dyn FnMut(u64, T),
     ) {
-        let lifo = policy == DeliveryPolicy::AdversarialLifo;
-        while let Some(first) = self.buckets.first_entry() {
-            let time = *first.key();
-            if time > now {
-                return;
-            }
-            let bucket = first.remove();
-            self.len -= bucket.len();
-            // Chunk by chunk, each freed as it empties.
-            let entries = bucket.chunks.into_iter().flatten();
-            if bucket.sorted && policy != DeliveryPolicy::Shuffle {
-                emit(time, lifo, entries, f);
-                continue;
-            }
-            // An instant to reorder is flattened once, and leaves from
-            // where it was reordered.
-            let batch = &mut self.scratch;
-            batch.extend(entries);
-            if !bucket.sorted {
-                batch.sort_by_key(|e| e.0);
-            }
-            if policy == DeliveryPolicy::Shuffle {
-                for i in (1..batch.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    batch.swap(i, j);
-                }
-            }
-            emit(time, lifo, batch.drain(..), f);
+        if policy == DeliveryPolicy::Fifo {
+            return self.drain_due(now, f);
+        }
+        let mut batch = Vec::new();
+        while let Some((time, events)) = self.pop_instant(now) {
+            batch.extend(events);
+            policy.order(&mut batch, rng);
+            batch.drain(..).for_each(|value| f(time, value));
         }
     }
 
@@ -317,20 +327,6 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-}
-
-/// Hands one instant's events to `f`, front to back or back to front.
-fn emit<K, T>(
-    time: u64,
-    lifo: bool,
-    entries: impl DoubleEndedIterator<Item = (K, T)>,
-    f: &mut dyn FnMut(u64, T),
-) {
-    if lifo {
-        entries.rev().for_each(|(_, value)| f(time, value));
-    } else {
-        entries.for_each(|(_, value)| f(time, value));
     }
 }
 
@@ -529,7 +525,9 @@ mod tests {
         assert!(got[1..].iter().copied().eq(0..full));
     }
 
-    /// The queue against a sorted vector.
+    /// The queue against a sorted vector, each instant in the policy's
+    /// `order` (which the policy tests above and the transport's golden
+    /// delivery order pin on their own).
     mod model {
         use super::*;
         use proptest::prelude::*;
@@ -569,15 +567,7 @@ mod tests {
             ) -> Vec<(u64, u32)> {
                 let mut out = Vec::new();
                 for instant in self.take_due(now).chunk_by_mut(|a, b| a.0 == b.0) {
-                    match policy {
-                        DeliveryPolicy::Fifo => {}
-                        DeliveryPolicy::AdversarialLifo => instant.reverse(),
-                        DeliveryPolicy::Shuffle => {
-                            for i in (1..instant.len()).rev() {
-                                instant.swap(i, rng.gen_range(0..=i));
-                            }
-                        }
-                    }
+                    policy.order(instant, rng);
                     out.extend(instant.iter().map(|e| (e.0, e.2)));
                 }
                 out

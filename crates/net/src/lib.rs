@@ -85,4 +85,4 @@ pub use fault::{Churn, Crash, DropCause, FaultPlan, Partition};
 pub use latency::LatencyModel;
 pub use ledger::{NetStats, PhaseLedger, PhaseNetStats};
 pub use scenario::{InputPattern, ScenarioSpec};
-pub use transport::{NetConfig, NetTransport, NET_LABEL, ORDER_LABEL};
+pub use transport::{NetConfig, NetTransport, MAX_PROCS, NET_LABEL, ORDER_LABEL};

@@ -14,25 +14,24 @@
 //!
 //! ## What a message in the air costs
 //!
-//! One `send` / `send_many` call is one *flight* — sender, sending round,
-//! payload, recipients — stored once in a slab however many arrival ticks
-//! its recipients spread over. The event queue holds nothing but the
-//! flight's 4-byte slot, once per same-arrival group of its recipients.
-//! Which group an entry stands for is not written down: a jittered fan
-//! keeps its survivors sorted by `(arrival, emission order)`, its groups
-//! therefore leave the calendar in list order, and the flight walks the
-//! list with a cursor — the last member of each group carries bit 31 of
-//! its id, cleared in place as the group is handed out. A recipient in
-//! the air is thus 4 bytes of queue and 4 of survivor list
-//! (`tests/net_memory.rs` budgets the sum); a fan that lands on one tick
-//! keeps the caller's list untouched and is handed back by `Arc::clone`.
+//! A *flight* is one `send_many` call (a fan: sender, sending round,
+//! payload, recipients) or one `send_round` call (a round: its own
+//! `Vec<Envelope>`, swapped out of the caller's hands; a `send` is a
+//! round of one), stored once however many arrival ticks it spreads over.
+//! The event queue holds nothing but its 4-byte slot, once per
+//! same-arrival group: a flight keeps its survivors sorted by `(arrival,
+//! emission order)`, so its groups leave the calendar in list order, and
+//! it walks the list with a cursor, the last member of each group marked
+//! by bit 31 of its id (an envelope's `to`) until the group is closed. A
+//! recipient of a jittered fan in the air is 4 bytes of queue and 4 of
+//! list, an envelope of a round itself (`tests/net_memory.rs`); a flight
+//! that lands on one tick is neither sorted nor copied.
 //!
-//! One `send_round` call is one flight too: the round's own
-//! `Vec<Envelope>`, swapped out of the caller's hands, its survivors in
-//! `(arrival, emission order)` and walked by the same cursor and the same
-//! mark (on an envelope's `to`). An envelope in the air is then itself
-//! and nothing else, its group one 4-byte slot; a round that lands on one
-//! tick is neither sorted nor copied, and `collect_round` swaps it back.
+//! The drain closes an instant's groups in calendar order — emission
+//! order — and hands out its *units* in the order of
+//! [`NetConfig::ordering`]: a fan's group is one unit, and so is a
+//! round's under [`DeliveryPolicy::Fifo`]; the policies that reorder take
+//! a round envelope by envelope, the units one `send` each would make.
 
 use crate::event::{DeliveryPolicy, EventQueue};
 use crate::fault::{Churn, DropCause, FaultPlan};
@@ -42,10 +41,19 @@ use ba_obs::Trace;
 use ba_sim::{derive_rng, Envelope, Multicast, Payload, ProcId, Schedule, SimRng, Transport};
 use std::sync::Arc;
 
+type Range = std::ops::Range<usize>;
+
+/// What an instant hands out as one: `(slot, start, end)` of a flight.
+type Unit = (u32, u32, u32);
+
 /// Label space for the network transport's RNG stream (labels `0..n` are
 /// processor coins, `1 << 40` the adversary, `1 << 41` sampler
 /// construction — see `ba_sim::derive_rng`).
 pub const NET_LABEL: u64 = 1 << 42;
+
+/// The most processors a [`NetTransport`] carries: bit 31 of a recipient
+/// in flight marks the end of its group, so every index stays below it.
+pub const MAX_PROCS: usize = 1 << 31;
 
 /// Label of the *ordering* stream: [`DeliveryPolicy::Shuffle`] draws its
 /// same-instant permutations here, never from [`NET_LABEL`], so changing
@@ -138,10 +146,10 @@ impl Default for NetConfig {
     }
 }
 
-/// One `send` / `send_many` call in flight, stored once however many
-/// arrival ticks its recipients spread over. The event queue holds only
-/// the slab slot of one of these, once per same-arrival group: the flight
-/// itself knows which of its recipients leave next.
+/// One `send_many` call in flight, stored once however many arrival ticks
+/// its recipients spread over. The event queue holds only the slab slot of
+/// one of these, once per same-arrival group: the flight itself knows
+/// which of its recipients leave next.
 #[derive(Debug)]
 struct Flight<M> {
     /// Narrow (checked at [`NetTransport::launch`]) so that `Dest`'s tag
@@ -155,8 +163,6 @@ struct Flight<M> {
 /// Recipients of one flight, in delivery order.
 #[derive(Debug)]
 enum Dest {
-    /// A single envelope.
-    One(ProcId),
     /// A fan that lands on one tick — a fast-path fan, or a slow-path
     /// one whose survivors drew one arrival: the caller's own list when
     /// nothing was dropped, else one shared list of the survivors. It is
@@ -171,10 +177,10 @@ enum Dest {
     Groups { list: Box<[ProcId]>, next: u32 },
 }
 
-/// One `send_round` call in flight: the buffer the round came in, in the
-/// slab beside the flights' (a [`Flight`] is one sender and one payload,
-/// and pays for neither a `Vec` nor a second kind). Queued once per
-/// same-arrival group like a [`Dest::Groups`] fan, and walked the same
+/// One `send_round` or `send` call in flight: the buffer the round came
+/// in, in the slab beside the fans' (a [`Flight`] is one sender and one
+/// payload, and pays for neither a `Vec` nor a second kind). Queued once
+/// per same-arrival group like a [`Dest::Groups`] fan, and walked the same
 /// way.
 #[derive(Debug)]
 struct RoundFlight<M> {
@@ -191,29 +197,35 @@ struct RoundFlight<M> {
 /// The bit of a queued slot that says it indexes `rounds`, not `flights`.
 const ROUND: u32 = 1 << 31;
 
+/// What a queued slot of `flights` holds.
+const LIVE: &str = "a queued slot holds a live flight";
+
 /// The bit of a [`ProcId`] — in a [`Dest::Groups`] list, or the `to` of
 /// an envelope of a [`RoundFlight`] — that marks the last member of a
 /// same-arrival group. It is cleared in place before the group is handed
 /// out, so no recipient ever leaves the transport marked;
 /// [`NetTransport::new`] keeps every real index below it.
-const GROUP_END: usize = 1 << 31;
+const GROUP_END: usize = MAX_PROCS;
 
 /// `p` as the last member of its group.
 fn marked(p: ProcId) -> ProcId {
     ProcId::new(p.index() | GROUP_END)
 }
 
-/// Closes the group `list` starts with — finds its marked member and
-/// clears the mark — and returns its length. `to` is where an entry keeps
-/// its recipient.
-fn close_group<T>(list: &mut [T], to: impl Fn(&mut T) -> &mut ProcId) -> usize {
-    let last = list
-        .iter_mut()
-        .position(|entry| to(entry).index() & GROUP_END != 0)
-        .expect("a queued group ends at a marked recipient");
+/// Closes the group of `list` that starts at `next` — finds its marked
+/// member and clears the mark — moves `next` past it and returns its
+/// range. `to` is where an entry keeps its recipient.
+fn close_group<T>(list: &mut [T], next: &mut u32, to: impl Fn(&mut T) -> &mut ProcId) -> Range {
+    let start = *next as usize;
+    let last = start
+        + list[start..]
+            .iter_mut()
+            .position(|entry| to(entry).index() & GROUP_END != 0)
+            .expect("a queued group ends at a marked recipient");
     let p = to(&mut list[last]);
     *p = ProcId::new(p.index() & !GROUP_END);
-    last + 1
+    *next = last as u32 + 1;
+    start..last + 1
 }
 
 /// Puts `envs` in the order of `landed`, whose indices are a permutation
@@ -234,25 +246,24 @@ fn permute<T>(envs: &mut [T], landed: &mut [(u64, u32)]) {
     }
 }
 
-/// What [`NetTransport::drain_round`] hands its sink: one same-arrival
-/// group, due now.
+/// What [`NetTransport::drain_round`] hands its sink: one unit of an
+/// instant, due now.
 enum Due<'a, M> {
-    /// Of a fan: the sender, the fan's own list when the group is all of
-    /// it, the group, the payload.
+    /// A fan's group: the sender, the fan's own list when the group is
+    /// all of it, the group, the payload.
     Fan(ProcId, Option<&'a Arc<[ProcId]>>, &'a [ProcId], &'a M),
-    /// Of a round of singles: the flight's buffer and the group's place
-    /// in it. A sink may swap the buffer for another when the group is
-    /// all of it, and must otherwise leave it as it is.
-    Singles(&'a mut Vec<Envelope<M>>, std::ops::Range<usize>),
+    /// Of a round: the flight's buffer and the unit's place in it. A sink
+    /// may swap the buffer for another when the unit is all of it, and
+    /// must otherwise leave it as it is.
+    Singles(&'a mut Vec<Envelope<M>>, Range),
 }
 
 // The per-envelope cost of a jittered fan is one queue entry and one
 // survivor-list entry, and a queue entry is the flight's slot and nothing
-// else; a field added to it shows up here, not in a memory profile. Nor
-// may the cursor cost a single send anything: it sits beside `Dest`'s
-// tag, and a flight is no larger than when it counted recipients down
-// (40 bytes around a `u16`, 56 around a 24-byte message such as
-// `StackMsg`, for which `[u64; 3]` stands in here).
+// else; a field added to it shows up here, not in a memory profile. The
+// cursor sits beside `Dest`'s tag, and a fan is no larger than when it
+// counted recipients down (40 bytes around a `u16`, 56 around a 24-byte
+// message such as `StackMsg`, for which `[u64; 3]` stands in here).
 const _: () = assert!(std::mem::size_of::<((), u32)>() == 4);
 const _: () = assert!(std::mem::size_of::<Flight<u16>>() <= 40);
 const _: () = assert!(std::mem::size_of::<Flight<[u64; 3]>>() <= 56);
@@ -273,31 +284,26 @@ pub struct NetTransport<M> {
     /// Per-processor crash round (precomputed from the plan), `usize::MAX`
     /// when the processor never crashes.
     crash_round: Vec<usize>,
-    /// Flights with undelivered recipients; `free` lists the empty slots.
+    /// Fans with undelivered recipients; `free` lists the empty slots.
     flights: Vec<Option<Flight<M>>>,
     free: Vec<u32>,
-    /// Whole rounds with undelivered envelopes, and the slots whose round
-    /// is delivered (their buffers empty).
+    /// Rounds with undelivered envelopes, and the slots whose round is
+    /// delivered (their buffers empty).
     rounds: Vec<RoundFlight<M>>,
     free_rounds: Vec<u32>,
     /// Flight slots by arrival tick ([`ROUND`] set on a slot of `rounds`),
     /// one entry per same-arrival group. The queue keeps one instant's
     /// events in push order, and pushes happen in emission order —
     /// `send`, `send_many` and `send_round` run one after another on
-    /// `&mut self`, and one `send_many` or `send_round` puts at most one
-    /// group in any instant (its groups are the distinct arrivals of
-    /// `landed`, pushed in ascending arrival, which is why an entry need
-    /// not say *which* group it is) — so no tie key is needed for
-    /// delivery order to be `(arrival, emission order)`. A group of a
-    /// round of singles is its envelopes in emission order, which is
-    /// where the per-envelope path puts them only under
-    /// [`DeliveryPolicy::Fifo`]: the other policies reorder an instant
-    /// unit by unit, so under them `send_round` makes every envelope a
-    /// unit of its own.
+    /// `&mut self`, and one call puts at most one group in any instant
+    /// (its distinct arrivals, pushed in ascending order: an entry need
+    /// not say *which* group it is) — so an instant drains in emission
+    /// order without a tie key.
     queue: EventQueue<u32, ()>,
     rng: SimRng,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
-    /// `Shuffle` policy ever draws from it.
+    /// `Shuffle` policy ever draws from it, once a unit past an instant's
+    /// first.
     order_rng: SimRng,
     /// Every counter, per phase of the sending round. A multicast counts
     /// one per recipient, so batching never changes what it holds.
@@ -326,12 +332,12 @@ impl<M> NetTransport<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.delta == 0`, or if `n` exceeds 2³¹: bit 31 of a
-    /// queued recipient marks the end of a same-arrival group.
+    /// Panics if `cfg.delta == 0`, or if `n` exceeds [`MAX_PROCS`]: bit 31
+    /// of a queued recipient marks the end of a same-arrival group.
     pub fn new(n: usize, cfg: NetConfig) -> Self {
         assert!(cfg.delta > 0, "delta must be at least one tick per round");
         assert!(
-            n <= GROUP_END,
+            n <= MAX_PROCS,
             "{n} processors: bit 31 of a queued recipient marks the end of its group, \
              and a value too wide panics instead of folding"
         );
@@ -431,7 +437,7 @@ impl<M> NetTransport<M> {
         }
     }
 
-    /// Stores a flight; returns its slot, which is what the queue holds.
+    /// Stores a fan; returns its slot, which is what the queue holds.
     fn launch(&mut self, round: usize, from: ProcId, to: Dest, payload: M) -> u32 {
         let flight = Flight {
             sent_round: u32::try_from(round).expect("fewer than 2^32 rounds"),
@@ -461,8 +467,8 @@ impl<M> NetTransport<M> {
             .expect("fewer than 2^31 flights")
     }
 
-    /// Stores a round of singles to deliver, trading `envs` for the
-    /// slot's spare buffer; returns what the queue holds for it.
+    /// Stores a round to deliver, trading `envs` for the slot's spare
+    /// buffer; returns what the queue holds for it.
     fn launch_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) -> u32 {
         let slot = self.free_rounds.pop().unwrap_or_else(|| {
             let slot = Self::fresh_slot(self.rounds.len());
@@ -491,8 +497,8 @@ impl<M> NetTransport<M> {
             .clone()
     }
 
-    /// [`Transport::is_online`] over the fields it reads, for the drain
-    /// closure, and without the trait's payload bound.
+    /// [`Transport::is_online`] over the fields it reads, and without the
+    /// trait's payload bound.
     fn up(crash_round: &[usize], churn: Option<Churn>, round: usize, p: ProcId) -> bool {
         let i = p.index();
         if crash_round.get(i).is_some_and(|&c| round >= c) {
@@ -501,10 +507,55 @@ impl<M> NetTransport<M> {
         !churn.is_some_and(|c| c.is_down(round, i))
     }
 
+    /// Hands `start..end` of flight `id`'s list to `sink` as one unit,
+    /// counted delivered once per recipient, like one `send` per recipient.
+    fn hand_out(&mut self, round: usize, unit: Unit, sink: &mut impl FnMut(Due<'_, M>)) {
+        let (id, start, end) = unit;
+        let unit = start as usize..end as usize;
+        let (sent, due) = if id & ROUND != 0 {
+            let flight = &mut self.rounds[(id & !ROUND) as usize];
+            let due = Due::Singles(&mut flight.envs, unit);
+            (flight.sent_round as usize, due)
+        } else {
+            let flight = self.flights[id as usize].as_ref().expect(LIVE);
+            let (whole, group) = match &flight.to {
+                Dest::Whole(list) => (Some(list), &list[unit]),
+                Dest::Groups { list, .. } => (None, &list[unit]),
+            };
+            let due = Due::Fan(flight.from, whole, group, &flight.payload);
+            (flight.sent_round as usize, due)
+        };
+        // The wire did its job, but a recipient that is dead or churned
+        // out this round will never read the message.
+        let (crash_round, churn) = (&self.crash_round, self.cfg.faults.churn);
+        let down = |p: ProcId| !Self::up(crash_round, churn, round, p);
+        let dead = match &due {
+            _ if !self.has_offline => 0,
+            Due::Fan(_, _, group, _) => group.iter().filter(|&&p| down(p)).count(),
+            Due::Singles(envs, unit) => envs[unit.clone()].iter().filter(|e| down(e.to)).count(),
+        };
+        let count = u64::from(end - start);
+        self.ledger.delivered(round, sent, count, dead as u64);
+        sink(due);
+    }
+
+    /// Puts the slot of a flight whose last group has been handed out back
+    /// on its free list; a round's keeps its buffer's allocation.
+    fn recycle(&mut self, id: u32) {
+        if id & ROUND != 0 {
+            let flight = &mut self.rounds[(id & !ROUND) as usize];
+            flight.envs.clear();
+            flight.next = 0;
+            self.free_rounds.push(id & !ROUND);
+        } else {
+            self.flights[id as usize] = None;
+            self.free.push(id);
+        }
+    }
+
     /// The shared body of the `collect*` calls: drains everything due at
-    /// `round`, does all per-recipient accounting (a multicast counts
-    /// once per recipient, exactly like its unbatched expansion would),
-    /// and hands each due group to `sink` in delivery order.
+    /// `round`, does all per-recipient accounting, and hands each unit to
+    /// `sink` in delivery order.
     fn drain_round(&mut self, round: usize, mut sink: impl FnMut(Due<'_, M>)) {
         // Everything that arrived by this round's opening tick is due.
         // (Nothing sent in round r can arrive before r·delta, and collect
@@ -519,65 +570,44 @@ impl<M> NetTransport<M> {
         }
         let stats = self.ledger.stats();
         let before = (stats.delivered, stats.late, stats.dead_letters);
-        let churn = self.cfg.faults.churn;
-        // The closures name fields, never `self`, so they can account
-        // while the queue being drained is borrowed.
-        //
-        // The wire did its job, but a recipient that is dead or churned
-        // out this round will never read the message.
-        let down = |p: ProcId| !Self::up(&self.crash_round, churn, round, p);
-        self.queue
-            .drain_due_policy(now, self.cfg.ordering, &mut self.order_rng, &mut |_, id| {
-                if id & ROUND != 0 {
-                    let id = id & !ROUND;
-                    let flight = &mut self.rounds[id as usize];
-                    let start = flight.next as usize;
-                    let end = start + close_group(&mut flight.envs[start..], |e| &mut e.to);
-                    let group = &flight.envs[start..end];
-                    let dead = if self.has_offline {
-                        group.iter().filter(|e| down(e.to)).count() as u64
-                    } else {
-                        0
-                    };
-                    let (sent_round, count) = (flight.sent_round as usize, group.len() as u64);
-                    self.ledger.delivered(round, sent_round, count, dead);
-                    let more = end < flight.envs.len();
-                    flight.next = end as u32;
-                    sink(Due::Singles(&mut flight.envs, start..end));
-                    if !more {
-                        flight.envs.clear();
-                        flight.next = 0;
-                        self.free_rounds.push(id);
-                    }
-                    return;
-                }
-                let slot = &mut self.flights[id as usize];
-                let flight = slot.as_mut().expect("a queued slot holds a live flight");
-                // The flight's next group, the list it is all of (if it
-                // is), and whether the flight has more to deliver.
-                let (group, whole, more) = match &mut flight.to {
-                    Dest::One(p) => (std::slice::from_ref(&*p), None, false),
-                    Dest::Whole(list) => (&list[..], Some(&*list), false),
-                    Dest::Groups { list, next } => {
-                        let start = *next as usize;
-                        let end = start + close_group(&mut list[start..], |p| p);
-                        *next = end as u32;
-                        (&list[start..end], None, end < list.len())
-                    }
-                };
-                let dead = if self.has_offline {
-                    group.iter().filter(|&&p| down(p)).count() as u64
+        let ordering = self.cfg.ordering;
+        // An instant's units where a policy reorders them, and the flights
+        // whose last group the instant holds.
+        let (mut units, mut spent): (Vec<Unit>, _) = (Vec::new(), Vec::new());
+        while let Some((_, ids)) = self.queue.pop_instant(now) {
+            // Every group due now, closed in calendar order.
+            for id in ids {
+                let (group, len) = if id & ROUND != 0 {
+                    let flight = &mut self.rounds[(id & !ROUND) as usize];
+                    let group = close_group(&mut flight.envs, &mut flight.next, |e| &mut e.to);
+                    (group, flight.envs.len())
                 } else {
-                    0
+                    match &mut self.flights[id as usize].as_mut().expect(LIVE).to {
+                        Dest::Whole(list) => (0..list.len(), list.len()),
+                        Dest::Groups { list, next } => (close_group(list, next, |p| p), list.len()),
+                    }
                 };
-                let (sent_round, count) = (flight.sent_round as usize, group.len() as u64);
-                self.ledger.delivered(round, sent_round, count, dead);
-                sink(Due::Fan(flight.from, whole, group, &flight.payload));
-                if !more {
-                    *slot = None;
-                    self.free.push(id);
+                if group.end == len {
+                    spent.push(id);
                 }
-            });
+                let (start, end) = (group.start as u32, group.end as u32);
+                if ordering == DeliveryPolicy::Fifo {
+                    // The calendar's order: a group leaves once closed.
+                    self.hand_out(round, (id, start, end), &mut sink);
+                } else if id & ROUND != 0 {
+                    units.extend((start..end).map(|k| (id, k, k + 1)));
+                } else {
+                    units.push((id, start, end));
+                }
+            }
+            ordering.order(&mut units, &mut self.order_rng);
+            for unit in units.drain(..) {
+                self.hand_out(round, unit, &mut sink);
+            }
+            for id in spent.drain(..) {
+                self.recycle(id);
+            }
+        }
         if self.trace.is_on() {
             let stats = self.ledger.stats();
             let delivered = stats.delivered - before.0;
@@ -598,29 +628,17 @@ impl<M> NetTransport<M> {
 }
 
 impl<M: Payload> Transport<M> for NetTransport<M> {
+    /// A round of one.
     fn send(&mut self, round: usize, env: Envelope<M>) {
-        self.count_sent(round, 1, env.bit_len());
-        if let Some(cause) =
-            self.cfg
-                .faults
-                .dropped(round, env.from.index(), env.to.index(), &mut self.rng)
-        {
-            self.count_dropped(round, cause);
-            return;
-        }
-        let latency = self.cfg.latency.sample(&mut self.rng);
-        let arrival = (round as u64)
-            .saturating_mul(self.cfg.delta)
-            .saturating_add(latency);
-        let flight = self.launch(round, env.from, Dest::One(env.to), env.payload);
-        self.queue.push(arrival, (), flight);
+        self.send_round(round, &mut vec![env]);
     }
 
     /// Accepts a whole fan as one call, byte-identical to its unbatched
-    /// expansion: the same per-recipient counters, the same RNG draws in
-    /// the same order, and the same delivery schedule — but the fan is
-    /// stored once, and queue volume is one 4-byte slot per same-arrival
-    /// group instead of one payload copy per recipient.
+    /// expansion in every counter and RNG draw, and delivered at the same
+    /// ticks — but the fan is stored once, and queue volume is one 4-byte
+    /// slot per same-arrival group instead of one payload copy per
+    /// recipient. A group is one unit of its instant, which a reordering
+    /// policy moves whole.
     fn send_many(&mut self, round: usize, mc: Multicast<M>) {
         if mc.to.is_empty() {
             return;
@@ -702,22 +720,11 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
 
     /// Accepts a whole round as one flight, byte-identical to one `send`
     /// per envelope: the same counters, the same RNG draws in the same
-    /// order, the same delivery schedule — but the round stays in the
-    /// buffer it came in, queued once per distinct arrival tick, and
-    /// `envs` comes back empty with the allocation of a round already
-    /// delivered.
+    /// order, the same delivery schedule under every policy — but the
+    /// round stays in the buffer it came in, queued once per distinct
+    /// arrival tick, and `envs` comes back empty with the allocation of a
+    /// round already delivered.
     fn send_round(&mut self, round: usize, envs: &mut Vec<Envelope<M>>) {
-        // A flight's group is one unit of its instant, handed out in
-        // emission order. `Fifo` keeps units in push order, so that is
-        // the per-envelope order; `AdversarialLifo` and `Shuffle` reorder
-        // an instant unit by unit (`Shuffle` with one `ORDER_LABEL` draw
-        // a unit), and there every envelope has to be a unit of its own.
-        if self.cfg.ordering != DeliveryPolicy::Fifo {
-            for env in envs.drain(..) {
-                self.send(round, env);
-            }
-            return;
-        }
         if envs.is_empty() {
             return;
         }
@@ -1927,7 +1934,7 @@ mod tests {
         /// A synchronous round is one queue entry and one live flight,
         /// whatever its size, and comes back in the allocation it went
         /// out in; under a policy that reorders an instant envelope by
-        /// envelope it is a flight an envelope.
+        /// envelope it is still one entry and one flight.
         #[test]
         fn a_synchronous_round_is_one_queue_entry_and_trades_its_buffer() {
             let n = 64;
@@ -1955,10 +1962,7 @@ mod tests {
             let lifo = NetConfig::synchronous().with_ordering(DeliveryPolicy::AdversarialLifo);
             let mut t: NetTransport<u16> = NetTransport::new(n, lifo);
             t.send_round(0, &mut all_to_all(n));
-            assert_eq!(
-                (t.queue.len(), t.rounds.len(), t.flights.len()),
-                (n * n, 0, n * n)
-            );
+            assert_eq!((t.queue.len(), t.rounds.len(), t.flights.len()), (1, 1, 0));
         }
 
         /// A jittered round is one flight and at most one queue entry a

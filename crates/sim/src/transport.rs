@@ -70,10 +70,8 @@ pub trait Transport<M> {
     /// stream in the same order, the same delivery schedule — and the
     /// default does exactly that. A transport that can keep a round as
     /// the `Vec` it came in overrides it to take the buffer instead of
-    /// copying it: [`Lockstep`] always, `ba-net`'s `NetTransport` as one
-    /// flight for the whole round whenever same-instant delivery is in
-    /// emission order (under a policy that reorders an instant envelope
-    /// by envelope it runs this default body).
+    /// copying it: [`Lockstep`], and `ba-net`'s `NetTransport` as one
+    /// flight for the whole round.
     ///
     /// An override must leave `envs` empty, with whatever allocation it
     /// likes: the caller reuses the buffer for its next round, and
@@ -112,12 +110,13 @@ pub trait Transport<M> {
     /// Accepts one multicast batch emitted during `round`: the same
     /// payload bound for every processor in `mc.to`, in slice order.
     ///
-    /// Semantically this IS `mc.to.len()` consecutive [`Transport::send`]
-    /// calls — same per-recipient accounting, same fault and latency
-    /// decisions in the same order, same delivery schedule — and the
-    /// default does exactly that expansion. Transports that understand
-    /// batches override it to keep one queue entry per fan instead of
-    /// one per recipient.
+    /// It counts as `mc.to.len()` consecutive [`Transport::send`] calls —
+    /// same per-recipient accounting, same fault and latency decisions in
+    /// the same order, same arrivals — and the default does exactly that
+    /// expansion. A transport that understands batches keeps one queue
+    /// entry per fan instead, and delivers the recipients that arrive
+    /// together as one unit, which a same-instant reordering (`ba-net`'s
+    /// `lifo`, `shuffle`) moves whole where it would move envelopes singly.
     fn send_many(&mut self, round: usize, mc: Multicast<M>)
     where
         M: Clone,

@@ -17,10 +17,13 @@
 //! buffers, the same round measured 41.5.
 //!
 //! A round of singles handed over whole (`send_round`, the engine's path)
-//! is one flight that *is* the round's buffer: an envelope in the air
-//! costs itself, plus its share of one queue entry per arrival tick.
+//! is one flight that *is* the round's buffer under every delivery
+//! policy: an envelope in the air costs itself, plus its share of one
+//! queue entry per arrival tick.
 
-use king_saia::net::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetTransport};
+use king_saia::net::{
+    DeliveryPolicy, EventQueue, FaultPlan, LatencyModel, NetConfig, NetTransport,
+};
 use king_saia::sim::{Envelope, Multicast, ProcId, Transport};
 use std::sync::Arc;
 
@@ -91,17 +94,28 @@ fn a_single_in_the_air_costs_its_envelope() {
     // is the buffer and one one-event tick (≈ 140 B, see below) for each
     // of the 901 arrival ticks: 19.7 B, budget 20 — and nothing of the
     // 16 B an envelope it was sorted through. A flight and a queue slot
-    // an envelope, the path this replaced, read 56.1 and 63.5.
+    // an envelope, the path this replaced, read 56.1 and 63.5, and so
+    // would a round under `lifo` or `shuffle` sent envelope by envelope.
     let heap = Measuring::begin();
     let n = 128;
     let envelope = std::mem::size_of::<Envelope<u16>>();
-    // (the net, the budget over an envelope, buffers kept once delivered)
-    for (latency, over, spares) in [
-        (LatencyModel::Constant(0), 1, 0),
-        (LatencyModel::Uniform { lo: 0, hi: 900 }, 8, 1),
+    let (sync, jitter) = (
+        LatencyModel::Constant(0),
+        LatencyModel::Uniform { lo: 0, hi: 900 },
+    );
+    // (the policy, the net, the budget over an envelope, buffers kept
+    // once delivered)
+    for (ordering, latency, over, spares) in [
+        (DeliveryPolicy::Fifo, &sync, 1, 0),
+        (DeliveryPolicy::Fifo, &jitter, 8, 1),
+        (DeliveryPolicy::AdversarialLifo, &sync, 1, 1),
+        (DeliveryPolicy::AdversarialLifo, &jitter, 8, 1),
+        (DeliveryPolicy::Shuffle, &sync, 1, 1),
+        (DeliveryPolicy::Shuffle, &jitter, 8, 1),
     ] {
         let cfg = NetConfig::synchronous()
             .with_seed(23)
+            .with_ordering(ordering)
             .with_latency(latency.clone());
         let mut t: NetTransport<u16> = NetTransport::new(n, cfg);
         let mut round = Vec::new();
@@ -118,13 +132,15 @@ fn a_single_in_the_air_costs_its_envelope() {
         let left = heap.live() - baseline;
 
         let per_single = in_flight as f64 / (n * n) as f64;
-        println!("{latency:?}: {in_flight} B live in flight = {per_single:.1} B per single");
+        println!("{ordering:?}, {latency:?}: {in_flight} B live in flight = {per_single:.1} B per single");
         assert!(
             per_single <= (envelope + over) as f64,
             "over the budget of an envelope ({envelope} B) + {over} B per single"
         );
         // Swapped back whole, a round leaves its slot behind; handed out
-        // group by group, also its buffer, to trade for the next round's.
+        // group by group or envelope by envelope, also its buffer, to
+        // trade for the next round's — and nothing of the units an
+        // instant was ordered in.
         println!("{left} B live after the round was collected");
         assert!(
             left <= spares * n * n * envelope + 1024,
