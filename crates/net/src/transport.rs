@@ -249,8 +249,8 @@ fn permute<T>(envs: &mut [T], landed: &mut [(u64, u32)]) {
 /// What [`NetTransport::drain_round`] hands its sink: one unit of an
 /// instant, due now.
 enum Due<'a, M> {
-    /// A fan's group: the sender, the fan's own list when the group is
-    /// all of it, the group, the payload.
+    /// Of a fan: the sender, the fan's own list when the group is all of
+    /// it, the group, the payload.
     Fan(ProcId, Option<&'a Arc<[ProcId]>>, &'a [ProcId], &'a M),
     /// Of a round: the flight's buffer and the unit's place in it. A sink
     /// may swap the buffer for another when the unit is all of it, and
