@@ -192,11 +192,6 @@ impl AeToEProcess {
         }
     }
 
-    /// Whether this processor started knowledgeable.
-    pub fn is_knowledgeable(&self) -> bool {
-        self.knowledge.is_some()
-    }
-
     fn send_requests(&mut self, ctx: &mut RoundCtx<'_, AeMsg>) {
         self.sent.clear();
         self.tally.clear();

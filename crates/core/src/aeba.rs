@@ -220,13 +220,6 @@ impl AebaProcess {
         }
     }
 
-    /// The current (not yet committed) vote — visible to the adversary
-    /// once the processor is corrupted, and to experiments for
-    /// convergence traces.
-    pub fn current_vote(&self) -> bool {
-        self.vote
-    }
-
     fn digest(&mut self, inbox: &[Envelope<VoteMsg>], coin_round: usize) {
         // Count one vote per neighbor sender (flood defence: duplicates
         // from the same sender beyond its edge multiplicity are ignored).

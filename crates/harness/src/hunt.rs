@@ -19,9 +19,9 @@
 //! the report carries no wall-clock — so the same seed yields a
 //! byte-identical report at any `BA_PAR_THREADS`.
 
-use crate::runner::{run, TrialOutcome};
+use crate::runner::{round_cap, run, TrialOutcome};
 use crate::scenario::lower;
-use ba_baselines::{BenOrConfig, FloodConfig, PhaseKingConfig, RabinConfig};
+use ba_baselines::{PhaseKingConfig, RabinConfig};
 use ba_net::InputPattern;
 use ba_net::{Churn, DeliveryPolicy, FaultPlan, LatencyModel, Partition, ScenarioSpec};
 use ba_obs::Trace;
@@ -65,7 +65,11 @@ pub enum Violation {
     },
     /// The decided bit was nobody's input (protocols defining validity).
     Validity,
-    /// The run outlasted its designed round budget.
+    /// The run outlasted its designed round budget. It cannot fire
+    /// today: the budget is the cap the engine runs to
+    /// (`runner::round_cap`), and `Sim::run_parts` stops there
+    /// (`while self.round < max_rounds`), so a trial never reports more
+    /// rounds than its bound.
     RoundBlowup {
         /// Observed rounds.
         rounds: usize,
@@ -120,19 +124,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The designed round budget (default cap) for protocols whose length is
-/// spec-determined; `None` for the structured executors, whose round
-/// count is an output, not a budget.
+/// The designed round budget: the cap the engine runs the lowered spec
+/// to (`round_cap`); `None` for the structured executors, whose round
+/// count is an output, not a budget, and for a spec that does not lower.
 fn round_bound(spec: &ScenarioSpec) -> Option<usize> {
-    let n = spec.n;
-    let designed = match spec.protocol.as_str() {
-        "flood" => FloodConfig::for_n(n).rounds,
-        "phase_king" => PhaseKingConfig::for_n(n).total_rounds(),
-        "ben_or" => BenOrConfig::for_n(n).total_rounds(),
-        "rabin" => RabinConfig::for_n(n).total_rounds(),
-        _ => return None,
-    };
-    Some(spec.rounds.unwrap_or(designed + 2))
+    round_cap(&lower(spec).ok()?)
 }
 
 /// Agreement / decided floors for a spec. Clean-net baselines promise

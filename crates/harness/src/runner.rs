@@ -302,6 +302,24 @@ pub fn trace_sampler_cache(trace: &Trace, since: ba_sampler::CacheStats) {
     );
 }
 
+/// The engine's round cap for `spec`: its `rounds_cap` override, else
+/// the protocol's designed length plus slack. `None` for the structured
+/// executors, whose round count is an output, not a budget. The engine
+/// runs to this cap and the hunt's round-blowup oracle judges by it.
+pub(crate) fn round_cap(spec: &RunSpec) -> Option<usize> {
+    let n = spec.n;
+    let designed = match &spec.protocol {
+        Protocol::Flood => FloodConfig::for_n(n).rounds + 2,
+        Protocol::PhaseKing => PhaseKingConfig::for_n(n).total_rounds() + 2,
+        Protocol::BenOr => BenOrConfig::for_n(n).total_rounds() + 2,
+        Protocol::Rabin => RabinConfig::for_n(n).total_rounds() + 2,
+        Protocol::Aeba(aeba) => aeba.rounds + 2,
+        Protocol::AeToE(ae) => AeToEConfig::for_n(n, ae.eps).total_rounds() + 1,
+        Protocol::Tournament(_) | Protocol::Everywhere => return None,
+    };
+    Some(spec.output.rounds_cap.unwrap_or(designed))
+}
+
 /// The spec's message adversary, resolved by a protocol's roster.
 type Roster<P> = Box<dyn Adversary<P>>;
 
@@ -314,7 +332,6 @@ fn engine_case<P, F, TF>(
     spec: &RunSpec,
     seed: u64,
     cfg: NetConfig,
-    cap: usize,
     flood_cap: Option<usize>,
     make: F,
     adversary: Roster<P>,
@@ -338,6 +355,7 @@ where
         builder = builder.flood_cap(fc);
     }
     let sim = builder.build_with_transport(make, adversary, transport);
+    let cap = round_cap(spec).expect("an engine-hosted protocol has a round cap");
     let (outcome, transport) = sim.run_parts(cap);
     let (agreement, decided) = tally(&outcome.outputs, &outcome.corrupt, &outcome.faulty);
     let wrong = (0..spec.n)
@@ -559,7 +577,6 @@ fn dispatch<TF: TransportFactory>(
     let n = spec.n;
     let seed = spec.seeds.seed(trial);
     let cfg = spec.trial_net(trial);
-    let cap = spec.output.rounds_cap;
     let input = spec.input;
     match &spec.protocol {
         Protocol::Flood => {
@@ -568,7 +585,6 @@ fn dispatch<TF: TransportFactory>(
                 spec,
                 seed,
                 cfg,
-                cap.unwrap_or(pc.rounds + 2),
                 None,
                 move |p, _| FloodProcess::new(pc, input.bit(p.index())),
                 crash_roster(spec)?,
@@ -583,7 +599,6 @@ fn dispatch<TF: TransportFactory>(
                 spec,
                 seed,
                 cfg,
-                cap.unwrap_or(pc.total_rounds() + 2),
                 None,
                 move |p, _| PhaseKingProcess::new(pc, input.bit(p.index())),
                 leader_roster(spec)?,
@@ -598,7 +613,6 @@ fn dispatch<TF: TransportFactory>(
                 spec,
                 seed,
                 cfg,
-                cap.unwrap_or(pc.total_rounds() + 2),
                 None,
                 move |p, _| BenOrProcess::new(pc, input.bit(p.index())),
                 crash_roster(spec)?,
@@ -614,7 +628,6 @@ fn dispatch<TF: TransportFactory>(
                 spec,
                 seed,
                 cfg,
-                cap.unwrap_or(pc.total_rounds() + 2),
                 None,
                 move |p, _| RabinProcess::new(pc, input.bit(p.index())),
                 leader_roster(spec)?,
@@ -648,7 +661,6 @@ fn aeba_trial<TF: TransportFactory>(
         rounds,
         ..AebaConfig::default()
     };
-    let cap = spec.output.rounds_cap.unwrap_or(rounds + 2);
     let degree = aeba.degree.for_n(n);
     let graph =
         ba_sampler::cache::regular_graph(n, degree, (seed ^ 0x6261_6772, 0x6261_6772), || {
@@ -677,7 +689,6 @@ fn aeba_trial<TF: TransportFactory>(
         spec,
         seed,
         cfg,
-        cap,
         None,
         make,
         adversary,
@@ -698,7 +709,6 @@ fn ae_to_e_trial<TF: TransportFactory>(
     let n = spec.n;
     let pc = AeToEConfig::for_n(n, ae.eps);
     let adversary = ae_roster(spec, pc.labels)?;
-    let cap = spec.output.rounds_cap.unwrap_or(pc.total_rounds() + 1);
     let message = ae.message;
     let input = spec.input;
     let knowledgeable = ae.knowledgeable;
@@ -716,7 +726,6 @@ fn ae_to_e_trial<TF: TransportFactory>(
         spec,
         seed,
         cfg,
-        cap,
         ae.flood_cap,
         make,
         adversary,
@@ -736,7 +745,7 @@ fn tournament_trial<TF: TransportFactory>(
 ) -> Result<TrialOutcome, String> {
     let n = spec.n;
     let mut config = TournamentConfig::for_n(n).with_seed(seed);
-    config.params = tuning.params(n);
+    config.params = tuning.params(n)?;
     let inputs: Vec<bool> = (0..n).map(|i| spec.input.bit(i)).collect();
     let mut adv = spec.adversary.tree.instantiate();
     let mut transport = factory.make::<TourMsg>(n, cfg, trace)?;
@@ -788,6 +797,7 @@ fn everywhere_trial<TF: TransportFactory>(
 mod tests {
     use super::*;
     use crate::spec::{AdversarySpec, TreeAttack};
+    use ba_net::ScenarioSpec;
 
     #[test]
     fn flood_runs_and_agrees() {
@@ -1021,6 +1031,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `.scn` text at the edges of the population — n below a protocol's
+    /// minimum, a corrupt count of 0, n or 3n — under every protocol and
+    /// every adversary the grammar names: each case is refused by
+    /// `scenario::lower` or runs, and none panics.
+    #[test]
+    fn tiny_and_overcorrupted_scenarios_are_refused_or_run() {
+        let protocols = [
+            "flood",
+            "phase_king",
+            "ben_or",
+            "rabin",
+            "aeba",
+            "ae_to_e",
+            "tournament",
+            "everywhere",
+        ];
+        let adversaries = [
+            "adversary=none",
+            "adversary=crash",
+            "adversary=split",
+            "adversary=equivocate",
+            "adversary=forge",
+            "adversary.tree=static-third",
+            "adversary.tree=winner-hunter",
+            "adversary.tree=custody-buster",
+        ];
+        let mut panicked = Vec::new();
+        for protocol in protocols {
+            for adversary in adversaries {
+                for n in 1..=8 {
+                    for corrupt in [0, n, 3 * n] {
+                        let text = format!(
+                            "name=edge\nprotocol={protocol}\nn={n}\ntrials=1\n{adversary}\n\
+                             corrupt={corrupt}\n"
+                        );
+                        let ran = std::panic::catch_unwind(|| {
+                            let spec = ScenarioSpec::parse(&text)?;
+                            run_trial(&crate::scenario::lower(&spec)?, 0).map(|_| ())
+                        });
+                        if ran.is_err() {
+                            panicked
+                                .push(format!("{protocol} n={n} {adversary} corrupt={corrupt}"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "panicked: {panicked:#?}");
     }
 
     /// At n = 2¹⁷ the default `6·√n` degree (2173) makes the root gossip

@@ -55,6 +55,17 @@ impl Protocol {
             Protocol::Rabin => "rabin",
         }
     }
+
+    /// The fewest processors the protocol runs on: AEBA's gossip graph
+    /// needs two vertices and the tree-level executors' `Params::practical`
+    /// four; every other protocol runs on one.
+    fn min_n(&self) -> usize {
+        match self {
+            Protocol::Aeba(_) => 2,
+            Protocol::Tournament(_) | Protocol::Everywhere => 4,
+            _ => 1,
+        }
+    }
 }
 
 /// Gossip-graph degree policy for AEBA runs.
@@ -152,10 +163,15 @@ pub struct TournamentTuning {
 }
 
 impl TournamentTuning {
-    /// `Params::practical(n)` with the overrides applied.
-    pub(crate) fn params(&self, n: usize) -> Params {
+    /// `Params::practical(n)` with the overrides applied, refused when
+    /// they fail [`Params::validate`]. `n` must be at least 4.
+    pub(crate) fn params(&self, n: usize) -> Result<Params, String> {
         let mut p = Params::practical(n);
         if let Some(q) = self.q {
+            // `with_q` sizes the tree by dividing by the arity.
+            if q < 2 {
+                return Err(format!("tournament arity q = {q} must be at least 2"));
+            }
             p = p.with_q(q);
         }
         if let Some(k1) = self.k1 {
@@ -164,7 +180,8 @@ impl TournamentTuning {
         if let Some(d) = self.aeba_degree {
             p = p.with_aeba_degree(d);
         }
-        p
+        p.validate().map_err(|e| e.to_string())?;
+        Ok(p)
     }
 }
 
@@ -509,13 +526,23 @@ impl RunSpec {
     /// of protocol, adversaries and knobs is accepted or refused, so a
     /// knob the run would silently drop is an error instead, and so is a
     /// gossip graph over all processors past 1 GiB (sized from the spec
-    /// alone, before anything is built). Every trial entry point calls
-    /// it, and so does `scenario::lower`. Which message
-    /// adversary an engine-hosted protocol can field is its roster's
-    /// answer, given when the trial resolves it.
+    /// alone, before anything is built), an `n` below the protocol's
+    /// minimum, a tournament tuning `Params::validate` refuses and a
+    /// message adversary that corrupts more than n processors. Every
+    /// trial entry point calls it, and so does `scenario::lower`. Which
+    /// message adversary an engine-hosted protocol can field is its
+    /// roster's answer, given when the trial resolves it.
     pub fn validate(&self) -> Result<(), String> {
         if self.n == 0 {
             return Err("n must be positive".to_owned());
+        }
+        let name = self.protocol.name();
+        if self.n < self.protocol.min_n() {
+            return Err(format!(
+                "protocol `{name}` needs at least {} processors, got n = {}",
+                self.protocol.min_n(),
+                self.n
+            ));
         }
         if self.n > MAX_PROCS {
             return Err(format!(
@@ -545,7 +572,14 @@ impl RunSpec {
                 ));
             }
         }
-        let name = self.protocol.name();
+        // `StaticAdversary::first_k` hands the engine ids `0..count`.
+        let count = self.adversary.message.count();
+        if count > self.n {
+            return Err(format!(
+                "message adversary corrupts {count} processors of n = {}",
+                self.n
+            ));
+        }
         let tree_level = matches!(
             self.protocol,
             Protocol::Tournament(_) | Protocol::Everywhere
@@ -571,7 +605,7 @@ impl RunSpec {
                  (its length is parameter-determined)"
             ));
         }
-        if let Some(degree) = self.gossip_degree() {
+        if let Some(degree) = self.gossip_degree()? {
             // Both directions of `n·degree` edges, a `u32` each.
             let bytes = 8 * self.n as u64 * degree as u64;
             if bytes > GOSSIP_GRAPH_MAX_BYTES {
@@ -586,18 +620,18 @@ impl RunSpec {
     }
 
     /// The out-degree of the gossip graph over all processors the run
-    /// builds, or `None` for a protocol that builds none.
-    fn gossip_degree(&self) -> Option<usize> {
+    /// builds, or `None` for a protocol that builds none; an error for a
+    /// tournament tuning whose parameters are invalid. Needs `n` at least
+    /// the protocol's minimum.
+    fn gossip_degree(&self) -> Result<Option<usize>, String> {
         let n = self.n;
         let root = |p: Params| p.aeba_degree.min(n - 1).max(1);
-        match &self.protocol {
+        Ok(match &self.protocol {
             Protocol::Aeba(aeba) => Some(aeba.degree.for_n(n)),
-            // `Params::practical` needs n ≥ 4, and so do the executors.
-            Protocol::Tournament(_) | Protocol::Everywhere if n < 4 => None,
-            Protocol::Tournament(tuning) => Some(root(tuning.params(n))),
+            Protocol::Tournament(tuning) => Some(root(tuning.params(n)?)),
             Protocol::Everywhere => Some(root(EverywhereConfig::for_n(n).tournament.params)),
             _ => None,
-        }
+        })
     }
 }
 
@@ -619,6 +653,27 @@ mod tests {
         assert_eq!(spec.adversary.engine_budget(), Some(20));
         assert_eq!(spec.output.rounds_cap, Some(50));
         assert_eq!(spec.protocol.name(), "aeba");
+    }
+
+    /// `Params::with_q` divides by the arity and the executors need
+    /// valid parameters: a tuning `Params::validate` refuses is an error.
+    #[test]
+    fn an_invalid_tournament_tuning_is_refused() {
+        let tuned = |q, k1, aeba_degree| {
+            RunSpec::new(
+                Protocol::Tournament(TournamentTuning { q, k1, aeba_degree }),
+                64,
+            )
+        };
+        for (spec, says) in [
+            (tuned(Some(1), None, None), "arity"),
+            (tuned(None, Some(0), None), "k1"),
+            (tuned(None, None, Some(0)), "degrees"),
+        ] {
+            let err = spec.validate().expect_err("invalid params");
+            assert!(err.contains(says), "{err}");
+        }
+        assert_eq!(tuned(Some(8), Some(12), Some(20)).validate(), Ok(()));
     }
 
     #[test]

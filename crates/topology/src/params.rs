@@ -14,8 +14,8 @@ use std::fmt;
 
 /// All tunable quantities of the King–Saia construction.
 ///
-/// Use [`Params::practical`] for simulations; every field may then be
-/// overridden through the with-methods.
+/// Use [`Params::practical`] for simulations; the arity, `k₁` and the
+/// AEBA degree and rounds may then be overridden through the with-methods.
 ///
 /// ```rust
 /// use ba_topology::Params;
@@ -152,18 +152,6 @@ impl Params {
         self
     }
 
-    /// Overrides the number of winners per election.
-    pub fn with_w(mut self, w: usize) -> Self {
-        self.w = w;
-        self
-    }
-
-    /// Overrides the number of Feige bins.
-    pub fn with_num_bins(mut self, num_bins: usize) -> Self {
-        self.num_bins = num_bins;
-        self
-    }
-
     /// Overrides the AEBA gossip degree.
     pub fn with_aeba_degree(mut self, d: usize) -> Self {
         self.aeba_degree = d;
@@ -173,12 +161,6 @@ impl Params {
     /// Overrides the AEBA round count.
     pub fn with_aeba_rounds(mut self, r: usize) -> Self {
         self.aeba_rounds = r;
-        self
-    }
-
-    /// Overrides the adversary slack ε.
-    pub fn with_eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
         self
     }
 

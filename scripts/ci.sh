@@ -10,8 +10,8 @@
 # (`exp run` among them: the whole scenarios/ library), the benchmark
 # package's build and smoke tier, memory budgets on its jittered-stack
 # and scale workloads, a traced scenario run, every recorded pin
-# (scripts/repin.sh), the pinned regression scenarios and a line budget
-# on docs/performance.md.
+# (scripts/repin.sh), the pinned regression scenarios, a line budget on
+# docs/performance.md and that every pin its contracts cite exists.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,10 +24,32 @@ echo "== docs diet ratchet (docs/performance.md may only shrink) =="
 # in CHANGES.md and numbers in BENCH_<n>.json. Lower the budget when the
 # file shrinks; never raise it.
 PERF_DOC_LINES="$(wc -l < docs/performance.md)"
-if (( PERF_DOC_LINES > 1826 )); then
-    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 1826)"
+if (( PERF_DOC_LINES > 596 )); then
+    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 596)"
     exit 1
 fi
+
+echo "== contract pins (every Pinned by: token in docs/performance.md exists) =="
+# A contract that cites a deleted or renamed test pins nothing. Every
+# backticked token of a "Pinned by:" item (the item may wrap): one with a
+# `/` is a path that must exist; any other names a `fn` or `mod` under
+# crates/ or tests/ by its last `::` segment.
+PIN_TOKENS="$(awk '/^- \*\*Pinned by:\*\*/ { on = 1 } on && !/^  / && !/^- \*\*Pinned by:\*\*/ { on = 0 } on' \
+    docs/performance.md | tr '\n' ' ' | grep -o '`[^`]*`' | tr -d '`' | sort -u)"
+[[ -n "$PIN_TOKENS" ]] || { echo "docs: no Pinned by: tokens found"; exit 1; }
+PIN_MISSING=0
+while IFS= read -r token; do
+    if [[ "$token" == */* ]]; then
+        [[ -e "$token" ]] && continue
+    else
+        name="${token##*::}"
+        [[ "$name" =~ ^[A-Za-z_][A-Za-z0-9_]*$ ]] &&
+            grep -rqE --include='*.rs' "\b(fn|mod) $name\b" crates tests && continue
+    fi
+    echo "docs: pinned \`$token\` in docs/performance.md names nothing that exists"
+    PIN_MISSING=1
+done <<<"$PIN_TOKENS"
+if (( PIN_MISSING )); then exit 1; fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy -q --offline --all-targets -- -D warnings
