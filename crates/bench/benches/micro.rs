@@ -251,7 +251,8 @@ fn bench_ae_to_e(c: &mut Criterion) {
 /// event, on the arrival shapes the transport produces — a synchronous
 /// round burst (every message due at one tick), a sparse jittery-link
 /// spread (a couple of arrivals a tick over the round window) and a dense
-/// one (thousands a tick).
+/// one (thousands a tick) — and on instants farther apart than the ring's
+/// window, which only the overflow side serves.
 fn bench_event_queue(c: &mut Criterion) {
     use ba_net::EventQueue;
 
@@ -313,28 +314,38 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 
     // The regime `stack-jitter-256` is in: one `L*:winners` round, 8 836
-    // fans of 256 recipients (2.26 M four-byte flight slots, one per
-    // recipient) over the 901 ticks of `Uniform{0,900}`, pushed as the
+    // fans of 256 recipients (2.26 M eight-byte `(flight, recipient)`
+    // entries) over the 901 ticks of `Uniform{0,900}`, pushed as the
     // transport pushes them — fan after fan, each fan's recipients in
-    // arrival order, no tie key — then drained at the next round
-    // boundary: ≈ 2 500 events a tick, not 2.
-    let dense: Vec<u64> = (0..8_836u64)
-        .flat_map(|fan| {
-            let mut arrivals: Vec<u64> = (0..256)
-                .map(|i| ((fan * 256 + i) * 2_654_435_761) % 901)
-                .collect();
-            arrivals.sort_unstable();
-            arrivals
-        })
+    // recipient order straight into their arrival ticks, no sort and no
+    // tie key — then drained at the next round boundary: ≈ 2 500 events a
+    // tick, not 2.
+    let dense: Vec<u64> = (0..8_836u64 * 256)
+        .map(|i| (i * 2_654_435_761) % 901)
         .collect();
     g.bench_function("dense_jitter_drain_due", |bch| {
         bch.iter(|| {
-            let mut q: EventQueue<u32, ()> = EventQueue::new();
+            let mut q: EventQueue<(u32, u32), ()> = EventQueue::new();
             for (i, &d) in dense.iter().enumerate() {
-                q.push(1_000 + d, (), (i / 256) as u32);
+                q.push(1_000 + d, (), ((i / 256) as u32, (i % 256) as u32));
             }
             let mut acc = 0u64;
-            q.drain_due(2_000, &mut |_, fan| acc += u64::from(fan));
+            q.drain_due(2_000, &mut |_, (fan, to)| acc += u64::from(fan ^ to));
+            acc
+        })
+    });
+
+    // Instants 3 000 ticks apart, wider than the ring's window: every
+    // push after the first waits in the overflow, and every drain step
+    // slides the window onto the next instant.
+    g.bench_function("far_apart_drain_due", |bch| {
+        bch.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.push(1_000 + (i * 7 % n) * 3_000, (), i);
+            }
+            let mut acc = 0u64;
+            q.drain_due(u64::MAX, &mut |_, v| acc += v);
             acc
         })
     });
@@ -345,11 +356,11 @@ fn bench_event_queue(c: &mut Criterion) {
 /// round (and of `tests/net_memory.rs`): 2 048 fans to 256 recipients over
 /// 1 % loss and `Uniform{0,900}`, so a fan's recipients land ≈ one to a
 /// tick. An iteration is 524 288 recipients: divide by that for ns a
-/// recipient. `_send` is the send side alone — draws, the `landed` sort,
-/// the survivor list, a push per group — on a fresh transport that is
-/// dropped full; the other row sends a round into a warm transport and
-/// drains it at the next boundary (`collect_many`: the walk along each
-/// flight's survivor list).
+/// recipient. `_send` is the send side alone — the draws and one push per
+/// survivor, in recipient order straight into its arrival tick, no sort —
+/// on a fresh transport that is dropped full; the other row sends a round
+/// into a warm transport and drains it at the next boundary
+/// (`collect_many`: each instant's runs of one fan rebuilt as groups).
 fn bench_net(c: &mut Criterion) {
     use ba_net::NetTransport;
     use ba_sim::{Multicast, ProcId, Transport};

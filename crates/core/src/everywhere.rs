@@ -256,7 +256,8 @@ impl EverywhereOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len()` differs from the configured `n`.
+/// Panics if `inputs.len()` differs from the configured `n`, or if `n`
+/// is past [`MAX_DEAL_OWNERS`](crate::tournament::MAX_DEAL_OWNERS).
 pub fn run<T, A>(
     config: &EverywhereConfig,
     inputs: &[bool],

@@ -428,6 +428,19 @@ impl CostModel {
     }
 }
 
+/// The most processors the tournament deals candidate arrays for. Owner
+/// `i`'s array draws from the stream labelled `0xA44A_0000 | i`, whose
+/// constant already sets bit 17, so owner `2^17` would draw owner 0's
+/// array. Moving the deal onto `stream::Label` lifts the limit, and
+/// moves every pinned draw (ROADMAP 1(e)).
+pub const MAX_DEAL_OWNERS: usize = 1 << 17;
+
+/// The stream label of owner `i`'s candidate array: distinct for every
+/// owner below [`MAX_DEAL_OWNERS`].
+fn deal_label(owner: usize) -> u64 {
+    0xA44A_0000 | owner as u64
+}
+
 /// Runs Algorithm 2 (+§3.5) with the given inputs and adversary on the
 /// paper's synchronous network ([`Lockstep`]).
 ///
@@ -435,7 +448,8 @@ impl CostModel {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != params.n` or parameters are invalid.
+/// Panics if `inputs.len() != params.n`, parameters are invalid or
+/// `params.n` is past [`MAX_DEAL_OWNERS`].
 pub fn run<A: TreeAdversary>(
     config: &TournamentConfig,
     inputs: &[bool],
@@ -466,7 +480,9 @@ pub fn run<A: TreeAdversary>(
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != params.n` or parameters are invalid.
+/// Panics if `inputs.len() != params.n`, parameters are invalid or
+/// `params.n` is past [`MAX_DEAL_OWNERS`] (two owners would deal the same
+/// array).
 pub fn run_with_transport<A, W, Tr>(
     config: &TournamentConfig,
     inputs: &[bool],
@@ -481,6 +497,11 @@ where
     let p = &config.params;
     assert_eq!(inputs.len(), p.n, "inputs must cover all processors");
     p.validate().expect("invalid parameters");
+    assert!(
+        p.n <= MAX_DEAL_OWNERS,
+        "n = {} is past the {MAX_DEAL_OWNERS} owners whose deal streams are distinct",
+        p.n
+    );
     let tree = Tree::generate(p, config.seed);
     let cost = CostModel::from_params(p);
     let mut rng = derive_rng(config.seed, 0x7030_0001);
@@ -519,7 +540,7 @@ where
     // re-shares it up to the parent immediately (Alg. 2 step 1).
     let mut arrays: Vec<ArrayState> = (0..n)
         .map(|i| {
-            let mut arng = derive_rng(config.seed, 0xA44A_0000 | i as u64);
+            let mut arng = derive_rng(config.seed, deal_label(i));
             ArrayState {
                 array: CandidateArray::generate(i, p, config.extra_words, &mut arng),
                 bad: corrupt[i],
@@ -1532,6 +1553,25 @@ mod tests {
     fn run_clean(n: usize, seed: u64, inputs: &[bool]) -> TournamentOutcome {
         let config = TournamentConfig::for_n(n).with_seed(seed);
         run(&config, inputs, &mut NoTreeAdversary)
+    }
+
+    /// The deal label has room for 2^17 owners and no more: owner 2^17
+    /// draws owner 0's array, so the tournament refuses a larger run
+    /// before it deals.
+    #[test]
+    fn owner_two_to_the_seventeen_would_deal_owner_zeros_array() {
+        assert_eq!(deal_label(MAX_DEAL_OWNERS), deal_label(0));
+        let mut labels: Vec<u64> = (0..MAX_DEAL_OWNERS).map(deal_label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), MAX_DEAL_OWNERS);
+    }
+
+    #[test]
+    #[should_panic(expected = "owners whose deal streams are distinct")]
+    fn more_owners_than_deal_streams_are_refused() {
+        let n = MAX_DEAL_OWNERS + 1;
+        run_clean(n, 1, &vec![true; n]);
     }
 
     /// Replays one candidate's stream against both truths and reads off,

@@ -1101,7 +1101,7 @@ mod tests {
         assert_eq!(scale.validate(), Ok(()), "the scale profile's degree fits");
     }
 
-    /// Bit 31 of a recipient in flight marks the end of its group, so
+    /// Bit 31 of a queued recipient marks a fan's whole list, so
     /// `NetTransport::new` panics past 2³¹ processors: the spec is refused
     /// first.
     #[test]

@@ -21,21 +21,29 @@
 //! *is* its delivery order within every instant — the network transport:
 //! it pushes in emission order — takes `K = ()` and stores no key at all.
 //!
-//! ## Layout: a calendar of chunked buckets
+//! ## Layout: a ring of per-tick buckets
 //!
-//! A queued event costs its `(tie, value)` pair and nothing else. The
-//! calendar is a [`BTreeMap`] from firing time to that instant's
-//! **bucket**: a list of fixed-capacity chunks (≈ 2 KiB each) filled in
-//! push order. Only a bucket's first chunk is ever smaller — it starts at
-//! a few entries and doubles up to the chunk size, so a one-event instant
-//! stays cheap — and the slack is at most one partial chunk an instant,
-//! where one growing buffer rounds a whole instant up to a power of two.
-//! A drain hands the chunks over one by one, each freed as it empties.
-//! Whether the pushes came in `tie` order is tracked as they arrive; the
-//! stable sort at drain time runs only when they did not.
+//! A queued event costs its `(tie, value)` pair and nothing else. Each
+//! instant's events sit in a **bucket**: a list of fixed-capacity chunks
+//! (≈ 1 KiB each) filled in push order. Only a bucket's first chunk is
+//! ever smaller — it starts at a few entries and doubles up to the chunk
+//! size, so a one-event instant stays cheap — and the slack is at most
+//! one partial chunk an instant. A drain hands the chunks over one by
+//! one, each freed as it empties. Whether the pushes came in `tie` order
+//! is tracked as they arrive; the stable sort at drain time runs only
+//! when they did not.
+//!
+//! The buckets of a window of [`RING`] ticks that slides with the drains
+//! sit in a ring indexed by `time % len` (a timing wheel), with one
+//! occupancy bit a slot, so a push is an index and the next instant is a
+//! `trailing_zeros` scan. The ring starts empty and doubles up to
+//! [`RING`] slots as the window in use widens. An instant outside the
+//! window — past its end, or behind it — waits in a [`BTreeMap`] overflow
+//! until a slide brings it in: an instant lives in exactly one place.
 //!
 //! The `event_queue` criterion group in `ba-bench` measures both the
-//! dense regime (thousands of events a tick) and the sparse one.
+//! dense regime (thousands of events a tick) and the sparse one, and an
+//! overflow-only calendar.
 
 use ba_sim::SimRng;
 use rand::Rng;
@@ -116,7 +124,7 @@ impl DeliveryPolicy {
 /// Bytes in one full chunk of a bucket. Small enough that a freed chunk
 /// goes back to the allocator's bins (a chunk of 128 KiB or more would be
 /// its own `mmap`), large enough that a chunk's header is noise.
-const CHUNK_BYTES: usize = 2048;
+const CHUNK_BYTES: usize = 1024;
 
 /// The events at one firing instant, in push order, with an
 /// incrementally-maintained sortedness flag: pushes that arrive in `tie`
@@ -197,6 +205,11 @@ impl<T, K: Ord + Copy> Bucket<T, K> {
     }
 }
 
+/// Ticks the ring covers at most: the width of the sliding window. One
+/// round of `stack-jitter-256`'s `Uniform{0,900}` fits with room to
+/// spare; later instants wait in the overflow.
+pub(crate) const RING: usize = 2048;
+
 /// A deterministic future-event queue keyed by `(time, tie)`, equal keys
 /// in push order.
 ///
@@ -213,8 +226,17 @@ impl<T, K: Ord + Copy> Bucket<T, K> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T, K = u64> {
-    /// Firing time → the events at that instant; never an empty bucket.
-    buckets: BTreeMap<u64, Bucket<T, K>>,
+    /// The instants of the window `[base, base + ring.len())`, instant
+    /// `t` in slot `t % ring.len()`; a power of two of slots, at most
+    /// [`RING`], as many as the window has needed since the queue was
+    /// last found empty.
+    ring: Vec<Bucket<T, K>>,
+    /// Bit `s % 64` of word `s / 64` is set when slot `s` holds events.
+    occupied: Vec<u64>,
+    /// The window's first instant. No event in the ring is earlier.
+    base: u64,
+    /// Instants outside the window; never an empty bucket.
+    overflow: BTreeMap<u64, Bucket<T, K>>,
     len: usize,
     /// One instant flattened, for a sort.
     scratch: Vec<(K, T)>,
@@ -230,7 +252,10 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: BTreeMap::new(),
+            ring: Vec::new(),
+            occupied: Vec::new(),
+            base: 0,
+            overflow: BTreeMap::new(),
             len: 0,
             scratch: Vec::new(),
         }
@@ -238,29 +263,167 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
 
     /// Schedules `value` at `time` with tie-break key `tie`.
     pub fn push(&mut self, time: u64, tie: K, value: T) {
+        let offset = time.checked_sub(self.base).filter(|&d| d < RING as u64);
+        let offset = match offset {
+            Some(offset) => Some(offset),
+            // An empty queue can put its window anywhere.
+            None if self.len == 0 => {
+                self.base = time;
+                Some(0)
+            }
+            None => None,
+        };
         self.len += 1;
-        self.buckets.entry(time).or_default().push(tie, value);
+        match offset {
+            Some(offset) => {
+                if offset >= self.ring.len() as u64 {
+                    self.grow(offset as usize + 1);
+                }
+                let slot = self.slot_of(time);
+                self.ring[slot].push(tie, value);
+                self.occupied[slot / 64] |= 1 << (slot % 64);
+            }
+            None => self.overflow.entry(time).or_default().push(tie, value),
+        }
+    }
+
+    /// The ring slot of an instant in the window.
+    fn slot_of(&self, time: u64) -> usize {
+        time as usize & (self.ring.len() - 1)
+    }
+
+    /// The ring slot of `time` if it is in the window.
+    fn ring_slot(&self, time: u64) -> Option<usize> {
+        let offset = time.checked_sub(self.base)?;
+        (offset < self.ring.len() as u64).then(|| self.slot_of(time))
+    }
+
+    /// Widens the ring to at least `slots` (at most [`RING`]), moving
+    /// every bucket to its slot in the wider ring and the overflow's
+    /// instants the wider window covers into it.
+    fn grow(&mut self, slots: usize) {
+        let len = slots.next_power_of_two().min(RING);
+        let old = std::mem::replace(
+            &mut self.ring,
+            (0..len).map(|_| Bucket::default()).collect(),
+        );
+        let old_len = old.len();
+        self.occupied = vec![0; len.div_ceil(64)];
+        for (slot, bucket) in old.into_iter().enumerate() {
+            if !bucket.chunks.is_empty() {
+                let offset = (slot as u64).wrapping_sub(self.base) & (old_len as u64 - 1);
+                self.place(self.base + offset, bucket);
+            }
+        }
+        self.migrate(self.base.saturating_add(old_len as u64));
+    }
+
+    /// Puts an instant's bucket in its slot of the window, which is free.
+    fn place(&mut self, time: u64, bucket: Bucket<T, K>) {
+        let slot = self.slot_of(time);
+        debug_assert!(self.ring[slot].chunks.is_empty(), "an instant in one place");
+        self.ring[slot] = bucket;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Moves the overflow's instants from `from` to the window's end into
+    /// the ring: the part of the window that was past it.
+    fn migrate(&mut self, from: u64) {
+        let Some(last) = (self.ring.len() as u64).checked_sub(1) else {
+            return;
+        };
+        let end = self.base.saturating_add(last);
+        if from > end {
+            return;
+        }
+        while let Some((&time, _)) = self.overflow.range(from..=end).next() {
+            let bucket = self.overflow.remove(&time).expect("a key just found");
+            self.place(time, bucket);
+        }
+    }
+
+    /// Moves the window's start up to `base`, which no event in the ring
+    /// precedes, so a quiet stretch or a run of pops leaves no stale
+    /// window behind for later pushes to overflow past.
+    fn slide(&mut self, base: u64) {
+        if base <= self.base {
+            return;
+        }
+        let from = self.base.saturating_add(self.ring.len() as u64);
+        self.base = base;
+        if !self.overflow.is_empty() {
+            self.migrate(from);
+        }
+    }
+
+    /// The earliest instant in the ring and its slot: the first set
+    /// occupancy bit from the window's start on, wrapping once.
+    fn ring_first(&self) -> Option<(u64, usize)> {
+        let mask = self.ring.len().checked_sub(1)?;
+        let start = self.base as usize & mask;
+        let words = self.occupied.len();
+        let mut word = start / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
+        for _ in 0..=words {
+            if bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                return Some((self.base + (slot.wrapping_sub(start) & mask) as u64, slot));
+            }
+            word = (word + 1) % words;
+            bits = self.occupied[word];
+        }
+        None
     }
 
     /// The firing time of the earliest queued event, if any.
     pub fn peek_time(&self) -> Option<u64> {
-        self.buckets.keys().next().copied()
+        let ring = self.ring_first().map(|(time, _)| time);
+        let overflow = self.overflow.keys().next().copied();
+        match (ring, overflow) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The earliest instant if it fires at or before `now`, with the
+    /// window slid up to it (else up to `now`): it is then in the ring
+    /// unless the ring is empty or the instant is behind the window. A
+    /// queue found empty lets go of its ring; the pushes that follow size
+    /// it again.
+    fn first_due(&mut self, now: u64) -> Option<u64> {
+        match self.peek_time() {
+            Some(time) if time <= now => {
+                self.slide(time);
+                Some(time)
+            }
+            _ => {
+                if self.len == 0 {
+                    self.ring = Vec::new();
+                    self.occupied = Vec::new();
+                }
+                self.slide(now);
+                None
+            }
+        }
     }
 
     /// Pops the earliest event if it fires at or before `now`. (One
     /// bucket sort amortizes over all of its pops; prefer
     /// [`EventQueue::drain_due`] when everything due is wanted anyway.)
     pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
-        let mut first = self.buckets.first_entry()?;
-        let time = *first.key();
-        if time > now {
-            return None;
-        }
-        let bucket = first.get_mut();
+        let time = self.first_due(now)?;
+        let slot = self.ring_slot(time);
+        let bucket = match slot {
+            Some(slot) => &mut self.ring[slot],
+            None => self.overflow.get_mut(&time).expect("the earliest instant"),
+        };
         bucket.ensure_sorted(&mut self.scratch);
         let value = bucket.pop_front().expect("bucket is non-empty");
         if bucket.chunks.is_empty() {
-            first.remove();
+            match slot {
+                Some(slot) => self.occupied[slot / 64] &= !(1 << (slot % 64)),
+                None => drop(self.overflow.remove(&time)),
+            }
         }
         self.len -= 1;
         Some((time, value))
@@ -271,11 +434,14 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
     /// order. The events are the caller's: the queue is free to use while
     /// they are walked, chunk by chunk, each chunk freed as it empties.
     pub(crate) fn pop_instant(&mut self, now: u64) -> Option<(u64, impl Iterator<Item = T>)> {
-        let first = self.buckets.first_entry()?;
-        if *first.key() > now {
-            return None;
-        }
-        let (time, mut bucket) = first.remove_entry();
+        let time = self.first_due(now)?;
+        let mut bucket = match self.ring_slot(time) {
+            Some(slot) => {
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+                std::mem::take(&mut self.ring[slot])
+            }
+            None => self.overflow.remove(&time).expect("the earliest instant"),
+        };
         self.len -= bucket.len();
         bucket.ensure_sorted(&mut self.scratch);
         Some((
@@ -539,10 +705,10 @@ mod tests {
         /// is the push number again.
         struct Model<K>(Vec<(u64, K, u32)>);
 
-        /// What the queue under test holds: the push number in 240 bytes,
+        /// What the queue under test holds: the push number in 120 bytes,
         /// so that a chunk is eight entries and a busy instant is several
         /// chunks.
-        type Fat = [u32; 60];
+        type Fat = [u32; 30];
 
         impl<K: Ord + Copy> Model<K> {
             /// Everything due at `now` in key order, removed.
@@ -574,13 +740,28 @@ mod tests {
             }
         }
 
-        /// No empty bucket, no empty or overfull chunk, and the length says
-        /// what the buckets hold.
+        /// The ring is no slot or a power of two of them, each with a bit
+        /// that says whether it holds events; no instant is in the
+        /// overflow and the window at once; no overflow bucket is empty,
+        /// no chunk empty or overfull; and the length says what the
+        /// buckets hold.
         fn check_layout<K: Ord + Copy>(q: &EventQueue<Fat, K>) -> TestCaseResult {
-            let chunks = q.buckets.values().flat_map(|b| &b.chunks);
+            let slots = q.ring.len();
+            prop_assert!(slots == 0 || (slots.is_power_of_two() && slots <= RING));
+            prop_assert_eq!(q.occupied.len(), slots.div_ceil(64));
+            for (slot, bucket) in q.ring.iter().enumerate() {
+                let bit = q.occupied[slot / 64] >> (slot % 64) & 1 == 1;
+                prop_assert_eq!(bit, !bucket.chunks.is_empty());
+            }
+            prop_assert!(q.overflow.keys().all(|&time| q.ring_slot(time).is_none()));
+            prop_assert!(q.overflow.values().all(|b| !b.chunks.is_empty()));
+            let chunks = q
+                .ring
+                .iter()
+                .chain(q.overflow.values())
+                .flat_map(|b| &b.chunks);
             let full = Bucket::<Fat, K>::CHUNK;
             prop_assert!(chunks.clone().all(|c| (1..=full).contains(&c.len())));
-            prop_assert!(q.buckets.values().all(|b| !b.chunks.is_empty()));
             prop_assert_eq!(chunks.map(VecDeque::len).sum::<usize>(), q.len());
             Ok(())
         }
@@ -603,33 +784,46 @@ mod tests {
                 // A few busy instants around the clock (an instant is
                 // several chunks, and is pushed into again after part of
                 // it was popped), instants already passed, the end of
-                // time, and a wide scatter of lone events.
-                let time = match place % 8 {
+                // time, a wide scatter of lone events, and instants on
+                // either side of the ring's edge, which a slide carries
+                // from the overflow into the ring.
+                let edge = clock.saturating_add(RING as u64);
+                let time = match place % 10 {
                     0 | 1 => clock.saturating_add(salt % 4),
                     2 => clock.saturating_sub(1 + salt % 4),
                     3 => u64::MAX,
                     4 if !pushed.is_empty() => pushed[(salt % pushed.len() as u64) as usize],
                     5 => clock.saturating_add(salt % 5000),
                     6 => salt,
+                    8 => edge.saturating_add(salt % 4),
+                    9 => edge.saturating_sub(1 + salt % 4),
                     _ => salt % 50,
                 };
                 match what % 32 {
                     // A clock that mostly advances, sometimes stands still
-                    // or runs backwards, and once in a while jumps to the
-                    // end of time.
+                    // or runs backwards, now and then stops exactly at the
+                    // window's edge, and once in a while jumps to the end
+                    // of time.
                     28..=31 => {
-                        let now = match (place / 8) % 64 {
+                        let now = match (place / 10) % 64 {
                             0 => u64::MAX,
                             1..=12 => clock.saturating_sub(salt % 5),
                             13..=24 => time,
+                            25..=30 => q.base.saturating_add(RING as u64 - salt % 2),
                             _ => clock.saturating_add(salt % 3000),
                         };
                         if now != u64::MAX {
                             clock = now;
                         }
+                        // Whether the queue found nothing more due: then
+                        // its window starts at `now` at the latest, also
+                        // when it was only ever popped.
+                        let mut idle = true;
                         if what % 32 < 30 {
+                            idle = false;
                             for _ in 0..1 + salt % 6 {
                                 let got = q.pop_due(now).map(|(t, v)| (t, v[0]));
+                                idle |= got.is_none();
                                 prop_assert_eq!(got, model.pop_due(now));
                             }
                         } else {
@@ -639,13 +833,14 @@ mod tests {
                             });
                             prop_assert_eq!(got, model.drain(now, policy, &mut rng_twin));
                         }
+                        prop_assert!(!idle || q.base >= now, "a stale window");
                     }
                     _ => {
                         // Few distinct ties, so equal keys are common and
                         // arrive out of tie order.
                         let tie = tie_of((salt >> 8) % 4);
                         let value = pushed.len() as u32;
-                        q.push(time, tie, [value; 60]);
+                        q.push(time, tie, [value; 30]);
                         model.0.push((time, tie, value));
                         pushed.push(time);
                     }

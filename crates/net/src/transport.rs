@@ -15,23 +15,24 @@
 //! ## What a message in the air costs
 //!
 //! A *flight* is one `send_many` call (a fan: sender, sending round,
-//! payload, recipients) or one `send_round` call (a round: its own
-//! `Vec<Envelope>`, swapped out of the caller's hands; a `send` is a
-//! round of one), stored once however many arrival ticks it spreads over.
-//! The event queue holds nothing but its 4-byte slot, once per
-//! same-arrival group: a flight keeps its survivors sorted by `(arrival,
-//! emission order)`, so its groups leave the calendar in list order, and
-//! it walks the list with a cursor, the last member of each group marked
-//! by bit 31 of its id (an envelope's `to`) until the group is closed. A
-//! recipient of a jittered fan in the air is 4 bytes of queue and 4 of
-//! list, an envelope of a round itself (`tests/net_memory.rs`); a flight
-//! that lands on one tick is neither sorted nor copied.
+//! payload, the caller's recipient list) or one `send_round` call (a
+//! round: its own `Vec<Envelope>`, swapped out of the caller's hands; a
+//! `send` is a round of one), stored once however many arrival ticks it
+//! spreads over. The event queue is the only sort: a fan that lands on
+//! one tick is one 8-byte entry, and a spread fan one `(slot, recipient)`
+//! entry per survivor, pushed straight into its arrival tick in recipient
+//! order. A round is sorted by `(arrival, emission order)` in its own
+//! buffer and queued once per arrival, each entry saying where its group
+//! ends. A recipient of a jittered fan in the air is its 8-byte entry, an
+//! envelope of a round itself (`tests/net_memory.rs`).
 //!
-//! The drain closes an instant's groups in calendar order — emission
-//! order — and hands out its *units* in the order of
-//! [`NetConfig::ordering`]: a fan's group is one unit, and so is a
-//! round's under [`DeliveryPolicy::Fifo`]; the policies that reorder take
-//! a round envelope by envelope, the units one `send` each would make.
+//! The drain rebuilds an instant's groups in calendar order — emission
+//! order: a fan's group is its run of consecutive entries, since one call
+//! puts at most one run in any instant — and hands out its *units* in the
+//! order of [`NetConfig::ordering`]: a fan's group is one unit, and so is
+//! a round's under [`DeliveryPolicy::Fifo`]; the policies that reorder
+//! take a round envelope by envelope, the units one `send` each would
+//! make.
 
 use crate::event::{DeliveryPolicy, EventQueue};
 use crate::fault::{Churn, DropCause, FaultPlan};
@@ -43,17 +44,31 @@ use std::sync::Arc;
 
 type Range = std::ops::Range<usize>;
 
-/// What an instant hands out as one: `(slot, start, end)` of a flight.
-type Unit = (u32, u32, u32);
+/// A queue entry: a flight's slot ([`ROUND`] set for a round) and, for a
+/// fan, the recipient it carries or [`WHOLE`]; for a round, where its
+/// group in the buffer ends.
+type Entry = (u32, u32);
+
+/// What an instant hands out as one.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// Every recipient of fan `slot`, in the caller's list.
+    Whole(u32),
+    /// Recipients `start..end` of the instant's gathered groups, of fan
+    /// `slot`.
+    Group(u32, u32, u32),
+    /// Envelopes `start..end` of round `slot` ([`ROUND`] set).
+    Singles(u32, u32, u32),
+}
 
 /// Label space for the network transport's RNG stream (labels `0..n` are
 /// processor coins, `1 << 40` the adversary, `1 << 41` sampler
 /// construction — see `ba_sim::derive_rng`).
 pub const NET_LABEL: u64 = 1 << 42;
 
-/// The most processors a [`NetTransport`] carries: bit 31 of a recipient
-/// in flight marks the end of its group, so every index stays below it.
-pub const MAX_PROCS: usize = 1 << 31;
+/// The most processors a [`NetTransport`] carries: a queued recipient is
+/// a `u32` with bit 31 clear, which set stands for a fan's whole list.
+pub const MAX_PROCS: usize = WHOLE as usize;
 
 /// Label of the *ordering* stream: [`DeliveryPolicy::Shuffle`] draws its
 /// same-instant permutations here, never from [`NET_LABEL`], so changing
@@ -147,86 +162,45 @@ impl Default for NetConfig {
 }
 
 /// One `send_many` call in flight, stored once however many arrival ticks
-/// its recipients spread over. The event queue holds only the slab slot of
-/// one of these, once per same-arrival group: the flight itself knows
-/// which of its recipients leave next.
+/// its recipients spread over. The event queue holds its slot, once for
+/// a fan that lands on one tick and once per survivor otherwise.
 #[derive(Debug)]
 struct Flight<M> {
-    /// Narrow (checked at [`NetTransport::launch`]) so that `Dest`'s tag
-    /// and cursor fit where a count of undelivered recipients stood.
+    /// Narrow (checked at [`NetTransport::launch`]) so that the count
+    /// beside it fits in the same word.
     sent_round: u32,
+    /// Recipients still in the air; the slot is recycled at zero.
+    left: u32,
     from: ProcId,
-    to: Dest,
+    /// The caller's list, never written to.
+    to: Arc<[ProcId]>,
     payload: M,
-}
-
-/// Recipients of one flight, in delivery order.
-#[derive(Debug)]
-enum Dest {
-    /// A fan that lands on one tick — a fast-path fan, or a slow-path
-    /// one whose survivors drew one arrival: the caller's own list when
-    /// nothing was dropped, else one shared list of the survivors. It is
-    /// queued once, delivered whole and never written to.
-    Whole(Arc<[ProcId]>),
-    /// A slow-path fan spread over several ticks: the survivors sorted by
-    /// `(arrival, emission order)`, the last member of every same-arrival
-    /// group carrying [`GROUP_END`]. The flight is queued once per group,
-    /// its groups leave the calendar in list order, and `next` is where
-    /// the first undelivered one starts; the slot is recycled when `next`
-    /// reaches the end of the list.
-    Groups { list: Box<[ProcId]>, next: u32 },
 }
 
 /// One `send_round` or `send` call in flight: the buffer the round came
 /// in, in the slab beside the fans' (a [`Flight`] is one sender and one
 /// payload, and pays for neither a `Vec` nor a second kind). Queued once
-/// per same-arrival group like a [`Dest::Groups`] fan, and walked the same
-/// way.
+/// per arrival tick, each entry naming the end of its group.
 #[derive(Debug)]
 struct RoundFlight<M> {
     sent_round: u32,
     /// Where the first undelivered group starts.
     next: u32,
-    /// The survivors, sorted by `(arrival, emission order)`, the `to` of
-    /// every same-arrival group's last envelope carrying [`GROUP_END`].
-    /// Empty while the slot is free — with an allocation worth handing to
-    /// the next `send_round` in exchange for its buffer.
+    /// The survivors, sorted by `(arrival, emission order)`. Empty while
+    /// the slot is free — with an allocation worth handing to the next
+    /// `send_round` in exchange for its buffer.
     envs: Vec<Envelope<M>>,
 }
 
 /// The bit of a queued slot that says it indexes `rounds`, not `flights`.
 const ROUND: u32 = 1 << 31;
 
+/// What a fan's one queue entry carries for all of its list: a fast-path
+/// fan, which lands whole on one tick. Every recipient is below it.
+const WHOLE: u32 = 1 << 31;
+
 /// What a queued slot of `flights` holds.
 const LIVE: &str = "a queued slot holds a live flight";
-
-/// The bit of a [`ProcId`] — in a [`Dest::Groups`] list, or the `to` of
-/// an envelope of a [`RoundFlight`] — that marks the last member of a
-/// same-arrival group. It is cleared in place before the group is handed
-/// out, so no recipient ever leaves the transport marked;
-/// [`NetTransport::new`] keeps every real index below it.
-const GROUP_END: usize = MAX_PROCS;
-
-/// `p` as the last member of its group.
-fn marked(p: ProcId) -> ProcId {
-    ProcId::new(p.index() | GROUP_END)
-}
-
-/// Closes the group of `list` that starts at `next` — finds its marked
-/// member and clears the mark — moves `next` past it and returns its
-/// range. `to` is where an entry keeps its recipient.
-fn close_group<T>(list: &mut [T], next: &mut u32, to: impl Fn(&mut T) -> &mut ProcId) -> Range {
-    let start = *next as usize;
-    let last = start
-        + list[start..]
-            .iter_mut()
-            .position(|entry| to(entry).index() & GROUP_END != 0)
-            .expect("a queued group ends at a marked recipient");
-    let p = to(&mut list[last]);
-    *p = ProcId::new(p.index() & !GROUP_END);
-    *next = last as u32 + 1;
-    start..last + 1
-}
 
 /// Puts `envs` in the order of `landed`, whose indices are a permutation
 /// of `0..envs.len()`: `envs[k]` becomes what stood at `landed[k].1`. In
@@ -258,13 +232,12 @@ enum Due<'a, M> {
     Singles(&'a mut Vec<Envelope<M>>, Range),
 }
 
-// The per-envelope cost of a jittered fan is one queue entry and one
-// survivor-list entry, and a queue entry is the flight's slot and nothing
-// else; a field added to it shows up here, not in a memory profile. The
-// cursor sits beside `Dest`'s tag, and a fan is no larger than when it
-// counted recipients down (40 bytes around a `u16`, 56 around a 24-byte
-// message such as `StackMsg`, for which `[u64; 3]` stands in here).
-const _: () = assert!(std::mem::size_of::<((), u32)>() == 4);
+// The per-recipient cost of a jittered fan is one queue entry, and a
+// queue entry is the flight's slot and the recipient and nothing else; a
+// field added to it shows up here, not in a memory profile. A fan is 40
+// bytes around a `u16`, 56 around a 24-byte message such as `StackMsg`,
+// for which `[u64; 3]` stands in here.
+const _: () = assert!(std::mem::size_of::<((), Entry)>() == 8);
 const _: () = assert!(std::mem::size_of::<Flight<u16>>() <= 40);
 const _: () = assert!(std::mem::size_of::<Flight<[u64; 3]>>() <= 56);
 
@@ -291,15 +264,15 @@ pub struct NetTransport<M> {
     /// delivered (their buffers empty).
     rounds: Vec<RoundFlight<M>>,
     free_rounds: Vec<u32>,
-    /// Flight slots by arrival tick ([`ROUND`] set on a slot of `rounds`),
-    /// one entry per same-arrival group. The queue keeps one instant's
-    /// events in push order, and pushes happen in emission order —
-    /// `send`, `send_many` and `send_round` run one after another on
-    /// `&mut self`, and one call puts at most one group in any instant
-    /// (its distinct arrivals, pushed in ascending order: an entry need
-    /// not say *which* group it is) — so an instant drains in emission
-    /// order without a tie key.
-    queue: EventQueue<u32, ()>,
+    /// [`Entry`]s by arrival tick: a fan's slot once if it lands on one
+    /// tick, else once per survivor with the recipient; a round's slot
+    /// once per arrival. The queue keeps one instant's events in push
+    /// order, and pushes happen in emission order — `send`, `send_many`
+    /// and `send_round` run one after another on `&mut self`, a fan's
+    /// survivors are pushed in recipient order, and one call puts at most
+    /// one run of entries in any instant — so an instant drains in
+    /// emission order without a tie key, and a fan's group is a run.
+    queue: EventQueue<Entry, ()>,
     rng: SimRng,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
     /// `Shuffle` policy ever draws from it, once a unit past an instant's
@@ -308,8 +281,9 @@ pub struct NetTransport<M> {
     /// Every counter, per phase of the sending round. A multicast counts
     /// one per recipient, so batching never changes what it holds.
     ledger: PhaseLedger,
-    /// Scratch for `send_many`'s surviving `(arrival, index)` pairs.
-    landed: Vec<(u64, u32)>,
+    /// The recipients of an instant's spread-fan groups, gathered from
+    /// their runs of entries while the instant drains.
+    gathered: Vec<ProcId>,
     /// One-element recipient lists, one per processor, made on first use.
     singles: Vec<Option<Arc<[ProcId]>>>,
     /// Observability handle (attached via [`NetTransport::with_trace`],
@@ -333,12 +307,12 @@ impl<M> NetTransport<M> {
     /// # Panics
     ///
     /// Panics if `cfg.delta == 0`, or if `n` exceeds [`MAX_PROCS`]: bit 31
-    /// of a queued recipient marks the end of a same-arrival group.
+    /// of a queued recipient marks the entry of a fan's whole list.
     pub fn new(n: usize, cfg: NetConfig) -> Self {
         assert!(cfg.delta > 0, "delta must be at least one tick per round");
         assert!(
             n <= MAX_PROCS,
-            "{n} processors: bit 31 of a queued recipient marks the end of its group, \
+            "{n} processors: bit 31 of a queued recipient marks a fan's whole list, \
              and a value too wide panics instead of folding"
         );
         let crash_round: Vec<usize> = (0..n)
@@ -360,7 +334,7 @@ impl<M> NetTransport<M> {
             rng,
             order_rng,
             ledger,
-            landed: Vec::new(),
+            gathered: Vec::new(),
             singles: Vec::new(),
             trace: Trace::off(),
             pend: (0, None, 0, 0, 0),
@@ -437,13 +411,15 @@ impl<M> NetTransport<M> {
         }
     }
 
-    /// Stores a fan; returns its slot, which is what the queue holds.
-    fn launch(&mut self, round: usize, from: ProcId, to: Dest, payload: M) -> u32 {
+    /// Stores a fan with `left` recipients in the air; returns its slot,
+    /// which is what the queue holds.
+    fn launch(&mut self, round: usize, mc: Multicast<M>, left: u32) -> u32 {
         let flight = Flight {
             sent_round: u32::try_from(round).expect("fewer than 2^32 rounds"),
-            from,
-            to,
-            payload,
+            left,
+            from: mc.from,
+            to: mc.to,
+            payload: mc.payload,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -507,23 +483,43 @@ impl<M> NetTransport<M> {
         !churn.is_some_and(|c| c.is_down(round, i))
     }
 
-    /// Hands `start..end` of flight `id`'s list to `sink` as one unit,
-    /// counted delivered once per recipient, like one `send` per recipient.
-    fn hand_out(&mut self, round: usize, unit: Unit, sink: &mut impl FnMut(Due<'_, M>)) {
-        let (id, start, end) = unit;
-        let unit = start as usize..end as usize;
-        let (sent, due) = if id & ROUND != 0 {
-            let flight = &mut self.rounds[(id & !ROUND) as usize];
-            let due = Due::Singles(&mut flight.envs, unit);
-            (flight.sent_round as usize, due)
-        } else {
-            let flight = self.flights[id as usize].as_ref().expect(LIVE);
-            let (whole, group) = match &flight.to {
-                Dest::Whole(list) => (Some(list), &list[unit]),
-                Dest::Groups { list, .. } => (None, &list[unit]),
-            };
-            let due = Due::Fan(flight.from, whole, group, &flight.payload);
-            (flight.sent_round as usize, due)
+    /// Hands `unit` to `sink`, counted delivered once per recipient, like
+    /// one `send` per recipient. `gathered` is the instant's spread-fan
+    /// recipients.
+    fn hand_out(
+        &mut self,
+        round: usize,
+        unit: Unit,
+        gathered: &[ProcId],
+        sink: &mut impl FnMut(Due<'_, M>),
+    ) {
+        let fan = |id: u32| self.flights[id as usize].as_ref().expect(LIVE);
+        let (sent, due) = match unit {
+            Unit::Whole(id) => {
+                let flight = fan(id);
+                let due = Due::Fan(
+                    flight.from,
+                    Some(&flight.to),
+                    &flight.to[..],
+                    &flight.payload,
+                );
+                (flight.sent_round, due)
+            }
+            Unit::Group(id, start, end) => {
+                let flight = fan(id);
+                let group = &gathered[start as usize..end as usize];
+                // All of the caller's list on one tick: the list itself.
+                let whole = (group.len() == flight.to.len()).then_some(&flight.to);
+                (
+                    flight.sent_round,
+                    Due::Fan(flight.from, whole, group, &flight.payload),
+                )
+            }
+            Unit::Singles(id, start, end) => {
+                let flight = &mut self.rounds[(id & !ROUND) as usize];
+                let due = Due::Singles(&mut flight.envs, start as usize..end as usize);
+                (flight.sent_round, due)
+            }
         };
         // The wire did its job, but a recipient that is dead or churned
         // out this round will never read the message.
@@ -534,8 +530,12 @@ impl<M> NetTransport<M> {
             Due::Fan(_, _, group, _) => group.iter().filter(|&&p| down(p)).count(),
             Due::Singles(envs, unit) => envs[unit.clone()].iter().filter(|e| down(e.to)).count(),
         };
-        let count = u64::from(end - start);
-        self.ledger.delivered(round, sent, count, dead as u64);
+        let count = match &due {
+            Due::Fan(_, _, group, _) => group.len(),
+            Due::Singles(_, unit) => unit.len(),
+        };
+        self.ledger
+            .delivered(round, sent as usize, count as u64, dead as u64);
         sink(due);
     }
 
@@ -571,43 +571,59 @@ impl<M> NetTransport<M> {
         let stats = self.ledger.stats();
         let before = (stats.delivered, stats.late, stats.dead_letters);
         let ordering = self.cfg.ordering;
-        // An instant's units where a policy reorders them, and the flights
-        // whose last group the instant holds.
-        let (mut units, mut spent): (Vec<Unit>, _) = (Vec::new(), Vec::new());
-        while let Some((_, ids)) = self.queue.pop_instant(now) {
-            // Every group due now, closed in calendar order.
-            for id in ids {
-                let (group, len) = if id & ROUND != 0 {
+        // An instant's units where a policy reorders them, the flights
+        // whose last group the instant holds, and its fans' groups.
+        let (mut units, mut spent) = (Vec::new(), Vec::new());
+        let mut gathered = std::mem::take(&mut self.gathered);
+        while let Some((_, entries)) = self.queue.pop_instant(now) {
+            // Every group due now, rebuilt in calendar order.
+            let mut entries = entries.peekable();
+            while let Some((id, arg)) = entries.next() {
+                let unit = if id & ROUND != 0 {
                     let flight = &mut self.rounds[(id & !ROUND) as usize];
-                    let group = close_group(&mut flight.envs, &mut flight.next, |e| &mut e.to);
-                    (group, flight.envs.len())
-                } else {
-                    match &mut self.flights[id as usize].as_mut().expect(LIVE).to {
-                        Dest::Whole(list) => (0..list.len(), list.len()),
-                        Dest::Groups { list, next } => (close_group(list, next, |p| p), list.len()),
+                    let start = std::mem::replace(&mut flight.next, arg);
+                    if arg as usize == flight.envs.len() {
+                        spent.push(id);
                     }
-                };
-                if group.end == len {
+                    Unit::Singles(id, start, arg)
+                } else if arg == WHOLE {
                     spent.push(id);
-                }
-                let (start, end) = (group.start as u32, group.end as u32);
-                if ordering == DeliveryPolicy::Fifo {
-                    // The calendar's order: a group leaves once closed.
-                    self.hand_out(round, (id, start, end), &mut sink);
-                } else if id & ROUND != 0 {
-                    units.extend((start..end).map(|k| (id, k, k + 1)));
+                    Unit::Whole(id)
                 } else {
-                    units.push((id, start, end));
+                    // The fan's run of entries in this instant.
+                    let start = gathered.len();
+                    gathered.push(ProcId::new(arg as usize));
+                    while let Some((_, p)) = entries.next_if(|&(next, _)| next == id) {
+                        gathered.push(ProcId::new(p as usize));
+                    }
+                    let flight = self.flights[id as usize].as_mut().expect(LIVE);
+                    flight.left -= (gathered.len() - start) as u32;
+                    if flight.left == 0 {
+                        spent.push(id);
+                    }
+                    Unit::Group(id, start as u32, gathered.len() as u32)
+                };
+                match unit {
+                    // The calendar's order: a group leaves once rebuilt.
+                    _ if ordering == DeliveryPolicy::Fifo => {
+                        self.hand_out(round, unit, &gathered, &mut sink)
+                    }
+                    Unit::Singles(id, start, end) => {
+                        units.extend((start..end).map(|k| Unit::Singles(id, k, k + 1)))
+                    }
+                    _ => units.push(unit),
                 }
             }
             ordering.order(&mut units, &mut self.order_rng);
             for unit in units.drain(..) {
-                self.hand_out(round, unit, &mut sink);
+                self.hand_out(round, unit, &gathered, &mut sink);
             }
+            gathered.clear();
             for id in spent.drain(..) {
                 self.recycle(id);
             }
         }
+        self.gathered = gathered;
         if self.trace.is_on() {
             let stats = self.ledger.stats();
             let delivered = stats.delivered - before.0;
@@ -654,68 +670,41 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // fan stays one queue entry, at its place in emission order.
         if self.cfg.faults.is_trivial() {
             if let LatencyModel::Constant(d) = self.cfg.latency {
-                let flight = self.launch(round, mc.from, Dest::Whole(mc.to), mc.payload);
-                self.queue.push(sent.saturating_add(d), (), flight);
+                let flight = self.launch(round, mc, len);
+                self.queue.push(sent.saturating_add(d), (), (flight, WHOLE));
                 return;
             }
         }
         // Slow path: replay the exact per-recipient decisions of the
         // unbatched expansion — the same drop and latency draws, from
-        // the same stream, in recipient order — then regroup survivors
-        // by arrival tick. A group is this fan's only entry in its
-        // instant, pushed after every earlier send's and before any
-        // later one's, so same-instant FIFO order is the expansion's.
-        let mut landed = std::mem::take(&mut self.landed);
-        debug_assert!(landed.is_empty());
-        for (i, to) in mc.to.iter().enumerate() {
-            if let Some(cause) =
-                self.cfg
-                    .faults
-                    .dropped(round, mc.from.index(), to.index(), &mut self.rng)
+        // the same stream, in recipient order — and push each survivor
+        // straight into its arrival tick. A tick's survivors of this fan
+        // are one run of entries there, in recipient order, after every
+        // earlier send's and before any later one's: the expansion's
+        // same-instant FIFO order, with no sort.
+        let (from, to) = (mc.from.index(), Arc::clone(&mc.to));
+        let flight = self.launch(round, mc, 0);
+        let mut left = 0;
+        for &p in to.iter() {
+            if let Some(cause) = self
+                .cfg
+                .faults
+                .dropped(round, from, p.index(), &mut self.rng)
             {
                 self.count_dropped(round, cause);
                 continue;
             }
             let latency = self.cfg.latency.sample(&mut self.rng);
-            landed.push((sent.saturating_add(latency), i as u32));
+            assert!(p.index() < MAX_PROCS, "{p} would read as a whole fan");
+            let arg = p.index() as u32;
+            self.queue
+                .push(sent.saturating_add(latency), (), (flight, arg));
+            left += 1;
         }
-        if !landed.is_empty() {
-            // Recipients sharing an arrival keep slice order: the index
-            // breaks ties.
-            landed.sort_unstable();
-            let last = landed.len() - 1;
-            let to = if landed[0].0 == landed[last].0 {
-                // One tick: a whole list, the caller's own if it all
-                // survived (the sort then left it in index order).
-                if last + 1 == mc.to.len() {
-                    Dest::Whole(mc.to)
-                } else {
-                    Dest::Whole(landed.iter().map(|&(_, i)| mc.to[i as usize]).collect())
-                }
-            } else {
-                // Several: the flight's own list, each group's last
-                // member marked — never the caller's, which is shared.
-                let list = landed.iter().enumerate().map(|(k, &(arrival, i))| {
-                    let p = mc.to[i as usize];
-                    assert!(p.index() < GROUP_END, "{p} would read as marked");
-                    if k < last && landed[k + 1].0 == arrival {
-                        p
-                    } else {
-                        marked(p)
-                    }
-                });
-                Dest::Groups {
-                    list: list.collect(),
-                    next: 0,
-                }
-            };
-            let flight = self.launch(round, mc.from, to, mc.payload);
-            for group in landed.chunk_by(|a, b| a.0 == b.0) {
-                self.queue.push(group[0].0, (), flight);
-            }
-            landed.clear();
+        match left {
+            0 => self.recycle(flight),
+            _ => self.flights[flight as usize].as_mut().expect(LIVE).left = left,
         }
-        self.landed = landed;
     }
 
     /// Accepts a whole round as one flight, byte-identical to one `send`
@@ -728,8 +717,6 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         if envs.is_empty() {
             return;
         }
-        let widest = envs.iter().fold(0, |all, e| all | e.to.index());
-        assert!(widest < GROUP_END, "a recipient would read as marked");
         let bits = envs.iter().map(Envelope::bit_len).sum();
         self.count_sent(round, envs.len() as u64, bits);
         let sent = (round as u64).saturating_mul(self.cfg.delta);
@@ -761,23 +748,19 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             });
         }
         if let Some(last) = envs.len().checked_sub(1) {
+            let len = u32::try_from(envs.len()).expect("fewer than 2^32 envelopes a round");
             // Survivors sharing an arrival keep emission order: the index
             // breaks ties. The round moves once, within its own buffer.
             landed.sort_unstable();
             permute(envs, &mut landed);
             let flight = self.launch_round(round, envs);
-            let list = &mut self.rounds[(flight & !ROUND) as usize].envs;
             // One queue entry per distinct arrival, in ascending arrival,
-            // the last envelope of each marked.
-            let mut close = |k: usize, arrival| {
-                list[k].to = marked(list[k].to);
-                self.queue.push(arrival, (), flight);
-            };
+            // each saying where its group ends.
             match one_tick {
-                Some(arrival) => close(last, arrival),
+                Some(arrival) => self.queue.push(arrival, (), (flight, len)),
                 None => (0..=last)
                     .filter(|&k| k == last || landed[k + 1].0 != landed[k].0)
-                    .for_each(|k| close(k, landed[k].0)),
+                    .for_each(|k| self.queue.push(landed[k].0, (), (flight, k as u32 + 1))),
             }
         }
     }
@@ -1425,18 +1408,13 @@ mod tests {
         }
     }
 
-    /// The recipients of a [`Dest::Groups`] list, marks cleared.
-    fn unmarked(list: &[ProcId]) -> Vec<usize> {
-        list.iter().map(|p| p.index() & !GROUP_END).collect()
-    }
-
     /// One fan whose groups leave over several rounds, a collect between
-    /// every two of them: the cursor hands every survivor out exactly
-    /// once and in list order whatever the policy (a group is one unit),
-    /// the last group recycles the slot and no earlier one does, and a
-    /// run that stops mid-flight reports what is still in the air.
+    /// every two of them: every survivor is handed out exactly once and
+    /// in calendar order whatever the policy (a group is one unit), the
+    /// last group recycles the slot and no earlier one does, and a run
+    /// that stops mid-flight reports what is still in the air.
     #[test]
-    fn a_flight_walks_its_survivor_list_across_rounds_under_every_policy() {
+    fn a_spread_fan_leaves_group_by_group_across_rounds_under_every_policy() {
         // One tick a round and one to eight rounds on the wire: a fan's
         // groups are its distinct arrival rounds.
         let cfg = |ordering| {
@@ -1453,7 +1431,7 @@ mod tests {
             })
         };
         let to: Arc<[ProcId]> = (0..24).map(ProcId::new).collect();
-        let walk = |ordering: DeliveryPolicy, many: bool, rounds: usize| {
+        let launched = |ordering| {
             let mut t: NetTransport<u16> = NetTransport::new(24, cfg(ordering));
             t.send_many(
                 0,
@@ -1463,16 +1441,25 @@ mod tests {
                     payload: 9,
                 },
             );
-            let Some(Flight {
-                to: Dest::Groups { list, next: 0 },
-                ..
-            }) = &t.flights[0]
-            else {
-                panic!("the fan spreads over several ticks");
-            };
-            let expected = unmarked(list);
-            let groups = list.iter().filter(|p| p.index() >= GROUP_END).count();
-            assert!(groups >= 4 && groups < expected.len() && expected.len() < to.len());
+            t
+        };
+        let walk = |ordering: DeliveryPolicy, many: bool, rounds: usize| {
+            // The groups, read straight off a twin's calendar: one fan's
+            // entries, an instant each.
+            let mut twin = launched(ordering);
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            while let Some((_, entries)) = twin.queue.pop_instant(u64::MAX) {
+                groups.push(
+                    entries
+                        .map(|(slot, p)| (slot == 0).then_some(p as usize))
+                        .collect::<Option<_>>()
+                        .expect("one flight"),
+                );
+            }
+            let expected = groups.concat();
+            assert!(groups.len() >= 4 && groups.len() < expected.len());
+            assert!(expected.len() < to.len(), "some of the fan was lost");
+            let mut t = launched(ordering);
             let mut got = Vec::new();
             let mut units = 0;
             for r in 1..=rounds {
@@ -1490,7 +1477,12 @@ mod tests {
                 assert_eq!(t.flights[0].is_some(), live, "recycled by the last group");
                 assert_eq!(t.free, if live { vec![] } else { vec![0] });
             }
-            (expected.len() - got.len(), units, groups, t.into_stats())
+            (
+                expected.len() - got.len(),
+                units,
+                groups.len(),
+                t.into_stats(),
+            )
         };
         for ordering in DeliveryPolicy::ALL {
             for many in [false, true] {
@@ -1506,9 +1498,9 @@ mod tests {
     }
 
     /// Arrivals that happen to be non-decreasing in the caller's own
-    /// order, over more than one tick, nothing dropped: the survivor list
-    /// *is* the caller's, and still the flight marks a copy — the
-    /// caller's `Arc` is shared with every other fan to that committee.
+    /// order, over more than one tick, nothing dropped: the flight shares
+    /// the caller's list — as does every other fan to that committee —
+    /// never writes to it, and lets go of it with its last group.
     #[test]
     fn a_spread_fan_in_the_callers_order_leaves_the_callers_list_alone() {
         let to: Arc<[ProcId]> = (0..3).map(ProcId::new).collect();
@@ -1529,36 +1521,35 @@ mod tests {
                     payload: 1,
                 },
             );
-            match &t.flights[0] {
-                Some(Flight {
-                    to: Dest::Groups { list, .. },
-                    ..
-                }) if unmarked(list) == [0, 1, 2] => met += 1,
-                _ => continue,
-            }
-            assert_eq!(Arc::strong_count(&to), 1, "the flight holds its own list");
+            assert_eq!(Arc::strong_count(&to), 2, "the flight shares the list");
             let mut got = Vec::new();
             for r in 1..=3 {
-                t.collect_many(r, &mut |b| got.push(unmarked(&b.to)));
+                t.collect_many(r, &mut |b| {
+                    got.push(b.to.iter().map(|p| p.index()).collect::<Vec<_>>())
+                });
                 assert!(
                     to.iter().map(|p| p.index()).eq(0..3),
                     "written to in round {r}"
                 );
             }
-            assert!(got.len() > 1, "several groups");
-            assert_eq!(got.concat(), [0, 1, 2]);
+            assert_eq!(Arc::strong_count(&to), 1, "the flight let go of the list");
+            assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 3);
+            if got.len() > 1 && got.concat() == [0, 1, 2] {
+                met += 1;
+            }
         }
-        assert!(met > 0, "no seed drew the shared-list case");
+        assert!(met > 0, "no seed drew a spread fan in the caller's order");
     }
 
-    /// The widest index `new` admits, 2^31 - 1, differs from a marked
-    /// recipient in bit 31 alone: at the end of every group of a spread
-    /// fan it is marked, and delivered without the mark. (Two ticks for
+    /// The widest index `new` admits, 2^31 - 1, differs from [`WHOLE`],
+    /// the entry of a fan's whole list, in bit 31 alone: as every
+    /// recipient of a spread fan it is queued as itself and delivered
+    /// unmarked. (Two ticks for
     /// twelve copies, so no group is a lone recipient: `collect_many`
     /// would size its table of one-element lists by that index.)
     #[test]
     fn the_widest_recipient_index_is_delivered_unmarked() {
-        let widest = ProcId::new(GROUP_END - 1);
+        let widest = ProcId::new(MAX_PROCS - 1);
         let to: Arc<[ProcId]> = [widest; 12].into();
         for many in [false, true] {
             let cfg = NetConfig {
@@ -1593,10 +1584,12 @@ mod tests {
         }
     }
 
+    /// [`WHOLE`] marks the entry of a fan's whole group: a processor
+    /// index that would equal it is refused up front.
     #[test]
     #[should_panic(expected = "a value too wide panics instead of folding")]
     fn more_processors_than_the_group_mark_leaves_room_for_are_refused() {
-        let _ = NetTransport::<u16>::new(GROUP_END + 1, NetConfig::synchronous());
+        let _ = NetTransport::<u16>::new(MAX_PROCS + 1, NetConfig::synchronous());
     }
 
     mod properties {
@@ -1620,9 +1613,9 @@ mod tests {
             while r < 3 || in_flight(&t) > 0 {
                 assert!(r < 200, "the wire never emptied");
                 // Whole, single and partial-group batches and every
-                // envelope pass through here: none may carry the mark.
+                // envelope pass through here: each names a processor.
                 let mut note = |from: ProcId, to: ProcId, payload| {
-                    assert!(to.index() < n, "{to} left the transport marked");
+                    assert!(to.index() < n, "{to} is not a processor");
                     got.push((r, from.index(), to.index(), payload))
                 };
                 if many {
@@ -1806,7 +1799,7 @@ mod tests {
                     Drain::Round => t.collect_round(r, &mut round),
                 }
                 for e in &round {
-                    assert!(e.to.index() < n, "{} left the transport marked", e.to);
+                    assert!(e.to.index() < n, "{} is not a processor", e.to);
                 }
                 got.extend(round.iter().map(|e| format!("{r}:{e:?}")));
                 if r < 3 {
@@ -1992,7 +1985,7 @@ mod tests {
             let mut got = Vec::new();
             t.collect_round(1, &mut got);
             assert_eq!(got.len(), n * n + 9);
-            assert!(got.iter().all(|e| e.to.index() < n), "delivered marked");
+            assert!(got.iter().all(|e| e.to.index() < n), "not a processor");
             assert_eq!((t.queue.len(), t.free_rounds.len()), (0, 2));
         }
     }
