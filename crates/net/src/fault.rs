@@ -108,6 +108,16 @@ impl FaultPlan {
         self.drop_prob <= 0.0 && self.partitions.is_empty()
     }
 
+    /// Whether the wire loses nothing sent in `round`: no random drops,
+    /// and no partition cuts that round.
+    pub(crate) fn is_lossless_in(&self, round: usize) -> bool {
+        self.drop_prob <= 0.0
+            && self
+                .partitions
+                .iter()
+                .all(|p| !(p.from_round..p.heal_round).contains(&round))
+    }
+
     /// Decides the fate of a `from → to` message sent in `round`.
     /// Deterministic checks run first; the random-drop draw is only taken
     /// when `drop_prob > 0`, so lossless plans consume no randomness.
@@ -230,6 +240,36 @@ mod tests {
         let mut rng = derive_rng(3, 0);
         assert_eq!(plan.dropped(0, 0, 1, &mut rng), Some(DropCause::Partition));
         assert_eq!(plan.dropped(0, 1, 2, &mut rng), Some(DropCause::Random));
+    }
+
+    /// A partition loses only the rounds it is up; crashes and churn
+    /// lose nothing on the wire; random drops lose every round.
+    #[test]
+    fn a_round_is_lossless_outside_partitions_and_without_drops() {
+        let plan = FaultPlan {
+            partitions: vec![Partition {
+                boundary: 1,
+                from_round: 2,
+                heal_round: 6,
+            }],
+            crashes: vec![Crash { proc: 0, round: 0 }],
+            churn: Some(Churn {
+                period: 4,
+                down: 1,
+                stagger: 0,
+            }),
+            ..FaultPlan::default()
+        };
+        let lossless: Vec<bool> = (0..8).map(|r| plan.is_lossless_in(r)).collect();
+        assert_eq!(
+            lossless,
+            [true, true, false, false, false, false, true, true]
+        );
+        let lossy = FaultPlan {
+            drop_prob: 0.01,
+            ..FaultPlan::default()
+        };
+        assert!((0..8).all(|r| !lossy.is_lossless_in(r)));
     }
 
     #[test]

@@ -663,12 +663,14 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         let count = u64::from(len);
         self.count_sent(round, count, count * mc.payload.bit_len());
         let sent = (round as u64).saturating_mul(self.cfg.delta);
-        // Fast path: a trivial fault plan and constant latency make
-        // every per-recipient decision identical without touching the
-        // RNG (partition checks are pure, drops only draw when
-        // drop_prob > 0, Constant sampling is draw-free), so the whole
-        // fan stays one queue entry, at its place in emission order.
-        if self.cfg.faults.is_trivial() {
+        // Fast path: a wire that loses nothing this round and constant
+        // latency make every per-recipient decision identical without
+        // touching the RNG (partition checks are pure, drops only draw
+        // when drop_prob > 0, Constant sampling is draw-free), so the
+        // whole fan stays one queue entry, at its place in emission
+        // order. Crashed and churned-out recipients are dead letters at
+        // delivery, on every path.
+        if self.cfg.faults.is_lossless_in(round) {
             if let LatencyModel::Constant(d) = self.cfg.latency {
                 let flight = self.launch(round, mc, len);
                 self.queue.push(sent.saturating_add(d), (), (flight, WHOLE));
@@ -733,7 +735,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
         // envelopes, not half as much again in scratch.
         let pairs = if one_tick.is_some() { 0 } else { envs.len() };
         let mut landed: Vec<(u64, u32)> = Vec::with_capacity(pairs);
-        if one_tick.is_none() || !self.cfg.faults.is_lossless() {
+        if one_tick.is_none() || !self.cfg.faults.is_lossless_in(round) {
             envs.retain(|e| {
                 let (from, to) = (e.from.index(), e.to.index());
                 if let Some(cause) = self.cfg.faults.dropped(round, from, to, &mut self.rng) {
