@@ -36,10 +36,11 @@
 //! The buckets of a window of [`RING`] ticks that slides with the drains
 //! sit in a ring indexed by `time % len` (a timing wheel), with one
 //! occupancy bit a slot, so a push is an index and the next instant is a
-//! `trailing_zeros` scan. The ring starts empty and doubles up to
-//! [`RING`] slots as the window in use widens. An instant outside the
-//! window — past its end, or behind it — waits in a [`BTreeMap`] overflow
-//! until a slide brings it in: an instant lives in exactly one place.
+//! `trailing_zeros` scan. The ring starts empty, doubles up to [`RING`]
+//! slots as the window in use widens, and is let go whenever the queue
+//! is found empty. An instant outside the window — past its end, or
+//! behind it — waits in a [`BTreeMap`] overflow until a slide brings it
+//! in: an instant lives in exactly one place.
 //!
 //! The `event_queue` criterion group in `ba-bench` measures both the
 //! dense regime (thousands of events a tick) and the sparse one, and an
@@ -208,7 +209,7 @@ impl<T, K: Ord + Copy> Bucket<T, K> {
 /// Ticks the ring covers at most: the width of the sliding window. One
 /// round of `stack-jitter-256`'s `Uniform{0,900}` fits with room to
 /// spare; later instants wait in the overflow.
-pub(crate) const RING: usize = 2048;
+const RING: usize = 2048;
 
 /// A deterministic future-event queue keyed by `(time, tie)`, equal keys
 /// in push order.
@@ -263,16 +264,12 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
 
     /// Schedules `value` at `time` with tie-break key `tie`.
     pub fn push(&mut self, time: u64, tie: K, value: T) {
-        let offset = time.checked_sub(self.base).filter(|&d| d < RING as u64);
-        let offset = match offset {
-            Some(offset) => Some(offset),
+        let mut offset = time.checked_sub(self.base).filter(|&d| d < RING as u64);
+        if offset.is_none() && self.len == 0 {
             // An empty queue can put its window anywhere.
-            None if self.len == 0 => {
-                self.base = time;
-                Some(0)
-            }
-            None => None,
-        };
+            self.base = time;
+            offset = Some(0);
+        }
         self.len += 1;
         match offset {
             Some(offset) => {

@@ -1546,9 +1546,9 @@ mod tests {
     /// The widest index `new` admits, 2^31 - 1, differs from [`WHOLE`],
     /// the entry of a fan's whole list, in bit 31 alone: as every
     /// recipient of a spread fan it is queued as itself and delivered
-    /// unmarked. (Two ticks for
-    /// twelve copies, so no group is a lone recipient: `collect_many`
-    /// would size its table of one-element lists by that index.)
+    /// unmarked. (Two ticks for twelve copies, so no group is a lone
+    /// recipient: `collect_many` would size its table of one-element
+    /// lists by that index.)
     #[test]
     fn the_widest_recipient_index_is_delivered_unmarked() {
         let widest = ProcId::new(MAX_PROCS - 1);

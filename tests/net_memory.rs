@@ -1,20 +1,20 @@
 //! An allocation budget for the faulty-net path: a recipient in the air
-//! costs its flight's slot in the queue and its own entry in the flight's
-//! survivor list.
+//! costs its own entry in its arrival tick's bucket of the event queue.
 //!
 //! Over jittered links almost every recipient of a fan gets an arrival
 //! tick of its own, so what `NetTransport` keeps per queued recipient is
 //! what decides how large a faulty-net run fits in memory. An integration
 //! test is its own binary, so this one installs a counting global
 //! allocator and bounds the live heap of a round in flight per recipient:
-//! the flight's 4-byte slot in the event queue and the recipient's 4-byte
-//! entry in the survivor list (which also says where its group ends),
-//! plus ≈ 1 byte of flight slab, chunk lists, calendar and at most one
-//! partial chunk per arrival tick — 9.0 bytes against a budget of 11. The
-//! 12-byte `Handle { flight, start, len }` this replaced reads 16.5 and
-//! fails it, as does anything stored beside the slot (an 8-byte entry
-//! reads ≈ 13); at 3cfceb9, with keyed 32-byte entries in per-tick
-//! buffers, the same round measured 41.5.
+//! the recipient's 8-byte `(flight, recipient)` entry, plus ≈ 1.5 bytes of
+//! flight slab, chunk lists, the calendar's ring and at most one partial
+//! 1 KiB chunk per arrival tick — 9.5 bytes against a budget of 11. The
+//! same entries in 2 KiB chunks read 11.1 and fail it, as does anything
+//! stored beside the entry. A 4-byte flight slot per same-arrival group
+//! and a 4-byte survivor-list entry per recipient read 9.0; the 12-byte
+//! `Handle { flight, start, len }` before them 16.5; at 3cfceb9, with
+//! keyed 32-byte entries in per-tick buffers, the same round measured
+//! 41.5.
 //!
 //! A round of singles handed over whole (`send_round`, the engine's path)
 //! is one flight that *is* the round's buffer under every delivery
@@ -81,7 +81,7 @@ fn a_recipient_in_the_air_costs_its_handle() {
         "over the budget of 11 B per recipient"
     );
     // The slab, its free list and the scratches stay for the next round;
-    // no chunk and no survivor list does.
+    // no chunk and no ring does.
     println!("{left} B live after the round was collected");
     assert!(left <= delivered, "over 1 B per delivered recipient");
 }
@@ -91,11 +91,12 @@ fn a_single_in_the_air_costs_its_envelope() {
     // An all-to-all round of n = 128, 16 384 singles, as the engine hands
     // it over. Synchronous, the flight is the buffer and one queue entry:
     // 12.0 B an envelope of 12, budget 13. Over `Uniform{0,900}` jitter it
-    // is the buffer and one one-event tick (≈ 140 B, see below) for each
-    // of the 901 arrival ticks: 19.7 B, budget 20 — and nothing of the
-    // 16 B an envelope it was sorted through. A flight and a queue slot
-    // an envelope, the path this replaced, read 56.1 and 63.5, and so
-    // would a round under `lifo` or `shuffle` sent envelope by envelope.
+    // is the buffer and one one-event tick (≈ 110 B, see below) for each
+    // of the 901 arrival ticks: 18.0 B, budget 20 — and nothing of the
+    // 16 B an envelope it was sorted through. (Ticks in a `BTreeMap`
+    // calendar read 19.7.) A flight and a queue slot an envelope, the
+    // path before that, read 56.1 and 63.5, and so would a round under
+    // `lifo` or `shuffle` sent envelope by envelope.
     let heap = Measuring::begin();
     let n = 128;
     let envelope = std::mem::size_of::<Envelope<u16>>();
@@ -153,11 +154,13 @@ fn a_single_in_the_air_costs_its_envelope() {
 fn a_lone_event_does_not_pay_for_a_chunk() {
     // A sparse calendar — a small n, singles over jitter — is one event a
     // tick: the first chunk of an instant starts at a few entries (16 B
-    // for four of the transport's 4-byte slots), in a chunk list of one
-    // (32 B), under the instant's share of a half-full calendar node
-    // (≈ 92 B): 140 B, budget 154 (what it reads + 10 %). A full 2 KiB
-    // first chunk reads over 2 000; four 12-byte handles made it 172, and
-    // at 3cfceb9 the four 32-byte entries of a fresh buffer 220.
+    // for four 4-byte values), in a chunk list of one (32 B), in the
+    // instant's slot of the ring (a 40-byte bucket; 1 024 slots for 900
+    // ticks): 93.7 B, budget 154. The instant's share of a half-full
+    // `BTreeMap` node in its place read 140, the number the budget was
+    // set from (+ 10 %). A full first chunk reads over 1 000; four 12-byte
+    // handles made it 172, and at 3cfceb9 the four 32-byte entries of a
+    // fresh buffer 220.
     let heap = Measuring::begin();
     let mut q: EventQueue<u32, ()> = EventQueue::new();
     let ticks = 900;
