@@ -18,10 +18,10 @@
 //! payload, the caller's recipient list) or one `send_round` call (a
 //! round: its own `Vec<Envelope>`, swapped out of the caller's hands; a
 //! `send` is a round of one), stored once however many arrival ticks it
-//! spreads over. The event queue is the only sort: a fan that lands on
-//! one tick is one 8-byte entry, and a spread fan one `(slot, recipient)`
-//! entry per survivor, pushed straight into its arrival tick in recipient
-//! order. A round is sorted by `(arrival, emission order)` in its own
+//! spreads over. The event queue is the only sort: a fan that loses no
+//! one and flies a constant latency is one 8-byte entry, and any other
+//! fan one `(slot, recipient)` entry per survivor, pushed straight into
+//! its arrival tick in recipient order. A round is sorted by `(arrival, emission order)` in its own
 //! buffer and queued once per arrival, each entry saying where its group
 //! ends. A recipient of a jittered fan in the air is its 8-byte entry, an
 //! envelope of a round itself (`tests/net_memory.rs`).
@@ -163,7 +163,7 @@ impl Default for NetConfig {
 
 /// One `send_many` call in flight, stored once however many arrival ticks
 /// its recipients spread over. The event queue holds its slot, once for
-/// a fan that lands on one tick and once per survivor otherwise.
+/// a fast-path fan and once per survivor otherwise.
 #[derive(Debug)]
 struct Flight<M> {
     /// Narrow (checked at [`NetTransport::launch`]) so that the count
@@ -264,9 +264,9 @@ pub struct NetTransport<M> {
     /// delivered (their buffers empty).
     rounds: Vec<RoundFlight<M>>,
     free_rounds: Vec<u32>,
-    /// [`Entry`]s by arrival tick: a fan's slot once if it lands on one
-    /// tick, else once per survivor with the recipient; a round's slot
-    /// once per arrival. The queue keeps one instant's events in push
+    /// [`Entry`]s by arrival tick: a fast-path fan's slot once, any other
+    /// fan's once per survivor with the recipient; a round's slot once
+    /// per arrival. The queue keeps one instant's events in push
     /// order, and pushes happen in emission order — `send`, `send_many`
     /// and `send_round` run one after another on `&mut self`, a fan's
     /// survivors are pushed in recipient order, and one call puts at most

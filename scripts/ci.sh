@@ -90,13 +90,14 @@ benchmark/run.sh --smoke
 echo "== jitter memory budget (stack-jitter-256 peak RSS) =="
 # One gated run of the faulty-net workload (a few trials, ~15 s): over
 # 1 % loss and Uniform{0,900} jitter almost every recipient of a fan is
-# its own queue entry, so the peak is the event queue's and the flights'
-# survivor lists'. At 4 bytes of queue (the flight's slot) and 4 of
-# survivor list a queued recipient it reads 29-32 MB (≈ 9 MB of each at
-# the busiest round's 2.26 M recipients). The 12-byte handles this
-# replaced read 47-50 MB, 32-byte entries in per-tick power-of-two
-# buffers ~140, and keeping a trial's committee graphs alive past their
-# elections adds ~20: each of them crosses 42.
+# its own queue entry, so the peak is the event queue's. At one 8-byte
+# (flight, recipient) entry a queued recipient, in its arrival tick's
+# bucket of the ring calendar, it reads 29-30 MB (≈ 18 MB of entries at
+# the busiest round's 2.26 M recipients); a 4-byte slot per group and a
+# 4-byte survivor-list entry read 29-32. The 12-byte handles before them
+# read 47-50 MB, 32-byte entries in per-tick power-of-two buffers ~140,
+# and keeping a trial's committee graphs alive past their elections
+# adds ~20: each of them crosses 42.
 # <workload> <seconds> <budget MB>: one gated run, fails above the budget.
 rss_gate() {
     local line
