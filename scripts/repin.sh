@@ -13,7 +13,8 @@
 #              table in the PR and in CHANGES.md.
 #
 # Pins (scripts/pins.env): the `exp scale` rows' bits and rounds at
-# n = 4096 and 16384, the serve daemon's data frames and bytes for a pass
+# n = 4096 and 16384 and the `exp scale-jitter` ones at 512 and 1024,
+# the serve daemon's data frames and bytes for a pass
 # of fans and a pass of singles, and the sha256 of what `exp run` writes
 # for the whole scenario library (its JSON rows, and its trace without the
 # wall-clock profile section). Golden tests (constants recorded in
@@ -49,6 +50,7 @@ cleanup() {
 trap cleanup EXIT
 
 PIN_NAMES=(SCALE_4096_BITS SCALE_4096_ROUNDS SCALE_16384_BITS SCALE_16384_ROUNDS
+    SCALE_JITTER_512_BITS SCALE_JITTER_512_ROUNDS SCALE_JITTER_1024_BITS SCALE_JITTER_1024_ROUNDS
     SERVE_FANS_FRAMES SERVE_FANS_BYTES SERVE_SINGLES_FRAMES SERVE_SINGLES_BYTES
     LIBRARY_ROWS LIBRARY_TRACE)
 
@@ -87,6 +89,22 @@ NEW_SCALE_4096_BITS="$(scale_field 4096 bits_good_max)"
 NEW_SCALE_4096_ROUNDS="$(scale_field 4096 rounds)"
 NEW_SCALE_16384_BITS="$(scale_field 16384 bits_good_max)"
 NEW_SCALE_16384_ROUNDS="$(scale_field 16384 rounds)"
+
+echo "== scale rows over a faulty net (everywhere stack at n = 512 and 1024) =="
+# The same stack over stack-jitter-256's lossy, jittered net
+# (`exp scale-jitter`, ~12-16 s, ~355 MB at 1024): the only pin on
+# committees wide enough that a fan puts several recipients in one tick,
+# so the drain hands the tournament partial groups of several.
+timeout 120 target/release/exp scale-jitter --json "$TMP/scale-jitter.json" >/dev/null
+jitter_field() { json_field "$TMP/scale-jitter.json" "$2" "\"n\": \"$1\","; } # <n> <field>
+for n in 512 1024; do
+    [[ "$(jitter_field "$n" agreement)" == "1" ]] \
+        || fail "scale-jitter: the n = $n row did not reach everywhere agreement"
+done
+NEW_SCALE_JITTER_512_BITS="$(jitter_field 512 bits_good_max)"
+NEW_SCALE_JITTER_512_ROUNDS="$(jitter_field 512 rounds)"
+NEW_SCALE_JITTER_1024_BITS="$(jitter_field 1024 bits_good_max)"
+NEW_SCALE_JITTER_1024_ROUNDS="$(jitter_field 1024 rounds)"
 
 echo "== serve wire (TCP daemon, both frame kinds, graceful shutdown) =="
 # Boots the ba-serve daemon on an ephemeral loopback port and runs two
