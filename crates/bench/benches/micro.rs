@@ -359,8 +359,9 @@ fn bench_event_queue(c: &mut Criterion) {
 /// recipient. `_send` is the send side alone — the draws and one push per
 /// survivor, in recipient order straight into its arrival tick, no sort —
 /// on a fresh transport that is dropped full; the other row sends a round
-/// into a warm transport and drains it at the next boundary
-/// (`collect_many`: each instant's runs of one fan rebuilt as groups).
+/// into a warm transport and drains it at the next boundary through
+/// `collect_lent`, as the tournament does (each instant's runs of one fan
+/// rebuilt as groups and lent as slices).
 fn bench_net(c: &mut Criterion) {
     use ba_net::NetTransport;
     use ba_sim::{Multicast, ProcId, Transport};
@@ -398,7 +399,7 @@ fn bench_net(c: &mut Criterion) {
             send_round(&mut t, round);
             round += 1;
             let mut delivered = 0usize;
-            t.collect_many(round, &mut |mc| delivered += mc.to.len());
+            t.collect_lent(round, &mut |_, to, _| delivered += to.len());
             delivered
         })
     });

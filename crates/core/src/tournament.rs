@@ -42,7 +42,6 @@ use ba_sim::{
 };
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One logical committee-level message of the tournament, routed over
@@ -699,22 +698,22 @@ where
                 });
             }
         }
-        let mut exposed = Exposure::default();
+        let mut exposed = Exposure::new(&holdings);
         route(
             net,
             &mut net_round,
             &format!("L{level}:expose"),
             outbox,
-            &mut |mc| {
+            &mut |to, msg| {
                 if let TourMsg::Expose {
                     level: l,
                     node,
                     cand,
                     ..
-                } = mc.payload
+                } = *msg
                 {
                     if l as usize == level {
-                        exposed.insert(node, cand, &mc.to);
+                        exposed.insert(node, cand, to);
                     }
                 }
             },
@@ -790,13 +789,14 @@ where
             expected.push((node, aid, senders.len() * recips.len()));
         }
         let online = online_at(net, net_round + 1, n);
-        let mut receipts = WinnerReceipts::new(level, &online);
+        let parents = parent_committees(&tree, level, &online);
+        let mut receipts = WinnerReceipts::new(level, &online, parents, n);
         route(
             net,
             &mut net_round,
             &format!("L{level}:winners"),
             outbox,
-            &mut |mc| receipts.count(&mc),
+            &mut |to, msg| receipts.count(to, msg),
         );
         for &(node, aid, pairs) in &expected {
             if 2 * receipts.of(aid) > pairs {
@@ -896,14 +896,14 @@ where
             });
         }
         let online = online_at(net, net_round + 1, n);
-        route(net, &mut net_round, "root:coin", outbox, &mut |mc| {
-            if let TourMsg::RootCoin { j: jj } = mc.payload {
+        route(net, &mut net_round, "root:coin", outbox, &mut |to, msg| {
+            if let TourMsg::RootCoin { j: jj } = *msg {
                 // Count only on-time openings received by a live
                 // processor: a word arriving after its agreement
                 // round — or at a crashed recipient — is useless to
                 // the voter.
                 if jj as usize == j {
-                    for t in mc.to.iter() {
+                    for t in to {
                         if online[t.index()] {
                             coin_recv[j * n + t.index()] = true;
                         }
@@ -1026,8 +1026,9 @@ where
 /// Runs one committee exchange over the transport: all of `outbox`
 /// leaves in the current transport round (senders that are offline say
 /// nothing), the clock advances, and whatever the wire delivers by the
-/// new round streams through `deliver` as batches — a round's deliveries
-/// are folded as they arrive, never materialised. Late traffic from
+/// new round streams through `deliver` as lent `(recipients, message)`
+/// batches ([`Transport::collect_lent`]) — a round's deliveries are
+/// folded as they arrive, never materialised or copied. Late traffic from
 /// earlier exchanges surfaces here too — callers filter by the message
 /// keys they are waiting for, and skip recipients offline at the delivery
 /// round, so stale or dead-letter deliveries fall on the floor exactly as
@@ -1043,7 +1044,7 @@ fn route<W: Carrier<TourMsg> + Clone, Tr: Transport<W> + ?Sized>(
     net_round: &mut usize,
     label: &str,
     outbox: Vec<Multicast<TourMsg>>,
-    deliver: &mut dyn FnMut(Multicast<TourMsg>),
+    deliver: &mut dyn FnMut(&[ProcId], &TourMsg),
 ) {
     let r = *net_round;
     // Announce the exchange so a stats-keeping transport can attribute
@@ -1063,13 +1064,9 @@ fn route<W: Carrier<TourMsg> + Clone, Tr: Transport<W> + ?Sized>(
         }
     }
     *net_round += 1;
-    net.collect_many(*net_round, &mut |mc| {
-        if let Some(&payload) = mc.payload.open() {
-            deliver(Multicast {
-                from: mc.from,
-                to: mc.to,
-                payload,
-            });
+    net.collect_lent(*net_round, &mut |_, to, payload| {
+        if let Some(msg) = payload.open() {
+            deliver(to, msg);
         }
     });
 }
@@ -1082,70 +1079,105 @@ fn online_at<W, Tr: Transport<W> + ?Sized>(net: &Tr, round: usize, n: usize) -> 
         .collect()
 }
 
+/// Each node of `level`'s parent committee: its size and how many of its
+/// members are online — what a winner share sent up from the node counts
+/// when all of the committee's list arrives at once. Computed once per
+/// parent (a parent's children are consecutive).
+fn parent_committees(tree: &Tree, level: usize, online: &[bool]) -> Vec<(usize, usize)> {
+    let mut last: Option<(NodeAddr, (usize, usize))> = None;
+    (0..tree.params().node_count(level))
+        .map(|node| {
+            let parent = tree.parent(NodeAddr::new(level, node));
+            match last {
+                Some((at, committee)) if at == parent => committee,
+                _ => {
+                    let members = tree.members(parent);
+                    let up = members.iter().filter(|&&m| online[m as usize]).count();
+                    last = Some((parent, (members.len(), up)));
+                    (members.len(), up)
+                }
+            }
+        })
+        .collect()
+}
+
 /// Winner-share deliveries of one level that reached an online
-/// recipient, summed per array as the batches stream past. Every sender
-/// of one array fans to the same shared recipient list, so a batch whose
-/// list is the previous batch's very allocation reuses its count — one
-/// scan per committee on the batched paths, one per batch when a
-/// transport regroups recipients.
+/// recipient, summed per array id as the batches stream past. A share
+/// is sent to its node's parent committee, whose members are distinct,
+/// so a delivered group as long as that committee *is* the committee
+/// and counts from the `parents` table; a partial group is scanned. A
+/// share naming a node or an array outside the tables is ignored.
 struct WinnerReceipts<'a> {
     level: usize,
     online: &'a [bool],
-    received: HashMap<usize, usize>,
-    /// The last counted list (held, so its address cannot be reused) and
-    /// its online count.
-    last: Option<(Arc<[ProcId]>, usize)>,
+    /// By node of the level: its parent committee's size and online
+    /// count ([`parent_committees`]).
+    parents: Vec<(usize, usize)>,
+    /// By array id.
+    received: Vec<usize>,
 }
 
 impl<'a> WinnerReceipts<'a> {
-    fn new(level: usize, online: &'a [bool]) -> Self {
+    fn new(level: usize, online: &'a [bool], parents: Vec<(usize, usize)>, arrays: usize) -> Self {
         WinnerReceipts {
             level,
             online,
-            received: HashMap::new(),
-            last: None,
+            parents,
+            received: vec![0; arrays],
         }
     }
 
-    fn count(&mut self, mc: &Multicast<TourMsg>) {
+    fn count(&mut self, to: &[ProcId], msg: &TourMsg) {
         let TourMsg::WinnerShare {
-            level: l, array, ..
-        } = mc.payload
+            level: l,
+            node,
+            array,
+            ..
+        } = *msg
         else {
             return;
         };
         if l as usize != self.level {
             return;
         }
-        let count = match &self.last {
-            Some((to, count)) if Arc::ptr_eq(to, &mc.to) => *count,
-            _ => {
-                let count = mc.to.iter().filter(|t| self.online[t.index()]).count();
-                self.last = Some((mc.to.clone(), count));
-                count
-            }
+        let (Some(&(size, up)), Some(got)) = (
+            self.parents.get(node as usize),
+            self.received.get_mut(array as usize),
+        ) else {
+            return;
         };
-        *self.received.entry(array as usize).or_insert(0) += count;
+        *got += if to.len() == size {
+            up
+        } else {
+            to.iter().filter(|t| self.online[t.index()]).count()
+        };
     }
 
     /// Deliveries counted for array `aid`.
     fn of(&self, aid: usize) -> usize {
-        self.received.get(&aid).copied().unwrap_or(0)
+        self.received.get(aid).copied().unwrap_or(0)
     }
 }
 
 /// Committee member lists as Arc-shared [`ProcId`] slices, converted
-/// once per (level, node) and cloned per fan.
+/// once per (level, node) on first use and cloned per fan.
 #[derive(Default)]
 struct MemberLists {
-    cache: HashMap<(usize, usize), Arc<[ProcId]>>,
+    /// By level, then node index.
+    levels: Vec<Vec<Option<Arc<[ProcId]>>>>,
 }
 
 impl MemberLists {
     fn get(&mut self, tree: &Tree, at: NodeAddr) -> Arc<[ProcId]> {
-        self.cache
-            .entry((at.level, at.index))
-            .or_insert_with(|| {
+        if self.levels.len() <= at.level {
+            self.levels.resize_with(at.level + 1, Vec::new);
+        }
+        let nodes = &mut self.levels[at.level];
+        if nodes.is_empty() {
+            nodes.resize(tree.params().node_count(at.level), None);
+        }
+        nodes[at.index]
+            .get_or_insert_with(|| {
                 tree.members(at)
                     .iter()
                     .map(|&m| ProcId::new(m as usize))
@@ -1156,16 +1188,41 @@ impl MemberLists {
 }
 
 /// Exposure receipts that survived the routed exchange: for each (node,
-/// candidate), the recipients the declaration reached, as one sorted
-/// list however the wire grouped them — so an election reads a
-/// candidate's receipts in one merge walk against its (sorted) member
-/// list on any transport.
-#[derive(Default)]
+/// candidate) of the level, the recipients the declaration reached, as
+/// one sorted list however the wire grouped them — so an election reads
+/// a candidate's receipts in one merge walk against its (sorted) member
+/// list on any transport. Candidate `c` of node `v` is list
+/// `offsets[v] + c`; a declaration naming a node or a candidate outside
+/// the level's holdings is ignored.
 struct Exposure {
-    by_cand: HashMap<(u32, u32), Vec<ProcId>>,
+    /// Where each node's candidates start: prefix sums of the holdings'
+    /// lengths, one more entry than nodes.
+    offsets: Vec<usize>,
+    by_cand: Vec<Vec<ProcId>>,
 }
 
 impl Exposure {
+    /// Empty lists for the candidates `holdings` holds, node by node.
+    fn new(holdings: &[Vec<usize>]) -> Self {
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(holdings.iter().scan(0, |total, held| {
+                *total += held.len();
+                Some(*total)
+            }))
+            .collect();
+        let candidates = offsets.last().copied().unwrap_or(0);
+        Exposure {
+            offsets,
+            by_cand: vec![Vec::new(); candidates],
+        }
+    }
+
+    /// The list of candidate `cand` at `node`, if the level holds it.
+    fn slot(&self, node: usize, cand: usize) -> Option<usize> {
+        let (&start, &end) = (self.offsets.get(node)?, self.offsets.get(node + 1)?);
+        (cand < end - start).then_some(start + cand)
+    }
+
     /// Merges one delivered group (sorted, like the committee list it is
     /// a part of; a recipient arrives once per candidate).
     fn insert(&mut self, node: u32, cand: u32, to: &[ProcId]) {
@@ -1173,7 +1230,10 @@ impl Exposure {
             to.windows(2).all(|w| w[0] < w[1]),
             "recipient groups must stay sorted for the membership search"
         );
-        let list = self.by_cand.entry((node, cand)).or_default();
+        let Some(k) = self.slot(node as usize, cand as usize) else {
+            return;
+        };
+        let list = &mut self.by_cand[k];
         // `None < Some(_)`: an empty list takes the whole group.
         if list.last() < to.first() {
             list.extend_from_slice(to);
@@ -1189,8 +1249,8 @@ impl Exposure {
     /// the delivery round, so dead-letter recipients never count.
     fn saw(&self, node: usize, cand: usize, members: &[u32]) -> Vec<bool> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let reached = self.by_cand.get(&(node as u32, cand as u32));
-        let mut reached = reached.map_or(&[][..], Vec::as_slice).iter().peekable();
+        let reached = self.slot(node, cand).map_or(&[][..], |k| &self.by_cand[k]);
+        let mut reached = reached.iter().peekable();
         members
             .iter()
             .map(|&m| {
@@ -1800,75 +1860,110 @@ mod tests {
         let _ = run(&config, &[true; 3], &mut NoTreeAdversary);
     }
 
-    /// The streaming count against the per-pair one. The batches are
-    /// built one at a time and dropped as soon as they are counted, the
-    /// way a transport's sink sees them: a memo that remembered a list by
-    /// address alone would match a freed singleton's reused allocation.
+    /// The dense count against the per-pair one, batch by batch as a
+    /// transport lends them: every sender of an array fans to its node's
+    /// parent committee, which the wire hands over whole, regrouped or a
+    /// recipient at a time.
     #[test]
     fn winner_receipts_match_the_per_pair_count() {
-        let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
-        let share = |level: u32, array: u32, from: usize, to: &Arc<[ProcId]>| Multicast {
-            from: ProcId::new(from),
-            to: to.clone(),
-            payload: TourMsg::WinnerShare {
-                level,
-                node: 0,
-                array,
-                words: 3,
-            },
+        use std::collections::HashMap;
+        let ids = |v: &[usize]| -> Vec<ProcId> { v.iter().map(|&i| ProcId::new(i)).collect() };
+        let share = |level: u32, node: u32, array: u32| TourMsg::WinnerShare {
+            level,
+            node,
+            array,
+            words: 3,
         };
         let online: Vec<bool> = (0..10).map(|i| i != 2 && i != 7).collect();
+        // Node 0 sends up to committee a, node 1 to committee b: their
+        // sizes and online counts are the table.
         let committee_a = ids(&[1, 2, 3, 4]);
         let committee_b = ids(&[5, 6, 7]);
-        // Equal contents, different allocation: must be counted afresh.
-        let regrouped_a = ids(&[1, 2, 3, 4]);
-        let stream = |sink: &mut dyn FnMut(Multicast<TourMsg>)| {
-            sink(share(3, 11, 0, &committee_a));
-            sink(share(3, 11, 1, &committee_a));
-            sink(share(3, 12, 2, &committee_a)); // same list, next array
-            sink(share(3, 12, 3, &committee_b));
-            sink(share(3, 11, 4, &committee_a)); // back to the first list
-            sink(share(3, 11, 5, &ids(&[2]))); // singletons, one offline
-            sink(share(3, 11, 5, &ids(&[9])));
-            sink(share(2, 11, 6, &committee_a)); // stale level: ignored ...
-            sink(share(3, 12, 7, &committee_a)); // ... and not remembered
-            sink(share(3, 13, 8, &regrouped_a));
-            sink(Multicast {
-                from: ProcId::new(9),
-                to: committee_b.clone(),
-                payload: TourMsg::RootCoin { j: 0 },
-            });
-            sink(share(3, 13, 9, &committee_b));
-            sink(share(3, 13, 9, &ids(&[])));
-        };
+        let parents = vec![(4, 3), (3, 2)];
+        let stream = [
+            (committee_a.clone(), share(3, 0, 11)),
+            (committee_a.clone(), share(3, 0, 11)),
+            (committee_a.clone(), share(3, 0, 12)), // same list, next array
+            (committee_b.clone(), share(3, 1, 12)),
+            (committee_a.clone(), share(3, 0, 11)), // back to the first list
+            (ids(&[2]), share(3, 0, 11)),           // singletons, one offline
+            (ids(&[4]), share(3, 0, 11)),
+            (ids(&[1, 3]), share(3, 0, 13)), // regrouped: partial lists
+            (ids(&[2, 4]), share(3, 0, 13)),
+            (committee_a.clone(), share(2, 0, 11)), // stale level: ignored
+            (committee_b.clone(), TourMsg::RootCoin { j: 0 }), // foreign
+            (committee_b.clone(), share(3, 1, 13)),
+            (ids(&[]), share(3, 1, 13)),
+        ];
         let mut per_pair: HashMap<usize, usize> = HashMap::new();
-        stream(&mut |mc| {
+        for (to, msg) in &stream {
             if let TourMsg::WinnerShare {
                 level: 3, array, ..
-            } = mc.payload
+            } = *msg
             {
                 *per_pair.entry(array as usize).or_insert(0) +=
-                    mc.to.iter().filter(|t| online[t.index()]).count();
+                    to.iter().filter(|t| online[t.index()]).count();
             }
-        });
-        let mut receipts = WinnerReceipts::new(3, &online);
-        stream(&mut |mc| receipts.count(&mc));
-        assert_eq!(receipts.received, per_pair);
+        }
+        let mut receipts = WinnerReceipts::new(3, &online, parents, 20);
+        for (to, msg) in &stream {
+            receipts.count(to, msg);
+        }
+        for aid in 0..20 {
+            let want = per_pair.get(&aid).copied().unwrap_or(0);
+            assert_eq!(receipts.of(aid), want, "array {aid}");
+        }
         assert_eq!(receipts.of(11), 3 + 3 + 3 + 1);
         assert_eq!(receipts.of(99), 0, "an array nobody heard of");
+
+        // A payload outside the tables is ignored.
+        let before = receipts.received.clone();
+        receipts.count(&committee_a, &share(3, 2, 11)); // a node the level lacks
+        receipts.count(&committee_a, &share(3, 0, 20)); // an array past the ids
+        assert_eq!(receipts.received, before);
+
+        // A whole parent list counts from the table, a partial one by a
+        // scan: a table that disagrees with the scan shows which did.
+        let mut doctored = WinnerReceipts::new(3, &online, vec![(4, 40)], 3);
+        doctored.count(&committee_a, &share(3, 0, 1));
+        doctored.count(&ids(&[1, 2, 3]), &share(3, 0, 2));
+        assert_eq!((doctored.of(1), doctored.of(2)), (40, 2));
+
+        // The table is each node's parent committee, online or not.
+        let params = TournamentConfig::for_n(64).params;
+        let tree = Tree::generate(&params, 1);
+        let online: Vec<bool> = (0..64).map(|i| i % 3 != 0).collect();
+        for level in 2..params.levels {
+            let table = parent_committees(&tree, level, &online);
+            assert_eq!(table.len(), params.node_count(level));
+            for (node, &committee) in table.iter().enumerate() {
+                let members = tree.members(tree.parent(NodeAddr::new(level, node)));
+                let up = members.iter().filter(|&&m| online[m as usize]).count();
+                assert_eq!(committee, (members.len(), up), "level {level} node {node}");
+            }
+        }
     }
 
     #[test]
     fn exposure_is_one_sorted_list_however_the_wire_grouped_it() {
         let ids = |v: &[usize]| -> Vec<ProcId> { v.iter().map(|&i| ProcId::new(i)).collect() };
-        let mut exposed = Exposure::default();
+        // Node 0 holds two candidates, node 1 one, node 2 none.
+        let mut exposed = Exposure::new(&[vec![7, 9], vec![3], vec![]]);
+        assert_eq!(exposed.offsets, [0, 2, 3, 3]);
         exposed.insert(0, 0, &ids(&[2, 3, 5, 8])); // a whole committee
         for group in [&[8][..], &[2], &[5, 6], &[3], &[], &[9, 11]] {
             exposed.insert(0, 1, &ids(group)); // jittered: any arrival order
         }
         exposed.insert(1, 0, &ids(&[4]));
-        assert_eq!(exposed.by_cand[&(0, 0)], ids(&[2, 3, 5, 8]));
-        assert_eq!(exposed.by_cand[&(0, 1)], ids(&[2, 3, 5, 6, 8, 9, 11]));
+        // A payload outside the tables is ignored: a candidate its node
+        // does not hold, a node that holds none, a node past the level.
+        exposed.insert(1, 1, &ids(&[5]));
+        exposed.insert(2, 0, &ids(&[5]));
+        exposed.insert(3, 0, &ids(&[5]));
+        assert_eq!(
+            exposed.by_cand,
+            [ids(&[2, 3, 5, 8]), ids(&[2, 3, 5, 6, 8, 9, 11]), ids(&[4])]
+        );
         // The merge walk against a member list: every id, then one with
         // gaps on both sides (members nothing reached, receipts of
         // processors that are not — online — members).
@@ -1878,6 +1973,7 @@ mod tests {
         assert_eq!(exposed.saw(0, 1, &all), among(&[2, 3, 5, 6, 8, 9, 11]));
         assert_eq!(exposed.saw(1, 0, &all), among(&[4]));
         assert_eq!(exposed.saw(1, 1, &all), among(&[]), "nothing arrived");
+        assert_eq!(exposed.saw(3, 0, &all), among(&[]), "no such node");
         assert_eq!(
             exposed.saw(0, 1, &[0, 3, 4, 9, 10, 11, 12]),
             [false, true, false, true, false, true, false]

@@ -220,6 +220,12 @@ fn permute<T>(envs: &mut [T], landed: &mut [(u64, u32)]) {
     }
 }
 
+/// Deliveries handed out but not yet charged to the ledger: their
+/// sending round, how many, how many of them dead letters. The counters
+/// are sums, so one charge for a run of units sent in the same round is
+/// the units' charges.
+type Run = (u32, u64, u64);
+
 /// What [`NetTransport::drain_round`] hands its sink: one unit of an
 /// instant, due now.
 enum Due<'a, M> {
@@ -484,13 +490,17 @@ impl<M> NetTransport<M> {
     }
 
     /// Hands `unit` to `sink`, counted delivered once per recipient, like
-    /// one `send` per recipient. `gathered` is the instant's spread-fan
-    /// recipients.
+    /// one `send` per recipient, into `run`: the units handed out since
+    /// the last change of sending round, charged to the ledger as one
+    /// when the next unit was sent in another round, or by
+    /// [`NetTransport::charge`] at the end of the drain. `gathered` is
+    /// the instant's spread-fan recipients.
     fn hand_out(
         &mut self,
         round: usize,
         unit: Unit,
         gathered: &[ProcId],
+        run: &mut Run,
         sink: &mut impl FnMut(Due<'_, M>),
     ) {
         let fan = |id: u32| self.flights[id as usize].as_ref().expect(LIVE);
@@ -534,9 +544,19 @@ impl<M> NetTransport<M> {
             Due::Fan(_, _, group, _) => group.len(),
             Due::Singles(_, unit) => unit.len(),
         };
-        self.ledger
-            .delivered(round, sent as usize, count as u64, dead as u64);
+        if run.1 > 0 && run.0 != sent {
+            Self::charge(&mut self.ledger, round, run);
+        }
+        *run = (sent, run.1 + count as u64, run.2 + dead as u64);
         sink(due);
+    }
+
+    /// Charges `run`'s deliveries to the ledger and empties it.
+    fn charge(ledger: &mut PhaseLedger, round: usize, run: &mut Run) {
+        let (sent, count, dead) = std::mem::take(run);
+        if count > 0 {
+            ledger.delivered(round, sent as usize, count, dead);
+        }
     }
 
     /// Puts the slot of a flight whose last group has been handed out back
@@ -575,6 +595,7 @@ impl<M> NetTransport<M> {
         // whose last group the instant holds, and its fans' groups.
         let (mut units, mut spent) = (Vec::new(), Vec::new());
         let mut gathered = std::mem::take(&mut self.gathered);
+        let mut run = Run::default();
         while let Some((_, entries)) = self.queue.pop_instant(now) {
             // Every group due now, rebuilt in calendar order.
             let mut entries = entries.peekable();
@@ -606,7 +627,7 @@ impl<M> NetTransport<M> {
                 match unit {
                     // The calendar's order: a group leaves once rebuilt.
                     _ if ordering == DeliveryPolicy::Fifo => {
-                        self.hand_out(round, unit, &gathered, &mut sink)
+                        self.hand_out(round, unit, &gathered, &mut run, &mut sink)
                     }
                     Unit::Singles(id, start, end) => {
                         units.extend((start..end).map(|k| Unit::Singles(id, k, k + 1)))
@@ -616,7 +637,7 @@ impl<M> NetTransport<M> {
             }
             ordering.order(&mut units, &mut self.order_rng);
             for unit in units.drain(..) {
-                self.hand_out(round, unit, &gathered, &mut sink);
+                self.hand_out(round, unit, &gathered, &mut run, &mut sink);
             }
             gathered.clear();
             for id in spent.drain(..) {
@@ -624,6 +645,7 @@ impl<M> NetTransport<M> {
             }
         }
         self.gathered = gathered;
+        Self::charge(&mut self.ledger, round, &mut run);
         if self.trace.is_on() {
             let stats = self.ledger.stats();
             let delivered = stats.delivered - before.0;
@@ -775,6 +797,20 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
                 }
             }
             Due::Singles(envs, group) => envs[group].iter().cloned().for_each(&mut *deliver),
+        });
+    }
+
+    /// Lends each unit as it leaves the drain: a fan's group is the
+    /// slice it was gathered in (or the caller's list, when whole), an
+    /// envelope of a round its own recipient.
+    fn collect_lent(&mut self, round: usize, deliver: &mut dyn FnMut(ProcId, &[ProcId], &M)) {
+        self.drain_round(round, |due| match due {
+            Due::Fan(from, _, group, payload) => deliver(from, group, payload),
+            Due::Singles(envs, group) => {
+                for e in &envs[group] {
+                    deliver(e.from, std::slice::from_ref(&e.to), &e.payload);
+                }
+            }
         });
     }
 
@@ -1774,6 +1810,7 @@ mod tests {
         enum Drain {
             Collect,
             Many,
+            Lent,
             Round,
         }
 
@@ -1797,6 +1834,9 @@ mod tests {
                     Drain::Collect => t.collect(r, &mut |e| round.push(e)),
                     Drain::Many => t.collect_many(r, &mut |mc| {
                         round.extend(mc.to.iter().map(|&p| Envelope::new(mc.from, p, mc.payload)))
+                    }),
+                    Drain::Lent => t.collect_lent(r, &mut |from, to, &payload| {
+                        round.extend(to.iter().map(|&p| Envelope::new(from, p, payload)))
                     }),
                     Drain::Round => t.collect_round(r, &mut round),
                 }
@@ -1828,9 +1868,11 @@ mod tests {
 
             /// However `send`, `send_many` and `send_round` interleave,
             /// `Lockstep` hands the round back in emission order through
-            /// `collect`, `collect_many` and `collect_round` alike —
-            /// whether `collect_round` swaps buffers (no fans, an empty
-            /// `into`) or copies.
+            /// `collect`, `collect_many`, `collect_lent` and
+            /// `collect_round` alike — whether `collect_round` swaps
+            /// buffers (no fans, an empty `into`) or copies — and
+            /// `collect_lent` lends the very batches `collect_many` hands
+            /// out.
             #[test]
             fn lockstep_keeps_emission_order_through_every_collect(
                 n in 2usize..9,
@@ -1856,6 +1898,13 @@ mod tests {
                 });
                 prop_assert_eq!(&got, &expected);
 
+                // Lent: the batches `collect_many` hands out, borrowed.
+                let mut batches = Vec::new();
+                sent().collect_many(1, &mut |mc| batches.push((mc.from, mc.to.to_vec(), mc.payload)));
+                let mut lent = Vec::new();
+                sent().collect_lent(1, &mut |from, to, &payload| lent.push((from, to.to_vec(), payload)));
+                prop_assert_eq!(&lent, &batches);
+
                 let mut t = sent();
                 let mut into = Vec::new();
                 t.collect_round(1, &mut into);
@@ -1878,7 +1927,8 @@ mod tests {
             /// round (loses some of it, cuts it with a partition, lands
             /// it on a crashed or churned-out recipient, spreads it over
             /// many rounds so that collects fall between its groups),
-            /// under every policy, and through every `collect*`.
+            /// under every policy, and through every `collect*`, the
+            /// lending one included.
             #[test]
             fn net_whole_round_calls_match_the_per_envelope_calls(
                 n in 2usize..9,
@@ -1914,10 +1964,11 @@ mod tests {
                         churn: (churn > 0).then_some(Churn { period: 3, down: churn, stagger: 1 }),
                     });
                 let reference = net_run(&cfg, n, &kinds, false, Drain::Collect);
-                for drain in [Drain::Collect, Drain::Many, Drain::Round] {
+                for drain in [Drain::Collect, Drain::Many, Drain::Lent, Drain::Round] {
                     prop_assert_eq!(&net_run(&cfg, n, &kinds, true, drain), &reference, "{:?}", drain);
                 }
                 prop_assert_eq!(&net_run(&cfg, n, &kinds, false, Drain::Round), &reference);
+                prop_assert_eq!(&net_run(&cfg, n, &kinds, false, Drain::Lent), &reference);
             }
         }
 

@@ -140,8 +140,8 @@ enum Recipients<'a> {
 impl<M: WireMsg> SocketTransport<M> {
     /// Asks the switch for everything due at `round` and hands each data
     /// frame it answers with to `sink`, in frame order, having counted
-    /// it per recipient. The shared body of [`Transport::collect`] and
-    /// [`Transport::collect_many`].
+    /// it per recipient. The shared body of [`Transport::collect`],
+    /// [`Transport::collect_many`] and [`Transport::collect_lent`].
     fn drain_round(&mut self, round: usize, sink: &mut dyn FnMut(ProcId, Recipients<'_>, M)) {
         self.writer
             .write_frame(&Frame::Collect {
@@ -250,6 +250,15 @@ impl<M: WireMsg> Transport<M> for SocketTransport<M> {
                 Recipients::Many(list) => Arc::clone(list),
             };
             deliver(Multicast { from, to, payload });
+        });
+    }
+
+    /// A `DeliverMany`'s list is lent as the transport holds it, a
+    /// `Deliver`'s one recipient as a slice of one.
+    fn collect_lent(&mut self, round: usize, deliver: &mut dyn FnMut(ProcId, &[ProcId], &M)) {
+        self.drain_round(round, &mut |from, to, msg| match to {
+            Recipients::One(to) => deliver(from, std::slice::from_ref(&to), &msg),
+            Recipients::Many(list) => deliver(from, list, &msg),
         });
     }
 

@@ -201,6 +201,60 @@ fn a_fan_survives_either_collect_in_emission_order() {
     assert_eq!(session.payload_bytes, 7 * 2, "a fan's payload crosses once");
 }
 
+/// The lending collect over one socket is `collect_many` borrowed: the
+/// same `(from, recipients, payload)` batches in the same order, counted
+/// alike, for the same round of fans and singles sent twice.
+#[test]
+fn collect_lent_lends_what_collect_many_hands_out() {
+    let p = ProcId::new;
+    let committee: Arc<[ProcId]> = [p(4), p(2), p(9)].into_iter().collect();
+    let ((), _) = with_switch("(no executor reads this)", 0, |stream| {
+        let counters = Arc::new(WireCounters::default());
+        let mut t: SocketTransport<u16> =
+            SocketTransport::new(stream, NetConfig::default(), Trace::off(), counters)
+                .expect("synchronous config");
+        let send = |t: &mut SocketTransport<u16>, round| {
+            t.send_many(
+                round,
+                Multicast {
+                    from: p(1),
+                    to: Arc::clone(&committee),
+                    payload: 400,
+                },
+            );
+            t.send(round, Envelope::new(p(7), p(0), 500));
+            t.send_many(
+                round,
+                Multicast {
+                    from: p(2),
+                    to: Arc::clone(&committee),
+                    payload: 600,
+                },
+            );
+        };
+        send(&mut t, 0);
+        let mut many = Vec::new();
+        t.collect_many(1, &mut |mc| {
+            many.push((mc.from, mc.to.to_vec(), mc.payload))
+        });
+        send(&mut t, 1);
+        let mut lent = Vec::new();
+        t.collect_lent(2, &mut |from, to, &payload| {
+            lent.push((from, to.to_vec(), payload))
+        });
+        assert_eq!(lent, many);
+        assert_eq!(lent.len(), 3);
+
+        use ba_exp::SessionTransport;
+        let stats = t.finish().into_stats();
+        assert_eq!(
+            (stats.sent, stats.delivered),
+            (14, 14),
+            "both count per recipient"
+        );
+    });
+}
+
 #[test]
 fn aeba_is_all_singles_and_matches_in_every_field() {
     for trial in 0..2 {

@@ -138,6 +138,11 @@ pub trait Transport<M> {
     /// would use. A batch's recipient list holds exactly the recipients
     /// the per-envelope path would have delivered to, in that order; the
     /// default wraps each collected envelope as a singleton batch.
+    ///
+    /// [`Transport::collect_lent`] is what executors drain through; this
+    /// owned form stays for wrappers and measurements outside the
+    /// workspace that override or call it by name (the end-to-end
+    /// benchmark's counting transport), and for tests.
     fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>))
     where
         M: Clone,
@@ -149,6 +154,20 @@ pub trait Transport<M> {
                 payload: e.payload,
             })
         });
+    }
+
+    /// [`Transport::collect_many`] with each batch lent instead of
+    /// handed over: `deliver(from, to, payload)` borrows the sender, the
+    /// recipients and the payload, the same batches in the same order,
+    /// so a fold pays no `Arc` or payload clone a batch. The default
+    /// lends what [`Transport::collect_many`] hands out — never the
+    /// per-envelope [`Transport::collect`], so a wrapper that overrides
+    /// only `collect_many` still lends a whole fan as one batch.
+    fn collect_lent(&mut self, round: usize, deliver: &mut dyn FnMut(ProcId, &[ProcId], &M))
+    where
+        M: Clone,
+    {
+        self.collect_many(round, &mut |mc| deliver(mc.from, &mc.to, &mc.payload));
     }
 
     /// Announces that the phase named `name` begins at `round` on this
@@ -269,6 +288,14 @@ impl<M: Clone> Transport<M> for Lockstep<M> {
                 })
             },
             |deliver, mc| deliver(mc),
+        );
+    }
+
+    fn collect_lent(&mut self, _round: usize, deliver: &mut dyn FnMut(ProcId, &[ProcId], &M)) {
+        self.drain_ordered(
+            deliver,
+            |deliver, env| deliver(env.from, std::slice::from_ref(&env.to), &env.payload),
+            |deliver, mc| deliver(mc.from, &mc.to, &mc.payload),
         );
     }
 
@@ -404,6 +431,48 @@ mod tests {
             round.iter().map(|e| e.payload).collect::<Vec<_>>(),
             [0, 1, 2]
         );
+    }
+
+    #[test]
+    fn default_collect_lent_lends_what_collect_many_hands_out() {
+        // A wrapper that overrides `collect_many` and not `collect_lent`
+        // (a counting wrapper around `Lockstep`, say): the default lends
+        // a whole fan as one batch, and never expands it through
+        // `collect`.
+        struct Wrap(Lockstep<u16>);
+        impl Transport<u16> for Wrap {
+            fn send(&mut self, r: usize, env: Envelope<u16>) {
+                self.0.send(r, env);
+            }
+            fn collect(&mut self, _r: usize, _deliver: &mut dyn FnMut(Envelope<u16>)) {
+                panic!("the lending default went through collect");
+            }
+            fn send_many(&mut self, r: usize, mc: Multicast<u16>) {
+                self.0.send_many(r, mc);
+            }
+            fn collect_many(&mut self, r: usize, deliver: &mut dyn FnMut(Multicast<u16>)) {
+                self.0.collect_many(r, deliver);
+            }
+        }
+        let mut t = Wrap(Lockstep::default());
+        t.send(0, Envelope::new(ProcId::new(9), ProcId::new(0), 1));
+        t.send_many(
+            0,
+            Multicast {
+                from: ProcId::new(5),
+                to: (1..4).map(ProcId::new).collect(),
+                payload: 7u16,
+            },
+        );
+        let mut got = Vec::new();
+        t.collect_lent(1, &mut |from, to, &payload| {
+            got.push((
+                from.index(),
+                to.iter().map(|p| p.index()).collect(),
+                payload,
+            ))
+        });
+        assert_eq!(got, vec![(9, vec![0], 1), (5, vec![1, 2, 3], 7)]);
     }
 
     #[test]
