@@ -698,7 +698,10 @@ where
                 });
             }
         }
-        let mut exposed = Exposure::new(&holdings);
+        let committee: Vec<usize> = (0..node_count)
+            .map(|node| tree.members(NodeAddr::new(level, node)).len())
+            .collect();
+        let mut exposed = Exposure::new(&holdings, &committee);
         route(
             net,
             &mut net_round,
@@ -1192,28 +1195,37 @@ impl MemberLists {
 /// one sorted list however the wire grouped them — so an election reads
 /// a candidate's receipts in one merge walk against its (sorted) member
 /// list on any transport. Candidate `c` of node `v` is list
-/// `offsets[v] + c`; a declaration naming a node or a candidate outside
-/// the level's holdings is ignored.
+/// `offsets[v] + c`, a segment of one flat buffer as long as `v`'s
+/// committee (a declaration reaches each member at most once); a
+/// declaration naming a node or a candidate outside the level's
+/// holdings is ignored.
 struct Exposure {
-    /// Where each node's candidates start: prefix sums of the holdings'
-    /// lengths, one more entry than nodes.
+    /// Where each node's candidates start in `lists`: prefix sums of the
+    /// holdings' lengths, one more entry than nodes.
     offsets: Vec<usize>,
-    by_cand: Vec<Vec<ProcId>>,
+    /// Per candidate: its segment of `reached` and how much of it is
+    /// filled.
+    lists: Vec<(std::ops::Range<usize>, usize)>,
+    reached: Vec<ProcId>,
 }
 
 impl Exposure {
-    /// Empty lists for the candidates `holdings` holds, node by node.
-    fn new(holdings: &[Vec<usize>]) -> Self {
-        let offsets: Vec<usize> = std::iter::once(0)
-            .chain(holdings.iter().scan(0, |total, held| {
-                *total += held.len();
-                Some(*total)
-            }))
-            .collect();
-        let candidates = offsets.last().copied().unwrap_or(0);
+    /// Empty lists for the candidates `holdings` holds, node by node,
+    /// each with room for its node's `committee[v]` members.
+    fn new(holdings: &[Vec<usize>], committee: &[usize]) -> Self {
+        let (mut offsets, mut lists) = (vec![0], Vec::new());
+        let mut end = 0;
+        for (held, &size) in holdings.iter().zip(committee) {
+            for _ in held {
+                lists.push((end..end + size, 0));
+                end += size;
+            }
+            offsets.push(lists.len());
+        }
         Exposure {
             offsets,
-            by_cand: vec![Vec::new(); candidates],
+            lists,
+            reached: vec![ProcId::new(0); end],
         }
     }
 
@@ -1224,7 +1236,8 @@ impl Exposure {
     }
 
     /// Merges one delivered group (sorted, like the committee list it is
-    /// a part of; a recipient arrives once per candidate).
+    /// a part of; a recipient arrives once per candidate, so a list never
+    /// outgrows its committee).
     fn insert(&mut self, node: u32, cand: u32, to: &[ProcId]) {
         debug_assert!(
             to.windows(2).all(|w| w[0] < w[1]),
@@ -1233,15 +1246,31 @@ impl Exposure {
         let Some(k) = self.slot(node as usize, cand as usize) else {
             return;
         };
-        let list = &mut self.by_cand[k];
+        let (segment, len) = &mut self.lists[k];
+        let list = &mut self.reached[segment.clone()];
+        debug_assert!(*len + to.len() <= list.len(), "a member reached twice");
+        let to = &to[..to.len().min(list.len() - *len)];
         // `None < Some(_)`: an empty list takes the whole group.
-        if list.last() < to.first() {
-            list.extend_from_slice(to);
+        if list[..*len].last() < to.first() {
+            list[*len..*len + to.len()].copy_from_slice(to);
+            *len += to.len();
         } else {
             for &p in to {
-                list.insert(list.partition_point(|&q| q < p), p);
+                let at = list[..*len].partition_point(|&q| q < p);
+                list.copy_within(at..*len, at + 1);
+                list[at] = p;
+                *len += 1;
             }
         }
+    }
+
+    /// The recipients candidate `cand`'s declaration reached at `node`,
+    /// sorted.
+    fn list(&self, node: usize, cand: usize) -> &[ProcId] {
+        self.slot(node, cand).map_or(&[], |k| {
+            let (segment, len) = &self.lists[k];
+            &self.reached[segment.start..segment.start + len]
+        })
     }
 
     /// Which of `members` (sorted processor ids) received candidate
@@ -1249,8 +1278,7 @@ impl Exposure {
     /// the delivery round, so dead-letter recipients never count.
     fn saw(&self, node: usize, cand: usize, members: &[u32]) -> Vec<bool> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let reached = self.slot(node, cand).map_or(&[][..], |k| &self.by_cand[k]);
-        let mut reached = reached.iter().peekable();
+        let mut reached = self.list(node, cand).iter().peekable();
         members
             .iter()
             .map(|&m| {
@@ -1948,7 +1976,7 @@ mod tests {
     fn exposure_is_one_sorted_list_however_the_wire_grouped_it() {
         let ids = |v: &[usize]| -> Vec<ProcId> { v.iter().map(|&i| ProcId::new(i)).collect() };
         // Node 0 holds two candidates, node 1 one, node 2 none.
-        let mut exposed = Exposure::new(&[vec![7, 9], vec![3], vec![]]);
+        let mut exposed = Exposure::new(&[vec![7, 9], vec![3], vec![]], &[12, 12, 12]);
         assert_eq!(exposed.offsets, [0, 2, 3, 3]);
         exposed.insert(0, 0, &ids(&[2, 3, 5, 8])); // a whole committee
         for group in [&[8][..], &[2], &[5, 6], &[3], &[], &[9, 11]] {
@@ -1960,10 +1988,10 @@ mod tests {
         exposed.insert(1, 1, &ids(&[5]));
         exposed.insert(2, 0, &ids(&[5]));
         exposed.insert(3, 0, &ids(&[5]));
-        assert_eq!(
-            exposed.by_cand,
-            [ids(&[2, 3, 5, 8]), ids(&[2, 3, 5, 6, 8, 9, 11]), ids(&[4])]
-        );
+        assert_eq!(exposed.list(0, 0), ids(&[2, 3, 5, 8]));
+        assert_eq!(exposed.list(0, 1), ids(&[2, 3, 5, 6, 8, 9, 11]));
+        assert_eq!(exposed.list(1, 0), ids(&[4]));
+        assert_eq!(exposed.reached.len(), 3 * 12, "a segment a candidate");
         // The merge walk against a member list: every id, then one with
         // gaps on both sides (members nothing reached, receipts of
         // processors that are not — online — members).
