@@ -707,7 +707,7 @@ where
             &mut net_round,
             &format!("L{level}:expose"),
             outbox,
-            &mut |to, msg| {
+            |to, msg| {
                 if let TourMsg::Expose {
                     level: l,
                     node,
@@ -799,7 +799,7 @@ where
             &mut net_round,
             &format!("L{level}:winners"),
             outbox,
-            &mut |to, msg| receipts.count(to, msg),
+            |to, msg| receipts.count(to, msg),
         );
         for &(node, aid, pairs) in &expected {
             if 2 * receipts.of(aid) > pairs {
@@ -899,7 +899,7 @@ where
             });
         }
         let online = online_at(net, net_round + 1, n);
-        route(net, &mut net_round, "root:coin", outbox, &mut |to, msg| {
+        route(net, &mut net_round, "root:coin", outbox, |to, msg| {
             if let TourMsg::RootCoin { j: jj } = *msg {
                 // Count only on-time openings received by a live
                 // processor: a word arriving after its agreement
@@ -1047,7 +1047,7 @@ fn route<W: Carrier<TourMsg> + Clone, Tr: Transport<W> + ?Sized>(
     net_round: &mut usize,
     label: &str,
     outbox: Vec<Multicast<TourMsg>>,
-    deliver: &mut dyn FnMut(&[ProcId], &TourMsg),
+    mut deliver: impl FnMut(&[ProcId], &TourMsg),
 ) {
     let r = *net_round;
     // Announce the exchange so a stats-keeping transport can attribute
