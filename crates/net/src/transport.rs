@@ -490,11 +490,10 @@ impl<M> NetTransport<M> {
     }
 
     /// Hands `unit` to `sink`, counted delivered once per recipient, like
-    /// one `send` per recipient, into `run`: the units handed out since
-    /// the last change of sending round, charged to the ledger as one
-    /// when the next unit was sent in another round, or by
-    /// [`NetTransport::charge`] at the end of the drain. `gathered` is
-    /// the instant's spread-fan recipients.
+    /// one `send` per recipient. The count joins `run`, which is charged
+    /// to the ledger when a unit sent in another round comes along (and
+    /// once more at the end of the drain). `gathered` is the instant's
+    /// spread-fan recipients.
     fn hand_out(
         &mut self,
         round: usize,
@@ -544,7 +543,7 @@ impl<M> NetTransport<M> {
             Due::Fan(_, _, group, _) => group.len(),
             Due::Singles(_, unit) => unit.len(),
         };
-        if run.1 > 0 && run.0 != sent {
+        if run.0 != sent {
             Self::charge(&mut self.ledger, round, run);
         }
         *run = (sent, run.1 + count as u64, run.2 + dead as u64);
@@ -645,6 +644,7 @@ impl<M> NetTransport<M> {
             }
         }
         self.gathered = gathered;
+        // The last run, before `net:recv` reads what was delivered.
         Self::charge(&mut self.ledger, round, &mut run);
         if self.trace.is_on() {
             let stats = self.ledger.stats();
