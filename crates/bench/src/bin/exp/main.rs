@@ -16,7 +16,6 @@ mod ae_to_e;
 mod aeba_convergence;
 mod bits_scaling;
 mod coin_subsequence;
-mod comm_wire;
 mod election_quality;
 mod fig1_tree;
 mod latency;
@@ -47,7 +46,6 @@ const PRESETS: &[Preset] = &[
     ("coin_subsequence", coin_subsequence::run, "E11  the global coin subsequence"),
     ("adaptive_attack", adaptive_attack::run, "E12  adaptive takeover: strawman vs arrays"),
     ("param_sweep", param_sweep::run, "E13  Lemma 5 parameter ablations"),
-    ("comm_wire", comm_wire::run, "E14  Lemma 3: the communication primitives on the wire"),
     ("universe", universe::run, "E15  universe reduction from the coin subsequence"),
     ("run", run::run, "the .scn scenario library: run [SPEC|DIR]... (default scenarios/)"),
     ("scale", scale::run, "the stack under the scale profile at n = 4096 and 16384"),

@@ -44,6 +44,16 @@
 //! records this substitution; the E8 experiment cross-validates the
 //! share-secrecy bookkeeping against the exact
 //! [`ba_crypto::iterated::ShareTree`] model.
+//!
+//! Some legs are priced and never sent: intra-committee gossip, the
+//! deal of each candidate array to its level-1 committee, `sendDown` and
+//! `sendOpen` ([`tournament::CostModel`] lists each price and its
+//! formula). The only tournament traffic on the transport is the
+//! exposure exchange, the winners' `sendSecretUp` shares and the root
+//! coins ([`TourMsg`]). Network faults and the hunt therefore reach
+//! those three exchanges and never the priced legs: a deal, a `sendDown`
+//! or a `sendOpen` is charged in full whatever the net drops, delays or
+//! partitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +63,6 @@ pub mod aeba;
 pub mod attacks;
 pub mod block;
 pub mod coin;
-pub mod comm;
 pub mod election;
 pub mod everywhere;
 pub mod scale;

@@ -383,6 +383,18 @@ impl TournamentOutcome {
 
 /// Transcription of §3.6 / Lemma 5's per-operation communication costs,
 /// charged to the concrete processors involved.
+///
+/// A word is one GF(2¹⁶) element, 16 bits; `w` is the words moved, `k₁`
+/// the level-1 committee size, `d` the uplink degree and `ℓ` the ℓ-link
+/// degree (both from [`Params`]). None of these legs is sent: each is a
+/// price, charged to the processor that would send it.
+///
+/// | method | leg (§3.2.3) | payer | bits (§3.6 / Lemma 5) |
+/// |---|---|---|---|
+/// | [`deal_bits`](Self::deal_bits) | deal an array to the level-1 node | dealer | `k₁ · w · 16` |
+/// | [`reshare_bits`](Self::reshare_bits) | `sendSecretUp`, one hop | committee member | `d · w · 16` |
+/// | [`send_down_bits`](Self::send_down_bits) | `sendDown`, one hop | inner-committee member | `d · w · 16` |
+/// | [`leaf_open_bits`](Self::leaf_open_bits) | leaf share exchange + `sendOpen` | leaf member | `(k₁ + ℓ) · w · 16` |
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Uplink degree `d` (shares per re-sharing hop).
@@ -1641,6 +1653,19 @@ mod tests {
     fn run_clean(n: usize, seed: u64, inputs: &[bool]) -> TournamentOutcome {
         let config = TournamentConfig::for_n(n).with_seed(seed);
         run(&config, inputs, &mut NoTreeAdversary)
+    }
+
+    /// Each price at `Params::practical(64)` (k₁ = 15, d = ℓ = 12) for an
+    /// eight-word secret, computed by hand from the table on `CostModel`.
+    #[test]
+    fn cost_model_prices_each_leg_by_its_formula() {
+        let p = Params::practical(64);
+        assert_eq!((p.k1, p.uplink_degree, p.llink_degree), (15, 12, 12));
+        let cost = CostModel::from_params(&p);
+        assert_eq!(cost.deal_bits(8), 1920);
+        assert_eq!(cost.reshare_bits(8), 1536);
+        assert_eq!(cost.send_down_bits(8), 1536);
+        assert_eq!(cost.leaf_open_bits(8), 3456);
     }
 
     /// The deal label has room for 2^17 owners and no more: owner 2^17

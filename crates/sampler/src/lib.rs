@@ -6,10 +6,10 @@
 //!   `H : [r] → [s]^d` assigning a size-`d` multiset of elements to every
 //!   input, such that for *every* adversarial subset `S ⊆ [s]`, at most a
 //!   `δ` fraction of inputs over-sample `S` by more than `θ`. The paper
-//!   uses them to populate tree nodes with processors, to wire uplinks
-//!   between child and parent committees, and to wire `ℓ-links` from
-//!   committees to their level-1 descendants — guaranteeing that almost
-//!   every committee inherits the global fraction of good processors.
+//!   uses them to populate tree nodes with processors — guaranteeing that
+//!   almost every committee inherits the global fraction of good
+//!   processors — and to wire the links between committees, whose
+//!   traffic the tournament prices without drawing them.
 //! * **Random regular graphs** (Theorem 5): the gossip graph `G` for
 //!   almost-everywhere Byzantine agreement with unreliable coins is a
 //!   random `k·log n`-regular graph.

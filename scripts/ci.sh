@@ -24,8 +24,8 @@ echo "== docs diet ratchet (docs/performance.md may only shrink) =="
 # in CHANGES.md and numbers in BENCH_<n>.json. Lower the budget when the
 # file shrinks; never raise it.
 PERF_DOC_LINES="$(wc -l < docs/performance.md)"
-if (( PERF_DOC_LINES > 596 )); then
-    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 596)"
+if (( PERF_DOC_LINES > 583 )); then
+    echo "docs: docs/performance.md is $PERF_DOC_LINES lines (budget 583)"
     exit 1
 fi
 
