@@ -126,7 +126,7 @@ impl AeToEConfig {
 
     /// Drives per-loop labels from opened coin words (see
     /// [`AeToEConfig::label_schedule`]).
-    pub fn with_label_schedule(mut self, words: Vec<u16>) -> Self {
+    pub(crate) fn with_label_schedule(mut self, words: Vec<u16>) -> Self {
         self.label_schedule = Some(words);
         self
     }
@@ -134,7 +134,7 @@ impl AeToEConfig {
     /// The global label for a loop (what `GenerateSecretNumber(loop)`
     /// returns; knowledgeable processors compute this, the adversary
     /// learns it only by corrupting one of them — after requests are out).
-    pub fn global_label(&self, lp: usize) -> u16 {
+    pub(crate) fn global_label(&self, lp: usize) -> u16 {
         if let Some(schedule) = &self.label_schedule {
             if !schedule.is_empty() {
                 return schedule[lp % schedule.len()] % self.labels as u16;

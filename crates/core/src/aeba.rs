@@ -110,13 +110,14 @@ impl UnreliableCoin {
     /// A fully reliable coin (every round succeeds, everyone sees it):
     /// the baseline regime where Rabin's argument gives expected O(1)
     /// rounds to agreement.
-    pub fn perfect(rounds: usize, seed: u64) -> Self {
+    #[cfg(test)]
+    fn perfect(rounds: usize, seed: u64) -> Self {
         Self::generate(rounds, 1.0, 0.0, seed)
     }
 
-    /// Builds a schedule directly (tests and the tournament, which opens
-    /// coin words from candidate arrays).
-    pub fn from_schedule(schedule: Vec<Option<bool>>, blind_fraction: f64, seed: u64) -> Self {
+    /// Builds a schedule directly.
+    #[cfg(test)]
+    fn from_schedule(schedule: Vec<Option<bool>>, blind_fraction: f64, seed: u64) -> Self {
         UnreliableCoin {
             schedule,
             blind_fraction,
@@ -127,16 +128,6 @@ impl UnreliableCoin {
     /// Number of scheduled rounds.
     pub fn rounds(&self) -> usize {
         self.schedule.len()
-    }
-
-    /// Whether round `r` is a successful coin.
-    pub fn is_success(&self, r: usize) -> bool {
-        self.schedule.get(r).copied().flatten().is_some()
-    }
-
-    /// Number of successful rounds in the schedule.
-    pub fn successes(&self) -> usize {
-        self.schedule.iter().filter(|s| s.is_some()).count()
     }
 
     /// What processor `who` sees for round `r`. In a failed round every
@@ -295,7 +286,8 @@ impl Process for AebaProcess {
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the graph.
-pub fn informed_fraction(
+#[cfg(test)]
+fn informed_fraction(
     good: &[bool],
     votes: &[bool],
     graph: &RegularGraph,
@@ -392,25 +384,7 @@ pub fn run_committee<R: Rng + ?Sized>(
     attack: CommitteeAttack,
     rng: &mut R,
 ) -> CommitteeOutcome {
-    run_committee_traced(good, inputs, graph, coin_view, rounds, config, attack, rng).0
-}
-
-/// [`run_committee`] plus the per-round convergence trace: element `r` of
-/// the returned vector is the fraction of good members on the good
-/// plurality bit *after* round `r` — the series Lemmas 12/13 describe and
-/// experiment E4a plots.
-#[allow(clippy::too_many_arguments)]
-pub fn run_committee_traced<R: Rng + ?Sized>(
-    good: &[bool],
-    inputs: &[bool],
-    graph: &RegularGraph,
-    coin_view: impl Fn(usize, usize) -> bool,
-    rounds: usize,
-    config: &AebaConfig,
-    attack: CommitteeAttack,
-    rng: &mut R,
-) -> (CommitteeOutcome, Vec<f64>) {
-    Committee::new(good, graph, attack).run_traced(inputs, coin_view, rounds, config, rng)
+    Committee::new(good, graph, attack).run(inputs, coin_view, rounds, config, rng)
 }
 
 /// The bit corrupt member `u` shows every receiver alike under `attack`
@@ -507,8 +481,10 @@ impl<'a> Committee<'a> {
         self.run_traced(inputs, coin_view, rounds, config, rng).0
     }
 
-    /// [`Committee::run`] plus the per-round convergence trace (see
-    /// [`run_committee_traced`]).
+    /// [`Committee::run`] plus the per-round convergence trace: element
+    /// `r` of the returned vector is the fraction of good members on the
+    /// good plurality bit *after* round `r` — the series Lemmas 12/13
+    /// describe and experiment E4a plots.
     pub fn run_traced<R: Rng + ?Sized>(
         &mut self,
         inputs: &[bool],
@@ -727,9 +703,6 @@ mod tests {
     #[test]
     fn coin_views_respect_schedule() {
         let coin = UnreliableCoin::from_schedule(vec![Some(true), None, Some(false)], 0.0, 3);
-        assert!(coin.is_success(0));
-        assert!(!coin.is_success(1));
-        assert_eq!(coin.successes(), 2);
         // Successful rounds: everyone (blind_fraction 0) sees the bit.
         for who in 0..20 {
             assert!(coin.view(who, 0, false));
@@ -842,14 +815,11 @@ mod tests {
         let g = RegularGraph::random_out_degree(k, 16, &mut rng);
         let good = vec![true; k];
         let inputs = vec![true; k];
-        let (out, trace) = run_committee_traced(
-            &good,
+        let (out, trace) = Committee::new(&good, &g, CommitteeAttack::Passive).run_traced(
             &inputs,
-            &g,
             |_, _| false,
             10,
             &AebaConfig::default(),
-            CommitteeAttack::Passive,
             &mut rng,
         );
         assert_eq!(trace.len(), 10);
@@ -865,14 +835,11 @@ mod tests {
         let good = vec![true; k];
         let inputs: Vec<bool> = (0..k).map(|i| i % 2 == 0).collect();
         let coin = UnreliableCoin::perfect(12, 3);
-        let (_, trace) = run_committee_traced(
-            &good,
+        let (_, trace) = Committee::new(&good, &g, CommitteeAttack::Passive).run_traced(
             &inputs,
-            &g,
             |i, r| coin.view(i, r, false),
             12,
             &AebaConfig::default(),
-            CommitteeAttack::Passive,
             &mut rng,
         );
         assert!(trace[0] >= 0.5);
@@ -1075,7 +1042,7 @@ mod tests {
                 let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA5A5);
                 let mut rng_b = rng_a.clone();
                 let (out, trace) =
-                    run_committee_traced(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_a);
+                    Committee::new(&good, &g, attack).run_traced(&inputs, coin, rounds, &cfg, &mut rng_a);
                 let (want, want_trace) =
                     run_committee_full_rounds(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_b);
                 prop_assert_eq!(&out.votes, &want.votes);
@@ -1181,7 +1148,7 @@ mod tests {
                 let mut rng_a = ChaCha12Rng::seed_from_u64(seed ^ 0xA5A5);
                 let mut rng_b = rng_a.clone();
                 let got =
-                    run_committee_traced(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_a);
+                    Committee::new(&good, &g, attack).run_traced(&inputs, coin, rounds, &cfg, &mut rng_a);
                 let want =
                     run_committee_full_rounds(&good, &inputs, &g, coin, rounds, &cfg, attack, &mut rng_b);
                 same(&got, &want)?;

@@ -35,14 +35,8 @@ impl Block {
         }
     }
 
-    /// The coin bit for agreement round `r` (low bit of the r-th coin
-    /// word), wrapping if the schedule outruns the block.
-    pub fn coin_bit(&self, r: usize) -> Option<bool> {
-        self.coins.get(r).map(|w| w.raw() & 1 == 1)
-    }
-
     /// Number of 16-bit words in the block.
-    pub fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         1 + self.coins.len()
     }
 }
@@ -88,21 +82,21 @@ impl CandidateArray {
     /// # Panics
     ///
     /// Panics if `level < 2` or past the root.
-    pub fn block_for_level(&self, level: usize) -> &Block {
+    pub(crate) fn block_for_level(&self, level: usize) -> &Block {
         assert!(level >= 2, "level-1 nodes hold no elections");
         &self.blocks[level - 2]
     }
 
     /// Total number of 16-bit words in the array (what `secretShare`
     /// splits and `sendSecretUp` forwards).
-    pub fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         self.blocks.iter().map(Block::word_count).sum::<usize>() + self.extra.len()
     }
 
     /// Words remaining from `level` upward — the subsequence `S′` that
     /// winners forward to the parent (Alg. 2 step 2(c) sends only the
     /// not-yet-consumed blocks).
-    pub fn words_from_level(&self, level: usize) -> usize {
+    pub(crate) fn words_from_level(&self, level: usize) -> usize {
         let skip = level.saturating_sub(2).min(self.blocks.len());
         self.blocks[skip..]
             .iter()
@@ -134,8 +128,6 @@ mod tests {
         assert!(b.bin_choice.raw() < 4);
         assert_eq!(b.coins.len(), 10);
         assert_eq!(b.word_count(), 11);
-        assert!(b.coin_bit(0).is_some());
-        assert!(b.coin_bit(10).is_none());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct EverywhereConfig {
 
 impl EverywhereConfig {
     /// Paper-shaped defaults for `n` processors at `sp.seed`.
-    pub fn from_params(sp: &StackParams) -> Self {
+    pub(crate) fn from_params(sp: &StackParams) -> Self {
         let tournament = TournamentConfig::from_params(sp);
         let eps = tournament.params.eps;
         EverywhereConfig {

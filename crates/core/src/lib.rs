@@ -72,8 +72,5 @@ pub mod universe;
 
 pub use ae_to_e::{AeToEConfig, AeToEOutcome};
 pub use aeba::{AebaConfig, UnreliableCoin};
-pub use block::{Block, CandidateArray};
-pub use election::ElectionResult;
 pub use everywhere::{EverywhereConfig, EverywhereOutcome, StackMsg};
-pub use scale::StackParams;
 pub use tournament::{TourMsg, TournamentConfig, TournamentOutcome};

@@ -10,7 +10,7 @@
 
 /// Salt separating the engine-phase (Algorithm 3) randomness stream from
 /// the tournament stream when both derive from one master seed.
-pub const ENGINE_SEED_SALT: u64 = 0x5151_5151;
+const ENGINE_SEED_SALT: u64 = 0x5151_5151;
 
 /// The scale and seeding shared by every protocol-stack configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,13 +34,13 @@ impl StackParams {
     }
 
     /// The tournament phase's seed (tree generation, dealing, committees).
-    pub fn tournament_seed(&self) -> u64 {
+    pub(crate) fn tournament_seed(&self) -> u64 {
         self.seed
     }
 
     /// The engine phase's seed (Algorithm-3 simulation), split from the
     /// master so the two phases never share a stream.
-    pub fn engine_seed(&self) -> u64 {
+    pub(crate) fn engine_seed(&self) -> u64 {
         self.seed ^ ENGINE_SEED_SALT
     }
 }

@@ -182,7 +182,7 @@ impl TournamentConfig {
     /// Defaults for `n` processors at `sp.seed`: practical parameters,
     /// exposure noise `1/log₂ n`, `⌈log₂ n⌉` extra coin words per
     /// finalist.
-    pub fn from_params(sp: &StackParams) -> Self {
+    pub(crate) fn from_params(sp: &StackParams) -> Self {
         let params = Params::practical(sp.n);
         let log_n = (sp.n as f64).log2().max(2.0);
         TournamentConfig {
@@ -219,17 +219,13 @@ pub struct TreeView<'a> {
     pub candidates_by_node: &'a [Vec<usize>],
 }
 
-/// Protocol phase markers for adversary callbacks and bit breakdowns.
+/// The phases before which a [`TreeAdversary`] may corrupt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Initial dealing of arrays to level-1 committees.
     Deal,
     /// Bin-choice exposure at a level.
     Expose,
-    /// Per-candidate agreement at a level.
-    Agree,
-    /// Winner shares forwarded to the parent level.
-    SendWinners,
     /// Final agreement at the root.
     RootAgreement,
 }
@@ -240,6 +236,11 @@ pub enum PhaseKind {
 pub trait TreeAdversary {
     /// Processors to corrupt before `phase` runs at `view.level`.
     /// Requests beyond the budget are truncated in order.
+    ///
+    /// A run consults it at exactly these points, in this order:
+    /// [`PhaseKind::Deal`] at level 0, [`PhaseKind::Expose`] at each
+    /// election level `2..levels` (ascending), then
+    /// [`PhaseKind::RootAgreement`] at level `levels`.
     fn corrupt(&mut self, phase: PhaseKind, view: &TreeView<'_>) -> Vec<usize>;
 
     /// Bin choice declared for a bad (bad-owner or compromised) candidate,
@@ -391,10 +392,10 @@ impl TournamentOutcome {
 ///
 /// | method | leg (§3.2.3) | payer | bits (§3.6 / Lemma 5) |
 /// |---|---|---|---|
-/// | [`deal_bits`](Self::deal_bits) | deal an array to the level-1 node | dealer | `k₁ · w · 16` |
-/// | [`reshare_bits`](Self::reshare_bits) | `sendSecretUp`, one hop | committee member | `d · w · 16` |
-/// | [`send_down_bits`](Self::send_down_bits) | `sendDown`, one hop | inner-committee member | `d · w · 16` |
-/// | [`leaf_open_bits`](Self::leaf_open_bits) | leaf share exchange + `sendOpen` | leaf member | `(k₁ + ℓ) · w · 16` |
+/// | `deal_bits` | deal an array to the level-1 node | dealer | `k₁ · w · 16` |
+/// | `reshare_bits` | `sendSecretUp`, one hop | committee member | `d · w · 16` |
+/// | `send_down_bits` | `sendDown`, one hop | inner-committee member | `d · w · 16` |
+/// | `leaf_open_bits` | leaf share exchange + `sendOpen` | leaf member | `(k₁ + ℓ) · w · 16` |
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Uplink degree `d` (shares per re-sharing hop).
@@ -415,26 +416,26 @@ impl CostModel {
     }
 
     /// Bits a dealer pays to share `words` words with its level-1 node.
-    pub fn deal_bits(&self, words: u64) -> u64 {
+    pub(crate) fn deal_bits(&self, words: u64) -> u64 {
         self.k1 * words * 16
     }
 
     /// Bits one committee member pays re-sharing a `words`-word secret up
     /// one level (`sendSecretUp`: `d` sub-shares, each secret-sized).
-    pub fn reshare_bits(&self, words: u64) -> u64 {
+    pub(crate) fn reshare_bits(&self, words: u64) -> u64 {
         self.uplink_degree * words * 16
     }
 
     /// Bits one inner-committee member pays per `sendDown` hop (its held
     /// shares flow down the uplinks they arrived on, plus those of its
     /// node's other children — fan ≈ `d`).
-    pub fn send_down_bits(&self, words: u64) -> u64 {
+    pub(crate) fn send_down_bits(&self, words: u64) -> u64 {
         self.uplink_degree * words * 16
     }
 
     /// Bits one leaf member pays finishing a reveal: intra-node share
     /// exchange (`k₁` peers) plus `sendOpen` up the ℓ-links.
-    pub fn leaf_open_bits(&self, words: u64) -> u64 {
+    pub(crate) fn leaf_open_bits(&self, words: u64) -> u64 {
         (self.k1 + self.llink_degree) * words * 16
     }
 }
@@ -1904,6 +1905,30 @@ mod tests {
             last.good_winners,
             last.winners
         );
+    }
+
+    /// Records every consultation and corrupts nobody.
+    #[derive(Default)]
+    struct Recording(Vec<(PhaseKind, usize)>);
+    impl TreeAdversary for Recording {
+        fn corrupt(&mut self, phase: PhaseKind, view: &TreeView<'_>) -> Vec<usize> {
+            self.0.push((phase, view.level));
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn the_adversary_is_consulted_at_the_deal_each_exposure_and_the_root() {
+        let n = 64;
+        let config = TournamentConfig::for_n(n).with_seed(3);
+        let mut recording = Recording::default();
+        run(&config, &vec![true; n], &mut recording);
+        let levels = config.params.levels;
+        assert!(levels >= 3, "a tree with one election level at least");
+        let mut want = vec![(PhaseKind::Deal, 0)];
+        want.extend((2..levels).map(|level| (PhaseKind::Expose, level)));
+        want.push((PhaseKind::RootAgreement, levels));
+        assert_eq!(recording.0, want);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl Gf16 {
     /// The multiplicative identity.
     pub const ONE: Gf16 = Gf16(1);
     /// Number of elements in the field.
-    pub const ORDER: u32 = 1 << 16;
+    const ORDER: u32 = 1 << 16;
 
     /// Wraps a raw 16-bit word as a field element.
     pub fn new(raw: u16) -> Self {
@@ -130,7 +130,7 @@ impl Gf16 {
     }
 
     /// Whether this is the zero element.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0
     }
 

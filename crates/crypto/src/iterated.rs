@@ -9,10 +9,10 @@
 //!
 //! Two things live here:
 //!
-//! * [`reshare`] / [`reassemble_layer`] — the primitive operations the
-//!   protocol's `sendSecretUp` / `sendDown` perform on the wire: treat a
-//!   share value as a secret and split it further; combine child shares
-//!   back into the parent share.
+//! * `reshare` — the primitive the protocol's `sendSecretUp` performs
+//!   on the wire: treat a share value as a secret and split it further
+//!   (`sendDown` combines child shares back with
+//!   [`shamir::reconstruct`]).
 //! * [`ShareTree`] — an in-memory reference model of a full iterated
 //!   dealing, used by tests and the E8 secrecy experiment to check exactly
 //!   which coalitions of leaf holders can reconstruct (recoverability) and
@@ -51,27 +51,12 @@ impl Layer {
 /// # Errors
 ///
 /// Propagates [`CryptoError::InvalidParams`] from the underlying scheme.
-pub fn reshare<R: Rng + ?Sized>(
+pub(crate) fn reshare<R: Rng + ?Sized>(
     share: Share,
     layer: Layer,
     rng: &mut R,
 ) -> Result<Vec<Share>, CryptoError> {
     shamir::share(share.y, layer.n, layer.t, rng)
-}
-
-/// Reassembles an (i−1)-share from `i`-shares: the per-hop step of
-/// `sendDown`. `x` is the evaluation point the reassembled share had in
-/// *its* parent's sharing.
-///
-/// Each hop is one batched Lagrange reconstruction — a single field
-/// inversion regardless of committee size (see
-/// [`shamir::lagrange_weights_at_zero`]).
-///
-/// # Errors
-///
-/// Propagates reconstruction errors (too few / duplicate shares).
-pub fn reassemble_layer(x: Gf16, child_shares: &[Share]) -> Result<Share, CryptoError> {
-    Ok(Share::new(x, shamir::reconstruct(child_shares)?))
 }
 
 /// A complete iterated dealing of one secret through a stack of committees,
@@ -200,7 +185,7 @@ impl ShareTree {
     }
 
     /// Total number of leaf shares in existence.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         self.layers.iter().map(|l| l.n).product()
     }
 
@@ -542,8 +527,8 @@ mod tests {
         let layer = Layer::majority(7); // t = 3
         let children = reshare(parent, layer, &mut rng).unwrap();
         assert_eq!(children.len(), 7);
-        let back = reassemble_layer(parent.x, &children[..4]).unwrap();
-        assert_eq!(back, parent);
+        let back = shamir::reconstruct(&children[..4]).unwrap();
+        assert_eq!(back, parent.y);
     }
 
     #[test]
@@ -555,10 +540,10 @@ mod tests {
         // "succeeds" arithmetically but yields the wrong value with
         // overwhelming probability (non-verifiable scheme). Check both the
         // hard failure (0 shares) and the wrong-value case.
-        assert!(reassemble_layer(parent.x, &[]).is_err());
-        let under = reassemble_layer(parent.x, &children[..2]).unwrap();
+        assert!(shamir::reconstruct(&[]).is_err());
+        let under = shamir::reconstruct(&children[..2]).unwrap();
         assert_ne!(
-            under, parent,
+            under, parent.y,
             "2-of-5 majority sharing cannot determine value"
         );
     }

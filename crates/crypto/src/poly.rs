@@ -3,9 +3,10 @@
 //! Shamir sharing is polynomial evaluation and Lagrange interpolation;
 //! this module gives those operations a first-class, well-tested home
 //! (and a place where the algebra the secrecy proofs lean on — degree
-//! bounds, uniqueness of interpolation — is checked by property tests).
+//! bounds, uniqueness of interpolation — is checked by property tests;
+//! full interpolation is a test oracle, reconstruction only needs the
+//! value at zero, [`crate::shamir::reconstruct`]).
 
-use crate::error::CryptoError;
 use crate::gf::Gf16;
 use rand::Rng;
 
@@ -64,12 +65,6 @@ impl Poly {
     /// Degree, or `None` for the zero polynomial.
     pub fn degree(&self) -> Option<usize> {
         self.coeffs.iter().rposition(|c| !c.is_zero())
-    }
-
-    /// The coefficients, lowest first (may carry trailing zeros if built
-    /// by [`Poly::random_with_secret`]).
-    pub fn coeffs(&self) -> &[Gf16] {
-        &self.coeffs
     }
 
     /// Horner evaluation at `x`.
@@ -164,14 +159,15 @@ impl Poly {
     ///
     /// [`CryptoError::TooFewShares`] on empty input,
     /// [`CryptoError::DuplicateShareIndex`] on repeated x-coordinates.
-    pub fn interpolate(points: &[(Gf16, Gf16)]) -> Result<Poly, CryptoError> {
+    #[cfg(test)]
+    fn interpolate(points: &[(Gf16, Gf16)]) -> Result<Poly, crate::CryptoError> {
         if points.is_empty() {
-            return Err(CryptoError::TooFewShares { have: 0, need: 1 });
+            return Err(crate::CryptoError::TooFewShares { have: 0, need: 1 });
         }
         for (i, a) in points.iter().enumerate() {
             for b in &points[i + 1..] {
                 if a.0 == b.0 {
-                    return Err(CryptoError::DuplicateShareIndex { x: a.0.raw() });
+                    return Err(crate::CryptoError::DuplicateShareIndex { x: a.0.raw() });
                 }
             }
         }
@@ -213,6 +209,7 @@ impl Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CryptoError;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -225,7 +222,7 @@ mod tests {
     fn canonical_form_trims_zeros() {
         let p = Poly::new(vec![gf(1), gf(0), gf(0)]);
         assert_eq!(p.degree(), Some(0));
-        assert_eq!(p.coeffs().len(), 1);
+        assert_eq!(p.coeffs.len(), 1);
         assert_eq!(Poly::zero().degree(), None);
         assert_eq!(Poly::new(vec![]), Poly::zero());
     }
@@ -285,7 +282,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let p = Poly::random_with_secret(gf(0xAAAA), 5, &mut rng);
         assert_eq!(p.secret(), gf(0xAAAA));
-        assert_eq!(p.coeffs().len(), 6);
+        assert_eq!(p.coeffs.len(), 6);
     }
 
     proptest! {

@@ -122,7 +122,7 @@ pub fn reconstruct(shares: &[Share]) -> Result<Gf16, CryptoError> {
 ///
 /// [`CryptoError::TooFewShares`] on empty input,
 /// [`CryptoError::DuplicateShareIndex`] on repeated x-coordinates.
-pub fn lagrange_weights_at_zero(xs: &[Gf16]) -> Result<Vec<Gf16>, CryptoError> {
+pub(crate) fn lagrange_weights_at_zero(xs: &[Gf16]) -> Result<Vec<Gf16>, CryptoError> {
     let k = xs.len();
     if k == 0 {
         return Err(CryptoError::TooFewShares { have: 0, need: 1 });

@@ -24,7 +24,6 @@ use crate::scenario::lower;
 use ba_baselines::{PhaseKingConfig, RabinConfig};
 use ba_net::InputPattern;
 use ba_net::{Churn, DeliveryPolicy, FaultPlan, LatencyModel, Partition, ScenarioSpec};
-use ba_obs::Trace;
 use ba_sim::{derive_rng, SimRng};
 use proptest::shrink;
 use rand::Rng;
@@ -32,7 +31,7 @@ use std::fmt;
 
 /// Derivation label of the hunt's sampling stream (disjoint from the
 /// transport's `NET_LABEL`/`ORDER_LABEL` and every protocol label).
-pub const HUNT_LABEL: u64 = 0x4855_4E54; // "HUNT"
+const HUNT_LABEL: u64 = 0x4855_4E54; // "HUNT"
 
 /// Hunt parameters. Defaults give the CI smoke: a budget that covers the
 /// whole grid plus a sampling tail, in well under a minute.
@@ -544,14 +543,6 @@ pub fn shrink_spec(
 /// every trial and shrinking each novel failure signature. Deterministic
 /// in `config.seed` at any worker-thread count.
 pub fn hunt(config: &HuntConfig) -> HuntReport {
-    hunt_traced(config, &Trace::off())
-}
-
-/// [`hunt`], emitting one `hunt:verdict` event per candidate judged
-/// (oracle name or `clean`) and one `hunt:finding` event per novel
-/// signature, keyed by the cumulative trial count — the tracing adds no
-/// randomness, so reports stay byte-identical per seed.
-pub fn hunt_traced(config: &HuntConfig, trace: &Trace) -> HuntReport {
     let mut report = HuntReport::default();
     let mut seen: Vec<String> = Vec::new();
     let mut rng = derive_rng(config.seed, HUNT_LABEL);
@@ -576,41 +567,12 @@ pub fn hunt_traced(config: &HuntConfig, trace: &Trace) -> HuntReport {
             Ok(h) => h,
             Err(e) => {
                 report.skipped.push(format!("{}: {e}", spec.name));
-                trace.event(
-                    "hunt:verdict",
-                    report.trials_run as u64,
-                    "",
-                    &[
-                        ("spec", spec.name.as_str().into()),
-                        ("oracle", "skip".into()),
-                    ],
-                );
                 continue;
             }
         };
         let Some((violation, trial_seed)) = hit else {
-            trace.event(
-                "hunt:verdict",
-                report.trials_run as u64,
-                "",
-                &[
-                    ("spec", spec.name.as_str().into()),
-                    ("oracle", "clean".into()),
-                ],
-            );
             continue;
         };
-        trace.event(
-            "hunt:verdict",
-            report.trials_run as u64,
-            "",
-            &[
-                ("spec", spec.name.as_str().into()),
-                ("oracle", violation.kind().into()),
-                ("violation", violation.to_string().into()),
-                ("trial_seed", trial_seed.into()),
-            ],
-        );
         let sig = signature(&spec, &violation);
         if seen.contains(&sig) {
             continue;
@@ -630,18 +592,6 @@ pub fn hunt_traced(config: &HuntConfig, trace: &Trace) -> HuntReport {
                 Ok(Some((v, _))) if v.kind() == kind
             )
         });
-        trace.event(
-            "hunt:finding",
-            report.trials_run as u64,
-            "",
-            &[
-                ("signature", sig.as_str().into()),
-                ("oracle", kind.into()),
-                ("trial_seed", trial_seed.into()),
-                ("protocol", shrunk.protocol.as_str().into()),
-                ("n", shrunk.n.into()),
-            ],
-        );
         report.findings.push(Finding {
             signature: sig,
             spec,

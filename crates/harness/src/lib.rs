@@ -59,7 +59,7 @@ mod spec;
 mod stats;
 
 pub use experiment::{Experiment, Metric};
-pub use hunt::{hunt, hunt_traced, shrink_spec, Finding, HuntConfig, HuntReport, Violation};
+pub use hunt::{hunt, shrink_spec, HuntConfig};
 pub use runner::{
     everywhere_outcome, run, run_traced, run_trial, run_trial_traced, run_trial_with_factory,
     trace_sampler_cache, traced_trial, NetFactory, RunReport, SessionTransport, TransportFactory,

@@ -177,7 +177,7 @@ impl RunReport {
     }
 
     /// Minimum of `f` over trials.
-    pub fn min_of(&self, f: impl Fn(&TrialOutcome) -> f64) -> f64 {
+    pub(crate) fn min_of(&self, f: impl Fn(&TrialOutcome) -> f64) -> f64 {
         self.trials.iter().map(f).fold(f64::INFINITY, f64::min)
     }
 
@@ -190,7 +190,7 @@ impl RunReport {
     }
 
     /// Network statistics summed over all trials.
-    pub fn net_sum(&self) -> NetStats {
+    pub(crate) fn net_sum(&self) -> NetStats {
         let nets = self.trials.iter().filter_map(|t| t.net.as_ref());
         nets.fold(NetStats::default(), |mut sum, net| {
             sum.accumulate(net);
@@ -937,8 +937,10 @@ mod tests {
         assert!(run(&spec).is_err());
         // A rounds cap is meaningless for the structured executors and
         // must not be silently dropped.
-        assert!(run(&RunSpec::tournament(64).rounds_cap(20)).is_err());
-        assert!(run(&RunSpec::everywhere(64).rounds_cap(20)).is_err());
+        for mut spec in [RunSpec::tournament(64), RunSpec::everywhere(64)] {
+            spec.output.rounds_cap = Some(20);
+            assert!(run(&spec).is_err());
+        }
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl AdversarySpec {
     }
 
     /// The engine corruption budget to configure.
-    pub fn engine_budget(&self) -> Option<usize> {
+    pub(crate) fn engine_budget(&self) -> Option<usize> {
         self.budget.or(match self.message {
             MessageAdversary::None => None,
             m => Some(m.count()),
@@ -509,14 +509,8 @@ impl RunSpec {
         self
     }
 
-    /// Overrides the engine round cap.
-    pub fn rounds_cap(mut self, cap: usize) -> Self {
-        self.output.rounds_cap = Some(cap);
-        self
-    }
-
     /// The fully-derived network config for one trial.
-    pub fn trial_net(&self, trial: u64) -> NetConfig {
+    pub(crate) fn trial_net(&self, trial: u64) -> NetConfig {
         let mut cfg = self.net.clone();
         cfg.seed = self.seeds.seed(trial);
         cfg
@@ -654,13 +648,11 @@ mod tests {
             .trials(8)
             .seeds(42)
             .input(InputPattern::Lopsided)
-            .adversary(AdversarySpec::split(12).with_budget(20))
-            .rounds_cap(50);
+            .adversary(AdversarySpec::split(12).with_budget(20));
         assert_eq!(spec.n, 96);
         assert_eq!(spec.trials, 8);
         assert_eq!(spec.seeds.seed(3), 45);
         assert_eq!(spec.adversary.engine_budget(), Some(20));
-        assert_eq!(spec.output.rounds_cap, Some(50));
         assert_eq!(spec.protocol.name(), "aeba");
     }
 

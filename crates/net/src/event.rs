@@ -373,7 +373,7 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
     }
 
     /// The firing time of the earliest queued event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         let ring = self.ring_first().map(|(time, _)| time);
         let overflow = self.overflow.keys().next().copied();
         match (ring, overflow) {

@@ -34,7 +34,7 @@ pub struct Partition {
 
 impl Partition {
     /// Whether this partition severs a `from → to` message sent in `round`.
-    pub fn severs(&self, round: usize, from: usize, to: usize) -> bool {
+    pub(crate) fn severs(&self, round: usize, from: usize, to: usize) -> bool {
         round >= self.from_round
             && round < self.heal_round
             && (from < self.boundary) != (to < self.boundary)
@@ -72,7 +72,7 @@ pub struct Churn {
 
 impl Churn {
     /// Whether `proc` is churned out (offline) in `round`.
-    pub fn is_down(&self, round: usize, proc: usize) -> bool {
+    pub(crate) fn is_down(&self, round: usize, proc: usize) -> bool {
         if self.period == 0 || self.down == 0 {
             return false;
         }
@@ -104,7 +104,7 @@ impl FaultPlan {
     /// Whether the wire loses nothing: [`FaultPlan::dropped`] is `None`
     /// for every message (crashes and churn silence processors, not
     /// links).
-    pub fn is_lossless(&self) -> bool {
+    pub(crate) fn is_lossless(&self) -> bool {
         self.drop_prob <= 0.0 && self.partitions.is_empty()
     }
 
@@ -138,7 +138,7 @@ impl FaultPlan {
     }
 
     /// The round `proc` crash-stops, if scheduled.
-    pub fn crash_round(&self, proc: usize) -> Option<usize> {
+    pub(crate) fn crash_round(&self, proc: usize) -> Option<usize> {
         self.crashes
             .iter()
             .filter(|c| c.proc == proc)

@@ -4,8 +4,8 @@
 //! proof explicitly compares the regular graph to the out-degree model
 //! where each vertex draws `k·log n` endpoints uniformly at random ("Y is
 //! the number of edges if G were generated by having k log n edges from
-//! each vertex with endpoint selected uniformly at random") — so this
-//! module offers both constructions.
+//! each vertex with endpoint selected uniformly at random"); that
+//! out-degree model is the construction this module builds.
 
 use rand::Rng;
 
@@ -81,36 +81,6 @@ impl RegularGraph {
         Self::from_draws(n, &draws)
     }
 
-    /// Union of `degree` uniformly random permutation digraphs,
-    /// symmetrized: a standard construction whose degree distribution is
-    /// tightly concentrated at `2·degree` and which is an expander w.h.p.
-    /// — the "random k log n regular graph" of Theorem 5 up to constant
-    /// factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `degree == 0`.
-    pub fn random_permutation_union<R: Rng + ?Sized>(n: usize, degree: usize, rng: &mut R) -> Self {
-        assert!(n >= 2, "graph needs at least two vertices");
-        assert!(degree > 0, "degree must be positive");
-        let mut draws = Vec::with_capacity(n * degree);
-        let mut perm: Vec<usize> = (0..n).collect();
-        for _ in 0..degree {
-            // Fisher–Yates.
-            for i in (1..n).rev() {
-                let j = rng.gen_range(0..=i);
-                perm.swap(i, j);
-            }
-            for (v, &u) in perm.iter().enumerate() {
-                if u == v {
-                    continue; // drop rare fixed points; degree loss is negligible
-                }
-                draws.push((v as u32, u as u32));
-            }
-        }
-        Self::from_draws(n, &draws)
-    }
-
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -137,12 +107,14 @@ impl RegularGraph {
     }
 
     /// Minimum realized degree over all vertices.
-    pub fn min_degree(&self) -> usize {
+    #[cfg(test)]
+    fn min_degree(&self) -> usize {
         (0..self.len()).map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
     /// Whether the graph is connected (BFS).
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    fn is_connected(&self) -> bool {
         if self.is_empty() {
             return true;
         }
@@ -192,29 +164,12 @@ mod tests {
         for v in 0..20 {
             assert!(g.neighbors(v).iter().all(|&u| u as usize != v));
         }
-        let g = RegularGraph::random_permutation_union(20, 8, &mut rng(3));
-        for v in 0..20 {
-            assert!(g.neighbors(v).iter().all(|&u| u as usize != v));
-        }
-    }
-
-    #[test]
-    fn permutation_union_degree_concentrated() {
-        let g = RegularGraph::random_permutation_union(100, 5, &mut rng(4));
-        // Each of 5 permutations contributes ≤ 2 to each vertex (one out,
-        // one in), minus dropped fixed points.
-        for v in 0..100 {
-            assert!(g.degree(v) <= 10);
-            assert!(g.degree(v) >= 5, "degree {} at {v}", g.degree(v));
-        }
     }
 
     #[test]
     fn adequate_degree_gives_connectivity() {
         // log2(200) ≈ 7.6; degree 8 random graphs are connected w.h.p.
         let g = RegularGraph::random_out_degree(200, 8, &mut rng(5));
-        assert!(g.is_connected());
-        let g = RegularGraph::random_permutation_union(200, 8, &mut rng(6));
         assert!(g.is_connected());
     }
 
@@ -239,20 +194,16 @@ mod tests {
             g.neighbors(v).iter().filter(|&&w| w as usize == u).count()
         };
         // Dense enough on few vertices that most pairs repeat.
-        for g in [
-            RegularGraph::random_out_degree(24, 9, &mut rng(13)),
-            RegularGraph::random_permutation_union(24, 9, &mut rng(14)),
-        ] {
-            let mut repeated = 0;
-            for v in 0..g.len() {
-                assert_eq!(occurrences(&g, v, v), 0, "self-loop at {v}");
-                for u in 0..g.len() {
-                    assert_eq!(occurrences(&g, v, u), occurrences(&g, u, v), "({v}, {u})");
-                    repeated += (occurrences(&g, v, u) > 1) as usize;
-                }
+        let g = RegularGraph::random_out_degree(24, 9, &mut rng(13));
+        let mut repeated = 0;
+        for v in 0..g.len() {
+            assert_eq!(occurrences(&g, v, v), 0, "self-loop at {v}");
+            for u in 0..g.len() {
+                assert_eq!(occurrences(&g, v, u), occurrences(&g, u, v), "({v}, {u})");
+                repeated += (occurrences(&g, v, u) > 1) as usize;
             }
-            assert!(repeated > 0, "no multi-edge: multiplicity went unchecked");
         }
+        assert!(repeated > 0, "no multi-edge: multiplicity went unchecked");
     }
 
     #[test]
@@ -264,7 +215,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "degree must be positive")]
     fn zero_degree_rejected() {
-        let _ = RegularGraph::random_permutation_union(5, 0, &mut rng(0));
+        let _ = RegularGraph::random_out_degree(5, 0, &mut rng(0));
     }
 
     #[test]
@@ -340,27 +291,5 @@ mod tests {
             (chi2 - dof).abs() < 6.0 * (2.0 * dof).sqrt(),
             "endpoint counts are off uniform: chi2 {chi2} on {dof} degrees of freedom"
         );
-    }
-
-    #[test]
-    fn rows_keep_the_push_order_of_the_adjacency_list_build() {
-        // Rows recorded from the `Vec<Vec<u32>>` build this layout
-        // replaced (commit 2e922df); the out-degree model's are replayed
-        // from its draws in `out_degree_build_spends_one_32_bit_word_an_edge`.
-        let rows = |g: &RegularGraph| -> Vec<Vec<u32>> {
-            (0..g.len()).map(|v| g.neighbors(v).to_vec()).collect()
-        };
-        let g = RegularGraph::random_permutation_union(7, 3, &mut rng(12));
-        let want: [&[u32]; 7] = [
-            &[3, 2, 2, 2],
-            &[4, 5, 6, 5, 6, 5],
-            &[5, 6, 0, 3, 0, 0],
-            &[0, 2],
-            &[1, 6, 5, 6, 5, 6],
-            &[2, 1, 4, 1, 4, 1],
-            &[4, 2, 1, 4, 1, 4],
-        ];
-        assert_eq!(rows(&g), want);
-        assert_eq!(g.degree(3), 2);
     }
 }

@@ -37,12 +37,13 @@ impl Sampler {
     }
 
     /// Builds a sampler from an explicit assignment table (row `x` lists
-    /// the multiset `H(x)`); used by tests and by deterministic topologies.
+    /// the multiset `H(x)`).
     ///
     /// # Panics
     ///
     /// Panics if rows are ragged, empty, or reference elements `≥ s`.
-    pub fn from_rows(s: usize, rows: Vec<Vec<u32>>) -> Self {
+    #[cfg(test)]
+    fn from_rows(s: usize, rows: Vec<Vec<u32>>) -> Self {
         assert!(!rows.is_empty(), "sampler needs at least one input");
         let d = rows[0].len();
         assert!(d > 0, "sampler degree must be positive");
@@ -82,28 +83,12 @@ impl Sampler {
         &self.assign[x * self.d..(x + 1) * self.d]
     }
 
-    /// `deg(e)`: how many inputs include element `e` (counting
-    /// multiplicity), the quantity bounded by Lemma 2's
-    /// `deg(s') < O((rd/s)·log n)`.
-    pub fn element_degree(&self, e: usize) -> usize {
-        self.assign.iter().filter(|&&a| a as usize == e).count()
-    }
-
-    /// All element degrees at once (O(rd) instead of O(s·rd)).
-    pub fn element_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.s];
-        for &a in &self.assign {
-            deg[a as usize] += 1;
-        }
-        deg
-    }
-
     /// Fraction of `H(x)` that lands in the set marked by `bad`.
     ///
     /// # Panics
     ///
     /// Panics if `bad.len() != s`.
-    pub fn bad_fraction(&self, x: usize, bad: &[bool]) -> f64 {
+    pub(crate) fn bad_fraction(&self, x: usize, bad: &[bool]) -> f64 {
         assert_eq!(bad.len(), self.s);
         let hits = self.sample(x).iter().filter(|&&e| bad[e as usize]).count();
         hits as f64 / self.d as f64
@@ -208,8 +193,6 @@ mod tests {
     fn from_rows_roundtrip() {
         let h = Sampler::from_rows(5, vec![vec![0, 1], vec![2, 2], vec![4, 3]]);
         assert_eq!(h.sample(1), &[2, 2]);
-        assert_eq!(h.element_degree(2), 2);
-        assert_eq!(h.element_degrees(), vec![1, 1, 2, 1, 1]);
     }
 
     #[test]
@@ -270,15 +253,6 @@ mod tests {
             "checker failed to flag a weak sampler (violating {})",
             rep.violating_fraction
         );
-    }
-
-    #[test]
-    fn element_degrees_sum_to_rd() {
-        let mut rng = rng(5);
-        let h = Sampler::random(30, 40, 6, &mut rng);
-        let total: usize = h.element_degrees().iter().sum();
-        assert_eq!(total, 30 * 6);
-        assert_eq!(h.element_degree(0), h.element_degrees()[0]);
     }
 
     #[test]

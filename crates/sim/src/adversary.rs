@@ -9,17 +9,15 @@ use crate::rng::SimRng;
 /// processors have emitted their messages — *rushing*).
 ///
 /// Private channels (§1.1) are enforced here: messages between two good
-/// processors are absent from [`AdvView::intercepted`]. The adversary can
-/// read the internal state of processors it has corrupted via
-/// [`AdvView::state_of`], modelling machine takeover.
+/// processors are absent from [`AdvView::intercepted`], and the view
+/// carries no processor's internal state. A takeover shows in what the
+/// corrupted processor sends and receives from then on, not in its memory.
 pub struct AdvView<'a, P: Process> {
     pub(crate) round: usize,
     pub(crate) n: usize,
     pub(crate) corrupt: &'a [bool],
     pub(crate) budget_left: usize,
     pub(crate) intercepted: &'a [Envelope<P::Msg>],
-    pub(crate) states: &'a [P],
-    pub(crate) good_outputs_done: usize,
 }
 
 impl<'a, P: Process> AdvView<'a, P> {
@@ -48,12 +46,6 @@ impl<'a, P: Process> AdvView<'a, P> {
             .map(|(i, _)| ProcId::new(i))
     }
 
-    /// Ids of all currently corrupted processors, collected into a `Vec`
-    /// (convenience wrapper over [`AdvView::corrupt_iter`]).
-    pub fn corrupt_set(&self) -> Vec<ProcId> {
-        self.corrupt_iter().collect()
-    }
-
     /// How many further corruptions the budget allows.
     pub fn budget_left(&self) -> usize {
         self.budget_left
@@ -64,25 +56,6 @@ impl<'a, P: Process> AdvView<'a, P> {
     /// composing its own round-`r` messages.
     pub fn intercepted(&self) -> &[Envelope<P::Msg>] {
         self.intercepted
-    }
-
-    /// Internal state of a **corrupted** processor.
-    ///
-    /// Returns `None` for good processors: private channels and private
-    /// memory mean the adversary learns a processor's state only by
-    /// corrupting it.
-    pub fn state_of(&self, p: ProcId) -> Option<&P> {
-        if self.corrupt[p.index()] {
-            Some(&self.states[p.index()])
-        } else {
-            None
-        }
-    }
-
-    /// Number of good processors that have already decided. (Public
-    /// timing information; lets adversaries stop wasting budget.)
-    pub fn good_outputs_done(&self) -> usize {
-        self.good_outputs_done
     }
 }
 
@@ -204,42 +177,25 @@ mod tests {
         }
     }
 
-    fn view<'a>(
-        corrupt: &'a [bool],
-        states: &'a [Dummy],
-        intercepted: &'a [Envelope<bool>],
-    ) -> AdvView<'a, Dummy> {
+    fn view<'a>(corrupt: &'a [bool], intercepted: &'a [Envelope<bool>]) -> AdvView<'a, Dummy> {
         AdvView {
             round: 0,
             n: corrupt.len(),
             corrupt,
             budget_left: 1,
             intercepted,
-            states,
-            good_outputs_done: 0,
         }
-    }
-
-    #[test]
-    fn state_access_restricted_to_corrupt() {
-        let corrupt = vec![false, true];
-        let states = vec![Dummy, Dummy];
-        let v = view(&corrupt, &states, &[]);
-        assert!(v.state_of(ProcId::new(0)).is_none());
-        assert!(v.state_of(ProcId::new(1)).is_some());
-        assert_eq!(v.corrupt_set(), vec![ProcId::new(1)]);
     }
 
     #[test]
     fn static_adversary_only_acts_in_round_zero() {
         let corrupt = vec![false, false];
-        let states = vec![Dummy, Dummy];
         let mut a = StaticAdversary::first_k(1);
         let mut rng = crate::rng::derive_rng(0, 0);
-        let v0 = view(&corrupt, &states, &[]);
+        let v0 = view(&corrupt, &[]);
         let act0 = <StaticAdversary as Adversary<Dummy>>::act(&mut a, &v0, &mut rng);
         assert_eq!(act0.corrupt, vec![ProcId::new(0)]);
-        let mut v1 = view(&corrupt, &states, &[]);
+        let mut v1 = view(&corrupt, &[]);
         v1.round = 1;
         let act1 = <StaticAdversary as Adversary<Dummy>>::act(&mut a, &v1, &mut rng);
         assert!(act1.corrupt.is_empty());

@@ -319,17 +319,12 @@ where
                 .filter(|e| self.corrupt[e.from.index()] || self.corrupt[e.to.index()])
                 .filter_map(opened),
         );
-        let good_outputs_done = (0..self.n)
-            .filter(|&i| !self.corrupt[i] && self.procs[i].output().is_some())
-            .count();
         let view = AdvView {
             round,
             n: self.n,
             corrupt: &self.corrupt,
             budget_left: self.budget_left,
             intercepted: &self.intercepted,
-            states: &self.procs,
-            good_outputs_done,
         };
         let action = self.adversary.act(&view, &mut self.adv_rng);
 
@@ -433,7 +428,7 @@ where
 
     /// Whether every good processor has decided (permanently failed —
     /// crash-stopped — processors are not waited for).
-    pub fn all_good_decided(&self) -> bool {
+    fn all_good_decided(&self) -> bool {
         (0..self.n).all(|i| {
             self.corrupt[i]
                 || self.procs[i].output().is_some()
@@ -447,8 +442,7 @@ where
     }
 
     /// Read access to a processor's state (for tests and experiments; the
-    /// *adversary* goes through [`AdvView::state_of`] which restricts
-    /// access to corrupted processors).
+    /// *adversary*'s [`AdvView`] carries no processor's state).
     pub fn process(&self, p: ProcId) -> &P {
         &self.procs[p.index()]
     }
@@ -465,7 +459,7 @@ where
 
     /// Like [`Sim::finish`], but also returns the transport (for reading
     /// accumulated network statistics).
-    pub fn finish_parts(self) -> (RunOutcome<P::Output>, T) {
+    fn finish_parts(self) -> (RunOutcome<P::Output>, T) {
         let outputs: Vec<Option<P::Output>> = self
             .procs
             .iter()

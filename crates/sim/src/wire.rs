@@ -14,9 +14,8 @@
 //!   whatever framing the socket layer adds.
 //!
 //! Decoders never panic on malformed input: every failure is a
-//! [`WireError`]. Framed decoders should finish with
-//! [`expect_consumed`] so trailing garbage is rejected rather than
-//! silently ignored.
+//! [`WireError`]. Framed decoders go through [`WireMsg::from_wire`], so
+//! trailing garbage is rejected rather than silently ignored.
 
 use crate::payload::Payload;
 use std::fmt;
@@ -67,17 +66,11 @@ pub trait WireMsg: Payload + Sized {
     /// Decodes a value that must occupy the whole of `buf`.
     fn from_wire(mut buf: &[u8]) -> Result<Self, WireError> {
         let v = Self::decode(&mut buf)?;
-        expect_consumed(buf)?;
-        Ok(v)
-    }
-}
-
-/// Errors unless `buf` is empty (the framed-decode epilogue).
-pub fn expect_consumed(buf: &[u8]) -> Result<(), WireError> {
-    if buf.is_empty() {
-        Ok(())
-    } else {
-        Err(WireError::TrailingBytes(buf.len()))
+        if buf.is_empty() {
+            Ok(v)
+        } else {
+            Err(WireError::TrailingBytes(buf.len()))
+        }
     }
 }
 

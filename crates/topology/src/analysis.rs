@@ -11,7 +11,6 @@ use crate::tree::{NodeAddr, Tree};
 /// Snapshot classification of every tree node against a corrupt set.
 #[derive(Clone, Debug)]
 pub struct Goodness {
-    levels: usize,
     /// `good[l-1][node]`.
     good: Vec<Vec<bool>>,
     /// `fraction[l-1][node]` = fraction of good processors in the node.
@@ -52,7 +51,6 @@ impl Goodness {
             fraction.push(f);
         }
         Goodness {
-            levels: p.levels,
             good,
             fraction,
             threshold,
@@ -86,20 +84,9 @@ impl Goodness {
         lvl.iter().filter(|&&g| !g).count() as f64 / lvl.len() as f64
     }
 
-    /// Whether the whole path from leaf node `leaf` to the root consists
-    /// of good nodes — a *good path* per Definition 3.
-    pub fn path_good(&self, tree: &Tree, leaf: usize) -> bool {
-        self.path_good_to(tree, leaf, self.levels)
-    }
-
-    /// Whether the path from leaf node `leaf` up to (and including)
-    /// `level` consists of good nodes.
-    pub fn path_good_to(&self, tree: &Tree, leaf: usize, level: usize) -> bool {
-        (1..=level).all(|l| self.is_good(tree.ancestor_of_leaf(leaf, l)))
-    }
-
-    /// Fraction of leaves with a fully good path to `at` (the quantity
-    /// Lemma 3(2) needs to exceed `1/2 + ε`).
+    /// Fraction of leaves with a fully good path to `at` — a *good path*
+    /// per Definition 3 passes through no bad node (the quantity Lemma
+    /// 3(2) needs to exceed `1/2 + ε`).
     pub fn good_path_fraction(&self, tree: &Tree, at: NodeAddr) -> f64 {
         let range = tree.leaf_range(at);
         let total = range.len();
@@ -122,6 +109,12 @@ mod tests {
         Tree::generate(&Params::practical(64), 11)
     }
 
+    /// Whether the whole path from leaf node `leaf` to the root consists
+    /// of good nodes.
+    fn path_good(g: &Goodness, tree: &Tree, leaf: usize) -> bool {
+        (1..=tree.params().levels).all(|l| g.is_good(tree.ancestor_of_leaf(leaf, l)))
+    }
+
     #[test]
     fn no_corruption_everything_good() {
         let t = tree64();
@@ -136,7 +129,7 @@ mod tests {
             }
         }
         for leaf in 0..64 {
-            assert!(g.path_good(&t, leaf));
+            assert!(path_good(&g, &t, leaf));
         }
         assert_eq!(
             g.good_path_fraction(&t, NodeAddr::new(t.params().levels, 0)),
@@ -152,7 +145,7 @@ mod tests {
         for l in 1..=t.params().levels {
             assert_eq!(g.bad_node_fraction(l), 1.0);
         }
-        assert!(!g.path_good(&t, 0));
+        assert!(!path_good(&g, &t, 0));
     }
 
     #[test]
@@ -205,10 +198,10 @@ mod tests {
         }
         let g = Goodness::classify(&t, &corrupt, Goodness::paper_threshold(0.05));
         assert!(!g.is_good(leaf0));
-        assert!(!g.path_good(&t, 0));
+        assert!(!path_good(&g, &t, 0));
         // A leaf whose entire path avoids bad committees stays good (find
         // one; with only k1 corrupt processors most paths are fine).
-        let good_leaf = (1..64).find(|&leaf| g.path_good(&t, leaf));
+        let good_leaf = (1..64).find(|&leaf| path_good(&g, &t, leaf));
         assert!(good_leaf.is_some(), "some path should remain good");
     }
 

@@ -128,7 +128,7 @@ impl Params {
     /// The number of levels needed so the root (level `height`) is a
     /// single node when level 1 has `n` nodes shrinking by a factor `q`
     /// per level.
-    pub fn height_for(n: usize, q: usize) -> usize {
+    pub(crate) fn height_for(n: usize, q: usize) -> usize {
         assert!(q >= 2, "arity must be at least 2");
         let mut count = n;
         let mut levels = 1;

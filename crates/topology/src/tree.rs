@@ -147,7 +147,7 @@ impl Tree {
     }
 
     /// The level-`level` node whose subtree contains leaf node `leaf`.
-    pub fn ancestor_of_leaf(&self, leaf: usize, level: usize) -> NodeAddr {
+    pub(crate) fn ancestor_of_leaf(&self, leaf: usize, level: usize) -> NodeAddr {
         assert!(leaf < self.params.n, "leaf out of range");
         if level == self.params.levels {
             return NodeAddr::new(level, 0);

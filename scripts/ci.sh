@@ -8,7 +8,7 @@
 # `#[allow]` seams in-tree are the only accepted ones), rustdoc with
 # warnings denied, build, tests, every experiment preset at one trial
 # (`exp run` among them: the whole scenarios/ library), the benchmark
-# package's build and smoke tier, memory budgets on its jittered-stack
+# package's build, tests and smoke tier, memory budgets on its jittered-stack
 # and scale workloads, a traced scenario run, every recorded pin
 # (scripts/repin.sh), the pinned regression scenarios, a line budget on
 # docs/performance.md and that every pin its contracts cite exists.
@@ -76,7 +76,7 @@ for preset in $PRESETS; do
     target/release/exp "$preset" --trials 1 >/dev/null
 done
 
-echo "== benchmark build + smoke (what the benchmark pipeline builds) =="
+echo "== benchmark build + tests + smoke (what the benchmark pipeline builds) =="
 # benchmark/ is a package of its own (not a workspace member) that links
 # ba_net::EventQueue, NetTransport, Lockstep and the harness by their
 # public names: an API drift would otherwise first surface in the
@@ -84,6 +84,10 @@ echo "== benchmark build + smoke (what the benchmark pipeline builds) =="
 # workload's outcomes and exits non-zero when any trial failed — the
 # every-workload mode's form of a result line's `"correct": false`.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target
+# Its own unit and smoke tests: an item only benchmark/tests names would
+# otherwise be narrowed or deleted without CI noticing.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml \
     --target-dir target
 benchmark/run.sh --smoke
 
