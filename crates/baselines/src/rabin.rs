@@ -39,7 +39,7 @@ impl RabinConfig {
 
     /// The trusted beacon's coin for a phase (common knowledge among the
     /// good — the modeled trusted dealer).
-    pub fn beacon(&self, phase: usize) -> bool {
+    pub(crate) fn beacon(&self, phase: usize) -> bool {
         derive_rng(self.beacon_seed, phase as u64).gen_bool(0.5)
     }
 

@@ -58,7 +58,7 @@ impl Default for AebaConfig {
 impl AebaConfig {
     /// The vote-adoption threshold `(1−ε₀)(2/3 + ε/2)` from Algorithm 5
     /// step 6.
-    pub fn supermajority(&self) -> f64 {
+    pub(crate) fn supermajority(&self) -> f64 {
         (1.0 - self.eps0) * (2.0 / 3.0 + self.eps / 2.0)
     }
 }
@@ -440,7 +440,7 @@ impl<'a> Committee<'a> {
     /// # Panics
     ///
     /// Panics if `good` and the graph disagree in size.
-    pub fn new(good: &'a [bool], graph: &'a RegularGraph, attack: CommitteeAttack) -> Self {
+    pub(crate) fn new(good: &'a [bool], graph: &'a RegularGraph, attack: CommitteeAttack) -> Self {
         let k = good.len();
         assert_eq!(graph.len(), k, "graph size mismatch");
         let mut swayed = vec![0u32; k];

@@ -28,7 +28,11 @@ pub struct Block {
 impl Block {
     /// Generates a block with a uniform bin choice in `[0, num_bins)` and
     /// `coin_count` uniform coin words.
-    pub fn generate<R: Rng + ?Sized>(num_bins: usize, coin_count: usize, rng: &mut R) -> Self {
+    pub(crate) fn generate<R: Rng + ?Sized>(
+        num_bins: usize,
+        coin_count: usize,
+        rng: &mut R,
+    ) -> Self {
         Block {
             bin_choice: Gf16::new(rng.gen_range(0..num_bins as u16)),
             coins: (0..coin_count).map(|_| Gf16::new(rng.gen())).collect(),
@@ -59,7 +63,7 @@ impl CandidateArray {
     /// Generates the array a processor deals at protocol start: for each
     /// level `ℓ ∈ 2..=levels` a block with `candidates_at(ℓ)` coin words,
     /// plus `extra_words` for the coin subsequence.
-    pub fn generate<R: Rng + ?Sized>(
+    pub(crate) fn generate<R: Rng + ?Sized>(
         owner: usize,
         params: &Params,
         extra_words: usize,
@@ -104,11 +108,6 @@ impl CandidateArray {
             .sum::<usize>()
             + self.extra.len()
     }
-
-    /// Wire size in bits of the whole array.
-    pub fn bit_len(&self) -> u64 {
-        (self.word_count() as u64) * 16
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +147,6 @@ mod tests {
             .sum::<usize>()
             + 8;
         assert_eq!(a.word_count(), words);
-        assert_eq!(a.bit_len(), (words as u64) * 16);
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl CoinSequence {
     }
 
     /// The raw word values (e.g. to feed Algorithm 3's label schedule).
-    pub fn values(&self) -> Vec<u16> {
+    pub(crate) fn values(&self) -> Vec<u16> {
         self.words.iter().map(|w| w.value).collect()
     }
 }

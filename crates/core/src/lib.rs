@@ -65,7 +65,7 @@ pub mod block;
 pub mod coin;
 pub mod election;
 pub mod everywhere;
-pub mod scale;
+mod scale;
 mod stream;
 pub mod tournament;
 pub mod universe;

@@ -3,8 +3,7 @@
 //! Every phase config used to carry its own copy-pasted `for_n`/
 //! `with_seed` builder pair, each re-deriving the same seed split for the
 //! engine phase. [`StackParams`] is the one place those live now: the
-//! `ba-exp` harness's `RunSpec` owns `(n, seed)` and lowers onto
-//! [`StackParams`]; the per-phase configs implement `from_params` +
+//! per-phase configs implement `from_params` +
 //! `apply_seed` and get the public builder pair from the crate-private
 //! `impl_scale_builders!` macro.
 
@@ -14,7 +13,7 @@ const ENGINE_SEED_SALT: u64 = 0x5151_5151;
 
 /// The scale and seeding shared by every protocol-stack configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StackParams {
+pub(crate) struct StackParams {
     /// Number of processors.
     pub n: usize,
     /// Master seed; phases derive their streams from it.
@@ -23,14 +22,8 @@ pub struct StackParams {
 
 impl StackParams {
     /// Defaults for `n` processors (seed 0).
-    pub fn for_n(n: usize) -> Self {
+    pub(crate) fn for_n(n: usize) -> Self {
         StackParams { n, seed: 0 }
-    }
-
-    /// Overrides the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The tournament phase's seed (tree generation, dealing, committees).
@@ -51,8 +44,7 @@ impl StackParams {
 macro_rules! impl_scale_builders {
     ($ty:ty) => {
         impl $ty {
-            /// Paper-shaped defaults for `n` processors (see
-            /// [`crate::scale::StackParams`]).
+            /// Paper-shaped defaults for `n` processors.
             pub fn for_n(n: usize) -> Self {
                 Self::from_params(&$crate::scale::StackParams::for_n(n))
             }
@@ -74,7 +66,7 @@ mod tests {
 
     #[test]
     fn seed_split_is_stable() {
-        let sp = StackParams::for_n(64).with_seed(7);
+        let sp = StackParams { n: 64, seed: 7 };
         assert_eq!(sp.tournament_seed(), 7);
         assert_eq!(sp.engine_seed(), 7 ^ ENGINE_SEED_SALT);
         assert_ne!(sp.tournament_seed(), sp.engine_seed());

@@ -86,7 +86,6 @@ pub(crate) fn reshare<R: Rng + ?Sized>(
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShareTree {
-    secret: Gf16,
     layers: Vec<Layer>,
     /// Flat node arena: the roots (layer-1 holders) occupy indices
     /// `0..layers[0].n` and every node's children form one contiguous
@@ -144,7 +143,6 @@ impl ShareTree {
             Self::grow(&mut arena, i, &layers[1..], rng)?;
         }
         Ok(ShareTree {
-            secret,
             layers: layers.to_vec(),
             arena,
         })
@@ -174,16 +172,6 @@ impl ShareTree {
         Ok(())
     }
 
-    /// The dealt secret (test oracle; the protocol never reads this).
-    pub fn secret(&self) -> Gf16 {
-        self.secret
-    }
-
-    /// Number of sharing layers (depth of iteration).
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of leaf shares in existence.
     pub(crate) fn leaf_count(&self) -> usize {
         self.layers.iter().map(|l| l.n).product()
@@ -211,8 +199,8 @@ impl ShareTree {
     }
 
     /// All leaf paths; a path `[i0, i1, …]` names holder `i1` of the
-    /// re-sharing done by holder `i0`, etc. Its length equals
-    /// [`ShareTree::depth`].
+    /// re-sharing done by holder `i0`, etc. Its length is the number of
+    /// layers dealt.
     pub fn leaf_paths(&self) -> Vec<Vec<usize>> {
         let mut out = Vec::with_capacity(self.leaf_count());
         let mut path = Vec::new();
@@ -311,7 +299,6 @@ pub mod reference {
     /// production arena layout and the API contract both satisfy.
     #[derive(Clone, Debug)]
     pub struct ShareTree {
-        secret: Gf16,
         layers: Vec<Layer>,
         children: Vec<Node>,
     }
@@ -345,7 +332,6 @@ pub mod reference {
                 .map(|s| Self::grow(s, &layers[1..], rng))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(ShareTree {
-                secret,
                 layers: layers.to_vec(),
                 children,
             })
@@ -368,11 +354,6 @@ pub mod reference {
                 .map(|s| Self::grow(s, &rest[1..], rng))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Node { share, children })
-        }
-
-        /// The dealt secret.
-        pub fn secret(&self) -> Gf16 {
-            self.secret
         }
 
         /// Leaf shares in path order, for share-level comparison with the
@@ -454,7 +435,7 @@ mod tests {
     fn single_layer_behaves_like_plain_shamir() {
         let mut rng = rng(1);
         let tree = ShareTree::deal(Gf16::new(0xCAFE), &[Layer::majority(5)], &mut rng).unwrap();
-        assert_eq!(tree.depth(), 1);
+        assert_eq!(tree.layers.len(), 1);
         assert_eq!(tree.leaf_count(), 5);
         // Majority threshold t=2: 3 holders suffice.
         assert_eq!(
@@ -471,7 +452,7 @@ mod tests {
         let secret = Gf16::new(0x0FF1);
         let tree =
             ShareTree::deal(secret, &[Layer::majority(4), Layer::majority(6)], &mut rng).unwrap();
-        assert_eq!(tree.depth(), 2);
+        assert_eq!(tree.layers.len(), 2);
         assert_eq!(tree.leaf_count(), 24);
         assert_eq!(tree.leaf_paths().len(), 24);
         assert_eq!(tree.recover(|_| true), Some(secret));

@@ -36,16 +36,6 @@ impl Poly {
         Poly { coeffs }
     }
 
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        Poly { coeffs: Vec::new() }
-    }
-
-    /// The constant polynomial `c`.
-    pub fn constant(c: Gf16) -> Self {
-        Poly::new(vec![c])
-    }
-
     /// A uniformly random polynomial of exactly the given degree bound:
     /// constant term `secret`, `degree` higher coefficients uniform.
     /// (The top coefficient may be zero — Shamir requires a degree
@@ -114,8 +104,28 @@ impl Poly {
         out
     }
 
+    /// Evaluation at zero — the Shamir secret slot.
+    pub(crate) fn secret(&self) -> Gf16 {
+        self.coeffs.first().copied().unwrap_or(Gf16::ZERO)
+    }
+}
+
+/// The rest of the algebra: nothing in the protocol multiplies or
+/// interpolates polynomials, so these serve the property tests below.
+#[cfg(test)]
+impl Poly {
+    /// The zero polynomial.
+    fn zero() -> Self {
+        Poly { coeffs: Vec::new() }
+    }
+
+    /// The constant polynomial `c`.
+    fn constant(c: Gf16) -> Self {
+        Poly::new(vec![c])
+    }
+
     /// Polynomial addition (XOR of coefficients).
-    pub fn add(&self, other: &Poly) -> Poly {
+    fn add(&self, other: &Poly) -> Poly {
         let n = self.coeffs.len().max(other.coeffs.len());
         let coeffs = (0..n)
             .map(|i| {
@@ -127,12 +137,12 @@ impl Poly {
     }
 
     /// Scalar multiplication.
-    pub fn scale(&self, k: Gf16) -> Poly {
+    fn scale(&self, k: Gf16) -> Poly {
         Poly::new(self.coeffs.iter().map(|&c| c * k).collect())
     }
 
     /// Polynomial multiplication (schoolbook; degrees here are tiny).
-    pub fn mul(&self, other: &Poly) -> Poly {
+    fn mul(&self, other: &Poly) -> Poly {
         if self.coeffs.is_empty() || other.coeffs.is_empty() {
             return Poly::zero();
         }
@@ -159,7 +169,6 @@ impl Poly {
     ///
     /// [`CryptoError::TooFewShares`] on empty input,
     /// [`CryptoError::DuplicateShareIndex`] on repeated x-coordinates.
-    #[cfg(test)]
     fn interpolate(points: &[(Gf16, Gf16)]) -> Result<Poly, crate::CryptoError> {
         if points.is_empty() {
             return Err(crate::CryptoError::TooFewShares { have: 0, need: 1 });
@@ -198,11 +207,6 @@ impl Poly {
             acc = acc.add(&basis.scale(denoms[i] * yi));
         }
         Ok(acc)
-    }
-
-    /// Evaluation at zero — the Shamir secret slot.
-    pub fn secret(&self) -> Gf16 {
-        self.coeffs.first().copied().unwrap_or(Gf16::ZERO)
     }
 }
 

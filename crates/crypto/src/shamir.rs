@@ -26,7 +26,7 @@ pub struct Share {
 
 impl Share {
     /// Creates a share.
-    pub fn new(x: Gf16, y: Gf16) -> Self {
+    pub(crate) fn new(x: Gf16, y: Gf16) -> Self {
         Share { x, y }
     }
 }

@@ -92,7 +92,7 @@ pub enum Violation {
 
 impl Violation {
     /// Stable oracle name, used in failure signatures and pin names.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Violation::Agreement { .. } => "agreement",
             Violation::Validity => "validity",
@@ -147,7 +147,7 @@ fn floors(spec: &ScenarioSpec) -> (f64, f64) {
 
 /// Judges one trial against every oracle; the most damning verdict wins
 /// (wrong decision > agreement > validity > stall > round blowup).
-pub fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Violation> {
+pub(crate) fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Violation> {
     let (agree_floor, decided_floor) = floors(spec);
     if outcome.wrong > 0 {
         return Some(Violation::WrongDecision {

@@ -137,7 +137,7 @@ pub struct TrialOutcome {
 impl TrialOutcome {
     /// A zeroed outcome at `seed`, for struct-update construction (the
     /// runner's trial paths and the hunt oracles' unit tests).
-    pub fn base(seed: u64) -> Self {
+    pub(crate) fn base(seed: u64) -> Self {
         TrialOutcome {
             seed,
             agreement: 0.0,

@@ -79,7 +79,7 @@ pub enum GossipDegree {
 
 impl GossipDegree {
     /// The concrete out-degree at `n` processors (clamped to `n − 1`).
-    pub fn for_n(&self, n: usize) -> usize {
+    pub(crate) fn for_n(&self, n: usize) -> usize {
         let d = match self {
             GossipDegree::SqrtTimes(m) => m * (n as f64).sqrt(),
             GossipDegree::LogTimes(m) => m * (n as f64).log2(),
@@ -234,7 +234,7 @@ pub enum MessageAdversary {
 
 impl MessageAdversary {
     /// Processors this adversary corrupts (0 for none).
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         match *self {
             MessageAdversary::None => 0,
             MessageAdversary::Crash { count }
@@ -366,7 +366,7 @@ pub struct SeedPlan {
 
 impl SeedPlan {
     /// A plan starting at `base`.
-    pub fn base(base: u64) -> Self {
+    pub(crate) fn base(base: u64) -> Self {
         SeedPlan { base }
     }
 

@@ -87,7 +87,7 @@ impl DeliveryPolicy {
     }
 
     /// Parses a canonical name back into a policy.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "fifo" => Some(DeliveryPolicy::Fifo),
             "lifo" => Some(DeliveryPolicy::AdversarialLifo),

@@ -121,7 +121,7 @@ impl FaultPlan {
     /// Decides the fate of a `from → to` message sent in `round`.
     /// Deterministic checks run first; the random-drop draw is only taken
     /// when `drop_prob > 0`, so lossless plans consume no randomness.
-    pub fn dropped(
+    pub(crate) fn dropped(
         &self,
         round: usize,
         from: usize,

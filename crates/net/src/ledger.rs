@@ -252,7 +252,7 @@ impl PhaseLedger {
 
     /// The counters so far ([`NetStats::in_flight_at_end`] is 0 until
     /// [`PhaseLedger::into_stats`]).
-    pub fn stats(&self) -> &NetStats {
+    pub(crate) fn stats(&self) -> &NetStats {
         &self.stats
     }
 

@@ -93,21 +93,6 @@ impl Pool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Jobs waiting in the backlog right now (racy; for reporting).
-    pub fn queued(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .queue
-            .len()
-    }
-
     /// Enqueues `job` unless the pool is at capacity (or draining), in
     /// which case the job is returned to the caller as a [`Full`]
     /// rejection and nothing runs. Capacity counts both running and

@@ -30,11 +30,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total requests seen.
-    pub fn requests(&self) -> u64 {
-        self.hits + self.misses
-    }
-
     /// Counter movement since an earlier snapshot.
     pub fn since(&self, earlier: CacheStats) -> CacheStats {
         CacheStats {

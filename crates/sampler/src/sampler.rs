@@ -59,21 +59,6 @@ impl Sampler {
         Sampler { r, s, d, assign }
     }
 
-    /// Number of inputs `r`.
-    pub fn inputs(&self) -> usize {
-        self.r
-    }
-
-    /// Size of the element space `s`.
-    pub fn elements(&self) -> usize {
-        self.s
-    }
-
-    /// Multiset size `d`.
-    pub fn degree(&self) -> usize {
-        self.d
-    }
-
     /// The multiset `H(x)`.
     ///
     /// # Panics
@@ -180,9 +165,7 @@ mod tests {
     fn dimensions_and_samples() {
         let mut rng = rng(1);
         let h = Sampler::random(10, 100, 7, &mut rng);
-        assert_eq!(h.inputs(), 10);
-        assert_eq!(h.elements(), 100);
-        assert_eq!(h.degree(), 7);
+        assert_eq!((h.r, h.s, h.d), (10, 100, 7));
         for x in 0..10 {
             assert_eq!(h.sample(x).len(), 7);
             assert!(h.sample(x).iter().all(|&e| (e as usize) < 100));

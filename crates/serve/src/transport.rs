@@ -61,12 +61,12 @@ pub struct WireCounters {
 
 impl WireCounters {
     /// Total bytes in both directions.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes_in.load(Ordering::Relaxed) + self.bytes_out.load(Ordering::Relaxed)
     }
 
     /// Total frames in both directions.
-    pub fn frames(&self) -> u64 {
+    pub(crate) fn frames(&self) -> u64 {
         self.frames_in.load(Ordering::Relaxed) + self.frames_out.load(Ordering::Relaxed)
     }
 }
@@ -298,7 +298,7 @@ impl SocketFactory {
     }
 
     /// Handle to the session's wire counters, valid after the trial.
-    pub fn counters(&self) -> Arc<WireCounters> {
+    pub(crate) fn counters(&self) -> Arc<WireCounters> {
         Arc::clone(&self.counters)
     }
 }

@@ -16,7 +16,6 @@ pub struct AdvView<'a, P: Process> {
     pub(crate) round: usize,
     pub(crate) n: usize,
     pub(crate) corrupt: &'a [bool],
-    pub(crate) budget_left: usize,
     pub(crate) intercepted: &'a [Envelope<P::Msg>],
 }
 
@@ -44,11 +43,6 @@ impl<'a, P: Process> AdvView<'a, P> {
             .enumerate()
             .filter(|(_, &c)| c)
             .map(|(i, _)| ProcId::new(i))
-    }
-
-    /// How many further corruptions the budget allows.
-    pub fn budget_left(&self) -> usize {
-        self.budget_left
     }
 
     /// Messages emitted *this round* whose sender or recipient is corrupt.
@@ -133,13 +127,6 @@ pub struct StaticAdversary {
 }
 
 impl StaticAdversary {
-    /// Crash-faults exactly `targets` at round 0.
-    pub fn new<I: IntoIterator<Item = ProcId>>(targets: I) -> Self {
-        StaticAdversary {
-            targets: targets.into_iter().collect(),
-        }
-    }
-
     /// Crash-faults the first `k` processors.
     pub fn first_k(k: usize) -> Self {
         StaticAdversary {
@@ -182,7 +169,6 @@ mod tests {
             round: 0,
             n: corrupt.len(),
             corrupt,
-            budget_left: 1,
             intercepted,
         }
     }

@@ -323,7 +323,6 @@ where
             round,
             n: self.n,
             corrupt: &self.corrupt,
-            budget_left: self.budget_left,
             intercepted: &self.intercepted,
         };
         let action = self.adversary.act(&view, &mut self.adv_rng);
@@ -388,7 +387,6 @@ where
         // a second time next round.
         self.pending.clear();
         self.round += 1;
-        self.metrics.set_rounds(self.round);
     }
 
     /// Charges this round's arrivals to their recipients and rebuilds the
@@ -436,20 +434,10 @@ where
         })
     }
 
-    /// The current round number (number of completed rounds).
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
     /// Read access to a processor's state (for tests and experiments; the
     /// *adversary*'s [`AdvView`] carries no processor's state).
     pub fn process(&self, p: ProcId) -> &P {
         &self.procs[p.index()]
-    }
-
-    /// Whether `p` is corrupted.
-    pub fn is_corrupt(&self, p: ProcId) -> bool {
-        self.corrupt[p.index()]
     }
 
     /// Finalizes the run and extracts outputs and metrics.

@@ -13,7 +13,6 @@ pub struct Metrics {
     bits_sent: Vec<u64>,
     msgs_sent: Vec<u64>,
     bits_received: Vec<u64>,
-    rounds: usize,
     /// Bits charged per engine round, in round order. Filled by the
     /// engine's per-round [`Metrics::begin_round`] hook; phase
     /// attribution slices this by the transport's phase-mark rounds.
@@ -22,12 +21,11 @@ pub struct Metrics {
 
 impl Metrics {
     /// Creates metrics for `n` processors.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Metrics {
             bits_sent: vec![0; n],
             msgs_sent: vec![0; n],
             bits_received: vec![0; n],
-            rounds: 0,
             round_bits: Vec::new(),
         }
     }
@@ -48,15 +46,6 @@ impl Metrics {
 
     pub(crate) fn charge_receive(&mut self, to: ProcId, bits: u64) {
         self.bits_received[to.index()] += bits;
-    }
-
-    pub(crate) fn set_rounds(&mut self, rounds: usize) {
-        self.rounds = rounds;
-    }
-
-    /// Number of rounds the run took.
-    pub fn rounds(&self) -> usize {
-        self.rounds
     }
 
     /// Bits sent by one processor.

@@ -20,7 +20,7 @@ pub struct Phase {
 
 impl Phase {
     /// Round after the last round of this phase.
-    pub fn end(&self) -> usize {
+    pub(crate) fn end(&self) -> usize {
         self.start + self.len
     }
 

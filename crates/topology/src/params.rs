@@ -7,8 +7,7 @@
 //! at any simulable scale, so [`Params::practical`] keeps every *ratio and
 //! growth rate* (logarithmic committee sizes and degrees, constant arity,
 //! `Θ(log n)`-deep tree, `r/numBins ≈ w`) at constants that make n up to
-//! ~16k simulable. [`Params::paper`] exposes the literal formulas for
-//! asymptotic formula checks (experiment E13 sweeps the gap).
+//! ~16k simulable.
 
 use std::fmt;
 
@@ -92,36 +91,6 @@ impl Params {
             // needs ~max(5·log₂ n, 6·√n) outgoing edges.
             aeba_degree: (5.0 * log_n).max(6.0 * (n as f64).sqrt()).ceil() as usize,
             aeba_rounds: (2.0 * log_n).ceil() as usize,
-        }
-    }
-
-    /// The literal asymptotic formulas of the paper with `δ = delta` and
-    /// election constant `c`. Only meaningful as a formula oracle: for any
-    /// simulable n these exceed n (e.g. `k₁ = log³n = 1000` at n = 1024).
-    pub fn paper(n: usize, c: f64, delta: f64) -> Self {
-        let log_n = (n as f64).log2().max(2.0);
-        let k1 = log_n.powi(3).ceil() as usize;
-        let q = log_n.powf(delta).ceil() as usize;
-        let w = (5.0 * c * log_n.powi(3)).ceil() as usize;
-        let r = q.saturating_mul(w);
-        let num_bins = ((r as f64) / (5.0 * c * log_n.powi(3))).ceil().max(2.0) as usize;
-        let levels = if n > k1 && q >= 2 {
-            ((n as f64 / k1 as f64).log2() / (q as f64).log2()).ceil() as usize + 1
-        } else {
-            2
-        };
-        Params {
-            n,
-            eps: 0.05,
-            q: q.max(2),
-            k1,
-            levels: levels.max(2),
-            w,
-            num_bins,
-            uplink_degree: (q as f64 * log_n.powi(3)).ceil() as usize,
-            llink_degree: log_n.powi(3).ceil() as usize,
-            aeba_degree: (4.0 * log_n).ceil() as usize,
-            aeba_rounds: (3.0 * log_n).ceil() as usize,
         }
     }
 
@@ -343,15 +312,6 @@ mod tests {
         assert_eq!(p.node_count(2), 16);
         assert_eq!(p.levels, 3);
         p.validate().unwrap();
-    }
-
-    #[test]
-    fn paper_formulas_are_superlogarithmic() {
-        let p = Params::paper(1024, 1.0, 4.5);
-        // log2(1024) = 10: k1 = 1000, q = 10^4.5 ≈ 31623.
-        assert_eq!(p.k1, 1000);
-        assert!(p.q > 10_000);
-        assert!(p.w >= 5000);
     }
 
     #[test]

@@ -117,7 +117,8 @@ impl Tree {
 
     /// Child node addresses (may be fewer than `q` at the ragged edge; the
     /// root's children are every node of the level below).
-    pub fn children(&self, at: NodeAddr) -> Vec<NodeAddr> {
+    #[cfg(test)]
+    fn children(&self, at: NodeAddr) -> Vec<NodeAddr> {
         assert!(at.level >= 2, "leaves have no children");
         let child_level = at.level - 1;
         let child_count = self.params.node_count(child_level);
