@@ -17,7 +17,7 @@ use rand::Rng;
 /// word `B(0)` followed by coin words `B(1..=r)` for the `r` candidates
 /// whose bin choices must be agreed on at this level.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Block {
+pub(crate) struct Block {
     /// `B(0)`: the bin this array selects in Feige's election, in
     /// `[0, numBins)`.
     pub bin_choice: Gf16,
@@ -48,7 +48,7 @@ impl Block {
 /// A full candidate array: one block per election level (levels
 /// `2..=levels`), plus the extra block for the global coin subsequence.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CandidateArray {
+pub(crate) struct CandidateArray {
     /// The processor that generated the array.
     pub owner: usize,
     /// `blocks[i]` serves the election at tree level `i + 2`; the last

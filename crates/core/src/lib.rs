@@ -15,7 +15,7 @@
 //!   the `ba-sim` engine.
 //! * [`election`] — Algorithm 1: Feige's lightest-bin election over
 //!   candidate *arrays* of secret random words (Lemma 4).
-//! * [`block`] — the candidate arrays themselves: one block per tree
+//! * `block` — the candidate arrays themselves: one block per tree
 //!   level, each block holding a bin choice plus coin words (Def. 4).
 //! * [`tournament`] — Algorithm 2: the election tournament up the
 //!   communication tree, with iterated secret sharing protecting arrays
@@ -61,7 +61,7 @@
 pub mod ae_to_e;
 pub mod aeba;
 pub mod attacks;
-pub mod block;
+mod block;
 pub mod coin;
 pub mod election;
 pub mod everywhere;

@@ -2,7 +2,7 @@
 //! agreement (paper §3.4), plus the global-coin-subsequence extension
 //! (§3.5).
 //!
-//! Each processor deals a [`CandidateArray`] of secret random words to its
+//! Each processor deals a `CandidateArray` of secret random words to its
 //! level-1 committee. Arrays then compete up the tree: at every node, the
 //! current level's block of each candidate array is *exposed*
 //! (`sendDown` + `sendOpen`), its bin choice agreed on by per-candidate

@@ -32,7 +32,9 @@
 //! fixed-width table printing, the shared `--json`/`--trials`/`--trace`
 //! CLI, and JSON row emission: each experiment is a preset of the one
 //! `exp` binary that names its cells. Declarative `scenarios/*.scn`
-//! specs lower onto [`RunSpec`] through [`scenario::lower`].
+//! specs lower onto [`RunSpec`] through [`scenario::lower`]. The
+//! adversary search has one entry, [`hunt()`]; its report types are
+//! named through the [`hunt`](mod@hunt) module.
 //!
 //! The core is serde-free plain structs: specs are built in code (or
 //! lowered from the scenario grammar), never deserialized.

@@ -4,8 +4,9 @@
 //! `tests/`, `benches/` or `examples/` directory, the facade's `src/` and
 //! `benchmark/` all count as outside; `#[cfg(test)]` items and `src/bin`
 //! itself are not scanned. The match is by word, so a name shared with an
-//! unrelated item elsewhere passes: this catches what nothing names at all,
-//! which is what `pub(crate)` plus rustc's `dead_code` lint then confirms.
+//! unrelated item elsewhere passes: this catches what nothing names at all.
+//! Made `pub(crate)`, such a function is then rustc's `dead_code` lint's to
+//! judge.
 //!
 //! A function that must stay `pub` with no such caller goes in `ALLOWED`
 //! with the reason it is public.
@@ -20,14 +21,15 @@ fn repo() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Every `.rs` file under `dir`, skipping build output and the vendored
-/// dependency shims (they call nothing of ours).
+/// Every `.rs` file under `dir`, skipping build output, hidden
+/// directories and the vendored dependency shims (they call nothing of
+/// ours).
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable dir") {
         let path = entry.expect("dir entry").path();
-        let name = path.file_name().unwrap_or_default();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
         if path.is_dir() {
-            if name != "target" && name != "vendor" && name != ".git" {
+            if name != "target" && name != "vendor" && !name.starts_with('.') {
                 rust_files(&path, out);
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
