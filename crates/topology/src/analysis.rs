@@ -13,9 +13,6 @@ use crate::tree::{NodeAddr, Tree};
 pub struct Goodness {
     /// `good[l-1][node]`.
     good: Vec<Vec<bool>>,
-    /// `fraction[l-1][node]` = fraction of good processors in the node.
-    fraction: Vec<Vec<f64>>,
-    threshold: f64,
 }
 
 impl Goodness {
@@ -34,27 +31,18 @@ impl Goodness {
             p.n,
             "corrupt flags must cover all processors"
         );
-        let mut good = Vec::with_capacity(p.levels);
-        let mut fraction = Vec::with_capacity(p.levels);
-        for level in 1..=p.levels {
-            let count = p.node_count(level);
-            let mut g = Vec::with_capacity(count);
-            let mut f = Vec::with_capacity(count);
-            for node in 0..count {
-                let ms = tree.members(NodeAddr::new(level, node));
-                let good_members = ms.iter().filter(|&&m| !corrupt[m as usize]).count();
-                let frac = good_members as f64 / ms.len() as f64;
-                f.push(frac);
-                g.push(frac >= threshold);
-            }
-            good.push(g);
-            fraction.push(f);
-        }
-        Goodness {
-            good,
-            fraction,
-            threshold,
-        }
+        let good = (1..=p.levels)
+            .map(|level| {
+                (0..p.node_count(level))
+                    .map(|node| {
+                        let ms = tree.members(NodeAddr::new(level, node));
+                        let good_members = ms.iter().filter(|&&m| !corrupt[m as usize]).count();
+                        good_members as f64 / ms.len() as f64 >= threshold
+                    })
+                    .collect()
+            })
+            .collect();
+        Goodness { good }
     }
 
     /// The paper's Definition 3 threshold `2/3 + ε/2`.
@@ -65,16 +53,6 @@ impl Goodness {
     /// Whether a node is good.
     pub fn is_good(&self, at: NodeAddr) -> bool {
         self.good[at.level - 1][at.index]
-    }
-
-    /// Fraction of good processors in a node.
-    pub fn good_fraction(&self, at: NodeAddr) -> f64 {
-        self.fraction[at.level - 1][at.index]
-    }
-
-    /// The classification threshold used.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Fraction of bad nodes on a level (the quantity §3.2.2 property (1)
@@ -125,7 +103,6 @@ mod tests {
             for i in 0..t.params().node_count(l) {
                 let at = NodeAddr::new(l, i);
                 assert!(g.is_good(at));
-                assert_eq!(g.good_fraction(at), 1.0);
             }
         }
         for leaf in 0..64 {
@@ -153,10 +130,12 @@ mod tests {
         let t = tree64();
         // Corrupt processors 0..16 (25%).
         let corrupt: Vec<bool> = (0..64).map(|i| i < 16).collect();
-        let g = Goodness::classify(&t, &corrupt, Goodness::paper_threshold(0.05));
         let root = NodeAddr::new(t.params().levels, 0);
-        assert!((g.good_fraction(root) - 0.75).abs() < 1e-12);
-        assert!(g.is_good(root));
+        let good_at = |threshold| Goodness::classify(&t, &corrupt, threshold).is_good(root);
+        assert!(good_at(Goodness::paper_threshold(0.05)));
+        // The root holds everyone, so its good fraction is exactly 3/4.
+        assert!(good_at(0.75));
+        assert!(!good_at(0.75 + 1e-12));
     }
 
     #[test]
@@ -166,7 +145,6 @@ mod tests {
         // Threshold of exactly 1.0 still passes fully good nodes (>=).
         let g = Goodness::classify(&t, &corrupt, 1.0);
         assert!(g.is_good(NodeAddr::new(1, 0)));
-        assert_eq!(g.threshold(), 1.0);
     }
 
     #[test]
