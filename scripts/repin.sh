@@ -17,7 +17,9 @@
 # the serve daemon's data frames and bytes for a pass
 # of fans and a pass of singles, and the sha256 of what `exp run` writes
 # for the whole scenario library (its JSON rows, and its trace without the
-# wall-clock profile section). Golden tests (constants recorded in
+# wall-clock profile section), and the sha256 of the whole hunt report
+# (`hunt --seed 7 --budget 220`: its candidates, draws, shrinks and
+# text). Golden tests (constants recorded in
 # their own source, re-recorded by hand as each says): the engine's
 # delivery order and counters, the Theorem 1 / Theorem 2 shapes, the
 # partition elections, the hunt's pinned regressions and the finding CI
@@ -52,7 +54,7 @@ trap cleanup EXIT
 PIN_NAMES=(SCALE_4096_BITS SCALE_4096_ROUNDS SCALE_16384_BITS SCALE_16384_ROUNDS
     SCALE_JITTER_512_BITS SCALE_JITTER_512_ROUNDS SCALE_JITTER_1024_BITS SCALE_JITTER_1024_ROUNDS
     SERVE_FANS_FRAMES SERVE_FANS_BYTES SERVE_SINGLES_FRAMES SERVE_SINGLES_BYTES
-    LIBRARY_ROWS LIBRARY_TRACE)
+    LIBRARY_ROWS LIBRARY_TRACE HUNT_REPORT)
 
 FAILED=0
 fail() { echo "repin: $*"; FAILED=1; }
@@ -169,12 +171,15 @@ golden "re-pick its seeds" --test partition_elections
 golden "re-hunt: hunt --pin scenarios/regressions" -p ba-exp --lib pinned_regressions
 # The whole grid plus a sampled tail (~0.3 s): must keep rediscovering
 # the coordinator-equivocation break against the leader-based baselines.
-if target/release/hunt --seed 7 --budget 220 --expect equivocate >"$TMP/hunt.log" 2>&1; then
+# Its stdout is the report HUNT_REPORT pins; --expect only sets the exit.
+if target/release/hunt --seed 7 --budget 220 --expect equivocate \
+    >"$TMP/hunt.log" 2>"$TMP/hunt.err"; then
     echo "  holds: hunt --seed 7 --budget 220 --expect equivocate"
 else
-    cat "$TMP/hunt.log"
+    cat "$TMP/hunt.log" "$TMP/hunt.err"
     fail "moved: the hunt no longer finds the equivocation break (re-pick --seed in this script)"
 fi
+NEW_HUNT_REPORT="$(sha256sum <"$TMP/hunt.log" | cut -d' ' -f1)"
 
 echo "== pins: on record -> measured =="
 MOVED=0
@@ -204,7 +209,8 @@ if [[ "$WRITE" == 1 ]]; then
         new="${!new_var}"
         [[ "$old" == "$new" ]] && continue
         sed -i "s/^$pin=.*/$pin=$new/" "$PINS"
-        sed -i "s/\\b$old\\b/$new/g" "$SKILL"
+        # A pin recorded for the first time has no old value to replace.
+        [[ -z "$old" ]] || sed -i "s/\\b$old\\b/$new/g" "$SKILL"
     done
     echo "repin: recorded in $PINS and $SKILL"
     exit 0
