@@ -25,7 +25,7 @@ fn spec(n: usize, knowledgeable: f64, flood: bool) -> RunSpec {
             copies: 500,
         })
     } else {
-        AdversarySpec::none().with_budget(n / 5)
+        AdversarySpec::none()
     };
     RunSpec::new(Protocol::AeToE(ae), n)
         .trials(5)

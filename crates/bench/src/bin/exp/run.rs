@@ -1,17 +1,16 @@
 //! `exp run [--json PATH] [--trials N] [--trace PATH] [SPEC|DIR]...`:
 //! declarative `.scn` scenarios (`scenarios/README.md`), one row per
-//! spec — per size, for an `n = a,b,c` sweep — lowered onto `RunSpec`
-//! by [`ba_exp::scenario::lower`] and run as an [`Experiment::case`]
-//! like every other preset's rows.
+//! spec — per size, for an `n = a,b,c` sweep — parsed straight to a
+//! `RunSpec` by [`ba_exp::scenario::parse`] and run as an
+//! [`Experiment::case`] like every other preset's rows.
 //!
 //! Every argument that is not a flag or a flag's value is a path: a
 //! `.scn` file, or a directory whose `*.scn` files run sorted. With no
 //! path it runs `scenarios/`. A path that expands to nothing, or a file
-//! that fails to read, parse, lower or run, is reported with its path;
+//! that fails to read, parse or run, is reported with its path;
 //! the rest still run, and the exit status is 1.
 
-use ba_exp::{scenario::lower, Experiment, Metric};
-use ba_net::ScenarioSpec;
+use ba_exp::{scenario, Experiment, Metric};
 use std::path::{Path, PathBuf};
 
 const COLUMNS: &[&str] = &[
@@ -65,15 +64,14 @@ fn expand(path: &Path) -> Result<Vec<PathBuf>, String> {
 /// Runs every row of one `.scn` file.
 fn run_file(e: &mut Experiment, file: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|err| err.to_string())?;
-    for spec in ScenarioSpec::parse(&text)?.expand_n() {
-        let run_spec = lower(&spec)?;
+    for row in scenario::parse(&text)? {
         let labels = [
-            spec.name,
-            spec.protocol,
-            spec.n.to_string(),
-            e.trials(&run_spec).to_string(),
+            row.name,
+            row.spec.protocol.name().to_owned(),
+            row.spec.n.to_string(),
+            e.trials(&row.spec).to_string(),
         ];
-        e.try_case(&labels, &run_spec, METRICS)?;
+        e.try_case(&labels, &row.spec, METRICS)?;
     }
     Ok(())
 }

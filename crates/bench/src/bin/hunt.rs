@@ -10,14 +10,15 @@
 //!   seed within the trial budget; same seed, same bytes on stdout, at
 //!   any `BA_PAR_THREADS`.
 //! * `--pin DIR` — write each finding's shrunk spec as
-//!   `DIR/hunt-<signature>.scn` (the scenario grammar's `render()`
-//!   output), ready for `scenarios/regressions/`.
+//!   `DIR/hunt-<signature>.scn` (`ba_exp::scenario::render`'s output),
+//!   ready for `scenarios/regressions/`.
 //! * `--json` — emit the report as one JSON object instead of text.
 //! * `--expect SUBSTR` — exit nonzero unless some finding's signature
 //!   contains `SUBSTR`; CI uses `--expect equivocate` so the smoke fails
 //!   if the hunt ever stops rediscovering the coordinator-equivocation
 //!   break against the leader-based baselines.
 
+use ba_exp::scenario::{render, Scenario};
 use ba_exp::{hunt, HuntConfig};
 
 fn main() {
@@ -74,12 +75,19 @@ fn main() {
             failed = true;
         }
         for f in &report.findings {
-            let path = format!("{dir}/{}.scn", f.shrunk.name);
-            if let Err(e) = std::fs::write(&path, f.shrunk.render()) {
-                eprintln!("error: writing {path}: {e}");
-                failed = true;
-            } else {
-                eprintln!("pinned {path}");
+            let row = Scenario {
+                name: format!("hunt-{}", f.signature),
+                spec: f.shrunk.clone(),
+            };
+            let path = format!("{dir}/{}.scn", row.name);
+            match render(&row)
+                .and_then(|text| std::fs::write(&path, text).map_err(|e| e.to_string()))
+            {
+                Ok(()) => eprintln!("pinned {path}"),
+                Err(e) => {
+                    eprintln!("error: writing {path}: {e}");
+                    failed = true;
+                }
             }
         }
     }

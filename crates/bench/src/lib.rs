@@ -5,8 +5,8 @@
 //! while the [`ba_exp::Experiment`] harness owns the flags (`--json PATH`,
 //! `--trials N`, `--trace PATH`), the parallel trial loop, the tables and
 //! the JSON; `exp run [SPEC|DIR]...` is the preset whose cells are
-//! `scenarios/*.scn` specs, lowered onto the same surface
-//! ([`ba_exp::scenario::lower`]); `hunt` searches the adversary space;
+//! `scenarios/*.scn` specs, parsed straight to the same surface
+//! ([`ba_exp::scenario::parse`]); `hunt` searches the adversary space;
 //! `trace-report` digests a trace.
 //!
 //! Criterion micro-benchmarks for the hot primitives live in

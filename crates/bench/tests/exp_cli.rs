@@ -56,7 +56,7 @@ fn run_reports_a_bad_file_by_path_runs_the_rest_and_exits_1() {
     let repo = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let good = repo.join("scenarios/00-baseline-sync.scn");
     let missing = repo.join("scenarios/no-such-spec.scn");
-    // Parses and lowers, but flood's roster fields no vote splitter: the
+    // Parses, but flood's roster fields no vote splitter: the
     // run itself refuses it.
     let refused = std::env::temp_dir().join(format!("exp-run-refused-{}.scn", std::process::id()));
     std::fs::write(

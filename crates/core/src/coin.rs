@@ -14,7 +14,7 @@ use crate::tournament::{CoinWord, TournamentOutcome};
 /// An ordered global coin subsequence, with per-word provenance.
 ///
 /// `GenerateSecretNumber(i)` from Algorithm 4 is [`CoinSequence::number`];
-/// binary coins for agreement rounds are [`CoinSequence::bit`].
+/// Algorithm 3 reads the raw words as its label schedule.
 #[derive(Clone, Debug, Default)]
 pub struct CoinSequence {
     words: Vec<CoinWord>,
@@ -72,11 +72,6 @@ impl CoinSequence {
         self.words.get(i).map(|w| w.value % range)
     }
 
-    /// The i-th word as a coin bit (low bit), or `None` past the end.
-    pub fn bit(&self, i: usize) -> Option<bool> {
-        self.words.get(i).map(|w| w.value & 1 == 1)
-    }
-
     /// Whether word `i` is genuine (test/diagnostic oracle — processors
     /// in the real protocol cannot tell).
     pub fn is_good(&self, i: usize) -> Option<bool> {
@@ -120,14 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn number_and_bit_access() {
+    fn number_access() {
         let s = seq(&[(7, true), (10, false)]);
         assert_eq!(s.number(0, 5), Some(2));
         assert_eq!(s.number(1, 4), Some(2));
         assert_eq!(s.number(2, 4), None);
-        assert_eq!(s.bit(0), Some(true));
-        assert_eq!(s.bit(1), Some(false));
-        assert_eq!(s.bit(5), None);
         assert_eq!(s.is_good(0), Some(true));
         assert_eq!(s.is_good(1), Some(false));
         assert_eq!(s.values(), vec![7, 10]);
@@ -138,7 +130,6 @@ mod tests {
         let s = CoinSequence::default();
         assert!(s.is_empty());
         assert_eq!(s.good_fraction(), 0.0);
-        assert_eq!(s.bit(0), None);
         assert!(s.satisfies(0));
     }
 

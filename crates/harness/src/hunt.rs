@@ -8,9 +8,10 @@
 //! space (drops, partitions, churn) until the trial budget runs out.
 //! Every trial is judged by the violation oracles ([`Violation`]); each
 //! *novel* failure signature is greedily delta-debugged down to a
-//! minimal [`ScenarioSpec`] ([`shrink_spec`]) that still violates the
-//! same oracle, ready to pin under `scenarios/regressions/` where the
-//! scenario smoke runs it forever after.
+//! minimal [`RunSpec`] ([`shrink_spec`]) that still violates the same
+//! oracle, ready to render (`scenario::render`) and pin under
+//! `scenarios/regressions/`, where the scenario smoke runs it forever
+//! after.
 //!
 //! Everything is a pure function of [`HuntConfig::seed`]: candidate
 //! enumeration is deterministic, the sampler draws from
@@ -20,10 +21,11 @@
 //! byte-identical report at any `BA_PAR_THREADS`.
 
 use crate::runner::{round_cap, run, TrialOutcome};
-use crate::scenario::lower;
+use crate::scenario::{Scenario, FORGED_VALUE};
+use crate::spec::{AdversarySpec, InputPattern, MessageAdversary, Protocol, RunSpec, TreeAttack};
 use ba_baselines::{PhaseKingConfig, RabinConfig};
-use ba_net::InputPattern;
-use ba_net::{Churn, DeliveryPolicy, FaultPlan, LatencyModel, Partition, ScenarioSpec};
+use ba_core::aeba::CommitteeAttack;
+use ba_net::{Churn, DeliveryPolicy, LatencyModel, Partition};
 use ba_sim::{derive_rng, SimRng};
 use proptest::shrink;
 use rand::Rng;
@@ -123,22 +125,17 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The designed round budget: the cap the engine runs the lowered spec
-/// to (`round_cap`); `None` for the structured executors, whose round
-/// count is an output, not a budget, and for a spec that does not lower.
-fn round_bound(spec: &ScenarioSpec) -> Option<usize> {
-    round_cap(&lower(spec).ok()?)
-}
-
 /// Agreement / decided floors for a spec. Clean-net baselines promise
 /// exact agreement; a lossy wire excuses some spread (the hunt then
 /// reports only collapses, not noise); the almost-everywhere stack
 /// promises agreement among most good processors by design.
-fn floors(spec: &ScenarioSpec) -> (f64, f64) {
-    let tree_level = matches!(spec.protocol.as_str(), "tournament" | "everywhere");
-    if tree_level {
+fn floors(spec: &RunSpec) -> (f64, f64) {
+    if matches!(
+        spec.protocol,
+        Protocol::Tournament(_) | Protocol::Everywhere
+    ) {
         (0.70, 0.70)
-    } else if spec.faults.is_trivial() {
+    } else if spec.net.faults.is_trivial() {
         (0.999, 0.999)
     } else {
         (0.60, 0.60)
@@ -147,7 +144,7 @@ fn floors(spec: &ScenarioSpec) -> (f64, f64) {
 
 /// Judges one trial against every oracle; the most damning verdict wins
 /// (wrong decision > agreement > validity > stall > round blowup).
-pub(crate) fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Violation> {
+pub(crate) fn judge(spec: &RunSpec, outcome: &TrialOutcome) -> Option<Violation> {
     let (agree_floor, decided_floor) = floors(spec);
     if outcome.wrong > 0 {
         return Some(Violation::WrongDecision {
@@ -169,7 +166,9 @@ pub(crate) fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Viola
             floor: decided_floor,
         });
     }
-    if let Some(bound) = round_bound(spec) {
+    // The designed round budget is the cap the engine runs to; the
+    // structured executors have none (their rounds are an output).
+    if let Some(bound) = round_cap(spec) {
         if outcome.rounds > bound {
             return Some(Violation::RoundBlowup {
                 rounds: outcome.rounds,
@@ -180,16 +179,15 @@ pub(crate) fn judge(spec: &ScenarioSpec, outcome: &TrialOutcome) -> Option<Viola
     None
 }
 
-/// One hunted-down violation: the candidate that failed, its minimized
-/// form, and where it failed.
+/// One hunted-down violation: its minimized form, and where it failed.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Deduplication key: `protocol-adversary-oracle`.
     pub signature: String,
-    /// The candidate spec that first hit this signature.
-    pub spec: ScenarioSpec,
-    /// The delta-debugged minimal spec still violating the same oracle.
-    pub shrunk: ScenarioSpec,
+    /// The delta-debugged minimal spec still violating the same oracle,
+    /// rebased onto the violating trial's seed. Its pin is named
+    /// `hunt-<signature>`.
+    pub shrunk: RunSpec,
     /// The violation observed on the original candidate.
     pub violation: Violation,
     /// Seed of the violating trial.
@@ -234,16 +232,16 @@ impl HuntReport {
                 out,
                 "    shrunk to: protocol={} n={} adversary={} corrupt={} tree={} \
                  ordering={} drop={} partitions={} crashes={} churn={}",
-                f.shrunk.protocol,
+                f.shrunk.protocol.name(),
                 f.shrunk.n,
-                f.shrunk.adversary,
-                f.shrunk.corrupt,
-                f.shrunk.tree_adversary,
-                f.shrunk.ordering.name(),
-                f.shrunk.faults.drop_prob,
-                f.shrunk.faults.partitions.len(),
-                f.shrunk.faults.crashes.len(),
-                f.shrunk.faults.churn.is_some(),
+                f.shrunk.adversary.message.name(),
+                f.shrunk.adversary.message.count(),
+                f.shrunk.adversary.tree.name(),
+                f.shrunk.net.ordering.name(),
+                f.shrunk.net.faults.drop_prob,
+                f.shrunk.net.faults.partitions.len(),
+                f.shrunk.net.faults.crashes.len(),
+                f.shrunk.net.faults.churn.is_some(),
             );
         }
         for s in &self.skipped {
@@ -274,7 +272,7 @@ impl HuntReport {
                 f.violation.kind(),
                 f.violation,
                 f.trial_seed,
-                f.shrunk.protocol,
+                f.shrunk.protocol.name(),
                 f.shrunk.n
             );
         }
@@ -283,41 +281,38 @@ impl HuntReport {
     }
 }
 
-/// A fresh spec with clean defaults at `(protocol, n, seed)`.
-fn base_spec(name: String, protocol: &str, n: usize, seed: u64) -> ScenarioSpec {
-    ScenarioSpec {
-        name,
-        protocol: protocol.to_owned(),
-        n,
-        sweep_n: Vec::new(),
-        trials: 2,
-        seed,
-        input: InputPattern::Split,
-        rounds: None,
-        delta: 1_000,
-        latency: LatencyModel::Constant(0),
-        faults: FaultPlan::default(),
-        corrupt: 0,
-        adversary: "none".to_owned(),
-        tree_adversary: "none".to_owned(),
-        tree_aggressiveness: 1.0,
-        tree_attack: "oppose".to_owned(),
-        phases: Vec::new(),
-        coin_success: 0.8,
-        coin_blind: 0.02,
-        ordering: DeliveryPolicy::Fifo,
-    }
-}
-
 /// The failure signature a finding dedups on: protocol, the adversary
 /// that caused it (message- or tree-level), and the oracle it tripped.
-fn signature(spec: &ScenarioSpec, v: &Violation) -> String {
-    let adv = if spec.tree_adversary != "none" {
-        &spec.tree_adversary
-    } else {
-        &spec.adversary
+fn signature(spec: &RunSpec, v: &Violation) -> String {
+    let adv = match spec.adversary.tree {
+        TreeAttack::None => spec.adversary.message.name(),
+        tree => tree.name(),
     };
-    format!("{}-{}-{}", spec.protocol, adv, v.kind())
+    format!("{}-{}-{}", spec.protocol.name(), adv, v.kind())
+}
+
+/// The baselines the grid and the sampler search.
+const BASELINES: [Protocol; 4] = [
+    Protocol::Flood,
+    Protocol::PhaseKing,
+    Protocol::BenOr,
+    Protocol::Rabin,
+];
+
+/// A clean-net candidate: `base` for two trials from `seed`, `message`
+/// corrupting its count, same-instant delivery under `ordering`.
+fn candidate(
+    base: RunSpec,
+    seed: u64,
+    message: MessageAdversary,
+    ordering: DeliveryPolicy,
+) -> RunSpec {
+    let mut spec = base
+        .trials(2)
+        .seeds(seed)
+        .adversary(AdversarySpec::none().with_message(message));
+    spec.net.ordering = ordering;
+    spec
 }
 
 /// The exhaustive grid over the small discrete axes: every baseline ×
@@ -327,34 +322,37 @@ fn signature(spec: &ScenarioSpec, v: &Violation) -> String {
 /// throughout — the sampler owns the fault axes — so grid findings
 /// isolate *adversary* breaks (the coordinator equivocation above the
 /// design tolerance) from wire damage.
-fn grid(seed: u64) -> Vec<ScenarioSpec> {
+fn grid(seed: u64) -> Vec<Scenario> {
     let mut out = Vec::new();
-    let orderings = [
-        DeliveryPolicy::Fifo,
-        DeliveryPolicy::AdversarialLifo,
-        DeliveryPolicy::Shuffle,
-    ];
     for &n in &[24usize, 40] {
-        for proto in ["flood", "phase_king", "ben_or", "rabin"] {
-            let mut advs: Vec<(&str, usize)> = vec![("none", 0), ("crash", n / 5)];
-            if matches!(proto, "phase_king" | "rabin") {
-                let t = match proto {
-                    "phase_king" => PhaseKingConfig::for_n(n).t,
-                    _ => RabinConfig::for_n(n).t,
-                };
+        for proto in &BASELINES {
+            let mut advs = vec![
+                MessageAdversary::None,
+                MessageAdversary::Crash { count: n / 5 },
+            ];
+            let t = match proto {
+                Protocol::PhaseKing => Some(PhaseKingConfig::for_n(n).t),
+                Protocol::Rabin => Some(RabinConfig::for_n(n).t),
+                _ => None,
+            };
+            if let Some(t) = t {
                 // The tolerance boundary from both sides: held at the
                 // design t, broken at n/3.
-                advs.push(("equivocate", t));
-                advs.push(("equivocate", n / 3));
+                advs.push(MessageAdversary::Equivocate { count: t });
+                advs.push(MessageAdversary::Equivocate { count: n / 3 });
             }
-            for (adv, corrupt) in advs {
-                for ord in orderings {
-                    let name = format!("grid-{proto}-{adv}{corrupt}-{}-n{n}", ord.name());
-                    let mut s = base_spec(name, proto, n, seed);
-                    s.adversary = adv.to_owned();
-                    s.corrupt = corrupt;
-                    s.ordering = ord;
-                    out.push(s);
+            for adv in advs {
+                for ord in DeliveryPolicy::ALL {
+                    out.push(Scenario {
+                        name: format!(
+                            "grid-{}-{}{}-{}-n{n}",
+                            proto.name(),
+                            adv.name(),
+                            adv.count(),
+                            ord.name()
+                        ),
+                        spec: candidate(RunSpec::new(proto.clone(), n), seed, adv, ord),
+                    });
                 }
             }
         }
@@ -363,30 +361,45 @@ fn grid(seed: u64) -> Vec<ScenarioSpec> {
     // so well over half stay good and knowledgeable) against forged
     // answers, from both sides of the corruption tolerance.
     for &n in &[24usize, 40] {
-        for (adv, corrupt) in [("none", 0), ("forge", n / 5), ("forge", n / 3)] {
-            for ord in orderings {
-                let name = format!("grid-ae_to_e-{adv}{corrupt}-{}-n{n}", ord.name());
-                let mut s = base_spec(name, "ae_to_e", n, seed);
-                s.input = InputPattern::Lopsided;
-                s.adversary = adv.to_owned();
-                s.corrupt = corrupt;
-                s.ordering = ord;
-                out.push(s);
+        for count in [0, n / 5, n / 3] {
+            let adv = match count {
+                0 => MessageAdversary::None,
+                count => MessageAdversary::Forge {
+                    count,
+                    fake: FORGED_VALUE,
+                },
+            };
+            for ord in DeliveryPolicy::ALL {
+                let base = RunSpec::ae_to_e(n).input(InputPattern::Lopsided);
+                out.push(Scenario {
+                    name: format!("grid-ae_to_e-{}{count}-{}-n{n}", adv.name(), ord.name()),
+                    spec: candidate(base, seed, adv, ord),
+                });
             }
         }
     }
-    for proto in ["tournament", "everywhere"] {
-        for tree in ["none", "static-third", "winner-hunter", "custody-buster"] {
-            for ord in orderings {
-                let name = format!("grid-{proto}-{tree}-{}-n64", ord.name());
-                let mut s = base_spec(name, proto, 64, seed);
-                s.trials = 1; // structured executions dominate runtime
-                s.tree_adversary = tree.to_owned();
-                if tree == "custody-buster" {
-                    s.tree_aggressiveness = 0.6;
-                }
-                s.ordering = ord;
-                out.push(s);
+    for base in [RunSpec::tournament(64), RunSpec::everywhere(64)] {
+        for tree in [
+            TreeAttack::None,
+            TreeAttack::StaticThird {
+                attack: CommitteeAttack::Oppose,
+            },
+            TreeAttack::WinnerHunter,
+            TreeAttack::CustodyBuster {
+                aggressiveness: 0.6,
+            },
+        ] {
+            for ord in DeliveryPolicy::ALL {
+                let name = format!(
+                    "grid-{}-{}-{}-n64",
+                    base.protocol.name(),
+                    tree.name(),
+                    ord.name()
+                );
+                // One trial: structured executions dominate runtime.
+                let mut spec = candidate(base.clone(), seed, MessageAdversary::None, ord).trials(1);
+                spec.adversary.tree = tree;
+                out.push(Scenario { name, spec });
             }
         }
     }
@@ -395,56 +408,49 @@ fn grid(seed: u64) -> Vec<ScenarioSpec> {
 
 /// Draws one random fault-space candidate (baselines only: the sampler
 /// explores wire damage, which the grid deliberately leaves out).
-fn sample(rng: &mut SimRng, seed: u64, index: usize) -> ScenarioSpec {
-    let protos = ["flood", "phase_king", "ben_or", "rabin"];
-    let proto = protos[rng.gen_range(0..protos.len())];
+fn sample(rng: &mut SimRng, seed: u64, index: usize) -> Scenario {
+    let proto = BASELINES[rng.gen_range(0..BASELINES.len())].clone();
     let ns = [16usize, 24, 32, 40];
     let n = ns[rng.gen_range(0..ns.len())];
-    let mut s = base_spec(format!("sample-{index}-{proto}-n{n}"), proto, n, seed);
-    s.trials = 1;
-    s.seed = seed.wrapping_add(rng.gen_range(0..1u64 << 16));
-    s.ordering = [
-        DeliveryPolicy::Fifo,
-        DeliveryPolicy::AdversarialLifo,
-        DeliveryPolicy::Shuffle,
-    ][rng.gen_range(0..3)];
-    match rng.gen_range(0..3) {
-        0 => {}
-        1 => {
-            s.adversary = "crash".to_owned();
-            s.corrupt = rng.gen_range(1..=n / 4);
-        }
-        _ => {
-            if matches!(proto, "phase_king" | "rabin") {
-                s.adversary = "equivocate".to_owned();
-                s.corrupt = rng.gen_range(1..=n / 3);
-            }
-        }
-    }
-    s.faults.drop_prob = [0.0, 0.05, 0.1, 0.2][rng.gen_range(0..4)];
+    let name = format!("sample-{index}-{}-n{n}", proto.name());
+    let leader = matches!(proto, Protocol::PhaseKing | Protocol::Rabin);
+    let base_seed = seed.wrapping_add(rng.gen_range(0..1u64 << 16));
+    let ordering = DeliveryPolicy::ALL[rng.gen_range(0..3)];
+    let message = match rng.gen_range(0..3) {
+        0 => MessageAdversary::None,
+        1 => MessageAdversary::Crash {
+            count: rng.gen_range(1..=n / 4),
+        },
+        _ if leader => MessageAdversary::Equivocate {
+            count: rng.gen_range(1..=n / 3),
+        },
+        _ => MessageAdversary::None,
+    };
+    let mut s = candidate(RunSpec::new(proto, n), base_seed, message, ordering).trials(1);
+    let faults = &mut s.net.faults;
+    faults.drop_prob = [0.0, 0.05, 0.1, 0.2][rng.gen_range(0..4)];
     if rng.gen_bool(0.3) {
         let from_round = rng.gen_range(0..4);
-        s.faults.partitions.push(Partition {
+        faults.partitions.push(Partition {
             boundary: n / 2,
             from_round,
             heal_round: from_round + rng.gen_range(2..30),
         });
     }
     if rng.gen_bool(0.2) {
-        s.faults.churn = Some(Churn {
+        faults.churn = Some(Churn {
             period: rng.gen_range(4..12),
             down: 1,
             stagger: rng.gen_range(0..3),
         });
     }
-    s
+    Scenario { name, spec: s }
 }
 
 /// Whether any trial of `spec` trips an oracle; returns the first
 /// violating `(violation, trial_seed)`.
-fn first_violation(spec: &ScenarioSpec) -> Result<Option<(Violation, u64)>, String> {
-    let run_spec = lower(spec)?;
-    let report = run(&run_spec)?;
+fn first_violation(spec: &RunSpec) -> Result<Option<(Violation, u64)>, String> {
+    let report = run(spec)?;
     for t in &report.trials {
         if let Some(v) = judge(spec, t) {
             return Ok(Some((v, t.seed)));
@@ -454,57 +460,66 @@ fn first_violation(spec: &ScenarioSpec) -> Result<Option<(Violation, u64)>, Stri
 }
 
 /// Structural then numeric shrink candidates for one greedy pass,
-/// most-aggressive first. Every candidate keeps the spec lowerable
-/// (fault coordinates stay in range when `n` shrinks).
-fn shrink_candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
-    fn with(spec: &ScenarioSpec, f: impl FnOnce(&mut ScenarioSpec)) -> ScenarioSpec {
+/// most-aggressive first. Every candidate keeps the spec valid (fault
+/// coordinates stay in range when `n` shrinks).
+fn shrink_candidates(spec: &RunSpec) -> Vec<RunSpec> {
+    fn with(spec: &RunSpec, f: impl FnOnce(&mut RunSpec)) -> RunSpec {
         let mut s = spec.clone();
         f(&mut s);
         s
     }
+    let (net, faults) = (&spec.net, &spec.net.faults);
+    let corrupt = spec.adversary.message.count();
     let mut out = Vec::new();
     // Structural removals first.
-    if !spec.phases.is_empty() {
-        out.push(with(spec, |s| s.phases.clear()));
+    if net.schedule.is_some() {
+        out.push(with(spec, |s| s.net.schedule = None));
     }
-    if spec.rounds.is_some() {
-        out.push(with(spec, |s| s.rounds = None));
+    if spec.output.rounds_cap.is_some() {
+        out.push(with(spec, |s| s.output.rounds_cap = None));
     }
-    if spec.faults.churn.is_some() {
-        out.push(with(spec, |s| s.faults.churn = None));
+    if faults.churn.is_some() {
+        out.push(with(spec, |s| s.net.faults.churn = None));
     }
-    for cand in shrink::remove_each(&spec.faults.partitions) {
-        out.push(with(spec, |s| s.faults.partitions = cand));
+    for cand in shrink::remove_each(&faults.partitions) {
+        out.push(with(spec, |s| s.net.faults.partitions = cand));
     }
-    for cand in shrink::remove_each(&spec.faults.crashes) {
-        out.push(with(spec, |s| s.faults.crashes = cand));
+    for cand in shrink::remove_each(&faults.crashes) {
+        out.push(with(spec, |s| s.net.faults.crashes = cand));
     }
-    if spec.ordering != DeliveryPolicy::Fifo {
-        out.push(with(spec, |s| s.ordering = DeliveryPolicy::Fifo));
+    if net.ordering != DeliveryPolicy::Fifo {
+        out.push(with(spec, |s| s.net.ordering = DeliveryPolicy::Fifo));
     }
-    if spec.latency != LatencyModel::Constant(0) {
-        out.push(with(spec, |s| s.latency = LatencyModel::Constant(0)));
+    if net.latency != LatencyModel::Constant(0) {
+        out.push(with(spec, |s| s.net.latency = LatencyModel::Constant(0)));
     }
-    if spec.tree_adversary != "none" && spec.tree_attack != "oppose" {
-        out.push(with(spec, |s| s.tree_attack = "oppose".to_owned()));
+    if let TreeAttack::StaticThird { attack } = spec.adversary.tree {
+        if attack != CommitteeAttack::Oppose {
+            out.push(with(spec, |s| {
+                s.adversary.tree = TreeAttack::StaticThird {
+                    attack: CommitteeAttack::Oppose,
+                }
+            }));
+        }
     }
     // Numeric halving.
-    for p in shrink::halve_prob(spec.faults.drop_prob) {
-        out.push(with(spec, |s| s.faults.drop_prob = p));
+    for p in shrink::halve_prob(faults.drop_prob) {
+        out.push(with(spec, |s| s.net.faults.drop_prob = p));
     }
-    for c in shrink::halve_usize(spec.corrupt, 0) {
-        out.push(with(spec, |s| s.corrupt = c));
+    for c in shrink::halve_usize(corrupt, 0) {
+        out.push(with(spec, |s| {
+            s.adversary.message = s.adversary.message.with_count(c)
+        }));
     }
     if spec.trials > 1 {
         out.push(with(spec, |s| s.trials = 1));
     }
     for n in shrink::halve_usize(spec.n, 8) {
-        if n < 8 || spec.corrupt >= n {
+        if n < 8 || corrupt >= n {
             continue;
         }
-        let fits = spec.faults.crashes.iter().all(|c| c.proc < n)
-            && spec
-                .faults
+        let fits = faults.crashes.iter().all(|c| c.proc < n)
+            && faults
                 .partitions
                 .iter()
                 .all(|p| p.boundary > 0 && p.boundary < n);
@@ -519,10 +534,7 @@ fn shrink_candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 /// that still satisfies `violates`, until none does. The predicate is a
 /// closure so the soundness proptests can drive the shrinker with
 /// synthetic oracles.
-pub fn shrink_spec(
-    spec: &ScenarioSpec,
-    violates: &mut dyn FnMut(&ScenarioSpec) -> bool,
-) -> ScenarioSpec {
+pub fn shrink_spec(spec: &RunSpec, violates: &mut dyn FnMut(&RunSpec) -> bool) -> RunSpec {
     let mut cur = spec.clone();
     loop {
         let mut improved = false;
@@ -546,18 +558,13 @@ pub fn hunt(config: &HuntConfig) -> HuntReport {
     let mut report = HuntReport::default();
     let mut seen: Vec<String> = Vec::new();
     let mut rng = derive_rng(config.seed, HUNT_LABEL);
-    let grid_specs = grid(config.seed);
     let mut sample_index = 0usize;
-    let mut queue = grid_specs.into_iter();
+    let mut queue = grid(config.seed).into_iter();
     loop {
-        let spec = match queue.next() {
-            Some(s) => s,
-            None => {
-                let s = sample(&mut rng, config.seed, sample_index);
-                sample_index += 1;
-                s
-            }
-        };
+        let Scenario { name, spec } = queue.next().unwrap_or_else(|| {
+            sample_index += 1;
+            sample(&mut rng, config.seed, sample_index - 1)
+        });
         if report.trials_run + spec.trials as usize > config.budget {
             break;
         }
@@ -566,7 +573,7 @@ pub fn hunt(config: &HuntConfig) -> HuntReport {
         let hit = match first_violation(&spec) {
             Ok(h) => h,
             Err(e) => {
-                report.skipped.push(format!("{}: {e}", spec.name));
+                report.skipped.push(format!("{name}: {e}"));
                 continue;
             }
         };
@@ -581,10 +588,7 @@ pub fn hunt(config: &HuntConfig) -> HuntReport {
         // Rebase onto the violating trial alone, then minimize. The
         // shrinker's own runs don't count against the budget: they are a
         // bounded refinement of an already-paid-for finding.
-        let mut pinned = spec.clone();
-        pinned.trials = 1;
-        pinned.seed = trial_seed;
-        pinned.name = format!("hunt-{sig}");
+        let pinned = spec.trials(1).seeds(trial_seed);
         let kind = violation.kind();
         let shrunk = shrink_spec(&pinned, &mut |cand| {
             matches!(
@@ -594,7 +598,6 @@ pub fn hunt(config: &HuntConfig) -> HuntReport {
         });
         report.findings.push(Finding {
             signature: sig,
-            spec,
             shrunk,
             violation,
             trial_seed,
@@ -606,7 +609,15 @@ pub fn hunt(config: &HuntConfig) -> HuntReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{parse_one, render};
+    use ba_net::NetConfig;
     use ba_sim::BitStats;
+
+    /// Phase King at `n` with `count` coordinators equivocating.
+    fn equivocating(n: usize, count: usize) -> RunSpec {
+        clean_spec(Protocol::PhaseKing, n)
+            .adversary(AdversarySpec::none().with_message(MessageAdversary::Equivocate { count }))
+    }
 
     fn outcome(agreement: f64, decided: f64, valid: Option<bool>, rounds: usize) -> TrialOutcome {
         TrialOutcome {
@@ -619,25 +630,25 @@ mod tests {
         }
     }
 
-    fn clean_spec(proto: &str, n: usize) -> ScenarioSpec {
-        base_spec(format!("t-{proto}"), proto, n, 1)
+    fn clean_spec(protocol: Protocol, n: usize) -> RunSpec {
+        RunSpec::new(protocol, n).trials(2).seeds(1)
     }
 
     #[test]
     fn agreement_oracle_fires_below_floor() {
-        let spec = clean_spec("phase_king", 24);
+        let spec = clean_spec(Protocol::PhaseKing, 24);
         let v = judge(&spec, &outcome(0.5, 1.0, None, 10)).expect("violation");
         assert_eq!(v.kind(), "agreement");
         assert!(judge(&spec, &outcome(1.0, 1.0, None, 10)).is_none());
         // The tree floor is the almost-everywhere one.
-        let tree = clean_spec("tournament", 64);
+        let tree = RunSpec::tournament(64);
         assert!(judge(&tree, &outcome(0.9, 1.0, Some(true), 100)).is_none());
         assert!(judge(&tree, &outcome(0.5, 1.0, Some(true), 100)).is_some());
     }
 
     #[test]
     fn validity_oracle_fires_on_explicit_false() {
-        let spec = clean_spec("tournament", 64);
+        let spec = RunSpec::tournament(64);
         let v = judge(&spec, &outcome(1.0, 1.0, Some(false), 100)).expect("violation");
         assert_eq!(v.kind(), "validity");
         assert!(judge(&spec, &outcome(1.0, 1.0, Some(true), 100)).is_none());
@@ -646,29 +657,30 @@ mod tests {
 
     #[test]
     fn stall_oracle_fires_on_undecided() {
-        let spec = clean_spec("ben_or", 24);
+        let spec = clean_spec(Protocol::BenOr, 24);
         let v = judge(&spec, &outcome(1.0, 0.4, None, 10)).expect("violation");
         assert_eq!(v.kind(), "stall");
     }
 
     #[test]
     fn round_blowup_oracle_uses_the_designed_bound() {
-        let spec = clean_spec("rabin", 24);
-        let bound = round_bound(&spec).expect("bounded");
+        let spec = clean_spec(Protocol::Rabin, 24);
+        let bound = round_cap(&spec).expect("bounded");
         let v = judge(&spec, &outcome(1.0, 1.0, None, bound + 1)).expect("violation");
         assert_eq!(v.kind(), "round-blowup");
         assert!(judge(&spec, &outcome(1.0, 1.0, None, bound)).is_none());
         // Structured executors are unbounded: rounds are an output.
-        assert!(round_bound(&clean_spec("tournament", 64)).is_none());
+        assert!(round_cap(&RunSpec::tournament(64)).is_none());
     }
 
     #[test]
     fn lossy_nets_get_slack_floors() {
-        let mut spec = clean_spec("phase_king", 24);
-        spec.faults.drop_prob = 0.1;
+        let mut spec = clean_spec(Protocol::PhaseKing, 24);
+        spec.net.faults.drop_prob = 0.1;
         // 0.9 agreement is noise under loss, a violation on a clean wire.
         assert!(judge(&spec, &outcome(0.9, 1.0, None, 10)).is_none());
-        assert!(judge(&clean_spec("phase_king", 24), &outcome(0.9, 1.0, None, 10)).is_some());
+        let clean = clean_spec(Protocol::PhaseKing, 24);
+        assert!(judge(&clean, &outcome(0.9, 1.0, None, 10)).is_some());
     }
 
     #[test]
@@ -676,40 +688,42 @@ mod tests {
         // Synthetic oracle: violation iff corrupt >= 5 and n >= 16. The
         // shrinker must land exactly on the boundary and strip the
         // irrelevant fault plan.
-        let mut messy = clean_spec("phase_king", 40);
-        messy.corrupt = 13;
-        messy.adversary = "equivocate".to_owned();
-        messy.ordering = DeliveryPolicy::Shuffle;
-        messy.faults.drop_prob = 0.2;
-        messy.faults.churn = Some(Churn {
+        let mut messy = equivocating(40, 13);
+        messy.net.ordering = DeliveryPolicy::Shuffle;
+        messy.net.faults.drop_prob = 0.2;
+        messy.net.faults.churn = Some(Churn {
             period: 8,
             down: 1,
             stagger: 0,
         });
-        messy.faults.partitions.push(Partition {
+        messy.net.faults.partitions.push(Partition {
             boundary: 20,
             from_round: 0,
             heal_round: 5,
         });
-        let shrunk = shrink_spec(&messy, &mut |s| s.corrupt >= 5 && s.n >= 16);
-        assert_eq!(shrunk.corrupt, 5);
+        let shrunk = shrink_spec(&messy, &mut |s| {
+            s.adversary.message.count() >= 5 && s.n >= 16
+        });
+        assert_eq!(
+            shrunk.adversary.message,
+            MessageAdversary::Equivocate { count: 5 }
+        );
         assert!(shrunk.n >= 16 && shrunk.n < 40, "n = {}", shrunk.n);
-        assert_eq!(shrunk.ordering, DeliveryPolicy::Fifo);
-        assert_eq!(shrunk.faults.drop_prob, 0.0);
-        assert!(shrunk.faults.churn.is_none());
-        assert!(shrunk.faults.partitions.is_empty());
+        assert_eq!(shrunk.net, NetConfig::synchronous());
     }
 
     #[test]
     fn shrunk_specs_stay_lowerable() {
-        let mut messy = clean_spec("phase_king", 40);
-        messy.corrupt = 13;
-        messy.adversary = "equivocate".to_owned();
-        let shrunk = shrink_spec(&messy, &mut |s| s.corrupt >= 13);
-        assert!(lower(&shrunk).is_ok(), "{:?}", lower(&shrunk));
+        let messy = equivocating(40, 13);
+        let shrunk = shrink_spec(&messy, &mut |s| s.adversary.message.count() >= 13);
+        assert_eq!(shrunk.validate(), Ok(()));
         // And survive the grammar round trip for pinning.
-        let text = shrunk.render();
-        assert_eq!(ScenarioSpec::parse(&text).expect("parse"), shrunk);
+        let row = Scenario {
+            name: "hunt-pin".to_owned(),
+            spec: shrunk,
+        };
+        let text = render(&row).expect("render");
+        assert_eq!(parse_one(&text), Ok(row));
     }
 
     #[test]
@@ -718,17 +732,21 @@ mod tests {
         let b = grid(7);
         assert_eq!(a, b);
         for s in &a {
-            lower(s).unwrap_or_else(|e| panic!("grid spec {} must lower: {e}", s.name));
+            let text = render(s).unwrap_or_else(|e| panic!("grid spec {}: {e}", s.name));
+            assert_eq!(parse_one(&text).as_ref(), Ok(s), "{text}");
         }
         // The tolerance-boundary rows are present.
-        assert!(a.iter().any(|s| s.adversary == "equivocate"));
-        assert!(a.iter().any(|s| s.tree_adversary == "custody-buster"));
-        assert!(a.iter().any(|s| s.adversary == "forge"));
+        let adversaries = |s: &Scenario| (s.spec.adversary.message.name(), s.spec.adversary.tree);
+        assert!(a.iter().any(|s| adversaries(s).0 == "equivocate"));
+        assert!(a.iter().any(|s| adversaries(s).0 == "forge"));
+        assert!(a
+            .iter()
+            .any(|s| matches!(adversaries(s).1, TreeAttack::CustodyBuster { .. })));
     }
 
     #[test]
     fn wrong_decision_oracle_outranks_the_rest() {
-        let spec = clean_spec("ae_to_e", 24);
+        let spec = RunSpec::ae_to_e(24);
         let forged = TrialOutcome {
             wrong: 2,
             ..outcome(0.5, 0.4, Some(false), 10)
@@ -753,8 +771,8 @@ mod tests {
                 continue;
             }
             let text = std::fs::read_to_string(&path).expect("readable pin");
-            let spec = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
-            let hit = first_violation(&spec).unwrap_or_else(|e| panic!("{stem}: {e}"));
+            let row = parse_one(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
+            let hit = first_violation(&row.spec).unwrap_or_else(|e| panic!("{stem}: {e}"));
             let (violation, _) = hit.unwrap_or_else(|| panic!("{stem} no longer violates"));
             assert!(stem.ends_with(violation.kind()), "{stem}: {violation}");
             pins += 1;

@@ -21,7 +21,7 @@
 //!   all seeding; per-trial seeds derive as `seeds.base + trial`.
 //!
 //! [`RunSpec::validate`] is the one place a combination is judged: every
-//! trial entry point and [`scenario::lower`] call it, so a knob a run
+//! trial entry point and [`scenario::parse`] call it, so a knob a run
 //! would silently drop (a tree adversary on a message-level protocol, a
 //! rounds cap on a structured executor) is an error instead. Each
 //! protocol then resolves its message adversary through one roster.
@@ -32,12 +32,14 @@
 //! fixed-width table printing, the shared `--json`/`--trials`/`--trace`
 //! CLI, and JSON row emission: each experiment is a preset of the one
 //! `exp` binary that names its cells. Declarative `scenarios/*.scn`
-//! specs lower onto [`RunSpec`] through [`scenario::lower`]. The
-//! adversary search has one entry, [`hunt()`]; its report types are
-//! named through the [`hunt`](mod@hunt) module.
+//! text is a rendering of [`RunSpec`] itself: [`scenario::parse`] reads
+//! it straight into named rows and [`scenario::render`] writes them
+//! back. The adversary search has one entry, [`hunt()`], and searches
+//! `RunSpec`s; its report types are named through the
+//! [`hunt`](mod@hunt) module.
 //!
-//! The core is serde-free plain structs: specs are built in code (or
-//! lowered from the scenario grammar), never deserialized.
+//! The core is serde-free plain structs: specs are built in code or
+//! parsed from `.scn` text, never deserialized.
 //!
 //! ```rust
 //! use ba_exp::{RunSpec, TreeAttack};
@@ -68,10 +70,10 @@ pub use runner::{
     TrialOutcome,
 };
 pub use spec::{
-    AdversarySpec, AeToESpec, AebaSpec, GossipDegree, Knowledgeable, MessageAdversary, OutputSpec,
-    Protocol, RunSpec, SeedPlan, TournamentTuning, TreeAttack,
+    AdversarySpec, AeToESpec, AebaSpec, GossipDegree, InputPattern, Knowledgeable,
+    MessageAdversary, OutputSpec, Protocol, RunSpec, SeedPlan, TournamentTuning, TreeAttack,
 };
 pub use stats::{f1, f3, loglog_slope, mean, par_trials, Table};
 
-// The spec surface re-uses these foreign types directly.
-pub use ba_net::{InputPattern, NetConfig};
+// The spec surface re-uses this foreign type directly.
+pub use ba_net::NetConfig;

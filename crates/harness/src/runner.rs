@@ -797,7 +797,6 @@ fn everywhere_trial<TF: TransportFactory>(
 mod tests {
     use super::*;
     use crate::spec::{AdversarySpec, TreeAttack};
-    use ba_net::ScenarioSpec;
 
     #[test]
     fn flood_runs_and_agrees() {
@@ -1038,7 +1037,7 @@ mod tests {
     /// `.scn` text at the edges of the population — n below a protocol's
     /// minimum, a corrupt count of 0, n or 3n — under every protocol and
     /// every adversary the grammar names: each case is refused by
-    /// `scenario::lower` or runs, and none panics.
+    /// `scenario::parse` or runs, and none panics.
     #[test]
     fn tiny_and_overcorrupted_scenarios_are_refused_or_run() {
         let protocols = [
@@ -1071,8 +1070,8 @@ mod tests {
                              corrupt={corrupt}\n"
                         );
                         let ran = std::panic::catch_unwind(|| {
-                            let spec = ScenarioSpec::parse(&text)?;
-                            run_trial(&crate::scenario::lower(&spec)?, 0).map(|_| ())
+                            let row = crate::scenario::parse_one(&text)?;
+                            run_trial(&row.spec, 0).map(|_| ())
                         });
                         if ran.is_err() {
                             panicked

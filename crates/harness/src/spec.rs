@@ -11,12 +11,55 @@ use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
 use ba_core::everywhere::EverywhereConfig;
 use ba_core::tournament::{NoTreeAdversary, TreeAdversary, MAX_DEAL_OWNERS};
-use ba_net::{InputPattern, NetConfig, MAX_PROCS};
+use ba_net::{NetConfig, MAX_PROCS};
 use ba_topology::Params;
 
 /// The most a run's gossip graph over all processors may take: past it
 /// [`RunSpec::validate`] refuses the spec rather than try.
 const GOSSIP_GRAPH_MAX_BYTES: u64 = 1 << 30;
+
+/// How processor inputs are assigned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InputPattern {
+    /// Every processor starts with `true`.
+    UnanimousTrue,
+    /// Every processor starts with `false`.
+    UnanimousFalse,
+    /// Alternating inputs (worst-case split).
+    Split,
+    /// 90% `true`, 10% `false`.
+    Lopsided,
+}
+
+impl InputPattern {
+    /// Every pattern, in grammar order.
+    pub(crate) const ALL: [InputPattern; 4] = [
+        InputPattern::UnanimousTrue,
+        InputPattern::UnanimousFalse,
+        InputPattern::Split,
+        InputPattern::Lopsided,
+    ];
+
+    /// Processor `i`'s input bit under this pattern.
+    pub fn bit(self, i: usize) -> bool {
+        match self {
+            InputPattern::UnanimousTrue => true,
+            InputPattern::UnanimousFalse => false,
+            InputPattern::Split => i.is_multiple_of(2),
+            InputPattern::Lopsided => !i.is_multiple_of(10),
+        }
+    }
+
+    /// The pattern's `.scn` name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            InputPattern::UnanimousTrue => "unanimous-true",
+            InputPattern::UnanimousFalse => "unanimous-false",
+            InputPattern::Split => "split",
+            InputPattern::Lopsided => "lopsided",
+        }
+    }
+}
 
 /// Which protocol a run executes.
 #[derive(Clone, Debug, PartialEq)]
@@ -233,6 +276,35 @@ pub enum MessageAdversary {
 }
 
 impl MessageAdversary {
+    /// The adversary's `.scn` name (and the hunt's). The grammar names
+    /// the first five; `overload` and `guess-labels` are built in code.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            MessageAdversary::None => "none",
+            MessageAdversary::Crash { .. } => "crash",
+            MessageAdversary::SplitVotes { .. } => "split",
+            MessageAdversary::Equivocate { .. } => "equivocate",
+            MessageAdversary::Forge { .. } => "forge",
+            MessageAdversary::Overload { .. } => "overload",
+            MessageAdversary::GuessLabels { .. } => "guess-labels",
+        }
+    }
+
+    /// The same adversary corrupting `count` processors (`None` stays
+    /// `None`).
+    pub(crate) fn with_count(mut self, count: usize) -> Self {
+        match &mut self {
+            MessageAdversary::None => {}
+            MessageAdversary::Crash { count: c }
+            | MessageAdversary::SplitVotes { count: c }
+            | MessageAdversary::Equivocate { count: c }
+            | MessageAdversary::Forge { count: c, .. }
+            | MessageAdversary::Overload { count: c, .. }
+            | MessageAdversary::GuessLabels { count: c, .. } => *c = count,
+        }
+        self
+    }
+
     /// Processors this adversary corrupts (0 for none).
     pub(crate) fn count(&self) -> usize {
         match *self {
@@ -275,6 +347,18 @@ pub enum TreeAttack {
 }
 
 impl TreeAttack {
+    /// The adversary's `.scn` name (and the hunt's). The grammar names
+    /// all but `static-fraction`, which is built in code.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            TreeAttack::None => "none",
+            TreeAttack::StaticThird { .. } => "static-third",
+            TreeAttack::StaticFraction { .. } => "static-fraction",
+            TreeAttack::WinnerHunter => "winner-hunter",
+            TreeAttack::CustodyBuster { .. } => "custody-buster",
+        }
+    }
+
     /// Instantiates the concrete adversary.
     pub fn instantiate(&self) -> Box<dyn TreeAdversary + Send> {
         match *self {
@@ -296,9 +380,6 @@ impl TreeAttack {
 /// act in the same run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdversarySpec {
-    /// Corruption-budget override for the engine phase (`None` = the
-    /// message adversary's own count, or the builder default).
-    pub budget: Option<usize>,
     /// Message-level adversary.
     pub message: MessageAdversary,
     /// Tree-level adversary.
@@ -339,18 +420,13 @@ impl AdversarySpec {
         self
     }
 
-    /// Overrides the engine corruption budget.
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// The engine corruption budget to configure.
+    /// The engine corruption budget to configure: the message
+    /// adversary's count, or the engine's default without one.
     pub(crate) fn engine_budget(&self) -> Option<usize> {
-        self.budget.or(match self.message {
+        match self.message {
             MessageAdversary::None => None,
             m => Some(m.count()),
-        })
+        }
     }
 }
 
@@ -466,8 +542,9 @@ impl RunSpec {
 
     /// Expands this spec into one row per population size — the same
     /// `n`-sweep axis the scenario grammar spells `n = 64,128,256` (see
-    /// `ScenarioSpec::expand_n`), so `exp` preset loops and hunt sweeps built
-    /// in code share one mechanism instead of hand-rolling `for n in`.
+    /// [`scenario::parse`](crate::scenario::parse)), so `exp` preset loops
+    /// and `.scn` sweeps share one mechanism instead of hand-rolling
+    /// `for n in`.
     pub fn sweep_n(&self, sizes: &[usize]) -> Vec<RunSpec> {
         sizes
             .iter()
@@ -524,7 +601,8 @@ impl RunSpec {
     /// minimum, a committee stack past the tournament's
     /// [`MAX_DEAL_OWNERS`], a tournament tuning `Params::validate` refuses and a
     /// message adversary that corrupts more than n processors. Every
-    /// trial entry point calls it, and so does `scenario::lower`. Which
+    /// trial entry point calls it, and so does `scenario::parse` for each
+    /// row it yields. Which
     /// message adversary an engine-hosted protocol can field is its
     /// roster's answer, given when the trial resolves it.
     pub fn validate(&self) -> Result<(), String> {
@@ -545,7 +623,7 @@ impl RunSpec {
                 self.n
             ));
         }
-        // The `.scn` parser says the same; `NetTransport::new` would panic.
+        // `NetTransport::new` would panic.
         if self.net.delta == 0 {
             return Err("delta must be positive".to_owned());
         }
@@ -648,11 +726,11 @@ mod tests {
             .trials(8)
             .seeds(42)
             .input(InputPattern::Lopsided)
-            .adversary(AdversarySpec::split(12).with_budget(20));
+            .adversary(AdversarySpec::split(12));
         assert_eq!(spec.n, 96);
         assert_eq!(spec.trials, 8);
         assert_eq!(spec.seeds.seed(3), 45);
-        assert_eq!(spec.adversary.engine_budget(), Some(20));
+        assert_eq!(spec.adversary.engine_budget(), Some(12));
         assert_eq!(spec.protocol.name(), "aeba");
     }
 
@@ -708,10 +786,6 @@ mod tests {
     fn engine_budget_defaults_to_adversary_count() {
         assert_eq!(AdversarySpec::none().engine_budget(), None);
         assert_eq!(AdversarySpec::crash(7).engine_budget(), Some(7));
-        assert_eq!(
-            AdversarySpec::crash(7).with_budget(3).engine_budget(),
-            Some(3)
-        );
     }
 
     #[test]

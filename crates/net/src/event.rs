@@ -86,16 +86,6 @@ impl DeliveryPolicy {
         }
     }
 
-    /// Parses a canonical name back into a policy.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fifo" => Some(DeliveryPolicy::Fifo),
-            "lifo" => Some(DeliveryPolicy::AdversarialLifo),
-            "shuffle" => Some(DeliveryPolicy::Shuffle),
-            _ => None,
-        }
-    }
-
     /// All policies, in grammar order.
     pub const ALL: [DeliveryPolicy; 3] = [
         DeliveryPolicy::Fifo,
@@ -626,10 +616,13 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip() {
+        let mut cfg = crate::NetConfig::synchronous();
         for p in DeliveryPolicy::ALL {
-            assert_eq!(DeliveryPolicy::parse(p.name()), Some(p));
+            cfg.parse_key("net.ordering", p.name())
+                .expect("a policy's name");
+            assert_eq!(cfg.ordering, p);
         }
-        assert_eq!(DeliveryPolicy::parse("random"), None);
+        assert!(cfg.parse_key("net.ordering", "random").is_err());
         assert_eq!(DeliveryPolicy::default(), DeliveryPolicy::Fifo);
     }
 

@@ -65,10 +65,10 @@
 //!
 //! ## Scenarios
 //!
-//! [`ScenarioSpec`] parses declarative `key = value` scenario files
-//! (topology size, latency model, fault schedule, adversary, protocol,
-//! trial count). `ba-bench`'s `exp run` executes them and emits JSON
-//! metric rows; the starter library lives in `scenarios/`.
+//! Declarative `.scn` files (`scenarios/`) are parsed and rendered by
+//! `ba_exp::scenario`, straight to and from a `RunSpec`. This crate owns
+//! only the network's keys ([`NET_KEYS`]): [`NetConfig::parse_key`]
+//! reads them and [`NetConfig::render_keys`] writes them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,5 +84,5 @@ pub use event::{DeliveryPolicy, EventQueue};
 pub use fault::{Churn, Crash, DropCause, FaultPlan, Partition};
 pub use latency::LatencyModel;
 pub use ledger::{NetStats, PhaseLedger, PhaseNetStats};
-pub use scenario::{InputPattern, ScenarioSpec};
+pub use scenario::{parse_num, parse_prob, ScenarioSpec, NET_KEYS};
 pub use transport::{NetConfig, NetTransport, MAX_PROCS, NET_LABEL, ORDER_LABEL};

@@ -5,7 +5,6 @@
 use crate::frame::{Frame, FrameWriter, OutcomeWire};
 use crate::transport::SocketFactory;
 use ba_exp::{run_trial_with_factory, scenario, TrialOutcome};
-use ba_net::ScenarioSpec;
 use ba_obs::Trace;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -22,15 +21,14 @@ pub(crate) fn run(
     trace: &Trace,
 ) -> Result<OutcomeWire, String> {
     let _t = trace.timer("serve:session");
-    let scn = ScenarioSpec::parse(spec_text).map_err(|e| format!("bad scenario spec: {e}"))?;
-    let spec = scenario::lower(&scn).map_err(|e| format!("spec does not lower: {e}"))?;
+    let scn = scenario::parse_one(spec_text).map_err(|e| format!("bad scenario spec: {e}"))?;
     let mut factory = SocketFactory::new(
         stream
             .try_clone()
             .map_err(|e| format!("cloning session stream: {e}"))?,
     );
     let counters = factory.counters();
-    let outcome = run_trial_with_factory(&spec, trial, trace, &mut factory)?;
+    let outcome = run_trial_with_factory(&scn.spec, trial, trace, &mut factory)?;
     let wire = to_wire(&outcome, counters.frames(), counters.bytes());
     if trace.is_on() {
         trace.event(

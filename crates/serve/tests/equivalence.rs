@@ -9,7 +9,7 @@
 //! they replace.
 
 use ba_exp::{run_trial, run_trial_with_factory, scenario, TrialOutcome};
-use ba_net::{NetConfig, ScenarioSpec};
+use ba_net::NetConfig;
 use ba_obs::Trace;
 use ba_serve::client::{self, SessionOutcome};
 use ba_serve::frame::{Frame, FrameReader, FrameWriter, OutcomeWire};
@@ -68,8 +68,7 @@ fn with_switch<T>(
 /// keeps the whole `TrialOutcome` instead of projecting it onto the
 /// wire struct.
 fn served(spec_text: &str, trial: u64) -> (TrialOutcome, SessionOutcome) {
-    let scn = ScenarioSpec::parse(spec_text).expect("spec parses");
-    let spec = scenario::lower(&scn).expect("spec lowers");
+    let spec = scenario::parse_one(spec_text).expect("spec parses").spec;
     with_switch(spec_text, trial, |stream| {
         let mut factory = SocketFactory::new(stream);
         run_trial_with_factory(&spec, trial, &Trace::off(), &mut factory).expect("served trial")
@@ -80,8 +79,7 @@ fn served(spec_text: &str, trial: u64) -> (TrialOutcome, SessionOutcome) {
 /// of what it holds is in it, in declaration order, none of it hashed).
 fn assert_whole_outcome_matches(spec_text: &str, trial: u64) -> SessionOutcome {
     let (over_socket, session) = served(spec_text, trial);
-    let scn = ScenarioSpec::parse(spec_text).expect("spec parses");
-    let spec = scenario::lower(&scn).expect("spec lowers");
+    let spec = scenario::parse_one(spec_text).expect("spec parses").spec;
     let in_process = run_trial(&spec, trial).expect("in-process trial");
     let net = in_process
         .net
@@ -270,7 +268,7 @@ fn aeba_is_all_singles_and_matches_in_every_field() {
 fn a_configured_schedule_matches_in_every_field_past_its_end() {
     let text = spec("aeba", 32) + "phases = early:8, mid:8, late:10\n";
     assert_whole_outcome_matches(&text, 0);
-    let spec = scenario::lower(&ScenarioSpec::parse(&text).expect("spec parses")).expect("lowers");
+    let spec = scenario::parse_one(&text).expect("spec parses").spec;
     let net = run_trial(&spec, 0).expect("trial").net.expect("net stats");
     let names: Vec<&str> = net.per_phase.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(names[..3], ["early", "mid", "late"]);

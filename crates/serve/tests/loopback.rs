@@ -4,7 +4,6 @@
 //! accounting within the documented framing overhead.
 
 use ba_exp::{run_trial, scenario};
-use ba_net::ScenarioSpec;
 use ba_serve::client;
 use ba_serve::frame::{Frame, FrameReader, DATA_FRAME_OVERHEAD, FAN_FRAME_OVERHEAD};
 use ba_serve::{ClientError, ServeSummary, Server, ServerOpts};
@@ -41,8 +40,7 @@ fn start_server(opts: ServerOpts) -> (String, std::thread::JoinHandle<ServeSumma
 /// that crosses the wire must match exactly.
 fn assert_outcome_equivalent(addr: &str, spec_text: &str, trial: u64) -> client::SessionOutcome {
     let served = client::run_session(addr, spec_text, trial).expect("served session");
-    let scn = ScenarioSpec::parse(spec_text).expect("spec parses");
-    let spec = scenario::lower(&scn).expect("spec lowers");
+    let spec = scenario::parse_one(spec_text).expect("spec parses").spec;
     let local = run_trial(&spec, trial).expect("in-process trial");
 
     assert_eq!(served.outcome.seed, local.seed, "seed (trial {trial})");
@@ -113,8 +111,7 @@ fn flood_outcomes_match_in_process_and_bytes_match_cost_model() {
         // Exact CostModel link: every FloodMsg is 1 model bit and 1
         // payload byte, so the conversation's data bytes are fully
         // determined by the in-process transport statistics.
-        let scn = ScenarioSpec::parse(FLOOD_SPEC).expect("spec parses");
-        let spec = scenario::lower(&scn).expect("spec lowers");
+        let spec = scenario::parse_one(FLOOD_SPEC).expect("spec parses").spec;
         let local = run_trial(&spec, trial).expect("in-process trial");
         let net = local.net.as_ref().expect("flood trial has net stats");
         let sends = net.sent;
@@ -163,8 +160,9 @@ fn tournament_outcome_matches_in_process_with_bounded_framing() {
     // expanding default — a Send per recipient — reads 13.6 MB against
     // these 1.5; a single among the fans would break the equality too:
     // it would be counted as a collect here and cost 21 bytes more.)
-    let scn = ScenarioSpec::parse(TOURNAMENT_SPEC).expect("spec parses");
-    let spec = scenario::lower(&scn).expect("spec lowers");
+    let spec = scenario::parse_one(TOURNAMENT_SPEC)
+        .expect("spec parses")
+        .spec;
     let local = run_trial(&spec, 0).expect("in-process trial");
     let net = local.net.as_ref().expect("tournament trial has net stats");
     assert_eq!(net.sent, net.delivered, "a synchronous net delivers all");

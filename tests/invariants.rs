@@ -186,18 +186,21 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario grammar: render/parse round-trips and rejection quality
+// Scenario grammar: render/parse round-trips, rejection quality, fuzzing
 // ---------------------------------------------------------------------------
 
-use king_saia::net::{
-    Churn, Crash, DeliveryPolicy, FaultPlan, InputPattern, LatencyModel, Partition, ScenarioSpec,
+use king_saia::exp::scenario::{self, Scenario};
+use king_saia::exp::{
+    AdversarySpec, AebaSpec, InputPattern, MessageAdversary, NetConfig, Protocol, RunSpec,
+    TreeAttack,
 };
+use king_saia::net::{Churn, Crash, DeliveryPolicy, FaultPlan, LatencyModel, Partition};
 
 proptest! {
-    /// `render` is a right inverse of `parse`: any well-formed spec the
-    /// grammar can express survives a render→parse round trip exactly —
-    /// faults, tree-adversary section, phase timetable, probabilities
-    /// and all.
+    /// `parse` is a left inverse of `render`: every row the grammar can
+    /// express that `RunSpec::validate` accepts survives a render→parse
+    /// round trip exactly — faults, tree-adversary section, phase
+    /// timetable, probabilities and all.
     #[test]
     fn scenario_render_parse_round_trips(
         scale in (4usize..300, 1u64..12, any::<u64>()),
@@ -207,18 +210,18 @@ proptest! {
         parts in proptest::collection::vec((0usize..500, 0usize..50, 1usize..30), 0..3),
         crash_list in proptest::collection::vec((0usize..4, 0usize..40), 0..3),
         churn_k in 0usize..4,
-        advs in (0usize..3, 0usize..4, 0usize..5),
+        advs in (0usize..5, 0usize..4, 0usize..5),
         knobs in (0usize..50, 0u32..1_001, 0usize..8),
         phase_lens in proptest::collection::vec(1usize..30, 0..4),
         coin_m in (0u32..1_001, 0u32..1_001),
-        extra in (0usize..3, 0usize..3),
+        ordering_idx in 0usize..3,
     ) {
         let (n, trials, seed) = scale;
         let (delta, input_idx, rounds) = shape;
         let (adv_idx, tree_idx, attack_idx) = advs;
         let (corrupt, aggr_m, proto_idx) = knobs;
+        let corrupt = corrupt.min(n);
         let (lat_kind, a, b) = lat;
-        let (ordering_idx, sweep_len) = extra;
         let latency = match lat_kind {
             0 => LatencyModel::Constant(a),
             1 => LatencyModel::Uniform { lo: a.min(b), hi: a.max(b) },
@@ -229,32 +232,47 @@ proptest! {
                 cap: a + b + 10,
             },
         };
-        let spec = ScenarioSpec {
-            name: "roundtrip".to_owned(),
-            protocol: [
-                "aeba",
-                "flood",
-                "tournament",
-                "everywhere",
-                "phase_king",
-                "ben_or",
-                "rabin",
-                "ae_to_e",
-            ][proto_idx]
-            .to_owned(),
-            n,
-            // Sweep sizes render as a comma list after `n`; keeping them
-            // above `n` keeps the fault plan valid at the minimum size.
-            sweep_n: (0..sweep_len).map(|i| n + 1 + 7 * i).collect(),
-            trials,
-            seed,
-            input: [
-                InputPattern::UnanimousTrue,
-                InputPattern::UnanimousFalse,
-                InputPattern::Split,
-                InputPattern::Lopsided,
-            ][input_idx],
-            rounds: (rounds > 0).then_some(rounds),
+        let rounds = (rounds > 0).then_some(rounds);
+        let protocol = match proto_idx {
+            0 => Protocol::Aeba(AebaSpec {
+                rounds: rounds.unwrap_or(AebaSpec::default().rounds),
+                coin_success: f64::from(coin_m.0) / 1_000.0,
+                coin_blind: f64::from(coin_m.1) / 1_000.0,
+                ..AebaSpec::default()
+            }),
+            1 => Protocol::Flood,
+            2 => RunSpec::tournament(n).protocol,
+            3 => Protocol::Everywhere,
+            4 => Protocol::PhaseKing,
+            5 => Protocol::BenOr,
+            6 => Protocol::Rabin,
+            _ => RunSpec::ae_to_e(n).protocol,
+        };
+        let message = match adv_idx {
+            0 => MessageAdversary::None,
+            1 => MessageAdversary::Crash { count: corrupt },
+            2 => MessageAdversary::SplitVotes { count: corrupt },
+            3 => MessageAdversary::Equivocate { count: corrupt },
+            _ => MessageAdversary::Forge { count: corrupt, fake: 666 },
+        };
+        let attack = [
+            CommitteeAttack::Passive,
+            CommitteeAttack::Oppose,
+            CommitteeAttack::Split,
+            CommitteeAttack::Fixed(false),
+            CommitteeAttack::Fixed(true),
+        ][attack_idx];
+        let tree = match tree_idx {
+            0 => TreeAttack::None,
+            1 => TreeAttack::StaticThird { attack },
+            2 => TreeAttack::WinnerHunter,
+            _ => TreeAttack::CustodyBuster { aggressiveness: f64::from(aggr_m) / 1_000.0 },
+        };
+        let mut schedule = Schedule::new();
+        for (i, &len) in phase_lens.iter().enumerate() {
+            schedule.push(&format!("ph{i}"), len);
+        }
+        let net = NetConfig {
             delta,
             latency,
             faults: FaultPlan {
@@ -277,31 +295,41 @@ proptest! {
                     stagger: 1,
                 }),
             },
-            corrupt,
-            adversary: ["none", "crash", "split"][adv_idx].to_owned(),
-            tree_adversary: ["none", "static-third", "winner-hunter", "custody-buster"]
-                [tree_idx]
-                .to_owned(),
-            tree_aggressiveness: f64::from(aggr_m) / 1_000.0,
-            tree_attack: ["passive", "oppose", "split", "fixed-0", "fixed-1"][attack_idx]
-                .to_owned(),
-            phases: phase_lens
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| (format!("ph{i}"), l))
-                .collect(),
-            coin_success: f64::from(coin_m.0) / 1_000.0,
-            coin_blind: f64::from(coin_m.1) / 1_000.0,
-            ordering: [
-                DeliveryPolicy::Fifo,
-                DeliveryPolicy::AdversarialLifo,
-                DeliveryPolicy::Shuffle,
-            ][ordering_idx],
+            schedule: (!schedule.is_empty()).then_some(schedule),
+            ordering: DeliveryPolicy::ALL[ordering_idx],
+            ..NetConfig::synchronous()
         };
-        let rendered = spec.render();
-        let parsed = ScenarioSpec::parse(&rendered)
+        // Each knob only where its protocol reads it (validate refuses
+        // the rest): tree adversaries on the committee stack, a message
+        // adversary anywhere but the tournament, a cap on the engine.
+        let tree_level = matches!(protocol, Protocol::Tournament(_) | Protocol::Everywhere);
+        let tree = if tree_level { tree } else { TreeAttack::None };
+        let message = if matches!(protocol, Protocol::Tournament(_)) {
+            MessageAdversary::None
+        } else {
+            message
+        };
+        let mut spec = RunSpec::new(protocol, n)
+            .trials(trials)
+            .seeds(seed)
+            .input([
+                InputPattern::UnanimousTrue,
+                InputPattern::UnanimousFalse,
+                InputPattern::Split,
+                InputPattern::Lopsided,
+            ][input_idx])
+            .adversary(AdversarySpec::none().with_message(message).with_tree(tree))
+            .net(net);
+        if !tree_level && !matches!(spec.protocol, Protocol::Aeba(_)) {
+            spec.output.rounds_cap = rounds;
+        }
+        prop_assume!(spec.validate().is_ok());
+        let row = Scenario { name: "roundtrip".to_owned(), spec };
+        let rendered = scenario::render(&row)
+            .map_err(|e| TestCaseError::Fail(format!("render failed: {e}\n{row:?}")))?;
+        let parsed = scenario::parse(&rendered)
             .map_err(|e| TestCaseError::Fail(format!("reparse failed: {e}\n{rendered}")))?;
-        prop_assert_eq!(spec, parsed);
+        prop_assert_eq!(parsed, vec![row]);
     }
 
     /// Any single-character deletion of a known key is rejected *with a
@@ -324,13 +352,92 @@ proptest! {
             .collect();
         prop_assume!(!known.contains(&damaged.as_str()) && damaged != "n" && damaged != "name");
         let text = format!("name = x\n{damaged} = 1\n");
-        let err = ScenarioSpec::parse(&text).expect_err("damaged key must be rejected");
+        let err = scenario::parse(&text).expect_err("damaged key must be rejected");
         prop_assert!(
             err.contains("unknown key") && err.contains("did you mean"),
             "error lacked a suggestion: {}",
             err
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one parser, fuzzed: known keys with huge, negative, empty and
+    /// garbage values, unknown keys and lines without `=`, over a valid
+    /// base or none. Every input parses or is refused — none panics —
+    /// and every row it yields passes `RunSpec::validate`.
+    #[test]
+    fn scenario_parser_refuses_or_yields_valid_rows(
+        base_idx in 0usize..4,
+        lines in proptest::collection::vec((0usize..26, 0usize..24), 0..8),
+    ) {
+        const KEYS: [&str; 24] = [
+            "name", "protocol", "n", "trials", "seed", "input", "rounds", "corrupt",
+            "adversary", "adversary.tree", "adversary.tree.aggressiveness",
+            "adversary.tree.attack", "coin_success", "coin_blind", "delta", "latency", "drop",
+            "partition", "crash", "churn", "phases", "net.ordering", "warp", "adversary.treee",
+        ];
+        const VALUES: [&str; 26] = [
+            "", "0", "1", "-1", "3", "0.5", "1.5", "nan", "inf", "1e309",
+            "18446744073709551615", "18446744073709551616", "99999999999999999999999",
+            "1,2,1000000", "x", "#", "= =", "aeba", "everywhere", "custody-buster", "split",
+            "uniform 900 1", "heavytail 1 1 0 1", "a:18446744073709551615,b:1", "1 2 3",
+            "4 0 18446744073709551615",
+        ];
+        let bases = [
+            "",
+            "name = f\nprotocol = flood\nn = 16\n",
+            "name = a\nprotocol = aeba\nn = 32\nadversary = split\ncorrupt = 3\n",
+            "name = e\nprotocol = everywhere\nn = 64\nadversary.tree = custody-buster\n",
+        ];
+        let mut text = bases[base_idx].to_owned();
+        for &(value, key) in &lines {
+            match key {
+                22 if value % 3 == 0 => text.push_str("no equals sign here\n"),
+                _ => text.push_str(&format!("{} = {}\n", KEYS[key], VALUES[value])),
+            }
+        }
+        if let Ok(rows) = scenario::parse(&text) {
+            prop_assert!(!rows.is_empty(), "no rows from\n{}", text);
+            for row in &rows {
+                prop_assert!(
+                    row.spec.validate().is_ok(),
+                    "{} passed parse but not validate:\n{}",
+                    row.name,
+                    text
+                );
+            }
+        }
+    }
+}
+
+/// Every file of the scenario library and of the hunt's regressions
+/// parses, renders and parses again to an equal row.
+#[test]
+fn scenario_library_round_trips_through_render() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = 0;
+    for dir in ["scenarios", "scenarios/regressions"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("library exists") {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_none_or(|x| x != "scn") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable spec");
+            let rows = scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            for row in rows {
+                let rendered =
+                    scenario::render(&row).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let again = scenario::parse(&rendered)
+                    .unwrap_or_else(|e| panic!("{}: {e}\n{rendered}", path.display()));
+                assert_eq!(again, vec![row], "{}", path.display());
+            }
+            files += 1;
+        }
+    }
+    assert!(files >= 20, "the library shrank to {files} files");
 }
 
 // ---------------------------------------------------------------------------
@@ -387,28 +494,27 @@ proptest! {
         // `n` only ever shrinks, so the boundary it can land on must sit
         // below the start and above `corrupt` (specs keep one good proc).
         let n_thresh = n_thresh.max(c_thresh + 1);
-        let mut spec = ScenarioSpec::parse("name = messy\nprotocol = phase_king\nn = 8\n")
-            .expect("parse");
-        spec.n = n_thresh + n_extra;
-        spec.corrupt = c_thresh + c_extra;
-        spec.adversary = "equivocate".to_owned();
-        spec.ordering = [
-            DeliveryPolicy::Fifo,
-            DeliveryPolicy::AdversarialLifo,
-            DeliveryPolicy::Shuffle,
-        ][ordering_idx];
-        spec.faults.drop_prob = f64::from(drop_m) / 1_000.0;
-        spec.faults.churn = (churn_k > 0).then_some(Churn {
+        let mut spec = RunSpec::phase_king(n_thresh + n_extra).adversary(
+            AdversarySpec::none()
+                .with_message(MessageAdversary::Equivocate { count: c_thresh + c_extra }),
+        );
+        spec.net.ordering = DeliveryPolicy::ALL[ordering_idx];
+        spec.net.faults.drop_prob = f64::from(drop_m) / 1_000.0;
+        spec.net.faults.churn = (churn_k > 0).then_some(Churn {
             period: 4 * churn_k,
             down: churn_k,
             stagger: 0,
         });
-        let shrunk = shrink_spec(&spec, &mut |s| s.corrupt >= c_thresh && s.n >= n_thresh);
-        prop_assert!(shrunk.corrupt >= c_thresh && shrunk.n >= n_thresh, "shrink lost the bug");
-        prop_assert_eq!(shrunk.corrupt, c_thresh);
+        let corrupted = |s: &RunSpec| match s.adversary.message {
+            MessageAdversary::Equivocate { count } => count,
+            _ => 0,
+        };
+        let shrunk = shrink_spec(&spec, &mut |s| corrupted(s) >= c_thresh && s.n >= n_thresh);
+        prop_assert!(corrupted(&shrunk) >= c_thresh && shrunk.n >= n_thresh, "shrink lost the bug");
+        prop_assert_eq!(corrupted(&shrunk), c_thresh);
         prop_assert_eq!(shrunk.n, n_thresh);
-        prop_assert_eq!(shrunk.ordering, DeliveryPolicy::Fifo);
-        prop_assert_eq!(shrunk.faults.drop_prob, 0.0);
-        prop_assert!(shrunk.faults.churn.is_none());
+        prop_assert_eq!(shrunk.net.ordering, DeliveryPolicy::Fifo);
+        prop_assert_eq!(shrunk.net.faults.drop_prob, 0.0);
+        prop_assert!(shrunk.net.faults.churn.is_none());
     }
 }

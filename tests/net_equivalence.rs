@@ -662,36 +662,3 @@ mod crypto_kernel_oracles {
         }
     }
 }
-
-/// Every spec in the starter scenario library parses, and its network
-/// config round-trips the declared phases.
-#[test]
-fn scenario_library_parses() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    let mut count = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("scenarios/ exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "scn"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = std::fs::read_to_string(&path).expect("readable spec");
-        let spec = king_saia::net::ScenarioSpec::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert!(spec.trials > 0);
-        let cfg = spec.net_config(0);
-        if !spec.phases.is_empty() {
-            let total: usize = spec.phases.iter().map(|(_, l)| l).sum();
-            assert_eq!(
-                cfg.schedule.as_ref().map(|s| s.total_rounds()),
-                Some(total),
-                "{}",
-                path.display()
-            );
-        }
-        count += 1;
-    }
-    assert!(count >= 8, "starter library shrank to {count} specs");
-}

@@ -8,7 +8,7 @@
 
 use king_saia::core::tournament::{self, NoTreeAdversary, TourMsg, TournamentConfig};
 use king_saia::exp::{self, AdversarySpec, RunSpec, TreeAttack};
-use king_saia::net::{FaultPlan, NetConfig, NetTransport, Partition, ScenarioSpec};
+use king_saia::net::{FaultPlan, NetConfig, NetTransport, Partition};
 
 fn partition_net(n: usize, seed: u64, from: usize, heal: usize) -> NetConfig {
     NetConfig::synchronous()
@@ -97,18 +97,18 @@ fn late_partition_leaves_elections_untouched() {
     assert_eq!(transport.stats().dropped_partition, 0);
 }
 
-/// The composition ROADMAP flagged as missing now lowers from the
+/// The composition ROADMAP flagged as missing now parses from the
 /// scenario grammar in one spec: a tree adversary **and** a partition
 /// against the full everywhere stack, deterministic per seed.
 #[test]
 fn composed_scenario_tree_adversary_plus_partition_runs() {
-    let scn = ScenarioSpec::parse(
+    let spec = exp::scenario::parse_one(
         "name = composed\nprotocol = everywhere\nn = 64\ntrials = 1\nseed = 5\n\
          adversary.tree = custody-buster\nadversary.tree.aggressiveness = 0.8\n\
          partition = 32 0 40\n",
     )
-    .expect("parse");
-    let spec = exp::scenario::lower(&scn).expect("lower");
+    .expect("parse")
+    .spec;
     let a = exp::run(&spec).expect("run a");
     let b = exp::run(&spec).expect("run b");
     let (ta, tb) = (&a.trials[0], &b.trials[0]);
