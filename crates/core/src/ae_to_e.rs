@@ -19,7 +19,6 @@
 
 use ba_sim::{derive_rng, Envelope, Payload, ProcId, Process, RoundCtx};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Messages of Algorithm 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,6 +177,28 @@ pub struct AeToEProcess {
     finished: bool,
 }
 
+/// The senders of `n` or more of `inbox`'s requests, ascending (almost
+/// always none). The request senders are sorted in a scratch that lives
+/// only for the call: kept per processor it would cost Algorithm 3 a
+/// sender's index for every request envelope in the air.
+fn flooders(inbox: &[Envelope<AeMsg>], n: usize) -> Vec<ProcId> {
+    // Nobody can have sent n requests into an inbox shorter than n.
+    if inbox.len() < n {
+        return Vec::new();
+    }
+    let mut senders: Vec<ProcId> = inbox
+        .iter()
+        .filter(|e| matches!(e.payload, AeMsg::Request { .. }))
+        .map(|e| e.from)
+        .collect();
+    senders.sort_unstable();
+    senders
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= n)
+        .map(|run| run[0])
+        .collect()
+}
+
 impl AeToEProcess {
     /// Creates a processor; `knowledge` is `Some(M)` for knowledgeable
     /// processors and `None` for confused ones.
@@ -216,20 +237,12 @@ impl AeToEProcess {
         let Some(m) = self.knowledge else { return };
         let k = self.cfg.global_label(lp);
         // Flood defence: a sender issuing more than n−1 requests total is
-        // evidently corrupt (paper §4) and is ignored wholesale. Nobody
-        // can have sent n requests into an inbox shorter than n.
+        // evidently corrupt (paper §4) and is ignored wholesale.
         let n = ctx.n();
-        let mut per_sender: HashMap<ProcId, usize> = HashMap::new();
-        if inbox.len() >= n {
-            for e in inbox {
-                if matches!(e.payload, AeMsg::Request { .. }) {
-                    *per_sender.entry(e.from).or_insert(0) += 1;
-                }
-            }
-        }
+        let flooders = flooders(inbox, n);
         let hot = |e: &&Envelope<AeMsg>| {
             matches!(e.payload, AeMsg::Request { label } if label == k)
-                && per_sender.get(&e.from).copied().unwrap_or(0) < n
+                && flooders.binary_search(&e.from).is_err()
         };
         if inbox.iter().filter(hot).count() > self.cfg.overload_cap {
             return; // overloaded: answer nobody (Alg. 3 step 3)
@@ -568,5 +581,145 @@ mod tests {
         assert_eq!(o.agreed, 0);
         assert_eq!(o.wrong, 0);
         assert_eq!(o.undecided, 64);
+    }
+
+    /// Corrupts the last processor and, in round 0, sends processor 0
+    /// `requests` requests from it, alternating the loop's active label
+    /// and another; in round 1 counts processor 0's answers to it.
+    struct Flood {
+        requests: usize,
+        label: u16,
+        answered: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl ba_sim::Adversary<AeToEProcess> for Flood {
+        fn act(
+            &mut self,
+            view: &ba_sim::AdvView<'_, AeToEProcess>,
+            _rng: &mut ba_sim::SimRng,
+        ) -> ba_sim::AdvAction<AeMsg> {
+            let (flooder, target) = (ProcId::new(view.n() - 1), ProcId::new(0));
+            let mut act = ba_sim::AdvAction::none();
+            match view.round() {
+                0 => {
+                    // Its honest requests of this round are withheld:
+                    // the flood is exactly `requests` long.
+                    act.corrupt.push(flooder);
+                    act.drop_pending_from.push(flooder);
+                    act.inject.extend((0..self.requests).map(|i| {
+                        let label = if i % 2 == 0 {
+                            self.label
+                        } else {
+                            self.label ^ 1
+                        };
+                        Envelope::new(flooder, target, AeMsg::Request { label })
+                    }));
+                }
+                1 => self.answered.set(
+                    view.intercepted()
+                        .iter()
+                        .filter(|e| e.from == target && e.to == flooder)
+                        .filter(|e| matches!(e.payload, AeMsg::Response { .. }))
+                        .count(),
+                ),
+                _ => {}
+            }
+            act
+        }
+    }
+
+    #[test]
+    fn a_sender_of_n_requests_is_ignored_wholesale() {
+        // n − 1 requests from one sender are answered, each one of the
+        // active label; with one more, none of them is — not even the
+        // active label's, fewer than n of them.
+        let n = 16;
+        let cfg = AeToEConfig {
+            overload_cap: 100 * n,
+            ..AeToEConfig::for_n(n, 0.1)
+        };
+        let answered = |requests: usize| {
+            let answered = std::rc::Rc::new(std::cell::Cell::new(usize::MAX));
+            let flood = Flood {
+                requests,
+                label: cfg.global_label(0),
+                answered: answered.clone(),
+            };
+            SimBuilder::new(n)
+                .seed(3)
+                .max_corruptions(1)
+                .build(|_, _| AeToEProcess::new(cfg.clone(), Some(M)), flood)
+                .run(2);
+            answered.get()
+        };
+        assert_eq!(answered(n - 1), n / 2);
+        assert_eq!(answered(n), 0);
+        assert_eq!(answered(2 * n), 0);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha12Rng;
+
+        /// The flood defence as it was counted before the sorted scratch:
+        /// a SipHash map of requests per sender, built every request
+        /// round, and the senders it holds `n` or more for.
+        fn hash_map_flooders(inbox: &[Envelope<AeMsg>], n: usize) -> Vec<ProcId> {
+            let mut per_sender: std::collections::HashMap<ProcId, usize> =
+                std::collections::HashMap::new();
+            if inbox.len() >= n {
+                for e in inbox {
+                    if matches!(e.payload, AeMsg::Request { .. }) {
+                        *per_sender.entry(e.from).or_insert(0) += 1;
+                    }
+                }
+            }
+            let mut hot: Vec<ProcId> = per_sender
+                .into_iter()
+                .filter(|&(_, count)| count >= n)
+                .map(|(from, _)| from)
+                .collect();
+            hot.sort_unstable();
+            hot
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The senders ignored wholesale are the ones the `HashMap`
+            /// count ignored: over inboxes of requests and responses,
+            /// with a few senders flooding around the threshold.
+            #[test]
+            fn flooders_match_the_hash_map_count(
+                n in 2usize..24,
+                mail in 0usize..60,
+                floods in 0usize..4,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let me = ProcId::new(0);
+                let message = |rng: &mut ChaCha12Rng, from: usize| {
+                    let payload = if rng.gen_bool(0.8) {
+                        AeMsg::Request { label: rng.gen_range(0..4) }
+                    } else {
+                        AeMsg::Response { label: 0, value: 1 }
+                    };
+                    Envelope::new(ProcId::new(from), me, payload)
+                };
+                let mut inbox: Vec<Envelope<AeMsg>> =
+                    (0..mail).map(|_| { let from = rng.gen_range(0..n); message(&mut rng, from) }).collect();
+                for _ in 0..floods {
+                    let from = rng.gen_range(0..n);
+                    for _ in 0..rng.gen_range(n.saturating_sub(2)..n + 2) {
+                        let at = rng.gen_range(0..=inbox.len());
+                        let e = message(&mut rng, from);
+                        inbox.insert(at, e);
+                    }
+                }
+                prop_assert_eq!(flooders(&inbox, n), hash_map_flooders(&inbox, n));
+            }
+        }
     }
 }

@@ -188,6 +188,14 @@ pub struct AebaProcess {
     /// bit is fixed at construction by the experiment (e.g. the minority
     /// input bit).
     adversary_coin_bit: bool,
+    /// This processor's distinct graph neighbours, ascending, and beside
+    /// each how many of its edges lead there: the votes it counts from
+    /// that sender in one round.
+    senders: Vec<u32>,
+    multiplicity: Vec<u32>,
+    /// The round's votes still to count from each of `senders`, reset
+    /// from `multiplicity` as each round's inbox is digested.
+    quota: Vec<u32>,
 }
 
 impl AebaProcess {
@@ -200,6 +208,14 @@ impl AebaProcess {
         config: AebaConfig,
         adversary_coin_bit: bool,
     ) -> Self {
+        let mut row = graph.neighbors(me.index()).to_vec();
+        row.sort_unstable();
+        let mut senders = Vec::new();
+        let mut multiplicity = Vec::new();
+        for edges in row.chunk_by(|a, b| a == b) {
+            senders.push(edges[0]);
+            multiplicity.push(u32::try_from(edges.len()).expect("a row of under 2^32 edges"));
+        }
         AebaProcess {
             me: me.index(),
             vote: input,
@@ -208,21 +224,23 @@ impl AebaProcess {
             coin,
             config,
             adversary_coin_bit,
+            quota: multiplicity.clone(),
+            senders,
+            multiplicity,
         }
     }
 
-    fn digest(&mut self, inbox: &[Envelope<VoteMsg>], coin_round: usize) {
-        // Count one vote per neighbor sender (flood defence: duplicates
-        // from the same sender beyond its edge multiplicity are ignored).
-        let mut allowed: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for &u in self.graph.neighbors(self.me) {
-            *allowed.entry(u as usize).or_insert(0) += 1;
-        }
+    /// The round's `(ones, total)`: one vote per graph edge into this
+    /// processor (flood defence: duplicates from the same sender beyond
+    /// its edge multiplicity, and votes from non-neighbours, are ignored).
+    fn tally(&mut self, inbox: &[Envelope<VoteMsg>]) -> (usize, usize) {
+        self.quota.copy_from_slice(&self.multiplicity);
         let mut ones = 0usize;
         let mut total = 0usize;
         for e in inbox {
-            let from = e.from.index();
-            if let Some(quota) = allowed.get_mut(&from) {
+            // A `ProcId` is a `u32` inside: the cast is lossless.
+            if let Ok(at) = self.senders.binary_search(&(e.from.index() as u32)) {
+                let quota = &mut self.quota[at];
                 if *quota > 0 {
                     *quota -= 1;
                     total += 1;
@@ -232,6 +250,11 @@ impl AebaProcess {
                 }
             }
         }
+        (ones, total)
+    }
+
+    fn digest(&mut self, inbox: &[Envelope<VoteMsg>], coin_round: usize) {
+        let (ones, total) = self.tally(inbox);
         if total == 0 {
             return; // isolated this round; keep current vote
         }
@@ -256,10 +279,8 @@ impl Process for AebaProcess {
             self.digest(inbox, r - 1);
         }
         if r < self.config.rounds {
-            let vote = self.vote;
-            let neighbors: Vec<u32> = self.graph.neighbors(self.me).to_vec();
-            for u in neighbors {
-                ctx.send(ProcId::new(u as usize), VoteMsg(vote));
+            for &u in self.graph.neighbors(self.me) {
+                ctx.send(ProcId::new(u as usize), VoteMsg(self.vote));
             }
         } else if self.committed.is_none() {
             self.committed = Some(self.vote);
@@ -1055,6 +1076,66 @@ mod tests {
                 );
                 prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
             }
+
+            /// The sorted-table tally counts what the per-round `HashMap`
+            /// quota it replaced counted, round after round on one
+            /// processor: multi-edges, duplicate votes, votes from
+            /// non-neighbours and floods from one sender alike.
+            #[test]
+            fn tally_matches_the_hash_map_quota(
+                k in 2usize..24,
+                degree in 1usize..12,
+                rounds in 1usize..5,
+                mail in 0usize..80,
+                flood in 0usize..60,
+                seed in any::<u64>(),
+            ) {
+                let mut setup = ChaCha12Rng::seed_from_u64(seed);
+                let g = Arc::new(RegularGraph::random_out_degree(k, degree, &mut setup));
+                let me = setup.gen_range(0..k);
+                let coin = Arc::new(UnreliableCoin::perfect(1, seed));
+                let cfg = AebaConfig::default();
+                let mut p = AebaProcess::new(ProcId::new(me), true, g.clone(), coin, cfg, false);
+                for _ in 0..rounds {
+                    let vote = |rng: &mut ChaCha12Rng, from: usize| {
+                        Envelope::new(ProcId::new(from), ProcId::new(me), VoteMsg(rng.gen_bool(0.5)))
+                    };
+                    // Senders up to k + 3: some outside the graph entirely.
+                    let mut inbox: Vec<Envelope<VoteMsg>> =
+                        (0..mail).map(|_| { let from = setup.gen_range(0..k + 4); vote(&mut setup, from) }).collect();
+                    let flooder = setup.gen_range(0..k);
+                    for _ in 0..flood {
+                        let at = setup.gen_range(0..=inbox.len());
+                        let e = vote(&mut setup, flooder);
+                        inbox.insert(at, e);
+                    }
+                    prop_assert_eq!(p.tally(&inbox), hash_map_tally(g.neighbors(me), &inbox));
+                }
+            }
+        }
+
+        /// The tally as it was counted before the sorted table: a SipHash
+        /// map from sender to remaining quota, built every round.
+        fn hash_map_tally(row: &[u32], inbox: &[Envelope<VoteMsg>]) -> (usize, usize) {
+            let mut allowed: std::collections::HashMap<usize, usize> =
+                std::collections::HashMap::new();
+            for &u in row {
+                *allowed.entry(u as usize).or_insert(0) += 1;
+            }
+            let mut ones = 0usize;
+            let mut total = 0usize;
+            for e in inbox {
+                if let Some(quota) = allowed.get_mut(&e.from.index()) {
+                    if *quota > 0 {
+                        *quota -= 1;
+                        total += 1;
+                        if e.payload.0 {
+                            ones += 1;
+                        }
+                    }
+                }
+            }
+            (ones, total)
         }
 
         /// How many members show every receiver 0 and how many 1.

@@ -7,6 +7,7 @@
 //! (`ba_exp::run`) owns everything else — trial fan-out, per-trial
 //! seeding, transports, metric extraction.
 
+use crate::runner::TrialOutcome;
 use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
 use ba_core::everywhere::EverywhereConfig;
@@ -17,6 +18,12 @@ use ba_topology::Params;
 /// The most a run's gossip graph over all processors may take: past it
 /// [`RunSpec::validate`] refuses the spec rather than try.
 const GOSSIP_GRAPH_MAX_BYTES: u64 = 1 << 30;
+
+/// The most a run's trial outcomes may take, one
+/// `size_of::<TrialOutcome>()` slot a trial (the runner holds every
+/// trial's outcome until the report is built): past it
+/// [`RunSpec::validate`] refuses the spec rather than try.
+const TRIAL_OUTCOMES_MAX_BYTES: u64 = 1 << 30;
 
 /// How processor inputs are assigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -597,7 +604,8 @@ impl RunSpec {
     /// of protocol, adversaries and knobs is accepted or refused, so a
     /// knob the run would silently drop is an error instead, and so is a
     /// gossip graph over all processors past 1 GiB (sized from the spec
-    /// alone, before anything is built), an `n` below the protocol's
+    /// alone, before anything is built), trials whose outcome slots
+    /// alone are past 1 GiB, an `n` below the protocol's
     /// minimum, a committee stack past the tournament's
     /// [`MAX_DEAL_OWNERS`], a tournament tuning `Params::validate` refuses and a
     /// message adversary that corrupts more than n processors. Every
@@ -608,6 +616,14 @@ impl RunSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.n == 0 {
             return Err("n must be positive".to_owned());
+        }
+        let slot = std::mem::size_of::<TrialOutcome>() as u64;
+        if self.trials.saturating_mul(slot) > TRIAL_OUTCOMES_MAX_BYTES {
+            return Err(format!(
+                "trials = {} at {slot} B of outcome each is over the \
+                 {TRIAL_OUTCOMES_MAX_BYTES} B limit",
+                self.trials
+            ));
         }
         let name = self.protocol.name();
         if self.n < self.protocol.min_n() {
@@ -772,6 +788,23 @@ mod tests {
         ] {
             let err = spec.validate().expect_err("past the deal streams");
             assert!(err.contains("1(e)"), "{err}");
+        }
+    }
+
+    /// Every trial's outcome is held until the report is built: a
+    /// trial count whose outcome slots alone pass 1 GiB is refused
+    /// before any is allocated.
+    #[test]
+    fn trials_past_the_outcome_budget_are_refused() {
+        let slot = std::mem::size_of::<TrialOutcome>() as u64;
+        let most = TRIAL_OUTCOMES_MAX_BYTES / slot;
+        assert_eq!(RunSpec::flood(16).trials(most).validate(), Ok(()));
+        for trials in [most + 1, 1_000_000_000, u64::MAX] {
+            let err = RunSpec::flood(16)
+                .trials(trials)
+                .validate()
+                .expect_err("too many");
+            assert!(err.contains("outcome"), "{err}");
         }
     }
 

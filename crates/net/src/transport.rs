@@ -202,6 +202,56 @@ const WHOLE: u32 = 1 << 31;
 /// What a queued slot of `flights` holds.
 const LIVE: &str = "a queued slot holds a live flight";
 
+/// Bits of arrival a pass of [`sort_by_arrival`] sorts on: 2¹¹ 4-byte
+/// counters, 8 KiB, stay in the L1 cache, and one pass covers a span of
+/// 2048 ticks (`Uniform{0,900}`'s 901 in one, 2²² in two).
+const DIGIT_BITS: u32 = 11;
+
+/// Sorts `landed` by `(arrival, index)`, what `sort_unstable` gives, for
+/// pairs pushed in ascending index: a stable sort on arrival alone keeps
+/// that order among equal arrivals. An LSD radix sort on arrival minus
+/// the round's earliest, [`DIGIT_BITS`] at a time: a pass counts, sums
+/// and scatters, with no comparison, and a jittered round of the
+/// engine's spans one pass. A round with fewer than an eighth as many
+/// pairs as a pass has counters is sorted by comparison instead: there
+/// clearing and summing the counters costs more than the pairs.
+fn sort_by_arrival(landed: &mut Vec<(u64, u32)>) {
+    let Some(&(first, _)) = landed.first() else {
+        return;
+    };
+    let (lo, hi) = landed
+        .iter()
+        .fold((first, first), |(lo, hi), &(a, _)| (lo.min(a), hi.max(a)));
+    let bits = u64::BITS - (hi - lo).leading_zeros();
+    if bits == 0 {
+        return; // one arrival: already in index order
+    }
+    let radix = 1usize << DIGIT_BITS.min(bits);
+    if landed.len() < radix / 8 {
+        landed.sort_unstable();
+        return;
+    }
+    let mut to = vec![(0, 0); landed.len()];
+    let mut counts = vec![0u32; radix];
+    for shift in (0..bits).step_by(DIGIT_BITS as usize) {
+        let digit = |a: u64| ((a - lo) >> shift) as usize & (radix - 1);
+        counts.fill(0);
+        for &(a, _) in landed.iter() {
+            counts[digit(a)] += 1;
+        }
+        let mut at = 0;
+        for count in &mut counts {
+            (*count, at) = (at, at + *count);
+        }
+        for &pair in landed.iter() {
+            let slot = &mut counts[digit(pair.0)];
+            to[*slot as usize] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(landed, &mut to);
+    }
+}
+
 /// Puts `envs` in the order of `landed`, whose indices are a permutation
 /// of `0..envs.len()`: `envs[k]` becomes what stood at `landed[k].1`. In
 /// place, each cycle followed once; `landed[k].1` is left at `k`.
@@ -775,7 +825,7 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             let len = u32::try_from(envs.len()).expect("fewer than 2^32 envelopes a round");
             // Survivors sharing an arrival keep emission order: the index
             // breaks ties. The round moves once, within its own buffer.
-            landed.sort_unstable();
+            sort_by_arrival(&mut landed);
             permute(envs, &mut landed);
             let flight = self.launch_round(round, envs);
             // One queue entry per distinct arrival, in ascending arrival,
@@ -1732,6 +1782,36 @@ mod tests {
                 prop_assert_eq!(&run(&cfg, n, stride, true, false), &reference);
                 prop_assert_eq!(&run(&cfg, n, stride, true, true), &reference);
                 prop_assert_eq!(&run(&cfg, n, stride, false, true), &reference);
+            }
+
+            /// The radix sort of a jittered round orders its
+            /// `(arrival, index)` pairs as `sort_unstable` does: over one
+            /// arrival, `Uniform{0,900}` (one pass), a span past 2¹⁶ (two
+            /// passes) and a heavy tail's cap, from any sending tick up to
+            /// where arrivals saturate, in rounds on both sides of the
+            /// cut-over to a comparison sort.
+            #[test]
+            fn radix_sort_matches_sort_unstable(
+                len in 0usize..6000,
+                latency_ix in 0usize..4,
+                sent_ix in 0usize..3,
+                seed in any::<u64>(),
+            ) {
+                let latency = match latency_ix {
+                    0 => LatencyModel::Constant(0),
+                    1 => LatencyModel::Uniform { lo: 0, hi: 900 },
+                    2 => LatencyModel::Uniform { lo: 3, hi: 3 << 16 },
+                    _ => LatencyModel::HeavyTail { floor: 1, scale: 40.0, alpha: 0.6, cap: 1 << 40 },
+                };
+                let sent = [0, 7 * 1000, u64::MAX - 5000][sent_ix];
+                let mut rng = derive_rng(seed, 0x5027);
+                let mut landed: Vec<(u64, u32)> = (0..len as u32)
+                    .map(|i| (sent.saturating_add(latency.sample(&mut rng)), i))
+                    .collect();
+                let mut want = landed.clone();
+                want.sort_unstable();
+                sort_by_arrival(&mut landed);
+                prop_assert_eq!(landed, want);
             }
         }
     }

@@ -7,17 +7,24 @@
 //! tool, but this build environment is offline, so this crate provides the
 //! minimal equivalent: a process-wide pool of worker threads (started
 //! lazily on first use, reused across every fan-out afterwards) draining a
-//! shared FIFO of striped jobs. No work stealing — just block-cyclic index
-//! striping across the workers, which balances well when per-item cost
-//! varies smoothly (trial seeds, committee sizes).
+//! shared FIFO of jobs. Work is *claimed*, not assigned: every lane of a
+//! call, the caller's included, takes the next unclaimed index from one
+//! atomic counter until none is left, so a lane that drew cheap items
+//! takes more of them and no lane idles while another holds a queue of
+//! its own (trials of one spec can differ in cost many times over).
 //!
-//! Results are always returned **in input order**, and work assignment is
-//! deterministic (striping depends only on item count and configured
-//! worker count), so parallel callers stay reproducible per seed.
+//! Results are always returned **in input order**: each lane keeps what
+//! it computed beside its index, and the call places it by index. Which
+//! lane ran an item, and when, depends on timing; the result does not,
+//! because `f(i)` is a pure function of `i` in every caller here (a trial
+//! of a seed, an election of a plan — all randomness is derived from the
+//! index's own stream, and nothing is shared between items but read-only
+//! inputs). So parallel callers stay reproducible per seed at any
+//! `BA_PAR_THREADS`.
 //!
 //! Nested fan-outs (e.g. `par_trials` over tournament runs that
 //! themselves call [`par_map`]) are deadlock-free: a caller waiting for
-//! its stripes *helps*, draining jobs from the shared queue instead of
+//! its lanes *helps*, draining jobs from the shared queue instead of
 //! parking, so pool workers are never all blocked on queued work.
 
 #![deny(unsafe_code)]
@@ -29,6 +36,7 @@ pub use pool::{Full, Pool};
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -51,9 +59,9 @@ pub fn num_threads() -> usize {
         .min(16)
 }
 
-/// A type-erased stripe of work. Jobs are `'static` from the pool's point
+/// A type-erased lane of work. Jobs are `'static` from the pool's point
 /// of view; `par_map_index` guarantees the borrows inside outlive the job
-/// by blocking until every stripe has run (see `pool` module docs).
+/// by blocking until every lane has run (see `pool` module docs).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolShared {
@@ -85,8 +93,8 @@ fn pool() -> &'static PoolShared {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
         }));
-        // One worker per lane beyond the caller itself (callers always run
-        // their first stripe inline and help while waiting).
+        // One worker per lane beyond the caller itself (callers claim
+        // work on their own thread too, and help while waiting).
         let workers = num_threads().saturating_sub(1).max(1);
         for w in 0..workers {
             std::thread::Builder::new()
@@ -109,8 +117,8 @@ fn pool() -> &'static PoolShared {
     })
 }
 
-/// Tracks completion of one fan-out call's stripes, including the first
-/// panic payload so the caller can re-throw it after all stripes finish.
+/// Tracks completion of one fan-out call's lanes, including the first
+/// panic payload so the caller can re-throw it after all lanes finish.
 struct FanOut {
     state: Mutex<FanOutState>,
     done: Condvar,
@@ -132,8 +140,8 @@ impl FanOut {
         }
     }
 
-    /// Runs one stripe body, recording completion and capturing a panic.
-    fn run_stripe(&self, body: impl FnOnce()) {
+    /// Runs one lane body, recording completion and capturing a panic.
+    fn run_lane(&self, body: impl FnOnce()) {
         let result = catch_unwind(AssertUnwindSafe(body));
         let mut st = self.state.lock().expect("fan-out state poisoned");
         st.finished += 1;
@@ -145,8 +153,8 @@ impl FanOut {
         self.done.notify_all();
     }
 
-    /// Blocks until `total` stripes completed, helping with queued jobs
-    /// while waiting. Re-throws the first stripe panic, if any.
+    /// Blocks until `total` lanes completed, helping with queued jobs
+    /// while waiting. Re-throws the first lane panic, if any.
     fn wait(&self, total: usize) {
         loop {
             {
@@ -155,13 +163,13 @@ impl FanOut {
                     break;
                 }
             }
-            // Help: drain whatever is queued (our own stripes, or a nested
+            // Help: drain whatever is queued (our own lanes, or a nested
             // fan-out's) instead of parking a lane.
             if let Some(job) = pool().try_pop() {
                 job();
                 continue;
             }
-            // Nothing to help with: our remaining stripes are running on
+            // Nothing to help with: our remaining lanes are running on
             // other threads. Park briefly; the timeout re-checks the queue
             // so late-arriving nested jobs still find a lane.
             let st = self.state.lock().expect("fan-out state poisoned");
@@ -180,13 +188,14 @@ impl FanOut {
     }
 }
 
-/// The lifetime-erasure seam: a stripe borrows the caller's closure and
-/// output slots, but the pool queue stores `'static` jobs.
+/// The lifetime-erasure seam: a lane borrows the caller's closure, claim
+/// counter and its own result list, but the pool queue stores `'static`
+/// jobs.
 ///
 /// # Safety
 ///
 /// Sound because every caller ([`par_map_index`]) blocks in
-/// [`FanOut::wait`] until **all** of its submitted stripes have executed
+/// [`FanOut::wait`] until **all** of its submitted lanes have executed
 /// (panics included — they are captured, counted, and re-thrown only
 /// after the wait), so the borrowed data strictly outlives every use.
 #[allow(unsafe_code)]
@@ -211,7 +220,7 @@ mod erase {
 /// # Panics
 ///
 /// Propagates a panic from any invocation of `f` (the first observed),
-/// after every stripe of the call has finished.
+/// after every lane of the call has finished.
 pub fn par_map_index<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -221,37 +230,39 @@ where
     if lanes <= 1 || count < 2 {
         return (0..count).map(f).collect();
     }
-    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    // Hand each lane a block-cyclic stripe of the output slots: lane w
-    // gets items w, w+lanes, w+2·lanes, ... This keeps slow tails (e.g.
-    // the largest committees) spread across lanes.
-    let mut stripes: Vec<Vec<(usize, &mut Option<T>)>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (i, slot) in out.iter_mut().enumerate() {
-        stripes[i % lanes].push((i, slot));
-    }
+    // A lane claims indices until the counter runs past `count`, and
+    // keeps each result beside its index. `Relaxed` suffices: the counter
+    // publishes no data (each index goes to exactly one `fetch_add`), and
+    // a lane's results reach this thread through `FanOut`'s mutex.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut claimed: Vec<Vec<(usize, T)>> = (0..lanes).map(|_| Vec::new()).collect();
     let fan = FanOut::new();
-    let f = &f;
-    let fan_ref = &fan;
-    let mut local = stripes.swap_remove(0);
-    for stripe in stripes {
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            fan_ref.run_stripe(|| {
-                for (i, slot) in stripe {
-                    *slot = Some(f(i));
-                }
-            });
-        });
+    let (claim, fan_ref) = (&claim, &fan);
+    let (mine, others) = claimed.split_first_mut().expect("two lanes or more");
+    for lane in others {
+        let job: Box<dyn FnOnce() + Send + '_> =
+            Box::new(move || fan_ref.run_lane(|| *lane = claim()));
         pool().submit(erase::erase_job(job));
     }
-    // Run our own stripe inline (lane 0), then help until the rest land.
-    fan.run_stripe(|| {
-        for (i, slot) in local.drain(..) {
-            *slot = Some(f(i));
-        }
-    });
+    // Claim on this thread too, then help until the other lanes are done.
+    fan.run_lane(|| *mine = claim());
     fan.wait(lanes);
+    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    for (i, result) in claimed.into_iter().flatten() {
+        out[i] = Some(result);
+    }
     out.into_iter()
-        .map(|o| o.expect("stripe filled every slot"))
+        .map(|o| o.expect("every index was claimed"))
         .collect()
 }
 
@@ -326,12 +337,12 @@ mod tests {
             // no pool to reuse.
             return;
         }
-        // Alone on the pool: a sibling test's stripes can occupy a worker
+        // Alone on the pool: a sibling test's lane can occupy a worker
         // for a whole call, and a sibling caller that is helping can run
         // ours on its own thread.
         let _pool = POOL_GATE.write().expect("this test is the only writer");
         // One item per lane, none leaving before all have arrived: every
-        // stripe is on a thread of its own, so besides the caller each
+        // item is on a thread of its own, so besides the caller each
         // call is served by exactly the pool's `lanes - 1` workers.
         let collect_ids = || {
             let all_running = std::sync::Barrier::new(lanes);
@@ -345,7 +356,7 @@ mod tests {
         };
         let a = collect_ids();
         let b = collect_ids();
-        assert_eq!(a.len(), lanes - 1, "a stripe ran off the pool: {a:?}");
+        assert_eq!(a.len(), lanes - 1, "an item ran off the pool: {a:?}");
         assert_eq!(a, b, "the second call was not served by the same threads");
     }
 
@@ -359,6 +370,25 @@ mod tests {
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn uneven_items_nested_in_a_fan_out_equal_the_sequential_map() {
+        let _pool = shared_pool();
+        // Item cost varies a thousandfold and the cheap ones come first
+        // and last, so lanes claim very different shares of each call.
+        let item = |outer: u64, i: u64| {
+            let rounds = if i % 9 == 4 { 200_000 } else { 200 + i * 3 };
+            (0..rounds).fold(outer ^ i, |h, k| {
+                (h ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
+            })
+        };
+        let run = |outer: usize| par_map_index(37, |i| item(outer as u64, i as u64));
+        let got = par_map_index(5, run);
+        let want: Vec<Vec<u64>> = (0..5)
+            .map(|outer| (0..37).map(|i| item(outer, i)).collect())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! substrate for long-running, possibly-blocking jobs.
 //!
 //! The crate-level helpers ([`par_map_index`](crate::par_map_index) and
-//! friends) run short CPU-bound stripes on one process-wide pool whose
+//! friends) run short CPU-bound lanes on one process-wide pool whose
 //! waiters *help* by draining the shared queue. That helping discipline
 //! is exactly wrong for jobs that **block** (e.g. a served agreement
 //! session waiting on socket I/O): a helper that picks one up is stuck

@@ -17,7 +17,8 @@
 # the serve daemon's data frames and bytes for a pass
 # of fans and a pass of singles, and the sha256 of what `exp run` writes
 # for the whole scenario library (its JSON rows, and its trace without the
-# wall-clock profile section), and the sha256 of the whole hunt report
+# wall-clock profile section; the rows are measured again on one ba-par
+# lane and must equal the default lanes'), and the sha256 of the whole hunt report
 # (`hunt --seed 7 --budget 220`: its candidates, draws, shrinks and
 # text). Golden tests (constants recorded in
 # their own source, re-recorded by hand as each says): the engine's
@@ -153,6 +154,14 @@ timeout 120 target/release/exp run --json "$TMP/library.json" --trace "$TMP/libr
     || { cat "$TMP/library.log"; fail "library: exp run failed"; }
 NEW_LIBRARY_ROWS="$(sha256sum <"$TMP/library.json" | cut -d' ' -f1)"
 NEW_LIBRARY_TRACE="$(grep -v '"section": "profile"' "$TMP/library.jsonl" | sha256sum | cut -d' ' -f1)"
+# The same rows on one lane: `ba-par` lanes claim trials in whatever
+# order they get to them, and the rows must not care.
+BA_PAR_THREADS=1 timeout 120 target/release/exp run --json "$TMP/library-1.json" \
+    scenarios scenarios/regressions >"$TMP/library-1.log" \
+    || { cat "$TMP/library-1.log"; fail "library: exp run on one lane failed"; }
+ONE_LANE_ROWS="$(sha256sum <"$TMP/library-1.json" | cut -d' ' -f1)"
+[[ "$ONE_LANE_ROWS" == "$NEW_LIBRARY_ROWS" ]] \
+    || fail "library: the rows on one lane ($ONE_LANE_ROWS) differ from the default lanes' ($NEW_LIBRARY_ROWS)"
 
 echo "== golden tests (constants recorded in their own source) =="
 golden() { # <what to do when it moved> <cargo test arguments...>

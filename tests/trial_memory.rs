@@ -11,7 +11,7 @@
 //! the six trials below — six graphs and its map. Now they leave 0 B; the
 //! budget is a sixth of one graph.
 
-use king_saia::exp::{run_trial, RunSpec};
+use king_saia::exp::{run_trial, scenario, RunSpec};
 use king_saia::topology::Tree;
 use king_saia::EverywhereConfig;
 
@@ -78,4 +78,24 @@ fn a_tree_holds_its_seats_and_nothing_else() {
     drop(heap);
     println!("{held} B held by a tree of {seats} seats (budget {budget})");
     assert!(held <= budget, "{held} B held by a tree of {seats} seats");
+}
+
+/// A run holds every trial's outcome until its report is built, so a
+/// trial count is memory: `trials = 1000000000` would ask for hundreds
+/// of GB of outcome slots up front. The parser refuses it, and reading
+/// the text costs a few small strings, nothing the size of its trials.
+#[test]
+fn a_billion_trials_are_refused_before_anything_is_allocated() {
+    let text = "name = many\nprotocol = flood\nn = 16\ntrials = 1000000000\n";
+    let heap = Measuring::begin();
+    let parsed = scenario::parse(text);
+    let peak = heap.peak();
+    drop(heap);
+    let err = parsed.expect_err("a billion trials");
+    assert!(err.contains("trials"), "{err}");
+    println!("{peak} B peak while refusing a billion trials");
+    assert!(
+        peak <= 4096,
+        "{peak} B allocated while refusing a billion trials"
+    );
 }
