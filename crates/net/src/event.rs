@@ -46,7 +46,6 @@
 //! dense regime (thousands of events a tick) and the sparse one, and an
 //! overflow-only calendar.
 
-use ba_sim::SimRng;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -99,7 +98,7 @@ impl DeliveryPolicy {
     /// `i` from the last index down to 1. The only place a policy acts:
     /// [`EventQueue::drain_due_policy`] orders events with it, and
     /// `NetTransport`'s drain its delivery units.
-    pub(crate) fn order<T>(self, units: &mut [T], rng: &mut SimRng) {
+    pub(crate) fn order<T>(self, units: &mut [T], rng: &mut impl Rng) {
         match self {
             DeliveryPolicy::Fifo => {}
             DeliveryPolicy::AdversarialLifo => units.reverse(),
@@ -458,7 +457,7 @@ impl<T, K: Ord + Copy> EventQueue<T, K> {
         &mut self,
         now: u64,
         policy: DeliveryPolicy,
-        rng: &mut SimRng,
+        rng: &mut impl Rng,
         f: &mut dyn FnMut(u64, T),
     ) {
         if policy == DeliveryPolicy::Fifo {
@@ -719,7 +718,7 @@ mod tests {
                 &mut self,
                 now: u64,
                 policy: DeliveryPolicy,
-                rng: &mut SimRng,
+                rng: &mut impl Rng,
             ) -> Vec<(u64, u32)> {
                 let mut out = Vec::new();
                 for instant in self.take_due(now).chunk_by_mut(|a, b| a.0 == b.0) {

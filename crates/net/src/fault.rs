@@ -6,7 +6,6 @@
 //! or drawn from the transport's derived stream in emission order
 //! (independent message drops).
 
-use ba_sim::SimRng;
 use rand::Rng;
 
 /// Why a message never arrived (for statistics breakdowns).
@@ -126,7 +125,7 @@ impl FaultPlan {
         round: usize,
         from: usize,
         to: usize,
-        rng: &mut SimRng,
+        rng: &mut impl Rng,
     ) -> Option<DropCause> {
         if self.partitions.iter().any(|p| p.severs(round, from, to)) {
             return Some(DropCause::Partition);
@@ -150,7 +149,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::derive_rng;
+    use ba_sim::derive_env_rng;
 
     #[test]
     fn partition_severs_only_cross_traffic_in_window() {
@@ -202,7 +201,7 @@ mod tests {
     #[test]
     fn lossless_plan_consumes_no_randomness() {
         let plan = FaultPlan::default();
-        let mut rng = derive_rng(1, 0);
+        let mut rng = derive_env_rng(1, 0);
         let snapshot = rng.clone();
         for r in 0..10 {
             assert_eq!(plan.dropped(r, 0, 1, &mut rng), None);
@@ -218,7 +217,7 @@ mod tests {
             drop_prob: 0.25,
             ..FaultPlan::default()
         };
-        let mut rng = derive_rng(2, 0);
+        let mut rng = derive_env_rng(2, 0);
         let drops = (0..20_000)
             .filter(|_| plan.dropped(0, 0, 1, &mut rng).is_some())
             .count();
@@ -237,7 +236,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut rng = derive_rng(3, 0);
+        let mut rng = derive_env_rng(3, 0);
         assert_eq!(plan.dropped(0, 0, 1, &mut rng), Some(DropCause::Partition));
         assert_eq!(plan.dropped(0, 1, 2, &mut rng), Some(DropCause::Random));
     }

@@ -2,12 +2,12 @@
 //!
 //! Latencies are measured in abstract ticks (the synchrony adapter maps
 //! `delta` ticks to one protocol round). Every sample is drawn from the
-//! transport's single derived [`SimRng`] stream, consumed in global
-//! emission order — which is what keeps a run byte-identical per seed at
-//! any worker-thread count: parallelism in this workspace is across
-//! *trials*, and each trial owns its own transport and stream.
+//! transport's single derived environment stream (`ba_sim::EnvRng`,
+//! xoshiro256++: one `u64` a `Uniform` or `HeavyTail` sample), consumed in
+//! global emission order — which is what keeps a run byte-identical per
+//! seed at any worker-thread count: parallelism in this workspace is
+//! across *trials*, and each trial owns its own transport and stream.
 
-use ba_sim::SimRng;
 use rand::Rng;
 
 /// How long a message spends on the wire, in ticks.
@@ -43,7 +43,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Draws one latency sample.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { lo, hi } => {
@@ -71,11 +71,11 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::derive_rng;
+    use ba_sim::derive_env_rng;
 
     #[test]
     fn constant_is_constant_and_draw_free() {
-        let mut rng = derive_rng(1, 0);
+        let mut rng = derive_env_rng(1, 0);
         let before = rng.clone();
         assert_eq!(LatencyModel::Constant(7).sample(&mut rng), 7);
         // The stream was not consumed.
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn uniform_stays_in_bounds() {
-        let mut rng = derive_rng(2, 0);
+        let mut rng = derive_env_rng(2, 0);
         let m = LatencyModel::Uniform { lo: 10, hi: 20 };
         for _ in 0..1000 {
             let s = m.sample(&mut rng);
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn heavy_tail_respects_floor_and_cap() {
-        let mut rng = derive_rng(3, 0);
+        let mut rng = derive_env_rng(3, 0);
         let m = LatencyModel::HeavyTail {
             floor: 50,
             scale: 100.0,
@@ -118,11 +118,11 @@ mod tests {
     fn sampling_is_deterministic_per_stream() {
         let m = LatencyModel::Uniform { lo: 0, hi: 999 };
         let a: Vec<u64> = {
-            let mut rng = derive_rng(9, 4);
+            let mut rng = derive_env_rng(9, 4);
             (0..32).map(|_| m.sample(&mut rng)).collect()
         };
         let b: Vec<u64> = {
-            let mut rng = derive_rng(9, 4);
+            let mut rng = derive_env_rng(9, 4);
             (0..32).map(|_| m.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);

@@ -34,7 +34,9 @@
 //! Runs are byte-identical per seed at any worker-thread count:
 //!
 //! * every random decision (latency samples, random drops) comes from a
-//!   single stream, `derive_rng(seed, NET_LABEL)`, consumed in the
+//!   single environment stream, `derive_env_rng(seed, NET_LABEL)`
+//!   (xoshiro256++ keyed from ChaCha12: the net is a test environment,
+//!   not a party's coin, so its draws need no cipher), consumed in the
 //!   engine's global emission order — which is itself deterministic
 //!   (processors in id order, adversary injections after);
 //! * partitions, crashes, and churn windows are pure functions of

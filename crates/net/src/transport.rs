@@ -39,7 +39,7 @@ use crate::fault::{Churn, DropCause, FaultPlan};
 use crate::latency::LatencyModel;
 use crate::ledger::{NetStats, PhaseLedger};
 use ba_obs::Trace;
-use ba_sim::{derive_rng, Envelope, Multicast, Payload, ProcId, Schedule, SimRng, Transport};
+use ba_sim::{derive_env_rng, EnvRng, Envelope, Multicast, Payload, ProcId, Schedule, Transport};
 use std::sync::Arc;
 
 type Range = std::ops::Range<usize>;
@@ -61,9 +61,10 @@ enum Unit {
     Singles(u32, u32, u32),
 }
 
-/// Label space for the network transport's RNG stream (labels `0..n` are
-/// processor coins, `1 << 40` the adversary, `1 << 41` sampler
-/// construction — see `ba_sim::derive_rng`).
+/// Label of the network transport's environment stream,
+/// `derive_env_rng(seed, NET_LABEL)` (labels `0..n` are processor coins,
+/// `1 << 40` the adversary, `1 << 41` sampler construction — see
+/// `ba_sim::derive_rng`).
 pub const NET_LABEL: u64 = 1 << 42;
 
 /// The most processors a [`NetTransport`] carries: a queued recipient is
@@ -86,7 +87,7 @@ pub struct NetConfig {
     pub latency: LatencyModel,
     /// Fault injectors.
     pub faults: FaultPlan,
-    /// Master seed; the transport draws from `derive_rng(seed, NET_LABEL)`.
+    /// Master seed; the transport draws from `derive_env_rng(seed, NET_LABEL)`.
     pub seed: u64,
     /// Optional protocol timetable for per-phase stats breakdowns.
     /// When absent, the [`PhaseLedger`] derives one from
@@ -300,11 +301,14 @@ const _: () = assert!(std::mem::size_of::<Flight<[u64; 3]>>() <= 56);
 /// The timed, faulty network behind the synchronous engine.
 ///
 /// Determinism contract: every random decision (latency samples, random
-/// drops) is drawn from one stream derived as
-/// `derive_rng(seed, NET_LABEL)`, consumed in the engine's global
-/// emission order; partitions, crashes, and churn are pure functions of
-/// `(round, processor ids)`; delivery order is `(arrival, emission
-/// order)`, emission order being push order. Runs are therefore
+/// drops) is drawn from one environment stream (xoshiro256++, not a
+/// processor's ChaCha12 coin: the net is the test harness, not a party)
+/// derived as `derive_env_rng(seed, NET_LABEL)`, consumed in the engine's
+/// global emission order — a recipient takes one `u64` for its drop when
+/// `drop_prob > 0` and one for its latency unless it is `Constant`;
+/// partitions, crashes, and churn are pure functions of `(round,
+/// processor ids)`; delivery order is `(arrival, emission order)`,
+/// emission order being push order. Runs are therefore
 /// byte-identical per seed regardless of how many worker threads run
 /// *other* trials around them.
 #[derive(Debug)]
@@ -329,11 +333,11 @@ pub struct NetTransport<M> {
     /// one run of entries in any instant — so an instant drains in
     /// emission order without a tie key, and a fan's group is a run.
     queue: EventQueue<Entry, ()>,
-    rng: SimRng,
+    rng: EnvRng,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
     /// `Shuffle` policy ever draws from it, once a unit past an instant's
     /// first.
-    order_rng: SimRng,
+    order_rng: EnvRng,
     /// Every counter, per phase of the sending round. A multicast counts
     /// one per recipient, so batching never changes what it holds.
     ledger: PhaseLedger,
@@ -374,8 +378,8 @@ impl<M> NetTransport<M> {
         let crash_round: Vec<usize> = (0..n)
             .map(|p| cfg.faults.crash_round(p).unwrap_or(usize::MAX))
             .collect();
-        let rng = derive_rng(cfg.seed, NET_LABEL);
-        let order_rng = derive_rng(cfg.seed, ORDER_LABEL);
+        let rng = derive_env_rng(cfg.seed, NET_LABEL);
+        let order_rng = derive_env_rng(cfg.seed, ORDER_LABEL);
         let ledger = PhaseLedger::new(&cfg);
         let has_offline =
             crash_round.iter().any(|&c| c != usize::MAX) || cfg.faults.churn.is_some();
@@ -1378,13 +1382,11 @@ mod tests {
         assert_eq!(stats.in_flight_at_end, 0);
     }
 
-    /// One line per delivered batch, `round:from>recipients=payload`, of
-    /// a jittered, lossy mix: per round two fans with a single send
-    /// between and after them, latencies a few ticks wide so recipients
-    /// of one fan share arrival ticks, collide with other fans and
-    /// straddle rounds.
-    fn golden_mix(ordering: DeliveryPolicy) -> Vec<String> {
-        let cfg = NetConfig {
+    /// The golden mix's net: two ticks a round, latencies a few ticks
+    /// wide so recipients of one fan share arrival ticks, collide with
+    /// other fans and straddle rounds, and a fifth of the recipients lost.
+    fn mix_config(ordering: DeliveryPolicy) -> NetConfig {
+        NetConfig {
             delta: 2,
             ..NetConfig::synchronous()
         }
@@ -1394,16 +1396,30 @@ mod tests {
         .with_faults(FaultPlan {
             drop_prob: 0.2,
             ..FaultPlan::default()
-        });
+        })
+    }
+
+    /// Round `r`'s sends in the golden mix (rounds 0 to 3): two fans with
+    /// a single send between and after them. The payload `100·k + r` is
+    /// the round's `k`-th send, so it names the send's emission order.
+    fn send_mix(t: &mut NetTransport<u16>, r: usize) {
         let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
-        let (all, odd) = (ids(&[0, 1, 2, 3, 4, 5]), ids(&[1, 3, 5]));
-        let fan = |from: usize, to: &Arc<[ProcId]>, payload: usize| Multicast {
+        let fan = |from: usize, to: Arc<[ProcId]>, payload: usize| Multicast {
             from: ProcId::new(from % 6),
-            to: to.clone(),
+            to,
             payload: payload as u16,
         };
+        t.send_many(r, fan(r, ids(&[0, 1, 2, 3, 4, 5]), 100 + r));
+        t.send(r, env((r + 1) % 6, (r + 2) % 6, 200 + r as u16));
+        t.send_many(r, fan(r + 3, ids(&[1, 3, 5]), 300 + r));
+        t.send(r, env((r + 4) % 6, r % 6, 400 + r as u16));
+    }
+
+    /// One line per delivered batch, `round:from>recipients=payload`, of
+    /// the golden mix, collected every round.
+    fn golden_mix(ordering: DeliveryPolicy) -> Vec<String> {
         let run = |batches: bool| {
-            let mut t: NetTransport<u16> = NetTransport::new(6, cfg.clone());
+            let mut t: NetTransport<u16> = NetTransport::new(6, mix_config(ordering));
             let mut lines = Vec::new();
             for r in 0..8usize {
                 let mut line = |from: ProcId, to: &[ProcId], payload: u16| {
@@ -1416,10 +1432,7 @@ mod tests {
                     t.collect(r, &mut |e| line(e.from, &[e.to], e.payload));
                 }
                 if r < 4 {
-                    t.send_many(r, fan(r, &all, 100 + r));
-                    t.send(r, env((r + 1) % 6, (r + 2) % 6, 200 + r as u16));
-                    t.send_many(r, fan(r + 3, &odd, 300 + r));
-                    t.send(r, env((r + 4) % 6, r % 6, 400 + r as u16));
+                    send_mix(&mut t, r);
                 }
             }
             assert_eq!(t.into_stats().in_flight_at_end, 0);
@@ -1439,46 +1452,271 @@ mod tests {
         batches
     }
 
-    /// Delivery order under every policy, recorded from the commit before
-    /// flights and handles (9d84651): which recipients of a fan travel
-    /// together, where the groups fall among other traffic of the same
-    /// tick, and that `AdversarialLifo` and `Shuffle` move a group as a
-    /// unit — with the `ORDER_LABEL` draws `Shuffle` makes for them.
+    /// The golden mix's calendar, read off a twin that sends every round
+    /// and never collects: what each drain pops, in drain order, as the
+    /// units it holds in queue order — a fan's group or a single, each
+    /// written as the line it is delivered as. A tick falls due in the
+    /// first round whose opening tick reaches it, but never in the round
+    /// it was sent in (that round's collect ran first), so a tick on a
+    /// round boundary is popped twice: what earlier rounds sent to it,
+    /// then what its own round sent.
+    fn mix_calendar() -> Vec<Vec<String>> {
+        let cfg = mix_config(DeliveryPolicy::Fifo);
+        let delta = cfg.delta;
+        let mut t: NetTransport<u16> = NetTransport::new(6, cfg);
+        (0..4).for_each(|r| send_mix(&mut t, r));
+        let mut pops: Vec<((u64, u64), Vec<String>)> = Vec::new();
+        while let Some((tick, entries)) = t.queue.pop_instant(u64::MAX) {
+            let mut entries = entries.peekable();
+            while let Some((id, arg)) = entries.next() {
+                let (sent, from, to, payload) = if id & ROUND != 0 {
+                    let flight = &mut t.rounds[(id & !ROUND) as usize];
+                    let start = std::mem::replace(&mut flight.next, arg) as usize;
+                    let [e] = &flight.envs[start..arg as usize] else {
+                        panic!("every round of the mix is one single")
+                    };
+                    (flight.sent_round, e.from, vec![e.to], e.payload)
+                } else {
+                    let mut to = vec![ProcId::new(arg as usize)];
+                    while let Some((_, p)) = entries.next_if(|&(next, _)| next == id) {
+                        to.push(ProcId::new(p as usize));
+                    }
+                    let flight = t.flights[id as usize].as_ref().expect(LIVE);
+                    (flight.sent_round, flight.from, to, flight.payload)
+                };
+                let due = tick.div_ceil(delta).max(u64::from(sent) + 1);
+                let to: Vec<String> = to.iter().map(|p| p.index().to_string()).collect();
+                let line = format!("{due}:{}>{}={payload}", from.index(), to.join(","));
+                match pops.last_mut() {
+                    Some((at, units)) if *at == (due, tick) => units.push(line),
+                    _ => pops.push(((due, tick), vec![line])),
+                }
+            }
+        }
+        // Stable: a tick's two pops keep their order.
+        pops.sort_by_key(|&(at, _)| at);
+        pops.into_iter().map(|(_, units)| units).collect()
+    }
+
+    /// Delivery order under every policy, recorded on the environment
+    /// streams (the layout itself was first recorded before flights and
+    /// handles, 9d84651): which recipients of a fan travel together, where
+    /// the groups fall among other traffic of the same tick, and that
+    /// `AdversarialLifo` and `Shuffle` move a group as a unit — with the
+    /// `ORDER_LABEL` draws `Shuffle` makes for them. A change of stream
+    /// re-records the strings; the calendar checks after them hold on any.
     #[test]
     fn delivery_order_is_pinned_under_every_policy() {
         let golden = [
             (
                 DeliveryPolicy::Fifo,
-                "1:3>1=300 1:0>1,3=100 1:3>5=300 1:0>4,5=100 1:3>3=300 2:1>2=200 \
-                 2:5>1=401 2:0>0,2=100 2:4>0=400 2:1>0=101 2:2>3=201 2:4>1=301 \
-                 3:2>3,4=102 3:5>5=302 3:0>2=402 3:4>5=301 3:1>3=101 3:3>4=202 \
-                 4:3>4=103 4:0>1=303 4:1>3=403 4:1>1,2=101 4:4>3=301 4:3>1,3=103 \
-                 4:5>1=302 4:3>2=103 4:0>5=303 5:2>2=102 5:5>3=302 5:4>5=203 \
-                 5:0>3=303 6:3>0=103",
+                "1:1>2=200 1:3>1,3=300 1:0>0,5=100 1:4>0=400 2:1>2,5=101 2:0>2,3=100 \
+                 2:0>1,4=100 2:1>0=101 2:2>3=201 3:2>0=102 3:3>4=202 3:5>1,3=302 \
+                 3:3>5=300 3:4>3=301 3:2>5=102 3:1>1,3=101 3:4>5=301 3:5>1=401 \
+                 4:3>1=103 4:1>4=101 4:2>1=102 4:0>2=402 4:3>2=103 4:3>3,5=103 \
+                 4:4>5=203 5:0>3=303 5:1>3=403 5:0>5=303 6:3>0=103 6:0>1=303",
             ),
             (
                 DeliveryPolicy::AdversarialLifo,
-                "1:3>1=300 1:3>5=300 1:0>1,3=100 1:3>3=300 1:0>4,5=100 2:5>1=401 \
-                 2:1>2=200 2:4>1=301 2:2>3=201 2:1>0=101 2:4>0=400 2:0>0,2=100 \
-                 3:0>2=402 3:5>5=302 3:2>3,4=102 3:4>5=301 3:3>4=202 3:1>3=101 \
-                 4:1>3=403 4:0>1=303 4:3>4=103 4:3>1,3=103 4:4>3=301 4:1>1,2=101 \
-                 4:0>5=303 4:3>2=103 4:5>1=302 5:4>5=203 5:5>3=302 5:2>2=102 \
-                 5:0>3=303 6:3>0=103",
+                "1:3>1,3=300 1:1>2=200 1:4>0=400 1:0>0,5=100 2:1>2,5=101 2:0>2,3=100 \
+                 2:2>3=201 2:1>0=101 2:0>1,4=100 3:5>1,3=302 3:3>4=202 3:2>0=102 \
+                 3:2>5=102 3:4>3=301 3:3>5=300 3:5>1=401 3:4>5=301 3:1>1,3=101 \
+                 4:3>1=103 4:3>2=103 4:0>2=402 4:2>1=102 4:1>4=101 4:4>5=203 \
+                 4:3>3,5=103 5:1>3=403 5:0>3=303 5:0>5=303 6:0>1=303 6:3>0=103",
             ),
             (
                 DeliveryPolicy::Shuffle,
-                "1:3>1=300 1:3>5=300 1:0>1,3=100 1:3>3=300 1:0>4,5=100 2:5>1=401 \
-                 2:1>2=200 2:0>0,2=100 2:1>0=101 2:4>1=301 2:2>3=201 2:4>0=400 \
-                 3:5>5=302 3:2>3,4=102 3:0>2=402 3:4>5=301 3:3>4=202 3:1>3=101 \
-                 4:0>1=303 4:1>3=403 4:3>4=103 4:1>1,2=101 4:4>3=301 4:3>1,3=103 \
-                 4:0>5=303 4:3>2=103 4:5>1=302 5:2>2=102 5:4>5=203 5:5>3=302 \
-                 5:0>3=303 6:3>0=103",
+                "1:3>1,3=300 1:1>2=200 1:0>0,5=100 1:4>0=400 2:1>2,5=101 2:0>2,3=100 \
+                 2:0>1,4=100 2:1>0=101 2:2>3=201 3:2>0=102 3:5>1,3=302 3:3>4=202 \
+                 3:4>3=301 3:2>5=102 3:3>5=300 3:4>5=301 3:5>1=401 3:1>1,3=101 \
+                 4:3>1=103 4:0>2=402 4:3>2=103 4:2>1=102 4:1>4=101 4:3>3,5=103 \
+                 4:4>5=203 5:1>3=403 5:0>3=303 5:0>5=303 6:3>0=103 6:0>1=303",
             ),
         ];
         for (policy, expected) in golden {
             let expected: Vec<&str> = expected.split_whitespace().collect();
             assert_eq!(golden_mix(policy), expected, "{policy:?}");
         }
+        // What holds whatever the streams draw. Every pop is in emission
+        // order (the payload's round, then its place in the round), a
+        // fan's group is one unit and one line, and each policy hands out
+        // a pop's units whole: `Fifo` as queued, `AdversarialLifo`
+        // reversed, `Shuffle` in some order of the same units.
+        let calendar = mix_calendar();
+        let emitted = |line: &String| {
+            let payload: u16 = line.split_once('=').expect("a payload").1.parse().unwrap();
+            (payload % 100, payload / 100)
+        };
+        for units in &calendar {
+            let order: Vec<_> = units.iter().map(emitted).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "{units:?}");
+        }
+        assert!(calendar.iter().any(|units| units.len() > 2));
+        for policy in DeliveryPolicy::ALL {
+            let got = golden_mix(policy);
+            let mut lines = got.iter();
+            for units in &calendar {
+                let mut popped: Vec<&String> = lines.by_ref().take(units.len()).collect();
+                let mut units: Vec<&String> = units.iter().collect();
+                match policy {
+                    DeliveryPolicy::Fifo => {}
+                    DeliveryPolicy::AdversarialLifo => units.reverse(),
+                    DeliveryPolicy::Shuffle => {
+                        popped.sort_unstable();
+                        units.sort_unstable();
+                    }
+                }
+                assert_eq!(popped, units, "{policy:?}");
+            }
+            assert_eq!(lines.next(), None, "{policy:?}: a line no pop holds");
+        }
+    }
+
+    /// The network's stream is xoshiro256++ keyed by the first 32 bytes
+    /// of the ChaCha12 stream of the same `(seed, label)`, and its first
+    /// words at seed 7 are pinned: a change of generator, keying or label
+    /// shows here before it moves every lossy scenario.
+    #[test]
+    fn the_net_stream_is_pinned() {
+        use rand::{RngCore, SeedableRng};
+        let mut key = [0u8; 32];
+        ba_sim::derive_rng(7, NET_LABEL).fill_bytes(&mut key);
+        let mut keyed = EnvRng::from_seed(key);
+        let mut net = derive_env_rng(7, NET_LABEL);
+        let words: Vec<u64> = (0..4).map(|_| net.next_u64()).collect();
+        assert_eq!(words, (0..4).map(|_| keyed.next_u64()).collect::<Vec<_>>());
+        assert_eq!(
+            words,
+            [
+                10_740_032_844_205_587_188,
+                8_820_552_889_910_241_273,
+                17_104_697_736_180_217_310,
+                14_653_062_480_698_308_971,
+            ]
+        );
+    }
+
+    /// How many words `rng` has drawn since `derive_env_rng(seed, label)`.
+    fn draws_taken(rng: &EnvRng, seed: u64, label: u64) -> usize {
+        use rand::RngCore;
+        let next = rng.clone().next_u64();
+        let mut fresh = derive_env_rng(seed, label);
+        (0..=4_096)
+            .find(|_| fresh.next_u64() == next)
+            .expect("within 4 096 draws")
+    }
+
+    /// `vendor/README.md`'s "conditional draws are part of the contract",
+    /// counted: a recipient takes one `NET_LABEL` word for its drop when
+    /// `drop_prob > 0` and one for its latency when it survives and the
+    /// model is not `Constant`, in a fan and in a round alike; nothing
+    /// else draws, and sending never touches the ordering stream. So a
+    /// jittered fan that loses nobody takes 2R draws, a `Constant` one R,
+    /// and a lossless `Constant` fan none.
+    #[test]
+    fn a_recipient_draws_for_its_drop_and_its_latency_and_nothing_else() {
+        let r = 256;
+        let jitter = LatencyModel::Uniform { lo: 0, hi: 900 };
+        let constant = LatencyModel::Constant(5);
+        for (drop_prob, latency) in [
+            (1e-12, jitter.clone()),
+            (0.05, jitter.clone()),
+            (0.05, constant.clone()),
+            (0.0, jitter),
+            (0.0, constant),
+        ] {
+            for round in [false, true] {
+                let jittered = !matches!(latency, LatencyModel::Constant(_));
+                let cfg = NetConfig::synchronous()
+                    .with_seed(11)
+                    .with_latency(latency.clone())
+                    .with_faults(FaultPlan {
+                        drop_prob,
+                        ..FaultPlan::default()
+                    });
+                let mut t: NetTransport<u16> = NetTransport::new(r, cfg);
+                if round {
+                    let mut envs: Vec<_> = (0..r).map(|p| env(0, p, 1)).collect();
+                    t.send_round(0, &mut envs);
+                } else {
+                    let to: Arc<[ProcId]> = (0..r).map(ProcId::new).collect();
+                    let (from, payload) = (ProcId::new(0), 1);
+                    t.send_many(0, Multicast { from, to, payload });
+                }
+                let lost = t.stats().dropped_random as usize;
+                let drop_draws = if drop_prob > 0.0 { r } else { 0 };
+                let draws = drop_draws + if jittered { r - lost } else { 0 };
+                let case = format!("drop {drop_prob}, {latency:?}, round {round}");
+                assert_eq!(draws_taken(&t.rng, 11, NET_LABEL), draws, "{case}");
+                assert_eq!(draws_taken(&t.order_rng, 11, ORDER_LABEL), 0, "{case}");
+                match drop_prob {
+                    0.05 => assert!(lost > 0, "{case}: the case drops somebody"),
+                    _ => assert_eq!(lost, 0, "{case}"),
+                }
+                if drop_prob == 1e-12 && jittered {
+                    assert_eq!(draws, 2 * r);
+                }
+            }
+        }
+    }
+
+    /// The stream's draws have the distributions the fault plan and the
+    /// latency model promise, over 10⁶ recipients of one transport: the
+    /// drops at p = 0.01 lie within 5σ of the binomial mean (10 000 ±
+    /// 497), and the arrival ticks of `Uniform{0,900}` pass a χ² test over
+    /// ten bins of 90 or 91 ticks, below 33.72 (9 degrees of freedom, the
+    /// 10⁻⁴ tail).
+    #[test]
+    fn drops_and_latencies_have_the_distributions_they_promise() {
+        let (n, fans) = (1_000usize, 1_000usize);
+        let cfg = NetConfig {
+            delta: 1_000,
+            ..NetConfig::synchronous()
+        }
+        .with_seed(7)
+        .with_latency(LatencyModel::Uniform { lo: 0, hi: 900 })
+        .with_faults(FaultPlan {
+            drop_prob: 0.01,
+            ..FaultPlan::default()
+        });
+        let mut t: NetTransport<u16> = NetTransport::new(n, cfg);
+        let to: Arc<[ProcId]> = (0..n).map(ProcId::new).collect();
+        for f in 0..fans {
+            let (from, to) = (ProcId::new(f), to.clone());
+            t.send_many(
+                0,
+                Multicast {
+                    from,
+                    to,
+                    payload: 0,
+                },
+            );
+        }
+        let total = (n * fans) as f64;
+        let dropped = t.stats().dropped_random as f64;
+        let (mean, sigma) = (total * 0.01, (total * 0.01 * 0.99).sqrt());
+        assert!(
+            (dropped - mean).abs() <= 5.0 * sigma,
+            "{dropped} drops against {mean} ± {sigma}"
+        );
+        let bin = |tick: u64| (tick * 10 / 901) as usize;
+        let mut ticks = [0u64; 10];
+        (0..=900).for_each(|tick| ticks[bin(tick)] += 1);
+        let mut seen = [0u64; 10];
+        while let Some((tick, entries)) = t.queue.pop_instant(u64::MAX) {
+            seen[bin(tick)] += entries.count() as u64;
+        }
+        let arrived: u64 = seen.iter().sum();
+        assert_eq!(arrived as f64, total - dropped);
+        let chi2: f64 = seen
+            .iter()
+            .zip(ticks)
+            .map(|(&o, w)| {
+                let e = arrived as f64 * w as f64 / 901.0;
+                (o as f64 - e).powi(2) / e
+            })
+            .sum();
+        assert!(chi2 < 33.72, "χ² = {chi2} over {seen:?}");
     }
 
     /// The wire is empty: every slot of both slabs went back to its free
@@ -1804,7 +2042,7 @@ mod tests {
                     _ => LatencyModel::HeavyTail { floor: 1, scale: 40.0, alpha: 0.6, cap: 1 << 40 },
                 };
                 let sent = [0, 7 * 1000, u64::MAX - 5000][sent_ix];
-                let mut rng = derive_rng(seed, 0x5027);
+                let mut rng = ba_sim::derive_rng(seed, 0x5027);
                 let mut landed: Vec<(u64, u32)> = (0..len as u32)
                     .map(|i| (sent.saturating_add(latency.sample(&mut rng)), i))
                     .collect();

@@ -91,7 +91,7 @@ pub use message::{Carrier, Envelope};
 pub use metrics::{BitStats, Metrics};
 pub use payload::Payload;
 pub use process::{Process, RoundCtx};
-pub use rng::{derive_keyed_rng, derive_rng, keyed_seed, SimRng};
+pub use rng::{derive_env_rng, derive_keyed_rng, derive_rng, keyed_seed, EnvRng, SimRng};
 pub use schedule::{Phase, PhaseId, Schedule};
 pub use transport::{Lockstep, Multicast, Transport};
 pub use wire::{WireError, WireMsg};

@@ -3,13 +3,38 @@
 //! Every processor owns a private coin (paper §1.1). The simulator derives
 //! one independent ChaCha stream per processor from a single master seed so
 //! whole executions replay bit-for-bit from `(seed, n, protocol)`.
+//!
+//! Two kinds of stream, one label scheme:
+//!
+//! * **ChaCha12 ([`SimRng`])** for every draw the paper's model gives to
+//!   a party: processors' private coins, the adversary's streams, the
+//!   tournament's election `Label` streams and sampler construction. These
+//!   stand in for real coins an adversary must not predict, so they keep
+//!   a cipher.
+//! * **Environment streams ([`EnvRng`], xoshiro256++)** for what the paper
+//!   does not model at all: the lossy, jittered test network's drops,
+//!   latencies and same-instant shuffles (`ba_net`'s `NET_LABEL` and
+//!   `ORDER_LABEL`). No party owns or predicts them; they need statistical
+//!   quality and speed — one `u64` a draw at ≈ 1 ns, where a ChaCha12
+//!   `u64` is two cipher words — and replay per seed.
+//!   [`derive_env_rng`] keys one from the first 32 bytes of the ChaCha
+//!   stream of the same `(seed, label)`.
 
-use rand::SeedableRng;
+use rand::rngs::Xoshiro256PlusPlus;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
-/// The RNG type used throughout the simulator (cryptographic-quality,
-/// seedable, portable across platforms).
+/// The RNG of every party in the simulation — processors' coins,
+/// adversaries, elections, sampler construction (cryptographic-quality,
+/// seedable, portable across platforms). The test network draws from
+/// [`EnvRng`] instead.
 pub type SimRng = ChaCha12Rng;
+
+/// The RNG of the simulated environment: the faulty network's drops,
+/// latencies and delivery shuffles, never a party's coin. xoshiro256++ by
+/// name, not `rand`'s default generator, so swapping `rand` cannot change
+/// the stream unseen.
+pub type EnvRng = Xoshiro256PlusPlus;
 
 /// Derives an independent RNG stream from a master seed and a stream label.
 ///
@@ -17,7 +42,8 @@ pub type SimRng = ChaCha12Rng;
 /// independent. Labels 0..n are used for processor private coins; higher
 /// label spaces are reserved for adversaries (`1 << 40 | i`),
 /// infrastructure such as sampler construction (`1 << 41 | i`), and the
-/// `ba-net` network transport (`1 << 42`).
+/// `ba-net` network transport (`1 << 42` and `1 << 43`, keyed through
+/// [`derive_env_rng`]).
 ///
 /// ```rust
 /// use ba_sim::derive_rng;
@@ -71,13 +97,28 @@ pub fn keyed_seed(master_seed: u64, label: u64, key: u64) -> [u8; 32] {
     seed
 }
 
+/// Derives an environment stream ([`EnvRng`]) for `(master_seed, label)`:
+/// its state is the first 32 bytes of `derive_rng(master_seed, label)`,
+/// so a transport spends one ChaCha block to key it and none after.
+///
+/// ```rust
+/// use ba_sim::derive_env_rng;
+/// use rand::RngCore;
+/// assert_eq!(derive_env_rng(7, 1).next_u64(), derive_env_rng(7, 1).next_u64());
+/// assert_ne!(derive_env_rng(7, 1).next_u64(), derive_env_rng(7, 2).next_u64());
+/// ```
+pub fn derive_env_rng(master_seed: u64, label: u64) -> EnvRng {
+    let mut seed = [0u8; 32];
+    derive_rng(master_seed, label).fill_bytes(&mut seed);
+    EnvRng::from_seed(seed)
+}
+
 /// Label space for adversary RNG streams.
 pub(crate) const ADVERSARY_LABEL: u64 = 1 << 40;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn deterministic_replay() {

@@ -244,13 +244,13 @@ fn inbox_order_adversary_view_and_counters_are_pinned() {
 
 const GOLDEN: &str = "\
 rounds=14 outputs=e8c8dae3edfa2eab corrupt=........................ faulty=........................ bits=5868 msgs=492 sent=917f8ff7e138d930 received=d3b1e9f92d9d0029 by_round=98c2556a0eb2be6d\n\
-rounds=15 outputs=bf77ca5c2da3d9cd corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1fc273226a53ea40 by_round=2d718cf1b5c9f3bd\n\
-net sent=389 delivered=377 late=231 dropped=12 dead_letters=90 all=cfd17a382c5449f6\n\
-rounds=15 outputs=18d2bbefdd46de6d corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1fc273226a53ea40 by_round=2d718cf1b5c9f3bd\n\
-net sent=389 delivered=377 late=231 dropped=12 dead_letters=90 all=cfd17a382c5449f6\n\
-rounds=15 outputs=9ce61873c4dfaa92 corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1fc273226a53ea40 by_round=2d718cf1b5c9f3bd\n\
-net sent=389 delivered=377 late=231 dropped=12 dead_letters=90 all=cfd17a382c5449f6\n\
+rounds=15 outputs=deb4a860be3099e1 corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1a83b4e46f6e8081 by_round=2d718cf1b5c9f3bd\n\
+net sent=389 delivered=379 late=250 dropped=10 dead_letters=80 all=72824ee6793333fc\n\
+rounds=15 outputs=b1c130ee4b22dbc7 corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1a83b4e46f6e8081 by_round=2d718cf1b5c9f3bd\n\
+net sent=389 delivered=379 late=250 dropped=10 dead_letters=80 all=72824ee6793333fc\n\
+rounds=15 outputs=ad951a6afe880ef2 corrupt=........................ faulty=.........1.............. bits=4725 msgs=389 sent=397c39f44de85478 received=1a83b4e46f6e8081 by_round=2d718cf1b5c9f3bd\n\
+net sent=389 delivered=379 late=250 dropped=10 dead_letters=80 all=72824ee6793333fc\n\
 rounds=14 outputs=4c712a7e26f043b3 corrupt=.....1.....1.....1...... faulty=........................ bits=5468 msgs=444 sent=7edc12a242c79ddc received=86980e222a00731c by_round=c04ef387acf6dda7 seen=1e152c9001894479\n\
-rounds=15 outputs=7ac2bda199fcc6cb corrupt=.....1.....1.....1...... faulty=.........1.............. bits=4090 msgs=330 sent=5c517ffddaee7ef7 received=33957f8bfdbf56ea by_round=d8128ec16d39ab5e seen=c1b47792f852e8ca\n\
-net sent=330 delivered=319 late=199 dropped=11 dead_letters=65 all=79b0871b3973a150\n\
+rounds=15 outputs=1b84e14d2092a5f2 corrupt=.....1.....1.....1...... faulty=.........1.............. bits=4090 msgs=330 sent=5c517ffddaee7ef7 received=00631c5e15968e80 by_round=d8128ec16d39ab5e seen=c1b47792f852e8ca\n\
+net sent=330 delivered=320 late=213 dropped=9 dead_letters=67 all=ac525fcd81a73ed1\n\
 ";
