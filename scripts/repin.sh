@@ -13,8 +13,8 @@
 #              table in the PR and in CHANGES.md.
 #
 # Pins (scripts/pins.env): the `exp scale` rows' bits and rounds at
-# n = 4096 and 16384 and the `exp scale-jitter` ones at 512 and 1024,
-# the serve daemon's data frames and bytes for a pass
+# n = 4096 and 16384, the `exp scale-jitter` ones at 512 and 1024 with
+# each row's net totals (sent, delivered, dropped), the serve daemon's data frames and bytes for a pass
 # of fans and a pass of singles, and the sha256 of what `exp run` writes
 # for the whole scenario library (its JSON rows, and its trace without the
 # wall-clock profile section; the rows are measured again on one ba-par
@@ -54,6 +54,8 @@ trap cleanup EXIT
 
 PIN_NAMES=(SCALE_4096_BITS SCALE_4096_ROUNDS SCALE_16384_BITS SCALE_16384_ROUNDS
     SCALE_JITTER_512_BITS SCALE_JITTER_512_ROUNDS SCALE_JITTER_1024_BITS SCALE_JITTER_1024_ROUNDS
+    SCALE_JITTER_512_SENT SCALE_JITTER_512_DELIVERED SCALE_JITTER_512_DROPPED
+    SCALE_JITTER_1024_SENT SCALE_JITTER_1024_DELIVERED SCALE_JITTER_1024_DROPPED
     SERVE_FANS_FRAMES SERVE_FANS_BYTES SERVE_SINGLES_FRAMES SERVE_SINGLES_BYTES
     LIBRARY_ROWS LIBRARY_TRACE HUNT_REPORT)
 
@@ -97,8 +99,11 @@ echo "== scale rows over a faulty net (everywhere stack at n = 512 and 1024) =="
 # The same stack over stack-jitter-256's lossy, jittered net
 # (`exp scale-jitter`, ~12-16 s, ~355 MB at 1024): the only pin on
 # committees wide enough that a fan puts several recipients in one tick,
-# so the drain hands the tournament partial groups of several.
-timeout 120 target/release/exp scale-jitter --json "$TMP/scale-jitter.json" >/dev/null
+# so the drain hands the tournament partial groups of several. The most
+# a good processor sends is fixed by the schedule, so the bits alone are
+# blind to the net's draws; each row's `NetStats` totals (the `net:`
+# line printed under it) read them.
+timeout 120 target/release/exp scale-jitter --json "$TMP/scale-jitter.json" >"$TMP/scale-jitter.log"
 jitter_field() { json_field "$TMP/scale-jitter.json" "$2" "\"n\": \"$1\","; } # <n> <field>
 for n in 512 1024; do
     [[ "$(jitter_field "$n" agreement)" == "1" ]] \
@@ -108,6 +113,15 @@ NEW_SCALE_JITTER_512_BITS="$(jitter_field 512 bits_good_max)"
 NEW_SCALE_JITTER_512_ROUNDS="$(jitter_field 512 rounds)"
 NEW_SCALE_JITTER_1024_BITS="$(jitter_field 1024 bits_good_max)"
 NEW_SCALE_JITTER_1024_ROUNDS="$(jitter_field 1024 rounds)"
+# `<n> <sent> <delivered> <dropped>` for each row's `net:` line.
+awk '$1 ~ /^[0-9]+$/ { n = $1 } $1 == "net:" { print n, $2, $4, $6 }' \
+    "$TMP/scale-jitter.log" >"$TMP/scale-jitter-net.txt"
+jitter_net() { awk -v n="$1" -v col="$2" '$1 == n { print $col }' "$TMP/scale-jitter-net.txt"; } # <n> <column>
+for n in 512 1024; do
+    printf -v "NEW_SCALE_JITTER_${n}_SENT" '%s' "$(jitter_net "$n" 2)"
+    printf -v "NEW_SCALE_JITTER_${n}_DELIVERED" '%s' "$(jitter_net "$n" 3)"
+    printf -v "NEW_SCALE_JITTER_${n}_DROPPED" '%s' "$(jitter_net "$n" 4)"
+done
 
 echo "== serve wire (TCP daemon, both frame kinds, graceful shutdown) =="
 # Boots the ba-serve daemon on an ephemeral loopback port and runs two
@@ -199,9 +213,9 @@ for pin in "${PIN_NAMES[@]}"; do
     new="${!new_var}"
     [[ "$new" =~ ^[0-9a-f]+$ ]] || { echo "repin: could not measure $pin (read '$new')"; exit 1; }
     if [[ "$old" == "$new" ]]; then
-        printf '  %-22s %12s    (unchanged)\n' "$pin" "$old"
+        printf '  %-27s %12s    (unchanged)\n' "$pin" "$old"
     else
-        printf '  %-22s %12s -> %s\n' "$pin" "$old" "$new"
+        printf '  %-27s %12s -> %s\n' "$pin" "$old" "$new"
         MOVED=1
         [[ "$pin" == *_ROUNDS ]] && ROUNDS_MOVED=1
     fi
