@@ -256,8 +256,7 @@ impl EverywhereOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len()` differs from the configured `n`, or if `n`
-/// is past [`MAX_DEAL_OWNERS`](crate::tournament::MAX_DEAL_OWNERS).
+/// Panics if `inputs.len()` differs from the configured `n`.
 pub fn run<T, A>(
     config: &EverywhereConfig,
     inputs: &[bool],

@@ -1,8 +1,9 @@
 //! The tournament's keyed RNG streams: one label type, one packing.
 //!
-//! An election draws from streams named by up to seven coordinates —
-//! what the stream is for, the committee `(level, node)`, the candidate,
-//! the bit of its bin choice, the agreement round and the member. They
+//! The deal and every election draw from streams named by up to seven
+//! coordinates — what the stream is for, the committee `(level, node)`,
+//! the candidate, the bit of its bin choice, the agreement round and the
+//! member (or the dealing owner). They
 //! do not fit one 64-bit label, and hand-XORed shifts of them ran into
 //! each other (members into the bit field from `k > 256`). [`Label`]
 //! gives every coordinate a field of its own width over the *two* words
@@ -17,8 +18,9 @@ use ba_sim::{derive_keyed_rng, SimRng};
 /// its label carries; the others stay zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Kind {
-    /// A committee's gossip graph: `(level, node)`.
-    Graph = 1,
+    /// A processor's candidate array, dealt at the start: `(member)`,
+    /// the owner's processor index.
+    Deal = 1,
     /// The draws a committee's agreements make themselves (the `Split`
     /// attack's fair votes): `(level, node)`, one stream an election.
     Votes,
@@ -91,7 +93,8 @@ impl Label {
         self
     }
 
-    /// Member position, or processor index at the root (32 bits).
+    /// Member position, or processor index at the root and the deal (32
+    /// bits).
     pub(crate) fn member(mut self, member: usize) -> Self {
         self.member = field(member, "member");
         self
@@ -124,7 +127,7 @@ mod tests {
     use proptest::prelude::*;
 
     const KINDS: [Kind; 5] = [
-        Kind::Graph,
+        Kind::Deal,
         Kind::Votes,
         Kind::InputViews,
         Kind::CoinView,
@@ -207,7 +210,7 @@ mod tests {
             let (label, key) = l.words();
             (label, key & !(0xFFFF << 48))
         };
-        let base = Label::new(Kind::Graph);
+        let base = Label::new(Kind::Deal);
         assert_eq!(one(base.at(0xFF, 0)), (0, 0xFF << 40));
         assert_eq!(one(base.at(0, u32::MAX as usize)), (0xFFFF_FFFF, 0));
         assert_eq!(one(base.candidate(0xFFFF)), (0, 0xFFFF << 16));

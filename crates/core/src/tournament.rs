@@ -38,7 +38,8 @@ use crate::scale::{impl_scale_builders, StackParams};
 use crate::stream::{Kind, Label};
 use ba_sampler::RegularGraph;
 use ba_sim::{
-    derive_rng, BitStats, Carrier, Lockstep, Multicast, Payload, ProcId, SimRng, Transport,
+    derive_env_rng, derive_rng, BitStats, Carrier, Lockstep, Multicast, Payload, ProcId, SimRng,
+    Transport,
 };
 use ba_topology::{Goodness, NodeAddr, Params, Tree};
 use rand::Rng;
@@ -440,17 +441,84 @@ impl CostModel {
     }
 }
 
-/// The most processors the tournament deals candidate arrays for. Owner
-/// `i`'s array draws from the stream labelled `0xA44A_0000 | i`, whose
-/// constant already sets bit 17, so owner `2^17` would draw owner 0's
-/// array. Moving the deal onto `stream::Label` lifts the limit, and
-/// moves every pinned draw (ROADMAP 1(e)).
-pub const MAX_DEAL_OWNERS: usize = 1 << 17;
+/// The environment label of the gossip graph of shape `(k, degree)`:
+/// `GRAPH_LABEL | degree ≪ 32 | k`, above every other label a
+/// `derive_rng` / `derive_env_rng` caller uses.
+const GRAPH_LABEL: u64 = 1 << 60;
 
-/// The stream label of owner `i`'s candidate array: distinct for every
-/// owner below [`MAX_DEAL_OWNERS`].
-fn deal_label(owner: usize) -> u64 {
-    0xA44A_0000 | owner as u64
+/// The public gossip graph of `k` members at `degree`, built from the
+/// environment stream named by its shape alone — never by a committee
+/// (Lemma 2 / Theorem 5: one fixed graph per size serves any set of bad
+/// vertices in it). Counted by [`ba_sampler::cache`].
+///
+/// # Panics
+///
+/// Panics if `k` is past 2³² − 1 or `degree` past 2²⁸ − 1 (their fields
+/// of the label), or as [`RegularGraph::random_out_degree`] does.
+fn gossip_graph(seed: u64, k: usize, degree: usize) -> Arc<RegularGraph> {
+    assert!(
+        u32::try_from(k).is_ok() && degree < 1 << 28,
+        "gossip graph shape ({k}, {degree}) is wider than its label"
+    );
+    let label = GRAPH_LABEL | (degree as u64) << 32 | k as u64;
+    #[cfg(test)]
+    tests::BUILT.with(|b| b.borrow_mut().push((seed, k, degree)));
+    ba_sampler::cache::regular_graph(k, degree, (seed, label), || {
+        RegularGraph::random_out_degree(k, degree, &mut derive_env_rng(seed, label))
+    })
+}
+
+/// One trial's gossip graphs, one per committee shape. A committee of `k`
+/// online members gossips at degree `min(aeba_degree, k − 1)`, so `k`
+/// names the shape; the root agreement over all `n` processors reuses
+/// the top level's graph when the top committees are everyone.
+///
+/// Only the wiring is shared: member `i` of a committee's sorted online
+/// member list is vertex `i`, and members, votes, views and coins stay
+/// the committee's own.
+struct GossipGraphs {
+    seed: u64,
+    aeba_degree: usize,
+    /// `(k, graph)`, in the order built.
+    built: Vec<(usize, Arc<RegularGraph>)>,
+}
+
+impl GossipGraphs {
+    fn new(seed: u64, aeba_degree: usize) -> Self {
+        GossipGraphs {
+            seed,
+            aeba_degree,
+            built: Vec::new(),
+        }
+    }
+
+    /// Builds the shapes of `sizes` not built yet, ascending. A size below
+    /// 2 needs none: such a committee runs no agreement.
+    fn need(&mut self, sizes: impl IntoIterator<Item = usize>) {
+        let mut sizes: Vec<usize> = sizes.into_iter().filter(|&k| k >= 2).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for k in sizes {
+            if !self.built.iter().any(|&(b, _)| b == k) {
+                let degree = self.aeba_degree.min(k - 1).max(1);
+                self.built.push((k, gossip_graph(self.seed, k, degree)));
+            }
+        }
+    }
+
+    /// The graph of `k` members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`GossipGraphs::need`] never built it.
+    fn get(&self, k: usize) -> &RegularGraph {
+        let (_, graph) = self
+            .built
+            .iter()
+            .find(|&&(b, _)| b == k)
+            .unwrap_or_else(|| panic!("no gossip graph of {k} members was built"));
+        graph
+    }
 }
 
 /// Runs Algorithm 2 (+§3.5) with the given inputs and adversary on the
@@ -460,8 +528,7 @@ fn deal_label(owner: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != params.n`, parameters are invalid or
-/// `params.n` is past [`MAX_DEAL_OWNERS`].
+/// Panics if `inputs.len() != params.n` or parameters are invalid.
 pub fn run<A: TreeAdversary>(
     config: &TournamentConfig,
     inputs: &[bool],
@@ -492,9 +559,7 @@ pub fn run<A: TreeAdversary>(
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != params.n`, parameters are invalid or
-/// `params.n` is past [`MAX_DEAL_OWNERS`] (two owners would deal the same
-/// array).
+/// Panics if `inputs.len() != params.n` or parameters are invalid.
 pub fn run_with_transport<A, W, Tr>(
     config: &TournamentConfig,
     inputs: &[bool],
@@ -509,11 +574,6 @@ where
     let p = &config.params;
     assert_eq!(inputs.len(), p.n, "inputs must cover all processors");
     p.validate().expect("invalid parameters");
-    assert!(
-        p.n <= MAX_DEAL_OWNERS,
-        "n = {} is past the {MAX_DEAL_OWNERS} owners whose deal streams are distinct",
-        p.n
-    );
     let tree = Tree::generate(p, config.seed);
     let cost = CostModel::from_params(p);
     let mut rng = derive_rng(config.seed, 0x7030_0001);
@@ -552,7 +612,7 @@ where
     // re-shares it up to the parent immediately (Alg. 2 step 1).
     let mut arrays: Vec<ArrayState> = (0..n)
         .map(|i| {
-            let mut arng = derive_rng(config.seed, deal_label(i));
+            let mut arng = Label::new(Kind::Deal).member(i).rng(config.seed);
             ArrayState {
                 array: CandidateArray::generate(i, p, config.extra_words, &mut arng),
                 bad: corrupt[i],
@@ -602,6 +662,7 @@ where
     // Committee member lists converted to Arc-shared recipient slices
     // once per (level, node), reused by every fan to that committee.
     let mut member_lists = MemberLists::default();
+    let mut graphs = GossipGraphs::new(config.seed, p.aeba_degree);
 
     while level < p.levels {
         let node_count = p.node_count(level);
@@ -686,7 +747,11 @@ where
                     None => adversary.bad_bin_choice(&good_choices, num_bins),
                 })
                 .collect();
-            plans.push(ElectionPlan { node, declared });
+            plans.push(ElectionPlan {
+                node,
+                declared,
+                members: Vec::new(),
+            });
         }
 
         // -- Routed exchange: each declared bin choice travels from the
@@ -735,12 +800,23 @@ where
             },
         );
         let online = online_at(net, net_round, n);
+        for plan in &mut plans {
+            plan.members = tree
+                .members(NodeAddr::new(level, plan.node))
+                .iter()
+                .copied()
+                .filter(|&m| online[m as usize])
+                .collect();
+        }
+        // Every committee of one size gossips over one public graph,
+        // built here the first time a level needs its shape.
+        graphs.need(plans.iter().map(|plan| plan.members.len()));
 
         // -- Parallel phase: per-committee agreement + election.
         let outcomes: Vec<ElectionOutcome> = ba_par::par_map(&plans, |plan| {
             run_node_election(
                 plan, level, num_bins, attack, &tree, &holdings, &arrays, &corrupt, &def3, &cost,
-                config, &exposed, &online,
+                config, &exposed, &graphs,
             )
         });
 
@@ -886,12 +962,9 @@ where
         }
     }
 
-    // Gossip graph over all processors.
-    let degree = p.aeba_degree.min(n - 1).max(1);
-    let graph = ba_sampler::cache::regular_graph(n, degree, (config.seed, 0x6007), || {
-        let mut grng = derive_rng(config.seed, 0x6007);
-        RegularGraph::random_out_degree(n, degree, &mut grng)
-    });
+    // Gossip graph over all processors: the n-member shape.
+    graphs.need([n]);
+    let graph = graphs.get(n);
     let root_rounds = finalists.len().max(config.aeba.rounds).max(8);
 
     // -- Routed exchange: one coin opening per root-agreement round,
@@ -970,7 +1043,7 @@ where
             !good_majority_input
         }
     };
-    let out = Committee::new(&member_good, &graph, adversary.committee_attack()).run(
+    let out = Committee::new(&member_good, graph, adversary.committee_attack()).run(
         &good_inputs,
         coin_view,
         root_rounds,
@@ -1315,12 +1388,14 @@ struct ArrayState {
     alive: bool,
 }
 
-/// Sequentially-prepared inputs for one node's election: the node index
-/// and the bin choices declared for every held candidate (the adversary's
-/// rushing choices are fixed here, before any parallel work starts).
+/// Sequentially-prepared inputs for one node's election: the node index,
+/// the bin choices declared for every held candidate (the adversary's
+/// rushing choices are fixed here, before any parallel work starts) and
+/// the committee's members online at the exposure's delivery, ascending.
 struct ElectionPlan {
     node: usize,
     declared: Vec<u16>,
+    members: Vec<u32>,
 }
 
 /// Everything one node's election produced, accumulated privately by a
@@ -1406,9 +1481,11 @@ impl InputViews {
 /// and reports all side effects through the returned [`ElectionOutcome`].
 ///
 /// `exposed` holds the `(node, candidate, processor)` exposure receipts
-/// that survived the routed exchange; `online` flags the processors that
+/// that survived the routed exchange; `plan.members` are the members that
 /// were up at its delivery round. Offline members sit the election out
 /// entirely — they cast no votes, pay no bits, and shrink the committee.
+/// The committee gossips over the trial's graph of its size from
+/// `graphs`.
 #[allow(clippy::too_many_arguments)]
 fn run_node_election(
     plan: &ElectionPlan,
@@ -1423,19 +1500,14 @@ fn run_node_election(
     cost: &CostModel,
     config: &TournamentConfig,
     exposed: &Exposure,
-    online: &[bool],
+    graphs: &GossipGraphs,
 ) -> ElectionOutcome {
     let p = &config.params;
     let node = plan.node;
     let held = &holdings[node];
     let at = NodeAddr::new(level, node);
     let r_cands = held.len();
-    let members: Vec<u32> = tree
-        .members(at)
-        .iter()
-        .copied()
-        .filter(|&m| online[m as usize])
-        .collect();
+    let members = &plan.members;
     let k = members.len();
     if k < 2 {
         // The committee is (all but) gone — churned or crashed out. No
@@ -1470,13 +1542,8 @@ fn run_node_election(
     // parallel, bit by bit; round j's coin for candidate i opens word
     // B_j(i).
     let mut agree_bits = 0u64;
-    let degree = p.aeba_degree.min(k.saturating_sub(1)).max(1);
-    // Built, used and dropped here: the graph is this committee's alone
-    // (keyed by seed, level and node), so no other election or trial can
-    // ask for it, and a registry that kept it would only keep it alive.
-    let mut grng = Label::new(Kind::Graph).at(level, node).rng(config.seed);
-    let graph = RegularGraph::random_out_degree(k, degree, &mut grng);
-    let mut committee = Committee::new(&member_good, &graph, attack);
+    let graph = graphs.get(k);
+    let mut committee = Committee::new(&member_good, graph, attack);
     let bin_bits = (num_bins as f64).log2().ceil().max(1.0) as usize;
     let mut agreed: Vec<u16> = Vec::with_capacity(r_cands);
     // Committee-internal vote randomness: an independent stream per
@@ -1492,7 +1559,7 @@ fn run_node_election(
     for ci in 0..r_cands {
         let mut word = 0u16;
         // Which members the candidate's declaration reached.
-        let saw = exposed.saw(node, ci, &members);
+        let saw = exposed.saw(node, ci, members);
         let mut views = InputViews::new(config.seed, level, node, ci, config.exposure_blindness);
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
@@ -1669,23 +1736,83 @@ mod tests {
         assert_eq!(cost.leaf_open_bits(8), 3456);
     }
 
-    /// The deal label has room for 2^17 owners and no more: owner 2^17
-    /// draws owner 0's array, so the tournament refuses a larger run
-    /// before it deals.
+    /// Owners are a 32-bit field of the deal's [`Label`]: owner 2^17
+    /// (whose old label folded onto owner 0's) deals an array of its own.
     #[test]
-    fn owner_two_to_the_seventeen_would_deal_owner_zeros_array() {
-        assert_eq!(deal_label(MAX_DEAL_OWNERS), deal_label(0));
-        let mut labels: Vec<u64> = (0..MAX_DEAL_OWNERS).map(deal_label).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), MAX_DEAL_OWNERS);
+    fn owners_past_two_to_the_seventeen_deal_their_own_arrays() {
+        let p = Params::practical(64);
+        let deal = |owner: usize| {
+            let mut rng = Label::new(Kind::Deal).member(owner).rng(3);
+            CandidateArray::generate(owner, &p, 2, &mut rng)
+        };
+        let words = |a: &CandidateArray| -> Vec<u16> {
+            a.blocks
+                .iter()
+                .flat_map(|b| b.coins.iter().map(|w| w.raw()))
+                .collect()
+        };
+        let (zero, far) = (deal(0), deal(1 << 17));
+        assert_ne!(words(&zero), words(&far));
+        assert_eq!(words(&zero), words(&deal(0)), "a deal replays per seed");
     }
 
+    thread_local! {
+        /// `(seed, k, degree)` of every gossip graph this thread built.
+        pub(super) static BUILT: std::cell::RefCell<Vec<(u64, usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The shapes one clean tournament builds on this thread, in order.
+    fn shapes_built(config: &TournamentConfig) -> Vec<(usize, usize)> {
+        BUILT.with(|b| b.borrow_mut().clear());
+        let n = config.params.n;
+        run(config, &vec![true; n], &mut NoTreeAdversary);
+        BUILT.with(|b| b.borrow().iter().map(|&(_, k, d)| (k, d)).collect())
+    }
+
+    /// 1 365 elections at `scale_profile(4096)` — 1 024 committees of 96,
+    /// 256 of 384, 64 of 1 536, 20 of 4 096 and the root — gossip over
+    /// four graphs, built ascending, the root reusing the top level's.
     #[test]
-    #[should_panic(expected = "owners whose deal streams are distinct")]
-    fn more_owners_than_deal_streams_are_refused() {
-        let n = MAX_DEAL_OWNERS + 1;
-        run_clean(n, 1, &vec![true; n]);
+    fn a_4096_tournament_builds_one_graph_per_shape() {
+        let config = crate::everywhere::EverywhereConfig::scale_profile(4096)
+            .with_seed(7)
+            .tournament;
+        assert_eq!(
+            shapes_built(&config),
+            [(96, 48), (384, 48), (1536, 48), (4096, 48)]
+        );
+    }
+
+    /// One bad graph would hit a whole level, so every shared graph —
+    /// each shape built at `scale_profile(4096)` and at paper constants
+    /// at n = 256, over eight seeds — is connected, has every vertex at
+    /// least `degree` and none past `3 · degree` (out-degree `degree` plus
+    /// an in-degree of mean `degree`: a vertex at twice its mean is a
+    /// many-sigma event at these sizes).
+    #[test]
+    fn every_shared_graph_is_connected_with_bounded_degree() {
+        let configs = [
+            crate::everywhere::EverywhereConfig::scale_profile(4096).tournament,
+            TournamentConfig::for_n(256),
+        ];
+        for config in configs {
+            let shapes = shapes_built(&config);
+            assert!(!shapes.is_empty());
+            for seed in 0..8 {
+                for &(k, degree) in &shapes {
+                    let g = gossip_graph(seed, k, degree);
+                    assert_eq!(g.len(), k);
+                    assert!(g.is_connected(), "({k}, {degree}) at seed {seed}");
+                    assert!(g.min_degree() >= degree, "({k}, {degree}) at seed {seed}");
+                    assert!(
+                        g.max_degree() <= 3 * degree,
+                        "({k}, {degree}) at seed {seed}: max degree {}",
+                        g.max_degree()
+                    );
+                }
+            }
+        }
     }
 
     /// Replays one candidate's stream against both truths and reads off,

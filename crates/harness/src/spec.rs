@@ -11,7 +11,7 @@ use crate::runner::TrialOutcome;
 use ba_core::aeba::CommitteeAttack;
 use ba_core::attacks::{CustodyBuster, StaticFraction, StaticThird, WinnerHunter};
 use ba_core::everywhere::EverywhereConfig;
-use ba_core::tournament::{NoTreeAdversary, TreeAdversary, MAX_DEAL_OWNERS};
+use ba_core::tournament::{NoTreeAdversary, TreeAdversary};
 use ba_net::{NetConfig, MAX_PROCS};
 use ba_topology::Params;
 
@@ -606,8 +606,7 @@ impl RunSpec {
     /// gossip graph over all processors past 1 GiB (sized from the spec
     /// alone, before anything is built), trials whose outcome slots
     /// alone are past 1 GiB, an `n` below the protocol's
-    /// minimum, a committee stack past the tournament's
-    /// [`MAX_DEAL_OWNERS`], a tournament tuning `Params::validate` refuses and a
+    /// minimum, a tournament tuning `Params::validate` refuses and a
     /// message adversary that corrupts more than n processors. Every
     /// trial entry point calls it, and so does `scenario::parse` for each
     /// row it yields. Which
@@ -673,14 +672,6 @@ impl RunSpec {
             self.protocol,
             Protocol::Tournament(_) | Protocol::Everywhere
         );
-        if tree_level && self.n > MAX_DEAL_OWNERS {
-            return Err(format!(
-                "protocol `{name}` deals distinct candidate arrays to at most \
-                 {MAX_DEAL_OWNERS} processors, got n = {} (the deal's stream label \
-                 moves onto `stream::Label` with ROADMAP 1(e)'s re-pin)",
-                self.n
-            ));
-        }
         if self.adversary.tree != TreeAttack::None && !tree_level {
             return Err(format!(
                 "tree adversary {:?} needs a tree-level protocol (tournament|everywhere), \
@@ -771,23 +762,20 @@ mod tests {
         assert_eq!(tuned(Some(8), Some(12), Some(20)).validate(), Ok(()));
     }
 
-    /// Past 2^17 processors two owners would deal the same candidate
-    /// array: a committee stack that size is refused, also with a tuning
-    /// near the scale profile's, whose gossip graph fits.
+    /// Every owner deals from its own stream, so a committee stack past
+    /// 2^17 processors is admitted with a tuning near the scale profile's,
+    /// whose gossip graph fits.
     #[test]
-    fn committee_stacks_past_the_deal_streams_are_refused() {
+    fn committee_stacks_past_two_to_the_seventeen_are_admitted() {
         let tuning = TournamentTuning {
             aeba_degree: Some(68),
             ..TournamentTuning::default()
         };
-        let tuned = |n| RunSpec::new(Protocol::Tournament(tuning), n);
-        assert_eq!(tuned(MAX_DEAL_OWNERS).validate(), Ok(()));
-        for spec in [
-            tuned(MAX_DEAL_OWNERS + 1),
-            RunSpec::everywhere(MAX_DEAL_OWNERS + 1),
-        ] {
-            let err = spec.validate().expect_err("past the deal streams");
-            assert!(err.contains("1(e)"), "{err}");
+        for n in [1 << 17, (1 << 17) + 1, 1 << 18] {
+            assert_eq!(
+                RunSpec::new(Protocol::Tournament(tuning), n).validate(),
+                Ok(())
+            );
         }
     }
 

@@ -96,7 +96,7 @@ fn traced_structured_runs_equal_untraced() {
     }
 }
 
-/// A repeat run of the same spec builds its gossip graph again — no
+/// A repeat run of the same spec builds its gossip graphs again — no
 /// graph outlives its trial — and the process-level `sampler:cache`
 /// event counts both builds and no hit.
 #[test]
@@ -122,7 +122,7 @@ fn sampler_cache_event_counts_a_rerun_as_builds() {
             .unwrap_or_else(|| panic!("parse {name}: {line}"))
     };
     // Tests of this binary run on parallel threads and build too, so the
-    // count is at least this test's: one root graph a run.
+    // count is at least this test's: a graph a committee shape a run.
     assert!(field("misses") >= 2, "both runs build: {line}");
     assert_eq!(field("hits"), 0, "nothing is served twice: {line}");
 }

@@ -1,12 +1,15 @@
-//! Counted construction of the gossip graph over all processors.
+//! Counted construction of gossip graphs.
 //!
 //! Nothing here outlives its caller. A graph is a pure function of its
 //! dimensions and of the RNG stream its builder consumes, and every
 //! caller keys that stream by its own trial's seed — so no later trial
 //! could ask for a graph an earlier one built, and keeping it would only
-//! keep memory (1.5 MiB a trial at n = 4096, degree 48). [`regular_graph`]
-//! therefore runs its builder every time, counts one build, and hands the
-//! `Arc` back to the caller, who drops the graph with its trial.
+//! keep memory (1.5 MiB a trial at n = 4096, degree 48). Within a trial
+//! the tournament builds each committee shape `(k, degree)` once and
+//! shares the `Arc` with every committee of that size and the root (4
+//! graphs at `scale_profile(4096)`). [`regular_graph`] therefore runs its
+//! builder every time, counts one build, and hands the `Arc` back to the
+//! caller, who drops the graph with its trial.
 //!
 //! The cache-shaped names stay because `benchmark/` compiles against
 //! them: its probe builds through [`regular_graph`], and its per-layer

@@ -12,7 +12,10 @@
 //!   traffic the tournament prices without drawing them.
 //! * **Random regular graphs** (Theorem 5): the gossip graph `G` for
 //!   almost-everywhere Byzantine agreement with unreliable coins is a
-//!   random `k·log n`-regular graph.
+//!   random `k·log n`-regular graph. Like the samplers it is public setup
+//!   whose guarantee holds for any set of bad vertices, so a tournament
+//!   trial builds one graph per committee shape `(k, degree)` and every
+//!   committee of that size gossips over it ([`cache`] counts the builds).
 //!
 //! Lemma 2 establishes sampler existence by the probabilistic method — a
 //! random assignment works w.h.p. — so [`Sampler::random`] *is* the

@@ -107,14 +107,17 @@ impl RegularGraph {
     }
 
     /// Minimum realized degree over all vertices.
-    #[cfg(test)]
-    fn min_degree(&self) -> usize {
+    pub fn min_degree(&self) -> usize {
         (0..self.len()).map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
+    /// Maximum realized degree over all vertices.
+    pub fn max_degree(&self) -> usize {
+        (0..self.len()).map(|v| self.degree(v)).max().unwrap_or(0)
+    }
+
     /// Whether the graph is connected (BFS).
-    #[cfg(test)]
-    fn is_connected(&self) -> bool {
+    pub fn is_connected(&self) -> bool {
         if self.is_empty() {
             return true;
         }

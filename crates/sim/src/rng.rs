@@ -7,14 +7,18 @@
 //! Two kinds of stream, one label scheme:
 //!
 //! * **ChaCha12 ([`SimRng`])** for every draw the paper's model gives to
-//!   a party: processors' private coins, the adversary's streams, the
-//!   tournament's election `Label` streams and sampler construction. These
-//!   stand in for real coins an adversary must not predict, so they keep
-//!   a cipher.
-//! * **Environment streams ([`EnvRng`], xoshiro256++)** for what the paper
-//!   does not model at all: the lossy, jittered test network's drops,
+//!   a party: processors' private coins, the adversary's streams and the
+//!   tournament's deal and election `Label` streams. These stand in for
+//!   real coins an adversary must not predict, so they keep a cipher.
+//! * **Environment streams ([`EnvRng`], xoshiro256++)** for what no party
+//!   owns or needs to hide: the lossy, jittered test network's drops,
 //!   latencies and same-instant shuffles (`ba_net`'s `NET_LABEL` and
-//!   `ORDER_LABEL`). No party owns or predicts them; they need statistical
+//!   `ORDER_LABEL`), which the paper does not model at all, and sampler
+//!   construction — the tournament's gossip graphs, one per committee
+//!   shape — which it makes public setup: Lemma 2 and Theorem 5 obtain
+//!   the samplers and the gossip graph by the probabilistic method, one
+//!   fixed object every party and the adversary know, whose guarantee
+//!   holds for *any* set of bad vertices in it. They need statistical
 //!   quality and speed — one `u64` a draw at ≈ 1 ns, where a ChaCha12
 //!   `u64` is two cipher words — and replay per seed.
 //!   [`derive_env_rng`] keys one from the first 32 bytes of the ChaCha
@@ -25,13 +29,14 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 /// The RNG of every party in the simulation — processors' coins,
-/// adversaries, elections, sampler construction (cryptographic-quality,
-/// seedable, portable across platforms). The test network draws from
-/// [`EnvRng`] instead.
+/// adversaries, the deal, elections (cryptographic-quality, seedable,
+/// portable across platforms). The test network and the public gossip
+/// graphs draw from [`EnvRng`] instead.
 pub type SimRng = ChaCha12Rng;
 
 /// The RNG of the simulated environment: the faulty network's drops,
-/// latencies and delivery shuffles, never a party's coin. xoshiro256++ by
+/// latencies and delivery shuffles and the public gossip graphs, never a
+/// party's coin. xoshiro256++ by
 /// name, not `rand`'s default generator, so swapping `rand` cannot change
 /// the stream unseen.
 pub type EnvRng = Xoshiro256PlusPlus;
@@ -40,10 +45,11 @@ pub type EnvRng = Xoshiro256PlusPlus;
 ///
 /// Streams with distinct `(seed, label)` pairs are computationally
 /// independent. Labels 0..n are used for processor private coins; higher
-/// label spaces are reserved for adversaries (`1 << 40 | i`),
-/// infrastructure such as sampler construction (`1 << 41 | i`), and the
-/// `ba-net` network transport (`1 << 42` and `1 << 43`, keyed through
-/// [`derive_env_rng`]).
+/// label spaces are reserved for adversaries (`1 << 40 | i`), the
+/// topology tree (`1 << 41 | i`), the `ba-net` network transport
+/// (`1 << 42` and `1 << 43`) and the tournament's gossip graphs
+/// (`1 << 60 | degree << 32 | k`), the last three keyed through
+/// [`derive_env_rng`].
 ///
 /// ```rust
 /// use ba_sim::derive_rng;
