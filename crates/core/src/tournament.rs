@@ -747,11 +747,7 @@ where
                     None => adversary.bad_bin_choice(&good_choices, num_bins),
                 })
                 .collect();
-            plans.push(ElectionPlan {
-                node,
-                declared,
-                members: Vec::new(),
-            });
+            plans.push(ElectionPlan { node, declared });
         }
 
         // -- Routed exchange: each declared bin choice travels from the
@@ -800,23 +796,21 @@ where
             },
         );
         let online = online_at(net, net_round, n);
-        for plan in &mut plans {
-            plan.members = tree
-                .members(NodeAddr::new(level, plan.node))
-                .iter()
-                .copied()
-                .filter(|&m| online[m as usize])
-                .collect();
-        }
         // Every committee of one size gossips over one public graph,
-        // built here the first time a level needs its shape.
-        graphs.need(plans.iter().map(|plan| plan.members.len()));
+        // built here the first time a level needs its shape. (Each
+        // election lists its own members: lists made here for all of
+        // them at once peak ≈ 3 MB higher at n = 4096.)
+        graphs.need(
+            plans.iter().map(|plan| {
+                online_members(&tree, NodeAddr::new(level, plan.node), &online).count()
+            }),
+        );
 
         // -- Parallel phase: per-committee agreement + election.
         let outcomes: Vec<ElectionOutcome> = ba_par::par_map(&plans, |plan| {
             run_node_election(
                 plan, level, num_bins, attack, &tree, &holdings, &arrays, &corrupt, &def3, &cost,
-                config, &exposed, &graphs,
+                config, &exposed, &online, &graphs,
             )
         });
 
@@ -1388,14 +1382,24 @@ struct ArrayState {
     alive: bool,
 }
 
-/// Sequentially-prepared inputs for one node's election: the node index,
-/// the bin choices declared for every held candidate (the adversary's
-/// rushing choices are fixed here, before any parallel work starts) and
-/// the committee's members online at the exposure's delivery, ascending.
+/// Sequentially-prepared inputs for one node's election: the node index
+/// and the bin choices declared for every held candidate (the adversary's
+/// rushing choices are fixed here, before any parallel work starts).
 struct ElectionPlan {
     node: usize,
     declared: Vec<u16>,
-    members: Vec<u32>,
+}
+
+/// The members of committee `at` that are `online`, ascending.
+fn online_members<'a>(
+    tree: &'a Tree,
+    at: NodeAddr,
+    online: &'a [bool],
+) -> impl Iterator<Item = u32> + 'a {
+    tree.members(at)
+        .iter()
+        .copied()
+        .filter(|&m| online[m as usize])
 }
 
 /// Everything one node's election produced, accumulated privately by a
@@ -1481,7 +1485,7 @@ impl InputViews {
 /// and reports all side effects through the returned [`ElectionOutcome`].
 ///
 /// `exposed` holds the `(node, candidate, processor)` exposure receipts
-/// that survived the routed exchange; `plan.members` are the members that
+/// that survived the routed exchange; `online` flags the processors that
 /// were up at its delivery round. Offline members sit the election out
 /// entirely — they cast no votes, pay no bits, and shrink the committee.
 /// The committee gossips over the trial's graph of its size from
@@ -1500,6 +1504,7 @@ fn run_node_election(
     cost: &CostModel,
     config: &TournamentConfig,
     exposed: &Exposure,
+    online: &[bool],
     graphs: &GossipGraphs,
 ) -> ElectionOutcome {
     let p = &config.params;
@@ -1507,7 +1512,7 @@ fn run_node_election(
     let held = &holdings[node];
     let at = NodeAddr::new(level, node);
     let r_cands = held.len();
-    let members = &plan.members;
+    let members: Vec<u32> = online_members(tree, at, online).collect();
     let k = members.len();
     if k < 2 {
         // The committee is (all but) gone — churned or crashed out. No
@@ -1559,7 +1564,7 @@ fn run_node_election(
     for ci in 0..r_cands {
         let mut word = 0u16;
         // Which members the candidate's declaration reached.
-        let saw = exposed.saw(node, ci, members);
+        let saw = exposed.saw(node, ci, &members);
         let mut views = InputViews::new(config.seed, level, node, ci, config.exposure_blindness);
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
