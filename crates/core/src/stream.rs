@@ -3,9 +3,9 @@
 //! The deal and every election draw from streams named by up to seven
 //! coordinates — what the stream is for, the committee `(level, node)`,
 //! the candidate, the bit of its bin choice, the agreement round and the
-//! member (or the dealing owner). They
-//! do not fit one 64-bit label, and hand-XORed shifts of them ran into
-//! each other (members into the bit field from `k > 256`). [`Label`]
+//! member (or the dealing owner). They do not fit one 64-bit label, and
+//! hand-XORed shifts of them ran into each other (members into the bit
+//! field from `k > 256`; owners past 2¹⁷ onto owner 0). [`Label`]
 //! gives every coordinate a field of its own width over the *two* words
 //! [`ba_sim::derive_keyed_rng`] takes; a value too wide for its field
 //! panics instead of folding into a neighbour. The kind tag sits in the
